@@ -30,7 +30,7 @@ def main():
             f.write(f"# {k} = {v}\n")
         f.write("t,fprime\n")
         for t, v in zip(image.t_grid, np.asarray(image.fprime).real):
-            f.write(f"{t!r},{v!r}\n")
+            f.write(f"{float(t)!r},{float(v)!r}\n")
     print(f"f'(t) -> {args.out}")
     print(f"{'arrival':>9}  {'peak at':>9}  {'height':>10}")
     for c, pt, h in zip(burst.centers, burst.peak_times, burst.heights):

@@ -20,7 +20,7 @@ from scipy.special import log_ndtr
 
 from .core import BulkBoundaryFunction, CauchyData, GeometryError, Grid1D, \
     PhysicalParams, Strip
-from .modes import ModeTable, project, synthesize
+from .modes import ModeTable, synthesize
 
 
 class CflError(ValueError):
@@ -63,12 +63,6 @@ def spectral_evolve(s: SpectralState, t: float) -> SpectralState:
     return SpectralState(a=s.a * cos + s.b * sinc,
                          b=-s.a * np.where(zero, 0.0, w * sin) + s.b * cos,
                          table=s.table, t=s.t + t, k=s.k)
-
-
-def spectral_state_from_data(data: CauchyData, table: ModeTable, t: float = 0.0,
-                             k: float = 0.0) -> SpectralState:
-    return SpectralState(a=project(data.position, table), b=project(data.velocity, table),
-                         table=table, t=t, k=k)
 
 
 def spectral_symplectic(A: SpectralState, B: SpectralState) -> float:

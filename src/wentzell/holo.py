@@ -8,6 +8,14 @@ boundary field to the same operator as the bulk smearing.  The bump profile
 chi is a convention (the construction does not fix it) and is recorded in the
 image metadata.
 
+The last step, fhat' -> f', is the trapezoid sum over a uniform omega grid
+evaluated on a uniform time grid.  It is computed as a chirp-z transform by
+Bluestein's convolution (Bluestein 1968; Rabiner, Schafer & Rader 1969): the
+product t_j omega_k is split into chirps so that the sum becomes one FFT
+convolution, in O((N_omega + N_t) log(N_omega + N_t)) time and O(N_omega + N_t)
+memory.  Both grids must therefore be uniform; a non-uniform output time grid
+raises ValueError.
+
 No attempt is made to compactify the support of f'.  A Paley-Wiener argument
 bounds any single-mode boundary representative away from intervals shorter
 than 8S/pi, and the images produced here have long tails set by the inverse
@@ -19,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.fft import fft, ifft, next_fast_len
 from scipy.signal import find_peaks, hilbert
 
 from .core import Grid1D, PhysicalParams, Strip
@@ -134,7 +143,10 @@ def extend_to_schwartz(coeffs: SmearedCoefficients, table: ModeTable, a: float,
 
 @dataclass
 class HoloGrids:
-    """Discretization used to compute and sample a holographic image."""
+    """Discretization used to compute and sample a holographic image.
+
+    ``t_out`` (the output times of f'; ``time_grid`` when None) must be
+    uniform: the inverse transform is a chirp-z transform."""
 
     time_grid: np.ndarray
     grid: Grid1D
@@ -166,16 +178,48 @@ class HoloImage:
     warnings: list = field(default_factory=list)
 
 
+def _uniform_step(g: np.ndarray, name: str) -> float:
+    """Step of a uniform grid, taken from its endpoints (the difference of two
+    neighbouring values loses digits away from zero); ValueError if g is not
+    uniform."""
+    if g.size < 2:
+        return 0.0
+    step = float(g[-1] - g[0]) / (g.size - 1)
+    if not np.allclose(np.diff(g), step, rtol=1e-9, atol=0.0):
+        raise ValueError(f"{name} must be uniform")
+    return step
+
+
 def _inverse_transform(ext: FreqExtension, omega_grid: np.ndarray,
                        t_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid inverse Fourier transform, restricted to the bump supports."""
+    """Trapezoid inverse Fourier transform
+
+        f'(t_j) = d_omega / sqrt(2 pi) sum_k fhat'(omega_k) exp(-i t_j omega_k),
+
+    over the span of the nonzero samples, by Bluestein's chirp convolution.
+    With t_j = t_0 + j dt, omega_k = omega_0 + k d_omega and beta = dt d_omega,
+    j k = (j^2 + k^2 - (j - k)^2) / 2 turns the sum into a chirp pre-multiply,
+    one FFT convolution with exp(i beta r^2 / 2) and a chirp post-multiply:
+    O((N_omega + N_t) log(N_omega + N_t)) time, O(N_omega + N_t) memory.
+    Both grids must be uniform (ValueError otherwise)."""
+    t_grid = np.asarray(t_grid, dtype=float)
     fhat = ext(omega_grid)
-    d_omega = omega_grid[1] - omega_grid[0]
+    d_omega = _uniform_step(omega_grid, "omega grid")
+    dt = _uniform_step(t_grid, "t grid")
     nz = np.nonzero(fhat)[0]
     if nz.size == 0:
         return fhat, np.zeros(t_grid.shape)
-    phases = np.exp(-1j * np.outer(t_grid, omega_grid[nz]))
-    fprime = (phases @ fhat[nz]) * d_omega / _SQRT2PI
+    seg = fhat[nz[0]: nz[-1] + 1]
+    m, n = seg.size, t_grid.size
+    beta = dt * d_omega
+    k = np.arange(m, dtype=float)
+    j = np.arange(n, dtype=float)
+    r = np.arange(-(m - 1), n, dtype=float)
+    size = next_fast_len(n + m - 1)
+    pre = seg * np.exp(-1j * (t_grid[0] * d_omega * k + 0.5 * beta * k * k))
+    conv = ifft(fft(pre, size) * fft(np.exp(0.5j * beta * r * r), size))[m - 1: m - 1 + n]
+    post = np.exp(-1j * (omega_grid[nz[0]] * t_grid + 0.5 * beta * j * j))
+    fprime = conv * post * d_omega / _SQRT2PI
     if np.max(np.abs(fprime.imag)) < 1e-10 * max(np.max(np.abs(fprime.real)), 1e-300):
         fprime = fprime.real
     return fhat, fprime
@@ -295,7 +339,7 @@ def verify_dual(image: HoloImage, coeffs: SmearedCoefficients, table: ModeTable
 
 def fig2_test_function(t, x) -> np.ndarray:
     """Smooth bump exp(-1/(t+1/2)) exp(-1/(1/2-t)) exp(-1/(x+1/2))
-    exp(-1/(1/2-x)) on (-1/2, 1/2)^2, zero outside; value e^-4 at the origin."""
+    exp(-1/(1/2-x)) on (-1/2, 1/2)^2, zero outside; value e^-8 at the origin."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     tb, xb = np.broadcast_arrays(t, x)
@@ -432,7 +476,7 @@ def halfspace_dual(f, p: PhysicalParams, q_grid: np.ndarray,
     time_grid = np.asarray(time_grid, dtype=float)
     z = grid.nodes
     samples = np.asarray(f(time_grid[:, None], z[None, :]), dtype=float)
-    V = np.column_stack([eval_halfspace_mode(q, z, p) for q in q_grid])
+    V = eval_halfspace_mode(q_grid[None, :], z[:, None], p)
     A = (samples * grid.quad_weights()) @ V
     omegas = np.sqrt(q_grid**2 + p.mu**2)
     phase = np.outer(time_grid, omegas)

@@ -302,11 +302,11 @@ class HalfSpaceMode:
         return self.norm(p)
 
 
-def eval_halfspace_mode(q: float, z, p: PhysicalParams) -> np.ndarray:
+def eval_halfspace_mode(q, z, p: PhysicalParams) -> np.ndarray:
     """Half-space profile (pi/2 (c^2 q^2 + 1))^(-1/2) (cos qz - c q sin qz).
 
     The boundary value (z=0 sample) is the prefactor itself; dimension-
-    dependent 2 pi factors are carried by callers.
+    dependent 2 pi factors are carried by callers.  q and z broadcast.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z < -1e-12):

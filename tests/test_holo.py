@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from wentzell.core import Grid1D, PhysicalParams, Strip
 from wentzell.holo import (BumpOverlapError, Fig2Config, HalfSpaceDual,
-                           HoloGrids, choose_a, default_chi, detect_bursts,
-                           extend_to_schwartz, fig2_reproduce,
+                           HoloGrids, _inverse_transform, choose_a, default_chi,
+                           detect_bursts, extend_to_schwartz, fig2_reproduce,
                            fig2_test_function, halfspace_dual,
                            holographic_dual, included_modes, verify_dual)
 from wentzell.modes import ModeTable, build_table
@@ -35,6 +35,32 @@ def gauss_f(t, z):
 @pytest.fixture(scope="module")
 def image(table, grids):
     return holographic_dual(gauss_f, P1, table, grids=grids)
+
+
+@pytest.fixture(scope="module")
+def fig2():
+    return fig2_reproduce(Fig2Config())
+
+
+def dense_inverse_transform(ext, omega_grid, t_grid, chunk=1024):
+    """Oracle: the trapezoid sum of the inverse transform as a dense phase
+    matrix over the nonzero samples, taken in blocks of output times."""
+    fhat = ext(omega_grid)
+    d_omega = (omega_grid[-1] - omega_grid[0]) / (len(omega_grid) - 1)
+    nz = np.nonzero(fhat)[0]
+    out = np.empty(t_grid.shape, dtype=complex)
+    for i in range(0, t_grid.size, chunk):
+        phases = np.exp(-1j * np.outer(t_grid[i:i + chunk], omega_grid[nz]))
+        out[i:i + chunk] = phases @ fhat[nz]
+    return out * d_omega / np.sqrt(2 * np.pi)
+
+
+def assert_matches_dense(ext, omega_grid, t_grid, fprime):
+    """The fast transform is real and agrees with the dense sum to rounding."""
+    assert np.isrealobj(fprime)
+    oracle = dense_inverse_transform(ext, omega_grid, t_grid)
+    scale = np.max(np.abs(oracle))
+    assert np.max(np.abs(fprime - oracle)) <= 1e-12 * scale
 
 
 def test_default_chi():
@@ -215,7 +241,6 @@ def test_single_mode_packet(table):
         fh = ext(branch)
         oracle += np.trapezoid(fh[None, :] * np.exp(-1j * np.outer(t, branch)),
                                branch, axis=1) / np.sqrt(2 * np.pi)
-    from wentzell.holo import _inverse_transform
     d_omega = (np.sqrt(wm**2 + half) - np.sqrt(wm**2 - half)) / 64
     n_half = int(np.ceil((wm + 2.0) / d_omega))
     grid_w = np.arange(-n_half, n_half + 1) * d_omega
@@ -231,10 +256,36 @@ def test_single_mode_packet(table):
     # whose envelope peaks near t = 0 (scale set by the inverse bump width)
     t_long = np.linspace(-150.0, 150.0, 8192)
     _, fp_long = _inverse_transform(ext, grid_w, t_long)
+    assert_matches_dense(ext, grid_w, t_long, fp_long)
     burst = detect_bursts(t_long, np.asarray(fp_long).real, rel_threshold=0.3,
                           cluster_gap=40.0)
     assert len(burst.centers) == 1
     assert abs(burst.peak_times[0]) < 1.0
+
+
+def test_inverse_transform_matches_dense_fig2(fig2):
+    image, _ = fig2
+    assert_matches_dense(image.extension, image.omega_grid, image.t_grid,
+                         image.fprime)
+
+
+def test_inverse_transform_rejects_nonuniform_t_out(table, grids):
+    t_out = np.linspace(-4.0, 4.0, 1024) ** 3 / 16.0
+    bad = dataclasses.replace(grids, t_out=t_out)
+    with pytest.raises(ValueError, match="uniform"):
+        holographic_dual(gauss_f, P1, table, grids=bad)
+
+
+def test_inverse_transform_zero_spectrum(table):
+    coeffs = SmearedCoefficients(f_plus=np.zeros(len(table), dtype=complex),
+                                 f_minus=np.zeros(len(table), dtype=complex))
+    modes = included_modes(table, 8)
+    ext = extend_to_schwartz(coeffs, table, choose_a(table, 1.0, 8), modes=modes)
+    t = np.linspace(-4.0, 4.0, 257)
+    fhat, fprime = _inverse_transform(ext, np.linspace(-10.0, 10.0, 2001), t)
+    assert not np.any(fhat)
+    assert np.isrealobj(fprime)
+    assert fprime.shape == t.shape and not np.any(fprime)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +302,8 @@ def test_fig2_function_values():
 
 
 @pytest.mark.slow
-def test_fig2_bursts():
-    image, burst = fig2_reproduce(Fig2Config())
+def test_fig2_bursts(fig2):
+    image, burst = fig2
     assert burst.matches([-5.0, -3.0, -1.0, 1.0, 3.0, 5.0], tol=0.2)
     heights = []
     for e in (1.0, 3.0, 5.0):

@@ -96,6 +96,18 @@ def test_halfspace_mode_boundary_value():
         eval_halfspace_mode(q, -0.1, P1)
 
 
+def test_halfspace_mode_broadcast_matches_loop():
+    # the (z, q) matrix in one call equals one column per q; the vectorized
+    # power may round the prefactor differently in the last bit
+    p = PhysicalParams(c=1.3, mu=1.0, geometry=HalfSpace())
+    q = np.linspace(0.0, 12.0, 241)
+    z = Grid1D.for_halfspace(4.0, 1024).nodes
+    loop = np.column_stack([eval_halfspace_mode(qi, z, p) for qi in q])
+    V = eval_halfspace_mode(q[None, :], z[:, None], p)
+    assert V.shape == loop.shape
+    assert np.max(np.abs(V - loop)) <= 4 * np.finfo(float).eps * np.max(np.abs(loop))
+
+
 def test_project_unit_vectors(table20):
     g = Grid1D.for_strip(1.0, 4096)
     F = mode_function(table20.entries[7], table20, g)
