@@ -1,40 +1,25 @@
 #!/usr/bin/env python3
 """Grid-refinement study: FDTD against the exact spectral propagator.
 
-Prints the weighted-L2 error at t = 2S for a sequence of resolutions and the
-observed convergence orders (expected: 2)."""
+Prints the weighted-L2 error at t = 2S (CFL 0.5, as in acceptance criterion 4)
+for a sequence of resolutions and the observed convergence orders (expected: 2)."""
 
 import argparse
 
 import numpy as np
 
-from wentzell.core import CauchyData, Grid1D, PhysicalParams, Strip, \
-    BulkBoundaryFunction, weighted_norm
-from wentzell.evolve import SpectralState, fdtd_run, make_fdtd_state, \
-    spectral_evolve, synthesize_state
-from wentzell.modes import build_table, synthesize
+from wentzell.acceptance import fdtd_vs_spectral_error
+from wentzell.core import PhysicalParams, Strip
+from wentzell.modes import build_table
 
 
-def run(S, c, mu, M, cfl, levels):
+def run(S, c, mu, M, levels):
     p = PhysicalParams(c=c, mu=mu, geometry=Strip(S))
     table = build_table(M, p)
     m = np.arange(M + 1.0)
     a = 0.5 / (1 + m) ** 2
     b = 0.3 / (1 + m) ** 2
-    errors = []
-    for n in levels:
-        grid = Grid1D.for_strip(S, n)
-        data = CauchyData(position=synthesize(a, table, grid),
-                          velocity=synthesize(b, table, grid))
-        state = make_fdtd_state(data, p, cfl=cfl)
-        steps = int(round(2 * S / state.dt))
-        state = fdtd_run(state, steps)
-        ref = synthesize_state(spectral_evolve(SpectralState(a=a, b=b, table=table),
-                                               steps * state.dt), grid)
-        diff = BulkBoundaryFunction(grid=grid, bulk=state.phi - ref.position.bulk,
-                                    boundary=state.bdy - ref.position.boundary)
-        errors.append(weighted_norm(diff, p))
-    return errors
+    return [fdtd_vs_spectral_error(n, p, table, a, b, T=2 * S) for n in levels]
 
 
 def main():
@@ -43,11 +28,10 @@ def main():
     ap.add_argument("--c", type=float, default=1.0)
     ap.add_argument("--mu", type=float, default=1.0)
     ap.add_argument("--modes", type=int, default=10)
-    ap.add_argument("--cfl", type=float, default=0.5)
     ap.add_argument("--levels", type=int, nargs="+",
                     default=[128, 256, 512, 1024, 2048])
     args = ap.parse_args()
-    errs = run(args.S, args.c, args.mu, args.modes, args.cfl, args.levels)
+    errs = run(args.S, args.c, args.mu, args.modes, args.levels)
     print(f"{'n':>6}  {'h':>12}  {'L2 error':>12}  {'order':>6}")
     for i, (n, e) in enumerate(zip(args.levels, errs)):
         order = ""

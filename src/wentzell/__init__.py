@@ -11,7 +11,7 @@ from .modes import (HalfSpaceMode, ModeEntry, ModeTable, build_table,
                     synthesize, verify_table)
 from .evolve import (CflError, EnergyReport, FdtdState, SpectralState,
                      causality_probe, energy, explicit_solution, fdtd_run,
-                     fdtd_step, make_fdtd_state, spectral_evolve)
+                     make_fdtd_state, spectral_evolve)
 from .qft import (SmearedCoefficients, TwoPointSpec, boundary_2pt_halfspace,
                   boundary_2pt_strip, commutator_boundary, smeared_coeffs,
                   source_relation_check, spacelike_2pt_bessel, tail_convergence)

@@ -3,7 +3,9 @@
 Outputs are deterministic for a given configuration: CSV data files carry the
 full parameter set in ``#`` header comments and no timestamps; mode tables are
 cached as human-diffable JSON keyed by (S, c, mu, M_max, residual_tol).
-Exit codes: 0 success, 1 invalid configuration, 2 runtime failure,
+Each ``cmd_*`` takes the parsed ``argparse.Namespace``; the parser holds the
+only copy of every default.  Exit codes: 0 success, 1 invalid configuration,
+2 runtime failure (including non-finite data, for which no CSV is written),
 3 acceptance failure.
 """
 
@@ -14,14 +16,13 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import BulkBoundaryFunction, CauchyData, Grid1D, PhysicalParams, Strip
-from .evolve import (energy, explicit_solution, fdtd_run, make_fdtd_state,
-                     reflection_cauchy_data)
+from .core import CauchyData, Grid1D, HalfSpace, PhysicalParams, Strip
+from .evolve import (SpectralState, energy, explicit_solution, fdtd_run,
+                     make_fdtd_state, reflection_cauchy_data, synthesize_state)
 from .holo import Fig2Config, HoloGrids, fig2_reproduce, holographic_dual, verify_dual
 from .modes import ModeEntry, ModeTable, bracket, build_table, residual_normalized, \
     verify_table
@@ -111,72 +112,12 @@ def write_csv(path: Path, header: dict, columns: list[str], rows: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# configs
-
-@dataclass
-class ModesConfig:
-    S: float = 1.0
-    c: float = 1.0
-    mu: float = 0.0
-    M_max: int = 200
-    residual_tol: float = 1e-12
-    delta: float = 0.1
-    m_start: int = 50
-    out: str | None = None
-    cache_dir: str | None = None
-
-
-@dataclass
-class EvolveConfig:
-    S: float = 1.0
-    c: float = 1.0
-    mu: float = 0.0
-    grid_n: int = 1024
-    cfl: float = 0.5
-    T: float = 2.0
-    scenario: str = "gaussian"  # gaussian | mode | reflection
-    eps: float = 0.02
-    out: str = "evolve.csv"
-    cache_dir: str | None = None
-
-
-@dataclass
-class TwoPointConfig:
-    geometry: str = "strip"  # strip | halfspace
-    S: float = 1.0
-    c: float = 1.0
-    mu: float = 1.0
-    M: int = 100
-    q_max: float = 200.0
-    x0_max: float = 5.0
-    n_x0: int = 101
-    out: str = "twopoint.csv"
-    cache_dir: str | None = None
-
-
-@dataclass
-class HoloConfig:
-    S: float = 1.0
-    c: float = 1.0
-    mu: float = 1.0
-    M: int | None = None
-    fig2: bool = False
-    out: str = "holo"
-    cache_dir: str | None = None
-
-
-@dataclass
-class VerifyConfig:
-    out: str | None = "verify.json"
-
-
-# ---------------------------------------------------------------------------
 # commands
 
-def cmd_modes(cfg: ModesConfig) -> int:
-    p = PhysicalParams(c=cfg.c, mu=cfg.mu, geometry=Strip(cfg.S))
-    cache_dir = resolve_cache_dir(cfg.cache_dir)
-    table, path, cached = load_or_build_table(p, cfg.M_max, cfg.residual_tol, cache_dir)
+def cmd_modes(args: argparse.Namespace) -> int:
+    p = PhysicalParams(c=args.c, mu=args.mu, geometry=Strip(args.S))
+    cache_dir = resolve_cache_dir(args.cache_dir)
+    table, path, cached = load_or_build_table(p, args.M_max, args.residual_tol, cache_dir)
     print(f"mode table: {len(table)} entries "
           f"({'cache hit' if cached else 'computed'}) -> {path}")
 
@@ -186,12 +127,12 @@ def cmd_modes(cfg: ModesConfig) -> int:
               for m in range(1, len(table)))
     print(f"{'PASS' if in_window else 'FAIL'}  eigenvalue windows "
           f"(max normalized residual {res:.3e})")
-    ok = in_window and res < cfg.residual_tol * max(1.0, cfg.S)
+    ok = in_window and res < args.residual_tol * max(1.0, args.S)
 
-    if len(table) - 1 >= max(cfg.m_start, 2) + 1:
-        rep = verify_table(table, delta=cfg.delta, m_start=cfg.m_start)
+    if len(table) - 1 >= max(args.m_start, 2) + 1:
+        rep = verify_table(table, delta=args.delta, m_start=args.m_start)
         print(f"{'PASS' if np.all(rep.q_in_bound) else 'FAIL'}  asymptotic q window "
-              f"(delta={cfg.delta}, m >= {rep.m_start})")
+              f"(delta={args.delta}, m >= {rep.m_start})")
         print(f"{'PASS' if np.all(rep.d_in_bound) else 'FAIL'}  boundary coupling decay law")
         print(f"{'PASS' if rep.c_bounded else 'FAIL'}  normalization deviation "
               f"|c_m - 1| m^2 bounded")
@@ -200,148 +141,143 @@ def cmd_modes(cfg: ModesConfig) -> int:
     else:
         print("asymptotic checks skipped: table too short for m_start")
 
-    if cfg.out:
-        atomic_write_text(Path(cfg.out), table_to_json(table))
-        print(f"table copied to {cfg.out}")
+    if args.out:
+        atomic_write_text(Path(args.out), table_to_json(table))
+        print(f"table copied to {args.out}")
     return EXIT_OK if ok else EXIT_ACCEPTANCE
 
 
-def _gaussian_data(grid: Grid1D, width: float = 0.1) -> CauchyData:
-    z = grid.nodes
-    center = 0.5 * (grid.z_min + grid.z_max)
-    pos = np.exp(-((z - center) ** 2) / (2 * width ** 2))
-    return CauchyData(
-        position=BulkBoundaryFunction(grid=grid, bulk=pos,
-                                      boundary=np.array([pos[0], pos[-1]])),
-        velocity=BulkBoundaryFunction(grid=grid, bulk=np.zeros_like(z),
-                                      boundary=np.zeros(2)))
+def cmd_evolve(args: argparse.Namespace) -> int:
+    if not 0 < args.cfl <= 1.0:
+        raise ValueError(f"CFL factor must be in (0, 1], got {args.cfl}")
+    p = PhysicalParams(c=args.c, mu=args.mu, geometry=Strip(args.S))
+    grid = Grid1D.for_strip(args.S, args.grid_n)
+    header = {"command": "evolve", "scenario": args.scenario, "S": args.S, "c": args.c,
+              "mu": args.mu, "grid_n": args.grid_n, "cfl": args.cfl, "T": args.T}
 
-
-def cmd_evolve(cfg: EvolveConfig) -> int:
-    if not 0 < cfg.cfl <= 1.0:
-        raise ValueError(f"CFL factor must be in (0, 1], got {cfg.cfl}")
-    p = PhysicalParams(c=cfg.c, mu=cfg.mu, geometry=Strip(cfg.S))
-    grid = Grid1D.for_strip(cfg.S, cfg.grid_n)
-    header = {"command": "evolve", "scenario": cfg.scenario, "S": cfg.S, "c": cfg.c,
-              "mu": cfg.mu, "grid_n": cfg.grid_n, "cfl": cfg.cfl, "T": cfg.T}
-
-    if cfg.scenario == "reflection":
-        if cfg.mu != 0.0:
+    if args.scenario == "reflection":
+        if args.mu != 0.0:
             raise ValueError("the reflection scenario is the massless closed form; "
                              "set --mu 0")
         t0 = -0.5
-        data = reflection_cauchy_data(grid, t0=t0, eps=cfg.eps, c=cfg.c)
-        header["eps"] = cfg.eps
-    elif cfg.scenario == "mode":
-        cache_dir = resolve_cache_dir(cfg.cache_dir)
+        data = reflection_cauchy_data(grid, t0=t0, eps=args.eps, c=args.c)
+        header["eps"] = args.eps
+    elif args.scenario == "mode":
+        cache_dir = resolve_cache_dir(args.cache_dir)
         table, _, _ = load_or_build_table(p, 3, 1e-12, cache_dir)
-        from .modes import synthesize
         coeffs = np.zeros(4)
         coeffs[1] = 1.0
         t0 = 0.0
-        data = CauchyData(position=synthesize(coeffs, table, grid),
-                          velocity=synthesize(np.zeros(4), table, grid))
-    elif cfg.scenario == "gaussian":
+        data = synthesize_state(SpectralState(a=coeffs, b=np.zeros(4), table=table), grid)
+    elif args.scenario == "gaussian":
         t0 = 0.0
-        data = _gaussian_data(grid)
+        z = grid.nodes
+        data = CauchyData.from_samples(grid, np.exp(-z ** 2 / (2 * 0.1 ** 2)),
+                                       np.zeros_like(z))
     else:
-        raise ValueError(f"unknown scenario {cfg.scenario!r}")
+        raise ValueError(f"unknown scenario {args.scenario!r}")
 
-    state = make_fdtd_state(data, p, cfl=cfg.cfl)
-    n_steps = int(np.ceil((cfg.T - t0) / state.dt))
+    state = make_fdtd_state(data, p, cfl=args.cfl)
+    n_steps = int(np.ceil((args.T - t0) / state.dt))
     sample_every = max(1, n_steps // 400)
     rows = []
     sup_resid = 0.0
-    E0 = energy(state).total
+    rep = energy(state)
+    E0 = rep.total
     for k in range(0, n_steps, sample_every):
         state = fdtd_run(state, min(sample_every, n_steps - k))
         t = t0 + state.t
         rep = energy(state)
         row = [t, rep.bulk, rep.boundary, rep.total, state.phi[0], state.phi[-1]]
-        if cfg.scenario == "reflection":
-            _, exact = explicit_solution(t, np.array([0.0]), cfg.eps, cfg.c)
+        if args.scenario == "reflection":
+            _, exact = explicit_solution(t, np.array([0.0]), args.eps, args.c)
             resid = float(abs(state.phi[0] - exact))
             sup_resid = max(sup_resid, resid)
             row += [exact, resid]
         rows.append(row)
+    rows = np.array(rows)
+    finite = np.isfinite(rows).all(axis=-1)
+    if not finite.all():
+        raise FloatingPointError(
+            f"non-finite field values at t = {rows[~finite][0, 0]:.6g}: the scheme is "
+            f"unstable at c = {args.c} (small c needs a smaller --cfl); no CSV written")
     cols = ["t", "E_bulk", "E_bdy", "E_total", "phi_bdy_minus", "phi_bdy_plus"]
-    if cfg.scenario == "reflection":
+    if args.scenario == "reflection":
         cols += ["phi_bdy_exact", "residual"]
         header["sup_residual"] = repr(sup_resid)
         print(f"reflection sup residual: {sup_resid:.4e} "
-              f"(bound {5e-2 * 2 / cfg.c:.4e})")
-    drift = abs(energy(state).total - E0) / E0 if E0 > 0 else 0.0
+              f"(bound {5e-2 * 2 / args.c:.4e})")
+    drift = abs(rep.total - E0) / E0 if E0 > 0 else 0.0
     print(f"energy drift over the run: {drift:.3e}")
-    write_csv(Path(cfg.out), header, cols, np.array(rows))
-    print(f"time series -> {cfg.out}")
+    write_csv(Path(args.out), header, cols, rows)
+    print(f"time series -> {args.out}")
     return EXIT_OK
 
 
-def cmd_twopoint(cfg: TwoPointConfig) -> int:
-    x0 = np.linspace(0.0, cfg.x0_max, cfg.n_x0)
-    header = {"command": "twopoint", "geometry": cfg.geometry, "S": cfg.S,
-              "c": cfg.c, "mu": cfg.mu, "M": cfg.M}
+def cmd_twopoint(args: argparse.Namespace) -> int:
+    x0 = np.linspace(0.0, args.x0_max, args.n_x0)
+    header = {"command": "twopoint", "geometry": args.geometry, "S": args.S,
+              "c": args.c, "mu": args.mu, "M": args.M}
     report: dict = {}
-    if cfg.geometry == "strip":
-        p = PhysicalParams(c=cfg.c, mu=cfg.mu, geometry=Strip(cfg.S), d=1)
-        spec = TwoPointSpec(params=p, M=cfg.M)
-        cache_dir = resolve_cache_dir(cfg.cache_dir)
-        table, _, _ = load_or_build_table(p, max(4 * cfg.M, 400), 1e-12, cache_dir)
+    if args.geometry == "strip":
+        p = PhysicalParams(c=args.c, mu=args.mu, geometry=Strip(args.S), d=1)
+        spec = TwoPointSpec(params=p, M=args.M)
+        cache_dir = resolve_cache_dir(args.cache_dir)
+        table, _, _ = load_or_build_table(p, max(4 * args.M, 400), 1e-12, cache_dir)
         res = boundary_2pt_strip(x0, 0.0, spec, table=table)
         vals = np.asarray(res.value)
-        tail = tail_convergence(table, cfg.M)
+        tail = tail_convergence(table, args.M)
         report = {"tail_bound": res.tail_bound, "tail_ratio": tail.ratio,
                   "tail_ratio_in_08_12": tail.passed,
                   "partial_sum_d2": tail.partial_sum}
         header["tail_bound"] = repr(res.tail_bound)
-    elif cfg.geometry == "halfspace":
-        from .core import HalfSpace
-        p = PhysicalParams(c=cfg.c, mu=cfg.mu, geometry=HalfSpace(), d=1)
-        spec = TwoPointSpec(params=p, M=1, q_max=cfg.q_max)
-        norm = halfspace_weight_normalization(cfg.c)
+    elif args.geometry == "halfspace":
+        p = PhysicalParams(c=args.c, mu=args.mu, geometry=HalfSpace(), d=1)
+        spec = TwoPointSpec(params=p, M=1, q_max=args.q_max)
+        norm = halfspace_weight_normalization(args.c)
         report = {"weight_normalization": norm,
-                  "weight_normalization_times_c": norm * cfg.c,
-                  "check_within_1e-8": bool(abs(norm * cfg.c - 1.0) < 1e-8)}
+                  "weight_normalization_times_c": norm * args.c,
+                  "check_within_1e-8": bool(abs(norm * args.c - 1.0) < 1e-8)}
         vals = np.array([boundary_2pt_halfspace(t, 0.0, spec).value for t in x0])
-        header["q_max"] = cfg.q_max
+        header["q_max"] = args.q_max
     else:
-        raise ValueError(f"unknown geometry {cfg.geometry!r}")
+        raise ValueError(f"unknown geometry {args.geometry!r}")
     rows = np.column_stack([x0, vals.real, vals.imag])
-    write_csv(Path(cfg.out), header, ["x0", "re", "im"], rows)
-    report_path = Path(cfg.out).with_suffix(".report.json")
+    write_csv(Path(args.out), header, ["x0", "re", "im"], rows)
+    report_path = Path(args.out).with_suffix(".report.json")
     atomic_write_text(report_path, json.dumps(report, indent=1))
-    print(f"two-point samples -> {cfg.out}; report -> {report_path}")
+    print(f"two-point samples -> {args.out}; report -> {report_path}")
     return EXIT_OK
 
 
-def cmd_holo(cfg: HoloConfig) -> int:
-    out = Path(cfg.out)
-    if cfg.fig2:
-        image, burst = fig2_reproduce(Fig2Config(S=cfg.S, c=cfg.c, M=cfg.M))
+def cmd_holo(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    if args.fig2:
+        image, burst = fig2_reproduce(Fig2Config(S=args.S, c=args.c, M=args.M))
         meta = dict(image.metadata)
         meta["burst_centers"] = burst.centers.tolist()
         meta["burst_peak_times"] = burst.peak_times.tolist()
         meta["burst_heights"] = burst.heights.tolist()
         print("burst centers:", np.round(burst.centers, 3).tolist())
     else:
-        if cfg.mu <= 0:
+        if args.mu <= 0:
             raise ValueError("the quantitative map needs mu > 0; "
                              "use --fig2 for the massless reference run")
-        p = PhysicalParams(c=cfg.c, mu=cfg.mu, geometry=Strip(cfg.S))
+        p = PhysicalParams(c=args.c, mu=args.mu, geometry=Strip(args.S))
         table = build_table(48, p)
-        grids = HoloGrids.default(cfg.S, t_span=4.0 * cfg.S)
+        grids = HoloGrids.default(args.S, t_span=4.0 * args.S)
 
         def f(t, z):
-            return np.exp(-t ** 2 / (2 * (0.25 * cfg.S) ** 2)) \
-                * np.exp(-z ** 2 / (2 * (0.12 * cfg.S) ** 2))
+            return np.exp(-t ** 2 / (2 * (0.25 * args.S) ** 2)) \
+                * np.exp(-z ** 2 / (2 * (0.12 * args.S) ** 2))
 
-        image = holographic_dual(f, p, table, M=cfg.M, grids=grids)
+        image = holographic_dual(f, p, table, M=args.M, grids=grids)
         rep = verify_dual(image, image.coeffs, table)
         meta = dict(image.metadata)
         meta["max_residual"] = rep.max_residual
         meta["pairing_rel_error"] = rep.pairing_rel_error
         print(f"interpolation residual: {rep.max_residual:.3e}")
-    header = {"command": "holo", "fig2": cfg.fig2, "S": cfg.S, "c": cfg.c,
+    header = {"command": "holo", "fig2": args.fig2, "S": args.S, "c": args.c,
               "mu": meta["mu"], "M": meta["M"], "a": meta["a"]}
     write_csv(out.with_suffix(".fhat.csv"), header, ["omega", "re", "im"],
               np.column_stack([image.omega_grid, image.fhat.real, image.fhat.imag]))
@@ -354,16 +290,16 @@ def cmd_holo(cfg: HoloConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: VerifyConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     from .acceptance import run_all
     results = run_all(echo=True)
     doc = {"criteria": [{"name": r.name, "passed": bool(r.passed),
                          "runtime_s": r.runtime,
                          "details": _jsonable(r.details)} for r in results],
            "all_passed": bool(all(r.passed for r in results))}
-    if cfg.out:
-        atomic_write_text(Path(cfg.out), json.dumps(doc, indent=1))
-        print(f"report -> {cfg.out}")
+    if args.out:
+        atomic_write_text(Path(args.out), json.dumps(doc, indent=1))
+        print(f"report -> {args.out}")
     return EXIT_OK if doc["all_passed"] else EXIT_ACCEPTANCE
 
 
@@ -384,7 +320,7 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(sp, S=True, mu_default=0.0):
+def _add_common(sp, mu_default=0.0):
     sp.add_argument("--S", type=float, default=1.0, help="strip half-width")
     sp.add_argument("--c", type=float, default=1.0, help="boundary coupling (length, > 0)")
     sp.add_argument("--mu", type=float, default=mu_default, help="mass")
@@ -400,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("modes", help="solve and verify the mode table")
+    sp.set_defaults(func=cmd_modes)
     _add_common(sp)
     sp.add_argument("--max", type=int, default=200, dest="M_max",
                     help="highest mode index")
@@ -409,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("evolve", help="FDTD time evolution and energy series")
+    sp.set_defaults(func=cmd_evolve)
     _add_common(sp)
     sp.add_argument("--grid-n", type=int, default=1024)
     sp.add_argument("--cfl", type=float, default=0.5)
@@ -420,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default="evolve.csv")
 
     sp = sub.add_parser("twopoint", help="boundary two-point function samples")
+    sp.set_defaults(func=cmd_twopoint)
     _add_common(sp, mu_default=1.0)
     sp.add_argument("--geometry", choices=("strip", "halfspace"), default="strip")
     sp.add_argument("--max", type=int, default=100, dest="M")
@@ -429,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default="twopoint.csv")
 
     sp = sub.add_parser("holo", help="holographic image of a bulk observable")
+    sp.set_defaults(func=cmd_holo)
     _add_common(sp, mu_default=1.0)
     sp.add_argument("--max", type=int, default=None, dest="M")
     sp.add_argument("--fig2", action="store_true",
@@ -436,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default="holo")
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
+    sp.set_defaults(func=cmd_verify)
     sp.add_argument("--out", default="verify.json")
     return ap
 
@@ -443,31 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "modes":
-            return cmd_modes(ModesConfig(S=args.S, c=args.c, mu=args.mu,
-                                         M_max=args.M_max,
-                                         residual_tol=args.residual_tol,
-                                         delta=args.delta, m_start=args.m_start,
-                                         out=args.out, cache_dir=args.cache_dir))
-        if args.command == "evolve":
-            return cmd_evolve(EvolveConfig(S=args.S, c=args.c, mu=args.mu,
-                                           grid_n=args.grid_n, cfl=args.cfl,
-                                           T=args.T, scenario=args.scenario,
-                                           eps=args.eps, out=args.out,
-                                           cache_dir=args.cache_dir))
-        if args.command == "twopoint":
-            return cmd_twopoint(TwoPointConfig(geometry=args.geometry, S=args.S,
-                                               c=args.c, mu=args.mu, M=args.M,
-                                               q_max=args.q_max, x0_max=args.x0_max,
-                                               n_x0=args.n_x0, out=args.out,
-                                               cache_dir=args.cache_dir))
-        if args.command == "holo":
-            return cmd_holo(HoloConfig(S=args.S, c=args.c, mu=args.mu, M=args.M,
-                                       fig2=args.fig2, out=args.out,
-                                       cache_dir=args.cache_dir))
-        if args.command == "verify":
-            return cmd_verify(VerifyConfig(out=args.out))
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

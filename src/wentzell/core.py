@@ -176,6 +176,15 @@ class CauchyData:
         if self.position.n_boundary != self.velocity.n_boundary:
             raise GridMismatchError("Cauchy data components disagree on boundary components")
 
+    @classmethod
+    def from_samples(cls, grid: Grid1D, position, velocity) -> CauchyData:
+        """Compatible strip data from node samples: the boundary values are
+        the endpoint samples (index 0 at -S)."""
+        pos, vel = np.asarray(position), np.asarray(velocity)
+        return cls(
+            position=BulkBoundaryFunction(grid=grid, bulk=pos, boundary=pos[[0, -1]]),
+            velocity=BulkBoundaryFunction(grid=grid, bulk=vel, boundary=vel[[0, -1]]))
+
 
 def _check_same_grid(F: BulkBoundaryFunction, G: BulkBoundaryFunction):
     if F.grid != G.grid or F.n_boundary != G.n_boundary:

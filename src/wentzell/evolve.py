@@ -9,17 +9,23 @@ wave equation; each endpoint node is the boundary degree of freedom itself
 
 with the inward normal derivative from the second-order one-sided 3-point
 stencil.  A first-order stencil degrades global convergence and is not used.
+
+``fdtd_run`` is the only stepping loop.  It records the boundary trace (both
+endpoint values after every step) in the state it returns, so callers that
+follow the boundary take one call instead of stepping from Python.  The FDTD
+energy takes its centered velocity from one more ``fdtd_run`` step, and the
+regional diagnostics read the bulk density and per-component boundary energy
+of a single ``energy`` evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import log_ndtr
 
-from .core import BulkBoundaryFunction, CauchyData, GeometryError, Grid1D, \
-    PhysicalParams, Strip
+from .core import CauchyData, GeometryError, Grid1D, PhysicalParams, Strip
 from .modes import ModeTable, synthesize
 
 
@@ -85,7 +91,9 @@ def synthesize_state(s: SpectralState, grid: Grid1D) -> CauchyData:
 @dataclass
 class FdtdState:
     """Leapfrog levels (phi_prev, phi) at times (t - dt, t); endpoint samples
-    are the boundary degrees of freedom."""
+    are the boundary degrees of freedom.  ``bdy_trace`` holds the endpoint
+    values after each step of the ``fdtd_run`` call that made the state, shape
+    (steps, 2) with column 0 at -S."""
 
     grid: Grid1D
     p: PhysicalParams
@@ -93,6 +101,7 @@ class FdtdState:
     phi_prev: np.ndarray
     t: float
     dt: float
+    bdy_trace: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
 
     @property
     def bdy(self) -> np.ndarray:
@@ -135,25 +144,23 @@ def make_fdtd_state(data: CauchyData, p: PhysicalParams, cfl: float = 0.5,
     return FdtdState(grid=grid, p=p, phi=phi0, phi_prev=phi_prev, t=0.0, dt=dt)
 
 
-def fdtd_step(s: FdtdState) -> FdtdState:
-    phi_next = 2.0 * s.phi - s.phi_prev + s.dt**2 * _acceleration(s.phi, s.grid.h, s.p)
-    return FdtdState(grid=s.grid, p=s.p, phi=phi_next, phi_prev=s.phi,
-                     t=s.t + s.dt, dt=s.dt)
-
-
 def fdtd_run(s: FdtdState, n_steps: int) -> FdtdState:
-    """Advance n_steps with buffer reuse (equivalent to iterating fdtd_step)."""
+    """Advance n_steps leapfrog steps phi_next = 2 phi - phi_prev + dt^2 acc,
+    reusing two buffers, and record the boundary trace of every step."""
     h, p, dt = s.grid.h, s.p, s.dt
     prev = s.phi_prev.copy()
     cur = s.phi.copy()
-    for _ in range(n_steps):
+    trace = np.empty((n_steps, 2))
+    for k in range(n_steps):
         acc = _acceleration(cur, h, p)
         prev *= -1.0
         prev += 2.0 * cur
         prev += dt**2 * acc
         prev, cur = cur, prev
+        trace[k, 0] = cur[0]
+        trace[k, 1] = cur[-1]
     return FdtdState(grid=s.grid, p=s.p, phi=cur, phi_prev=prev,
-                     t=s.t + n_steps * dt, dt=dt)
+                     t=s.t + n_steps * dt, dt=dt, bdy_trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -165,39 +172,48 @@ class EnergyReport:
     boundary: float
     total: float
     bulk_density: np.ndarray | None = None  # per-node energy density
+    boundary_parts: np.ndarray | None = None  # per component, index 0 at -S
 
 
-def _fdtd_fields(s: FdtdState) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, dphi/dt) at the current level; velocity is the centered
-    difference through an internal forward step."""
-    phi_next = fdtd_step(s).phi
-    v = (phi_next - s.phi_prev) / (2.0 * s.dt)
-    return s.phi, v
+def _boundary_energy(phi_b: np.ndarray, v_b: np.ndarray, p: PhysicalParams
+                     ) -> tuple[float, np.ndarray]:
+    """Boundary energy c (v^2 + mu^2 phi^2) / 2: the total, with the squares
+    summed over components before weighting, and the per-component parts.
+
+    Each value is squared as a scalar (libm pow), which can differ from the
+    array square in the last bit; the evolve CSVs are pinned to that form.
+    """
+    v2 = [v**2 for v in v_b]
+    phi2 = [f**2 for f in phi_b]
+    # one weighting for the components and, appended last, for their sums
+    e = [0.5 * p.c * (a + p.mu**2 * b) for a, b in zip(v2 + [sum(v2)], phi2 + [sum(phi2)])]
+    return float(e[-1]), np.array(e[:-1])
 
 
 def energy(state: SpectralState | FdtdState) -> EnergyReport:
     """Field energy split into bulk and boundary parts.
 
     Spectral states use the exact closed form sum (b^2 + w^2 a^2) / 2 and the
-    exact boundary values from the coefficients; FDTD states use quadrature.
+    exact boundary values from the coefficients; FDTD states use quadrature,
+    with the centered velocity taken through one forward step of the scheme.
     """
     if isinstance(state, SpectralState):
         w = state.omegas()
         total = 0.5 * float(np.sum(state.b**2 + w**2 * state.a**2))
         bvals = state.table.boundary_values()
-        pos_b = state.a @ bvals
-        vel_b = state.b @ bvals
-        p = state.table.params
-        bdy = 0.5 * p.c * float(np.sum(vel_b**2 + p.mu**2 * pos_b**2))
-        return EnergyReport(bulk=total - bdy, boundary=bdy, total=total)
-    phi, v = _fdtd_fields(state)
+        bdy, parts = _boundary_energy(state.a @ bvals, state.b @ bvals,
+                                      state.table.params)
+        return EnergyReport(bulk=total - bdy, boundary=bdy, total=total,
+                            boundary_parts=parts)
     p = state.p
+    phi = state.phi
+    v = (fdtd_run(state, 1).phi - state.phi_prev) / (2.0 * state.dt)
     z = state.grid.nodes
-    phi_z = np.gradient(phi, z)
-    dens = 0.5 * (v**2 + phi_z**2 + p.mu**2 * phi**2)
+    dens = 0.5 * (v**2 + np.gradient(phi, z)**2 + p.mu**2 * phi**2)
     bulk = float(np.trapezoid(dens, z))
-    bdy = 0.5 * p.c * float((v[0]**2 + v[-1]**2) + p.mu**2 * (phi[0]**2 + phi[-1]**2))
-    return EnergyReport(bulk=bulk, boundary=bdy, total=bulk + bdy, bulk_density=dens)
+    bdy, parts = _boundary_energy(phi[[0, -1]], v[[0, -1]], p)
+    return EnergyReport(bulk=bulk, boundary=bdy, total=bulk + bdy,
+                        bulk_density=dens, boundary_parts=parts)
 
 
 def energy_in_region(state: FdtdState, z_lo: float, z_hi: float) -> float:
@@ -210,14 +226,7 @@ def energy_in_region(state: FdtdState, z_lo: float, z_hi: float) -> float:
         bulk = 0.0
     else:
         bulk = float(np.trapezoid(rep.bulk_density[mask], z[mask]))
-    phi, v = _fdtd_fields(state)
-    p = state.p
-    bdy = 0.0
-    if z[0] >= z_lo - 1e-12 and z[0] <= z_hi + 1e-12:
-        bdy += 0.5 * p.c * (v[0]**2 + p.mu**2 * phi[0]**2)
-    if z[-1] >= z_lo - 1e-12 and z[-1] <= z_hi + 1e-12:
-        bdy += 0.5 * p.c * (v[-1]**2 + p.mu**2 * phi[-1]**2)
-    return bulk + bdy
+    return bulk + float(sum(rep.boundary_parts[mask[[0, -1]]], 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +274,10 @@ def causality_probe(data: CauchyData, p: PhysicalParams, t: float,
     max_out = float(np.max(np.abs(state.phi[outside]))) if np.any(outside) else 0.0
     rep = energy(state)
     e_out = 0.0
-    if np.count_nonzero(outside) >= 2:
-        lo_part = z < cone[0]
-        hi_part = z > cone[1]
-        for part in (lo_part, hi_part):
-            if np.count_nonzero(part) >= 2:
-                e_out += float(np.trapezoid(rep.bulk_density[part], z[part]))
-    phi, v = _fdtd_fields(state)
-    if z[0] < cone[0]:
-        e_out += 0.5 * p.c * (v[0]**2 + p.mu**2 * phi[0]**2)
-    if z[-1] > cone[1]:
-        e_out += 0.5 * p.c * (v[-1]**2 + p.mu**2 * phi[-1]**2)
+    for part in (z < cone[0], z > cone[1]):
+        if np.count_nonzero(part) >= 2:
+            e_out += float(np.trapezoid(rep.bulk_density[part], z[part]))
+    e_out = float(sum(rep.boundary_parts[outside[[0, -1]]], e_out))
     frac = e_out / rep.total if rep.total > 0 else 0.0
     return CausalityReport(t=state.t, support=(z_lo, z_hi), cone=cone,
                            max_outside=max_out, energy_outside_fraction=frac, tol=tol)
@@ -302,11 +304,14 @@ def explicit_solution(t, z, eps: float, c: float):
     (2/c) exp(-(t-z)/c) theta(t-z) mollified in time.
 
     Returns (phi(z), phi_bdy); the trace phi(t, 0) equals phi_bdy exactly.
+    A scalar t gives a float phi_bdy; an array of times gives phi_bdy over t
+    (and phi over t broadcast against z).
     """
     z = np.asarray(z, dtype=float)
+    t = np.asarray(t, dtype=float)
     phi = _gauss(t + z, eps) - _gauss(t - z, eps) + (2.0 / c) * _exp_tail(t - z, eps, c)
-    phi_bdy = float((2.0 / c) * _exp_tail(np.asarray(t), eps, c))
-    return phi, phi_bdy
+    phi_bdy = (2.0 / c) * _exp_tail(t, eps, c)
+    return phi, float(phi_bdy) if phi_bdy.ndim == 0 else phi_bdy
 
 
 def explicit_solution_dt(t, z, eps: float, c: float):
@@ -328,6 +333,4 @@ def reflection_cauchy_data(grid: Grid1D, t0: float, eps: float, c: float) -> Cau
     zp = grid.nodes - grid.z_min
     pos, _ = explicit_solution(t0, zp, eps, c)
     vel, _ = explicit_solution_dt(t0, zp, eps, c)
-    position = BulkBoundaryFunction(grid=grid, bulk=pos, boundary=np.array([pos[0], pos[-1]]))
-    velocity = BulkBoundaryFunction(grid=grid, bulk=vel, boundary=np.array([vel[0], vel[-1]]))
-    return CauchyData(position=position, velocity=velocity)
+    return CauchyData.from_samples(grid, pos, vel)

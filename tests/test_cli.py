@@ -74,6 +74,19 @@ def test_evolve_cfl_validation(tmp_path):
     assert main(["evolve", "--cfl", "1.5", "--out", str(tmp_path / "x.csv")]) == 1
 
 
+def test_evolve_nonfinite_exits_2_without_csv(tmp_path, capsys):
+    # the one-sided boundary closure is unstable at small c for dt = h/2
+    out = tmp_path / "small_c.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["evolve", "--c", "1e-4", "--grid-n", "256", "--T", "20",
+                     "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err
+    assert "energy drift" not in captured.out
+
+
 def test_evolve_reflection(tmp_path):
     out = tmp_path / "refl.csv"
     code = main(["evolve", "--scenario", "reflection", "--S", "1.25",

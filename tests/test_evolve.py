@@ -8,7 +8,7 @@ from wentzell.core import (BulkBoundaryFunction, CauchyData, Grid1D,
                            PhysicalParams, Strip, symplectic_form)
 from wentzell.evolve import (CflError, SpectralState, causality_probe, energy,
                              energy_in_region, explicit_solution,
-                             explicit_solution_dt, fdtd_run, fdtd_step,
+                             explicit_solution_dt, fdtd_run,
                              make_fdtd_state, reflection_cauchy_data,
                              spectral_evolve, spectral_symplectic,
                              synthesize_state)
@@ -31,11 +31,7 @@ def table1():
 def gaussian_data(grid, width=0.1, center=0.0):
     z = grid.nodes
     pos = np.exp(-((z - center) ** 2) / (2 * width**2))
-    zero = np.zeros_like(z)
-    return CauchyData(
-        position=BulkBoundaryFunction(grid=grid, bulk=pos,
-                                      boundary=np.array([pos[0], pos[-1]])),
-        velocity=BulkBoundaryFunction(grid=grid, bulk=zero, boundary=np.zeros(2)))
+    return CauchyData.from_samples(grid, pos, np.zeros_like(z))
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +154,41 @@ def test_fdtd_standing_mode_vs_spectral(table0):
     assert err < 1e-3
 
 
-def test_fdtd_step_matches_run():
+def test_fdtd_run_boundary_trace_matches_single_steps():
     grid = Grid1D.for_strip(1.0, 128)
-    data = gaussian_data(grid, width=0.2)
-    s1 = make_fdtd_state(data, P1)
-    s2 = make_fdtd_state(data, P1)
-    for _ in range(7):
-        s1 = fdtd_step(s1)
-    s2 = fdtd_run(s2, 7)
-    assert np.allclose(s1.phi, s2.phi, atol=1e-15)
-    assert s1.t == pytest.approx(s2.t)
+    s0 = make_fdtd_state(gaussian_data(grid, width=0.2), P1)
+    bulk = fdtd_run(s0, 40)
+    assert bulk.bdy_trace.shape == (40, 2)
+    s = s0
+    for k in range(40):
+        s = fdtd_run(s, 1)
+        assert s.bdy_trace.shape == (1, 2)
+        assert np.array_equal(bulk.bdy_trace[k], [s.phi[0], s.phi[-1]])
+    assert np.array_equal(bulk.phi, s.phi)
+    assert bulk.t == pytest.approx(s.t)
+    assert np.array_equal(bulk.bdy_trace[-1], bulk.bdy)
+    assert make_fdtd_state(gaussian_data(grid), P1).bdy_trace.shape == (0, 2)
+
+
+def test_fdtd_run_composes():
+    grid = Grid1D.for_strip(1.0, 128)
+    s0 = make_fdtd_state(gaussian_data(grid, width=0.2), P1)
+    split = fdtd_run(fdtd_run(s0, 3), 4)
+    whole = fdtd_run(s0, 7)
+    assert np.array_equal(split.phi, whole.phi)
+    assert np.array_equal(split.phi_prev, whole.phi_prev)
+    assert np.array_equal(split.bdy_trace, whole.bdy_trace[3:])
+    assert split.t == pytest.approx(whole.t)
+
+
+def test_energy_in_region_whole_strip_equals_total():
+    grid = Grid1D.for_strip(1.0, 256)
+    s = fdtd_run(make_fdtd_state(gaussian_data(grid, width=0.1, center=-0.7), P1), 300)
+    rep = energy(s)
+    assert rep.boundary > 0  # the pulse has reached the boundary at -S
+    assert rep.boundary_parts.sum() == pytest.approx(rep.boundary, rel=1e-14)
+    whole = energy_in_region(s, -1.0, 1.0)
+    assert whole == pytest.approx(rep.total, rel=1e-14)
 
 
 def test_fdtd_second_order_convergence(table1):
@@ -285,10 +306,19 @@ def test_fdtd_reflection_trace():
     p = PhysicalParams(c=c, mu=0.0, geometry=Strip(1.0))
     data = reflection_cauchy_data(grid, t0=-0.5, eps=eps, c=c)
     s = make_fdtd_state(data, p, cfl=0.5)
-    sup = 0.0
-    for k in range(int(round(1.5 / s.dt))):
-        s = fdtd_run(s, 1)
-        t = -0.5 + (k + 1) * s.dt
-        _, exact = explicit_solution(t, np.array([0.0]), eps, c)
-        sup = max(sup, abs(s.phi[0] - exact))
+    n_steps = int(round(1.5 / s.dt))
+    s = fdtd_run(s, n_steps)
+    t = -0.5 + np.arange(1, n_steps + 1) * s.dt
+    _, exact = explicit_solution(t, 0.0, eps, c)
+    sup = np.max(np.abs(s.bdy_trace[:, 0] - exact))
     assert sup < 5e-2 * 2 / c
+
+
+def test_explicit_solution_array_times():
+    t = np.linspace(-0.5, 1.5, 9)
+    phi, bdy = explicit_solution(t, 0.0, eps=0.02, c=0.8)
+    assert bdy.shape == t.shape
+    for k, tk in enumerate(t):
+        phi_k, bdy_k = explicit_solution(tk, 0.0, eps=0.02, c=0.8)
+        assert isinstance(bdy_k, float)
+        assert bdy[k] == bdy_k and phi[k] == phi_k
