@@ -32,7 +32,7 @@ from scipy.signal import find_peaks, hilbert
 
 from .core import Grid1D, PhysicalParams, Strip
 from .modes import ModeTable, build_table, eval_halfspace_mode
-from .qft import SmearedCoefficients, smeared_coeffs
+from .qft import SmearedCoefficients, fourier_trapezoid, smeared_coeffs
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -469,7 +469,10 @@ def halfspace_dual(f, p: PhysicalParams, q_grid: np.ndarray,
     """Half-space holographic map (d = 1):
 
         fhat'(omega) = sqrt(pi (c^2 q^2 + 1) / 2) * fhat^(sgn omega)(q),
-        q = sqrt(omega^2 - mu^2),  |omega| > mu,  zero inside the gap."""
+        q = sqrt(omega^2 - mu^2),  |omega| > mu,  zero inside the gap.
+
+    f' on ``t_out`` integrates fhat'(omega) e^(-i omega t) over omega on each
+    branch, a trapezoid over the non-uniform samples omega(q)."""
     if p.mu <= 0:
         raise ValueError("the half-space map requires mu > 0")
     q_grid = np.asarray(q_grid, dtype=float)
@@ -479,9 +482,8 @@ def halfspace_dual(f, p: PhysicalParams, q_grid: np.ndarray,
     V = eval_halfspace_mode(q_grid[None, :], z[:, None], p)
     A = (samples * grid.quad_weights()) @ V
     omegas = np.sqrt(q_grid**2 + p.mu**2)
-    phase = np.outer(time_grid, omegas)
-    fhat_p = np.trapezoid(A * np.exp(1j * phase), time_grid, axis=0) / _SQRT2PI
-    fhat_m = np.trapezoid(A * np.exp(-1j * phase), time_grid, axis=0) / _SQRT2PI
+    fhat_p = fourier_trapezoid(A, time_grid, omegas)
+    fhat_m = fourier_trapezoid(A, time_grid, -omegas)
     pref = np.sqrt(np.pi * (p.c**2 * q_grid**2 + 1.0) / 2.0)
     fhat_pos = pref * fhat_p
     fhat_neg = pref * fhat_m
@@ -490,10 +492,8 @@ def halfspace_dual(f, p: PhysicalParams, q_grid: np.ndarray,
     fprime = None
     if t_out is not None:
         t_out = np.asarray(t_out, dtype=float)
-        jac = q_grid / omegas  # d omega = (q / omega) dq on each branch
-        ker = np.exp(-1j * np.outer(t_out, omegas))
-        fprime = (np.trapezoid(ker * (fhat_pos * jac), omegas, axis=1)
-                  + np.trapezoid(np.conj(ker) * (fhat_neg * jac), omegas, axis=1)) / _SQRT2PI
+        fprime = (fourier_trapezoid(fhat_pos[:, None], omegas, -t_out)
+                  + fourier_trapezoid(fhat_neg[:, None], omegas, t_out))
     return HalfSpaceDual(q_grid=q_grid, omega_grid=omegas, fhat_pos=fhat_pos,
                          fhat_neg=fhat_neg, edge_value=edge, t_grid=t_out,
                          fprime=fprime)

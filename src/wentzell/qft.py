@@ -165,35 +165,31 @@ def boundary_2pt_halfspace(x0, x, spec: TwoPointSpec) -> TwoPointResult:
                           quad_error=err_re + err_im)
 
 
-def pauli_jordan_d2(x0, x, mass: float) -> np.ndarray:
+def pauli_jordan_d2(x0, x, mass) -> np.ndarray:
     """Massive Pauli-Jordan (commutator) function in d = 2:
 
         -(i/2) sgn(x0) theta(x0^2 - x^2) J0(mass sqrt(x0^2 - x^2)),
 
-    identically zero at spacelike separation."""
+    identically zero at spacelike separation; ``mass`` broadcasts against x0, x."""
     x0 = np.asarray(x0, dtype=float)
     x = np.asarray(x, dtype=float)
     tau2 = x0**2 - x**2
     inside = tau2 > 0
-    out = np.zeros(np.broadcast(x0, x).shape, dtype=complex)
     tau = np.sqrt(np.where(inside, tau2, 0.0))
-    out = np.where(inside, -0.5j * np.sign(x0) * j0(mass * tau), out)
-    return out
+    return np.where(inside, -0.5j * np.sign(x0) * j0(mass * tau), 0.0)
 
 
 def commutator_boundary(x0, x, spec: TwoPointSpec, table: ModeTable | None = None):
     """Boundary-field commutator function 2i Im Delta_+ as a mode sum of
-    massive Pauli-Jordan functions (d = 2)."""
+    massive Pauli-Jordan functions (d = 2), broadcast over (modes x points)."""
     if spec.d != 2:
         raise ValueError("the closed-form commutator is implemented for d = 2 only")
     table = _strip_table(spec, table)
     mu_m = table.omegas()[: spec.M + 1]
     d2 = table.d_bdys[: spec.M + 1] ** 2
-    x0 = np.asarray(x0, dtype=float)
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(np.broadcast(x0, x).shape, dtype=complex)
-    for w, dd in zip(mu_m, d2):
-        out = out + dd * pauli_jordan_d2(x0, x, w)
+    ndim = np.broadcast(np.asarray(x0), np.asarray(x)).ndim
+    out = np.tensordot(d2, pauli_jordan_d2(x0, x, mu_m.reshape((-1,) + (1,) * ndim)),
+                       axes=(0, 0))
     return out if out.shape else complex(out)
 
 
@@ -201,9 +197,8 @@ def causality_check(points, spec: TwoPointSpec, tol: float = 1e-10,
                     table: ModeTable | None = None) -> bool:
     """True if the commutator vanishes (below tol) at every given
     (x0, x) point; points must be spacelike for a pass."""
-    table = _strip_table(spec, table)
-    vals = [abs(commutator_boundary(x0, x, spec, table=table)) for x0, x in points]
-    return bool(np.max(vals) < tol)
+    x0, x = np.asarray(points, dtype=float).T
+    return bool(np.max(np.abs(commutator_boundary(x0, x, spec, table=table))) < tol)
 
 
 @dataclass
@@ -259,6 +254,13 @@ def tail_convergence(table: ModeTable, M: int, weights: np.ndarray | None = None
 # ---------------------------------------------------------------------------
 # smeared mode coefficients (d = 1)
 
+def fourier_trapezoid(values, x, k) -> np.ndarray:
+    """(2 pi)^(-1/2) int dx values(x) e^(i k x) by the trapezoid rule along axis 0
+    over the grid ``x``, which may be non-uniform.  ``values`` is (n_x, n_k),
+    column j paired with k_j, or (n_x, 1), one function against every k."""
+    return np.trapezoid(values * np.exp(1j * np.outer(x, k)), x, axis=0) / _SQRT2PI
+
+
 @dataclass
 class SmearedCoefficients:
     """Frequency components fhat^+/-_m of a smeared space-time test pair."""
@@ -313,13 +315,8 @@ def smeared_coeffs(f_bulk: np.ndarray | None, f_bdy: np.ndarray | None,
         _check_time_support(f_bdy, "the boundary test function")
         A += p.c * (f_bdy @ table.boundary_values().T)
     omegas = table.omegas()
-    phase = np.outer(time_grid, omegas)
-    wt = np.gradient(time_grid) * 1.0
-    wt[0] = (time_grid[1] - time_grid[0]) / 2
-    wt[-1] = (time_grid[-1] - time_grid[-2]) / 2
-    f_plus = np.sum(wt[:, None] * A * np.exp(1j * phase), axis=0) / _SQRT2PI
-    f_minus = np.sum(wt[:, None] * A * np.exp(-1j * phase), axis=0) / _SQRT2PI
-    return SmearedCoefficients(f_plus=f_plus, f_minus=f_minus)
+    return SmearedCoefficients(f_plus=fourier_trapezoid(A, time_grid, omegas),
+                               f_minus=fourier_trapezoid(A, time_grid, -omegas))
 
 
 def boundary_smearing(g: np.ndarray, table: ModeTable, side: str = "plus") -> np.ndarray:
@@ -345,12 +342,10 @@ def source_relation_check(g: np.ndarray, table: ModeTable, time_grid: np.ndarray
     ``weights`` overrides the mode boundary values (negative control)."""
     p = table.params
     S = p.geometry.S
-    time_grid = np.asarray(time_grid, dtype=float)
     g = np.asarray(g, dtype=float)
     omegas = table.omegas()
-    phase = np.outer(time_grid, omegas)
-    ghat_p = np.trapezoid(g[:, None] * np.exp(1j * phase), time_grid, axis=0) / _SQRT2PI
-    ghat_m = np.trapezoid(g[:, None] * np.exp(-1j * phase), time_grid, axis=0) / _SQRT2PI
+    ghat_p = fourier_trapezoid(g[:, None], time_grid, omegas)
+    ghat_m = fourier_trapezoid(g[:, None], time_grid, -omegas)
     col = 1 if side == "plus" else 0
     bvals = table.boundary_values()[:, col] if weights is None else np.asarray(weights)
     z_b = S if side == "plus" else -S

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from wentzell import cli
 from wentzell.cli import main, table_from_json, table_to_json
+from wentzell.evolve import fdtd_run
 from wentzell.modes import build_table
 from wentzell.core import PhysicalParams, Strip
 
@@ -74,17 +76,35 @@ def test_evolve_cfl_validation(tmp_path):
     assert main(["evolve", "--cfl", "1.5", "--out", str(tmp_path / "x.csv")]) == 1
 
 
-def test_evolve_nonfinite_exits_2_without_csv(tmp_path, capsys):
+@pytest.mark.parametrize("extra, start", [(["--T", "0"], "0"),
+                                          (["--scenario", "reflection", "--T", "-0.5"],
+                                           "-0.5")])
+def test_evolve_rejects_T_at_start_time(tmp_path, capsys, extra, start):
+    out = tmp_path / "empty.csv"
+    assert main(["evolve", "--grid-n", "64", "--out", str(out)] + extra) == 1
+    assert not out.exists()
+    assert f"start time {start};" in capsys.readouterr().err
+
+
+def test_evolve_nonfinite_exits_2_without_csv(tmp_path, capsys, monkeypatch):
     # the one-sided boundary closure is unstable at small c for dt = h/2
+    steps = []
+
+    def counting_run(state, n):
+        steps.append(n)
+        return fdtd_run(state, n)
+
+    monkeypatch.setattr(cli, "fdtd_run", counting_run)
     out = tmp_path / "small_c.csv"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["evolve", "--c", "1e-4", "--grid-n", "256", "--T", "20",
-                     "--out", str(out)])
+    code = main(["evolve", "--c", "1e-4", "--grid-n", "256", "--T", "20",
+                 "--out", str(out)])
     assert code == 2
     assert not out.exists()
     captured = capsys.readouterr()
-    assert "non-finite" in captured.err
+    assert "non-finite field values at t = 0.515625" in captured.err
     assert "energy drift" not in captured.out
+    # the run stops at the first non-finite sample, not after all 5120 steps
+    assert sum(steps) <= 132
 
 
 def test_evolve_reflection(tmp_path):

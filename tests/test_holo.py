@@ -348,6 +348,24 @@ def test_halfspace_dual_roundtrip():
     assert dual.fprime is not None and dual.fprime.shape == (512,)
 
 
+def test_halfspace_dual_fprime_at_t0_matches_q_quadrature():
+    """f'(0) integrates fhat' over omega once: against the same integral
+    taken over q, (2 pi)^(-1/2) int dq (q / omega) (fhat'(+w) + fhat'(-w))."""
+    p = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
+
+    def f(t, z):
+        return np.exp(-(t**2) / (2 * 0.3**2)) * np.exp(-((z - 0.8) ** 2) / (2 * 0.15**2))
+
+    q_grid = np.linspace(0.0, 12.0, 241)
+    t_out = np.linspace(-4.0, 4.0, 513)
+    dual = halfspace_dual(f, p, q_grid, np.linspace(-4.0, 4.0, 1601),
+                          Grid1D.for_halfspace(4.0, 1024), t_out=t_out)
+    at0 = dual.fprime[np.flatnonzero(t_out == 0.0)[0]]
+    ref = np.trapezoid(q_grid / dual.omega_grid * (dual.fhat_pos + dual.fhat_neg),
+                       q_grid) / np.sqrt(2 * np.pi)
+    assert abs(at0 - ref) < 1e-3 * abs(ref)
+
+
 def test_halfspace_dual_needs_mass():
     p0 = PhysicalParams(c=1.0, mu=0.0, geometry=Strip(1.0))
     with pytest.raises(ValueError, match="mu > 0"):

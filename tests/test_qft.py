@@ -7,7 +7,7 @@ from wentzell.core import HalfSpace, PhysicalParams, Strip, ZeroModeError
 from wentzell.modes import build_table
 from wentzell.qft import (TwoPointSpec, boundary_2pt_halfspace,
                           boundary_2pt_strip, boundary_smearing, causality_check,
-                          commutator_boundary, halfspace_weight,
+                          commutator_boundary, fourier_trapezoid, halfspace_weight,
                           halfspace_weight_normalization, pauli_jordan_d2,
                           smeared_coeffs, source_relation_check,
                           spacelike_2pt_bessel, tail_convergence)
@@ -206,6 +206,22 @@ def test_commutator_properties(table200):
                             table=table200)
 
 
+def test_commutator_matches_per_mode_loop(table200):
+    p = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0), d=2)
+    spec = TwoPointSpec(params=p, M=50, d=2)
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-3.0, 3.0, 300)
+    x0 = np.sign(rng.uniform(-1, 1, 300)) * (np.abs(x) + rng.uniform(0.05, 4.0, 300))
+    ref = np.zeros(300, dtype=complex)
+    for w, dd in zip(table200.omegas()[:51], table200.d_bdys[:51] ** 2):
+        ref += dd * pauli_jordan_d2(x0, x, w)
+    val = commutator_boundary(x0, x, spec, table=table200)
+    assert val.shape == (300,)
+    assert np.max(np.abs(val - ref)) < 1e-13 * np.max(np.abs(ref))
+    # a scalar point still gives a Python complex
+    assert type(commutator_boundary(1.7, 0.4, spec, table=table200)) is complex
+
+
 # ---------------------------------------------------------------------------
 # tail convergence
 
@@ -241,6 +257,22 @@ def table20():
 @pytest.fixture(scope="module")
 def tgrid():
     return np.linspace(-8.0, 8.0, 3201)
+
+
+@pytest.mark.parametrize("grid", ["uniform", "sinh"])
+def test_fourier_trapezoid_gaussian(grid):
+    u = np.linspace(-1.0, 1.0, 1601)
+    t = 8.0 * u if grid == "uniform" else 8.0 * np.sinh(u) / np.sinh(1.0)
+    k = np.linspace(-4.0, 4.0, 33)
+    g = np.exp(-(t**2) / 2.0)
+    # one function against every k
+    assert np.max(np.abs(fourier_trapezoid(g[:, None], t, k)
+                         - np.exp(-(k**2) / 2.0))) < 1e-6
+    # column j paired with k_j: width sigma_j transforms to sigma_j exp(-sigma_j^2 k^2 / 2)
+    sigma = np.linspace(0.5, 1.5, k.size)
+    cols = np.exp(-(t[:, None] ** 2) / (2.0 * sigma**2))
+    assert np.max(np.abs(fourier_trapezoid(cols, t, k)
+                         - sigma * np.exp(-(sigma * k) ** 2 / 2.0))) < 1e-6
 
 
 def test_smeared_reality(table20, tgrid):
