@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -187,10 +188,13 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     sup_resid = 0.0
     rep = energy(state)
     E0 = rep.total
+    stepping_s = 0.0
     # an unstable run is reported by the row check below, not by overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(0, n_steps, sample_every):
+            start = time.perf_counter()
             state = fdtd_run(state, min(sample_every, n_steps - k))
+            stepping_s += time.perf_counter() - start
             t = t0 + state.t
             rep = energy(state)
             row = [t, rep.bulk, rep.boundary, rep.total, state.phi[0], state.phi[-1]]
@@ -212,6 +216,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
               f"(bound {5e-2 * 2 / args.c:.4e})")
     drift = abs(rep.total - E0) / E0 if E0 > 0 else 0.0
     print(f"energy drift over the run: {drift:.3e}")
+    print(f"stepping: {n_steps} steps x {grid.n_nodes} nodes in {stepping_s:.3g} s "
+          f"({n_steps * grid.n_nodes / stepping_s / 1e6:.3g} Mcell/s)")
     write_csv(Path(args.out), header, cols, rows)
     print(f"time series -> {args.out}")
     return EXIT_OK

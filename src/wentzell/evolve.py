@@ -10,6 +10,17 @@ wave equation; each endpoint node is the boundary degree of freedom itself
 with the inward normal derivative from the second-order one-sided 3-point
 stencil.  A first-order stencil degrades global convergence and is not used.
 
+The scheme writes both once, as the leapfrog operator
+S(phi) = 2 phi + dt^2 acc(phi).  With r2 = (dt/h)^2, b0 = 2 - dt^2 mu^2 and
+g = dt^2 / (2 h c), S is the three-point stencil [r2, b0 - 2 r2, r2] at
+interior nodes and
+
+    S_0 = b0 phi_0 + g (-3 phi_0 + 4 phi_1 - phi_2),
+    S_N = b0 phi_N - g (3 phi_N - 4 phi_(N-1) + phi_(N-2))
+
+at the endpoints.  A step is phi_next = S(phi) - phi_prev, and the Taylor
+back-step of the initial data is phi_prev = S(phi_0)/2 - dt v_0.
+
 ``fdtd_run`` is the only stepping loop.  It records the boundary trace (both
 endpoint values after every step) in the state it returns, so callers that
 follow the boundary take one call instead of stepping from Python.  The FDTD
@@ -30,7 +41,7 @@ from .modes import ModeTable, synthesize
 
 
 class CflError(ValueError):
-    """Time step violates the stability bound dt <= h."""
+    """Time step is not positive and finite, or violates the bound dt <= h."""
 
 
 # ---------------------------------------------------------------------------
@@ -112,55 +123,76 @@ class FdtdState:
         return np.array([self.phi_prev[0], self.phi_prev[-1]])
 
 
-def _acceleration(phi: np.ndarray, h: float, p: PhysicalParams) -> np.ndarray:
-    acc = np.empty_like(phi)
-    acc[1:-1] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / h**2 - p.mu**2 * phi[1:-1]
-    cinv = 1.0 / p.c
-    dperp_lo = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * h)
-    dperp_hi = -(3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * h)
-    acc[0] = -p.mu**2 * phi[0] + cinv * dperp_lo
-    acc[-1] = -p.mu**2 * phi[-1] + cinv * dperp_hi
-    return acc
+def _leapfrog_stencil(h: float, dt: float, p: PhysicalParams
+                      ) -> tuple[np.ndarray, float, float]:
+    """Interior weights w, endpoint diagonal b0 and closure gain g of the
+    leapfrog operator S(phi) = 2 phi + dt^2 acc(phi)."""
+    r2 = (dt / h) ** 2
+    m2 = dt**2 * p.mu**2
+    return np.array([r2, 2.0 - 2.0 * r2 - m2, r2]), 2.0 - m2, dt**2 / (2.0 * h * p.c)
+
+
+def _leapfrog_into(cur: np.ndarray, out: np.ndarray, w: np.ndarray, b0: float,
+                   g: float) -> tuple[float, float]:
+    """Overwrite ``out`` with S(cur) - out and return its two endpoint values:
+    one convolution for the interior, scalar arithmetic for the closure."""
+    f0, f1, f2 = cur[:3].tolist()
+    l2, l1, l0 = cur[-3:].tolist()
+    lo = b0 * f0 + g * (-3.0 * f0 + 4.0 * f1 - f2) - out[0]
+    hi = b0 * l0 - g * (3.0 * l0 - 4.0 * l1 + l2) - out[-1]
+    inner = out[1:-1]
+    np.subtract(np.convolve(cur, w, "valid"), inner, out=inner)
+    out[0] = lo
+    out[-1] = hi
+    return lo, hi
 
 
 def make_fdtd_state(data: CauchyData, p: PhysicalParams, cfl: float = 0.5,
                     dt: float | None = None) -> FdtdState:
-    """Initialize leapfrog levels from Cauchy data with a second-order Taylor
-    back-step.  The bulk endpoint samples are overwritten by the boundary
-    values (they are one unknown)."""
+    """Initialize leapfrog levels from Cauchy data with the second-order Taylor
+    back-step phi_prev = phi0 - dt v0 + dt^2 acc(phi0) / 2 = S(phi0)/2 - dt v0,
+    with the leapfrog operator S(phi) = 2 phi + dt^2 acc(phi) of ``fdtd_run``.
+    The bulk endpoint samples are overwritten by the boundary values (they are
+    one unknown).  The time step is ``dt`` if given, else ``cfl * h``; it must
+    be positive, finite and at most h."""
     if not isinstance(p.geometry, Strip):
         raise GeometryError("the FDTD engine integrates the strip geometry")
     grid = data.position.grid
     h = grid.h
     if dt is None:
         dt = cfl * h
+    if not (np.isfinite(dt) and dt > 0):
+        raise CflError(f"time step dt={dt} must be positive and finite")
     if dt > h * (1 + 1e-12):
         raise CflError(f"dt={dt} exceeds the stability bound h={h}")
     phi0 = np.array(data.position.bulk, dtype=float)
     v0 = np.array(data.velocity.bulk, dtype=float)
     phi0[0], phi0[-1] = data.position.boundary
     v0[0], v0[-1] = data.velocity.boundary
-    phi_prev = phi0 - dt * v0 + 0.5 * dt**2 * _acceleration(phi0, h, p)
+    s_phi0 = np.zeros_like(phi0)
+    _leapfrog_into(phi0, s_phi0, *_leapfrog_stencil(h, dt, p))
+    phi_prev = 0.5 * s_phi0 - dt * v0
     return FdtdState(grid=grid, p=p, phi=phi0, phi_prev=phi_prev, t=0.0, dt=dt)
 
 
 def fdtd_run(s: FdtdState, n_steps: int) -> FdtdState:
-    """Advance n_steps leapfrog steps phi_next = 2 phi - phi_prev + dt^2 acc,
-    reusing two buffers, and record the boundary trace of every step."""
-    h, p, dt = s.grid.h, s.p, s.dt
+    """Advance n_steps leapfrog steps phi_next = S(phi) - phi_prev and record
+    the boundary trace of every step.
+
+    S(phi) = 2 phi + dt^2 acc(phi) is one ``np.convolve`` with the weights
+    [r2, 2 - 2 r2 - dt^2 mu^2, r2], r2 = (dt/h)^2, over the interior and the
+    one-sided closure b0 phi_0 + g (-3 phi_0 + 4 phi_1 - phi_2) (mirrored at
+    +S), b0 = 2 - dt^2 mu^2, g = dt^2 / (2 h c), at the endpoints.  Each step
+    is written into the older level's buffer."""
+    w, b0, g = _leapfrog_stencil(s.grid.h, s.dt, s.p)
     prev = s.phi_prev.copy()
     cur = s.phi.copy()
     trace = np.empty((n_steps, 2))
     for k in range(n_steps):
-        acc = _acceleration(cur, h, p)
-        prev *= -1.0
-        prev += 2.0 * cur
-        prev += dt**2 * acc
+        trace[k] = _leapfrog_into(cur, prev, w, b0, g)
         prev, cur = cur, prev
-        trace[k, 0] = cur[0]
-        trace[k, 1] = cur[-1]
     return FdtdState(grid=s.grid, p=s.p, phi=cur, phi_prev=prev,
-                     t=s.t + n_steps * dt, dt=dt, bdy_trace=trace)
+                     t=s.t + n_steps * s.dt, dt=s.dt, bdy_trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ from scipy.signal import find_peaks, hilbert
 
 from .core import Grid1D, PhysicalParams, Strip
 from .modes import ModeTable, build_table, eval_halfspace_mode
-from .qft import SmearedCoefficients, fourier_trapezoid, smeared_coeffs
+from .qft import (SmearedCoefficients, _check_time_support, fourier_trapezoid,
+                  smeared_coeffs)
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -472,13 +473,15 @@ def halfspace_dual(f, p: PhysicalParams, q_grid: np.ndarray,
         q = sqrt(omega^2 - mu^2),  |omega| > mu,  zero inside the gap.
 
     f' on ``t_out`` integrates fhat'(omega) e^(-i omega t) over omega on each
-    branch, a trapezoid over the non-uniform samples omega(q)."""
+    branch, a trapezoid over the non-uniform samples omega(q).  ``time_grid``
+    must cover the support of f in time (ValueError otherwise)."""
     if p.mu <= 0:
         raise ValueError("the half-space map requires mu > 0")
     q_grid = np.asarray(q_grid, dtype=float)
     time_grid = np.asarray(time_grid, dtype=float)
     z = grid.nodes
     samples = np.asarray(f(time_grid[:, None], z[None, :]), dtype=float)
+    _check_time_support(samples, "the bulk test function")
     V = eval_halfspace_mode(q_grid[None, :], z[:, None], p)
     A = (samples * grid.quad_weights()) @ V
     omegas = np.sqrt(q_grid**2 + p.mu**2)

@@ -59,12 +59,21 @@ def test_cache_env_override(tmp_path, monkeypatch):
     assert list(env_cache.glob("modes_*.json"))
 
 
-def test_evolve_gaussian(tmp_path):
+def test_evolve_gaussian(tmp_path, capsys):
     # the 1e-3 drift figure holds at the default resolution h = 1/512
     out = tmp_path / "run.csv"
     code = main(["evolve", "--grid-n", "1024", "--T", "1.0",
                  "--cache-dir", str(tmp_path), "--out", str(out)])
     assert code == 0
+    # stepping: <steps> steps x <nodes> nodes in <s> s (<rate> Mcell/s)
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("stepping: "))
+    words = line.split()
+    dt = 0.5 * 2.0 / 1024
+    assert int(words[1]) == int(np.ceil(1.0 / dt))
+    assert int(words[4]) == 1025
+    rate = float(words[-2].lstrip("("))
+    assert np.isfinite(rate) and rate > 0 and words[-1] == "Mcell/s)"
     cols, data = read_csv(out)
     assert cols[:4] == ["t", "E_bulk", "E_bdy", "E_total"]
     tot = data[:, 3]

@@ -131,10 +131,59 @@ def test_fdtd_zero_data_stays_zero():
 
 
 def test_fdtd_cfl_rejected():
-    grid = Grid1D.for_strip(1.0, 64)
+    grid = Grid1D.for_strip(1.0, 64)  # h = 1/32
     data = gaussian_data(grid)
-    with pytest.raises(CflError):
-        make_fdtd_state(data, P0, dt=2.0 * grid.h)
+    for kwargs, message in [({"dt": 2.0 / 32}, "dt=0.0625 exceeds the stability bound"),
+                            ({"dt": 0.0}, "dt=0.0 must be positive"),
+                            ({"cfl": 0.0}, "dt=0.0 must be positive"),
+                            ({"cfl": -0.5}, "dt=-0.015625 must be positive"),
+                            ({"cfl": float("nan")}, "dt=nan must be positive")]:
+        with pytest.raises(CflError, match=message):
+            make_fdtd_state(data, P0, **kwargs)
+
+
+def reference_acceleration(phi, h, p):
+    """acc(phi) of the scheme, written out term by term: the 3-point Laplacian
+    in the interior and the one-sided 3-point closure at both endpoints."""
+    acc = np.empty_like(phi)
+    acc[1:-1] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / h**2 - p.mu**2 * phi[1:-1]
+    dperp_lo = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * h)
+    dperp_hi = -(3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * h)
+    acc[0] = -p.mu**2 * phi[0] + dperp_lo / p.c
+    acc[-1] = -p.mu**2 * phi[-1] + dperp_hi / p.c
+    return acc
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+@pytest.mark.parametrize("c", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("n", [2, 64])
+def test_fdtd_run_matches_reference_leapfrog(n, c, mu):
+    # fdtd_run's fused stencil against the unfused form
+    # phi_next = 2 phi - phi_prev + dt^2 acc(phi), started from the Taylor back-step
+    p = PhysicalParams(c=c, mu=mu, geometry=Strip(1.0))
+    grid = Grid1D.for_strip(1.0, n)
+    z = grid.nodes
+    pos = np.exp(-((z - 0.2) ** 2) / (2 * 0.3**2))
+    data = CauchyData.from_samples(grid, pos, -3.0 * z * pos)
+    s0 = make_fdtd_state(data, p)
+    h, dt = grid.h, s0.dt
+    phi, v0 = s0.phi, -3.0 * z * pos
+    taylor = phi - dt * v0 + 0.5 * dt**2 * reference_acceleration(phi, h, p)
+    assert np.max(np.abs(s0.phi_prev - taylor)) <= 1e-13 * np.max(np.abs(taylor))
+
+    prev, cur = taylor, phi.copy()
+    trace = []
+    for _ in range(500):
+        prev, cur = cur, 2.0 * cur - prev + dt**2 * reference_acceleration(cur, h, p)
+        trace.append([cur[0], cur[-1]])
+    s = fdtd_run(s0, 500)
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    assert rel(s.phi, cur) <= 1e-11
+    assert rel(s.phi_prev, prev) <= 1e-11
+    assert rel(s.bdy_trace, np.array(trace)) <= 1e-11
 
 
 def test_fdtd_standing_mode_vs_spectral(table0):

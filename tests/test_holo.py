@@ -366,6 +366,19 @@ def test_halfspace_dual_fprime_at_t0_matches_q_quadrature():
     assert abs(at0 - ref) < 1e-3 * abs(ref)
 
 
+def test_halfspace_dual_rejects_time_grid_inside_support():
+    # the Gaussian in t has width 0.3: a grid on [-0.3, 0.3] cuts it off at
+    # exp(-1/2) of its peak, which the trapezoid would silently truncate
+    p = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
+
+    def f(t, z):
+        return np.exp(-(t**2) / (2 * 0.3**2)) * np.exp(-((z - 0.8) ** 2) / (2 * 0.15**2))
+
+    with pytest.raises(ValueError, match="does not cover the support"):
+        halfspace_dual(f, p, np.linspace(0.0, 12.0, 241), np.linspace(-0.3, 0.3, 121),
+                       Grid1D.for_halfspace(4.0, 1024))
+
+
 def test_halfspace_dual_needs_mass():
     p0 = PhysicalParams(c=1.0, mu=0.0, geometry=Strip(1.0))
     with pytest.raises(ValueError, match="mu > 0"):
