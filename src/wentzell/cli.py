@@ -244,10 +244,13 @@ def cmd_twopoint(args: argparse.Namespace) -> int:
         p = PhysicalParams(c=args.c, mu=args.mu, geometry=HalfSpace(), d=1)
         spec = TwoPointSpec(params=p, M=1, q_max=args.q_max)
         norm = halfspace_weight_normalization(args.c)
+        res = boundary_2pt_halfspace(x0, 0.0, spec)
+        vals = res.value
         report = {"weight_normalization": norm,
                   "weight_normalization_times_c": norm * args.c,
-                  "check_within_1e-8": bool(abs(norm * args.c - 1.0) < 1e-8)}
-        vals = np.array([boundary_2pt_halfspace(t, 0.0, spec).value for t in x0])
+                  "check_within_1e-8": bool(abs(norm * args.c - 1.0) < 1e-8),
+                  "quad_error": res.quad_error, "quad_panels": res.panels,
+                  "tail_bound": res.tail_bound}
         header["q_max"] = args.q_max
     else:
         raise ValueError(f"unknown geometry {args.geometry!r}")

@@ -184,6 +184,8 @@ def fdtd_run(s: FdtdState, n_steps: int) -> FdtdState:
     one-sided closure b0 phi_0 + g (-3 phi_0 + 4 phi_1 - phi_2) (mirrored at
     +S), b0 = 2 - dt^2 mu^2, g = dt^2 / (2 h c), at the endpoints.  Each step
     is written into the older level's buffer."""
+    if n_steps < 0:
+        raise ValueError(f"step count must be >= 0, got n_steps={n_steps}")
     w, b0, g = _leapfrog_stencil(s.grid.h, s.dt, s.p)
     prev = s.phi_prev.copy()
     cur = s.phi.copy()
@@ -294,6 +296,8 @@ def causality_probe(data: CauchyData, p: PhysicalParams, t: float,
     """Evolve compactly supported data and measure leakage outside the
     discrete light cone (N steps widen the support by at most N cells; the
     halo covers the stencil reach of the Taylor back-step)."""
+    if not t >= 0:
+        raise ValueError(f"probe time must be >= 0, got t={t}")
     state = make_fdtd_state(data, p, cfl=cfl)
     n_steps = int(np.ceil(t / state.dt))
     state = fdtd_run(state, n_steps)

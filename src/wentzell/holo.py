@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
-from scipy.signal import find_peaks, hilbert
 
 from .core import Grid1D, PhysicalParams, Strip
 from .modes import ModeTable, build_table, eval_halfspace_mode
@@ -376,12 +375,40 @@ class BurstReport:
 _CF_FRACTION = 0.9
 
 
+def analytic_envelope(y: np.ndarray) -> np.ndarray:
+    """|y + i H[y]|, the modulus of the analytic signal of a real sequence:
+    the DFT with the positive frequencies doubled and the negative ones zeroed
+    (the Nyquist bin of an even length is kept once), transformed back
+    (Marple, IEEE Trans. Signal Process. 47, 1999)."""
+    Y = fft(np.asarray(y, dtype=float))
+    n = Y.size
+    Y[1:(n + 1) // 2] *= 2.0
+    Y[n // 2 + 1:] = 0.0
+    return np.abs(ifft(Y))
+
+
+def local_maxima(y: np.ndarray) -> np.ndarray:
+    """Indices of the strict local maxima of y: runs of equal values that are
+    higher than the runs on both sides, at the midpoint (left + right) // 2 of
+    a plateau.  A run touching either end of y is not a maximum."""
+    y = np.asarray(y)
+    if y.size < 3:
+        return np.zeros(0, dtype=np.intp)
+    starts = np.concatenate(([0], np.flatnonzero(y[1:] != y[:-1]) + 1))
+    ends = np.append(starts[1:] - 1, y.size - 1)
+    v = y[starts]
+    peak = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    return (starts[peak] + ends[peak]) // 2
+
+
 def detect_bursts(t: np.ndarray, y: np.ndarray, rel_threshold: float = 0.1,
                   cluster_gap: float = 0.8) -> BurstReport:
     """Local maxima of the analytic-signal envelope above rel_threshold of the
-    global maximum, grouped into bursts separated by more than cluster_gap."""
-    env = np.abs(hilbert(y))
-    peaks, _ = find_peaks(env)
+    global maximum, grouped into bursts separated by more than cluster_gap.
+    The envelope is ``analytic_envelope`` and the maxima are ``local_maxima``,
+    both O(n log n) or better in the length of y."""
+    env = analytic_envelope(y)
+    peaks = local_maxima(env)
     level = rel_threshold * float(np.max(env))
     peaks = peaks[env[peaks] >= level]
     if peaks.size == 0:

@@ -289,19 +289,6 @@ def eval_mode_deriv(entry: ModeEntry, z, p: PhysicalParams) -> np.ndarray:
     return amp * entry.q * np.cos(entry.q * z)
 
 
-@dataclass(frozen=True)
-class HalfSpaceMode:
-    """Continuum half-space mode of wavenumber q >= 0 (transverse part)."""
-
-    q: float
-
-    def norm(self, p: PhysicalParams) -> float:
-        return float((np.pi / 2 * (p.c**2 * self.q**2 + 1.0)) ** -0.5)
-
-    def boundary_value(self, p: PhysicalParams) -> float:
-        return self.norm(p)
-
-
 def eval_halfspace_mode(q, z, p: PhysicalParams) -> np.ndarray:
     """Half-space profile (pi/2 (c^2 q^2 + 1))^(-1/2) (cos qz - c q sin qz).
 

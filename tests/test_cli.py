@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from wentzell.cli import main, table_from_json, table_to_json
 from wentzell.evolve import fdtd_run
 from wentzell.modes import build_table
 from wentzell.core import PhysicalParams, Strip
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def sha(path):
@@ -144,6 +150,39 @@ def test_twopoint_halfspace(tmp_path):
     rep = json.loads(out.with_suffix(".report.json").read_text())
     assert rep["check_within_1e-8"]
     assert rep["weight_normalization_times_c"] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_twopoint_halfspace_reports_its_quadrature(tmp_path):
+    out = tmp_path / "hs.csv"
+    assert main(["twopoint", "--geometry", "halfspace", "--x0-max", "50",
+                 "--n-x0", "11", "--out", str(out)]) == 0
+    rep = json.loads(out.with_suffix(".report.json").read_text())
+    assert rep["quad_error"] <= 1e-10 / np.pi  # the tolerance times W(0) = 1/pi
+    assert rep["quad_panels"] >= 2048
+    _, data = read_csv(out)
+    assert data.shape == (11, 3) and np.all(np.isfinite(data))
+
+
+def test_twopoint_halfspace_unresolved_exits_2_without_csv(tmp_path, capsys):
+    out = tmp_path / "hs.csv"
+    assert main(["twopoint", "--geometry", "halfspace", "--x0-max", "1000",
+                 "--q-max", "1000", "--n-x0", "11", "--out", str(out)]) == 2
+    assert "did not converge" in capsys.readouterr().err
+    assert not out.exists()
+    assert not out.with_suffix(".report.json").exists()
+
+
+def test_import_leaves_out_scipy_signal_and_integrate():
+    code = ("import sys, wentzell.cli, wentzell.acceptance; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.integrate') "
+            "if m in sys.modules))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_twopoint_strip(tmp_path):

@@ -142,6 +142,15 @@ def test_fdtd_cfl_rejected():
             make_fdtd_state(data, P0, **kwargs)
 
 
+def test_negative_step_count_and_time_are_named():
+    grid = Grid1D.for_strip(1.0, 64)
+    data = gaussian_data(grid)
+    with pytest.raises(ValueError, match="n_steps=-1"):
+        fdtd_run(make_fdtd_state(data, P0), -1)
+    with pytest.raises(ValueError, match="t=-0.5"):
+        causality_probe(data, P0, t=-0.5)
+
+
 def reference_acceleration(phi, h, p):
     """acc(phi) of the scheme, written out term by term: the 3-point Laplacian
     in the interior and the one-sided 3-point closure at both endpoints."""

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.signal import find_peaks, hilbert
 
 from wentzell.core import Grid1D, PhysicalParams, Strip
 from wentzell.holo import (BumpOverlapError, Fig2Config, HalfSpaceDual,
-                           HoloGrids, _inverse_transform, choose_a, default_chi,
-                           detect_bursts, extend_to_schwartz, fig2_reproduce,
+                           HoloGrids, _inverse_transform, analytic_envelope,
+                           choose_a, default_chi, detect_bursts, extend_to_schwartz, fig2_reproduce,
                            fig2_test_function, halfspace_dual,
-                           holographic_dual, included_modes, verify_dual)
+                           holographic_dual, included_modes, local_maxima,
+                           verify_dual)
 from wentzell.modes import ModeTable, build_table
 from wentzell.qft import SmearedCoefficients
 
@@ -409,3 +411,19 @@ def test_extension_linearity_property(cp, cm):
                             modes=modes)
     w = np.linspace(-12.0, 12.0, 301)
     assert np.max(np.abs(e2(w) - 2 * e1(w))) < 1e-12 * max(1.0, np.max(np.abs(e1(w))))
+
+
+# ---------------------------------------------------------------------------
+# burst detection primitives against their scipy.signal oracles
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 1023, 1024])
+def test_analytic_envelope_matches_scipy_hilbert(n):
+    y = np.random.default_rng(n).standard_normal(n)
+    assert np.array_equal(analytic_envelope(y), np.abs(hilbert(y)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(0, 60), elements=st.sampled_from([-1.0, 0.0, 0.5, 2.0])))
+def test_local_maxima_matches_find_peaks(y):
+    # few distinct values make plateaus, ties and end runs frequent
+    assert np.array_equal(local_maxima(y), find_peaks(y)[0])

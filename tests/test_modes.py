@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wentzell.core import GeometryError, Grid1D, HalfSpace, PhysicalParams, Strip
-from wentzell.modes import (HalfSpaceMode, bracket, build_table, d_asymptote,
+from wentzell.modes import (bracket, build_table, d_asymptote,
                             eval_halfspace_mode, eval_mode, mode_function,
                             project, residual_normalized, solve_q, synthesize,
                             verify_table)
@@ -91,7 +91,6 @@ def test_halfspace_mode_boundary_value():
     q = 1.3
     val = eval_halfspace_mode(q, 0.0, P1)
     assert val == pytest.approx((np.pi / 2 * (q**2 + 1)) ** -0.5)
-    assert HalfSpaceMode(q).boundary_value(P1) == pytest.approx(float(val))
     with pytest.raises(GeometryError):
         eval_halfspace_mode(q, -0.1, P1)
 

@@ -30,6 +30,9 @@ def test_spec_validation():
         TwoPointSpec(params=PhysicalParams(c=1.0, mu=0.0, geometry=Strip(1.0)), M=10)
     with pytest.raises(ValueError):
         TwoPointSpec(params=P1, M=0)
+    for q_max in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="q_max must be positive"):
+            TwoPointSpec(params=P1, q_max=q_max)
     # massless is fine for d > 2
     TwoPointSpec(params=PhysicalParams(c=1.0, mu=0.0, geometry=Strip(1.0), d=3), M=10)
 
@@ -86,9 +89,70 @@ def test_weights_positive(table200):
 # half-space
 
 def test_halfspace_weight_normalization():
-    assert halfspace_weight_normalization(1.0) == pytest.approx(1.0, abs=1e-8)
-    # general c integrates to 1/c
-    assert halfspace_weight_normalization(2.0) == pytest.approx(0.5, abs=1e-8)
+    # the weight integrates to 1/c for every c
+    for c in (0.1, 1.0, 2.0, 10.0):
+        assert abs(halfspace_weight_normalization(c) - 1.0 / c) < 1e-12
+
+
+HS1 = PhysicalParams(c=1.0, mu=1.0, geometry=HalfSpace(), d=1)
+X0_DEFAULT = np.linspace(0.0, 5.0, 101)  # the CLI's default sample points
+
+
+def _halfspace_quad(x0, p, q_max):
+    """The adaptive reference: real and imaginary parts by scipy's quad in q,
+    with the sum of their quoted errors."""
+    def part(fn):
+        def integrand(q):
+            w = np.sqrt(p.mu**2 + q**2)
+            return halfspace_weight(q, p.c) * fn(w * x0) / (2.0 * w)
+        return quad(integrand, 0.0, q_max, limit=400)
+    re, err_re = part(np.cos)
+    im, err_im = part(lambda a: -np.sin(a))
+    return re + 1j * im, err_re + err_im
+
+
+def test_halfspace_2pt_matches_q_domain_rule():
+    # an independent rule: composite Gauss-Legendre directly in q, 16 nodes
+    # on each of 8000 panels of [0, q_max], no substitution
+    res = boundary_2pt_halfspace(X0_DEFAULT, 0.0, TwoPointSpec(params=HS1, M=1))
+    g, gw = np.polynomial.legendre.leggauss(16)
+    half = 200.0 / 8000 / 2
+    q = (half * (2 * np.arange(8000) + 1)[:, None] + half * g).ravel()
+    wq = np.tile(half * gw, 8000)
+    w = np.sqrt(1.0 + q**2)
+    ref = np.exp(-1j * np.outer(X0_DEFAULT, w)) @ (wq * halfspace_weight(q, 1.0) / (2 * w))
+    assert res.value.shape == X0_DEFAULT.shape
+    assert np.max(np.abs(res.value - ref)) < 1e-12
+
+
+def test_halfspace_2pt_matches_quad_within_its_error():
+    # quad underestimates its error at x0 = 4.65: it is off by about 1.1e-7
+    # there against a quoted 1.5e-8
+    res = boundary_2pt_halfspace(X0_DEFAULT, 0.0, TwoPointSpec(params=HS1, M=1))
+    for x0, val in zip(X0_DEFAULT, res.value):
+        ref, err = _halfspace_quad(x0, HS1, 200.0)
+        if abs(x0 - 4.65) < 1e-9:
+            assert 5e-8 < abs(val - ref) < 2e-7
+        else:
+            assert abs(val - ref) <= err
+
+
+def test_halfspace_2pt_scalar_equals_array_row():
+    spec = TwoPointSpec(params=HS1, M=1)
+    res = boundary_2pt_halfspace(np.array([0.0, 1.5, -0.7]), 0.0, spec)
+    assert res.value.shape == (3,)
+    one = boundary_2pt_halfspace(1.5, 0.0, spec)
+    assert isinstance(one.value, complex)
+    assert one.value == pytest.approx(res.value[1], abs=1e-14)
+
+
+def test_halfspace_2pt_fails_loudly_when_unresolved():
+    # 2^14 panels cannot resolve a phase of 10^6: the two resolutions disagree
+    spec = TwoPointSpec(params=HS1, M=1, q_max=1000.0)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        boundary_2pt_halfspace(np.array([0.0, 1000.0]), 0.0, spec)
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        boundary_2pt_halfspace(np.array([0.0, np.nan]), 0.0, spec)
 
 
 def test_halfspace_2pt_real_at_coincidence():
