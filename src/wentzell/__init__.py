@@ -6,9 +6,8 @@ from .core import (BulkBoundaryFunction, CauchyData, GeometryError, Grid1D,
                    GridMismatchError, HalfSpace, PhysicalParams, Strip,
                    ZeroModeError, compatibility_check, spectral_sobolev_norm,
                    symplectic_form, trace, weighted_inner_product, weighted_norm)
-from .modes import (ModeEntry, ModeTable, build_table,
-                    eval_halfspace_mode, eval_mode, project, solve_q,
-                    synthesize, verify_table)
+from .modes import (ModeTable, build_table, eval_halfspace_mode, eval_mode,
+                    project, solve_q, synthesize, verify_table)
 from .evolve import (CflError, EnergyReport, FdtdState, SpectralState,
                      causality_probe, energy, explicit_solution, fdtd_run,
                      make_fdtd_state, spectral_evolve)

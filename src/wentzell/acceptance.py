@@ -18,8 +18,8 @@ from .evolve import (SpectralState, causality_probe, energy, energy_in_region,
 from .holo import (Fig2Config, HoloGrids, fig2_reproduce, fig2_test_function,
                    holographic_dual, pairing_boundary_route, pairing_bulk_route,
                    verify_dual)
-from .modes import (bracket, build_table, d_asymptote, mode_function,
-                    project, residual_normalized, verify_table)
+from .modes import (bracket, build_table, d_asymptote, gram_matrix,
+                    residual_normalized, verify_table)
 from .qft import (TwoPointSpec, causality_check, halfspace_weight_normalization,
                   source_relation_check, tail_convergence)
 
@@ -43,17 +43,18 @@ def criterion_1_eigenvalue_brackets() -> CriterionResult:
     for (S, c) in {0.5, 1, 2}^2 and m <= 200."""
     worst_res = 0.0
     all_inside = True
+    ms = np.arange(1, 201)
+    even = ms % 2 == 0
     for S in S_C_GRID:
         for c in S_C_GRID:
             p = PhysicalParams(c=c, geometry=Strip(S))
-            table = build_table(200, p)
+            q = build_table(200, p).qs[1:]
+            lo, hi = bracket(ms, p)
+            all_inside &= bool(np.all((lo < q) & (q < hi)))
             p1 = PhysicalParams(c=c / S, geometry=Strip(1.0))  # S = 1 units
-            for m in range(1, 201):
-                lo, hi = bracket(m, p)
-                q = table.qs[m]
-                all_inside &= lo < q < hi
-                res = float(residual_normalized(q * S, p1, m % 2 == 0))
-                worst_res = max(worst_res, res)
+            res = np.where(even, residual_normalized(q * S, p1, True),
+                           residual_normalized(q * S, p1, False))
+            worst_res = max(worst_res, float(np.max(res)))
     passed = all_inside and worst_res < 1e-12
     return CriterionResult("1-eigenvalue-brackets", passed,
                            {"worst_residual": worst_res, "all_inside": all_inside})
@@ -84,9 +85,7 @@ def criterion_3_orthonormality() -> CriterionResult:
     p = PhysicalParams(c=1.0, geometry=Strip(1.0))
     table = build_table(20, p)
     grid = Grid1D.for_strip(1.0, 4096)
-    G = np.empty((21, 21))
-    for m in range(21):
-        G[m] = project(mode_function(table.entries[m], table, grid), table)
+    G = gram_matrix(table, grid)
     diag_err = float(np.max(np.abs(np.diag(G) - 1.0)))
     off = G - np.diag(np.diag(G))
     off_err = float(np.max(np.abs(off)))

@@ -2,7 +2,8 @@
 
 Outputs are deterministic for a given configuration: CSV data files carry the
 full parameter set in ``#`` header comments and no timestamps; mode tables are
-cached as human-diffable JSON keyed by (S, c, mu, M_max, residual_tol).
+cached as line-diffable JSON, one mode per line, keyed by a format version and
+(S, c, mu, M_max, residual_tol), and re-verified when read.
 Each ``cmd_*`` takes the parsed ``argparse.Namespace``; the parser holds the
 only copy of every default.  Exit codes: 0 success, 1 invalid configuration,
 2 runtime failure (including non-finite data, for which no CSV is written),
@@ -17,6 +18,8 @@ import os
 import sys
 import tempfile
 import time
+from collections.abc import Iterable, Iterator
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +28,7 @@ from .core import CauchyData, Grid1D, HalfSpace, PhysicalParams, Strip
 from .evolve import (SpectralState, energy, explicit_solution, fdtd_run,
                      make_fdtd_state, reflection_cauchy_data, synthesize_state)
 from .holo import Fig2Config, HoloGrids, fig2_reproduce, holographic_dual, verify_dual
-from .modes import ModeEntry, ModeTable, bracket, build_table, residual_normalized, \
+from .modes import ModeTable, bracket, build_table, check_solution, table_residuals, \
     verify_table
 from .qft import TwoPointSpec, boundary_2pt_halfspace, boundary_2pt_strip, \
     halfspace_weight_normalization, tail_convergence
@@ -41,12 +44,14 @@ CACHE_ENV = "WENTZELL_CACHE_DIR"
 # ---------------------------------------------------------------------------
 # persistence
 
-def atomic_write_text(path: Path, text: str):
+def atomic_write_text(path: Path, text: str | Iterable[str]):
+    """Write ``text``, a string or an iterable of string pieces, to a
+    temporary file and rename it over ``path``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -54,34 +59,61 @@ def atomic_write_text(path: Path, text: str):
         raise
 
 
-def table_to_json(table: ModeTable) -> str:
+_TABLE_FORMAT = "v2"  # cache file format and solver version, part of the file name
+_TABLE_PIECE_ROWS = 1024
+_TABLE_ROW = ('{{"m": {}, "q": {!r}, "delta": {!r}, "parity": "{}", "c_norm": {!r}, '
+              '"d_bdy": {!r}}}')
+
+
+def _parities(n: int) -> list[str]:
+    return ["even", "odd"] * (n // 2) + ["even"] * (n % 2)
+
+
+def _table_pieces(table: ModeTable) -> Iterator[str]:
+    """The JSON text of ``table_to_json`` in pieces of at most
+    _TABLE_PIECE_ROWS modes, so that a large table is never held as one
+    string or one list of rows."""
     p = table.params
-    doc = {
-        "S": p.geometry.S,
-        "c": p.c,
-        "mu": p.mu,
-        "residual_tol": table.residual_tol,
-        "M_max": len(table) - 1,
-        "entries": [
-            {"m": e.m, "q": e.q, "parity": e.parity,
-             "c_norm": e.c_norm, "d_bdy": e.d_bdy}
-            for e in table.entries
-        ],
-    }
-    return json.dumps(doc, indent=1)
+    n = len(table)
+    head = json.dumps({"S": p.geometry.S, "c": p.c, "mu": p.mu,
+                       "residual_tol": table.residual_tol, "M_max": n - 1})
+    yield head[:-1] + ', "entries": [\n'  # the header object stays open for the list
+    parities = _parities(n)
+    for i in range(0, n, _TABLE_PIECE_ROWS):
+        part = slice(i, i + _TABLE_PIECE_ROWS)
+        rows = map(_TABLE_ROW.format, range(n)[part], table.qs[part].tolist(),
+                   table.deltas[part].tolist(), parities[part],
+                   table.c_norms[part].tolist(), table.d_bdys[part].tolist())
+        yield (",\n" if i else "") + ",\n".join(rows)
+    yield "\n]}\n"
+
+
+def table_to_json(table: ModeTable) -> str:
+    """The table as a JSON document with one line per mode."""
+    return "".join(_table_pieces(table))
 
 
 def table_from_json(text: str) -> ModeTable:
+    """Parse ``table_to_json`` output.  Raises ValueError (or KeyError,
+    TypeError) when the document is not such a table or its m sequence or
+    parities are out of order; the eigenvalue check is ``check_solution``."""
     doc = json.loads(text)
     p = PhysicalParams(c=doc["c"], mu=doc["mu"], geometry=Strip(doc["S"]))
-    entries = tuple(ModeEntry(m=e["m"], q=e["q"], parity=e["parity"],
-                              c_norm=e["c_norm"], d_bdy=e["d_bdy"])
-                    for e in doc["entries"])
-    return ModeTable(params=p, entries=entries, residual_tol=doc["residual_tol"])
+    entries = doc["entries"]
+    n = len(entries)
+    if list(map(itemgetter("m"), entries)) != list(range(n)):
+        raise ValueError("mode indices are not 0, 1, 2, ...")
+    if list(map(itemgetter("parity"), entries)) != _parities(n):
+        raise ValueError("mode parities do not alternate even, odd from m = 0")
+    qs, deltas, c_norms, d_bdys = (np.fromiter(map(itemgetter(key), entries), float, n)
+                                   for key in ("q", "delta", "c_norm", "d_bdy"))
+    return ModeTable(params=p, qs=qs, deltas=deltas, c_norms=c_norms, d_bdys=d_bdys,
+                     residual_tol=doc["residual_tol"])
 
 
 def cache_path(cache_dir: Path, p: PhysicalParams, M_max: int, tol: float) -> Path:
-    name = f"modes_S{p.geometry.S!r}_c{p.c!r}_mu{p.mu!r}_M{M_max}_tol{tol!r}.json"
+    name = (f"modes_{_TABLE_FORMAT}_S{p.geometry.S!r}_c{p.c!r}_mu{p.mu!r}_M{M_max}"
+            f"_tol{tol!r}.json")
     return cache_dir / name
 
 
@@ -96,11 +128,24 @@ def resolve_cache_dir(flag_value: str | None) -> Path:
 
 def load_or_build_table(p: PhysicalParams, M_max: int, tol: float,
                         cache_dir: Path) -> tuple[ModeTable, Path, bool]:
+    """The table for (p, M_max, tol) from the cache, or built and written there.
+
+    A cached file is re-verified (mode sequence, parities, increasing q, the
+    eigenvalue check of ``check_solution``, and the key it was written for);
+    one that fails counts as a miss and is overwritten."""
     path = cache_path(cache_dir, p, M_max, tol)
     if path.exists():
-        return table_from_json(path.read_text()), path, True
+        try:
+            table = table_from_json(path.read_text())
+            got = table.params
+            if ((got.geometry, got.c, got.mu, len(table) - 1, table.residual_tol)
+                    == (p.geometry, p.c, p.mu, M_max, tol)):
+                check_solution(table)
+                return table, path, True
+        except (ValueError, KeyError, TypeError):
+            pass  # unreadable or stale: rebuilt below
     table = build_table(M_max, p, residual_tol=tol)
-    atomic_write_text(path, table_to_json(table))
+    atomic_write_text(path, _table_pieces(table))
     return table, path, False
 
 
@@ -122,10 +167,9 @@ def cmd_modes(args: argparse.Namespace) -> int:
     print(f"mode table: {len(table)} entries "
           f"({'cache hit' if cached else 'computed'}) -> {path}")
 
-    in_window = all(bracket(m, p)[0] < table.qs[m] < bracket(m, p)[1]
-                    for m in range(1, len(table)))
-    res = max(float(residual_normalized(table.qs[m], p, m % 2 == 0))
-              for m in range(1, len(table)))
+    lo, hi = bracket(np.arange(1, len(table)), p)
+    in_window = bool(np.all((lo < table.qs[1:]) & (table.qs[1:] < hi)))
+    res = float(np.max(table_residuals(table), initial=0.0))
     print(f"{'PASS' if in_window else 'FAIL'}  eigenvalue windows "
           f"(max normalized residual {res:.3e})")
     ok = in_window and res < args.residual_tol * max(1.0, args.S)
@@ -143,7 +187,7 @@ def cmd_modes(args: argparse.Namespace) -> int:
         print("asymptotic checks skipped: table too short for m_start")
 
     if args.out:
-        atomic_write_text(Path(args.out), table_to_json(table))
+        atomic_write_text(Path(args.out), path.read_text())
         print(f"table copied to {args.out}")
     return EXIT_OK if ok else EXIT_ACCEPTANCE
 

@@ -32,8 +32,8 @@ class Strip:
     S: float
 
     def __post_init__(self):
-        if not self.S > 0:
-            raise ValueError(f"strip half-width must be positive, got S={self.S}")
+        if not (np.isfinite(self.S) and self.S > 0):
+            raise ValueError(f"strip half-width must be positive and finite, got S={self.S}")
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,13 @@ class PhysicalParams:
     d: int = 1
 
     def __post_init__(self):
-        if not self.c > 0:
+        if not (np.isfinite(self.c) and self.c > 0):
             raise ValueError(
-                f"boundary coupling must be positive, got c={self.c}; "
+                f"boundary coupling must be positive and finite, got c={self.c}; "
                 "negative c is rejected (no well-posed classical theory)"
             )
-        if self.mu < 0:
-            raise ValueError(f"mass must be non-negative, got mu={self.mu}")
+        if not (np.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError(f"mass must be non-negative and finite, got mu={self.mu}")
         if self.d < 1 or int(self.d) != self.d:
             raise ValueError(f"boundary dimension must be an integer >= 1, got d={self.d}")
 

@@ -6,15 +6,26 @@ transcendental conditions
     even:  c^-1 tan(q S) = -q        odd:   q tan(q S) = c^-1
 
 with exactly one root q_m in each window (pi (m-1) / 2S, pi m / 2S), m >= 1,
-plus the constant mode q_0 = 0.  Root finding works on the pole-free trig
-forms
+plus the constant mode q_0 = 0.  Writing q_m = pi (m-1) / 2S + delta_m turns
+both parities into one equation for the offset delta_m in (0, pi / 2S],
+
+    S delta = arctan(1 / (c q)),
+
+whose left side minus right side is increasing and concave in delta.  Newton
+from the window top delta = pi / 2S therefore climbs monotonically to the root
+after its first step, with no bracketing and no parity branch.  Five Newton
+steps on the pole-free trig forms
 
     even:  c^-1 sin(q S) + q cos(q S) = 0
     odd:   q sin(q S) - c^-1 cos(q S) = 0
 
-which change sign at the exact window endpoints.  Residuals are reported in
+then polish q.  The table stores delta_m next to q_m, and the normalization
+c_m and boundary coupling d_m are computed from sin(delta_m S), free of the
+cancellation in sin/cos(q_m S) at large m.  Residuals are reported in
 normalized (dimensionless) form: the raw tan-form residual is ill-conditioned
-by a factor ~ q^2 and cannot reach 1e-12 in double precision at large m.
+by a factor ~ q^2 and cannot reach 1e-12 in double precision at large m.  From
+q S = 2^14 on, half an ulp of q already moves the trig form by more than
+1e-12, so there the residual is |S delta - arctan(1 / (c q))| instead.
 """
 
 from __future__ import annotations
@@ -26,12 +37,16 @@ import numpy as np
 
 from .core import BulkBoundaryFunction, GeometryError, Grid1D, PhysicalParams, Strip
 
-_BISECT_WIDTH = 1e-10  # times pi/S
 _NEWTON_STEPS = 5
+_DELTA_MAX_ITER = 100
+_DELTA_RTOL = 4 * np.finfo(float).eps
+_TRIG_RESIDUAL_QS = 2.0**14  # q S from which the residual is taken in delta form
+_Q_DELTA_ULPS = 8  # q = pi (m-1) / 2S + delta to this many ulps of q, after the polish
 
 
-def bracket(m: int, p: PhysicalParams) -> tuple[float, float]:
-    """Window (pi (m-1) / 2S, pi m / 2S) guaranteed to contain q_m, m >= 1."""
+def bracket(m, p: PhysicalParams) -> tuple:
+    """Window (pi (m-1) / 2S, pi m / 2S) guaranteed to contain q_m, m >= 1;
+    ``m`` may be an index array."""
     S = _strip_S(p)
     return (np.pi * (m - 1) / (2 * S), np.pi * m / (2 * S))
 
@@ -63,36 +78,36 @@ def residual_normalized(q, p: PhysicalParams, even) -> np.ndarray:
     return np.abs(r) / np.hypot(1.0 / p.c, np.asarray(q, dtype=float))
 
 
-def _solve_batch(ms: np.ndarray, p: PhysicalParams) -> np.ndarray:
-    """Vectorized bisection + Newton polish over independent windows."""
+def _solve_batch(ms: np.ndarray, p: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
+    """(q_m, delta_m) for indices ms >= 1: Newton on the delta form, then the
+    trig-form polish of q.  Each root stops on its own, so it does not depend
+    on the other indices in the batch."""
     S, c = _strip_S(p), p.c
+    lo, hi = bracket(ms, p)
+    top = np.pi / (2 * S)
+    delta = np.full(ms.shape, top)
+    done = np.zeros(ms.shape, dtype=bool)
+    for _ in range(_DELTA_MAX_ITER):
+        q = lo + delta
+        f = S * delta - np.arctan(1.0 / (c * q))
+        step = np.where(done, 0.0, f / (S + c / ((c * q) ** 2 + 1.0)))
+        delta = delta - step
+        done |= np.abs(step) <= _DELTA_RTOL * delta
+        if done.all():
+            break
+    else:
+        raise RuntimeError(f"delta-form Newton did not converge in {_DELTA_MAX_ITER} "
+                           f"steps for m={ms[~done]}; solver bug")
+    delta = np.minimum(delta, top)  # the root is below the window top; keep rounding there
+
     even = ms % 2 == 0
-    lo = np.pi * (ms - 1) / (2 * S)
-    hi = np.pi * ms / (2 * S)
-    flo = np.where(even, _residual_fn(lo, S, c, True), _residual_fn(lo, S, c, False))
-    fhi = np.where(even, _residual_fn(hi, S, c, True), _residual_fn(hi, S, c, False))
-    if np.any(flo * fhi >= 0):
-        bad = ms[flo * fhi >= 0]
-        raise RuntimeError(f"no sign change in eigenvalue window for m={bad}; solver bug")
-
-    width = _BISECT_WIDTH * np.pi / S
-    n_iter = int(np.ceil(np.log2((hi[0] - lo[0]) / width))) + 1
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = np.where(even, _residual_fn(mid, S, c, True), _residual_fn(mid, S, c, False))
-        take_lo = flo * fmid <= 0
-        hi = np.where(take_lo, mid, hi)
-        fhi = np.where(take_lo, fmid, fhi)
-        lo = np.where(take_lo, lo, mid)
-        flo = np.where(take_lo, flo, fmid)
-
-    q = 0.5 * (lo + hi)
+    q = lo + delta
     for _ in range(_NEWTON_STEPS):
         f = np.where(even, _residual_fn(q, S, c, True), _residual_fn(q, S, c, False))
         df = np.where(even, _residual_deriv(q, S, c, True), _residual_deriv(q, S, c, False))
         step = np.where(df != 0, f / np.where(df != 0, df, 1.0), 0.0)
         q = np.clip(q - step, lo, hi)
-    return q
+    return q, delta
 
 
 def solve_q(m: int, p: PhysicalParams, residual_tol: float = 1e-12) -> float:
@@ -102,69 +117,58 @@ def solve_q(m: int, p: PhysicalParams, residual_tol: float = 1e-12) -> float:
     _strip_S(p)
     if m == 0:
         return 0.0
-    q = float(_solve_batch(np.array([m]), p)[0])
-    res = float(residual_normalized(q, p, m % 2 == 0))
+    q, delta = _solve_batch(np.array([m]), p)
+    res = float(_residuals(np.array([m]), q, delta, p)[0])
     if res > residual_tol:
         raise RuntimeError(f"residual {res:.3e} above tolerance for m={m}")
-    return q
+    return float(q[0])
 
 
-@dataclass(frozen=True)
-class ModeEntry:
-    """One strip mode: index, wavenumber, parity, normalization, boundary coupling."""
-
-    m: int
-    q: float
-    parity: str  # 'even' or 'odd'
-    c_norm: float
-    d_bdy: float
-
-    def omega(self, mu: float, k: float = 0.0) -> float:
-        return float(np.sqrt(k**2 + self.q**2 + mu**2))
+_COLUMNS = ("qs", "deltas", "c_norms", "d_bdys")
 
 
-@dataclass
+@dataclass(eq=False)
 class ModeTable:
-    """Normalized strip modes m = 0 .. M_max with boundary couplings.
+    """Normalized strip modes m = 0 .. M_max with boundary couplings, as columns
+    indexed by m.
 
     The profile of mode m is  c_m S^(-1/2) * cos(q_m z)  (m even) or
     sin(q_m z) (m odd); its boundary value at the component at +-S is
-    (+-1)^m d_m.
+    (+-1)^m d_m.  ``deltas`` holds delta_m = q_m - pi (m-1) / 2S from the
+    delta-form solve (pi / 2S for the constant mode).
     """
 
     params: PhysicalParams
-    entries: tuple[ModeEntry, ...]
+    qs: np.ndarray
+    deltas: np.ndarray
+    c_norms: np.ndarray
+    d_bdys: np.ndarray
     residual_tol: float = 1e-12
 
     def __post_init__(self):
-        qs = np.array([e.q for e in self.entries])
-        if np.any(np.diff(qs) <= 0):
+        cols = [np.array(getattr(self, k), dtype=float) for k in _COLUMNS]
+        for name, col in zip(_COLUMNS, cols):
+            col.setflags(write=False)
+            setattr(self, name, col)
+        if self.qs.ndim != 1 or self.qs.size == 0 \
+                or any(col.shape != self.qs.shape for col in cols):
+            raise ValueError("mode table columns must be non-empty 1-d arrays "
+                             "of one length")
+        if not all(np.isfinite(col).all() for col in cols):
+            raise ValueError("mode table holds non-finite values")
+        if np.any(np.diff(self.qs) <= 0):
             raise ValueError("mode wavenumbers must be strictly increasing")
-        for e in self.entries:
-            if e.parity != ("even" if e.m % 2 == 0 else "odd"):
-                raise ValueError(f"parity of mode {e.m} breaks the even/odd alternation")
-            if e.d_bdy == 0:
-                raise ValueError(f"boundary coupling of mode {e.m} vanishes")
+        if np.any(self.d_bdys == 0):
+            m = int(np.argmax(self.d_bdys == 0))
+            raise ValueError(f"boundary coupling of mode {m} vanishes")
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    @cached_property
-    def qs(self) -> np.ndarray:
-        return np.array([e.q for e in self.entries])
-
-    @cached_property
-    def c_norms(self) -> np.ndarray:
-        return np.array([e.c_norm for e in self.entries])
-
-    @cached_property
-    def d_bdys(self) -> np.ndarray:
-        return np.array([e.d_bdy for e in self.entries])
+        return self.qs.size
 
     @cached_property
     def parity_signs(self) -> np.ndarray:
         """(-1)^m, the sign relating the two boundary components."""
-        return np.array([(-1.0) ** e.m for e in self.entries])
+        return np.where(np.arange(len(self)) % 2 == 0, 1.0, -1.0)
 
     def omegas(self, k: float = 0.0) -> np.ndarray:
         return np.sqrt(k**2 + self.qs**2 + self.params.mu**2)
@@ -174,15 +178,59 @@ class ModeTable:
         return np.column_stack([self.parity_signs * self.d_bdys, self.d_bdys])
 
 
-def _normalization(q: float, S: float, c: float, even: bool) -> float:
-    """c_m from the closed-form weighted norm of the raw cos/sin profile."""
-    if q == 0.0:
-        # constant mode: weighted norm^2 of 1 is 2S + 2c (limit of the even formula)
-        return float(np.sqrt(S / (2 * S + 2 * c)))
-    s2 = np.sin(2 * q * S) / (2 * q)
-    if even:
-        return float(np.sqrt(S / (S + s2 + 2 * c * np.cos(q * S) ** 2)))
-    return float(np.sqrt(S / (S - s2 + 2 * c * np.sin(q * S) ** 2)))
+def _residuals(ms, qs, deltas, p: PhysicalParams) -> np.ndarray:
+    """Normalized residual of modes ms >= 1: the trig form while q S < 2^14,
+    |S delta - arctan(1 / (c q))| from there on."""
+    S, c = _strip_S(p), p.c
+    trig = np.where(ms % 2 == 0, residual_normalized(qs, p, True),
+                    residual_normalized(qs, p, False))
+    return np.where(qs * S < _TRIG_RESIDUAL_QS, trig,
+                    np.abs(S * deltas - np.arctan(1.0 / (c * qs))))
+
+
+def table_residuals(table: ModeTable) -> np.ndarray:
+    """Normalized eigenvalue residual of modes m = 1 .. M_max (see the module
+    docstring for the two forms)."""
+    p = table.params
+    ms = np.arange(1, len(table))
+    return _residuals(ms, table.qs[1:], table.deltas[1:], p)
+
+
+def check_solution(table: ModeTable):
+    """Raise ValueError unless every (q_m, delta_m) solves its eigenvalue
+    condition within ``table.residual_tol``: q_0 = 0, delta_m in its window
+    (0, pi / 2S], q_m = pi (m-1) / 2S + delta_m to rounding, and the residual
+    of ``table_residuals`` at most the tolerance.  ``build_table`` holds its
+    own output to this check, and a cache loader can hold a file to it."""
+    S = _strip_S(table.params)
+    if table.qs[0] != 0.0:
+        raise ValueError(f"constant mode has q_0 = {table.qs[0]!r}, not 0")
+    ms = np.arange(1, len(table))
+    q, delta = table.qs[1:], table.deltas[1:]
+    outside = ~((delta > 0) & (delta <= np.pi / (2 * S)))
+    if np.any(outside):
+        raise ValueError(f"delta outside (0, pi/2S] at m={ms[outside][:5]}")
+    apart = np.abs(q - (bracket(ms, table.params)[0] + delta)) \
+        > _Q_DELTA_ULPS * np.spacing(q)
+    if np.any(apart):
+        raise ValueError(f"q and delta disagree at m={ms[apart][:5]}")
+    res = table_residuals(table)
+    if np.any(res > table.residual_tol):
+        worst = int(ms[np.argmax(res)])
+        raise ValueError(f"residual {np.max(res):.3e} above {table.residual_tol:g} "
+                         f"at m={worst}")
+
+
+def _normalize(ms, qs, deltas, S: float, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """c_m and d_m of modes ms >= 1 from theta = delta_m S.  With
+    q S = pi (m-1) / 2 + theta the weighted norm^2 of either raw profile is
+    S - sin(2 theta) / 2q + 2c sin^2 theta, and its trace at +S is
+    +-sin theta, with + for m = 0, 1 mod 4."""
+    theta = deltas * S
+    sin_t = np.sin(theta)
+    c_norms = np.sqrt(S / (S - np.sin(2 * theta) / (2 * qs) + 2 * c * sin_t**2))
+    sign = np.where(ms % 4 < 2, 1.0, -1.0)
+    return c_norms, sign * c_norms / np.sqrt(S) * sin_t
 
 
 def build_table(M_max: int, p: PhysicalParams, residual_tol: float = 1e-12) -> ModeTable:
@@ -190,26 +238,19 @@ def build_table(M_max: int, p: PhysicalParams, residual_tol: float = 1e-12) -> M
     if M_max < 0:
         raise ValueError(f"M_max must be >= 0, got {M_max}")
     S = _strip_S(p)
-    qs = np.zeros(M_max + 1)
-    if M_max >= 1:
-        ms = np.arange(1, M_max + 1)
-        qs[1:] = _solve_batch(ms, p)
-        even = ms % 2 == 0
-        res = residual_normalized(qs[1:], p, False)
-        res_e = residual_normalized(qs[1:], p, True)
-        res = np.where(even, res_e, res)
-        if np.any(res > residual_tol):
-            worst = int(ms[np.argmax(res)])
-            raise RuntimeError(f"residual above {residual_tol:g} at m={worst}")
-    entries = []
-    for m in range(M_max + 1):
-        even = m % 2 == 0
-        q = float(qs[m])
-        cn = _normalization(q, S, p.c, even)
-        d = cn / np.sqrt(S) * (np.cos(q * S) if even else np.sin(q * S))
-        entries.append(ModeEntry(m=m, q=q, parity="even" if even else "odd",
-                                 c_norm=cn, d_bdy=float(d)))
-    return ModeTable(params=p, entries=tuple(entries), residual_tol=residual_tol)
+    ms = np.arange(1, M_max + 1)
+    q, delta = _solve_batch(ms, p)
+    c_norm, d_bdy = _normalize(ms, q, delta, S, p.c)
+    # constant mode: weighted norm^2 of 1 is 2S + 2c (limit of the even formula)
+    c_0 = float(np.sqrt(S / (2 * S + 2 * p.c)))
+    table = ModeTable(params=p, qs=np.r_[0.0, q], deltas=np.r_[np.pi / (2 * S), delta],
+                      c_norms=np.r_[c_0, c_norm], d_bdys=np.r_[c_0 / np.sqrt(S), d_bdy],
+                      residual_tol=residual_tol)
+    try:
+        check_solution(table)
+    except ValueError as exc:
+        raise RuntimeError(f"root solver failed: {exc}") from exc
+    return table
 
 
 def d_asymptote(m, S: float, c: float) -> np.ndarray:
@@ -240,10 +281,10 @@ class TableReport:
 
 
 def verify_table(table: ModeTable, delta: float = 0.1, m_start: int = 50) -> TableReport:
-    """Check q_m against the two-sided asymptotic window
+    """Check delta_m = q_m - pi (m-1) / 2S against the two-sided asymptotic
+    window
 
-        pi (m-1) / 2S + (1 - delta) * 2 / (c pi (m-1)) <= q_m
-                     <= pi (m-1) / 2S + 2 / (c pi (m-1)),
+        (1 - delta) * 2 / (c pi (m-1)) <= delta_m <= 2 / (c pi (m-1)),
 
     |d_m| against its 1/(m-1) law within delta, and |c_m - 1| m^2 against a
     constant fitted at m_start."""
@@ -255,10 +296,9 @@ def verify_table(table: ModeTable, delta: float = 0.1, m_start: int = 50) -> Tab
     skipped = all_m[all_m < m_start]
     if checked.size == 0:
         raise ValueError(f"table has no modes at or beyond m_start={m_start}")
-    q = table.qs[checked]
-    base = np.pi * (checked - 1) / (2 * S)
+    offset = table.deltas[checked]
     corr = 2.0 / (p.c * np.pi * (checked - 1))
-    q_in = (q >= base + (1 - delta) * corr) & (q <= base + corr)
+    q_in = (offset >= (1 - delta) * corr) & (offset <= corr)
     ratio = np.abs(table.d_bdys[checked]) / d_asymptote(checked, S, p.c)
     d_in = (ratio >= 1 - delta) & (ratio <= 1 + delta)
     c_dev = np.abs(table.c_norms[checked] - 1.0) * checked.astype(float) ** 2
@@ -267,26 +307,26 @@ def verify_table(table: ModeTable, delta: float = 0.1, m_start: int = 50) -> Tab
                        skipped=skipped)
 
 
-def eval_mode(entry: ModeEntry, z, p: PhysicalParams) -> np.ndarray:
-    """Normalized strip profile c_m S^(-1/2) cos/sin(q_m z)."""
-    S = _strip_S(p)
+def eval_mode(m, z, table: ModeTable) -> np.ndarray:
+    """Normalized strip profile c_m S^(-1/2) cos/sin(q_m z) of mode index ``m``
+    (an index array broadcasts against ``z``)."""
+    S = _strip_S(table.params)
     z = np.asarray(z, dtype=float)
     if np.any(np.abs(z) > S * (1 + 1e-12)):
         raise GeometryError("evaluation point outside the strip")
-    amp = entry.c_norm / np.sqrt(S)
-    if entry.parity == "even":
-        return amp * np.cos(entry.q * z)
-    return amp * np.sin(entry.q * z)
+    m = np.asarray(m)
+    q, amp = table.qs[m], table.c_norms[m] / np.sqrt(S)
+    return amp * np.where(m % 2 == 0, np.cos(q * z), np.sin(q * z))
 
 
-def eval_mode_deriv(entry: ModeEntry, z, p: PhysicalParams) -> np.ndarray:
-    """d/dz of the normalized strip profile."""
-    S = _strip_S(p)
+def eval_mode_deriv(m, z, table: ModeTable) -> np.ndarray:
+    """d/dz of the normalized strip profile of mode index ``m`` (an index array
+    broadcasts against ``z``)."""
+    S = _strip_S(table.params)
     z = np.asarray(z, dtype=float)
-    amp = entry.c_norm / np.sqrt(S)
-    if entry.parity == "even":
-        return -amp * entry.q * np.sin(entry.q * z)
-    return amp * entry.q * np.cos(entry.q * z)
+    m = np.asarray(m)
+    q, amp = table.qs[m], table.c_norms[m] / np.sqrt(S)
+    return amp * q * np.where(m % 2 == 0, -np.sin(q * z), np.cos(q * z))
 
 
 def eval_halfspace_mode(q, z, p: PhysicalParams) -> np.ndarray:
@@ -317,24 +357,37 @@ def mode_matrix(table: ModeTable, grid: Grid1D) -> np.ndarray:
     return V
 
 
-def mode_function(entry: ModeEntry, table: ModeTable, grid: Grid1D) -> BulkBoundaryFunction:
-    """One mode as a sampled bulk/boundary pair (compatible by construction)."""
+def mode_function(m: int, table: ModeTable, grid: Grid1D) -> BulkBoundaryFunction:
+    """Mode ``m`` as a sampled bulk/boundary pair (compatible by construction)."""
     V = mode_matrix(table, grid)
     bvals = table.boundary_values()
-    return BulkBoundaryFunction(grid=grid, bulk=V[:, entry.m].copy(),
-                                boundary=bvals[entry.m].copy())
+    return BulkBoundaryFunction(grid=grid, bulk=V[:, m].copy(), boundary=bvals[m].copy())
+
+
+def _check_spans_strip(grid: Grid1D, table: ModeTable):
+    S = _strip_S(table.params)
+    if not (np.isclose(grid.z_min, -S) and np.isclose(grid.z_max, S)):
+        raise GeometryError("function grid does not span the strip")
 
 
 def project(F: BulkBoundaryFunction, table: ModeTable) -> np.ndarray:
     """Coefficients a_m = <mode_m, F> in the weighted inner product."""
     p = table.params
-    S = _strip_S(p)
-    if not (np.isclose(F.grid.z_min, -S) and np.isclose(F.grid.z_max, S)):
-        raise GeometryError("function grid does not span the strip")
+    _check_spans_strip(F.grid, table)
     V = mode_matrix(table, F.grid)
     w = F.grid.quad_weights()
     bvals = table.boundary_values()
     return V.T @ (w * F.bulk) + p.c * (bvals @ F.boundary)
+
+
+def gram_matrix(table: ModeTable, grid: Grid1D) -> np.ndarray:
+    """Weighted inner products <mode_m, mode_m'> of all sampled modes,
+    V^T W V + c B B^T with V the mode matrix, W the quadrature weights and B
+    the boundary values: ``project`` applied to every ``mode_function``."""
+    _check_spans_strip(grid, table)
+    V = mode_matrix(table, grid)
+    B = table.boundary_values()
+    return V.T @ (grid.quad_weights()[:, None] * V) + table.params.c * (B @ B.T)
 
 
 def synthesize(coeffs: np.ndarray, table: ModeTable, grid: Grid1D) -> BulkBoundaryFunction:

@@ -70,13 +70,21 @@ def strip_tail_bound(M: int, S: float, c: float) -> float:
     return 4.0 * S**2 / (c**2 * np.pi**3) * float(zeta(3, M))
 
 
+def _check_no_separation(x):
+    if np.any(np.asarray(x, dtype=float) != 0.0):
+        raise ValueError("the d = 1 kernel has no spatial separation; x must be 0")
+
+
 def boundary_2pt_strip(x0, x, spec: TwoPointSpec, table: ModeTable | None = None
                        ) -> TwoPointResult:
     """Partial mode sum of the boundary two-point function on the strip.
 
-    d = 1 uses the kernel exp(-i mu_m x0) / (2 mu_m); d >= 2 is evaluated at
-    spacelike separation through the Bessel-K sum.
+    d = 1 uses the kernel exp(-i mu_m x0) / (2 mu_m), which has no spatial
+    separation (``x`` must be 0); d >= 2 is evaluated at spacelike separation
+    through the Bessel-K sum.
     """
+    if spec.d == 1:
+        _check_no_separation(x)
     table = _strip_table(spec, table)
     p = spec.params
     S = p.geometry.S
@@ -87,8 +95,11 @@ def boundary_2pt_strip(x0, x, spec: TwoPointSpec, table: ModeTable | None = None
                             "it must be treated separately")
     if spec.d == 1:
         x0 = np.asarray(x0, dtype=float)
-        val = np.tensordot(d2 / (2.0 * mu_m),
-                           np.exp(-1j * np.outer(mu_m, x0)), axes=(0, 0))
+        # real cos and sin matrices: half the memory of one complex exponential
+        w = d2 / (2.0 * mu_m)
+        phase = np.multiply.outer(mu_m, x0)
+        val = np.tensordot(w, np.cos(phase), axes=(0, 0)) \
+            - 1j * np.tensordot(w, np.sin(phase), axes=(0, 0))
         val = val if val.shape else complex(val)
         return TwoPointResult(value=val, tail_bound=strip_tail_bound(spec.M, S, p.c),
                               M=spec.M)
@@ -189,7 +200,8 @@ def boundary_2pt_halfspace(x0, x, spec: TwoPointSpec) -> TwoPointResult:
         W(x0) = int_0^q_max dq w(q) e^(-i omega x0) / (2 omega),
         omega = sqrt(mu^2 + q^2),
 
-    at every ``x0`` of an array (a scalar gives a complex value).  With
+    at every ``x0`` of an array (a scalar gives a complex value).  The d = 1
+    boundary has no spatial direction, so ``x`` must be 0.  With
     q = mu sinh s the integrand is w(mu sinh s) e^(-i mu cosh(s) x0) / 2, with
     no edge singularity, and composite 16-point Gauss-Legendre rules in s are
     applied to all x0 at once.  The panel count starts from the largest phase
@@ -202,6 +214,7 @@ def boundary_2pt_halfspace(x0, x, spec: TwoPointSpec) -> TwoPointResult:
         raise ValueError("mu > 0 required for the half-space two-point function")
     if spec.d != 1:
         raise ValueError("only the d = 1 kernel is implemented for the half-space")
+    _check_no_separation(x)
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
@@ -416,7 +429,7 @@ def source_relation_check(g: np.ndarray, table: ModeTable, time_grid: np.ndarray
     bvals = table.boundary_values()[:, col] if weights is None else np.asarray(weights)
     z_b = S if side == "plus" else -S
     sign_perp = -1.0 if side == "plus" else 1.0
-    dperp = np.array([sign_perp * eval_mode_deriv(e, z_b, p) for e in table.entries])
+    dperp = sign_perp * eval_mode_deriv(np.arange(len(table)), z_b, table)
     resid = 0.0
     scale = 0.0
     for ghat in (ghat_p, ghat_m):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from wentzell import cli
 from wentzell.cli import main, table_from_json, table_to_json
 from wentzell.evolve import fdtd_run
-from wentzell.modes import build_table
+from wentzell.modes import build_table, table_residuals
 from wentzell.core import PhysicalParams, Strip
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,10 +32,58 @@ def read_csv(path):
 def test_table_json_round_trip():
     p = PhysicalParams(c=0.7, mu=1.3, geometry=Strip(0.9))
     table = build_table(12, p)
-    back = table_from_json(table_to_json(table))
-    assert back.qs.tolist() == table.qs.tolist()
-    assert back.d_bdys.tolist() == table.d_bdys.tolist()
+    text = table_to_json(table)
+    back = table_from_json(text)
+    for col in ("qs", "deltas", "c_norms", "d_bdys"):
+        assert getattr(back, col).tolist() == getattr(table, col).tolist()
     assert back.params == table.params
+    # one mode per line, in the layout that readers of the cache use
+    lines = text.splitlines()
+    assert len(lines) == 1 + 13 + 1
+    assert json.loads(lines[3].rstrip(",")) == {
+        "m": 2, "q": table.qs[2], "delta": table.deltas[2], "parity": "even",
+        "c_norm": table.c_norms[2], "d_bdy": table.d_bdys[2]}
+
+
+def _drop_delta(entries):
+    del entries[5]["delta"]
+
+
+@pytest.mark.parametrize("M, edit", [
+    (200, lambda entries: entries[37].update(q=entries[37]["q"] + 1e-9)),
+    # q S > 2^14, where the residual is taken in delta form
+    (11000, lambda entries: entries[10500].update(q=entries[10500]["q"] + 1e-9)),
+    (200, _drop_delta),
+], ids=["q", "q-delta-form", "no-delta"])
+def test_modified_cache_is_rebuilt(tmp_path, capsys, M, edit):
+    cache = tmp_path / "cache"
+    args = ["modes", "--max", str(M), "--cache-dir", str(cache)]
+    assert main(args) == 0
+    path, = cache.glob("modes_*.json")
+    doc = json.loads(path.read_text())
+    edit(doc["entries"])
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(args) == 0
+    assert "(computed)" in capsys.readouterr().out
+    fresh = build_table(M, PhysicalParams(c=1.0, geometry=Strip(1.0)))
+    assert path.read_text() == table_to_json(fresh)
+    assert main(args) == 0
+    assert "(cache hit)" in capsys.readouterr().out
+
+
+def test_benchmark_reads_the_cached_residual(tmp_path, monkeypatch):
+    # perfbench takes eig_residual_max from the cache files the CLI writes;
+    # its module is imported without writing bytecode next to it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    p = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
+    table, path, hit = cli.load_or_build_table(p, 2000, 1e-12, tmp_path)
+    assert not hit
+    worst = float(np.max(table_residuals(table)))
+    assert workloads._table_residual(json.loads(path.read_text())) == worst
+    assert workloads._from_file(path) == {"eig_residual_max": worst}
 
 
 def test_modes_command(tmp_path):
@@ -56,6 +105,24 @@ def test_modes_command(tmp_path):
 
 def test_modes_rejects_negative_c(tmp_path):
     assert main(["modes", "--c", "-1", "--cache-dir", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("args", [["twopoint", "--mu", "nan"], ["twopoint", "--mu", "inf"],
+                                  ["modes", "--S", "inf"], ["twopoint", "--c", "inf"],
+                                  ["evolve", "--mu", "nan"]],
+                         ids=" ".join)
+def test_nonfinite_parameters_exit_1_without_output(tmp_path, capsys, args):
+    out = tmp_path / "out.csv"
+    assert main(args + ["--cache-dir", str(tmp_path / "cache"), "--out", str(out)]) == 1
+    assert not out.exists() and not (tmp_path / "cache").exists()
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["modes", "--max", "8000"], ["modes", "--max", "20000"],
+                                  ["twopoint", "--max", "3000"]], ids=" ".join)
+def test_large_mode_cutoffs_exit_0(tmp_path, args):
+    # past q S = 2^14 and the rounding of q - pi (m-1) / 2S
+    assert main(args + ["--cache-dir", str(tmp_path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_cache_env_override(tmp_path, monkeypatch):

@@ -33,6 +33,13 @@ def test_params_validation():
         PhysicalParams(c=1.0, geometry=Strip(-2.0))
     with pytest.raises(ValueError):
         PhysicalParams(c=1.0, d=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            PhysicalParams(c=bad)
+        with pytest.raises(ValueError, match="finite"):
+            PhysicalParams(c=1.0, mu=bad)
+        with pytest.raises(ValueError, match="finite"):
+            Strip(bad)
 
 
 def test_grid_basics():
@@ -62,7 +69,7 @@ def test_inner_product_normalized_mode():
     # quadrature against the closed-form normalization of mode 1
     table = build_table(1, P1)
     g = Grid1D.for_strip(1.0, 4096)
-    F = mode_function(table.entries[1], table, g)
+    F = mode_function(1, table, g)
     assert weighted_inner_product(F, F, P1) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -116,8 +123,7 @@ def test_sobolev_r1_is_dirichlet_energy():
     coeffs = rng.normal(size=13) / (1.0 + np.arange(13.0)) ** 2
     g = Grid1D.for_strip(1.0, 4096)
     F = synthesize(coeffs, table, g)
-    dz = sum(c * eval_mode_deriv(e, g.nodes, p)
-             for c, e in zip(coeffs, table.entries))
+    dz = sum(c * eval_mode_deriv(m, g.nodes, table) for m, c in enumerate(coeffs))
     w = g.quad_weights()
     quad = (np.dot(w, dz**2) + p.mu**2 * np.dot(w, F.bulk**2)
             + p.c * p.mu**2 * np.sum(F.boundary**2))
@@ -129,7 +135,7 @@ def test_trace_and_compatibility():
     assert np.allclose(trace(F), [2.5, 2.5])
     assert compatibility_check(F)
     table = build_table(3, P1)
-    G = mode_function(table.entries[2], table, GRID)
+    G = mode_function(2, table, GRID)
     assert compatibility_check(G, tol=1e-10)
     G.boundary = G.boundary + 1.0
     assert not compatibility_check(G)

@@ -14,7 +14,7 @@ from wentzell.holo import (BumpOverlapError, Fig2Config, HalfSpaceDual,
                            fig2_test_function, halfspace_dual,
                            holographic_dual, included_modes, local_maxima,
                            verify_dual)
-from wentzell.modes import ModeTable, build_table
+from wentzell.modes import build_table
 from wentzell.qft import SmearedCoefficients
 
 P1 = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
@@ -163,10 +163,7 @@ def test_verify_dual_residual(image, table):
 
 
 def test_verify_dual_detects_perturbation(image, table):
-    entries = tuple(dataclasses.replace(e, d_bdy=e.d_bdy * 1.01)
-                    for e in table.entries)
-    perturbed = ModeTable(params=table.params, entries=entries,
-                          residual_tol=table.residual_tol)
+    perturbed = dataclasses.replace(table, d_bdys=table.d_bdys * 1.01)
     rep = verify_dual(image, image.coeffs, perturbed)
     assert rep.max_residual == pytest.approx(1e-2, rel=0.2)
 

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from wentzell.core import GeometryError, Grid1D, HalfSpace, PhysicalParams, Strip
 from wentzell.modes import (bracket, build_table, d_asymptote,
-                            eval_halfspace_mode, eval_mode, mode_function,
-                            project, residual_normalized, solve_q, synthesize,
-                            verify_table)
+                            eval_halfspace_mode, eval_mode, gram_matrix,
+                            mode_function, project, residual_normalized, solve_q,
+                            synthesize, table_residuals, verify_table)
 
 P1 = PhysicalParams(c=1.0, geometry=Strip(1.0))
 
@@ -41,25 +41,24 @@ def test_solve_q_rejects_halfspace():
 
 
 def test_normalization_against_quadrature(table20):
-    e1 = table20.entries[1]
-    W = weighted_quad(lambda z: np.sin(e1.q * z), 1.0, 1.0)
-    assert e1.c_norm == pytest.approx(np.sqrt(1.0 / W), rel=1e-8)
-    assert e1.c_norm == pytest.approx(0.7969, abs=1e-4)
-    assert e1.d_bdy == pytest.approx(0.6041, abs=1e-4)
-    e2 = table20.entries[2]
-    W2 = weighted_quad(lambda z: np.cos(e2.q * z), 1.0, 1.0)
-    assert e2.c_norm == pytest.approx(np.sqrt(1.0 / W2), rel=1e-8)
+    q, c_norm, d_bdy = table20.qs, table20.c_norms, table20.d_bdys
+    W = weighted_quad(lambda z: np.sin(q[1] * z), 1.0, 1.0)
+    assert c_norm[1] == pytest.approx(np.sqrt(1.0 / W), rel=1e-8)
+    assert c_norm[1] == pytest.approx(0.7969, abs=1e-4)
+    assert d_bdy[1] == pytest.approx(0.6041, abs=1e-4)
+    W2 = weighted_quad(lambda z: np.cos(q[2] * z), 1.0, 1.0)
+    assert c_norm[2] == pytest.approx(np.sqrt(1.0 / W2), rel=1e-8)
 
 
 def test_zero_mode_normalization(table20):
     # constant mode: unit weighted norm gives d_0 = 1 / sqrt(2S + 2c)
-    assert table20.entries[0].d_bdy == pytest.approx(0.5)
+    assert table20.d_bdys[0] == pytest.approx(0.5)
     W = weighted_quad(lambda z: np.ones_like(z), 1.0, 1.0)
-    assert table20.entries[0].c_norm == pytest.approx(np.sqrt(1.0 / W), rel=1e-10)
+    assert table20.c_norms[0] == pytest.approx(np.sqrt(1.0 / W), rel=1e-10)
 
 
 def test_d9_asymptotic_law(table20):
-    assert abs(table20.entries[9].d_bdy) == pytest.approx(2.0 / (np.pi * 8), rel=0.15)
+    assert abs(table20.d_bdys[9]) == pytest.approx(2.0 / (np.pi * 8), rel=0.15)
 
 
 def test_verify_table_passes():
@@ -71,20 +70,46 @@ def test_verify_table_passes():
     assert np.max(rep.c_dev_scaled) <= 10.0 * rep.c_dev_scaled[0]
 
 
+def test_verify_table_passes_at_1e5_modes():
+    # the delta form keeps q, c_m and d_m accurate where q S >> 2^14
+    table = build_table(10**5, P1)
+    assert verify_table(table, delta=0.1, m_start=50).all_pass
+    assert np.max(table_residuals(table)) <= 1e-12
+
+
+@pytest.mark.parametrize("c", (0.1, 1.0, 10.0))
+def test_couplings_match_mpmath(c):
+    # c_m and d_m from the trig forms in 40-digit arithmetic at the exact root
+    mp = pytest.importorskip("mpmath")
+    table = build_table(10**4, PhysicalParams(c=c, geometry=Strip(1.0)))
+    with mp.workdps(40):
+        cc = mp.mpf(c)
+        for m in (100, 10**4):
+            if m % 2 == 0:
+                q = mp.findroot(lambda x: mp.sin(x) / cc + x * mp.cos(x), table.qs[m])
+                trace, s2 = mp.cos(q), mp.sin(2 * q) / (2 * q)
+            else:
+                q = mp.findroot(lambda x: x * mp.sin(x) - mp.cos(x) / cc, table.qs[m])
+                trace, s2 = mp.sin(q), -mp.sin(2 * q) / (2 * q)
+            c_norm = mp.sqrt(1 / (1 + s2 + 2 * cc * trace**2))
+            d_bdy = c_norm * trace
+            assert abs(table.c_norms[m] / c_norm - 1) <= 1e-14
+            assert abs(table.d_bdys[m] / d_bdy - 1) <= 1e-14
+
+
 def test_eval_mode_constant(table20):
     z = np.linspace(-1, 1, 7)
-    vals = eval_mode(table20.entries[0], z, P1)
-    assert np.allclose(vals, table20.entries[0].c_norm)
+    vals = eval_mode(0, z, table20)
+    assert np.allclose(vals, table20.c_norms[0])
 
 
 def test_eval_mode_outside_domain(table20):
     with pytest.raises(GeometryError):
-        eval_mode(table20.entries[1], 1.5, P1)
+        eval_mode(1, 1.5, table20)
 
 
 def test_eval_mode_trace_is_d(table20):
-    e2 = table20.entries[2]
-    assert float(eval_mode(e2, 1.0, P1)) == pytest.approx(e2.d_bdy, abs=1e-14)
+    assert float(eval_mode(2, 1.0, table20)) == pytest.approx(table20.d_bdys[2], abs=1e-14)
 
 
 def test_halfspace_mode_boundary_value():
@@ -109,7 +134,7 @@ def test_halfspace_mode_broadcast_matches_loop():
 
 def test_project_unit_vectors(table20):
     g = Grid1D.for_strip(1.0, 4096)
-    F = mode_function(table20.entries[7], table20, g)
+    F = mode_function(7, table20, g)
     a = project(F, table20)
     e7 = np.zeros(21)
     e7[7] = 1.0
@@ -118,7 +143,7 @@ def test_project_unit_vectors(table20):
 
 def test_project_zero(table20):
     g = Grid1D.for_strip(1.0, 256)
-    F = mode_function(table20.entries[0], table20, g)
+    F = mode_function(0, table20, g)
     F.bulk[:] = 0.0
     F.boundary[:] = 0.0
     assert np.all(project(F, table20) == 0.0)
@@ -126,9 +151,11 @@ def test_project_zero(table20):
 
 def test_gram_identity(table20):
     g = Grid1D.for_strip(1.0, 4096)
-    G = np.array([project(mode_function(e, table20, g), table20)
-                  for e in table20.entries])
+    G = np.array([project(mode_function(m, table20, g), table20)
+                  for m in range(len(table20))])
     assert np.max(np.abs(G - np.eye(21))) < 1e-8
+    # one Gram product over the mode matrix is the same matrix as the loop
+    assert np.max(np.abs(gram_matrix(table20, g) - G)) < 1e-14
 
 
 def test_synthesize_round_trip(table20):

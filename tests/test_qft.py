@@ -155,6 +155,15 @@ def test_halfspace_2pt_fails_loudly_when_unresolved():
         boundary_2pt_halfspace(np.array([0.0, np.nan]), 0.0, spec)
 
 
+def test_d1_kernels_reject_a_spatial_separation(table200):
+    # the d = 1 boundary has only time: a nonzero x used to be dropped silently
+    with pytest.raises(ValueError, match="no spatial separation"):
+        boundary_2pt_halfspace(0.5, 3.0, TwoPointSpec(params=HS1, M=1))
+    with pytest.raises(ValueError, match="no spatial separation"):
+        boundary_2pt_strip(0.5, np.array([0.0, 3.0]), TwoPointSpec(params=P1, M=20),
+                           table=table200)
+
+
 def test_halfspace_2pt_real_at_coincidence():
     p = PhysicalParams(c=1.0, mu=1.0, geometry=HalfSpace())
     spec = TwoPointSpec(params=p, M=1, q_max=200.0)
