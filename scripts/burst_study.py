@@ -7,9 +7,11 @@ their envelope heights.  Optionally reports the sensitivity of the image to a
 small regulator mass replacing mu = 0."""
 
 import argparse
+from pathlib import Path
 
 import numpy as np
 
+from wentzell.cli import write_csv
 from wentzell.holo import Fig2Config, fig2_reproduce, regulator_sensitivity
 
 
@@ -25,12 +27,8 @@ def main():
 
     cfg = Fig2Config(t_span=args.t_span, burst_threshold=args.threshold)
     image, burst = fig2_reproduce(cfg)
-    with open(args.out, "w") as f:
-        for k, v in image.metadata.items():
-            f.write(f"# {k} = {v}\n")
-        f.write("t,fprime\n")
-        for t, v in zip(image.t_grid, np.asarray(image.fprime).real):
-            f.write(f"{float(t)!r},{float(v)!r}\n")
+    write_csv(Path(args.out), image.metadata, ["t", "fprime"],
+              np.column_stack([image.t_grid, np.asarray(image.fprime).real]))
     print(f"f'(t) -> {args.out}")
     print(f"{'arrival':>9}  {'peak at':>9}  {'height':>10}")
     for c, pt, h in zip(burst.centers, burst.peak_times, burst.heights):

@@ -6,9 +6,11 @@ boundary trace next to the closed form 2 c^-1 exp(-t/c) theta(t); prints
 the sup residual."""
 
 import argparse
+from pathlib import Path
 
 import numpy as np
 
+from wentzell.cli import write_csv
 from wentzell.core import Grid1D, PhysicalParams, Strip
 from wentzell.evolve import explicit_solution, fdtd_run, make_fdtd_state, \
     reflection_cauchy_data
@@ -38,11 +40,9 @@ def main():
     resid = np.abs(trace - exact)
     sup = float(resid.max(initial=0.0))
 
-    with open(args.out, "w") as f:
-        f.write(f"# c = {args.c}\n# eps = {args.eps}\n# h = {args.h}\n")
-        f.write("t,phi_bdy_fdtd,phi_bdy_exact,residual\n")
-        for row in np.column_stack([t, trace, exact, resid])[::8]:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(Path(args.out), {"c": args.c, "eps": args.eps, "h": args.h},
+              ["t", "phi_bdy_fdtd", "phi_bdy_exact", "residual"],
+              np.column_stack([t, trace, exact, resid])[::8])
     print(f"sup residual {sup:.4e} (scale 2/c = {2 / args.c:.3g}); trace -> {args.out}")
 
 

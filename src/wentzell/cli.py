@@ -46,11 +46,16 @@ CACHE_ENV = "WENTZELL_CACHE_DIR"
 
 def atomic_write_text(path: Path, text: str | Iterable[str]):
     """Write ``text``, a string or an iterable of string pieces, to a
-    temporary file and rename it over ``path``."""
+    temporary file and rename it over ``path``.  The file gets the mode that
+    ``open(path, "w")`` would create it with, 0o666 less the umask (a
+    temporary file starts at 0o600)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as f:
+            os.fchmod(f.fileno(), 0o666 & ~umask)
             f.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
@@ -351,26 +356,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results = run_all(echo=True)
     doc = {"criteria": [{"name": r.name, "passed": bool(r.passed),
                          "runtime_s": r.runtime,
-                         "details": _jsonable(r.details)} for r in results],
+                         "details": r.details} for r in results],
            "all_passed": bool(all(r.passed for r in results))}
     if args.out:
-        atomic_write_text(Path(args.out), json.dumps(doc, indent=1))
+        # numpy floats are floats; numpy bools, integers and arrays go through tolist
+        atomic_write_text(Path(args.out),
+                          json.dumps(doc, indent=1, default=lambda o: o.tolist()))
         print(f"report -> {args.out}")
     return EXIT_OK if doc["all_passed"] else EXIT_ACCEPTANCE
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ from .qft import (SmearedCoefficients, _check_time_support, fourier_trapezoid,
                   smeared_coeffs)
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
+_ENERGY_FRACTION = 0.999  # coefficient energy the automatic cutoff M retains
+_SAMPLES_PER_BUMP = 16    # omega samples across the narrowest bump
 
 
 class BumpOverlapError(ValueError):
@@ -58,12 +60,12 @@ def included_modes(table: ModeTable, M: int) -> np.ndarray:
     return np.nonzero(omegas > 0.0)[0]
 
 
-def choose_a(table: ModeTable, mu: float, M: int, safety: float = 0.9) -> float:
+def choose_a(table: ModeTable, M: int) -> float:
     """Bump scale a with disjoint supports: the window |omega^2 - omega_m^2| <=
     1/(2a) must not bridge consecutive included modes, and the lowest window
     must stay clear of omega = 0.  Hence
 
-        a = max( 1 / (2 omega_min^2), 1 / min_m gap_m ) / safety,
+        a = max( 1 / (2 omega_min^2), 1 / min_m gap_m ) / 0.9,
 
     with gap_m the consecutive differences of omega_m^2.  Gaps grow with m, so
     a is set by the smallest included gap and never increases with M."""
@@ -77,16 +79,16 @@ def choose_a(table: ModeTable, mu: float, M: int, safety: float = 0.9) -> float:
     if idx.size < 2:
         raise ValueError("fewer than two usable modes")
     min_gap = float(np.min(np.diff(w2)))
-    return max(1.0 / (2.0 * w2[0]), 1.0 / min_gap) / safety
+    return max(1.0 / (2.0 * w2[0]), 1.0 / min_gap) / 0.9
 
 
 @dataclass
 class FreqExtension:
     """Evaluator for fhat'(omega) = sum_m sum_s theta(s omega)
-    chi(a (omega^2 - omega_m^2)) coeff^s_m, with pairwise disjoint bumps."""
+    chi(a (omega^2 - omega_m^2)) coeff^s_m, with pairwise disjoint bumps and
+    chi = ``default_chi``."""
 
     a: float
-    chi: object  # callable u -> chi(u)
     modes: np.ndarray       # included mode indices
     omegas: np.ndarray      # their frequencies
     coeff_plus: np.ndarray
@@ -117,7 +119,7 @@ class FreqExtension:
             mask = np.abs(u) < 0.5
             if not np.any(mask):
                 continue
-            val = self.chi(u[mask])
+            val = default_chi(u[mask])
             pos = omega[mask] > 0.0
             out[mask] += np.where(pos, val * cp, val * cm)
         return out[0] if scalar else out
@@ -129,14 +131,12 @@ class FreqExtension:
 
 
 def extend_to_schwartz(coeffs: SmearedCoefficients, table: ModeTable, a: float,
-                       chi=None, modes: np.ndarray | None = None) -> FreqExtension:
+                       modes: np.ndarray | None = None) -> FreqExtension:
     """Interpolating extension with fhat'(+-omega_m) = coeffs^+-_m exactly."""
-    if chi is None:
-        chi = default_chi
     if modes is None:
         modes = included_modes(table, len(table) - 1)
     omegas = table.omegas()[modes]
-    return FreqExtension(a=a, chi=chi, modes=np.asarray(modes), omegas=omegas,
+    return FreqExtension(a=a, modes=np.asarray(modes), omegas=omegas,
                          coeff_plus=np.asarray(coeffs.f_plus)[modes],
                          coeff_minus=np.asarray(coeffs.f_minus)[modes])
 
@@ -150,7 +150,6 @@ class HoloGrids:
 
     time_grid: np.ndarray
     grid: Grid1D
-    samples_per_bump: int = 16
     t_out: np.ndarray | None = None
 
     @classmethod
@@ -226,14 +225,14 @@ def _inverse_transform(ext: FreqExtension, omega_grid: np.ndarray,
 
 
 def holographic_dual(f, p: PhysicalParams, table: ModeTable, M: int | None = None,
-                     grids: HoloGrids | None = None, energy_fraction: float = 0.999,
-                     chi=None) -> HoloImage:
+                     grids: HoloGrids | None = None) -> HoloImage:
     """Holographic image of a bulk test function f(t, z) (callable, vectorized).
 
     Computes the smeared coefficients, divides by the boundary couplings,
-    extends to a Schwartz function on the frequency axis, and inverse
-    transforms to f'(t).  The cutoff M defaults to the smallest value
-    retaining ``energy_fraction`` of the coefficient energy; a warning is
+    extends to a Schwartz function on the frequency axis with the bump
+    ``default_chi``, and inverse transforms to f'(t), sampling the frequency
+    axis 16 times across the narrowest bump.  The cutoff M defaults to the
+    smallest value retaining 99.9% of the coefficient energy; a warning is
     attached if the requested M falls short of that."""
     if not isinstance(p.geometry, Strip):
         raise ValueError("the strip map needs a mode table; see halfspace_dual")
@@ -247,13 +246,13 @@ def holographic_dual(f, p: PhysicalParams, table: ModeTable, M: int | None = Non
     usable = included_modes(table, len(table) - 1)
     energy = coeffs.energy[usable]
     cum = np.cumsum(energy) / np.sum(energy)
-    M_auto = int(usable[np.searchsorted(cum, energy_fraction)])
+    M_auto = int(usable[np.searchsorted(cum, _ENERGY_FRACTION)])
     warnings = []
     if M is None:
         M = M_auto
     elif M < M_auto:
         warnings.append(
-            f"cutoff M={M} retains less than {energy_fraction:.1%} of the "
+            f"cutoff M={M} retains less than {_ENERGY_FRACTION:.1%} of the "
             f"coefficient energy (needs M={M_auto})")
 
     modes = included_modes(table, M)
@@ -264,11 +263,11 @@ def holographic_dual(f, p: PhysicalParams, table: ModeTable, M: int | None = Non
     hcoeffs.f_plus[modes] = coeffs.f_plus[modes] / d
     hcoeffs.f_minus[modes] = coeffs.f_minus[modes] / d
 
-    a = choose_a(table, p.mu, M)
-    ext = extend_to_schwartz(hcoeffs, table, a, chi=chi, modes=modes)
+    a = choose_a(table, M)
+    ext = extend_to_schwartz(hcoeffs, table, a, modes=modes)
 
     widths = np.array([ext.bump_width(w) for w in ext.omegas])
-    d_omega = float(np.min(widths)) / grids.samples_per_bump
+    d_omega = float(np.min(widths)) / _SAMPLES_PER_BUMP
     omega_max = float(np.sqrt(ext.omegas[-1] ** 2 + 1.0 / (2 * a))) + 2 * d_omega
     n_half = int(np.ceil(omega_max / d_omega))
     omega_grid = np.arange(-n_half, n_half + 1) * d_omega
@@ -276,10 +275,10 @@ def holographic_dual(f, p: PhysicalParams, table: ModeTable, M: int | None = Non
     fhat, fprime = _inverse_transform(ext, omega_grid, t_out)
 
     meta = {"S": p.geometry.S, "c": p.c, "mu": p.mu, "M": M, "a": a,
-            "chi": getattr(chi or default_chi, "__name__", "custom"),
+            "chi": default_chi.__name__,
             "energy_fraction": float(cum[np.searchsorted(usable, M)] if M in usable
                                      else cum[-1]),
-            "samples_per_bump": grids.samples_per_bump}
+            "samples_per_bump": _SAMPLES_PER_BUMP}
     return HoloImage(omega_grid=omega_grid, fhat=fhat, t_grid=t_out, fprime=fprime,
                      extension=ext, coeffs=coeffs, metadata=meta, warnings=warnings)
 
@@ -438,26 +437,23 @@ def detect_bursts(t: np.ndarray, y: np.ndarray, rel_threshold: float = 0.1,
 class Fig2Config:
     S: float = 1.0
     c: float = 1.0
-    mu: float = 0.0
     M: int | None = None
-    n_z: int = 1024
-    n_t: int = 3073
     t_span: float = 12.0  # wide enough that edge wrap-around cannot inflate bursts
-    n_out: int = 12288
     burst_threshold: float = 0.1
     mu_reg: float | None = None  # optional regulator mass replacing mu = 0
 
 
 def fig2_reproduce(config: Fig2Config | None = None) -> tuple[HoloImage, BurstReport]:
     """Holographic image of the reference bump observable (S=1, c=1, mu=0;
-    zero mode excluded) and its burst report.  Only the burst locations and
-    their ordering are quantitative; the curve shape depends on chi and a."""
+    zero mode excluded) and its burst report.  The grids have 1024 intervals
+    in z, 3073 time samples for the smearing and 12288 output times.  Only the
+    burst locations and their ordering are quantitative; the curve shape
+    depends on chi and a."""
     cfg = config or Fig2Config()
-    mu = cfg.mu if cfg.mu_reg is None else cfg.mu_reg
+    mu = 0.0 if cfg.mu_reg is None else cfg.mu_reg
     p = PhysicalParams(c=cfg.c, mu=mu, geometry=Strip(cfg.S), d=1)
     table = build_table(64, p)
-    grids = HoloGrids.default(cfg.S, n_z=cfg.n_z, n_t=cfg.n_t,
-                              t_span=cfg.t_span, n_out=cfg.n_out)
+    grids = HoloGrids.default(cfg.S, n_z=1024, n_t=3073, t_span=cfg.t_span, n_out=12288)
     image = holographic_dual(fig2_test_function, p, table, M=cfg.M, grids=grids)
     report = detect_bursts(image.t_grid, np.real(image.fprime),
                            rel_threshold=cfg.burst_threshold)
@@ -478,7 +474,9 @@ def regulator_sensitivity(cfg: Fig2Config, mu_reg: float) -> float:
 @dataclass
 class HalfSpaceDual:
     """Sampled half-space image: fhat'(omega) on the two mass-shell branches
-    (zero in the gap |omega| < mu) and an L2-quality f'."""
+    (zero in the gap |omega| < mu) and an L2-quality f'.  fhat' is generally
+    non-smooth at the mass-shell edge |omega| = mu, so f' is square-integrable
+    quality only."""
 
     q_grid: np.ndarray
     omega_grid: np.ndarray      # omega(q) = sqrt(q^2 + mu^2)
@@ -487,8 +485,6 @@ class HalfSpaceDual:
     edge_value: complex         # one-sided limit at omega -> mu+
     t_grid: np.ndarray | None
     fprime: np.ndarray | None
-    note: str = ("fhat' is generally non-smooth at the mass-shell edge "
-                 "|omega| = mu; f' is square-integrable quality only")
 
 
 def halfspace_dual(f, p: PhysicalParams, q_grid: np.ndarray,

@@ -42,6 +42,7 @@ _DELTA_MAX_ITER = 100
 _DELTA_RTOL = 4 * np.finfo(float).eps
 _TRIG_RESIDUAL_QS = 2.0**14  # q S from which the residual is taken in delta form
 _Q_DELTA_ULPS = 8  # q = pi (m-1) / 2S + delta to this many ulps of q, after the polish
+_RESIDUAL_TOL = 1e-12  # normalized eigenvalue residual a root must meet
 
 
 def bracket(m, p: PhysicalParams) -> tuple:
@@ -58,21 +59,24 @@ def _strip_S(p: PhysicalParams) -> float:
 
 
 def _residual_fn(q, S, c, even):
+    """Trig-form residual; ``even`` (a bool or a bool array broadcasting
+    against q) selects the parity."""
     q = np.asarray(q, dtype=float)
-    if even:
-        return np.sin(q * S) / c + q * np.cos(q * S)
-    return q * np.sin(q * S) - np.cos(q * S) / c
+    sin, cos = np.sin(q * S), np.cos(q * S)
+    return np.where(even, sin / c + q * cos, q * sin - cos / c)
 
 
 def _residual_deriv(q, S, c, even):
+    """d/dq of ``_residual_fn``."""
     q = np.asarray(q, dtype=float)
-    if even:
-        return (S / c + 1.0) * np.cos(q * S) - q * S * np.sin(q * S)
-    return (1.0 + S / c) * np.sin(q * S) + q * S * np.cos(q * S)
+    sin, cos = np.sin(q * S), np.cos(q * S)
+    return np.where(even, (S / c + 1.0) * cos - q * S * sin,
+                    (1.0 + S / c) * sin + q * S * cos)
 
 
 def residual_normalized(q, p: PhysicalParams, even) -> np.ndarray:
-    """Dimensionless residual of the eigenvalue condition, ~ phase error in qS."""
+    """Dimensionless residual of the eigenvalue condition, ~ phase error in qS;
+    ``even`` is a bool or a bool array (m % 2 == 0) broadcasting against q."""
     S = _strip_S(p)
     r = _residual_fn(q, S, p.c, even)
     return np.abs(r) / np.hypot(1.0 / p.c, np.asarray(q, dtype=float))
@@ -103,15 +107,16 @@ def _solve_batch(ms: np.ndarray, p: PhysicalParams) -> tuple[np.ndarray, np.ndar
     even = ms % 2 == 0
     q = lo + delta
     for _ in range(_NEWTON_STEPS):
-        f = np.where(even, _residual_fn(q, S, c, True), _residual_fn(q, S, c, False))
-        df = np.where(even, _residual_deriv(q, S, c, True), _residual_deriv(q, S, c, False))
+        f = _residual_fn(q, S, c, even)
+        df = _residual_deriv(q, S, c, even)
         step = np.where(df != 0, f / np.where(df != 0, df, 1.0), 0.0)
         q = np.clip(q - step, lo, hi)
     return q, delta
 
 
-def solve_q(m: int, p: PhysicalParams, residual_tol: float = 1e-12) -> float:
-    """Eigenvalue q_m on the strip; q_0 = 0 exactly."""
+def solve_q(m: int, p: PhysicalParams) -> float:
+    """Eigenvalue q_m on the strip; q_0 = 0 exactly.  RuntimeError if its
+    normalized residual exceeds 1e-12."""
     if m < 0:
         raise ValueError(f"mode index must be >= 0, got {m}")
     _strip_S(p)
@@ -119,7 +124,7 @@ def solve_q(m: int, p: PhysicalParams, residual_tol: float = 1e-12) -> float:
         return 0.0
     q, delta = _solve_batch(np.array([m]), p)
     res = float(_residuals(np.array([m]), q, delta, p)[0])
-    if res > residual_tol:
+    if res > _RESIDUAL_TOL:
         raise RuntimeError(f"residual {res:.3e} above tolerance for m={m}")
     return float(q[0])
 
@@ -143,7 +148,7 @@ class ModeTable:
     deltas: np.ndarray
     c_norms: np.ndarray
     d_bdys: np.ndarray
-    residual_tol: float = 1e-12
+    residual_tol: float = _RESIDUAL_TOL
 
     def __post_init__(self):
         cols = [np.array(getattr(self, k), dtype=float) for k in _COLUMNS]
@@ -182,8 +187,7 @@ def _residuals(ms, qs, deltas, p: PhysicalParams) -> np.ndarray:
     """Normalized residual of modes ms >= 1: the trig form while q S < 2^14,
     |S delta - arctan(1 / (c q))| from there on."""
     S, c = _strip_S(p), p.c
-    trig = np.where(ms % 2 == 0, residual_normalized(qs, p, True),
-                    residual_normalized(qs, p, False))
+    trig = residual_normalized(qs, p, ms % 2 == 0)
     return np.where(qs * S < _TRIG_RESIDUAL_QS, trig,
                     np.abs(S * deltas - np.arctan(1.0 / (c * qs))))
 
@@ -233,7 +237,8 @@ def _normalize(ms, qs, deltas, S: float, c: float) -> tuple[np.ndarray, np.ndarr
     return c_norms, sign * c_norms / np.sqrt(S) * sin_t
 
 
-def build_table(M_max: int, p: PhysicalParams, residual_tol: float = 1e-12) -> ModeTable:
+def build_table(M_max: int, p: PhysicalParams, residual_tol: float = _RESIDUAL_TOL
+                ) -> ModeTable:
     """Solve and normalize modes m = 0 .. M_max on the strip."""
     if M_max < 0:
         raise ValueError(f"M_max must be >= 0, got {M_max}")

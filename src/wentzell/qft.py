@@ -30,7 +30,6 @@ class TwoPointSpec:
     """Which boundary two-point function to evaluate and how far to sum."""
 
     params: object  # PhysicalParams
-    side: str = "plus"  # 'plus' | 'minus' | 'halfspace'
     M: int = 100        # strip mode cutoff
     q_max: float = 200.0  # half-space quadrature cutoff
     d: int | None = None  # boundary spacetime dimension, defaults to params.d
@@ -44,15 +43,12 @@ class TwoPointSpec:
             raise ValueError("mu > 0 is required for d <= 2 (infrared condition)")
         if not (np.isfinite(self.q_max) and self.q_max > 0):
             raise ValueError(f"q_max must be positive and finite, got {self.q_max}")
-        if self.side not in ("plus", "minus", "halfspace"):
-            raise ValueError(f"unknown side {self.side!r}")
 
 
 @dataclass
 class TwoPointResult:
     value: complex | np.ndarray
     tail_bound: float
-    M: int
     quad_error: float | None = None
     panels: int | None = None  # half-space quadrature panels
 
@@ -101,8 +97,7 @@ def boundary_2pt_strip(x0, x, spec: TwoPointSpec, table: ModeTable | None = None
         val = np.tensordot(w, np.cos(phase), axes=(0, 0)) \
             - 1j * np.tensordot(w, np.sin(phase), axes=(0, 0))
         val = val if val.shape else complex(val)
-        return TwoPointResult(value=val, tail_bound=strip_tail_bound(spec.M, S, p.c),
-                              M=spec.M)
+        return TwoPointResult(value=val, tail_bound=strip_tail_bound(spec.M, S, p.c))
     x2 = np.asarray(x, dtype=float) ** 2 - np.asarray(x0, dtype=float) ** 2
     res = spacelike_2pt_bessel(x2, spec, table=table)
     return res
@@ -111,9 +106,7 @@ def boundary_2pt_strip(x0, x, spec: TwoPointSpec, table: ModeTable | None = None
 @dataclass
 class BesselSumResult:
     value: float | np.ndarray
-    tail_bound: float
-    M: int
-    last_term: float
+    tail_bound: float  # twice the largest term of the last mode
 
 
 def spacelike_2pt_bessel(x2, spec: TwoPointSpec, table: ModeTable | None = None
@@ -141,9 +134,8 @@ def spacelike_2pt_bessel(x2, spec: TwoPointSpec, table: ModeTable | None = None
     terms = (d2 * (2 * np.pi) ** (-spec.d / 2.0) * mu_m**nu)[:, None] \
         * (r ** (1.0 - spec.d / 2.0))[None, :] * kv(nu, np.outer(mu_m, r))
     val = np.sum(terms, axis=0)
-    last = float(np.max(np.abs(terms[-1])))
     value = float(val[0]) if scalar else val
-    return BesselSumResult(value=value, tail_bound=2.0 * last, M=spec.M, last_term=last)
+    return BesselSumResult(value=value, tail_bound=2.0 * float(np.max(np.abs(terms[-1]))))
 
 
 def halfspace_weight(q, c: float) -> np.ndarray:
@@ -241,7 +233,7 @@ def boundary_2pt_halfspace(x0, x, spec: TwoPointSpec) -> TwoPointResult:
     val = fine.reshape(x0.shape)
     tail = 1.0 / (np.pi * p.c**2 * p.mu * spec.q_max)
     return TwoPointResult(value=val if val.shape else complex(val), tail_bound=tail,
-                          M=0, quad_error=err, panels=panels)
+                          quad_error=err, panels=panels)
 
 
 def pauli_jordan_d2(x0, x, mass) -> np.ndarray:

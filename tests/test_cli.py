@@ -103,6 +103,20 @@ def test_modes_command(tmp_path):
     assert sha(cached[0]) == checksum
 
 
+def test_written_files_respect_the_umask(tmp_path):
+    cache = tmp_path / "cache"
+    out = tmp_path / "table.json"
+    old = os.umask(0o022)
+    try:
+        assert main(["modes", "--max", "5", "--cache-dir", str(cache),
+                     "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    (cached,) = cache.glob("modes_*.json")
+    assert oct(cached.stat().st_mode & 0o777) == oct(0o644)
+    assert oct(out.stat().st_mode & 0o777) == oct(0o644)
+
+
 def test_modes_rejects_negative_c(tmp_path):
     assert main(["modes", "--c", "-1", "--cache-dir", str(tmp_path)]) == 1
 

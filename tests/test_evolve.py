@@ -282,7 +282,7 @@ def test_causality_before_boundary_contact():
     grid = Grid1D.for_strip(1.0, 1024)
     data = gaussian_data(grid, width=0.03)
     data.position.bulk[np.abs(grid.nodes) > 0.2] = 0.0
-    rep = causality_probe(data, P0, t=0.5, tol=1e-8)
+    rep = causality_probe(data, P0, t=0.5)
     assert rep.passed
     assert rep.max_outside < 1e-8
 

@@ -78,7 +78,7 @@ def test_choose_a_reference_value(table):
     # the sector condition 1/(2 mu^2) = 0.5 loses to the smallest gap
     q1, q2 = table.qs[1], table.qs[2]
     expected = max(1.0 / (2 * 1.0), 1.0 / q1**2) / 0.9
-    a = choose_a(table, 1.0, 2)
+    a = choose_a(table, 2)
     assert a == pytest.approx(expected, rel=1e-12)
     assert a == pytest.approx(1.5011, abs=1e-4)
     assert q1**2 == pytest.approx(0.7402, abs=1e-4)
@@ -89,21 +89,21 @@ def test_choose_a_massless_drops_mu_constraint():
     p0 = PhysicalParams(c=1.0, mu=0.0, geometry=Strip(1.0))
     t0 = build_table(10, p0)
     # zero mode excluded: lowest usable frequency is q_1
-    a = choose_a(t0, 0.0, 4)
+    a = choose_a(t0, 4)
     expected = max(1.0 / (2 * t0.qs[1] ** 2), 1.0 / (t0.qs[2] ** 2 - t0.qs[1] ** 2)) / 0.9
     assert a == pytest.approx(expected, rel=1e-12)
 
 
 def test_choose_a_monotone_in_M(table):
-    a2 = choose_a(table, 1.0, 2)
+    a2 = choose_a(table, 2)
     for M in (4, 8, 16, 32):
-        assert choose_a(table, 1.0, M) <= a2 + 1e-15
+        assert choose_a(table, M) <= a2 + 1e-15
 
 
 def test_bump_disjointness_enforced(table):
     coeffs = SmearedCoefficients(f_plus=np.ones(41, dtype=complex),
                                  f_minus=np.ones(41, dtype=complex))
-    a = choose_a(table, 1.0, 10)
+    a = choose_a(table, 10)
     ext = extend_to_schwartz(coeffs, table, a, modes=included_modes(table, 10))
     w2 = ext.omegas**2
     half = 1.0 / (2 * ext.a)
@@ -118,7 +118,7 @@ def test_extension_interpolates_exactly(table):
     cp = rng.normal(size=41) + 1j * rng.normal(size=41)
     coeffs = SmearedCoefficients(f_plus=cp, f_minus=np.conj(cp))
     modes = included_modes(table, 8)
-    ext = extend_to_schwartz(coeffs, table, choose_a(table, 1.0, 8), modes=modes)
+    ext = extend_to_schwartz(coeffs, table, choose_a(table, 8), modes=modes)
     w = ext.omegas
     assert np.max(np.abs(ext(w) - cp[modes])) == 0.0
     assert np.max(np.abs(ext(-w) - np.conj(cp)[modes])) == 0.0
@@ -128,7 +128,7 @@ def test_extension_interpolates_exactly(table):
 def test_extension_zero_between_bumps(table):
     coeffs = SmearedCoefficients(f_plus=np.ones(41, dtype=complex),
                                  f_minus=np.ones(41, dtype=complex))
-    a = choose_a(table, 1.0, 4)
+    a = choose_a(table, 4)
     ext = extend_to_schwartz(coeffs, table, a, modes=included_modes(table, 4))
     w2 = ext.omegas**2
     between = np.sqrt(0.5 * (w2[0] + 1 / (2 * a)) + 0.5 * (w2[1] - 1 / (2 * a)))
@@ -139,7 +139,7 @@ def test_extension_zero_between_bumps(table):
 def test_extension_smooth_across_bump_edge(table):
     coeffs = SmearedCoefficients(f_plus=np.ones(41, dtype=complex),
                                  f_minus=np.ones(41, dtype=complex))
-    a = choose_a(table, 1.0, 6)
+    a = choose_a(table, 6)
     ext = extend_to_schwartz(coeffs, table, a, modes=included_modes(table, 6))
     edge = np.sqrt(ext.omegas[2] ** 2 + 1 / (2 * a))
 
@@ -225,7 +225,7 @@ def test_single_mode_packet(table):
     cp = np.zeros(41, dtype=complex)
     cp[m] = 1.0
     coeffs = SmearedCoefficients(f_plus=cp, f_minus=cp.copy())
-    a = choose_a(table, 1.0, 8)
+    a = choose_a(table, 8)
     modes = included_modes(table, 8)
     ext = extend_to_schwartz(coeffs, table, a, modes=modes)
     t = np.linspace(-6.0, 6.0, 1024)
@@ -279,7 +279,7 @@ def test_inverse_transform_zero_spectrum(table):
     coeffs = SmearedCoefficients(f_plus=np.zeros(len(table), dtype=complex),
                                  f_minus=np.zeros(len(table), dtype=complex))
     modes = included_modes(table, 8)
-    ext = extend_to_schwartz(coeffs, table, choose_a(table, 1.0, 8), modes=modes)
+    ext = extend_to_schwartz(coeffs, table, choose_a(table, 8), modes=modes)
     t = np.linspace(-4.0, 4.0, 257)
     fhat, fprime = _inverse_transform(ext, np.linspace(-10.0, 10.0, 2001), t)
     assert not np.any(fhat)
@@ -397,7 +397,7 @@ coef = arrays(complex, 9, elements=st.complex_numbers(max_magnitude=10.0,
 @settings(max_examples=25, deadline=None)
 def test_extension_linearity_property(cp, cm):
     table = build_table(8, P1)
-    a = choose_a(table, 1.0, 8)
+    a = choose_a(table, 8)
     modes = included_modes(table, 8)
     full_p = np.zeros(9, dtype=complex)
     full_m = np.zeros(9, dtype=complex)

@@ -48,6 +48,9 @@ def test_reflection_experiment_smoke(tmp_path):
     out = tmp_path / "trace.csv"
     proc = run_script("reflection_experiment.py", "--h", 0.001953125, "--out", out)
     data = read_csv(out, "t,phi_bdy_fdtd,phi_bdy_exact,residual")
+    assert out.read_text().splitlines()[:4] == [
+        "# c = 1.0", "# eps = 0.02", "# h = 0.001953125",
+        "t,phi_bdy_fdtd,phi_bdy_exact,residual"]
     assert np.array_equal(data[:, 3], np.abs(data[:, 1] - data[:, 2]))
     sup = float(proc.stdout.split("sup residual")[1].split()[0])
     assert 0.0 < sup < 0.1
