@@ -291,9 +291,8 @@ def cmd_twopoint(args: argparse.Namespace) -> int:
         header["tail_bound"] = repr(res.tail_bound)
     elif args.geometry == "halfspace":
         p = PhysicalParams(c=args.c, mu=args.mu, geometry=HalfSpace(), d=1)
-        spec = TwoPointSpec(params=p, M=1, q_max=args.q_max)
         norm = halfspace_weight_normalization(args.c)
-        res = boundary_2pt_halfspace(x0, 0.0, spec)
+        res = boundary_2pt_halfspace(x0, 0.0, p, args.q_max)
         vals = res.value
         report = {"weight_normalization": norm,
                   "weight_normalization_times_c": norm * args.c,

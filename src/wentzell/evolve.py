@@ -23,10 +23,20 @@ back-step of the initial data is phi_prev = S(phi_0)/2 - dt v_0.
 
 ``fdtd_run`` is the only stepping loop.  It records the boundary trace (both
 endpoint values after every step) in the state it returns, so callers that
-follow the boundary take one call instead of stepping from Python.  The FDTD
-energy takes its centered velocity from one more ``fdtd_run`` step, and the
-regional diagnostics read the bulk density and per-component boundary energy
-of a single ``energy`` evaluation.
+follow the boundary take one call instead of stepping from Python.
+
+The FDTD energy is the leapfrog's own energy of the two stored levels
+a = phi_prev and b = phi, at time t - dt/2.  With v = (b - a)/dt and lumped
+weights w (h inside, h/2 at the ends), node j carries
+
+    (w_j/2) (v_j^2 + mu^2 a_j b_j)
+    + half of (b_(k+1) - b_k)(a_(k+1) - a_k) / (2h) from each adjacent cell k
+    + c/2 (v_j^2 + mu^2 a_j b_j) at the two end nodes only.
+
+The interior leapfrog conserves the sum exactly, so it is constant to
+rounding until the field reaches an endpoint; after that its drift measures
+the one-sided closure.  The regional diagnostics sum slices of this one
+per-node array.
 """
 
 from __future__ import annotations
@@ -201,55 +211,49 @@ class EnergyReport:
     bulk: float
     boundary: float
     total: float
-    bulk_density: np.ndarray | None = None  # per-node energy density
-    boundary_parts: np.ndarray | None = None  # per component, index 0 at -S
-
-
-def _boundary_energy(phi_b: np.ndarray, v_b: np.ndarray, p: PhysicalParams
-                     ) -> tuple[float, np.ndarray]:
-    """Boundary energy c (v^2 + mu^2 phi^2) / 2 of each component, and their
-    sum."""
-    parts = 0.5 * p.c * (v_b**2 + p.mu**2 * phi_b**2)
-    return float(parts.sum()), parts
+    node_energy: np.ndarray | None = None  # FDTD: per node, sums to total
 
 
 def energy(state: SpectralState | FdtdState) -> EnergyReport:
     """Field energy split into bulk and boundary parts.
 
-    Spectral states use the exact closed form sum (b^2 + w^2 a^2) / 2 and the
-    exact boundary values from the coefficients; FDTD states use quadrature,
-    with the centered velocity taken through one forward step of the scheme.
+    Spectral states use the exact closed form sum (b^2 + w^2 a^2) / 2, with
+    the boundary part c (v^2 + mu^2 phi^2) / 2 summed over both components.
+    FDTD states use the scheme's conserved energy of the stored levels
+    a = phi_prev, b = phi, which refers to t - dt/2 (see the module
+    docstring): ``node_energy`` holds it node by node, ``boundary`` is the
+    sum of the two end-node terms c/2 (v^2 + mu^2 a b), and ``bulk`` is the
+    rest.
     """
     if isinstance(state, SpectralState):
         w = state.omegas()
         total = 0.5 * float(np.sum(state.b**2 + w**2 * state.a**2))
         bvals = state.table.boundary_values()
-        bdy, parts = _boundary_energy(state.a @ bvals, state.b @ bvals,
-                                      state.table.params)
-        return EnergyReport(bulk=total - bdy, boundary=bdy, total=total,
-                            boundary_parts=parts)
+        p = state.table.params
+        phi_b, v_b = state.a @ bvals, state.b @ bvals
+        bdy = 0.5 * p.c * float(np.sum(v_b**2 + p.mu**2 * phi_b**2))
+        return EnergyReport(bulk=total - bdy, boundary=bdy, total=total)
     p = state.p
-    phi = state.phi
-    v = (fdtd_run(state, 1).phi - state.phi_prev) / (2.0 * state.dt)
-    z = state.grid.nodes
-    dens = 0.5 * (v**2 + np.gradient(phi, z)**2 + p.mu**2 * phi**2)
-    bulk = float(np.trapezoid(dens, z))
-    bdy, parts = _boundary_energy(phi[[0, -1]], v[[0, -1]], p)
-    return EnergyReport(bulk=bulk, boundary=bdy, total=bulk + bdy,
-                        bulk_density=dens, boundary_parts=parts)
+    a, b, h = state.phi_prev, state.phi, state.grid.h
+    dens = 0.5 * (((b - a) / state.dt) ** 2 + p.mu**2 * a * b)
+    half_cell = np.diff(b) * np.diff(a) / (4.0 * h)
+    node = h * dens
+    node[[0, -1]] *= 0.5
+    node[:-1] += half_cell
+    node[1:] += half_cell
+    ends = p.c * dens[[0, -1]]
+    node[[0, -1]] += ends
+    total = float(node.sum())
+    bdy = float(ends.sum())
+    return EnergyReport(bulk=total - bdy, boundary=bdy, total=total, node_energy=node)
 
 
 def energy_in_region(state: FdtdState, z_lo: float, z_hi: float) -> float:
-    """Bulk energy in [z_lo, z_hi] (node-snapped trapezoid) plus the weighted
-    boundary terms of any boundary component inside the region."""
-    rep = energy(state)
+    """Sum of the node energies over the nodes in [z_lo, z_hi]; an end node
+    inside the region brings its boundary term with it."""
     z = state.grid.nodes
     mask = (z >= z_lo - 1e-12) & (z <= z_hi + 1e-12)
-    if np.count_nonzero(mask) < 2:
-        bulk = 0.0
-    else:
-        bulk = float(np.trapezoid(rep.bulk_density[mask], z[mask]))
-    return bulk + float(sum(rep.boundary_parts[mask[[0, -1]]], 0.0))
+    return float(energy(state).node_energy[mask].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +306,7 @@ def causality_probe(data: CauchyData, p: PhysicalParams, t: float) -> CausalityR
     outside = (z < cone[0]) | (z > cone[1])
     max_out = float(np.max(np.abs(state.phi[outside]))) if np.any(outside) else 0.0
     rep = energy(state)
-    e_out = 0.0
-    for part in (z < cone[0], z > cone[1]):
-        if np.count_nonzero(part) >= 2:
-            e_out += float(np.trapezoid(rep.bulk_density[part], z[part]))
-    e_out = float(sum(rep.boundary_parts[outside[[0, -1]]], e_out))
+    e_out = float(rep.node_energy[outside].sum())
     frac = e_out / rep.total if rep.total > 0 else 0.0
     return CausalityReport(t=state.t, support=(z_lo, z_hi), cone=cone,
                            max_outside=max_out, energy_outside_fraction=frac,

@@ -71,9 +71,6 @@ def choose_a(table: ModeTable, M: int) -> float:
     a is set by the smallest included gap and never increases with M."""
     if M < 1:
         raise ValueError(f"need at least two modes, got M={M}")
-    qs = table.qs[: M + 1]
-    if np.any(np.diff(qs) <= 0):
-        raise RuntimeError("mode wavenumbers are not increasing; table is corrupt")
     idx = included_modes(table, M)
     w2 = table.omegas()[idx] ** 2
     if idx.size < 2:
@@ -145,12 +142,12 @@ def extend_to_schwartz(coeffs: SmearedCoefficients, table: ModeTable, a: float,
 class HoloGrids:
     """Discretization used to compute and sample a holographic image.
 
-    ``t_out`` (the output times of f'; ``time_grid`` when None) must be
-    uniform: the inverse transform is a chirp-z transform."""
+    ``t_out`` (the output times of f') must be uniform: the inverse
+    transform is a chirp-z transform."""
 
     time_grid: np.ndarray
     grid: Grid1D
-    t_out: np.ndarray | None = None
+    t_out: np.ndarray
 
     @classmethod
     def default(cls, S: float, n_z: int = 1024, n_t: int = 2049,
@@ -271,16 +268,16 @@ def holographic_dual(f, p: PhysicalParams, table: ModeTable, M: int | None = Non
     omega_max = float(np.sqrt(ext.omegas[-1] ** 2 + 1.0 / (2 * a))) + 2 * d_omega
     n_half = int(np.ceil(omega_max / d_omega))
     omega_grid = np.arange(-n_half, n_half + 1) * d_omega
-    t_out = grids.t_out if grids.t_out is not None else t
-    fhat, fprime = _inverse_transform(ext, omega_grid, t_out)
+    fhat, fprime = _inverse_transform(ext, omega_grid, grids.t_out)
 
     meta = {"S": p.geometry.S, "c": p.c, "mu": p.mu, "M": M, "a": a,
             "chi": default_chi.__name__,
             "energy_fraction": float(cum[np.searchsorted(usable, M)] if M in usable
                                      else cum[-1]),
             "samples_per_bump": _SAMPLES_PER_BUMP}
-    return HoloImage(omega_grid=omega_grid, fhat=fhat, t_grid=t_out, fprime=fprime,
-                     extension=ext, coeffs=coeffs, metadata=meta, warnings=warnings)
+    return HoloImage(omega_grid=omega_grid, fhat=fhat, t_grid=grids.t_out,
+                     fprime=fprime, extension=ext, coeffs=coeffs, metadata=meta,
+                     warnings=warnings)
 
 
 @dataclass

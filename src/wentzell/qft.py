@@ -27,11 +27,10 @@ _SQRT2PI = np.sqrt(2.0 * np.pi)
 
 @dataclass
 class TwoPointSpec:
-    """Which boundary two-point function to evaluate and how far to sum."""
+    """Which strip two-point function to evaluate and how far to sum."""
 
     params: object  # PhysicalParams
-    M: int = 100        # strip mode cutoff
-    q_max: float = 200.0  # half-space quadrature cutoff
+    M: int = 100        # mode cutoff
     d: int | None = None  # boundary spacetime dimension, defaults to params.d
 
     def __post_init__(self):
@@ -41,21 +40,30 @@ class TwoPointSpec:
             raise ValueError(f"mode cutoff must be >= 1, got M={self.M}")
         if self.params.mu <= 0 and self.d <= 2:
             raise ValueError("mu > 0 is required for d <= 2 (infrared condition)")
-        if not (np.isfinite(self.q_max) and self.q_max > 0):
-            raise ValueError(f"q_max must be positive and finite, got {self.q_max}")
 
 
 @dataclass
 class TwoPointResult:
-    value: complex | np.ndarray
+    """Two-point values and a bound on what the cutoff leaves out: the mode
+    tail beyond M (strip, d = 1), twice the largest term of the last mode
+    (Bessel sum, d >= 2) or the tail beyond q_max (half-space)."""
+
+    value: complex | float | np.ndarray
     tail_bound: float
     quad_error: float | None = None
     panels: int | None = None  # half-space quadrature panels
 
 
 def _strip_table(spec: TwoPointSpec, table: ModeTable | None) -> ModeTable:
+    """The given table, or a new one, after checking that it was built for the
+    spec's geometry, c and mu and reaches M (its d may differ: the mode
+    spectrum does not depend on it)."""
     if table is None:
         table = build_table(spec.M, spec.params)
+    want, have = spec.params, table.params
+    if (have.geometry, have.c, have.mu) != (want.geometry, want.c, want.mu):
+        raise ValueError(f"table was built for {have.geometry}, c={have.c}, mu={have.mu}; "
+                         f"spec needs {want.geometry}, c={want.c}, mu={want.mu}")
     if len(table) < spec.M + 1:
         raise ValueError(f"table has {len(table)} modes, spec needs {spec.M + 1}")
     return table
@@ -99,18 +107,11 @@ def boundary_2pt_strip(x0, x, spec: TwoPointSpec, table: ModeTable | None = None
         val = val if val.shape else complex(val)
         return TwoPointResult(value=val, tail_bound=strip_tail_bound(spec.M, S, p.c))
     x2 = np.asarray(x, dtype=float) ** 2 - np.asarray(x0, dtype=float) ** 2
-    res = spacelike_2pt_bessel(x2, spec, table=table)
-    return res
-
-
-@dataclass
-class BesselSumResult:
-    value: float | np.ndarray
-    tail_bound: float  # twice the largest term of the last mode
+    return spacelike_2pt_bessel(x2, spec, table=table)
 
 
 def spacelike_2pt_bessel(x2, spec: TwoPointSpec, table: ModeTable | None = None
-                         ) -> BesselSumResult:
+                         ) -> TwoPointResult:
     """Boundary two-point function at spacelike separation x^2 > 0 for d >= 2:
 
         sum_m d_m^2 (2 pi)^(-d/2) mu_m^(d/2-1) |x^2|^(1/2-d/4)
@@ -135,7 +136,7 @@ def spacelike_2pt_bessel(x2, spec: TwoPointSpec, table: ModeTable | None = None
         * (r ** (1.0 - spec.d / 2.0))[None, :] * kv(nu, np.outer(mu_m, r))
     val = np.sum(terms, axis=0)
     value = float(val[0]) if scalar else val
-    return BesselSumResult(value=value, tail_bound=2.0 * float(np.max(np.abs(terms[-1]))))
+    return TwoPointResult(value=value, tail_bound=2.0 * float(np.max(np.abs(terms[-1]))))
 
 
 def halfspace_weight(q, c: float) -> np.ndarray:
@@ -186,14 +187,15 @@ def _halfspace_sum(x0: np.ndarray, mu: float, c: float, s_max: float, panels: in
     return out, float(np.sum(amp))
 
 
-def boundary_2pt_halfspace(x0, x, spec: TwoPointSpec) -> TwoPointResult:
+def boundary_2pt_halfspace(x0, x, p, q_max: float) -> TwoPointResult:
     """Half-space boundary two-point function (d = 1 kernel)
 
         W(x0) = int_0^q_max dq w(q) e^(-i omega x0) / (2 omega),
         omega = sqrt(mu^2 + q^2),
 
-    at every ``x0`` of an array (a scalar gives a complex value).  The d = 1
-    boundary has no spatial direction, so ``x`` must be 0.  With
+    at every ``x0`` of an array (a scalar gives a complex value), for
+    half-space parameters ``p`` with d = 1 and mu > 0 and a finite q_max > 0.
+    The d = 1 boundary has no spatial direction, so ``x`` must be 0.  With
     q = mu sinh s the integrand is w(mu sinh s) e^(-i mu cosh(s) x0) / 2, with
     no edge singularity, and composite 16-point Gauss-Legendre rules in s are
     applied to all x0 at once.  The panel count starts from the largest phase
@@ -201,18 +203,19 @@ def boundary_2pt_halfspace(x0, x, spec: TwoPointSpec) -> TwoPointResult:
     and the rule with twice its panels agree to 1e-10 of W(0) >= |W(x0)|; the
     finer rule is returned with their largest difference as ``quad_error``.
     Raises RuntimeError when 2^14 panels do not meet that tolerance."""
-    p = spec.params
     if p.mu <= 0:
         raise ValueError("mu > 0 required for the half-space two-point function")
-    if spec.d != 1:
+    if not (np.isfinite(q_max) and q_max > 0):
+        raise ValueError(f"q_max must be positive and finite, got {q_max}")
+    if p.d != 1:
         raise ValueError("only the d = 1 kernel is implemented for the half-space")
     _check_no_separation(x)
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
     flat = x0.ravel()
-    s_max = float(np.arcsinh(spec.q_max / p.mu))
-    phase_span = float(np.max(np.abs(flat), initial=0.0)) * spec.q_max * s_max
+    s_max = float(np.arcsinh(q_max / p.mu))
+    phase_span = float(np.max(np.abs(flat), initial=0.0)) * q_max * s_max
     panels = 16
     while panels < phase_span / 32.0 and panels < _HALFSPACE_MAX_PANELS // 2:
         panels *= 2
@@ -229,9 +232,9 @@ def boundary_2pt_halfspace(x0, x, spec: TwoPointSpec) -> TwoPointResult:
             f"half-space quadrature did not converge: two-resolution error estimate "
             f"{err:.3e} > {_HALFSPACE_RTOL:g} * W(0) = {_HALFSPACE_RTOL * scale:.3e} "
             f"at {panels} panels (max|x0| = {np.max(np.abs(flat)):g}, "
-            f"q_max = {spec.q_max:g})")
+            f"q_max = {q_max:g})")
     val = fine.reshape(x0.shape)
-    tail = 1.0 / (np.pi * p.c**2 * p.mu * spec.q_max)
+    tail = 1.0 / (np.pi * p.c**2 * p.mu * q_max)
     return TwoPointResult(value=val if val.shape else complex(val), tail_bound=tail,
                           quad_error=err, panels=panels)
 

@@ -244,9 +244,58 @@ def test_energy_in_region_whole_strip_equals_total():
     s = fdtd_run(make_fdtd_state(gaussian_data(grid, width=0.1, center=-0.7), P1), 300)
     rep = energy(s)
     assert rep.boundary > 0  # the pulse has reached the boundary at -S
-    assert rep.boundary_parts.sum() == pytest.approx(rep.boundary, rel=1e-14)
+    # the end nodes carry the boundary terms plus their h/2 share of the bulk
+    ends = rep.node_energy[[0, -1]]
+    assert np.all(ends >= 0) and ends.sum() >= rep.boundary
+    assert ends.sum() == pytest.approx(rep.boundary, rel=1e-2)
+    assert rep.node_energy.sum() == pytest.approx(rep.total, rel=1e-14)
     whole = energy_in_region(s, -1.0, 1.0)
     assert whole == pytest.approx(rep.total, rel=1e-14)
+
+
+def bump_data(grid, r=0.2):
+    """Compactly supported bump of radius r at z = 0, at rest."""
+    z = grid.nodes
+    pos = np.where(np.abs(z) < r, np.exp(1.0 - 1.0 / np.maximum(1.0 - (z / r) ** 2, 1e-300)),
+                   0.0)
+    return CauchyData.from_samples(grid, pos, np.zeros_like(z))
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+def test_fdtd_energy_constant_before_boundary_contact(mu):
+    # the interior leapfrog conserves the energy of its two levels exactly;
+    # the support reaches z = +-0.6 by t = 0.39, far from the endpoints
+    p = PhysicalParams(c=1.0, mu=mu, geometry=Strip(1.0))
+    s = make_fdtd_state(bump_data(Grid1D.for_strip(1.0, 512)), p)
+    E0 = energy(s).total
+    for _ in range(10):
+        s = fdtd_run(s, 20)
+        assert abs(energy(s).total - E0) <= 1e-12 * E0
+
+
+def test_energy_diagnostics_take_no_step(monkeypatch):
+    import wentzell.evolve as evolve
+
+    calls = []
+
+    def counted(s, n_steps):
+        calls.append(n_steps)
+        return fdtd_run(s, n_steps)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the FDTD energy is a sum over the stored levels")
+
+    grid = Grid1D.for_strip(1.0, 256)
+    data = bump_data(grid)
+    s = fdtd_run(make_fdtd_state(data, P1), 50)
+    monkeypatch.setattr(evolve, "fdtd_run", counted)
+    monkeypatch.setattr(np, "gradient", forbidden)
+    monkeypatch.setattr(np, "trapezoid", forbidden)
+    energy(s)
+    energy_in_region(s, -0.5, 0.5)
+    assert calls == []
+    causality_probe(data, P1, t=0.25)
+    assert calls == [64]  # its own evolution, and no step for the energy
 
 
 def test_fdtd_second_order_convergence(table1):

@@ -5,7 +5,7 @@ from scipy.special import k0, sici
 
 from wentzell.core import HalfSpace, PhysicalParams, Strip, ZeroModeError
 from wentzell.modes import build_table
-from wentzell.qft import (TwoPointSpec, boundary_2pt_halfspace,
+from wentzell.qft import (TwoPointResult, TwoPointSpec, boundary_2pt_halfspace,
                           boundary_2pt_strip, boundary_smearing, causality_check,
                           commutator_boundary, fourier_trapezoid, halfspace_weight,
                           halfspace_weight_normalization, pauli_jordan_d2,
@@ -30,9 +30,6 @@ def test_spec_validation():
         TwoPointSpec(params=PhysicalParams(c=1.0, mu=0.0, geometry=Strip(1.0)), M=10)
     with pytest.raises(ValueError):
         TwoPointSpec(params=P1, M=0)
-    for q_max in (0.0, -1.0, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="q_max must be positive"):
-            TwoPointSpec(params=P1, q_max=q_max)
     # massless is fine for d > 2
     TwoPointSpec(params=PhysicalParams(c=1.0, mu=0.0, geometry=Strip(1.0), d=3), M=10)
 
@@ -114,7 +111,7 @@ def _halfspace_quad(x0, p, q_max):
 def test_halfspace_2pt_matches_q_domain_rule():
     # an independent rule: composite Gauss-Legendre directly in q, 16 nodes
     # on each of 8000 panels of [0, q_max], no substitution
-    res = boundary_2pt_halfspace(X0_DEFAULT, 0.0, TwoPointSpec(params=HS1, M=1))
+    res = boundary_2pt_halfspace(X0_DEFAULT, 0.0, HS1, 200.0)
     g, gw = np.polynomial.legendre.leggauss(16)
     half = 200.0 / 8000 / 2
     q = (half * (2 * np.arange(8000) + 1)[:, None] + half * g).ravel()
@@ -128,7 +125,7 @@ def test_halfspace_2pt_matches_q_domain_rule():
 def test_halfspace_2pt_matches_quad_within_its_error():
     # quad underestimates its error at x0 = 4.65: it is off by about 1.1e-7
     # there against a quoted 1.5e-8
-    res = boundary_2pt_halfspace(X0_DEFAULT, 0.0, TwoPointSpec(params=HS1, M=1))
+    res = boundary_2pt_halfspace(X0_DEFAULT, 0.0, HS1, 200.0)
     for x0, val in zip(X0_DEFAULT, res.value):
         ref, err = _halfspace_quad(x0, HS1, 200.0)
         if abs(x0 - 4.65) < 1e-9:
@@ -138,27 +135,28 @@ def test_halfspace_2pt_matches_quad_within_its_error():
 
 
 def test_halfspace_2pt_scalar_equals_array_row():
-    spec = TwoPointSpec(params=HS1, M=1)
-    res = boundary_2pt_halfspace(np.array([0.0, 1.5, -0.7]), 0.0, spec)
+    res = boundary_2pt_halfspace(np.array([0.0, 1.5, -0.7]), 0.0, HS1, 200.0)
     assert res.value.shape == (3,)
-    one = boundary_2pt_halfspace(1.5, 0.0, spec)
+    one = boundary_2pt_halfspace(1.5, 0.0, HS1, 200.0)
     assert isinstance(one.value, complex)
     assert one.value == pytest.approx(res.value[1], abs=1e-14)
 
 
 def test_halfspace_2pt_fails_loudly_when_unresolved():
     # 2^14 panels cannot resolve a phase of 10^6: the two resolutions disagree
-    spec = TwoPointSpec(params=HS1, M=1, q_max=1000.0)
     with pytest.raises(RuntimeError, match="did not converge"):
-        boundary_2pt_halfspace(np.array([0.0, 1000.0]), 0.0, spec)
+        boundary_2pt_halfspace(np.array([0.0, 1000.0]), 0.0, HS1, 1000.0)
     with pytest.raises(ValueError, match="x0 must be finite"):
-        boundary_2pt_halfspace(np.array([0.0, np.nan]), 0.0, spec)
+        boundary_2pt_halfspace(np.array([0.0, np.nan]), 0.0, HS1, 1000.0)
+    for q_max in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="q_max must be positive"):
+            boundary_2pt_halfspace(0.0, 0.0, HS1, q_max)
 
 
 def test_d1_kernels_reject_a_spatial_separation(table200):
     # the d = 1 boundary has only time: a nonzero x used to be dropped silently
     with pytest.raises(ValueError, match="no spatial separation"):
-        boundary_2pt_halfspace(0.5, 3.0, TwoPointSpec(params=HS1, M=1))
+        boundary_2pt_halfspace(0.5, 3.0, HS1, 200.0)
     with pytest.raises(ValueError, match="no spatial separation"):
         boundary_2pt_strip(0.5, np.array([0.0, 3.0]), TwoPointSpec(params=P1, M=20),
                            table=table200)
@@ -166,26 +164,22 @@ def test_d1_kernels_reject_a_spatial_separation(table200):
 
 def test_halfspace_2pt_real_at_coincidence():
     p = PhysicalParams(c=1.0, mu=1.0, geometry=HalfSpace())
-    spec = TwoPointSpec(params=p, M=1, q_max=200.0)
-    res = boundary_2pt_halfspace(0.0, 0.0, spec)
+    res = boundary_2pt_halfspace(0.0, 0.0, p, 200.0)
     assert res.value.imag == pytest.approx(0.0, abs=1e-12)
     assert res.quad_error < 1e-10
 
 
 def test_halfspace_2pt_qmax_tail():
     p = PhysicalParams(c=1.0, mu=1.0, geometry=HalfSpace())
-    s1 = TwoPointSpec(params=p, M=1, q_max=100.0)
-    s2 = TwoPointSpec(params=p, M=1, q_max=200.0)
-    v1 = boundary_2pt_halfspace(0.5, 0.0, s1)
-    v2 = boundary_2pt_halfspace(0.5, 0.0, s2)
+    v1 = boundary_2pt_halfspace(0.5, 0.0, p, 100.0)
+    v2 = boundary_2pt_halfspace(0.5, 0.0, p, 200.0)
     assert abs(v2.value - v1.value) < 2 * v1.tail_bound
 
 
 def test_halfspace_2pt_hermiticity():
     p = PhysicalParams(c=1.0, mu=1.0, geometry=HalfSpace())
-    spec = TwoPointSpec(params=p, M=1, q_max=150.0)
-    plus = boundary_2pt_halfspace(0.8, 0.0, spec).value
-    minus = boundary_2pt_halfspace(-0.8, 0.0, spec).value
+    plus = boundary_2pt_halfspace(0.8, 0.0, p, 150.0).value
+    minus = boundary_2pt_halfspace(-0.8, 0.0, p, 150.0).value
     assert minus == pytest.approx(np.conj(plus), abs=1e-12)
 
 
@@ -195,6 +189,22 @@ def test_strip_2pt_routes_to_bessel_for_d2(table200):
     via_strip = boundary_2pt_strip(0.3, 1.5, spec, table=table200)
     direct = spacelike_2pt_bessel(1.5**2 - 0.3**2, spec, table=table200)
     assert via_strip.value == direct.value
+    assert isinstance(via_strip, TwoPointResult)
+
+
+@pytest.mark.parametrize("S, c, mu", [(2.0, 5.0, 3.0), (2.0, 1.0, 1.0),
+                                      (1.0, 5.0, 1.0), (1.0, 1.0, 3.0)])
+def test_strip_sums_reject_a_table_for_other_parameters(table200, S, c, mu):
+    # table200 holds the modes of (S, c, mu) = (1, 1, 1); its d may differ from
+    # the spec's (above), but its geometry, c and mu may not
+    p = PhysicalParams(c=c, mu=mu, geometry=Strip(S))
+    spec2 = TwoPointSpec(params=p, M=10, d=2)
+    for call in (lambda: boundary_2pt_strip(0.3, 0.0, TwoPointSpec(params=p, M=10),
+                                            table=table200),
+                 lambda: spacelike_2pt_bessel(1.0, spec2, table=table200),
+                 lambda: commutator_boundary(1.0, 0.0, spec2, table=table200)):
+        with pytest.raises(ValueError, match="table was built for"):
+            call()
 
 
 # ---------------------------------------------------------------------------
