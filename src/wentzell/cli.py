@@ -3,7 +3,7 @@
 Outputs are deterministic for a given configuration: CSV data files carry the
 full parameter set in ``#`` header comments and no timestamps; mode tables are
 cached as line-diffable JSON, one mode per line, keyed by a format version and
-(S, c, mu, M_max, residual_tol), and re-verified when read.
+(S, c, mu, M_max), and re-verified when read.
 Each ``cmd_*`` takes the parsed ``argparse.Namespace``; the parser holds the
 only copy of every default.  Exit codes: 0 success, 1 invalid configuration,
 2 runtime failure (including non-finite data, for which no CSV is written),
@@ -28,8 +28,8 @@ from .core import CauchyData, Grid1D, HalfSpace, PhysicalParams, Strip
 from .evolve import (SpectralState, energy, explicit_solution, fdtd_run,
                      make_fdtd_state, reflection_cauchy_data, synthesize_state)
 from .holo import Fig2Config, HoloGrids, fig2_reproduce, holographic_dual, verify_dual
-from .modes import ModeTable, bracket, build_table, check_solution, table_residuals, \
-    verify_table
+from .modes import _ASYM_DELTA, _ASYM_M_START, _RESIDUAL_TOL, ModeTable, bracket, \
+    build_table, check_solution, table_residuals, verify_table
 from .qft import TwoPointSpec, boundary_2pt_halfspace, boundary_2pt_strip, \
     halfspace_weight_normalization, tail_convergence
 
@@ -64,7 +64,7 @@ def atomic_write_text(path: Path, text: str | Iterable[str]):
         raise
 
 
-_TABLE_FORMAT = "v2"  # cache file format and solver version, part of the file name
+_TABLE_FORMAT = "v3"  # cache file format and solver version, part of the file name
 _TABLE_PIECE_ROWS = 1024
 _TABLE_ROW = ('{{"m": {}, "q": {!r}, "delta": {!r}, "parity": "{}", "c_norm": {!r}, '
               '"d_bdy": {!r}}}')
@@ -80,8 +80,7 @@ def _table_pieces(table: ModeTable) -> Iterator[str]:
     string or one list of rows."""
     p = table.params
     n = len(table)
-    head = json.dumps({"S": p.geometry.S, "c": p.c, "mu": p.mu,
-                       "residual_tol": table.residual_tol, "M_max": n - 1})
+    head = json.dumps({"S": p.geometry.S, "c": p.c, "mu": p.mu, "M_max": n - 1})
     yield head[:-1] + ', "entries": [\n'  # the header object stays open for the list
     parities = _parities(n)
     for i in range(0, n, _TABLE_PIECE_ROWS):
@@ -112,13 +111,11 @@ def table_from_json(text: str) -> ModeTable:
         raise ValueError("mode parities do not alternate even, odd from m = 0")
     qs, deltas, c_norms, d_bdys = (np.fromiter(map(itemgetter(key), entries), float, n)
                                    for key in ("q", "delta", "c_norm", "d_bdy"))
-    return ModeTable(params=p, qs=qs, deltas=deltas, c_norms=c_norms, d_bdys=d_bdys,
-                     residual_tol=doc["residual_tol"])
+    return ModeTable(params=p, qs=qs, deltas=deltas, c_norms=c_norms, d_bdys=d_bdys)
 
 
-def cache_path(cache_dir: Path, p: PhysicalParams, M_max: int, tol: float) -> Path:
-    name = (f"modes_{_TABLE_FORMAT}_S{p.geometry.S!r}_c{p.c!r}_mu{p.mu!r}_M{M_max}"
-            f"_tol{tol!r}.json")
+def cache_path(cache_dir: Path, p: PhysicalParams, M_max: int) -> Path:
+    name = f"modes_{_TABLE_FORMAT}_S{p.geometry.S!r}_c{p.c!r}_mu{p.mu!r}_M{M_max}.json"
     return cache_dir / name
 
 
@@ -131,25 +128,25 @@ def resolve_cache_dir(flag_value: str | None) -> Path:
     return Path.home() / ".cache" / "wentzell"
 
 
-def load_or_build_table(p: PhysicalParams, M_max: int, tol: float,
+def load_or_build_table(p: PhysicalParams, M_max: int,
                         cache_dir: Path) -> tuple[ModeTable, Path, bool]:
-    """The table for (p, M_max, tol) from the cache, or built and written there.
+    """The table for (p, M_max) from the cache, or built and written there.
 
     A cached file is re-verified (mode sequence, parities, increasing q, the
     eigenvalue check of ``check_solution``, and the key it was written for);
     one that fails counts as a miss and is overwritten."""
-    path = cache_path(cache_dir, p, M_max, tol)
+    path = cache_path(cache_dir, p, M_max)
     if path.exists():
         try:
             table = table_from_json(path.read_text())
             got = table.params
-            if ((got.geometry, got.c, got.mu, len(table) - 1, table.residual_tol)
-                    == (p.geometry, p.c, p.mu, M_max, tol)):
+            if ((got.geometry, got.c, got.mu, len(table) - 1)
+                    == (p.geometry, p.c, p.mu, M_max)):
                 check_solution(table)
                 return table, path, True
         except (ValueError, KeyError, TypeError):
             pass  # unreadable or stale: rebuilt below
-    table = build_table(M_max, p, residual_tol=tol)
+    table = build_table(M_max, p)
     atomic_write_text(path, _table_pieces(table))
     return table, path, False
 
@@ -168,7 +165,7 @@ def write_csv(path: Path, header: dict, columns: list[str], rows: np.ndarray):
 def cmd_modes(args: argparse.Namespace) -> int:
     p = PhysicalParams(c=args.c, mu=args.mu, geometry=Strip(args.S))
     cache_dir = resolve_cache_dir(args.cache_dir)
-    table, path, cached = load_or_build_table(p, args.M_max, args.residual_tol, cache_dir)
+    table, path, cached = load_or_build_table(p, args.M_max, cache_dir)
     print(f"mode table: {len(table)} entries "
           f"({'cache hit' if cached else 'computed'}) -> {path}")
 
@@ -177,19 +174,19 @@ def cmd_modes(args: argparse.Namespace) -> int:
     res = float(np.max(table_residuals(table), initial=0.0))
     print(f"{'PASS' if in_window else 'FAIL'}  eigenvalue windows "
           f"(max normalized residual {res:.3e})")
-    ok = in_window and res < args.residual_tol * max(1.0, args.S)
+    ok = in_window and res < _RESIDUAL_TOL * max(1.0, args.S)
 
-    if len(table) - 1 >= max(args.m_start, 2) + 1:
-        rep = verify_table(table, delta=args.delta, m_start=args.m_start)
+    if len(table) - 1 > _ASYM_M_START:
+        rep = verify_table(table)
         print(f"{'PASS' if np.all(rep.q_in_bound) else 'FAIL'}  asymptotic q window "
-              f"(delta={args.delta}, m >= {rep.m_start})")
+              f"(delta={_ASYM_DELTA}, m >= {rep.m_start})")
         print(f"{'PASS' if np.all(rep.d_in_bound) else 'FAIL'}  boundary coupling decay law")
         print(f"{'PASS' if rep.c_bounded else 'FAIL'}  normalization deviation "
               f"|c_m - 1| m^2 bounded")
         print(f"skipped (below asymptotic range): m < {rep.m_start}")
         ok = ok and rep.all_pass
     else:
-        print("asymptotic checks skipped: table too short for m_start")
+        print(f"asymptotic checks skipped: table ends at or below m = {_ASYM_M_START}")
 
     if args.out:
         atomic_write_text(Path(args.out), path.read_text())
@@ -214,7 +211,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         header["eps"] = args.eps
     elif args.scenario == "mode":
         cache_dir = resolve_cache_dir(args.cache_dir)
-        table, _, _ = load_or_build_table(p, 3, 1e-12, cache_dir)
+        table, _, _ = load_or_build_table(p, 3, cache_dir)
         coeffs = np.zeros(4)
         coeffs[1] = 1.0
         t0 = 0.0
@@ -281,7 +278,7 @@ def cmd_twopoint(args: argparse.Namespace) -> int:
         p = PhysicalParams(c=args.c, mu=args.mu, geometry=Strip(args.S), d=1)
         spec = TwoPointSpec(params=p, M=args.M)
         cache_dir = resolve_cache_dir(args.cache_dir)
-        table, _, _ = load_or_build_table(p, max(4 * args.M, 400), 1e-12, cache_dir)
+        table, _, _ = load_or_build_table(p, max(4 * args.M, 400), cache_dir)
         res = boundary_2pt_strip(x0, 0.0, spec, table=table)
         vals = np.asarray(res.value)
         tail = tail_convergence(table, args.M)
@@ -332,7 +329,7 @@ def cmd_holo(args: argparse.Namespace) -> int:
                 * np.exp(-z ** 2 / (2 * (0.12 * args.S) ** 2))
 
         image = holographic_dual(f, p, table, M=args.M, grids=grids)
-        rep = verify_dual(image, image.coeffs, table)
+        rep = verify_dual(image, table)
         meta = dict(image.metadata)
         meta["max_residual"] = rep.max_residual
         meta["pairing_rel_error"] = rep.pairing_rel_error
@@ -388,9 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--max", type=int, default=200, dest="M_max",
                     help="highest mode index")
-    sp.add_argument("--residual-tol", type=float, default=1e-12)
-    sp.add_argument("--delta", type=float, default=0.1)
-    sp.add_argument("--m-start", type=int, default=50)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("evolve", help="FDTD time evolution and energy series")

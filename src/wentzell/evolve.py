@@ -96,7 +96,7 @@ def spectral_symplectic(A: SpectralState, B: SpectralState) -> float:
     """Symplectic form in the mode representation, sum_m (a^A b^B - b^A a^B);
     equals the quadrature form on the synthesized states up to quadrature
     error, and is conserved to rounding under spectral evolution."""
-    if A.table is not B.table and len(A.table) != len(B.table):
+    if (A.table.params, len(A.table)) != (B.table.params, len(B.table)):
         raise ValueError("states live on different mode tables")
     return float(np.sum(A.a * B.b - A.b * B.a))
 
@@ -218,7 +218,8 @@ def energy(state: SpectralState | FdtdState) -> EnergyReport:
     """Field energy split into bulk and boundary parts.
 
     Spectral states use the exact closed form sum (b^2 + w^2 a^2) / 2, with
-    the boundary part c (v^2 + mu^2 phi^2) / 2 summed over both components.
+    the boundary part c (v^2 + (mu^2 + k^2) phi^2) / 2 summed over both
+    components.
     FDTD states use the scheme's conserved energy of the stored levels
     a = phi_prev, b = phi, which refers to t - dt/2 (see the module
     docstring): ``node_energy`` holds it node by node, ``boundary`` is the
@@ -231,7 +232,7 @@ def energy(state: SpectralState | FdtdState) -> EnergyReport:
         bvals = state.table.boundary_values()
         p = state.table.params
         phi_b, v_b = state.a @ bvals, state.b @ bvals
-        bdy = 0.5 * p.c * float(np.sum(v_b**2 + p.mu**2 * phi_b**2))
+        bdy = 0.5 * p.c * float(np.sum(v_b**2 + (p.mu**2 + state.k**2) * phi_b**2))
         return EnergyReport(bulk=total - bdy, boundary=bdy, total=total)
     p = state.p
     a, b, h = state.phi_prev, state.phi, state.grid.h

@@ -128,10 +128,9 @@ class FreqExtension:
 
 
 def extend_to_schwartz(coeffs: SmearedCoefficients, table: ModeTable, a: float,
-                       modes: np.ndarray | None = None) -> FreqExtension:
-    """Interpolating extension with fhat'(+-omega_m) = coeffs^+-_m exactly."""
-    if modes is None:
-        modes = included_modes(table, len(table) - 1)
+                       modes: np.ndarray) -> FreqExtension:
+    """Interpolating extension with fhat'(+-omega_m) = coeffs^+-_m exactly at
+    the given mode indices."""
     omegas = table.omegas()[modes]
     return FreqExtension(a=a, modes=np.asarray(modes), omegas=omegas,
                          coeff_plus=np.asarray(coeffs.f_plus)[modes],
@@ -312,10 +311,11 @@ def pairing_boundary_route(extF: FreqExtension, extG: FreqExtension,
                           * extF(-w) * extG(w)))
 
 
-def verify_dual(image: HoloImage, coeffs: SmearedCoefficients, table: ModeTable
-                ) -> DualReport:
+def verify_dual(image: HoloImage, table: ModeTable) -> DualReport:
     """Max interpolation residual |fhat'(+-w_m) d_m - fhat^+-_m| (normalized)
-    and the two-point pairing of the image with itself along both routes."""
+    against the image's smeared coefficients, and the two-point pairing of the
+    image with itself along both routes."""
+    coeffs = image.coeffs
     ext = image.extension
     modes = ext.modes
     d = table.d_bdys[modes]

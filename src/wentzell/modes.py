@@ -26,6 +26,10 @@ normalized (dimensionless) form: the raw tan-form residual is ill-conditioned
 by a factor ~ q^2 and cannot reach 1e-12 in double precision at large m.  From
 q S = 2^14 on, half an ulp of q already moves the trig form by more than
 1e-12, so there the residual is |S delta - arctan(1 / (c q))| instead.
+
+Two checks have fixed bounds, not settings: every root of a table must meet a
+normalized residual of 1e-12 (``check_solution``), and ``verify_table`` holds
+modes m >= 50 to their asymptotic laws within 10%.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ _DELTA_RTOL = 4 * np.finfo(float).eps
 _TRIG_RESIDUAL_QS = 2.0**14  # q S from which the residual is taken in delta form
 _Q_DELTA_ULPS = 8  # q = pi (m-1) / 2S + delta to this many ulps of q, after the polish
 _RESIDUAL_TOL = 1e-12  # normalized eigenvalue residual a root must meet
+_ASYM_DELTA = 0.1  # relative width of the asymptotic q and d_m windows
+_ASYM_M_START = 50  # first mode index held to the asymptotic laws
 
 
 def bracket(m, p: PhysicalParams) -> tuple:
@@ -148,7 +154,6 @@ class ModeTable:
     deltas: np.ndarray
     c_norms: np.ndarray
     d_bdys: np.ndarray
-    residual_tol: float = _RESIDUAL_TOL
 
     def __post_init__(self):
         cols = [np.array(getattr(self, k), dtype=float) for k in _COLUMNS]
@@ -202,10 +207,11 @@ def table_residuals(table: ModeTable) -> np.ndarray:
 
 def check_solution(table: ModeTable):
     """Raise ValueError unless every (q_m, delta_m) solves its eigenvalue
-    condition within ``table.residual_tol``: q_0 = 0, delta_m in its window
-    (0, pi / 2S], q_m = pi (m-1) / 2S + delta_m to rounding, and the residual
-    of ``table_residuals`` at most the tolerance.  ``build_table`` holds its
-    own output to this check, and a cache loader can hold a file to it."""
+    condition: q_0 = 0, delta_m in its window (0, pi / 2S], q_m =
+    pi (m-1) / 2S + delta_m to rounding, and the residual of
+    ``table_residuals`` at most the fixed tolerance 1e-12 (``_RESIDUAL_TOL``).
+    ``build_table`` holds its own output to this check, and a cache loader
+    can hold a file to it."""
     S = _strip_S(table.params)
     if table.qs[0] != 0.0:
         raise ValueError(f"constant mode has q_0 = {table.qs[0]!r}, not 0")
@@ -219,9 +225,9 @@ def check_solution(table: ModeTable):
     if np.any(apart):
         raise ValueError(f"q and delta disagree at m={ms[apart][:5]}")
     res = table_residuals(table)
-    if np.any(res > table.residual_tol):
+    if np.any(res > _RESIDUAL_TOL):
         worst = int(ms[np.argmax(res)])
-        raise ValueError(f"residual {np.max(res):.3e} above {table.residual_tol:g} "
+        raise ValueError(f"residual {np.max(res):.3e} above {_RESIDUAL_TOL:g} "
                          f"at m={worst}")
 
 
@@ -237,8 +243,7 @@ def _normalize(ms, qs, deltas, S: float, c: float) -> tuple[np.ndarray, np.ndarr
     return c_norms, sign * c_norms / np.sqrt(S) * sin_t
 
 
-def build_table(M_max: int, p: PhysicalParams, residual_tol: float = _RESIDUAL_TOL
-                ) -> ModeTable:
+def build_table(M_max: int, p: PhysicalParams) -> ModeTable:
     """Solve and normalize modes m = 0 .. M_max on the strip."""
     if M_max < 0:
         raise ValueError(f"M_max must be >= 0, got {M_max}")
@@ -249,8 +254,7 @@ def build_table(M_max: int, p: PhysicalParams, residual_tol: float = _RESIDUAL_T
     # constant mode: weighted norm^2 of 1 is 2S + 2c (limit of the even formula)
     c_0 = float(np.sqrt(S / (2 * S + 2 * p.c)))
     table = ModeTable(params=p, qs=np.r_[0.0, q], deltas=np.r_[np.pi / (2 * S), delta],
-                      c_norms=np.r_[c_0, c_norm], d_bdys=np.r_[c_0 / np.sqrt(S), d_bdy],
-                      residual_tol=residual_tol)
+                      c_norms=np.r_[c_0, c_norm], d_bdys=np.r_[c_0 / np.sqrt(S), d_bdy])
     try:
         check_solution(table)
     except ValueError as exc:
@@ -268,9 +272,9 @@ class TableReport:
     """Asymptotics check of a mode table for m >= m_start."""
 
     m_start: int
-    delta: float
     ms: np.ndarray            # checked indices
     q_in_bound: np.ndarray    # bool per checked m
+    d_ratio: np.ndarray       # |d_m| / d_asymptote per checked m
     d_in_bound: np.ndarray    # bool per checked m
     c_dev_scaled: np.ndarray  # |c_m - 1| m^2 per checked m
     c_bound: float            # fitted constant the deviations must stay under
@@ -285,29 +289,28 @@ class TableReport:
         return bool(np.all(self.q_in_bound) and np.all(self.d_in_bound) and self.c_bounded)
 
 
-def verify_table(table: ModeTable, delta: float = 0.1, m_start: int = 50) -> TableReport:
-    """Check delta_m = q_m - pi (m-1) / 2S against the two-sided asymptotic
-    window
+def verify_table(table: ModeTable) -> TableReport:
+    """Check, for m >= 50, delta_m = q_m - pi (m-1) / 2S against the
+    two-sided asymptotic window
 
-        (1 - delta) * 2 / (c pi (m-1)) <= delta_m <= 2 / (c pi (m-1)),
+        0.9 * 2 / (c pi (m-1)) <= delta_m <= 2 / (c pi (m-1)),
 
-    |d_m| against its 1/(m-1) law within delta, and |c_m - 1| m^2 against a
-    constant fitted at m_start."""
+    |d_m| against its 1/(m-1) law within 10%, and |c_m - 1| m^2 against a
+    constant fitted at m = 50."""
     p = table.params
     S = _strip_S(p)
-    m_start = max(m_start, 2)
     all_m = np.arange(len(table))
-    checked = all_m[all_m >= m_start]
-    skipped = all_m[all_m < m_start]
+    checked = all_m[all_m >= _ASYM_M_START]
+    skipped = all_m[all_m < _ASYM_M_START]
     if checked.size == 0:
-        raise ValueError(f"table has no modes at or beyond m_start={m_start}")
+        raise ValueError(f"table has no modes at or beyond m = {_ASYM_M_START}")
     offset = table.deltas[checked]
     corr = 2.0 / (p.c * np.pi * (checked - 1))
-    q_in = (offset >= (1 - delta) * corr) & (offset <= corr)
+    q_in = (offset >= (1 - _ASYM_DELTA) * corr) & (offset <= corr)
     ratio = np.abs(table.d_bdys[checked]) / d_asymptote(checked, S, p.c)
-    d_in = (ratio >= 1 - delta) & (ratio <= 1 + delta)
+    d_in = (ratio >= 1 - _ASYM_DELTA) & (ratio <= 1 + _ASYM_DELTA)
     c_dev = np.abs(table.c_norms[checked] - 1.0) * checked.astype(float) ** 2
-    return TableReport(m_start=m_start, delta=delta, ms=checked, q_in_bound=q_in,
+    return TableReport(m_start=_ASYM_M_START, ms=checked, q_in_bound=q_in, d_ratio=ratio,
                        d_in_bound=d_in, c_dev_scaled=c_dev, c_bound=10.0 * c_dev[0],
                        skipped=skipped)
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import j0, kv, zeta
 
 from .core import Strip, ZeroModeError
-from .modes import ModeTable, build_table, eval_mode_deriv, mode_matrix
+from .modes import ModeTable, eval_mode_deriv, mode_matrix
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -54,19 +54,16 @@ class TwoPointResult:
     panels: int | None = None  # half-space quadrature panels
 
 
-def _strip_table(spec: TwoPointSpec, table: ModeTable | None) -> ModeTable:
-    """The given table, or a new one, after checking that it was built for the
-    spec's geometry, c and mu and reaches M (its d may differ: the mode
-    spectrum does not depend on it)."""
-    if table is None:
-        table = build_table(spec.M, spec.params)
+def _check_strip_table(spec: TwoPointSpec, table: ModeTable):
+    """Raise ValueError unless the table was built for the spec's geometry, c
+    and mu and reaches M (its d may differ: the mode spectrum does not depend
+    on it)."""
     want, have = spec.params, table.params
     if (have.geometry, have.c, have.mu) != (want.geometry, want.c, want.mu):
         raise ValueError(f"table was built for {have.geometry}, c={have.c}, mu={have.mu}; "
                          f"spec needs {want.geometry}, c={want.c}, mu={want.mu}")
     if len(table) < spec.M + 1:
         raise ValueError(f"table has {len(table)} modes, spec needs {spec.M + 1}")
-    return table
 
 
 def strip_tail_bound(M: int, S: float, c: float) -> float:
@@ -79,8 +76,7 @@ def _check_no_separation(x):
         raise ValueError("the d = 1 kernel has no spatial separation; x must be 0")
 
 
-def boundary_2pt_strip(x0, x, spec: TwoPointSpec, table: ModeTable | None = None
-                       ) -> TwoPointResult:
+def boundary_2pt_strip(x0, x, spec: TwoPointSpec, table: ModeTable) -> TwoPointResult:
     """Partial mode sum of the boundary two-point function on the strip.
 
     d = 1 uses the kernel exp(-i mu_m x0) / (2 mu_m), which has no spatial
@@ -89,7 +85,7 @@ def boundary_2pt_strip(x0, x, spec: TwoPointSpec, table: ModeTable | None = None
     """
     if spec.d == 1:
         _check_no_separation(x)
-    table = _strip_table(spec, table)
+    _check_strip_table(spec, table)
     p = spec.params
     S = p.geometry.S
     mu_m = table.omegas()[: spec.M + 1]
@@ -110,8 +106,7 @@ def boundary_2pt_strip(x0, x, spec: TwoPointSpec, table: ModeTable | None = None
     return spacelike_2pt_bessel(x2, spec, table=table)
 
 
-def spacelike_2pt_bessel(x2, spec: TwoPointSpec, table: ModeTable | None = None
-                         ) -> TwoPointResult:
+def spacelike_2pt_bessel(x2, spec: TwoPointSpec, table: ModeTable) -> TwoPointResult:
     """Boundary two-point function at spacelike separation x^2 > 0 for d >= 2:
 
         sum_m d_m^2 (2 pi)^(-d/2) mu_m^(d/2-1) |x^2|^(1/2-d/4)
@@ -125,7 +120,7 @@ def spacelike_2pt_bessel(x2, spec: TwoPointSpec, table: ModeTable | None = None
     x2 = np.atleast_1d(x2)
     if np.any(x2 <= 0):
         raise ValueError("spacelike separation x^2 > 0 required")
-    table = _strip_table(spec, table)
+    _check_strip_table(spec, table)
     mu_m = table.omegas()[: spec.M + 1]
     if np.any(mu_m == 0.0):
         raise ZeroModeError("massless zero mode not allowed in the Bessel sum")
@@ -253,12 +248,12 @@ def pauli_jordan_d2(x0, x, mass) -> np.ndarray:
     return np.where(inside, -0.5j * np.sign(x0) * j0(mass * tau), 0.0)
 
 
-def commutator_boundary(x0, x, spec: TwoPointSpec, table: ModeTable | None = None):
+def commutator_boundary(x0, x, spec: TwoPointSpec, table: ModeTable):
     """Boundary-field commutator function 2i Im Delta_+ as a mode sum of
     massive Pauli-Jordan functions (d = 2), broadcast over (modes x points)."""
     if spec.d != 2:
         raise ValueError("the closed-form commutator is implemented for d = 2 only")
-    table = _strip_table(spec, table)
+    _check_strip_table(spec, table)
     mu_m = table.omegas()[: spec.M + 1]
     d2 = table.d_bdys[: spec.M + 1] ** 2
     ndim = np.broadcast(np.asarray(x0), np.asarray(x)).ndim
@@ -267,8 +262,8 @@ def commutator_boundary(x0, x, spec: TwoPointSpec, table: ModeTable | None = Non
     return out if out.shape else complex(out)
 
 
-def causality_check(points, spec: TwoPointSpec, tol: float = 1e-10,
-                    table: ModeTable | None = None) -> bool:
+def causality_check(points, spec: TwoPointSpec, table: ModeTable,
+                    tol: float = 1e-10) -> bool:
     """True if the commutator vanishes (below tol) at every given
     (x0, x) point; points must be spacelike for a pass."""
     x0, x = np.asarray(points, dtype=float).T

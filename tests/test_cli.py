@@ -79,7 +79,7 @@ def test_benchmark_reads_the_cached_residual(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
     p = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
-    table, path, hit = cli.load_or_build_table(p, 2000, 1e-12, tmp_path)
+    table, path, hit = cli.load_or_build_table(p, 2000, tmp_path)
     assert not hit
     worst = float(np.max(table_residuals(table)))
     assert workloads._table_residual(json.loads(path.read_text())) == worst
@@ -94,8 +94,10 @@ def test_modes_command(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["M_max"] == 200 and len(doc["entries"]) == 201
+    # format v3: the table is keyed by (S, c, mu, M_max) and nothing else
+    assert set(doc) == {"S", "c", "mu", "M_max", "entries"}
     cached = list(cache.glob("modes_*.json"))
-    assert len(cached) == 1
+    assert [f.name for f in cached] == ["modes_v3_S1.0_c1.0_mu1.0_M200.json"]
     checksum = sha(cached[0])
     # warm rerun: cache hit, byte-identical file
     assert main(["modes", "--S", "1", "--c", "1", "--mu", "1", "--max", "200",

@@ -12,7 +12,7 @@ from wentzell.evolve import (CflError, SpectralState, causality_probe, energy,
                              make_fdtd_state, reflection_cauchy_data,
                              spectral_evolve, spectral_symplectic,
                              synthesize_state)
-from wentzell.modes import build_table, synthesize
+from wentzell.modes import build_table, eval_mode_deriv, synthesize
 
 P0 = PhysicalParams(c=1.0, mu=0.0, geometry=Strip(1.0))
 P1 = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
@@ -85,6 +85,24 @@ def test_single_mode_energy(table1):
     assert energy(s).boundary >= 0 and energy(s).bulk >= 0
 
 
+@pytest.mark.parametrize("k", [0.0, 2.0])
+def test_spectral_energy_split_matches_quadrature(table1, k):
+    # the boundary part carries the transverse momentum too:
+    # c/2 (v^2 + (mu^2 + k^2) phi^2) at each component, the rest is bulk
+    m = np.arange(11)
+    s = SpectralState(a=0.6 / (1.0 + m) ** 2, b=0.3 / (1.0 + m), table=table1, k=k)
+    grid = Grid1D.for_strip(1.0, 4096)
+    data = synthesize_state(s, grid)
+    phi, v = data.position.bulk, data.velocity.bulk
+    phi_z = eval_mode_deriv(m[None, :], grid.nodes[:, None], table1) @ s.a
+    mass2 = P1.mu**2 + k**2
+    bulk = 0.5 * grid.quad_weights() @ (v**2 + phi_z**2 + mass2 * phi**2)
+    bdy = 0.5 * P1.c * float(np.sum(v[[0, -1]] ** 2 + mass2 * phi[[0, -1]] ** 2))
+    rep = energy(s)
+    assert rep.boundary == pytest.approx(bdy, rel=1e-12)
+    assert rep.bulk == pytest.approx(bulk, rel=1e-10)
+
+
 def test_zero_state_energy(table1):
     s = SpectralState(a=np.zeros(11), b=np.zeros(11), table=table1)
     assert energy(s).total == 0.0
@@ -102,6 +120,17 @@ def test_symplectic_time_invariance_quadrature(table1):
     assert s1 == pytest.approx(s0, abs=1e-6)
     # and the mode representation agrees with the quadrature within tolerance
     assert spectral_symplectic(A, B) == pytest.approx(s0, abs=1e-6)
+
+
+def test_symplectic_rejects_states_on_different_tables(table1):
+    A = SpectralState(a=np.ones(11), b=np.zeros(11), table=table1)
+    for p, M in ((PhysicalParams(c=2.0, mu=1.0, geometry=Strip(1.0)), 10), (P1, 11)):
+        B = SpectralState(a=np.zeros(M + 1), b=np.ones(M + 1), table=build_table(M, p))
+        with pytest.raises(ValueError, match="different mode tables"):
+            spectral_symplectic(A, B)
+    # a table rebuilt for the same parameters is the same table
+    B = SpectralState(a=np.zeros(11), b=np.ones(11), table=build_table(10, P1))
+    assert spectral_symplectic(A, B) == 11.0
 
 
 coeffs = arrays(float, 11, elements=st.floats(min_value=-2, max_value=2,

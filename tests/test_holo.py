@@ -157,14 +157,14 @@ def test_extension_smooth_across_bump_edge(table):
 
 
 def test_verify_dual_residual(image, table):
-    rep = verify_dual(image, image.coeffs, table)
+    rep = verify_dual(image, table)
     assert rep.max_residual < 1e-6
     assert rep.pairing_rel_error < 1e-5
 
 
 def test_verify_dual_detects_perturbation(image, table):
     perturbed = dataclasses.replace(table, d_bdys=table.d_bdys * 1.01)
-    rep = verify_dual(image, image.coeffs, perturbed)
+    rep = verify_dual(image, perturbed)
     assert rep.max_residual == pytest.approx(1e-2, rel=0.2)
 
 

@@ -63,7 +63,7 @@ def test_d9_asymptotic_law(table20):
 
 def test_verify_table_passes():
     table = build_table(200, P1)
-    rep = verify_table(table, delta=0.1, m_start=50)
+    rep = verify_table(table)
     assert rep.all_pass
     assert 0 in rep.skipped and 1 in rep.skipped
     # empirical constant fit: scaled deviations bounded by 10x the first one
@@ -73,7 +73,7 @@ def test_verify_table_passes():
 def test_verify_table_passes_at_1e5_modes():
     # the delta form keeps q, c_m and d_m accurate where q S >> 2^14
     table = build_table(10**5, P1)
-    assert verify_table(table, delta=0.1, m_start=50).all_pass
+    assert verify_table(table).all_pass
     assert np.max(table_residuals(table)) <= 1e-12
 
 
