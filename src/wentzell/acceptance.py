@@ -76,7 +76,7 @@ def criterion_2_asymptotic_bounds() -> CriterionResult:
 
 def criterion_3_orthonormality() -> CriterionResult:
     """Gram matrix of modes m, m' <= 20 on a 4096-interval grid is the
-    identity within 1e-8."""
+    identity within 1e-9."""
     p = PhysicalParams(c=1.0, geometry=Strip(1.0))
     table = build_table(20, p)
     grid = Grid1D.for_strip(1.0, 4096)
@@ -84,7 +84,7 @@ def criterion_3_orthonormality() -> CriterionResult:
     diag_err = float(np.max(np.abs(np.diag(G) - 1.0)))
     off = G - np.diag(np.diag(G))
     off_err = float(np.max(np.abs(off)))
-    passed = diag_err < 1e-8 and off_err < 1e-8
+    passed = diag_err < 1e-9 and off_err < 1e-9
     return CriterionResult("3-orthonormality", passed,
                            {"diag_err": diag_err, "off_diag_err": off_err})
 
@@ -223,11 +223,11 @@ def criterion_7_exact_reflection() -> CriterionResult:
 
 
 def criterion_8_twopoint_diagnostics() -> CriterionResult:
-    """Half-space weight normalization within 1e-8 of 1 (c = 1); strip tail of
+    """Half-space weight normalization within 1e-13 of 1 (c = 1); strip tail of
     sum d_m^2 within [0.8, 1.2] of the asymptotic law at M = 100; the partial
     sums are Cauchy within the reported tail bound from M = 100 to 200."""
     norm = halfspace_weight_normalization(1.0)
-    norm_ok = abs(norm - 1.0) < 1e-8
+    norm_ok = abs(norm - 1.0) < 1e-13
     p = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
     table = build_table(4000, p)
     rep = tail_convergence(table, 100)
@@ -255,9 +255,9 @@ def criterion_9_commutator_causality() -> CriterionResult:
 
 def criterion_10_holographic_identity() -> CriterionResult:
     """Coefficient-level holography for a Gaussian bulk observable
-    (mu = 1, S = 1, c = 1): interpolation residual < 1e-6 at the automatic
+    (mu = 1, S = 1, c = 1): interpolation residual < 1e-13 at the automatic
     99.9% cutoff, and the smeared two-point pairing of two observables agrees
-    along the bulk and boundary routes within 1e-5."""
+    along the bulk and boundary routes within 1e-13."""
     p = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
     table = build_table(40, p)
     grids = HoloGrids.default(1.0, n_z=1024, n_t=2049, t_span=4.0, n_out=1024)
@@ -277,8 +277,8 @@ def criterion_10_holographic_identity() -> CriterionResult:
     bulk = pairing_bulk_route(img_f.coeffs, img_g.coeffs, table, img_f.extension.modes)
     bdy = pairing_boundary_route(img_f.extension, img_g.extension, table)
     pair_rel = abs(bulk - bdy) / max(abs(bulk), 1e-300)
-    passed = (rep_f.max_residual < 1e-6 and rep_g.max_residual < 1e-6
-              and pair_rel < 1e-5 and rep_f.pairing_rel_error < 1e-5)
+    passed = (rep_f.max_residual < 1e-13 and rep_g.max_residual < 1e-13
+              and pair_rel < 1e-13 and rep_f.pairing_rel_error < 1e-13)
     return CriterionResult("10-holographic-identity", passed,
                            {"residual_f": rep_f.max_residual,
                             "residual_g": rep_g.max_residual,
@@ -306,7 +306,7 @@ def criterion_11_fig2() -> CriterionResult:
 
 
 def criterion_12_source_relation() -> CriterionResult:
-    """Mode-coefficient residual of the boundary source relation < 1e-8 for
+    """Mode-coefficient residual of the boundary source relation < 1e-13 for
     M <= 20; constant (Neumann-style) boundary weights fail the identity."""
     p = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
     table = build_table(20, p)
@@ -316,7 +316,7 @@ def criterion_12_source_relation() -> CriterionResult:
               source_relation_check(g, table, t, side="minus"))
     neumann = np.full(len(table), table.d_bdys[0])
     res_neg = source_relation_check(g, table, t, side="plus", weights=neumann)
-    passed = res < 1e-8 and res_neg > 1e-3
+    passed = res < 1e-13 and res_neg > 1e-3
     return CriterionResult("12-source-relation", passed,
                            {"residual": res, "neumann_residual": res_neg})
 

@@ -28,8 +28,8 @@ from .core import CauchyData, Grid1D, HalfSpace, PhysicalParams, Strip
 from .evolve import (SpectralState, energy, explicit_solution, fdtd_run,
                      make_fdtd_state, reflection_cauchy_data, synthesize_state)
 from .holo import Fig2Config, HoloGrids, fig2_reproduce, holographic_dual, verify_dual
-from .modes import _ASYM_DELTA, _ASYM_M_START, _RESIDUAL_TOL, ModeTable, bracket, \
-    build_table, check_solution, table_residuals, verify_table
+from .modes import _ASYM_DELTA, _ASYM_M_START, ModeTable, build_table, check_solution, \
+    verify_table
 from .qft import TwoPointSpec, boundary_2pt_halfspace, boundary_2pt_strip, \
     halfspace_weight_normalization, tail_convergence
 
@@ -169,12 +169,14 @@ def cmd_modes(args: argparse.Namespace) -> int:
     print(f"mode table: {len(table)} entries "
           f"({'cache hit' if cached else 'computed'}) -> {path}")
 
-    lo, hi = bracket(np.arange(1, len(table)), p)
-    in_window = bool(np.all((lo < table.qs[1:]) & (table.qs[1:] < hi)))
-    res = float(np.max(table_residuals(table), initial=0.0))
-    print(f"{'PASS' if in_window else 'FAIL'}  eigenvalue windows "
-          f"(max normalized residual {res:.3e})")
-    ok = in_window and res < _RESIDUAL_TOL * max(1.0, args.S)
+    try:
+        res = check_solution(table)
+    except ValueError as exc:
+        print(f"FAIL  eigenvalue check: {exc}")
+        ok = False
+    else:
+        print(f"PASS  eigenvalue check (max normalized residual {res:.3e})")
+        ok = True
 
     if len(table) - 1 > _ASYM_M_START:
         rep = verify_table(table)

@@ -44,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .core import CauchyData, GeometryError, Grid1D, PhysicalParams, Strip
 from .modes import ModeTable, synthesize
@@ -325,6 +324,8 @@ def _gauss(u, eps):
 def _exp_tail(u, eps, c):
     """(E * G_eps)(u) with E(u) = exp(-u/c) theta(u), in log space to avoid
     overflow of exp(-u/c) at large negative u."""
+    from scipy.special import log_ndtr  # loaded on first use: scipy is slow to import
+
     u = np.asarray(u, dtype=float)
     return np.exp(eps**2 / (2 * c**2) - u / c + log_ndtr(u / eps - eps / c))
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 
 from .core import Grid1D, PhysicalParams, Strip
 from .modes import ModeTable, build_table, eval_halfspace_mode
@@ -37,6 +36,21 @@ from .qft import (SmearedCoefficients, _check_time_support, fourier_trapezoid,
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 _ENERGY_FRACTION = 0.999  # coefficient energy the automatic cutoff M retains
 _SAMPLES_PER_BUMP = 16    # omega samples across the narrowest bump
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest 11-smooth length 2^a 3^b 5^c 7^d 11^e >= n, the length
+    ``scipy.fft.next_fast_len(n)`` returns for complex input; pocketfft has
+    fast kernels for these five radices."""
+    m = max(int(n), 1)
+    while True:
+        k = m
+        for f in (2, 3, 5, 7, 11):
+            while k % f == 0:
+                k //= f
+        if k == 1:
+            return m
+        m += 1
 
 
 class BumpOverlapError(ValueError):
@@ -196,7 +210,8 @@ def _inverse_transform(ext: FreqExtension, omega_grid: np.ndarray,
     j k = (j^2 + k^2 - (j - k)^2) / 2 turns the sum into a chirp pre-multiply,
     one FFT convolution with exp(i beta r^2 / 2) and a chirp post-multiply:
     O((N_omega + N_t) log(N_omega + N_t)) time, O(N_omega + N_t) memory.
-    Both grids must be uniform (ValueError otherwise)."""
+    The convolution runs on ``numpy.fft`` at the 11-smooth length of
+    ``next_fast_len``.  Both grids must be uniform (ValueError otherwise)."""
     t_grid = np.asarray(t_grid, dtype=float)
     fhat = ext(omega_grid)
     d_omega = _uniform_step(omega_grid, "omega grid")
@@ -212,7 +227,8 @@ def _inverse_transform(ext: FreqExtension, omega_grid: np.ndarray,
     r = np.arange(-(m - 1), n, dtype=float)
     size = next_fast_len(n + m - 1)
     pre = seg * np.exp(-1j * (t_grid[0] * d_omega * k + 0.5 * beta * k * k))
-    conv = ifft(fft(pre, size) * fft(np.exp(0.5j * beta * r * r), size))[m - 1: m - 1 + n]
+    kernel = np.fft.fft(np.exp(0.5j * beta * r * r), size)
+    conv = np.fft.ifft(np.fft.fft(pre, size) * kernel)[m - 1: m - 1 + n]
     post = np.exp(-1j * (omega_grid[nz[0]] * t_grid + 0.5 * beta * j * j))
     fprime = conv * post * d_omega / _SQRT2PI
     if np.max(np.abs(fprime.imag)) < 1e-10 * max(np.max(np.abs(fprime.real)), 1e-300):
@@ -375,12 +391,15 @@ def analytic_envelope(y: np.ndarray) -> np.ndarray:
     """|y + i H[y]|, the modulus of the analytic signal of a real sequence:
     the DFT with the positive frequencies doubled and the negative ones zeroed
     (the Nyquist bin of an even length is kept once), transformed back
-    (Marple, IEEE Trans. Signal Process. 47, 1999)."""
-    Y = fft(np.asarray(y, dtype=float))
-    n = Y.size
+    (Marple, IEEE Trans. Signal Process. 47, 1999).  The non-negative bins
+    come from ``numpy.fft.rfft``, the real-input path ``scipy.fft`` takes,
+    so the result equals ``abs(scipy.signal.hilbert(y))`` bit for bit."""
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    Y = np.zeros(n, dtype=complex)
+    Y[: n // 2 + 1] = np.fft.rfft(y)
     Y[1:(n + 1) // 2] *= 2.0
-    Y[n // 2 + 1:] = 0.0
-    return np.abs(ifft(Y))
+    return np.abs(np.fft.ifft(Y))
 
 
 def local_maxima(y: np.ndarray) -> np.ndarray:

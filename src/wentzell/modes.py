@@ -205,11 +205,12 @@ def table_residuals(table: ModeTable) -> np.ndarray:
     return _residuals(ms, table.qs[1:], table.deltas[1:], p)
 
 
-def check_solution(table: ModeTable):
+def check_solution(table: ModeTable) -> float:
     """Raise ValueError unless every (q_m, delta_m) solves its eigenvalue
     condition: q_0 = 0, delta_m in its window (0, pi / 2S], q_m =
     pi (m-1) / 2S + delta_m to rounding, and the residual of
     ``table_residuals`` at most the fixed tolerance 1e-12 (``_RESIDUAL_TOL``).
+    Returns the largest residual (0 for the constant mode alone).
     ``build_table`` holds its own output to this check, and a cache loader
     can hold a file to it."""
     S = _strip_S(table.params)
@@ -229,6 +230,7 @@ def check_solution(table: ModeTable):
         worst = int(ms[np.argmax(res)])
         raise ValueError(f"residual {np.max(res):.3e} above {_RESIDUAL_TOL:g} "
                          f"at m={worst}")
+    return float(np.max(res, initial=0.0))
 
 
 def _normalize(ms, qs, deltas, S: float, c: float) -> tuple[np.ndarray, np.ndarray]:

@@ -119,6 +119,12 @@ def test_written_files_respect_the_umask(tmp_path):
     assert oct(out.stat().st_mode & 0o777) == oct(0o644)
 
 
+def test_modes_accepts_a_root_at_the_window_top(tmp_path):
+    # at c = 1e-17, arctan(1 / (c q_1)) rounds to pi / 2: delta_1 is the window
+    # top, which check_solution allows
+    assert main(["modes", "--c", "1e-17", "--max", "10", "--cache-dir", str(tmp_path)]) == 0
+
+
 def test_modes_rejects_negative_c(tmp_path):
     assert main(["modes", "--c", "-1", "--cache-dir", str(tmp_path)]) == 1
 
@@ -255,17 +261,45 @@ def test_twopoint_halfspace_unresolved_exits_2_without_csv(tmp_path, capsys):
     assert not out.with_suffix(".report.json").exists()
 
 
-def test_import_leaves_out_scipy_signal_and_integrate():
-    code = ("import sys, wentzell.cli, wentzell.acceptance; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.integrate') "
-            "if m in sys.modules))")
+def _scipy_modules_after(code: str, cwd: Path) -> list[str]:
+    """The scipy modules loaded after running ``code`` in a fresh interpreter."""
+    code += ("\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=env, cwd=cwd, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_leaves_out_scipy(tmp_path):
+    assert _scipy_modules_after("import wentzell.cli, wentzell.acceptance", tmp_path) == []
+
+
+_RUNS_WITHOUT_SCIPY = [
+    ["modes", "--max", "20"],
+    ["evolve", "--grid-n", "64", "--T", "0.5"],
+    ["evolve", "--scenario", "mode", "--grid-n", "64", "--T", "0.5"],
+    ["twopoint", "--max", "20", "--n-x0", "5"],
+    ["twopoint", "--geometry", "halfspace", "--x0-max", "1", "--n-x0", "5"],
+    ["holo"],
+]
+
+
+def test_default_commands_leave_out_scipy(tmp_path):
+    code = ("from wentzell.cli import main\n"
+            f"for args in {_RUNS_WITHOUT_SCIPY!r}:\n"
+            "    assert main(args + ['--cache-dir', 'cache']) == 0, args")
+    assert _scipy_modules_after(code, tmp_path) == []
+
+
+def test_reflection_scenario_loads_scipy_special(tmp_path):
+    code = ("from wentzell.cli import main\n"
+            "assert main(['evolve', '--scenario', 'reflection', '--grid-n', '64', "
+            "'--T', '0']) == 0")
+    assert "scipy.special" in _scipy_modules_after(code, tmp_path)
 
 
 def test_twopoint_strip(tmp_path):

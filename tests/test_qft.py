@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import k0, sici
+from scipy.special import k0, sici, zeta
 
 from wentzell.core import HalfSpace, PhysicalParams, Strip, ZeroModeError
 from wentzell.modes import build_table
-from wentzell.qft import (TwoPointResult, TwoPointSpec, boundary_2pt_halfspace,
+from wentzell.qft import (TwoPointResult, TwoPointSpec, _hurwitz_zeta, boundary_2pt_halfspace,
                           boundary_2pt_strip, boundary_smearing, causality_check,
                           commutator_boundary, fourier_trapezoid, halfspace_weight,
                           halfspace_weight_normalization, pauli_jordan_d2,
@@ -23,6 +23,14 @@ def table200():
 @pytest.fixture(scope="module")
 def table4000():
     return build_table(4000, P1)
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_hurwitz_zeta_matches_scipy(s):
+    qs = np.concatenate([np.arange(1, 2001), np.logspace(0, 6, 400)])
+    ours = np.array([_hurwitz_zeta(s, q) for q in qs])
+    ref = zeta(s, qs)
+    assert np.max(np.abs(ours - ref) / ref) <= 1e-15
 
 
 def test_spec_validation():
@@ -313,6 +321,8 @@ def test_tail_convergence_passes(table4000):
     assert rep.passed
     assert rep.is_summable
     assert 0.8 <= rep.ratio <= 1.2
+    with pytest.raises(ValueError, match="M >= 1"):
+        tail_convergence(table4000, 0)
 
 
 def test_partial_sum_stabilizes(table4000):
