@@ -19,8 +19,8 @@ from .holo import (Fig2Config, HoloGrids, fig2_reproduce, fig2_test_function,
                    holographic_dual, pairing_boundary_route, pairing_bulk_route,
                    verify_dual)
 from .modes import bracket, build_table, gram_matrix, residual_normalized, verify_table
-from .qft import (TwoPointSpec, causality_check, halfspace_weight_normalization,
-                  source_relation_check, tail_convergence)
+from .qft import (_HALFSPACE_NORM_TOL, TwoPointSpec, causality_check,
+                  halfspace_weight_normalization, source_relation_check, tail_convergence)
 
 S_C_GRID = (0.5, 1.0, 2.0)
 
@@ -227,7 +227,7 @@ def criterion_8_twopoint_diagnostics() -> CriterionResult:
     sum d_m^2 within [0.8, 1.2] of the asymptotic law at M = 100; the partial
     sums are Cauchy within the reported tail bound from M = 100 to 200."""
     norm = halfspace_weight_normalization(1.0)
-    norm_ok = abs(norm - 1.0) < 1e-13
+    norm_ok = abs(norm - 1.0) < _HALFSPACE_NORM_TOL
     p = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
     table = build_table(4000, p)
     rep = tail_convergence(table, 100)

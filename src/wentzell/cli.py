@@ -30,8 +30,8 @@ from .evolve import (SpectralState, energy, explicit_solution, fdtd_run,
 from .holo import Fig2Config, HoloGrids, fig2_reproduce, holographic_dual, verify_dual
 from .modes import _ASYM_DELTA, _ASYM_M_START, ModeTable, build_table, check_solution, \
     verify_table
-from .qft import TwoPointSpec, boundary_2pt_halfspace, boundary_2pt_strip, \
-    halfspace_weight_normalization, tail_convergence
+from .qft import _HALFSPACE_NORM_TOL, TwoPointSpec, boundary_2pt_halfspace, \
+    boundary_2pt_strip, halfspace_weight_normalization, tail_convergence
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -154,8 +154,7 @@ def load_or_build_table(p: PhysicalParams, M_max: int,
 def write_csv(path: Path, header: dict, columns: list[str], rows: np.ndarray):
     lines = [f"# {k} = {v}" for k, v in header.items()]
     lines.append(",".join(columns))
-    for row in np.atleast_2d(rows):
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines += (",".join(map(repr, r)) for r in np.atleast_2d(rows).tolist())
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -295,7 +294,8 @@ def cmd_twopoint(args: argparse.Namespace) -> int:
         vals = res.value
         report = {"weight_normalization": norm,
                   "weight_normalization_times_c": norm * args.c,
-                  "check_within_1e-8": bool(abs(norm * args.c - 1.0) < 1e-8),
+                  f"check_within_{_HALFSPACE_NORM_TOL:g}":
+                      bool(abs(norm * args.c - 1.0) < _HALFSPACE_NORM_TOL),
                   "quad_error": res.quad_error, "quad_panels": res.panels,
                   "tail_bound": res.tail_bound}
         header["q_max"] = args.q_max

@@ -20,10 +20,48 @@ interior nodes and
 
 at the endpoints.  A step is phi_next = S(phi) - phi_prev, and the Taylor
 back-step of the initial data is phi_prev = S(phi_0)/2 - dt v_0.
+``_leapfrog_op`` is the one place that applies S, to a field or to a batch
+of fields.
 
 ``fdtd_run`` is the only stepping loop.  It records the boundary trace (both
 endpoint values after every step) in the state it returns, so callers that
 follow the boundary take one call instead of stepping from Python.
+
+Blocked stepping.  The scheme propagates at a finite speed, one cell per
+step, so K steps form one fixed linear map in which each node reaches
+exactly K cells.  At nodes at least K cells from both ends only the bulk
+stencil acts, and the map is Toeplitz there; only the K nodes next to each
+boundary carry the closure.  A call of at least 8 steps therefore advances
+in blocks of K <= 32 steps (K <= (N - 1)/2 on a grid of N nodes), each block
+one precomputed map applied with BLAS: two block-Toeplitz GEMMs for the
+interior, and one small dense product that gives the K nodes at both ends
+(the closure is mirror-symmetric) and the boundary value after every step.
+Below 8 steps per block the GEMMs cost more than they save (the measured
+crossover is 7-9 steps on 257 to 8 193 nodes), and the call takes single
+steps phi_next = S(phi) - phi_prev, which also compose exactly.
+
+The blocks work in difference form, x = phi and d = phi - phi_prev, one step
+being d += (S - 2) x, x += d; ``fdtd_run`` converts from and to
+(phi, phi_prev) at its ends.  In level form, (phi, phi_prev) -> (phi_(n+K),
+phi_(n+K-1)), the map's entries grow to about K and cancel, and their
+rounding grows with them.  The d-from-x sums nearly vanish (they are the mass term), so
+the rounding of those sums, the same in every block, would add up; each
+row's sums are therefore reset to the response to the constant fields,
+stepped in extended precision (``_block_operators``).  Distance from a
+long-double run of the same scheme, relative to max|phi| (Gaussian of width
+0.1 at z = -0.6, c = mu = 1, CFL 0.5):
+
+    run                         single   level    difference blocks
+                                steps    blocks   raw      sums reset
+    1 025 nodes, 3 000 steps,   7.5e-13  1.4e-11  3.6e-13  1.1e-13
+      one call
+    8 193 nodes, 5 000 steps,   1.6e-12  1.2e-10  1.3e-10  1.5e-12
+      40-step calls
+
+The GEMM operands are zero outside the band, and a zero input gives an
+exact zero, so nodes outside the discrete light cone stay exactly 0.0.  The
+operators of the two most recent (scheme coefficients, K, block width) keys
+are cached: 0.36 MB at K = 32, built in about 5 ms (0.7 ms at K = 8).
 
 The FDTD energy is the leapfrog's own energy of the two stored levels
 a = phi_prev and b = phi, at time t - dt/2.  With v = (b - a)/dt and lumped
@@ -42,6 +80,7 @@ per-node array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,27 +168,155 @@ class FdtdState:
 
 
 def _leapfrog_stencil(h: float, dt: float, p: PhysicalParams
-                      ) -> tuple[np.ndarray, float, float]:
-    """Interior weights w, endpoint diagonal b0 and closure gain g of the
-    leapfrog operator S(phi) = 2 phi + dt^2 acc(phi)."""
+                      ) -> tuple[float, float, float, float]:
+    """Coefficients (r2, s0, b0, g) of the leapfrog operator S(phi) = 2 phi +
+    dt^2 acc(phi): interior taps [r2, s0, r2], endpoint diagonal b0 and
+    closure gain g."""
     r2 = (dt / h) ** 2
     m2 = dt**2 * p.mu**2
-    return np.array([r2, 2.0 - 2.0 * r2 - m2, r2]), 2.0 - m2, dt**2 / (2.0 * h * p.c)
+    return r2, 2.0 - 2.0 * r2 - m2, 2.0 - m2, dt**2 / (2.0 * h * p.c)
 
 
-def _leapfrog_into(cur: np.ndarray, out: np.ndarray, w: np.ndarray, b0: float,
-                   g: float) -> tuple[float, float]:
-    """Overwrite ``out`` with S(cur) - out and return its two endpoint values:
-    one convolution for the interior, scalar arithmetic for the closure."""
-    f0, f1, f2 = cur[:3].tolist()
-    l2, l1, l0 = cur[-3:].tolist()
-    lo = b0 * f0 + g * (-3.0 * f0 + 4.0 * f1 - f2) - out[0]
-    hi = b0 * l0 - g * (3.0 * l0 - 4.0 * l1 + l2) - out[-1]
-    inner = out[1:-1]
-    np.subtract(np.convolve(cur, w, "valid"), inner, out=inner)
-    out[0] = lo
-    out[-1] = hi
-    return lo, hi
+def _leapfrog_op(x: np.ndarray, shift: float, r2: float, s0: float, b0: float,
+                 g: float) -> np.ndarray:
+    """(S - shift) x along axis 0, for one field (1-D) or a batch of fields in
+    the columns of a 2-D array: one correlation with the symmetric interior
+    stencil over the fields laid end to end (it mixes neighbouring fields
+    only at their end nodes), then the closure at both ends."""
+    xt = x.T
+    taps = np.array((r2, s0 - shift, r2))
+    out = np.correlate(xt.ravel(), taps, "same").reshape(xt.shape).T
+    b = b0 - shift
+    out[0] = b * x[0] + g * (-3.0 * x[0] + 4.0 * x[1] - x[2])
+    out[-1] = b * x[-1] - g * (3.0 * x[-1] - 4.0 * x[-2] + x[-3])
+    return out
+
+
+def _step(x: np.ndarray, d: np.ndarray, coeffs: tuple) -> None:
+    """One leapfrog step in difference form, in place along axis 0:
+    d += (S - 2) x, then x += d."""
+    d += _leapfrog_op(x, 2.0, *coeffs)
+    x += d
+
+
+_MAX_BLOCK = 32   # steps per blocked update
+# Shorter blocks are slower than single steps: the measured crossover is 7-9
+# steps on 257 to 8 193 nodes (2 vCPU, OpenBLAS).
+_MIN_BLOCK = 8
+
+
+@lru_cache(maxsize=2)
+def _block_operators(coeffs: tuple, K: int, width: int
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The K-step map of the difference-form leapfrog as block-Toeplitz GEMM
+    operands (t0, t1) for blocks of ``width`` nodes, and the dense edge
+    operator of the K nodes at the -S end.
+
+    The map comes from the scheme itself: ``_step`` advances the unit vectors
+    of (x, d) on a grid of 2K + 1 nodes K times.  Row K of the result is the
+    (2K+1)-tap kernel of every row at least K cells from both ends, for x
+    from x, x from d, d from x and d from d; t0 and t1 apply it to the (x, d)
+    blocks j and j + 1 of a field padded by width/2 nodes on the left, giving
+    output block j.  The edge operator maps x and d on the first 2K + 1 nodes
+    to the boundary value after steps 1 .. K-1, then x and d on the first K
+    nodes after K steps (3K - 1 rows); the +S end is its mirror image.
+
+    A smooth field sees mostly each row's sum, and the d-from-x sums are
+    nearly zero (the mass term), so their rounding would add up block after
+    block.  Each row's sums over the x and the d inputs are therefore set,
+    through its largest entry, to the response to the constant fields
+    (x, d) = (1, 0) and (0, 1), stepped alongside in extended precision."""
+    M = 2 * K + 1
+    x = np.eye(M, 2 * M)
+    d = np.eye(M, 2 * M, M)
+    cx = np.zeros((M, 2), dtype=np.longdouble)
+    cd = cx.copy()
+    cx[:, 0] = cd[:, 1] = 1.0
+    bdy, bdy_c = [], []
+    for k in range(K):
+        if k:
+            bdy.append(x[0].copy())
+            bdy_c.append(cx[0].copy())
+        _step(x, d, coeffs)
+        _step(cx, cd, coeffs)
+    op = np.vstack(bdy + [x[:K + 1], d[:K + 1]])  # 3K + 1 rows
+    const = np.vstack(bdy_c + [cx[:K + 1], cd[:K + 1]])
+    r = np.arange(len(op))
+    for half, target in ((op[:, :M], const[:, 0]), (op[:, M:], const[:, 1])):
+        j = np.argmax(np.abs(half), axis=1)
+        half[r, j] += (target - half.sum(axis=1, dtype=np.longdouble)).astype(float)
+    interior = [2 * K - 1, 3 * K]  # row K of x and of d
+    kern = np.zeros((2, 2, 4 * width))  # [out level, in level, lag + K + 2 width]
+    kern[:, :, 2 * width:2 * width + M] = op[interior].reshape(2, 2, M)
+    s = np.arange(width)[:, None]
+    lag = s - s.T - width // 2 + K + 2 * width  # input slot s, output slot s.T
+    t0, t1 = (kern[:, :, lag + off].transpose(1, 2, 0, 3).reshape(2 * width, 2 * width)
+              for off in (0, width))
+    edge = np.delete(op, interior, axis=0)
+    for a in (t0, t1, edge):
+        a.setflags(write=False)
+    return t0, t1, edge
+
+
+def _block_plan(n_steps: int, n_nodes: int) -> list[tuple[int, int]]:
+    """(steps per block, number of blocks) pairs of an ``fdtd_run`` call, the
+    longer blocks first: as few blocks as the cap min(32, (n_nodes - 1) // 2)
+    allows, their lengths differing by at most one.  Empty (step one at a
+    time) when a block would be shorter than _MIN_BLOCK steps."""
+    k_max = min(_MAX_BLOCK, (n_nodes - 1) // 2)
+    if min(k_max, n_steps) < _MIN_BLOCK:
+        return []
+    count = -(-n_steps // k_max)
+    q, r = divmod(n_steps, count)
+    if q < _MIN_BLOCK:
+        return []
+    return [(K, c) for K, c in ((q + 1, r), (q, count - r)) if c]
+
+
+def _run_blocks(phi: np.ndarray, phi_prev: np.ndarray, coeffs: tuple,
+                plan: list[tuple[int, int]], trace: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Advance (phi, phi_prev) by the blocks of ``plan``, one GEMM update per
+    block, filling ``trace``; returns the new (phi, phi_prev).
+
+    The state is xd = (x, d) = (phi, phi - phi_prev), padded with width/2
+    zero nodes on the left and zero nodes on the right up to whole blocks of
+    ``width`` nodes.  Each update copies it into rows z[j] = (x, d) of block
+    j, applies the interior map, writes it back, and then overwrites the K
+    nodes at each end with the edge operator's result."""
+    n = phi.size
+    width = 2 * plan[0][0]
+    pad = width // 2
+    rows = -(-n // width)
+    xd = np.zeros((2, (rows + 1) * width))
+    xd[0, pad:pad + n] = phi
+    np.subtract(phi, phi_prev, out=xd[1, pad:pad + n])
+    flat = xd.reshape(-1)
+    blocks = xd.reshape(2, rows + 1, width).transpose(1, 0, 2)
+    interior = xd[:, pad:pad + rows * width].reshape(2, rows, width)
+    z = np.empty((rows + 1, 2 * width))
+    acc = np.empty((rows, 2 * width))
+    tmp = np.empty_like(acc)
+    new = acc.reshape(rows, 2, width).transpose(1, 0, 2)
+    k0 = 0
+    for K, count in plan:
+        t0, t1, edge = _block_operators(coeffs, K, width)
+        W = 2 * K + 1
+        at = pad + np.abs(np.array([0, n - 1]) - np.arange(W)[:, None])  # node m from each end
+        gather = np.concatenate([at, at + xd.shape[1]])  # x then d
+        scatter = gather[np.r_[0:K, W:W + K]]
+        for _ in range(count):
+            e = edge @ flat[gather]
+            np.copyto(z.reshape(rows + 1, 2, width), blocks)
+            np.matmul(z[:-1], t0, out=acc)
+            acc += np.matmul(z[1:], t1, out=tmp)
+            np.copyto(interior, new)
+            xd[:, pad + n:] = 0.0
+            flat[scatter] = e[K - 1:]
+            trace[k0:k0 + K] = e[:K]
+            k0 += K
+    x = xd[0, pad:pad + n].copy()
+    return x, x - xd[1, pad:pad + n]
 
 
 def make_fdtd_state(data: CauchyData, p: PhysicalParams, cfl: float = 0.5,
@@ -174,9 +341,7 @@ def make_fdtd_state(data: CauchyData, p: PhysicalParams, cfl: float = 0.5,
     v0 = np.array(data.velocity.bulk, dtype=float)
     phi0[0], phi0[-1] = data.position.boundary
     v0[0], v0[-1] = data.velocity.boundary
-    s_phi0 = np.zeros_like(phi0)
-    _leapfrog_into(phi0, s_phi0, *_leapfrog_stencil(h, dt, p))
-    phi_prev = 0.5 * s_phi0 - dt * v0
+    phi_prev = 0.5 * _leapfrog_op(phi0, 0.0, *_leapfrog_stencil(h, dt, p)) - dt * v0
     return FdtdState(grid=grid, p=p, phi=phi0, phi_prev=phi_prev, t=0.0, dt=dt)
 
 
@@ -184,20 +349,29 @@ def fdtd_run(s: FdtdState, n_steps: int) -> FdtdState:
     """Advance n_steps leapfrog steps phi_next = S(phi) - phi_prev and record
     the boundary trace of every step.
 
-    S(phi) = 2 phi + dt^2 acc(phi) is one ``np.convolve`` with the weights
-    [r2, 2 - 2 r2 - dt^2 mu^2, r2], r2 = (dt/h)^2, over the interior and the
-    one-sided closure b0 phi_0 + g (-3 phi_0 + 4 phi_1 - phi_2) (mirrored at
-    +S), b0 = 2 - dt^2 mu^2, g = dt^2 / (2 h c), at the endpoints.  Each step
-    is written into the older level's buffer."""
+    The steps go in the fewest blocks of at most min(32, (N - 1) // 2) steps
+    on N nodes, of lengths differing by at most one, each block one
+    precomputed linear map in difference form (see the module docstring).
+    The choice is made from the call's own step count and grid: when a block
+    would be shorter than 8 steps, the call takes single steps instead.  So
+    a long call agrees with the same steps taken one call at a time to
+    rounding (about 1e-14 relative), not bit for bit; calls of under 8
+    steps compose exactly.  The last trace row is the returned endpoint
+    values themselves, so ``bdy_trace[-1]`` equals ``bdy`` exactly."""
     if n_steps < 0:
         raise ValueError(f"step count must be >= 0, got n_steps={n_steps}")
-    w, b0, g = _leapfrog_stencil(s.grid.h, s.dt, s.p)
-    prev = s.phi_prev.copy()
-    cur = s.phi.copy()
+    coeffs = _leapfrog_stencil(s.grid.h, s.dt, s.p)
     trace = np.empty((n_steps, 2))
-    for k in range(n_steps):
-        trace[k] = _leapfrog_into(cur, prev, w, b0, g)
-        prev, cur = cur, prev
+    plan = _block_plan(n_steps, s.phi.size)
+    if plan:
+        cur, prev = _run_blocks(s.phi, s.phi_prev, coeffs, plan, trace)
+    else:
+        prev = s.phi_prev.copy()
+        cur = s.phi.copy()
+        for k in range(n_steps):
+            np.subtract(_leapfrog_op(cur, 0.0, *coeffs), prev, out=prev)
+            trace[k] = prev[0], prev[-1]
+            prev, cur = cur, prev
     return FdtdState(grid=s.grid, p=s.p, phi=cur, phi_prev=prev,
                      t=s.t + n_steps * s.dt, dt=s.dt, bdy_trace=trace)
 

@@ -237,8 +237,8 @@ def test_twopoint_halfspace(tmp_path):
                  "--n-x0", "5", "--out", str(out)])
     assert code == 0
     rep = json.loads(out.with_suffix(".report.json").read_text())
-    assert rep["check_within_1e-8"]
-    assert rep["weight_normalization_times_c"] == pytest.approx(1.0, abs=1e-8)
+    assert rep["check_within_1e-13"]
+    assert rep["weight_normalization_times_c"] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_twopoint_halfspace_reports_its_quadrature(tmp_path):

@@ -241,17 +241,26 @@ def test_fdtd_standing_mode_vs_spectral(table0):
     assert err < 1e-3
 
 
+def rel_diff(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
 def test_fdtd_run_boundary_trace_matches_single_steps():
+    # one 40-step call is two blocked updates, the same map as 40 single steps
+    # evaluated in another order
     grid = Grid1D.for_strip(1.0, 128)
     s0 = make_fdtd_state(gaussian_data(grid, width=0.2), P1)
     bulk = fdtd_run(s0, 40)
     assert bulk.bdy_trace.shape == (40, 2)
     s = s0
+    single = []
     for k in range(40):
         s = fdtd_run(s, 1)
         assert s.bdy_trace.shape == (1, 2)
-        assert np.array_equal(bulk.bdy_trace[k], [s.phi[0], s.phi[-1]])
-    assert np.array_equal(bulk.phi, s.phi)
+        single.append([s.phi[0], s.phi[-1]])
+    assert rel_diff(bulk.bdy_trace, np.array(single)) <= 1e-13
+    assert rel_diff(bulk.phi, s.phi) <= 1e-13
+    assert rel_diff(bulk.phi_prev, s.phi_prev) <= 1e-13
     assert bulk.t == pytest.approx(s.t)
     assert np.array_equal(bulk.bdy_trace[-1], bulk.bdy)
     assert make_fdtd_state(gaussian_data(grid), P1).bdy_trace.shape == (0, 2)
@@ -260,12 +269,54 @@ def test_fdtd_run_boundary_trace_matches_single_steps():
 def test_fdtd_run_composes():
     grid = Grid1D.for_strip(1.0, 128)
     s0 = make_fdtd_state(gaussian_data(grid, width=0.2), P1)
-    split = fdtd_run(fdtd_run(s0, 3), 4)
+    split = fdtd_run(fdtd_run(s0, 3), 4)  # single steps throughout
     whole = fdtd_run(s0, 7)
     assert np.array_equal(split.phi, whole.phi)
     assert np.array_equal(split.phi_prev, whole.phi_prev)
     assert np.array_equal(split.bdy_trace, whole.bdy_trace[3:])
     assert split.t == pytest.approx(whole.t)
+    split = fdtd_run(fdtd_run(s0, 17), 23)  # blocks of 17 and 23 against 20 + 20
+    whole = fdtd_run(s0, 40)
+    assert rel_diff(split.phi, whole.phi) <= 1e-13
+    assert rel_diff(split.phi_prev, whole.phi_prev) <= 1e-13
+    assert rel_diff(split.bdy_trace, whole.bdy_trace[17:]) <= 1e-13
+    assert np.array_equal(split.bdy_trace[-1], split.bdy)
+
+
+def long_double_leapfrog(s, n_steps):
+    """The scheme of ``reference_acceleration`` in long double: (phi, phi_prev)
+    after n_steps steps from the levels of s."""
+    h, dt = np.longdouble(s.grid.h), np.longdouble(s.dt)
+    prev, cur = s.phi_prev.astype(np.longdouble), s.phi.astype(np.longdouble)
+    for _ in range(n_steps):
+        prev, cur = cur, 2 * cur - prev + dt**2 * reference_acceleration(cur, h, s.p)
+    return cur, prev
+
+
+def test_fdtd_blocked_rounding_against_long_double():
+    # 5000 steps on 8193 nodes in 40-step calls (250 blocked updates); the
+    # pulse reaches the boundary at -S, and mu = 1 gives the d-from-x kernel
+    # its near-zero sum
+    grid = Grid1D.for_strip(1.0, 8192)
+    s = make_fdtd_state(gaussian_data(grid, width=0.1, center=-0.6), P1)
+    ref, ref_prev = long_double_leapfrog(s, 5000)
+    for _ in range(125):
+        s = fdtd_run(s, 40)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(s.phi - ref)) <= 5e-11 * scale
+    assert np.max(np.abs(s.phi_prev - ref_prev)) <= 5e-11 * scale
+
+
+def test_fdtd_blocked_call_leaves_the_outside_of_the_cone_exactly_zero():
+    grid = Grid1D.for_strip(1.0, 1024)
+    data = bump_data(grid)
+    live = np.nonzero(data.position.bulk)[0]
+    s = fdtd_run(make_fdtd_state(data, P1), 100)
+    cells = np.arange(grid.n_nodes)
+    outside = (cells < live[0] - 102) | (cells > live[-1] + 102)
+    assert outside.sum() > 500
+    assert np.all(s.phi[outside] == 0.0) and np.all(s.phi_prev[outside] == 0.0)
+    assert np.any(s.phi[~outside] != 0.0)
 
 
 def test_energy_in_region_whole_strip_equals_total():
