@@ -30,8 +30,7 @@ import numpy as np
 
 from .core import Grid1D, PhysicalParams, Strip
 from .modes import ModeTable, build_table, eval_halfspace_mode
-from .qft import (SmearedCoefficients, _check_time_support, fourier_trapezoid,
-                  smeared_coeffs)
+from .qft import SmearedCoefficients, _time_support, fourier_trapezoid, smeared_coeffs
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 _ENERGY_FRACTION = 0.999  # coefficient energy the automatic cutoff M retains
@@ -245,9 +244,13 @@ def holographic_dual(f, p: PhysicalParams, table: ModeTable, M: int | None = Non
     ``default_chi``, and inverse transforms to f'(t), sampling the frequency
     axis 16 times across the narrowest bump.  The cutoff M defaults to the
     smallest value retaining 99.9% of the coefficient energy; a warning is
-    attached if the requested M falls short of that."""
+    attached if the requested M falls short of that.  An M beyond the table's
+    last mode raises ValueError."""
     if not isinstance(p.geometry, Strip):
         raise ValueError("the strip map needs a mode table; see halfspace_dual")
+    if M is not None and M > len(table) - 1:
+        raise ValueError(f"cutoff M={M} exceeds the table's last mode "
+                         f"m={len(table) - 1}")
     if grids is None:
         grids = HoloGrids.default(p.geometry.S)
     t = grids.time_grid
@@ -349,17 +352,44 @@ def verify_dual(image: HoloImage, table: ModeTable) -> DualReport:
 # ---------------------------------------------------------------------------
 # reference bulk observable and burst detection
 
+def _support_box(mask: np.ndarray, shape: tuple) -> list[slice] | None:
+    """Per-axis index ranges, in the broadcast ``shape``, of the True entries
+    of ``mask`` broadcast to it; None when no entry is True."""
+    mask = mask.reshape((1,) * (len(shape) - mask.ndim) + mask.shape)
+    box = []
+    for axis, n in enumerate(shape):
+        others = tuple(a for a in range(mask.ndim) if a != axis)
+        hit = np.flatnonzero(mask.any(axis=others))
+        if hit.size == 0:
+            return None
+        box.append(slice(0, n) if mask.shape[axis] == 1 else slice(hit[0], hit[-1] + 1))
+    return box
+
+
 def fig2_test_function(t, x) -> np.ndarray:
     """Smooth bump exp(-1/(t+1/2)) exp(-1/(1/2-t)) exp(-1/(x+1/2))
-    exp(-1/(1/2-x)) on (-1/2, 1/2)^2, zero outside; value e^-8 at the origin."""
+    exp(-1/(1/2-x)) on (-1/2, 1/2)^2, zero outside; value e^-8 at the origin.
+
+    ``t`` and ``x`` broadcast against each other.  The support test and the
+    exponent are evaluated elementwise only inside the box of broadcast
+    indices where both |t| < 1/2 and |x| < 1/2 can hold, so a space-time grid
+    t[:, None], x[None, :] costs the size of the support's box, not of the
+    grid; the values equal the elementwise formula bit for bit."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    tb, xb = np.broadcast_arrays(t, x)
-    out = np.zeros(tb.shape)
+    shape = np.broadcast_shapes(t.shape, x.shape)
+    out = np.zeros(shape)
+    box_t = _support_box(np.abs(t) < 0.5, shape)
+    box_x = _support_box(np.abs(x) < 0.5, shape)
+    if box_t is None or box_x is None:
+        return out
+    box = tuple(slice(max(a.start, b.start), min(a.stop, b.stop))
+                for a, b in zip(box_t, box_x)) + (Ellipsis,)
+    tb, xb = (arr[box] for arr in np.broadcast_arrays(t, x))
     inside = (np.abs(tb) < 0.5) & (np.abs(xb) < 0.5)
     ti, xi = tb[inside], xb[inside]
-    out[inside] = np.exp(-1.0 / (ti + 0.5) - 1.0 / (0.5 - ti)
-                         - 1.0 / (xi + 0.5) - 1.0 / (0.5 - xi))
+    out[box][inside] = np.exp(-1.0 / (ti + 0.5) - 1.0 / (0.5 - ti)
+                              - 1.0 / (xi + 0.5) - 1.0 / (0.5 - xi))
     return out
 
 
@@ -511,21 +541,24 @@ def halfspace_dual(f, p: PhysicalParams, q_grid: np.ndarray,
         fhat'(omega) = sqrt(pi (c^2 q^2 + 1) / 2) * fhat^(sgn omega)(q),
         q = sqrt(omega^2 - mu^2),  |omega| > mu,  zero inside the gap.
 
-    f' on ``t_out`` integrates fhat'(omega) e^(-i omega t) over omega on each
-    branch, a trapezoid over the non-uniform samples omega(q).  ``time_grid``
-    must cover the support of f in time (ValueError otherwise)."""
+    The coefficients are smeared as in ``smeared_coeffs``: the real mode
+    projection on the support span of f in time, one ``fourier_trapezoid``
+    and fhat^- = conj(fhat^+).  f' on ``t_out`` integrates fhat'(omega)
+    e^(-i omega t) over omega on each branch, a trapezoid over the non-uniform
+    samples omega(q).  ``time_grid`` must cover the support of f in time
+    (ValueError otherwise)."""
     if p.mu <= 0:
         raise ValueError("the half-space map requires mu > 0")
     q_grid = np.asarray(q_grid, dtype=float)
     time_grid = np.asarray(time_grid, dtype=float)
     z = grid.nodes
     samples = np.asarray(f(time_grid[:, None], z[None, :]), dtype=float)
-    _check_time_support(samples, "the bulk test function")
+    rows = _time_support(samples, "the bulk test function")
     V = eval_halfspace_mode(q_grid[None, :], z[:, None], p)
-    A = (samples * grid.quad_weights()) @ V
+    A = samples[rows] @ (grid.quad_weights()[:, None] * V)
     omegas = np.sqrt(q_grid**2 + p.mu**2)
-    fhat_p = fourier_trapezoid(A, time_grid, omegas)
-    fhat_m = fourier_trapezoid(A, time_grid, -omegas)
+    fhat_p = fourier_trapezoid(A, time_grid[rows], omegas)
+    fhat_m = np.conj(fhat_p)
     pref = np.sqrt(np.pi * (p.c**2 * q_grid**2 + 1.0) / 2.0)
     fhat_pos = pref * fhat_p
     fhat_neg = pref * fhat_m

@@ -10,6 +10,18 @@ The half-space integrals over q are composite Gauss-Legendre rules in numpy:
 the two-point function after the substitution q = mu sinh s, evaluated for
 all times as one matrix product with a two-resolution error estimate, and the
 weight normalization after q = sinh(s) / c.  No adaptive quadrature is used.
+
+Every time-Fourier integral is ``fourier_trapezoid``: trapezoid weights of the
+(possibly non-uniform) time grid against cos(t k) and sin(t k) of one phase
+matrix, in real arithmetic; complex values are split into their real and
+imaginary parts.  The smeared coefficients sum only over the support span of
+the test function: the contiguous time rows holding every non-zero sample,
+padded by one zero row on each side where the grid has one, over which the
+trapezoid sum equals the full-grid sum up to summation order.  The same pass
+over the rows checks that the grid covers the support (the end rows are at
+most 1e-10 of the peak).  The mode projection of real test functions is a
+real (n_span, M+1) array, and for real input fhat^-_m = conj(fhat^+_m)
+exactly, so only fhat^+ is transformed.
 """
 
 from __future__ import annotations
@@ -366,8 +378,26 @@ def tail_convergence(table: ModeTable, M: int, weights: np.ndarray | None = None
 def fourier_trapezoid(values, x, k) -> np.ndarray:
     """(2 pi)^(-1/2) int dx values(x) e^(i k x) by the trapezoid rule along axis 0
     over the grid ``x``, which may be non-uniform.  ``values`` is (n_x, n_k),
-    column j paired with k_j, or (n_x, 1), one function against every k."""
-    return np.trapezoid(values * np.exp(1j * np.outer(x, k)), x, axis=0) / _SQRT2PI
+    column j paired with k_j, or (n_x, 1), one function against every k.
+
+    The sum is sum_i w_i v_i cos(x_i k) + i sum_i w_i v_i sin(x_i k) with the
+    trapezoid weights w_i = (x_(i+1) - x_(i-1)) / 2 (half steps at the ends),
+    cos and sin taken from one phase matrix; a complex ``values`` enters as its
+    real and imaginary parts."""
+    x = np.asarray(x, dtype=float)
+    values = np.asarray(values)
+    half = np.diff(x) / 2.0
+    w = np.zeros(x.size)
+    w[1:] += half
+    w[:-1] += half
+    phase = np.outer(x, k)
+    cos, sin = np.cos(phase), np.sin(phase)
+    v = w[:, None] * values.real
+    out = np.sum(v * cos, axis=0) + 1j * np.sum(v * sin, axis=0)
+    if np.iscomplexobj(values):
+        v = w[:, None] * values.imag
+        out += -np.sum(v * sin, axis=0) + 1j * np.sum(v * cos, axis=0)
+    return out / _SQRT2PI
 
 
 @dataclass
@@ -385,13 +415,24 @@ class SmearedCoefficients:
         return np.abs(self.f_plus) ** 2 + np.abs(self.f_minus) ** 2
 
 
-def _check_time_support(values: np.ndarray, what: str):
-    peak = float(np.max(np.abs(values)))
-    if peak == 0.0:
-        return
-    edge = max(float(np.max(np.abs(values[0]))), float(np.max(np.abs(values[-1]))))
-    if edge > 1e-10 * peak:
+def _time_support(values: np.ndarray, what: str) -> slice:
+    """Rows of the real samples ``values`` (n_t, ...) that a trapezoid in time
+    must sum: the contiguous span holding every non-zero row, padded by one
+    zero row on each side where the grid has one, so that the sum over the
+    span equals the sum over the grid.  An all-zero input gives the empty span
+    slice(n_t, 0).  Raises ValueError for complex samples and when the first
+    or last row exceeds 1e-10 of the peak: the grid then does not cover the
+    support."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{what} must be real")
+    rows = values.reshape(values.shape[0], -1)
+    peaks = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+    nonzero = np.flatnonzero(peaks)
+    if nonzero.size == 0:
+        return slice(rows.shape[0], 0)
+    if max(peaks[0], peaks[-1]) > 1e-10 * peaks.max():
         raise ValueError(f"time grid does not cover the support of {what}")
+    return slice(max(nonzero[0] - 1, 0), min(nonzero[-1] + 2, rows.shape[0]))
 
 
 def smeared_coeffs(f_bulk: np.ndarray | None, f_bdy: np.ndarray | None,
@@ -400,12 +441,16 @@ def smeared_coeffs(f_bulk: np.ndarray | None, f_bdy: np.ndarray | None,
     """fhat^+-_m = (2 pi)^(-1/2) int dt <Phi_m, (f(t), f|(t))> e^(+-i w_m t).
 
     ``f_bulk`` is (n_t, n_nodes) on ``grid``; ``f_bdy`` is (n_t, 2) with the
-    component at -S first.  The time integral is a trapezoid over the support.
+    component at -S first.  Both are real (ValueError otherwise) and must
+    vanish at the ends of ``time_grid``.  The projection on the modes is
+    formed as a real array on the union of their support spans only, and the
+    time integral is ``fourier_trapezoid`` over that span; fhat^- is the
+    complex conjugate of fhat^+.  All-zero samples give zero coefficients.
     """
     p = table.params
     time_grid = np.asarray(time_grid, dtype=float)
     n_t = time_grid.shape[0]
-    A = np.zeros((n_t, len(table)), dtype=complex)
+    lo, hi = n_t, 0
     if f_bulk is not None:
         f_bulk = np.asarray(f_bulk)
         if grid is None:
@@ -413,19 +458,24 @@ def smeared_coeffs(f_bulk: np.ndarray | None, f_bdy: np.ndarray | None,
         if f_bulk.shape != (n_t, grid.n_nodes):
             raise ValueError(f"bulk samples have shape {f_bulk.shape}, "
                              f"expected ({n_t}, {grid.n_nodes})")
-        _check_time_support(f_bulk, "the bulk test function")
-        V = mode_matrix(table, grid)
-        A += (f_bulk * grid.quad_weights()) @ V
+        span = _time_support(f_bulk, "the bulk test function")
+        lo, hi = min(lo, span.start), max(hi, span.stop)
     if f_bdy is not None:
         f_bdy = np.asarray(f_bdy)
         if f_bdy.shape != (n_t, 2):
             raise ValueError(f"boundary samples have shape {f_bdy.shape}, "
                              f"expected ({n_t}, 2)")
-        _check_time_support(f_bdy, "the boundary test function")
-        A += p.c * (f_bdy @ table.boundary_values().T)
-    omegas = table.omegas()
-    return SmearedCoefficients(f_plus=fourier_trapezoid(A, time_grid, omegas),
-                               f_minus=fourier_trapezoid(A, time_grid, -omegas))
+        span = _time_support(f_bdy, "the boundary test function")
+        lo, hi = min(lo, span.start), max(hi, span.stop)
+    t = time_grid[lo:hi]
+    A = np.zeros((t.size, len(table)))
+    if f_bulk is not None:
+        V = mode_matrix(table, grid)
+        A += f_bulk[lo:hi] @ (grid.quad_weights()[:, None] * V)
+    if f_bdy is not None:
+        A += p.c * (f_bdy[lo:hi] @ table.boundary_values().T)
+    f_plus = fourier_trapezoid(A, t, table.omegas())
+    return SmearedCoefficients(f_plus=f_plus, f_minus=np.conj(f_plus))
 
 
 def boundary_smearing(g: np.ndarray, table: ModeTable, side: str = "plus") -> np.ndarray:
@@ -448,13 +498,14 @@ def source_relation_check(g: np.ndarray, table: ModeTable, time_grid: np.ndarray
 
     which is the boundary wave equation with the bulk normal derivative as
     source.  Returns the max residual normalized by the largest term;
-    ``weights`` overrides the mode boundary values (negative control)."""
+    ``weights`` overrides the mode boundary values (negative control).  For
+    the real g, ghat^- = conj(ghat^+)."""
     p = table.params
     S = p.geometry.S
     g = np.asarray(g, dtype=float)
     omegas = table.omegas()
     ghat_p = fourier_trapezoid(g[:, None], time_grid, omegas)
-    ghat_m = fourier_trapezoid(g[:, None], time_grid, -omegas)
+    ghat_m = np.conj(ghat_p)
     col = 1 if side == "plus" else 0
     bvals = table.boundary_values()[:, col] if weights is None else np.asarray(weights)
     z_b = S if side == "plus" else -S

@@ -329,6 +329,15 @@ def test_holo_requires_mass_without_fig2(tmp_path):
     assert main(["holo", "--mu", "0", "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("extra", [[], ["--fig2"]])
+def test_holo_rejects_cutoff_beyond_table(tmp_path, capsys, extra):
+    # holo builds 48 modes, holo --fig2 64: neither can honour --max 100
+    out = tmp_path / "img"
+    assert main(["holo", "--max", "100", "--out", str(out)] + extra) == 1
+    assert "cutoff M=100 exceeds" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.slow
 def test_holo_fig2(tmp_path):
     out = tmp_path / "fig2"

@@ -219,6 +219,13 @@ def test_dual_energy_warning(table, grids):
     assert img.warnings
 
 
+def test_dual_rejects_cutoff_beyond_table(table, grids):
+    # a 41-mode table ends at m = 40: M = 41 would silently use modes up to 40
+    holographic_dual(gauss_f, P1, table, M=40, grids=grids)
+    with pytest.raises(ValueError, match="exceeds the table's last mode m=40"):
+        holographic_dual(gauss_f, P1, table, M=41, grids=grids)
+
+
 def test_single_mode_packet(table):
     """A single-mode excitation produces one modulated burst whose carrier is
     the mode frequency; the pipeline matches a dense-grid inverse transform."""
@@ -299,6 +306,42 @@ def test_fig2_function_values():
     t = np.linspace(-0.49, 0.49, 99)
     vals = fig2_test_function(t, 0.0)
     assert np.argmax(vals) == 49
+
+
+def _fig2_elementwise(t, x):
+    """The bump over the whole broadcast grid: a mask of the support and the
+    exponent at every point in it."""
+    tb, xb = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    out = np.zeros(tb.shape)
+    inside = (np.abs(tb) < 0.5) & (np.abs(xb) < 0.5)
+    ti, xi = tb[inside], xb[inside]
+    out[inside] = np.exp(-1.0 / (ti + 0.5) - 1.0 / (0.5 - ti)
+                         - 1.0 / (xi + 0.5) - 1.0 / (0.5 - xi))
+    return out
+
+
+@pytest.mark.parametrize("t, x", [
+    # random points, some outside the support
+    tuple(np.random.default_rng(7).uniform(-0.7, 0.7, (2, 500))),
+    # a space-time grid as the smearing samples it
+    (np.linspace(-2.0, 2.0, 257)[:, None], np.linspace(-1.0, 1.0, 129)[None, :]),
+    (np.linspace(-0.8, 0.8, 97)[None, :], np.linspace(-0.6, 0.6, 33)[:, None]),
+    # scalars and 0-d arrays, inside and outside
+    (0.1, -0.2), (0.6, 0.0), (np.array(0.1), np.array(-0.3)), (np.array(0.0), 0.7),
+    # the edges t, x = +-1/2 exactly
+    (np.array([-0.5, -0.25, 0.0, 0.25, 0.5])[:, None],
+     np.array([-0.5, -0.25, 0.0, 0.25, 0.5])[None, :]),
+    # grids entirely outside the support
+    (np.linspace(1.0, 3.0, 17)[:, None], np.linspace(-0.3, 0.3, 7)[None, :]),
+    (np.linspace(-0.3, 0.3, 7)[:, None], np.linspace(0.5, 1.0, 9)[None, :]),
+    # a 3-d broadcast
+    (np.linspace(-0.6, 0.6, 9)[:, None, None], np.linspace(-0.6, 0.6, 12).reshape(1, 3, 4)),
+])
+def test_fig2_function_bitwise_elementwise(t, x):
+    got = fig2_test_function(t, x)
+    want = _fig2_elementwise(t, x)
+    assert np.array_equal(got, want)
+    assert got.dtype == want.dtype
 
 
 @pytest.mark.slow

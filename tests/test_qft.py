@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.special import k0, sici, zeta
 
 from wentzell.core import HalfSpace, PhysicalParams, Strip, ZeroModeError
-from wentzell.modes import build_table
+from wentzell.modes import build_table, mode_matrix
 from wentzell.qft import (TwoPointResult, TwoPointSpec, _hurwitz_zeta, boundary_2pt_halfspace,
                           boundary_2pt_strip, boundary_smearing, causality_check,
                           commutator_boundary, fourier_trapezoid, halfspace_weight,
@@ -368,12 +368,77 @@ def test_fourier_trapezoid_gaussian(grid):
                          - sigma * np.exp(-(sigma * k) ** 2 / 2.0))) < 1e-6
 
 
+def _fourier_reference(values, x, k):
+    """The quadrature as one complex trapezoid over the whole grid."""
+    return np.trapezoid(values * np.exp(1j * np.outer(x, k)), x, axis=0) / np.sqrt(2 * np.pi)
+
+
+@pytest.mark.parametrize("grid", ["uniform", "sinh"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_fourier_trapezoid_matches_complex_trapezoid(grid, kind):
+    u = np.linspace(-1.0, 1.0, 801)
+    t = 6.0 * u if grid == "uniform" else 6.0 * np.sinh(2.0 * u) / np.sinh(2.0)
+    k = np.linspace(-7.0, 5.0, 29)
+    rng = np.random.default_rng(3)
+    env = np.exp(-(t[:, None] ** 2) / rng.uniform(0.5, 4.0, k.size))
+    cols = env * np.cos(rng.uniform(0.0, 3.0, k.size) * t[:, None] + 0.4)
+    if kind == "complex":
+        cols = cols + 1j * env * np.sin(1.3 * t[:, None] - 0.2)
+    for values in (cols, cols[:, :1]):
+        ref = _fourier_reference(values, t, k)
+        got = fourier_trapezoid(values, t, k)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _smeared_reference(f_bulk, f_bdy, table, t, grid):
+    """Coefficients from the complex projection on every time row and one
+    complex trapezoid per sign of the frequency."""
+    A = np.zeros((t.size, len(table)), dtype=complex)
+    if f_bulk is not None:
+        A += (f_bulk * grid.quad_weights()) @ mode_matrix(table, grid)
+    if f_bdy is not None:
+        A += table.params.c * (f_bdy @ table.boundary_values().T)
+    w = table.omegas()
+    return _fourier_reference(A, t, w), _fourier_reference(A, t, -w)
+
+
+@pytest.mark.parametrize("support", ["compact", "full"])
+def test_smeared_coeffs_matches_untrimmed_reference(table20, support):
+    from wentzell.core import Grid1D
+    from wentzell.holo import fig2_test_function
+    grid = Grid1D.for_strip(1.0, 256)
+    t = np.linspace(-3.0, 3.0, 769)
+    z = grid.nodes
+    if support == "compact":  # the fig2 bump: 127 of 769 rows are non-zero
+        f_bulk = fig2_test_function(t[:, None], z[None, :])
+        f_bdy = np.column_stack([fig2_test_function(t - 0.7, 0.1),
+                                 fig2_test_function(t + 0.4, -0.2)])
+    else:
+        f_bulk = np.exp(-t[:, None] ** 2 / 0.3) * np.cos(2.0 * z[None, :] + 0.3)
+        f_bdy = np.column_stack([np.exp(-(t - 0.2) ** 2 / 0.3), np.exp(-t ** 2 / 0.2)])
+    for bulk, bdy in ((f_bulk, None), (None, f_bdy), (f_bulk, f_bdy)):
+        co = smeared_coeffs(bulk, bdy, table20, t, grid)
+        ref_p, ref_m = _smeared_reference(bulk, bdy, table20, t, grid)
+        scale = np.max(np.abs(ref_p))
+        assert np.max(np.abs(co.f_plus - ref_p)) <= 1e-13 * scale
+        assert np.max(np.abs(co.f_minus - ref_m)) <= 1e-13 * scale
+
+
+def test_smeared_zero_samples_give_zero_coefficients(table20, tgrid):
+    from wentzell.core import Grid1D
+    grid = Grid1D.for_strip(1.0, 64)
+    co = smeared_coeffs(np.zeros((tgrid.size, grid.n_nodes)), np.zeros((tgrid.size, 2)),
+                        table20, tgrid, grid)
+    assert co.f_plus.shape == co.f_minus.shape == (len(table20),)
+    assert not np.any(co.f_plus) and not np.any(co.f_minus)
+
+
 def test_smeared_reality(table20, tgrid):
     g = np.exp(-(tgrid**2) / 2.0)
     f_bdy = np.zeros((tgrid.size, 2))
     f_bdy[:, 1] = g
     co = smeared_coeffs(None, f_bdy, table20, tgrid)
-    assert np.max(np.abs(co.f_minus - np.conj(co.f_plus))) < 1e-12
+    assert np.array_equal(co.f_minus, np.conj(co.f_plus))
 
 
 def test_smeared_resonant_mode_dominates(table20, tgrid):
@@ -392,6 +457,26 @@ def test_smeared_support_error(table20):
     f_bdy[:, 1] = g
     with pytest.raises(ValueError, match="support"):
         smeared_coeffs(None, f_bdy, table20, t)
+
+
+def test_smeared_bulk_support_error(table20):
+    from wentzell.core import Grid1D
+    grid = Grid1D.for_strip(1.0, 64)
+    t = np.linspace(-4.0, 4.0, 401)
+    f_bulk = np.exp(-((t[:, None] - 3.5) ** 2) / 0.1) * np.cos(grid.nodes[None, :])
+    f_bulk[:-1] = 0.0  # non-zero in the last time row only
+    with pytest.raises(ValueError, match="support of the bulk test function"):
+        smeared_coeffs(f_bulk, None, table20, t, grid)
+    # one row earlier, the span ends at the grid's last row and passes
+    co = smeared_coeffs(np.roll(f_bulk, -1, axis=0), None, table20, t, grid)
+    assert np.all(np.isfinite(co.f_plus)) and np.any(co.f_plus)
+
+
+def test_smeared_rejects_complex_samples(table20, tgrid):
+    f_bdy = np.zeros((tgrid.size, 2), dtype=complex)
+    f_bdy[:, 1] = np.exp(-(tgrid**2) / 2.0) * (1.0 + 0.5j)
+    with pytest.raises(ValueError, match="must be real"):
+        smeared_coeffs(None, f_bdy, table20, tgrid)
 
 
 def test_trace_relation_two_routes(table20, tgrid):
