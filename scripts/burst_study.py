@@ -28,7 +28,7 @@ def main():
     cfg = Fig2Config(t_span=args.t_span, burst_threshold=args.threshold)
     image, burst = fig2_reproduce(cfg)
     write_csv(Path(args.out), image.metadata, ["t", "fprime"],
-              np.column_stack([image.t_grid, np.asarray(image.fprime).real]))
+              np.column_stack([image.t_grid, image.fprime]))
     print(f"f'(t) -> {args.out}")
     print(f"{'arrival':>9}  {'peak at':>9}  {'height':>10}")
     for c, pt, h in zip(burst.centers, burst.peak_times, burst.heights):

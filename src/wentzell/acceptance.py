@@ -18,7 +18,7 @@ from .evolve import (SpectralState, causality_probe, energy, energy_in_region,
 from .holo import (Fig2Config, HoloGrids, fig2_reproduce, fig2_test_function,
                    holographic_dual, pairing_boundary_route, pairing_bulk_route,
                    verify_dual)
-from .modes import bracket, build_table, gram_matrix, residual_normalized, verify_table
+from .modes import bracket, build_table, gram_matrix, verify_table
 from .qft import (_HALFSPACE_NORM_TOL, TwoPointSpec, causality_check,
                   halfspace_weight_normalization, source_relation_check, tail_convergence)
 
@@ -38,20 +38,20 @@ class CriterionResult:
 
 
 def criterion_1_eigenvalue_brackets() -> CriterionResult:
-    """q_m strictly inside its window, normalized residual < 1e-12 (S=1 units),
-    for (S, c) in {0.5, 1, 2}^2 and m <= 200."""
+    """q_m strictly inside its window and the table's normalized eigenvalue
+    residual (``ModeTable.residuals``) < 1e-12, for (S, c) in {0.5, 1, 2}^2
+    and m <= 200."""
     worst_res = 0.0
     all_inside = True
     ms = np.arange(1, 201)
     for S in S_C_GRID:
         for c in S_C_GRID:
             p = PhysicalParams(c=c, geometry=Strip(S))
-            q = build_table(200, p).qs[1:]
+            table = build_table(200, p)
+            q = table.qs[1:]
             lo, hi = bracket(ms, p)
             all_inside &= bool(np.all((lo < q) & (q < hi)))
-            p1 = PhysicalParams(c=c / S, geometry=Strip(1.0))  # S = 1 units
-            res = residual_normalized(q * S, p1, ms % 2 == 0)
-            worst_res = max(worst_res, float(np.max(res)))
+            worst_res = max(worst_res, float(np.max(table.residuals)))
     passed = all_inside and worst_res < 1e-12
     return CriterionResult("1-eigenvalue-brackets", passed,
                            {"worst_residual": worst_res, "all_inside": all_inside})

@@ -8,6 +8,13 @@ boundary field to the same operator as the bulk smearing.  The bump profile
 chi is a convention (the construction does not fix it) and is recorded in the
 image metadata.
 
+The field is real, so for a real bulk smearing fhat^-_m = conj fhat^+_m, and
+the boundary image is Hermitian: fhat'(-omega) = conj fhat'(omega).  The map
+therefore stores and interpolates only the coefficients at +omega_m; the
+negative frequencies are conjugates computed on demand, and the inverse
+transform of a Hermitian fhat' on a symmetric omega grid is real, so f' is
+returned as a real array.
+
 The last step, fhat' -> f', is the trapezoid sum over a uniform omega grid
 evaluated on a uniform time grid.  It is computed as a chirp-z transform by
 Bluestein's convolution (Bluestein 1968; Rabiner, Schafer & Rader 1969): the
@@ -94,15 +101,18 @@ def choose_a(table: ModeTable, M: int) -> float:
 
 @dataclass
 class FreqExtension:
-    """Evaluator for fhat'(omega) = sum_m sum_s theta(s omega)
-    chi(a (omega^2 - omega_m^2)) coeff^s_m, with pairwise disjoint bumps and
-    chi = ``default_chi``."""
+    """Evaluator for the Hermitian extension
+
+        fhat'(omega) = sum_m chi(a (omega^2 - omega_m^2)) coeffs_m,  omega > 0,
+        fhat'(omega) = conj fhat'(-omega),                          omega <= 0,
+
+    with pairwise disjoint bumps and chi = ``default_chi``; ``coeffs`` holds
+    fhat'(+omega_m) only."""
 
     a: float
     modes: np.ndarray       # included mode indices
     omegas: np.ndarray      # their frequencies
-    coeff_plus: np.ndarray
-    coeff_minus: np.ndarray
+    coeffs: np.ndarray      # fhat'(+omega_m)
 
     def __post_init__(self):
         w2 = self.omegas**2
@@ -119,35 +129,28 @@ class FreqExtension:
                 f"gap {gaps[i]:.4g} <= 1/a = {2 * half:.4g}")
 
     def __call__(self, omega) -> np.ndarray:
+        """fhat' at every omega of a scalar or an array.  The bumps are
+        disjoint, so the only one that can hold omega^2 is the nearest centre
+        omega_m^2, found by bisection on the midpoints between centres."""
         omega = np.asarray(omega, dtype=float)
         scalar = omega.ndim == 0
         omega = np.atleast_1d(omega)
         out = np.zeros(omega.shape, dtype=complex)
         w2 = omega**2
-        for wm, cp, cm in zip(self.omegas, self.coeff_plus, self.coeff_minus):
-            u = self.a * (w2 - wm**2)
-            mask = np.abs(u) < 0.5
-            if not np.any(mask):
-                continue
-            val = default_chi(u[mask])
-            pos = omega[mask] > 0.0
-            out[mask] += np.where(pos, val * cp, val * cm)
+        centres = self.omegas**2
+        near = np.searchsorted((centres[:-1] + centres[1:]) / 2.0, w2)
+        u = self.a * (w2 - centres[near])
+        mask = np.abs(u) < 0.5
+        coeff = self.coeffs[near[mask]]
+        out[mask] += default_chi(u[mask]) * np.where(omega[mask] > 0.0, coeff,
+                                                     np.conj(coeff))
         return out[0] if scalar else out
 
-    def bump_width(self, omega_m: float) -> float:
-        """Support width of the bump at omega_m along the omega axis."""
+    def bump_width(self, omega_m) -> np.ndarray:
+        """Support width of the bump at each omega_m along the omega axis."""
         half = 1.0 / (2.0 * self.a)
-        return float(np.sqrt(omega_m**2 + half) - np.sqrt(max(omega_m**2 - half, 0.0)))
-
-
-def extend_to_schwartz(coeffs: SmearedCoefficients, table: ModeTable, a: float,
-                       modes: np.ndarray) -> FreqExtension:
-    """Interpolating extension with fhat'(+-omega_m) = coeffs^+-_m exactly at
-    the given mode indices."""
-    omegas = table.omegas()[modes]
-    return FreqExtension(a=a, modes=np.asarray(modes), omegas=omegas,
-                         coeff_plus=np.asarray(coeffs.f_plus)[modes],
-                         coeff_minus=np.asarray(coeffs.f_minus)[modes])
+        w2 = np.asarray(omega_m, dtype=float) ** 2
+        return np.sqrt(w2 + half) - np.sqrt(np.maximum(w2 - half, 0.0))
 
 
 @dataclass
@@ -210,7 +213,10 @@ def _inverse_transform(ext: FreqExtension, omega_grid: np.ndarray,
     one FFT convolution with exp(i beta r^2 / 2) and a chirp post-multiply:
     O((N_omega + N_t) log(N_omega + N_t)) time, O(N_omega + N_t) memory.
     The convolution runs on ``numpy.fft`` at the 11-smooth length of
-    ``next_fast_len``.  Both grids must be uniform (ValueError otherwise)."""
+    ``next_fast_len``.  Both grids must be uniform (ValueError otherwise).
+    ``ext`` is Hermitian and the grids of ``holographic_dual`` are symmetric
+    about omega = 0, so f' is real: its real part is returned (float64), and
+    the imaginary part, rounding noise, is dropped."""
     t_grid = np.asarray(t_grid, dtype=float)
     fhat = ext(omega_grid)
     d_omega = _uniform_step(omega_grid, "omega grid")
@@ -229,10 +235,7 @@ def _inverse_transform(ext: FreqExtension, omega_grid: np.ndarray,
     kernel = np.fft.fft(np.exp(0.5j * beta * r * r), size)
     conv = np.fft.ifft(np.fft.fft(pre, size) * kernel)[m - 1: m - 1 + n]
     post = np.exp(-1j * (omega_grid[nz[0]] * t_grid + 0.5 * beta * j * j))
-    fprime = conv * post * d_omega / _SQRT2PI
-    if np.max(np.abs(fprime.imag)) < 1e-10 * max(np.max(np.abs(fprime.real)), 1e-300):
-        fprime = fprime.real
-    return fhat, fprime
+    return fhat, (conv * post * d_omega / _SQRT2PI).real
 
 
 def holographic_dual(f, p: PhysicalParams, table: ModeTable, M: int | None = None,
@@ -271,18 +274,11 @@ def holographic_dual(f, p: PhysicalParams, table: ModeTable, M: int | None = Non
             f"coefficient energy (needs M={M_auto})")
 
     modes = included_modes(table, M)
-    d = table.d_bdys[modes]
-    hcoeffs = SmearedCoefficients(
-        f_plus=np.zeros(len(table), dtype=complex),
-        f_minus=np.zeros(len(table), dtype=complex))
-    hcoeffs.f_plus[modes] = coeffs.f_plus[modes] / d
-    hcoeffs.f_minus[modes] = coeffs.f_minus[modes] / d
-
     a = choose_a(table, M)
-    ext = extend_to_schwartz(hcoeffs, table, a, modes=modes)
+    ext = FreqExtension(a, modes, table.omegas()[modes],
+                        coeffs.f_plus[modes] / table.d_bdys[modes])
 
-    widths = np.array([ext.bump_width(w) for w in ext.omegas])
-    d_omega = float(np.min(widths)) / _SAMPLES_PER_BUMP
+    d_omega = float(np.min(ext.bump_width(ext.omegas))) / _SAMPLES_PER_BUMP
     omega_max = float(np.sqrt(ext.omegas[-1] ** 2 + 1.0 / (2 * a))) + 2 * d_omega
     n_half = int(np.ceil(omega_max / d_omega))
     omega_grid = np.arange(-n_half, n_half + 1) * d_omega
@@ -331,19 +327,16 @@ def pairing_boundary_route(extF: FreqExtension, extG: FreqExtension,
 
 
 def verify_dual(image: HoloImage, table: ModeTable) -> DualReport:
-    """Max interpolation residual |fhat'(+-w_m) d_m - fhat^+-_m| (normalized)
+    """Max interpolation residual |fhat'(+w_m) d_m - fhat^+_m| (normalized)
     against the image's smeared coefficients, and the two-point pairing of the
-    image with itself along both routes."""
+    image with itself along both routes.  The residual at -w_m is the complex
+    conjugate of the one at +w_m, so only +w_m is evaluated."""
     coeffs = image.coeffs
     ext = image.extension
     modes = ext.modes
-    d = table.d_bdys[modes]
-    w = ext.omegas
-    fp = np.asarray(coeffs.f_plus)[modes]
-    fm = np.asarray(coeffs.f_minus)[modes]
-    scale = max(float(np.max(np.abs(fp))), float(np.max(np.abs(fm))), 1e-300)
-    res = max(float(np.max(np.abs(ext(w) * d - fp))),
-              float(np.max(np.abs(ext(-w) * d - fm)))) / scale
+    fp = coeffs.f_plus[modes]
+    scale = max(float(np.max(np.abs(fp))), 1e-300)
+    res = float(np.max(np.abs(ext(ext.omegas) * table.d_bdys[modes] - fp))) / scale
     return DualReport(max_residual=res,
                       pairing_bulk=pairing_bulk_route(coeffs, coeffs, table, modes),
                       pairing_boundary=pairing_boundary_route(ext, ext, table))
@@ -501,7 +494,7 @@ def fig2_reproduce(config: Fig2Config | None = None) -> tuple[HoloImage, BurstRe
     table = build_table(64, p)
     grids = HoloGrids.default(cfg.S, n_z=1024, n_t=3073, t_span=cfg.t_span, n_out=12288)
     image = holographic_dual(fig2_test_function, p, table, M=cfg.M, grids=grids)
-    report = detect_bursts(image.t_grid, np.real(image.fprime),
+    report = detect_bursts(image.t_grid, image.fprime,
                            rel_threshold=cfg.burst_threshold)
     return image, report
 
@@ -511,7 +504,7 @@ def regulator_sensitivity(cfg: Fig2Config, mu_reg: float) -> float:
     img1, _ = fig2_reproduce(replace(cfg, mu_reg=mu_reg))
     img2, _ = fig2_reproduce(replace(cfg, mu_reg=mu_reg / 2))
     scale = max(float(np.max(np.abs(img1.fprime))), 1e-300)
-    return float(np.max(np.abs(np.asarray(img1.fprime) - np.asarray(img2.fprime)))) / scale
+    return float(np.max(np.abs(img1.fprime - img2.fprime))) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +512,15 @@ def regulator_sensitivity(cfg: Fig2Config, mu_reg: float) -> float:
 
 @dataclass
 class HalfSpaceDual:
-    """Sampled half-space image: fhat'(omega) on the two mass-shell branches
-    (zero in the gap |omega| < mu) and an L2-quality f'.  fhat' is generally
-    non-smooth at the mass-shell edge |omega| = mu, so f' is square-integrable
-    quality only."""
+    """Sampled half-space image: fhat'(omega) on the mass shell (zero in the
+    gap |omega| < mu) and a real, L2-quality f'.  Only the branch omega > mu
+    is stored; the other is its conjugate, fhat'(-omega) = conj fhat'(omega).
+    fhat' is generally non-smooth at the mass-shell edge |omega| = mu, so f'
+    is square-integrable quality only."""
 
     q_grid: np.ndarray
     omega_grid: np.ndarray      # omega(q) = sqrt(q^2 + mu^2)
     fhat_pos: np.ndarray        # fhat'(+omega(q))
-    fhat_neg: np.ndarray        # fhat'(-omega(q))
     edge_value: complex         # one-sided limit at omega -> mu+
     t_grid: np.ndarray | None
     fprime: np.ndarray | None
@@ -544,9 +537,11 @@ def halfspace_dual(f, p: PhysicalParams, q_grid: np.ndarray,
     The coefficients are smeared as in ``smeared_coeffs``: the real mode
     projection on the support span of f in time, one ``fourier_trapezoid``
     and fhat^- = conj(fhat^+).  f' on ``t_out`` integrates fhat'(omega)
-    e^(-i omega t) over omega on each branch, a trapezoid over the non-uniform
-    samples omega(q).  ``time_grid`` must cover the support of f in time
-    (ValueError otherwise)."""
+    e^(-i omega t) over omega on both branches, a trapezoid over the
+    non-uniform samples omega(q); the branch omega < -mu is the conjugate of
+    the other, so f' = 2 Re of the integral over omega > mu, a real array.
+    ``time_grid`` must cover the support of f in time (ValueError
+    otherwise)."""
     if p.mu <= 0:
         raise ValueError("the half-space map requires mu > 0")
     q_grid = np.asarray(q_grid, dtype=float)
@@ -558,17 +553,13 @@ def halfspace_dual(f, p: PhysicalParams, q_grid: np.ndarray,
     A = samples[rows] @ (grid.quad_weights()[:, None] * V)
     omegas = np.sqrt(q_grid**2 + p.mu**2)
     fhat_p = fourier_trapezoid(A, time_grid[rows], omegas)
-    fhat_m = np.conj(fhat_p)
     pref = np.sqrt(np.pi * (p.c**2 * q_grid**2 + 1.0) / 2.0)
     fhat_pos = pref * fhat_p
-    fhat_neg = pref * fhat_m
     edge = complex(np.sqrt(np.pi / 2.0) * fhat_p[0]) if q_grid[0] == 0.0 else complex(fhat_pos[0])
 
     fprime = None
     if t_out is not None:
         t_out = np.asarray(t_out, dtype=float)
-        fprime = (fourier_trapezoid(fhat_pos[:, None], omegas, -t_out)
-                  + fourier_trapezoid(fhat_neg[:, None], omegas, t_out))
+        fprime = 2.0 * fourier_trapezoid(fhat_pos[:, None], omegas, -t_out).real
     return HalfSpaceDual(q_grid=q_grid, omega_grid=omegas, fhat_pos=fhat_pos,
-                         fhat_neg=fhat_neg, edge_value=edge, t_grid=t_out,
-                         fprime=fprime)
+                         edge_value=edge, t_grid=t_out, fprime=fprime)

@@ -180,6 +180,16 @@ class ModeTable:
         """(-1)^m, the sign relating the two boundary components."""
         return np.where(np.arange(len(self)) % 2 == 0, 1.0, -1.0)
 
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        """Normalized eigenvalue residual of modes m = 1 .. M_max (see the
+        module docstring for the two forms), read-only and computed once per
+        table."""
+        res = _residuals(np.arange(1, len(self)), self.qs[1:], self.deltas[1:],
+                         self.params)
+        res.setflags(write=False)
+        return res
+
     def omegas(self, k: float = 0.0) -> np.ndarray:
         return np.sqrt(k**2 + self.qs**2 + self.params.mu**2)
 
@@ -197,22 +207,13 @@ def _residuals(ms, qs, deltas, p: PhysicalParams) -> np.ndarray:
                     np.abs(S * deltas - np.arctan(1.0 / (c * qs))))
 
 
-def table_residuals(table: ModeTable) -> np.ndarray:
-    """Normalized eigenvalue residual of modes m = 1 .. M_max (see the module
-    docstring for the two forms)."""
-    p = table.params
-    ms = np.arange(1, len(table))
-    return _residuals(ms, table.qs[1:], table.deltas[1:], p)
-
-
 def check_solution(table: ModeTable) -> float:
     """Raise ValueError unless every (q_m, delta_m) solves its eigenvalue
     condition: q_0 = 0, delta_m in its window (0, pi / 2S], q_m =
-    pi (m-1) / 2S + delta_m to rounding, and the residual of
-    ``table_residuals`` at most the fixed tolerance 1e-12 (``_RESIDUAL_TOL``).
-    Returns the largest residual (0 for the constant mode alone).
-    ``build_table`` holds its own output to this check, and a cache loader
-    can hold a file to it."""
+    pi (m-1) / 2S + delta_m to rounding, and ``table.residuals`` at most the
+    fixed tolerance 1e-12 (``_RESIDUAL_TOL``).  Returns the largest residual
+    (0 for the constant mode alone).  ``build_table`` holds its own output to
+    this check, and a cache loader can hold a file to it."""
     S = _strip_S(table.params)
     if table.qs[0] != 0.0:
         raise ValueError(f"constant mode has q_0 = {table.qs[0]!r}, not 0")
@@ -225,7 +226,7 @@ def check_solution(table: ModeTable) -> float:
         > _Q_DELTA_ULPS * np.spacing(q)
     if np.any(apart):
         raise ValueError(f"q and delta disagree at m={ms[apart][:5]}")
-    res = table_residuals(table)
+    res = table.residuals
     if np.any(res > _RESIDUAL_TOL):
         worst = int(ms[np.argmax(res)])
         raise ValueError(f"residual {np.max(res):.3e} above {_RESIDUAL_TOL:g} "

@@ -21,7 +21,7 @@ trapezoid sum equals the full-grid sum up to summation order.  The same pass
 over the rows checks that the grid covers the support (the end rows are at
 most 1e-10 of the peak).  The mode projection of real test functions is a
 real (n_span, M+1) array, and for real input fhat^-_m = conj(fhat^+_m)
-exactly, so only fhat^+ is transformed.
+exactly, so only fhat^+ is transformed and stored.
 """
 
 from __future__ import annotations
@@ -402,17 +402,22 @@ def fourier_trapezoid(values, x, k) -> np.ndarray:
 
 @dataclass
 class SmearedCoefficients:
-    """Frequency components fhat^+/-_m of a smeared space-time test pair."""
+    """Frequency components fhat^+/-_m of a smeared real space-time test pair:
+    only fhat^+ is stored, and fhat^- = conj(fhat^+) is computed on demand."""
 
     f_plus: np.ndarray
-    f_minus: np.ndarray
 
     def __len__(self):
         return len(self.f_plus)
 
     @property
+    def f_minus(self) -> np.ndarray:
+        return np.conj(self.f_plus)
+
+    @property
     def energy(self) -> np.ndarray:
-        return np.abs(self.f_plus) ** 2 + np.abs(self.f_minus) ** 2
+        """|fhat^+_m|^2 + |fhat^-_m|^2 = 2 |fhat^+_m|^2."""
+        return 2.0 * np.abs(self.f_plus) ** 2
 
 
 def _time_support(values: np.ndarray, what: str) -> slice:
@@ -444,8 +449,9 @@ def smeared_coeffs(f_bulk: np.ndarray | None, f_bdy: np.ndarray | None,
     component at -S first.  Both are real (ValueError otherwise) and must
     vanish at the ends of ``time_grid``.  The projection on the modes is
     formed as a real array on the union of their support spans only, and the
-    time integral is ``fourier_trapezoid`` over that span; fhat^- is the
-    complex conjugate of fhat^+.  All-zero samples give zero coefficients.
+    time integral is ``fourier_trapezoid`` over that span.  Only fhat^+ is
+    stored; fhat^- is its complex conjugate (``SmearedCoefficients.f_minus``).
+    All-zero samples give zero coefficients.
     """
     p = table.params
     time_grid = np.asarray(time_grid, dtype=float)
@@ -474,8 +480,7 @@ def smeared_coeffs(f_bulk: np.ndarray | None, f_bdy: np.ndarray | None,
         A += f_bulk[lo:hi] @ (grid.quad_weights()[:, None] * V)
     if f_bdy is not None:
         A += p.c * (f_bdy[lo:hi] @ table.boundary_values().T)
-    f_plus = fourier_trapezoid(A, t, table.omegas())
-    return SmearedCoefficients(f_plus=f_plus, f_minus=np.conj(f_plus))
+    return SmearedCoefficients(f_plus=fourier_trapezoid(A, t, table.omegas()))
 
 
 def boundary_smearing(g: np.ndarray, table: ModeTable, side: str = "plus") -> np.ndarray:
@@ -499,25 +504,21 @@ def source_relation_check(g: np.ndarray, table: ModeTable, time_grid: np.ndarray
     which is the boundary wave equation with the bulk normal derivative as
     source.  Returns the max residual normalized by the largest term;
     ``weights`` overrides the mode boundary values (negative control).  For
-    the real g, ghat^- = conj(ghat^+)."""
+    the real g, ghat^- = conj(ghat^+) gives a residual of the same modulus, so
+    only ghat^+ is evaluated."""
     p = table.params
     S = p.geometry.S
     g = np.asarray(g, dtype=float)
     omegas = table.omegas()
-    ghat_p = fourier_trapezoid(g[:, None], time_grid, omegas)
-    ghat_m = np.conj(ghat_p)
+    ghat = fourier_trapezoid(g[:, None], time_grid, omegas)
     col = 1 if side == "plus" else 0
     bvals = table.boundary_values()[:, col] if weights is None else np.asarray(weights)
     z_b = S if side == "plus" else -S
     sign_perp = -1.0 if side == "plus" else 1.0
     dperp = sign_perp * eval_mode_deriv(np.arange(len(table)), z_b, table)
-    resid = 0.0
-    scale = 0.0
-    for ghat in (ghat_p, ghat_m):
-        lhs = (p.mu**2 - omegas**2) * bvals * ghat
-        rhs = (1.0 / p.c) * dperp * ghat
-        resid = max(resid, float(np.max(np.abs(lhs - rhs))))
-        scale = max(scale, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+    lhs = (p.mu**2 - omegas**2) * bvals * ghat
+    rhs = (1.0 / p.c) * dperp * ghat
+    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     if scale == 0.0:
         return 0.0
-    return resid / scale
+    return float(np.max(np.abs(lhs - rhs))) / scale

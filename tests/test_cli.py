@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wentzell import cli
+from wentzell import cli, modes
 from wentzell.cli import main, table_from_json, table_to_json
 from wentzell.evolve import fdtd_run
-from wentzell.modes import build_table, table_residuals
+from wentzell.modes import build_table
 from wentzell.core import PhysicalParams, Strip
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,17 +81,26 @@ def test_benchmark_reads_the_cached_residual(tmp_path, monkeypatch):
     p = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
     table, path, hit = cli.load_or_build_table(p, 2000, tmp_path)
     assert not hit
-    worst = float(np.max(table_residuals(table)))
+    worst = float(np.max(table.residuals))
     assert workloads._table_residual(json.loads(path.read_text())) == worst
     assert workloads._from_file(path) == {"eig_residual_max": worst}
 
 
-def test_modes_command(tmp_path):
+def test_modes_command(tmp_path, monkeypatch):
+    # each run, cache miss or hit, evaluates the eigenvalue residuals once
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return residuals(*args)
+
+    residuals = modes._residuals
+    monkeypatch.setattr(modes, "_residuals", counted)
     cache = tmp_path / "cache"
     out = tmp_path / "table.json"
     code = main(["modes", "--S", "1", "--c", "1", "--mu", "1", "--max", "200",
                  "--cache-dir", str(cache), "--out", str(out)])
-    assert code == 0
+    assert code == 0 and len(calls) == 1
     doc = json.loads(out.read_text())
     assert doc["M_max"] == 200 and len(doc["entries"]) == 201
     # format v3: the table is keyed by (S, c, mu, M_max) and nothing else
@@ -102,7 +111,7 @@ def test_modes_command(tmp_path):
     # warm rerun: cache hit, byte-identical file
     assert main(["modes", "--S", "1", "--c", "1", "--mu", "1", "--max", "200",
                  "--cache-dir", str(cache)]) == 0
-    assert sha(cached[0]) == checksum
+    assert sha(cached[0]) == checksum and len(calls) == 2
 
 
 def test_written_files_respect_the_umask(tmp_path):
@@ -319,8 +328,8 @@ def test_holo_gaussian(tmp_path):
     code = main(["holo", "--mu", "1", "--out", str(out)])
     assert code == 0
     meta = json.loads(out.with_suffix(".meta.json").read_text())
-    assert meta["max_residual"] < 1e-6
-    assert meta["pairing_rel_error"] < 1e-5
+    assert meta["max_residual"] < 1e-13
+    assert meta["pairing_rel_error"] < 1e-13
     assert out.with_suffix(".fhat.csv").exists()
     assert out.with_suffix(".fprime.csv").exists()
 
@@ -336,6 +345,19 @@ def test_holo_rejects_cutoff_beyond_table(tmp_path, capsys, extra):
     assert main(["holo", "--max", "100", "--out", str(out)] + extra) == 1
     assert "cutoff M=100 exceeds" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("extra", [[], pytest.param(["--fig2"], marks=pytest.mark.slow)],
+                         ids=["gaussian", "fig2"])
+def test_holo_byte_identical(tmp_path, extra):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["holo", "--out", str(a)] + extra) == 0
+    assert main(["holo", "--out", str(b)] + extra) == 0
+    for suffix in (".fhat.csv", ".fprime.csv", ".meta.json"):
+        assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
+    # f' is real: every field of its column parses as a float
+    cols, data = read_csv(a.with_suffix(".fprime.csv"))
+    assert cols == ["t", "fprime"] and data.dtype == np.float64 and data.shape[1] == 2
 
 
 @pytest.mark.slow

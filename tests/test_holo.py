@@ -9,14 +9,14 @@ import scipy.fft
 from scipy.signal import find_peaks, hilbert
 
 from wentzell.core import Grid1D, PhysicalParams, Strip
-from wentzell.holo import (BumpOverlapError, Fig2Config, HalfSpaceDual,
+from wentzell.holo import (BumpOverlapError, Fig2Config, FreqExtension, HalfSpaceDual,
                            HoloGrids, _inverse_transform, analytic_envelope,
-                           choose_a, default_chi, detect_bursts, extend_to_schwartz, fig2_reproduce,
+                           choose_a, default_chi, detect_bursts, fig2_reproduce,
                            fig2_test_function, halfspace_dual,
                            holographic_dual, included_modes, local_maxima,
                            next_fast_len, verify_dual)
 from wentzell.modes import build_table
-from wentzell.qft import SmearedCoefficients
+from wentzell.qft import fourier_trapezoid
 
 P1 = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
 
@@ -43,6 +43,14 @@ def image(table, grids):
 @pytest.fixture(scope="module")
 def fig2():
     return fig2_reproduce(Fig2Config())
+
+
+def extension(table, M, coeffs, a=None):
+    """FreqExtension over the included modes m <= M with fhat'(+omega_m) =
+    coeffs[m] (an array over the whole table) and bump scale ``choose_a``."""
+    modes = included_modes(table, M)
+    return FreqExtension(choose_a(table, M) if a is None else a, modes,
+                         table.omegas()[modes], np.asarray(coeffs)[modes])
 
 
 def dense_inverse_transform(ext, omega_grid, t_grid, chunk=1024):
@@ -102,24 +110,22 @@ def test_choose_a_monotone_in_M(table):
 
 
 def test_bump_disjointness_enforced(table):
-    coeffs = SmearedCoefficients(f_plus=np.ones(41, dtype=complex),
-                                 f_minus=np.ones(41, dtype=complex))
+    coeffs = np.ones(41, dtype=complex)
     a = choose_a(table, 10)
-    ext = extend_to_schwartz(coeffs, table, a, modes=included_modes(table, 10))
+    ext = extension(table, 10, coeffs, a)
     w2 = ext.omegas**2
     half = 1.0 / (2 * ext.a)
     assert w2[0] - half > 0
     assert np.all(np.diff(w2) > 2 * half)
     with pytest.raises(BumpOverlapError):
-        extend_to_schwartz(coeffs, table, a / 20, modes=included_modes(table, 10))
+        extension(table, 10, coeffs, a / 20)
 
 
 def test_extension_interpolates_exactly(table):
     rng = np.random.default_rng(4)
     cp = rng.normal(size=41) + 1j * rng.normal(size=41)
-    coeffs = SmearedCoefficients(f_plus=cp, f_minus=np.conj(cp))
     modes = included_modes(table, 8)
-    ext = extend_to_schwartz(coeffs, table, choose_a(table, 8), modes=modes)
+    ext = extension(table, 8, cp)
     w = ext.omegas
     assert np.max(np.abs(ext(w) - cp[modes])) == 0.0
     assert np.max(np.abs(ext(-w) - np.conj(cp)[modes])) == 0.0
@@ -127,10 +133,8 @@ def test_extension_interpolates_exactly(table):
 
 
 def test_extension_zero_between_bumps(table):
-    coeffs = SmearedCoefficients(f_plus=np.ones(41, dtype=complex),
-                                 f_minus=np.ones(41, dtype=complex))
     a = choose_a(table, 4)
-    ext = extend_to_schwartz(coeffs, table, a, modes=included_modes(table, 4))
+    ext = extension(table, 4, np.ones(41, dtype=complex))
     w2 = ext.omegas**2
     between = np.sqrt(0.5 * (w2[0] + 1 / (2 * a)) + 0.5 * (w2[1] - 1 / (2 * a)))
     assert ext(float(between)) == 0.0
@@ -138,10 +142,8 @@ def test_extension_zero_between_bumps(table):
 
 
 def test_extension_smooth_across_bump_edge(table):
-    coeffs = SmearedCoefficients(f_plus=np.ones(41, dtype=complex),
-                                 f_minus=np.ones(41, dtype=complex))
     a = choose_a(table, 6)
-    ext = extend_to_schwartz(coeffs, table, a, modes=included_modes(table, 6))
+    ext = extension(table, 6, np.ones(41, dtype=complex))
     edge = np.sqrt(ext.omegas[2] ** 2 + 1 / (2 * a))
 
     def max_second_diff(n):
@@ -155,6 +157,47 @@ def test_extension_smooth_across_bump_edge(table):
     # second differences shrink linearly under refinement: the derivative is
     # continuous (a slope jump would leave them constant)
     assert d2 < 0.7 * d1
+
+
+def _extension_loop(ext, omega):
+    """fhat'(omega) as a loop over the modes: each bump masks the whole omega
+    array, and omega <= 0 takes the conjugate coefficient."""
+    omega = np.asarray(omega, dtype=float)
+    scalar = omega.ndim == 0
+    omega = np.atleast_1d(omega)
+    out = np.zeros(omega.shape, dtype=complex)
+    w2 = omega**2
+    for wm, cp in zip(ext.omegas, ext.coeffs):
+        u = ext.a * (w2 - wm**2)
+        mask = np.abs(u) < 0.5
+        val = default_chi(u[mask])
+        out[mask] += np.where(omega[mask] > 0.0, val * cp, val * np.conj(cp))
+    return out[0] if scalar else out
+
+
+def test_extension_matches_per_mode_loop(table):
+    rng = np.random.default_rng(11)
+    cp = rng.normal(size=41) + 1j * rng.normal(size=41)
+    many = extension(table, 12, cp)
+    one = FreqExtension(many.a, many.modes[:1], many.omegas[:1], many.coeffs[:1])
+    for ext in (many, one):
+        half = 1.0 / (2.0 * ext.a)
+        centres = ext.omegas**2
+        edges = np.sqrt(np.concatenate([centres - half, centres + half]))
+        edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        between = np.sqrt((centres[:-1] + half + centres[1:] - half) / 2.0)
+        beyond = np.sqrt(centres[-1] + half) * np.array([1.0, 1.5, 3.0])
+        cases = [rng.uniform(-1.2, 1.2, 5000) * ext.omegas[-1],
+                 np.concatenate([edges, -edges]), np.array([0.0, -0.0]),
+                 np.concatenate([between, -between, beyond, -beyond]),
+                 rng.uniform(-20.0, 20.0, (40, 25)),
+                 float(ext.omegas[0]), -float(ext.omegas[-1]), 0.0,
+                 np.array(ext.omegas[-1]), np.array(-ext.omegas[0])]
+        for omega in cases:
+            got, want = ext(omega), _extension_loop(ext, omega)
+            assert np.array_equal(got, want)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.count_nonzero(ext(cases[0])) > 100
 
 
 def test_verify_dual_residual(image, table):
@@ -232,10 +275,8 @@ def test_single_mode_packet(table):
     m = 5
     cp = np.zeros(41, dtype=complex)
     cp[m] = 1.0
-    coeffs = SmearedCoefficients(f_plus=cp, f_minus=cp.copy())
     a = choose_a(table, 8)
-    modes = included_modes(table, 8)
-    ext = extend_to_schwartz(coeffs, table, a, modes=modes)
+    ext = extension(table, 8, cp)
     t = np.linspace(-6.0, 6.0, 1024)
     wm = table.omegas()[m]
     # independent dense quadrature of the inverse transform over the two bump
@@ -284,10 +325,7 @@ def test_inverse_transform_rejects_nonuniform_t_out(table, grids):
 
 
 def test_inverse_transform_zero_spectrum(table):
-    coeffs = SmearedCoefficients(f_plus=np.zeros(len(table), dtype=complex),
-                                 f_minus=np.zeros(len(table), dtype=complex))
-    modes = included_modes(table, 8)
-    ext = extend_to_schwartz(coeffs, table, choose_a(table, 8), modes=modes)
+    ext = extension(table, 8, np.zeros(len(table), dtype=complex))
     t = np.linspace(-4.0, 4.0, 257)
     fhat, fprime = _inverse_transform(ext, np.linspace(-10.0, 10.0, 2001), t)
     assert not np.any(fhat)
@@ -404,9 +442,29 @@ def test_halfspace_dual_fprime_at_t0_matches_q_quadrature():
     dual = halfspace_dual(f, p, q_grid, np.linspace(-4.0, 4.0, 1601),
                           Grid1D.for_halfspace(4.0, 1024), t_out=t_out)
     at0 = dual.fprime[np.flatnonzero(t_out == 0.0)[0]]
-    ref = np.trapezoid(q_grid / dual.omega_grid * (dual.fhat_pos + dual.fhat_neg),
+    ref = np.trapezoid(q_grid / dual.omega_grid * (dual.fhat_pos + np.conj(dual.fhat_pos)),
                        q_grid) / np.sqrt(2 * np.pi)
     assert abs(at0 - ref) < 1e-3 * abs(ref)
+
+
+def test_halfspace_dual_fprime_is_the_two_branch_sum():
+    """f' is real and equals the sum of the two branch transforms,
+    fhat'(+w) against e^(-i w t) plus its conjugate fhat'(-w) against e^(i w t)."""
+    p = PhysicalParams(c=0.7, mu=1.0, geometry=Strip(1.0))
+
+    def f(t, z):
+        return np.exp(-(t**2) / (2 * 0.3**2)) * np.exp(-((z - 0.8) ** 2) / (2 * 0.15**2))
+
+    q_grid = np.linspace(0.0, 12.0, 241)
+    t_out = np.linspace(-4.0, 4.0, 513)
+    dual = halfspace_dual(f, p, q_grid, np.linspace(-4.0, 4.0, 1601),
+                          Grid1D.for_halfspace(4.0, 1024), t_out=t_out)
+    ref = (fourier_trapezoid(dual.fhat_pos[:, None], dual.omega_grid, -t_out)
+           + fourier_trapezoid(np.conj(dual.fhat_pos)[:, None], dual.omega_grid, t_out))
+    assert dual.fprime.dtype == np.float64 and dual.fprime.shape == t_out.shape
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(ref.imag)) <= 1e-15 * scale
+    assert np.max(np.abs(dual.fprime - ref.real)) <= 1e-15 * scale
 
 
 def test_halfspace_dual_rejects_time_grid_inside_support():
@@ -437,19 +495,12 @@ coef = arrays(complex, 9, elements=st.complex_numbers(max_magnitude=10.0,
                                                       allow_infinity=False))
 
 
-@given(cp=coef, cm=coef)
+@given(cp=coef)
 @settings(max_examples=25, deadline=None)
-def test_extension_linearity_property(cp, cm):
+def test_extension_linearity_property(cp):
     table = build_table(8, P1)
-    a = choose_a(table, 8)
-    modes = included_modes(table, 8)
-    full_p = np.zeros(9, dtype=complex)
-    full_m = np.zeros(9, dtype=complex)
-    full_p[modes] = cp[modes]
-    full_m[modes] = cm[modes]
-    e1 = extend_to_schwartz(SmearedCoefficients(full_p, full_m), table, a, modes=modes)
-    e2 = extend_to_schwartz(SmearedCoefficients(2 * full_p, 2 * full_m), table, a,
-                            modes=modes)
+    e1 = extension(table, 8, cp)
+    e2 = extension(table, 8, 2 * cp)
     w = np.linspace(-12.0, 12.0, 301)
     assert np.max(np.abs(e2(w) - 2 * e1(w))) < 1e-12 * max(1.0, np.max(np.abs(e1(w))))
 

@@ -7,7 +7,7 @@ from wentzell.core import GeometryError, Grid1D, HalfSpace, PhysicalParams, Stri
 from wentzell.modes import (bracket, build_table, d_asymptote,
                             eval_halfspace_mode, eval_mode, gram_matrix,
                             mode_function, project, residual_normalized, solve_q,
-                            synthesize, table_residuals, verify_table)
+                            synthesize, verify_table)
 
 P1 = PhysicalParams(c=1.0, geometry=Strip(1.0))
 
@@ -74,7 +74,15 @@ def test_verify_table_passes_at_1e5_modes():
     # the delta form keeps q, c_m and d_m accurate where q S >> 2^14
     table = build_table(10**5, P1)
     assert verify_table(table).all_pass
-    assert np.max(table_residuals(table)) <= 1e-12
+    assert np.max(table.residuals) <= 1e-12
+
+
+def test_table_residuals_are_computed_once_and_read_only():
+    table = build_table(50, P1)
+    res = table.residuals
+    assert table.residuals is res and res.shape == (50,)
+    with pytest.raises(ValueError, match="read-only"):
+        res[0] = 0.0
 
 
 @pytest.mark.parametrize("c", (0.1, 1.0, 10.0))
