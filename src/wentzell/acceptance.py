@@ -260,7 +260,7 @@ def criterion_10_holographic_identity() -> CriterionResult:
     along the bulk and boundary routes within 1e-13."""
     p = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
     table = build_table(40, p)
-    grids = HoloGrids.default(1.0, n_z=1024, n_t=2049, t_span=4.0, n_out=1024)
+    grids = HoloGrids.default(1.0, n_t=2049, t_span=4.0, n_out=1024)
 
     def f(t, z):
         return np.exp(-t ** 2 / (2 * 0.25 ** 2)) * np.exp(-z ** 2 / (2 * 0.12 ** 2))

@@ -2,7 +2,11 @@
 
 The boundary is a genuine degree of freedom: a field configuration is a pair
 (bulk samples, boundary values), and all inner products carry the boundary
-measure c * (Dirac at each boundary component).  Everything here is a pure
+measure c * (Dirac at each boundary component).  The sampled-function layer
+is the strip's: its boundary has two components, at -S and +S, and every
+``BulkBoundaryFunction`` holds exactly those two values.  ``HalfSpace`` and
+``Grid1D.for_halfspace`` serve the half-space formulas of ``modes``, ``qft``
+and ``holo``, which work on plain arrays.  Everything here is a pure
 function over immutable value objects.
 """
 
@@ -65,10 +69,6 @@ class PhysicalParams:
         if self.d < 1 or int(self.d) != self.d:
             raise ValueError(f"boundary dimension must be an integer >= 1, got d={self.d}")
 
-    @property
-    def n_boundary(self) -> int:
-        return 2 if isinstance(self.geometry, Strip) else 1
-
 
 # Second-order one-sided endpoint-derivative stencil, used to correct the
 # h^2/12*[f'(b)-f'(a)] Euler-Maclaurin term of the composite trapezoid rule.
@@ -123,25 +123,25 @@ class Grid1D:
 
 
 def _check_grid_geometry(grid: Grid1D, p: PhysicalParams):
-    if isinstance(p.geometry, Strip):
-        S = p.geometry.S
-        if not (np.isclose(grid.z_min, -S) and np.isclose(grid.z_max, S)):
-            raise GeometryError(
-                f"strip grid must span [-S, S] = [{-S}, {S}], got [{grid.z_min}, {grid.z_max}]"
-            )
-    else:
-        if not np.isclose(grid.z_min, 0.0):
-            raise GeometryError(f"half-space grid must start at z=0, got z_min={grid.z_min}")
+    """GeometryError unless ``p`` is a strip and ``grid`` spans [-S, S]."""
+    if not isinstance(p.geometry, Strip):
+        raise GeometryError("sampled functions live on the strip, "
+                            f"got geometry {p.geometry!r}")
+    S = p.geometry.S
+    if not (np.isclose(grid.z_min, -S) and np.isclose(grid.z_max, S)):
+        raise GeometryError(
+            f"strip grid must span [-S, S] = [{-S}, {S}], got [{grid.z_min}, {grid.z_max}]"
+        )
 
 
 @dataclass
 class BulkBoundaryFunction:
-    """A sampled element of L2(bulk) + L2(boundary).
+    """A sampled element of L2(bulk) + L2(boundary) on the strip.
 
-    ``boundary`` holds one value per boundary component: for the strip,
-    index 0 is the component at -S and index 1 the one at +S; the half-space
-    has the single component at z=0.  The boundary values are independent data;
-    ``compatibility_check`` tests whether they agree with the bulk trace.
+    ``boundary`` holds the values on the strip's two boundary components:
+    index 0 is the component at -S and index 1 the one at +S.  The boundary
+    values are independent data; ``compatibility_check`` tests whether they
+    agree with the bulk trace.
     """
 
     grid: Grid1D
@@ -155,12 +155,9 @@ class BulkBoundaryFunction:
             raise ValueError(
                 f"bulk samples have shape {self.bulk.shape}, expected ({self.grid.n_nodes},)"
             )
-        if self.boundary.shape[0] not in (1, 2):
-            raise ValueError("boundary must hold one or two component values")
-
-    @property
-    def n_boundary(self) -> int:
-        return self.boundary.shape[0]
+        if self.boundary.shape != (2,):
+            raise ValueError(f"boundary values have shape {self.boundary.shape}, expected "
+                             "(2,): one per strip boundary component")
 
 
 @dataclass
@@ -173,8 +170,6 @@ class CauchyData:
     def __post_init__(self):
         if self.position.grid != self.velocity.grid:
             raise GridMismatchError("Cauchy data components live on different grids")
-        if self.position.n_boundary != self.velocity.n_boundary:
-            raise GridMismatchError("Cauchy data components disagree on boundary components")
 
     @classmethod
     def from_samples(cls, grid: Grid1D, position, velocity) -> CauchyData:
@@ -187,7 +182,7 @@ class CauchyData:
 
 
 def _check_same_grid(F: BulkBoundaryFunction, G: BulkBoundaryFunction):
-    if F.grid != G.grid or F.n_boundary != G.n_boundary:
+    if F.grid != G.grid:
         raise GridMismatchError("operands live on different grids")
 
 
@@ -200,10 +195,6 @@ def weighted_inner_product(F: BulkBoundaryFunction, G: BulkBoundaryFunction,
     """
     _check_same_grid(F, G)
     _check_grid_geometry(F.grid, p)
-    if F.n_boundary != p.n_boundary:
-        raise GeometryError(
-            f"expected {p.n_boundary} boundary component(s), got {F.n_boundary}"
-        )
     w = F.grid.quad_weights()
     bulk = np.dot(w, np.conj(F.bulk) * G.bulk)
     bdy = p.c * np.sum(np.conj(F.boundary) * G.boundary)
@@ -255,10 +246,8 @@ def spectral_sobolev_norm(coeffs: np.ndarray, table, r: float) -> float:
 
 
 def trace(F: BulkBoundaryFunction) -> np.ndarray:
-    """Bulk samples at the boundary node(s), one per boundary component."""
-    if F.n_boundary == 2:
-        return np.array([F.bulk[0], F.bulk[-1]])
-    return np.array([F.bulk[0]])
+    """Bulk samples at the two end nodes, [at -S, at +S]."""
+    return np.array([F.bulk[0], F.bulk[-1]])
 
 
 def compatibility_check(F: BulkBoundaryFunction, tol: float = 1e-9) -> bool:

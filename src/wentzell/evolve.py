@@ -89,7 +89,8 @@ from .modes import ModeTable, synthesize
 
 
 class CflError(ValueError):
-    """Time step is not positive and finite, or violates the bound dt <= h."""
+    """CFL factor outside (0, 1]: the time step dt = cfl * h is not positive
+    or violates the stability bound dt <= h."""
 
 
 # ---------------------------------------------------------------------------
@@ -319,24 +320,21 @@ def _run_blocks(phi: np.ndarray, phi_prev: np.ndarray, coeffs: tuple,
     return x, x - xd[1, pad:pad + n]
 
 
-def make_fdtd_state(data: CauchyData, p: PhysicalParams, cfl: float = 0.5,
-                    dt: float | None = None) -> FdtdState:
+def make_fdtd_state(data: CauchyData, p: PhysicalParams, cfl: float = 0.5) -> FdtdState:
     """Initialize leapfrog levels from Cauchy data with the second-order Taylor
     back-step phi_prev = phi0 - dt v0 + dt^2 acc(phi0) / 2 = S(phi0)/2 - dt v0,
     with the leapfrog operator S(phi) = 2 phi + dt^2 acc(phi) of ``fdtd_run``.
     The bulk endpoint samples are overwritten by the boundary values (they are
-    one unknown).  The time step is ``dt`` if given, else ``cfl * h``; it must
-    be positive, finite and at most h."""
+    one unknown).  The time step is dt = cfl * h.  This is the one place that
+    holds the stability bound dt <= h: CflError (a ValueError) unless
+    0 < cfl <= 1."""
     if not isinstance(p.geometry, Strip):
         raise GeometryError("the FDTD engine integrates the strip geometry")
+    if not 0 < cfl <= 1:
+        raise CflError(f"CFL factor must be in (0, 1] (dt <= h), got cfl={cfl}")
     grid = data.position.grid
     h = grid.h
-    if dt is None:
-        dt = cfl * h
-    if not (np.isfinite(dt) and dt > 0):
-        raise CflError(f"time step dt={dt} must be positive and finite")
-    if dt > h * (1 + 1e-12):
-        raise CflError(f"dt={dt} exceeds the stability bound h={h}")
+    dt = cfl * h
     phi0 = np.array(data.position.bulk, dtype=float)
     v0 = np.array(data.velocity.bulk, dtype=float)
     phi0[0], phi0[-1] = data.position.boundary
@@ -412,13 +410,15 @@ def energy(state: SpectralState | FdtdState) -> EnergyReport:
     dens = 0.5 * (((b - a) / state.dt) ** 2 + p.mu**2 * a * b)
     half_cell = np.diff(b) * np.diff(a) / (4.0 * h)
     node = h * dens
-    node[[0, -1]] *= 0.5
+    node[0] *= 0.5
+    node[-1] *= 0.5
     node[:-1] += half_cell
     node[1:] += half_cell
-    ends = p.c * dens[[0, -1]]
-    node[[0, -1]] += ends
+    end_lo, end_hi = p.c * dens[0], p.c * dens[-1]
+    node[0] += end_lo
+    node[-1] += end_hi
     total = float(node.sum())
-    bdy = float(ends.sum())
+    bdy = float(end_lo + end_hi)
     return EnergyReport(bulk=total - bdy, boundary=bdy, total=total, node_energy=node)
 
 

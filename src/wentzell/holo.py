@@ -37,9 +37,9 @@ import numpy as np
 
 from .core import Grid1D, PhysicalParams, Strip
 from .modes import ModeTable, build_table, eval_halfspace_mode
-from .qft import SmearedCoefficients, _time_support, fourier_trapezoid, smeared_coeffs
+from .qft import (_SQRT2PI, SmearedCoefficients, _time_support, fourier_trapezoid,
+                  smeared_coeffs)
 
-_SQRT2PI = np.sqrt(2.0 * np.pi)
 _ENERGY_FRACTION = 0.999  # coefficient energy the automatic cutoff M retains
 _SAMPLES_PER_BUMP = 16    # omega samples across the narrowest bump
 
@@ -165,12 +165,12 @@ class HoloGrids:
     t_out: np.ndarray
 
     @classmethod
-    def default(cls, S: float, n_z: int = 1024, n_t: int = 2049,
-                t_span: float | None = None, n_out: int = 4096) -> "HoloGrids":
-        if t_span is None:
-            t_span = 8.0 * S
+    def default(cls, S: float, t_span: float, n_t: int = 2049,
+                n_out: int = 4096) -> "HoloGrids":
+        """Strip grid of 1024 intervals on [-S, S], and ``n_t`` smearing times
+        and ``n_out`` output times, both uniform on [-t_span, t_span]."""
         return cls(time_grid=np.linspace(-t_span, t_span, n_t),
-                   grid=Grid1D.for_strip(S, n_z),
+                   grid=Grid1D.for_strip(S, 1024),
                    t_out=np.linspace(-t_span, t_span, n_out))
 
 
@@ -238,9 +238,11 @@ def _inverse_transform(ext: FreqExtension, omega_grid: np.ndarray,
     return fhat, (conv * post * d_omega / _SQRT2PI).real
 
 
-def holographic_dual(f, p: PhysicalParams, table: ModeTable, M: int | None = None,
-                     grids: HoloGrids | None = None) -> HoloImage:
-    """Holographic image of a bulk test function f(t, z) (callable, vectorized).
+def holographic_dual(f, p: PhysicalParams, table: ModeTable, grids: HoloGrids,
+                     M: int | None = None) -> HoloImage:
+    """Holographic image of a bulk test function f(t, z) (callable, vectorized),
+    smeared on ``grids.time_grid`` x ``grids.grid`` and transformed to
+    ``grids.t_out``.
 
     Computes the smeared coefficients, divides by the boundary couplings,
     extends to a Schwartz function on the frequency axis with the bump
@@ -254,8 +256,6 @@ def holographic_dual(f, p: PhysicalParams, table: ModeTable, M: int | None = Non
     if M is not None and M > len(table) - 1:
         raise ValueError(f"cutoff M={M} exceeds the table's last mode "
                          f"m={len(table) - 1}")
-    if grids is None:
-        grids = HoloGrids.default(p.geometry.S)
     t = grids.time_grid
     z = grids.grid.nodes
     samples = np.asarray(f(t[:, None], z[None, :]), dtype=float)
@@ -492,7 +492,7 @@ def fig2_reproduce(config: Fig2Config | None = None) -> tuple[HoloImage, BurstRe
     mu = 0.0 if cfg.mu_reg is None else cfg.mu_reg
     p = PhysicalParams(c=cfg.c, mu=mu, geometry=Strip(cfg.S), d=1)
     table = build_table(64, p)
-    grids = HoloGrids.default(cfg.S, n_z=1024, n_t=3073, t_span=cfg.t_span, n_out=12288)
+    grids = HoloGrids.default(cfg.S, t_span=cfg.t_span, n_t=3073, n_out=12288)
     image = holographic_dual(fig2_test_function, p, table, M=cfg.M, grids=grids)
     report = detect_bursts(image.t_grid, image.fprime,
                            rel_threshold=cfg.burst_threshold)

@@ -23,9 +23,13 @@ then polish q.  The table stores delta_m next to q_m, and the normalization
 c_m and boundary coupling d_m are computed from sin(delta_m S), free of the
 cancellation in sin/cos(q_m S) at large m.  Residuals are reported in
 normalized (dimensionless) form: the raw tan-form residual is ill-conditioned
-by a factor ~ q^2 and cannot reach 1e-12 in double precision at large m.  From
-q S = 2^14 on, half an ulp of q already moves the trig form by more than
-1e-12, so there the residual is |S delta - arctan(1 / (c q))| instead.
+by a factor ~ q^2 and cannot reach 1e-12 in double precision at large m.  The
+normalized trig form has a rounding floor of about the rounding of q S plus
+S ulp(q), which reaches 1e-12 a little past q S = 2^12 wherever q S is not
+exact in binary.  From q S = 2^12 on the residual is therefore
+|S delta - arctan(1 / (c q))| instead.  (S = 0.5, 1 and 2 make q S exact in
+binary and keep the trig floor near 4e-13 up to q S = 2^14, which is why a
+switch at 2^14 held there and failed at most other S from about 3 000 modes.)
 
 Two checks have fixed bounds, not settings: every root of a table must meet a
 normalized residual of 1e-12 (``check_solution``), and ``verify_table`` holds
@@ -39,12 +43,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BulkBoundaryFunction, GeometryError, Grid1D, PhysicalParams, Strip
+from .core import (BulkBoundaryFunction, GeometryError, Grid1D, PhysicalParams, Strip,
+                   _check_grid_geometry)
 
 _NEWTON_STEPS = 5
 _DELTA_MAX_ITER = 100
 _DELTA_RTOL = 4 * np.finfo(float).eps
-_TRIG_RESIDUAL_QS = 2.0**14  # q S from which the residual is taken in delta form
+_TRIG_RESIDUAL_QS = 2.0**12  # q S from which the residual is taken in delta form
 _Q_DELTA_ULPS = 8  # q = pi (m-1) / 2S + delta to this many ulps of q, after the polish
 _RESIDUAL_TOL = 1e-12  # normalized eigenvalue residual a root must meet
 _ASYM_DELTA = 0.1  # relative width of the asymptotic q and d_m windows
@@ -199,7 +204,7 @@ class ModeTable:
 
 
 def _residuals(ms, qs, deltas, p: PhysicalParams) -> np.ndarray:
-    """Normalized residual of modes ms >= 1: the trig form while q S < 2^14,
+    """Normalized residual of modes ms >= 1: the trig form while q S < 2^12,
     |S delta - arctan(1 / (c q))| from there on."""
     S, c = _strip_S(p), p.c
     trig = residual_normalized(qs, p, ms % 2 == 0)
@@ -356,12 +361,7 @@ def eval_halfspace_mode(q, z, p: PhysicalParams) -> np.ndarray:
 def mode_matrix(table: ModeTable, grid: Grid1D) -> np.ndarray:
     """(n_nodes, M+1) samples of all modes; endpoint rows are the exact
     boundary values so traces match the table bitwise."""
-    p = table.params
-    z = grid.nodes
-    S = _strip_S(p)
-    amp = table.c_norms / np.sqrt(S)
-    phase = np.outer(z, table.qs)
-    V = np.where(np.arange(len(table)) % 2 == 0, np.cos(phase), np.sin(phase)) * amp
+    V = eval_mode(np.arange(len(table)), grid.nodes[:, None], table)
     bvals = table.boundary_values()
     V[0, :] = bvals[:, 0]
     V[-1, :] = bvals[:, 1]
@@ -375,16 +375,10 @@ def mode_function(m: int, table: ModeTable, grid: Grid1D) -> BulkBoundaryFunctio
     return BulkBoundaryFunction(grid=grid, bulk=V[:, m].copy(), boundary=bvals[m].copy())
 
 
-def _check_spans_strip(grid: Grid1D, table: ModeTable):
-    S = _strip_S(table.params)
-    if not (np.isclose(grid.z_min, -S) and np.isclose(grid.z_max, S)):
-        raise GeometryError("function grid does not span the strip")
-
-
 def project(F: BulkBoundaryFunction, table: ModeTable) -> np.ndarray:
     """Coefficients a_m = <mode_m, F> in the weighted inner product."""
     p = table.params
-    _check_spans_strip(F.grid, table)
+    _check_grid_geometry(F.grid, p)
     V = mode_matrix(table, F.grid)
     w = F.grid.quad_weights()
     bvals = table.boundary_values()
@@ -395,7 +389,7 @@ def gram_matrix(table: ModeTable, grid: Grid1D) -> np.ndarray:
     """Weighted inner products <mode_m, mode_m'> of all sampled modes,
     V^T W V + c B B^T with V the mode matrix, W the quadrature weights and B
     the boundary values: ``project`` applied to every ``mode_function``."""
-    _check_spans_strip(grid, table)
+    _check_grid_geometry(grid, table.params)
     V = mode_matrix(table, grid)
     B = table.boundary_values()
     return V.T @ (grid.quad_weights()[:, None] * V) + table.params.c * (B @ B.T)

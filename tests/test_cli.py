@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -51,7 +52,7 @@ def _drop_delta(entries):
 
 @pytest.mark.parametrize("M, edit", [
     (200, lambda entries: entries[37].update(q=entries[37]["q"] + 1e-9)),
-    # q S > 2^14, where the residual is taken in delta form
+    # q S > 2^12, where the residual is taken in delta form
     (11000, lambda entries: entries[10500].update(q=entries[10500]["q"] + 1e-9)),
     (200, _drop_delta),
 ], ids=["q", "q-delta-form", "no-delta"])
@@ -86,6 +87,29 @@ def test_benchmark_reads_the_cached_residual(tmp_path, monkeypatch):
     assert workloads._from_file(path) == {"eig_residual_max": worst}
 
 
+def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
+    # every argv the benchmark passes to the CLI, from all workloads and the
+    # edge probes, is accepted by the parser (holo keeps its unused
+    # --cache-dir); the workloads module is loaded afresh with cli_op recording
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    harness = importlib.import_module("harness")
+    argvs = []
+    monkeypatch.setattr(harness, "cli_op", lambda name, argv: argvs.append(argv))
+    spec = importlib.util.spec_from_file_location("recorded_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for make in workloads.WORKLOADS.values():
+        make(0)
+    assert {argv[0] for argv in argvs} == {"verify", "modes", "evolve", "twopoint", "holo"}
+    parser = cli.build_parser()
+    for argv in argvs:
+        args = parser.parse_args([a.format(d=tmp_path) for a in argv])
+        assert args.func.__name__ == f"cmd_{argv[0]}"
+
+
 def test_modes_command(tmp_path, monkeypatch):
     # each run, cache miss or hit, evaluates the eigenvalue residuals once
     calls = []
@@ -107,6 +131,8 @@ def test_modes_command(tmp_path, monkeypatch):
     assert set(doc) == {"S", "c", "mu", "M_max", "entries"}
     cached = list(cache.glob("modes_*.json"))
     assert [f.name for f in cached] == ["modes_v3_S1.0_c1.0_mu1.0_M200.json"]
+    # the export is the cache file's text, written from the table itself
+    assert out.read_bytes() == cached[0].read_bytes()
     checksum = sha(cached[0])
     # warm rerun: cache hit, byte-identical file
     assert main(["modes", "--S", "1", "--c", "1", "--mu", "1", "--max", "200",
@@ -150,9 +176,13 @@ def test_nonfinite_parameters_exit_1_without_output(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("args", [["modes", "--max", "8000"], ["modes", "--max", "20000"],
-                                  ["twopoint", "--max", "3000"]], ids=" ".join)
+                                  ["twopoint", "--max", "3000"],
+                                  ["modes", "--S", "0.4", "--max", "5000"],
+                                  ["twopoint", "--S", "0.7", "--max", "2500"]], ids=" ".join)
 def test_large_mode_cutoffs_exit_0(tmp_path, args):
-    # past q S = 2^14 and the rounding of q - pi (m-1) / 2S
+    # past q S = 2^12, where the residual is taken in delta form, and the
+    # rounding of q - pi (m-1) / 2S; at S = 0.4 and 0.7 q S is not exact in
+    # binary, and the trig-form residual alone would exceed 1e-12
     assert main(args + ["--cache-dir", str(tmp_path), "--out", str(tmp_path / "out")]) == 0
 
 

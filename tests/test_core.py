@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wentzell.core import (BulkBoundaryFunction, CauchyData, GridMismatchError,
-                           Grid1D, PhysicalParams, Strip, ZeroModeError,
+from wentzell.core import (BulkBoundaryFunction, CauchyData, GeometryError,
+                           GridMismatchError, Grid1D, HalfSpace, PhysicalParams,
+                           Strip, ZeroModeError,
                            compatibility_check, spectral_sobolev_norm,
                            symplectic_form, trace, weighted_inner_product,
                            weighted_norm)
@@ -128,6 +129,18 @@ def test_sobolev_r1_is_dirichlet_energy():
     quad = (np.dot(w, dz**2) + p.mu**2 * np.dot(w, F.bulk**2)
             + p.c * p.mu**2 * np.sum(F.boundary**2))
     assert spectral_sobolev_norm(coeffs, table, 1.0) ** 2 == pytest.approx(quad, rel=1e-6)
+
+
+def test_boundary_has_the_two_strip_components():
+    for bdy in ([1.0], [1.0, 2.0, 3.0], 1.0):
+        with pytest.raises(ValueError, match="expected \\(2,\\)"):
+            bbf(np.ones(GRID.n_nodes), bdy)
+    half = PhysicalParams(c=1.0, geometry=HalfSpace())
+    with pytest.raises(GeometryError, match="strip"):
+        weighted_inner_product(const(1.0), const(1.0), half)
+    with pytest.raises(GeometryError, match="strip"):
+        weighted_inner_product(const(1.0, Grid1D.for_halfspace(2.0, 64)),
+                               const(1.0, Grid1D.for_halfspace(2.0, 64)), half)
 
 
 def test_trace_and_compatibility():

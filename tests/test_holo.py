@@ -28,7 +28,7 @@ def table():
 
 @pytest.fixture(scope="module")
 def grids():
-    return HoloGrids.default(1.0, n_z=1024, n_t=2049, t_span=4.0, n_out=1024)
+    return HoloGrids.default(1.0, n_t=2049, t_span=4.0, n_out=1024)
 
 
 def gauss_f(t, z):

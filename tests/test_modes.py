@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wentzell.core import GeometryError, Grid1D, HalfSpace, PhysicalParams, Strip
-from wentzell.modes import (bracket, build_table, d_asymptote,
-                            eval_halfspace_mode, eval_mode, gram_matrix,
-                            mode_function, project, residual_normalized, solve_q,
+from wentzell.modes import (bracket, build_table, check_solution, d_asymptote,
+                            eval_halfspace_mode, eval_mode, gram_matrix, mode_function,
+                            mode_matrix, project, residual_normalized, solve_q,
                             synthesize, verify_table)
 
 P1 = PhysicalParams(c=1.0, geometry=Strip(1.0))
@@ -77,6 +77,15 @@ def test_verify_table_passes_at_1e5_modes():
     assert np.max(table.residuals) <= 1e-12
 
 
+@pytest.mark.parametrize("S", (0.3, 0.4, 0.7, 1.3, 2.5))
+def test_check_solution_passes_at_12000_modes(S):
+    # where q S is not exact in binary the trig-form residual floor exceeds
+    # 1e-12 a little beyond q S = 2^12 (first failures at m = 3 157 to 4 589
+    # with a switch at 2^14); the delta form holds from 2^12 on
+    table = build_table(12_000, PhysicalParams(c=1.0, geometry=Strip(S)))
+    assert check_solution(table) <= 1e-12
+
+
 def test_table_residuals_are_computed_once_and_read_only():
     table = build_table(50, P1)
     res = table.residuals
@@ -138,6 +147,29 @@ def test_halfspace_mode_broadcast_matches_loop():
     V = eval_halfspace_mode(q[None, :], z[:, None], p)
     assert V.shape == loop.shape
     assert np.max(np.abs(V - loop)) <= 4 * np.finfo(float).eps * np.max(np.abs(loop))
+
+
+@pytest.mark.parametrize("n", (7, 256))
+def test_mode_matrix_is_the_profile_formula(n):
+    # bitwise the written-out profile amp * cos/sin(z q) with the exact
+    # boundary values in the end rows
+    table = build_table(60, PhysicalParams(c=0.7, mu=1.0, geometry=Strip(1.3)))
+    grid = Grid1D.for_strip(1.3, n)
+    m = np.arange(len(table))
+    phase = np.outer(grid.nodes, table.qs)
+    ref = np.where(m % 2 == 0, np.cos(phase), np.sin(phase)) \
+        * (table.c_norms / np.sqrt(1.3))
+    ref[0], ref[-1] = table.boundary_values().T
+    assert np.array_equal(mode_matrix(table, grid), ref)
+
+
+def test_project_rejects_a_grid_off_the_strip(table20):
+    F = mode_function(3, table20, Grid1D.for_strip(1.0, 64))
+    F.grid = Grid1D(-1.0, 0.9, 64)
+    with pytest.raises(GeometryError, match=r"must span \[-S, S\]"):
+        project(F, table20)
+    with pytest.raises(GeometryError, match=r"must span \[-S, S\]"):
+        gram_matrix(table20, Grid1D(-1.0, 0.9, 64))
 
 
 def test_project_unit_vectors(table20):
