@@ -325,14 +325,20 @@ def verify_table(table: ModeTable) -> TableReport:
 
 def eval_mode(m, z, table: ModeTable) -> np.ndarray:
     """Normalized strip profile c_m S^(-1/2) cos/sin(q_m z) of mode index ``m``
-    (an index array broadcasts against ``z``)."""
+    (an index array broadcasts against ``z``).  Indices of one parity take
+    only the trig function they need."""
     S = _strip_S(table.params)
     z = np.asarray(z, dtype=float)
     if np.any(np.abs(z) > S * (1 + 1e-12)):
         raise GeometryError("evaluation point outside the strip")
     m = np.asarray(m)
     q, amp = table.qs[m], table.c_norms[m] / np.sqrt(S)
-    return amp * np.where(m % 2 == 0, np.cos(q * z), np.sin(q * z))
+    odd = m % 2 == 1
+    if not np.any(odd):
+        return amp * np.cos(q * z)
+    if np.all(odd):
+        return amp * np.sin(q * z)
+    return amp * np.where(odd, np.sin(q * z), np.cos(q * z))
 
 
 def eval_mode_deriv(m, z, table: ModeTable) -> np.ndarray:
@@ -359,9 +365,13 @@ def eval_halfspace_mode(q, z, p: PhysicalParams) -> np.ndarray:
 
 
 def mode_matrix(table: ModeTable, grid: Grid1D) -> np.ndarray:
-    """(n_nodes, M+1) samples of all modes; endpoint rows are the exact
-    boundary values so traces match the table bitwise."""
-    V = eval_mode(np.arange(len(table)), grid.nodes[:, None], table)
+    """(n_nodes, M+1) samples of all modes, the even columns from cos and the
+    odd ones from sin only; endpoint rows are the exact boundary values so
+    traces match the table bitwise."""
+    m, z = np.arange(len(table)), grid.nodes[:, None]
+    V = np.empty((z.size, m.size))
+    V[:, 0::2] = eval_mode(m[0::2], z, table)
+    V[:, 1::2] = eval_mode(m[1::2], z, table)
     bvals = table.boundary_values()
     V[0, :] = bvals[:, 0]
     V[-1, :] = bvals[:, 1]

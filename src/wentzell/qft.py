@@ -6,6 +6,15 @@ positive superposition of massive free-field two-point functions, with masses
 mu_m = sqrt(q_m^2 + mu^2) and weights d_m^2 (strip) or the continuous weight
 2 / (pi (c^2 q^2 + 1)) (half-space).
 
+At spacelike separation r (d >= 2) the strip sum is sum_m d_m^2 (2 pi)^(-d/2)
+mu_m^nu r^(1-d/2) K_nu(mu_m r), nu = d/2 - 1, whose terms fall like
+e^(-mu_m r).  Each r sums only the modes with mu_m < mu_0 + 45 / r, in
+ascending m; the terms are positive, and a bound on every dropped term from
+the monotone z^nu K_nu(z) (DLMF 10.29.4) certifies that each would round away
+against the partial sum.  The values are therefore bitwise those of the sum
+over all M + 1 modes, which is taken instead wherever the bound fails.  The
+d = 2 commutator's J_0 terms do not decay, so it sums every mode.
+
 The half-space integrals over q are composite Gauss-Legendre rules in numpy:
 the two-point function after the substitution q = mu sinh s, evaluated for
 all times as one matrix product with a two-resolution error estimate, and the
@@ -55,9 +64,11 @@ class TwoPointSpec:
 
 @dataclass
 class TwoPointResult:
-    """Two-point values and a bound on what the cutoff leaves out: the mode
-    tail beyond M (strip, d = 1), twice the largest term of the last mode
-    (Bessel sum, d >= 2) or the tail beyond q_max (half-space)."""
+    """Two-point values and an estimate of what the cutoff leaves out: a bound
+    on the mode tail beyond M (strip, d = 1), the heuristic twice the largest
+    term of mode M (Bessel sum, d >= 2; it bounds neither the modes beyond M
+    nor the terms m <= M the sum skips, which change no bit) or a bound on the
+    tail beyond q_max (half-space)."""
 
     value: complex | float | np.ndarray
     tail_bound: float
@@ -147,34 +158,112 @@ def boundary_2pt_strip(x0, x, spec: TwoPointSpec, table: ModeTable) -> TwoPointR
     return spacelike_2pt_bessel(x2, spec, table=table)
 
 
+# At separation r the Bessel sum keeps the modes with mu_m < mu_0 + Z / r; each
+# dropped term is about e^-Z of the first or less.  _bessel_prefix_sums
+# certifies every cut and widens it to all modes where the bound fails.
+_BESSEL_CUT_Z = 45.0
+
+
+def _bessel_terms(m, j, d: int, mu_m: np.ndarray, d2: np.ndarray, r: np.ndarray
+                  ) -> np.ndarray:
+    """Terms d_m^2 (2 pi)^(-d/2) mu_m^nu r_j^(1-d/2) K_nu(mu_m r_j), nu = d/2 - 1,
+    at the index pairs (m, j), with the factors multiplied in one fixed order
+    so that a term has the same bits whichever pairs are evaluated."""
+    from scipy.special import kv  # loaded on first use: scipy is slow to import
+
+    nu = d / 2.0 - 1.0
+    coef = d2 * (2 * np.pi) ** (-d / 2.0) * mu_m**nu
+    return coef[m] * (r ** (1.0 - d / 2.0))[j] * kv(nu, mu_m[m] * r[j])
+
+
+def _bessel_dropped_bound(cut: np.ndarray, r: np.ndarray, d: int, mu_m: np.ndarray,
+                          d2: np.ndarray) -> np.ndarray:
+    """Upper bound, at each r_j, on every term m >= cut_j of the Bessel sum
+    (0 where cut_j = M + 1 drops nothing).  z^nu K_nu(z) decreases in z for
+    z > 0 (DLMF 10.29.4: its derivative is -z^nu K_(nu-1)(z)), so with
+    mu = min(mu_m[cut_j:]) every dropped term is at most
+
+        max(d2[cut_j:]) (2 pi)^(-d/2) mu^nu r_j^(1-d/2) K_nu(mu r_j),
+
+    the term formula at the tail's largest weight and smallest mass: one
+    ``kv`` call per separation."""
+    last = mu_m.size - 1
+    bound = _bessel_terms(np.minimum(cut, last), np.arange(r.size), d,
+                          np.minimum.accumulate(mu_m[::-1])[::-1],
+                          np.maximum.accumulate(d2[::-1])[::-1], r)
+    return np.where(cut > last, 0.0, bound)
+
+
+def _bessel_prefix_sums(cut: np.ndarray, r: np.ndarray, d: int, mu_m: np.ndarray,
+                        d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of the Bessel terms m < cut_j at each r_j, and the cuts it used.
+    The kept (m, j) pairs are built in O(kept) and added per j by
+    ``np.bincount`` in ascending m, the order in which ``np.sum(axis=0)`` adds
+    the dense (M+1, n_r) grid of two or more columns.
+
+    Certificate: the terms are positive, so the running sum only grows, and a
+    term below half of ``np.spacing`` of the running sum rounds away.  Where
+    ``_bessel_dropped_bound`` is below a quarter of ``np.spacing`` of the
+    partial sum (the factor 2 covers the rounding of the bound and of ``kv``),
+    no dropped term changes a bit of the full sum.  Where it is not, that
+    separation is summed again over all M + 1 modes."""
+    def sums(j, n):
+        cols = np.repeat(j, n)
+        rows = np.arange(cols.size) - np.repeat(np.cumsum(n) - n, n)
+        return np.bincount(cols, _bessel_terms(rows, cols, d, mu_m, d2, r),
+                           minlength=r.size)
+
+    val = sums(np.arange(r.size), cut)
+    wide = ~(_bessel_dropped_bound(cut, r, d, mu_m, d2) < 0.25 * np.spacing(val))
+    if np.any(wide):
+        j = np.flatnonzero(wide)
+        cut = np.where(wide, mu_m.size, cut)
+        val[j] = sums(j, cut[j])[j]
+    return val, cut
+
+
 def spacelike_2pt_bessel(x2, spec: TwoPointSpec, table: ModeTable) -> TwoPointResult:
     """Boundary two-point function at spacelike separation x^2 > 0 for d >= 2:
 
-        sum_m d_m^2 (2 pi)^(-d/2) mu_m^(d/2-1) |x^2|^(1/2-d/4)
+        sum_{m <= M} d_m^2 (2 pi)^(-d/2) mu_m^(d/2-1) |x^2|^(1/2-d/4)
               K_(d/2-1)(mu_m sqrt(x^2)),
 
-    exponentially convergent in m."""
-    from scipy.special import kv  # loaded on first use: scipy is slow to import
-
+    exponentially convergent in m.  The values are bitwise those of the dense
+    (M+1, n_r) grid of terms summed by ``np.sum(axis=0)``, but ``kv`` is
+    evaluated only where a term can change a bit.  At each r = sqrt(x^2) the
+    sum runs over the modes with mu_m < mu_0 + 45 / r (a prefix: mu_m
+    increases with m), in ascending m.  The dropped terms are bounded through
+    the monotone z^nu K_nu(z) (DLMF 10.29.4); where the bound is below a
+    quarter ulp of the partial sum, every dropped term rounds away and changes
+    no bit, and elsewhere every mode is summed (``_bessel_prefix_sums``).  A
+    single separation is summed over every mode with ``np.sum``, which adds one
+    column pairwise.  ``tail_bound`` is twice the largest term of mode M."""
     if spec.d < 2:
         raise ValueError("the Bessel mode sum requires d >= 2")
     x2 = np.asarray(x2, dtype=float)
     scalar = x2.ndim == 0
     x2 = np.atleast_1d(x2)
+    if not np.all(np.isfinite(x2)):
+        raise ValueError("x^2 must be finite")
     if np.any(x2 <= 0):
         raise ValueError("spacelike separation x^2 > 0 required")
     _check_strip_table(spec, table)
-    mu_m = table.omegas()[: spec.M + 1]
+    M = spec.M
+    mu_m = table.omegas()[: M + 1]
     if np.any(mu_m == 0.0):
         raise ZeroModeError("massless zero mode not allowed in the Bessel sum")
-    d2 = table.d_bdys[: spec.M + 1] ** 2
-    nu = spec.d / 2.0 - 1.0
-    r = np.sqrt(x2)
-    terms = (d2 * (2 * np.pi) ** (-spec.d / 2.0) * mu_m**nu)[:, None] \
-        * (r ** (1.0 - spec.d / 2.0))[None, :] * kv(nu, np.outer(mu_m, r))
-    val = np.sum(terms, axis=0)
-    value = float(val[0]) if scalar else val
-    return TwoPointResult(value=value, tail_bound=2.0 * float(np.max(np.abs(terms[-1]))))
+    d2 = table.d_bdys[: M + 1] ** 2
+    r = np.sqrt(x2).ravel()
+    cols = np.arange(r.size)
+    if r.size == 1:
+        val = np.sum(_bessel_terms(np.arange(M + 1), cols, spec.d, mu_m, d2, r),
+                     keepdims=True)
+    else:
+        cut = np.searchsorted(mu_m, mu_m[0] + _BESSEL_CUT_Z / r)
+        val, _ = _bessel_prefix_sums(cut, r, spec.d, mu_m, d2)
+    last = _bessel_terms(M, cols, spec.d, mu_m, d2, r)
+    value = float(val[0]) if scalar else val.reshape(x2.shape)
+    return TwoPointResult(value=value, tail_bound=2.0 * float(np.max(np.abs(last))))
 
 
 def halfspace_weight(q, c: float) -> np.ndarray:
@@ -298,7 +387,10 @@ def pauli_jordan_d2(x0, x, mass) -> np.ndarray:
 
 def commutator_boundary(x0, x, spec: TwoPointSpec, table: ModeTable):
     """Boundary-field commutator function 2i Im Delta_+ as a mode sum of
-    massive Pauli-Jordan functions (d = 2), broadcast over (modes x points)."""
+    massive Pauli-Jordan functions (d = 2), broadcast over (modes x points).
+    Every mode up to M is summed: the J_0(mu_m tau) terms oscillate and decay
+    only like (mu_m tau)^(-1/2), so no cutoff in m like the Bessel sum's
+    applies."""
     if spec.d != 2:
         raise ValueError("the closed-form commutator is implemented for d = 2 only")
     _check_strip_table(spec, table)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import k0, sici, zeta
+from scipy.special import k0, kv, sici, zeta
 
+from wentzell import qft
 from wentzell.core import HalfSpace, PhysicalParams, Strip, ZeroModeError
 from wentzell.modes import build_table, mode_matrix
-from wentzell.qft import (TwoPointResult, TwoPointSpec, _hurwitz_zeta, boundary_2pt_halfspace,
+from wentzell.qft import (TwoPointResult, TwoPointSpec, _bessel_dropped_bound,
+                          _bessel_prefix_sums, _hurwitz_zeta, boundary_2pt_halfspace,
                           boundary_2pt_strip, boundary_smearing, causality_check,
                           commutator_boundary, fourier_trapezoid, halfspace_weight,
                           halfspace_weight_normalization, pauli_jordan_d2,
@@ -261,6 +265,107 @@ def test_bessel_sum_exponential_tail(table200):
     assert abs(v2.value - v1.value) < 1e-12
     with pytest.raises(ValueError):
         spacelike_2pt_bessel(-1.0, TwoPointSpec(params=p, M=10, d=2), table=table200)
+
+
+@pytest.mark.parametrize("x2", [[np.nan, np.inf, 1.0], [1.0, -np.inf], np.inf, np.nan])
+def test_bessel_sum_rejects_nonfinite_separations(table200, x2):
+    spec = TwoPointSpec(params=P1, M=10, d=2)
+    with pytest.raises(ValueError, match="finite"):
+        spacelike_2pt_bessel(x2, spec, table=table200)
+
+
+def dense_bessel_terms(x2, spec, table):
+    """(M+1, n_r) grid of every term of the Bessel sum, with kv evaluated for
+    every mode and separation."""
+    r = np.sqrt(np.atleast_1d(np.asarray(x2, dtype=float)))
+    mu_m = table.omegas()[: spec.M + 1]
+    d2 = table.d_bdys[: spec.M + 1] ** 2
+    nu = spec.d / 2.0 - 1.0
+    return (d2 * (2 * np.pi) ** (-spec.d / 2.0) * mu_m**nu)[:, None] \
+        * (r ** (1.0 - spec.d / 2.0))[None, :] * kv(nu, np.outer(mu_m, r))
+
+
+def assert_bessel_is_dense(x2, spec, table):
+    terms = dense_bessel_terms(x2, spec, table)
+    res = spacelike_2pt_bessel(x2, spec, table=table)
+    dense = np.sum(terms, axis=0)
+    assert np.array_equal(np.atleast_1d(res.value), dense)
+    assert res.tail_bound == 2.0 * np.max(np.abs(terms[-1]))
+
+
+BESSEL_PARAMS = [(1.0, 1.0, 1.0), (0.4, 7.0, 0.3), (2.5, 0.05, 2.0)]
+
+
+@pytest.fixture(scope="module", params=BESSEL_PARAMS, ids=lambda p: "S%g-c%g-mu%g" % p)
+def bessel_table(request):
+    S, c, mu = request.param
+    return build_table(600, PhysicalParams(c=c, mu=mu, geometry=Strip(S)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("M", [600, 137])
+def test_bessel_sum_is_bitwise_the_dense_sum(bessel_table, d, M):
+    # r from 1e-3 to 30: the cut mu_0 + Z / r lies beyond mu_M at the small r
+    # and inside the table at the large ones
+    spec = TwoPointSpec(params=bessel_table.params, M=M, d=d)
+    r = np.logspace(-3.0, 1.5, 300)
+    mu_m = bessel_table.omegas()[: M + 1]
+    cut = np.searchsorted(mu_m, mu_m[0] + qft._BESSEL_CUT_Z / r)
+    assert cut[0] == M + 1 and 1 <= cut[-1] < M // 4
+    assert_bessel_is_dense(r**2, spec, bessel_table)
+    assert_bessel_is_dense(r[::-1][:7] ** 2, spec, bessel_table)
+    for x2 in (0.37, r[0] ** 2, r[-1] ** 2, np.array([2.0])):  # one separation
+        assert_bessel_is_dense(x2, spec, bessel_table)
+    assert isinstance(spacelike_2pt_bessel(0.37, spec, table=bessel_table).value, float)
+    grid = spacelike_2pt_bessel((r**2).reshape(20, 15), spec, table=bessel_table).value
+    assert np.array_equal(grid, np.sum(dense_bessel_terms(r**2, spec, bessel_table),
+                                       axis=0).reshape(20, 15))
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=40), d=st.sampled_from([2, 3, 4]),
+       M=st.integers(1, 200))
+def test_bessel_sum_is_bitwise_the_dense_sum_at_any_separations(table200, r, d, M):
+    assert_bessel_is_dense(np.array(r) ** 2, TwoPointSpec(params=P1, M=M, d=d), table200)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_bessel_dropped_bound_holds_every_dropped_term(bessel_table, d):
+    spec = TwoPointSpec(params=bessel_table.params, M=len(bessel_table) - 1, d=d)
+    r = np.logspace(-4.0, 1.5, 120)
+    terms = dense_bessel_terms(r**2, spec, bessel_table)
+    mu_m = bessel_table.omegas()
+    d2 = bessel_table.d_bdys**2
+    rng = np.random.default_rng(d)
+    for cut in (rng.integers(0, spec.M + 2, r.size), np.zeros(r.size, int),
+                np.full(r.size, spec.M), np.full(r.size, spec.M + 1)):
+        bound = _bessel_dropped_bound(cut, r, d, mu_m, d2)
+        dropped = np.arange(spec.M + 1)[:, None] >= cut[None, :]
+        assert np.all(np.where(dropped, terms, 0.0) <= bound)
+        assert np.all(bound[cut == spec.M + 1] == 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_bessel_short_cut_widens_to_every_mode(bessel_table, d):
+    # a cut of one mode is too short wherever the second term would change a
+    # bit of the first: the certificate must catch it and sum every mode
+    spec = TwoPointSpec(params=bessel_table.params, M=len(bessel_table) - 1, d=d)
+    r = np.logspace(-3.0, 1.5, 200)
+    terms = dense_bessel_terms(r**2, spec, bessel_table)
+    val, cut = _bessel_prefix_sums(np.ones(r.size, int), r, d, bessel_table.omegas(),
+                                   bessel_table.d_bdys**2)
+    assert np.array_equal(val, np.sum(terms, axis=0))
+    assert set(np.unique(cut)) <= {1, spec.M + 1}
+    assert np.all(cut[terms[1] >= 0.5 * np.spacing(terms[0])] == spec.M + 1)
+    assert np.all(np.where(np.arange(spec.M + 1)[:, None] >= cut, terms, 0.0)
+                  < 0.5 * np.spacing(val))
+
+
+def test_bessel_sum_with_a_short_cut_is_still_exact(table200, monkeypatch):
+    monkeypatch.setattr(qft, "_BESSEL_CUT_Z", 1.0)
+    x2 = np.logspace(-4.0, 3.0, 90) ** 2
+    for d in (2, 3, 4):
+        assert_bessel_is_dense(x2, TwoPointSpec(params=P1, M=200, d=d), table200)
 
 
 def j0_oracle(x):
