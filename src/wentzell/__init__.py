@@ -7,10 +7,10 @@ from .core import (BulkBoundaryFunction, CauchyData, GeometryError, Grid1D,
                    ZeroModeError, compatibility_check, spectral_sobolev_norm,
                    symplectic_form, trace, weighted_inner_product, weighted_norm)
 from .modes import (ModeTable, build_table, eval_halfspace_mode, eval_mode,
-                    project, solve_q, synthesize, verify_table)
+                    project, synthesize, verify_table)
 from .evolve import (CflError, EnergyReport, FdtdState, SpectralState,
                      causality_probe, energy, explicit_solution, fdtd_run,
-                     make_fdtd_state, spectral_evolve)
+                     fdtd_samples, make_fdtd_state, spectral_evolve)
 from .qft import (SmearedCoefficients, TwoPointSpec, boundary_2pt_halfspace,
                   boundary_2pt_strip, commutator_boundary, smeared_coeffs,
                   source_relation_check, spacelike_2pt_bessel, tail_convergence)

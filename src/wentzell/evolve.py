@@ -23,28 +23,33 @@ back-step of the initial data is phi_prev = S(phi_0)/2 - dt v_0.
 ``_leapfrog_op`` is the one place that applies S, to a field or to a batch
 of fields.
 
-``fdtd_run`` is the only stepping loop.  It records the boundary trace (both
-endpoint values after every step) in the state it returns, so callers that
-follow the boundary take one call instead of stepping from Python.
+``fdtd_samples`` is the one stepping loop: a generator that yields the state
+after every given number of steps and after the last, each with the boundary
+trace (both endpoint values after every step) since the previous sample, so
+callers that follow the boundary or sample a run do not step from Python.
+``fdtd_run`` is its one-sample run.
 
 Blocked stepping.  The scheme propagates at a finite speed, one cell per
 step, so K steps form one fixed linear map in which each node reaches
 exactly K cells.  At nodes at least K cells from both ends only the bulk
 stencil acts, and the map is Toeplitz there; only the K nodes next to each
-boundary carry the closure.  A call of at least 8 steps therefore advances
-in blocks of K <= 32 steps (K <= (N - 1)/2 on a grid of N nodes), each block
-one precomputed map applied with BLAS: two block-Toeplitz GEMMs for the
-interior, and one small dense product that gives the K nodes at both ends
-(the closure is mirror-symmetric) and the boundary value after every step.
+boundary carry the closure.  An interval of at least 8 steps between two
+samples therefore advances in blocks of K <= 32 steps (K <= (N - 1)/2 on a
+grid of N nodes), each block one precomputed map applied with BLAS: two
+block-Toeplitz GEMMs for the interior, and one small dense product that
+gives the K nodes at both ends (the closure is mirror-symmetric) and the
+boundary value after every step.
 Below 8 steps per block the GEMMs cost more than they save (the measured
-crossover is 7-9 steps on 257 to 8 193 nodes), and the call takes single
-steps phi_next = S(phi) - phi_prev, which also compose exactly.
+crossover is 7-9 steps on 257 to 8 193 nodes), and the interval takes
+single steps phi_next = S(phi) - phi_prev, which also compose exactly.
 
 The blocks work in difference form, x = phi and d = phi - phi_prev, one step
-being d += (S - 2) x, x += d; ``fdtd_run`` converts from and to
-(phi, phi_prev) at its ends.  In level form, (phi, phi_prev) -> (phi_(n+K),
-phi_(n+K-1)), the map's entries grow to about K and cancel, and their
-rounding grows with them.  The d-from-x sums nearly vanish (they are the mass term), so
+being d += (S - 2) x, x += d.  The padded (x, d) buffer is made once per
+run and persists across samples; a sample only materializes phi = x and
+phi_prev = x - d, so a sampled run does not round-trip (x, d) through
+(phi, phi_prev) at every sample.  In level form, (phi, phi_prev) ->
+(phi_(n+K), phi_(n+K-1)), the map's entries grow to about K and cancel, and
+their rounding grows with them.  The d-from-x sums nearly vanish (they are the mass term), so
 the rounding of those sums, the same in every block, would add up; each
 row's sums are therefore reset to the response to the constant fields,
 stepped in extended precision (``_block_operators``).  Distance from a
@@ -57,6 +62,8 @@ long-double run of the same scheme, relative to max|phi| (Gaussian of width
       one call
     8 193 nodes, 5 000 steps,   1.6e-12  1.2e-10  1.3e-10  1.5e-12
       40-step calls
+    the same, one run sampled                                 1.5e-12
+      every 40 steps
 
 The GEMM operands are zero outside the band, and a zero input gives an
 exact zero, so nodes outside the discrete light cone stay exactly 0.0.  The
@@ -73,12 +80,14 @@ weights w (h inside, h/2 at the ends), node j carries
 
 The interior leapfrog conserves the sum exactly, so it is constant to
 rounding until the field reaches an endpoint; after that its drift measures
-the one-sided closure.  The regional diagnostics sum slices of this one
-per-node array.
+the one-sided closure.  ``node_energy`` builds this per-node array, and the
+regional diagnostics sum slices of it; ``energy`` takes the totals from
+whole-array products instead, without the array.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -152,8 +161,9 @@ def synthesize_state(s: SpectralState, grid: Grid1D) -> CauchyData:
 class FdtdState:
     """Leapfrog levels (phi_prev, phi) at times (t - dt, t); endpoint samples
     are the boundary degrees of freedom.  ``bdy_trace`` holds the endpoint
-    values after each step of the ``fdtd_run`` call that made the state, shape
-    (steps, 2) with column 0 at -S."""
+    values after each step since the previous sample of the run that made
+    the state (the whole run for ``fdtd_run``), shape (steps, 2) with column
+    0 at -S."""
 
     grid: Grid1D
     p: PhysicalParams
@@ -260,7 +270,7 @@ def _block_operators(coeffs: tuple, K: int, width: int
 
 
 def _block_plan(n_steps: int, n_nodes: int) -> list[tuple[int, int]]:
-    """(steps per block, number of blocks) pairs of an ``fdtd_run`` call, the
+    """(steps per block, number of blocks) pairs of an interval of a run, the
     longer blocks first: as few blocks as the cap min(32, (n_nodes - 1) // 2)
     allows, their lengths differing by at most one.  Empty (step one at a
     time) when a block would be shorter than _MIN_BLOCK steps."""
@@ -272,52 +282,6 @@ def _block_plan(n_steps: int, n_nodes: int) -> list[tuple[int, int]]:
     if q < _MIN_BLOCK:
         return []
     return [(K, c) for K, c in ((q + 1, r), (q, count - r)) if c]
-
-
-def _run_blocks(phi: np.ndarray, phi_prev: np.ndarray, coeffs: tuple,
-                plan: list[tuple[int, int]], trace: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance (phi, phi_prev) by the blocks of ``plan``, one GEMM update per
-    block, filling ``trace``; returns the new (phi, phi_prev).
-
-    The state is xd = (x, d) = (phi, phi - phi_prev), padded with width/2
-    zero nodes on the left and zero nodes on the right up to whole blocks of
-    ``width`` nodes.  Each update copies it into rows z[j] = (x, d) of block
-    j, applies the interior map, writes it back, and then overwrites the K
-    nodes at each end with the edge operator's result."""
-    n = phi.size
-    width = 2 * plan[0][0]
-    pad = width // 2
-    rows = -(-n // width)
-    xd = np.zeros((2, (rows + 1) * width))
-    xd[0, pad:pad + n] = phi
-    np.subtract(phi, phi_prev, out=xd[1, pad:pad + n])
-    flat = xd.reshape(-1)
-    blocks = xd.reshape(2, rows + 1, width).transpose(1, 0, 2)
-    interior = xd[:, pad:pad + rows * width].reshape(2, rows, width)
-    z = np.empty((rows + 1, 2 * width))
-    acc = np.empty((rows, 2 * width))
-    tmp = np.empty_like(acc)
-    new = acc.reshape(rows, 2, width).transpose(1, 0, 2)
-    k0 = 0
-    for K, count in plan:
-        t0, t1, edge = _block_operators(coeffs, K, width)
-        W = 2 * K + 1
-        at = pad + np.abs(np.array([0, n - 1]) - np.arange(W)[:, None])  # node m from each end
-        gather = np.concatenate([at, at + xd.shape[1]])  # x then d
-        scatter = gather[np.r_[0:K, W:W + K]]
-        for _ in range(count):
-            e = edge @ flat[gather]
-            np.copyto(z.reshape(rows + 1, 2, width), blocks)
-            np.matmul(z[:-1], t0, out=acc)
-            acc += np.matmul(z[1:], t1, out=tmp)
-            np.copyto(interior, new)
-            xd[:, pad + n:] = 0.0
-            flat[scatter] = e[K - 1:]
-            trace[k0:k0 + K] = e[:K]
-            k0 += K
-    x = xd[0, pad:pad + n].copy()
-    return x, x - xd[1, pad:pad + n]
 
 
 def make_fdtd_state(data: CauchyData, p: PhysicalParams, cfl: float = 0.5) -> FdtdState:
@@ -343,35 +307,118 @@ def make_fdtd_state(data: CauchyData, p: PhysicalParams, cfl: float = 0.5) -> Fd
     return FdtdState(grid=grid, p=p, phi=phi0, phi_prev=phi_prev, t=0.0, dt=dt)
 
 
-def fdtd_run(s: FdtdState, n_steps: int) -> FdtdState:
-    """Advance n_steps leapfrog steps phi_next = S(phi) - phi_prev and record
-    the boundary trace of every step.
+def fdtd_samples(s: FdtdState, n_steps: int, every: int) -> Iterator[FdtdState]:
+    """Advance n_steps leapfrog steps phi_next = S(phi) - phi_prev and yield
+    the state after every ``every`` steps and after the last step, each with
+    the boundary trace of the steps since the previous sample.  Lazy: a
+    consumer that stops at a sample takes no step beyond it.  Nothing is
+    yielded when n_steps = 0; ValueError unless n_steps >= 0 and every >= 1.
 
-    The steps go in the fewest blocks of at most min(32, (N - 1) // 2) steps
-    on N nodes, of lengths differing by at most one, each block one
-    precomputed linear map in difference form (see the module docstring).
-    The choice is made from the call's own step count and grid: when a block
-    would be shorter than 8 steps, the call takes single steps instead.  So
-    a long call agrees with the same steps taken one call at a time to
-    rounding (about 1e-14 relative), not bit for bit; calls of under 8
-    steps compose exactly.  The last trace row is the returned endpoint
-    values themselves, so ``bdy_trace[-1]`` equals ``bdy`` exactly."""
+    Each interval between samples is stepped as an ``fdtd_run`` call of its
+    length would step it: in the fewest blocks of at most min(32, (N - 1) //
+    2) steps on N nodes, of lengths differing by at most one, each block one
+    precomputed linear map in difference form (see the module docstring),
+    or in single steps when a block would be shorter than 8 steps.  The
+    padded (x, d) buffer, the work arrays and the operators are made once
+    per run, and (x, d) persists from one sample to the next; a sample only
+    materializes phi = x and phi_prev = x - d.  So a sampled run agrees with
+    the same intervals taken one ``fdtd_run`` call at a time to rounding
+    (about 1e-14 relative), and bit for bit where every interval takes
+    single steps.  The last trace row of a sample is its endpoint values
+    themselves, so ``bdy_trace[-1]`` equals ``bdy`` exactly.  The arrays of
+    a yielded state are never written afterwards, and consecutive samples
+    may share one."""
     if n_steps < 0:
         raise ValueError(f"step count must be >= 0, got n_steps={n_steps}")
+    if every < 1:
+        raise ValueError(f"sample interval must be >= 1 step, got every={every}")
+    return _samples(s, n_steps, every)
+
+
+def _samples(s: FdtdState, n_steps: int, every: int) -> Iterator[FdtdState]:
+    """The generator of ``fdtd_samples``.
+
+    In blocked intervals the state is xd = (x, d) = (phi, phi - phi_prev),
+    padded with width/2 zero nodes on the left and zero nodes on the right up
+    to whole blocks of ``width`` nodes; the width is twice the longest block
+    of the run, and ``_block_operators`` serves every shorter block at that
+    width.  Each update copies xd into rows z[j] = (x, d) of block j,
+    applies the interior map, writes it back, and then overwrites the K
+    nodes at each end with the edge operator's result."""
     coeffs = _leapfrog_stencil(s.grid.h, s.dt, s.p)
-    trace = np.empty((n_steps, 2))
-    plan = _block_plan(n_steps, s.phi.size)
-    if plan:
-        cur, prev = _run_blocks(s.phi, s.phi_prev, coeffs, plan, trace)
-    else:
-        prev = s.phi_prev.copy()
-        cur = s.phi.copy()
-        for k in range(n_steps):
-            np.subtract(_leapfrog_op(cur, 0.0, *coeffs), prev, out=prev)
-            trace[k] = prev[0], prev[-1]
-            prev, cur = cur, prev
-    return FdtdState(grid=s.grid, p=s.p, phi=cur, phi_prev=prev,
-                     t=s.t + n_steps * s.dt, dt=s.dt, bdy_trace=trace)
+    n = s.phi.size
+    full, last = divmod(n_steps, every)
+    plans = {k: _block_plan(k, n) for k in (every if full else 0, last) if k}
+    width = 2 * max((plan[0][0] for plan in plans.values() if plan), default=0)
+    if width:
+        pad = width // 2
+        rows = -(-n // width)
+        xd = np.zeros((2, (rows + 1) * width))
+        x, d = xd[:, pad:pad + n]
+        flat = xd.reshape(-1)
+        blocks = xd.reshape(2, rows + 1, width).transpose(1, 0, 2)
+        interior = xd[:, pad:pad + rows * width].reshape(2, rows, width)
+        z = np.empty((rows + 1, 2 * width))
+        acc = np.empty((rows, 2 * width))
+        tmp = np.empty_like(acc)
+        new = acc.reshape(rows, 2, width).transpose(1, 0, 2)
+        ops = {}
+        for K in {K for plan in plans.values() for K, _ in plan}:
+            W = 2 * K + 1
+            at = pad + np.abs(np.array([0, n - 1]) - np.arange(W)[:, None])  # node m from each end
+            gather = np.concatenate([at, at + xd.shape[1]])  # x then d
+            ops[K] = (*_block_operators(coeffs, K, width), gather,
+                      gather[np.r_[0:K, W:W + K]])
+    # the input's arrays are never yielded, so no sample aliases them
+    cur, prev = s.phi.copy(), s.phi_prev
+    loaded = False  # whether xd holds the state
+    t = s.t
+    for k0 in range(0, n_steps, every):
+        k = min(every, n_steps - k0)
+        trace = np.empty((k, 2))
+        plan = plans[k]
+        if plan:
+            if not loaded:
+                x[:] = cur
+                np.subtract(cur, prev, out=d)
+                loaded = True
+            j = 0
+            for K, count in plan:
+                t0, t1, edge, gather, scatter = ops[K]
+                for _ in range(count):
+                    e = edge @ flat[gather]
+                    np.copyto(z.reshape(rows + 1, 2, width), blocks)
+                    np.matmul(z[:-1], t0, out=acc)
+                    acc += np.matmul(z[1:], t1, out=tmp)
+                    np.copyto(interior, new)
+                    xd[:, pad + n:] = 0.0
+                    flat[scatter] = e[K - 1:]
+                    trace[j:j + K] = e[:K]
+                    j += K
+            cur = x.copy()
+            prev = cur - d
+        else:
+            loaded = False
+            for j in range(k):
+                nxt = _leapfrog_op(cur, 0.0, *coeffs)
+                np.subtract(nxt, prev, out=nxt)
+                trace[j] = nxt[0], nxt[-1]
+                prev, cur = cur, nxt
+        t += k * s.dt
+        yield FdtdState(grid=s.grid, p=s.p, phi=cur, phi_prev=prev, t=t, dt=s.dt,
+                        bdy_trace=trace)
+
+
+def fdtd_run(s: FdtdState, n_steps: int) -> FdtdState:
+    """Advance n_steps leapfrog steps and return the state with the boundary
+    trace of every step: the one sample of ``fdtd_samples(s, n_steps,
+    n_steps)``, so the block plan comes from the call's own step count and
+    grid.  n_steps = 0 returns a copy of the levels with an empty trace."""
+    if n_steps == 0:
+        return FdtdState(grid=s.grid, p=s.p, phi=s.phi.copy(),
+                         phi_prev=s.phi_prev.copy(), t=s.t, dt=s.dt)
+    (state,) = fdtd_samples(s, n_steps, n_steps)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +426,11 @@ def fdtd_run(s: FdtdState, n_steps: int) -> FdtdState:
 
 @dataclass
 class EnergyReport:
+    """Energy totals; ``node_energy`` gives the FDTD energy node by node."""
+
     bulk: float
     boundary: float
     total: float
-    node_energy: np.ndarray | None = None  # FDTD: per node, sums to total
 
 
 def energy(state: SpectralState | FdtdState) -> EnergyReport:
@@ -393,9 +441,14 @@ def energy(state: SpectralState | FdtdState) -> EnergyReport:
     components.
     FDTD states use the scheme's conserved energy of the stored levels
     a = phi_prev, b = phi, which refers to t - dt/2 (see the module
-    docstring): ``node_energy`` holds it node by node, ``boundary`` is the
-    sum of the two end-node terms c/2 (v^2 + mu^2 a b), and ``bulk`` is the
-    rest.
+    docstring).  The total comes from whole-array products, with v = b - a
+    and e_j = (v_j^2 / dt^2 + mu^2 a_j b_j) / 2:
+
+        h/2 (v.v / dt^2 + mu^2 a.b) + (c - h/2)(e_0 + e_N) + diff(b).diff(a) / 2h,
+
+    which is the sum of ``node_energy`` to rounding.  ``boundary`` is the
+    sum of the two end-node terms c e_0 + c e_N, as ``node_energy`` holds
+    them, and ``bulk`` is the rest.
     """
     if isinstance(state, SpectralState):
         w = state.omegas()
@@ -406,20 +459,40 @@ def energy(state: SpectralState | FdtdState) -> EnergyReport:
         bdy = 0.5 * p.c * float(np.sum(v_b**2 + (p.mu**2 + state.k**2) * phi_b**2))
         return EnergyReport(bulk=total - bdy, boundary=bdy, total=total)
     p = state.p
+    a, b, h, dt = state.phi_prev, state.phi, state.grid.h, state.dt
+    e0, e1 = (_density(float(a[j]), float(b[j]), dt, p.mu) for j in (0, -1))
+    v = b - a
+    total = float(0.5 * h * ((v @ v) / dt**2 + p.mu**2 * (a @ b))
+                  + (p.c - 0.5 * h) * (e0 + e1)
+                  + ((b[1:] - b[:-1]) @ (a[1:] - a[:-1])) / (2.0 * h))
+    bdy = p.c * e0 + p.c * e1
+    return EnergyReport(bulk=total - bdy, boundary=bdy, total=total)
+
+
+def _density(a, b, dt: float, mu: float):
+    """(v^2 + mu^2 a b) / 2 per node, v = (b - a) / dt, for arrays or floats
+    alike: each operation rounds once, so a node's value has the same bits
+    either way."""
+    v = (b - a) / dt
+    return 0.5 * (v * v + mu**2 * a * b)
+
+
+def node_energy(state: FdtdState) -> np.ndarray:
+    """The FDTD energy of ``energy`` node by node (the split of the module
+    docstring); an end node carries its boundary term.  Sums to the total to
+    rounding."""
+    p = state.p
     a, b, h = state.phi_prev, state.phi, state.grid.h
-    dens = 0.5 * (((b - a) / state.dt) ** 2 + p.mu**2 * a * b)
+    dens = _density(a, b, state.dt, p.mu)
     half_cell = np.diff(b) * np.diff(a) / (4.0 * h)
     node = h * dens
     node[0] *= 0.5
     node[-1] *= 0.5
     node[:-1] += half_cell
     node[1:] += half_cell
-    end_lo, end_hi = p.c * dens[0], p.c * dens[-1]
-    node[0] += end_lo
-    node[-1] += end_hi
-    total = float(node.sum())
-    bdy = float(end_lo + end_hi)
-    return EnergyReport(bulk=total - bdy, boundary=bdy, total=total, node_energy=node)
+    node[0] += p.c * dens[0]
+    node[-1] += p.c * dens[-1]
+    return node
 
 
 def energy_in_region(state: FdtdState, z_lo: float, z_hi: float) -> float:
@@ -427,7 +500,7 @@ def energy_in_region(state: FdtdState, z_lo: float, z_hi: float) -> float:
     inside the region brings its boundary term with it."""
     z = state.grid.nodes
     mask = (z >= z_lo - 1e-12) & (z <= z_hi + 1e-12)
-    return float(energy(state).node_energy[mask].sum())
+    return float(node_energy(state)[mask].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +552,10 @@ def causality_probe(data: CauchyData, p: PhysicalParams, t: float) -> CausalityR
     z = state.grid.nodes
     outside = (z < cone[0]) | (z > cone[1])
     max_out = float(np.max(np.abs(state.phi[outside]))) if np.any(outside) else 0.0
-    rep = energy(state)
-    e_out = float(rep.node_energy[outside].sum())
-    frac = e_out / rep.total if rep.total > 0 else 0.0
+    node = node_energy(state)
+    total = float(node.sum())
+    e_out = float(node[outside].sum())
+    frac = e_out / total if total > 0 else 0.0
     return CausalityReport(t=state.t, support=(z_lo, z_hi), cone=cone,
                            max_outside=max_out, energy_outside_fraction=frac,
                            tol=_PROBE_TOL)

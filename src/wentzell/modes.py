@@ -125,21 +125,6 @@ def _solve_batch(ms: np.ndarray, p: PhysicalParams) -> tuple[np.ndarray, np.ndar
     return q, delta
 
 
-def solve_q(m: int, p: PhysicalParams) -> float:
-    """Eigenvalue q_m on the strip; q_0 = 0 exactly.  RuntimeError if its
-    normalized residual exceeds 1e-12."""
-    if m < 0:
-        raise ValueError(f"mode index must be >= 0, got {m}")
-    _strip_S(p)
-    if m == 0:
-        return 0.0
-    q, delta = _solve_batch(np.array([m]), p)
-    res = float(_residuals(np.array([m]), q, delta, p)[0])
-    if res > _RESIDUAL_TOL:
-        raise RuntimeError(f"residual {res:.3e} above tolerance for m={m}")
-    return float(q[0])
-
-
 _COLUMNS = ("qs", "deltas", "c_norms", "d_bdys")
 
 

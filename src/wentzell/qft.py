@@ -575,16 +575,6 @@ def smeared_coeffs(f_bulk: np.ndarray | None, f_bdy: np.ndarray | None,
     return SmearedCoefficients(f_plus=fourier_trapezoid(A, t, table.omegas()))
 
 
-def boundary_smearing(g: np.ndarray, table: ModeTable, side: str = "plus") -> np.ndarray:
-    """(n_t, 2) boundary pair representing the smearing of phi|_side with g,
-    i.e. (0, c^-1 g) concentrated on one component."""
-    g = np.asarray(g, dtype=float)
-    out = np.zeros((g.shape[0], 2))
-    col = 1 if side == "plus" else 0
-    out[:, col] = g / table.params.c
-    return out
-
-
 def source_relation_check(g: np.ndarray, table: ModeTable, time_grid: np.ndarray,
                           side: str = "plus", weights: np.ndarray | None = None
                           ) -> float:

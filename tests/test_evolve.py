@@ -8,8 +8,8 @@ from wentzell.core import (BulkBoundaryFunction, CauchyData, Grid1D,
                            PhysicalParams, Strip, symplectic_form)
 from wentzell.evolve import (CflError, SpectralState, causality_probe, energy,
                              energy_in_region, explicit_solution,
-                             explicit_solution_dt, fdtd_run,
-                             make_fdtd_state, reflection_cauchy_data,
+                             explicit_solution_dt, fdtd_run, fdtd_samples,
+                             make_fdtd_state, node_energy, reflection_cauchy_data,
                              spectral_evolve, spectral_symplectic,
                              synthesize_state)
 from wentzell.modes import build_table, eval_mode_deriv, synthesize
@@ -291,18 +291,170 @@ def long_double_leapfrog(s, n_steps):
     return cur, prev
 
 
-def test_fdtd_blocked_rounding_against_long_double():
-    # 5000 steps on 8193 nodes in 40-step calls (250 blocked updates); the
-    # pulse reaches the boundary at -S, and mu = 1 gives the d-from-x kernel
-    # its near-zero sum
+@pytest.fixture(scope="module")
+def long_double_run():
+    """5000 steps on 8193 nodes from a pulse that reaches the boundary at -S;
+    mu = 1 gives the d-from-x kernel its near-zero sum.  The initial state and
+    the long-double (phi, phi_prev) after the last step."""
     grid = Grid1D.for_strip(1.0, 8192)
     s = make_fdtd_state(gaussian_data(grid, width=0.1, center=-0.6), P1)
-    ref, ref_prev = long_double_leapfrog(s, 5000)
+    return s, *long_double_leapfrog(s, 5000)
+
+
+def test_fdtd_blocked_rounding_against_long_double(long_double_run):
+    # 40-step calls: 250 blocked updates
+    s, ref, ref_prev = long_double_run
     for _ in range(125):
         s = fdtd_run(s, 40)
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(s.phi - ref)) <= 5e-11 * scale
     assert np.max(np.abs(s.phi_prev - ref_prev)) <= 5e-11 * scale
+
+
+def test_fdtd_sampled_rounding_against_long_double(long_double_run):
+    # one run sampled every 40 steps: (x, d) is kept across the 125 samples
+    s, ref, ref_prev = long_double_run
+    samples = list(fdtd_samples(s, 5000, 40))
+    assert len(samples) == 125
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(samples[-1].phi - ref)) <= 5e-11 * scale
+    assert np.max(np.abs(samples[-1].phi_prev - ref_prev)) <= 5e-11 * scale
+
+
+def chopped_run(s, n_steps, every):
+    """The samples of a run taken one ``fdtd_run`` call per interval."""
+    out = []
+    for k in range(0, n_steps, every):
+        s = fdtd_run(s, min(every, n_steps - k))
+        out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("n_nodes, n_steps, every, exact", [
+    (257, 103, 5, True),      # single steps throughout
+    (301, 103, 1, True),      # dt = 1/300: t sums the interval lengths as the calls do
+    (1025, 250, 40, False),   # blocks of 20, then a last interval of 10
+    (1025, 243, 40, False),   # blocked intervals, then 3 single steps
+    (1025, 200, 70, False),   # blocks of 24 and 23, then a last of 60 in 30 + 30
+    (17, 42, 17, False),      # K <= 8: 17-step intervals step singly, the last 8 is blocked
+    (1025, 40, 100, False),   # one interval, shorter than every
+])
+def test_fdtd_samples_match_chopped_calls(n_nodes, n_steps, every, exact):
+    grid = Grid1D.for_strip(1.0, n_nodes - 1)
+    s0 = make_fdtd_state(gaussian_data(grid, width=0.2, center=-0.5), P1)
+    sampled = list(fdtd_samples(s0, n_steps, every))
+    chopped = chopped_run(s0, n_steps, every)
+    assert len(sampled) == len(chopped) == -(-n_steps // every)
+    for a, b in zip(sampled, chopped):
+        assert a.t == b.t  # the same accumulation of interval lengths
+        assert a.bdy_trace.shape == b.bdy_trace.shape
+        assert np.array_equal(a.bdy_trace[-1], a.bdy)
+    trace = np.concatenate([a.bdy_trace for a in sampled])
+    trace_ref = np.concatenate([b.bdy_trace for b in chopped])
+    last, ref = sampled[-1], chopped[-1]
+    if exact:
+        assert np.array_equal(trace, trace_ref)
+        assert np.array_equal(last.phi, ref.phi)
+        assert np.array_equal(last.phi_prev, ref.phi_prev)
+    else:
+        assert rel_diff(trace, trace_ref) <= 1e-13
+        assert rel_diff(last.phi, ref.phi) <= 1e-13
+        assert rel_diff(last.phi_prev, ref.phi_prev) <= 1e-13
+
+
+def test_fdtd_samples_keep_x_and_d_across_samples():
+    # sampled every 32 steps, a 96-step run takes the blocks of one 96-step
+    # call on a buffer of the same width, so with (x, d) kept across samples
+    # it is that call bit for bit
+    s0 = make_fdtd_state(gaussian_data(Grid1D.for_strip(1.0, 1024), width=0.2), P1)
+    samples = list(fdtd_samples(s0, 96, 32))
+    whole = fdtd_run(s0, 96)
+    assert np.array_equal(samples[-1].phi, whole.phi)
+    assert np.array_equal(samples[-1].phi_prev, whole.phi_prev)
+    assert np.array_equal(np.concatenate([a.bdy_trace for a in samples]), whole.bdy_trace)
+
+
+def test_fdtd_samples_keep_no_alias_of_the_input():
+    grid = Grid1D.for_strip(1.0, 64)
+    s0 = make_fdtd_state(gaussian_data(grid), P1)
+    phi, phi_prev = s0.phi.copy(), s0.phi_prev.copy()
+    samples = list(fdtd_samples(s0, 12, 1)) + list(fdtd_samples(s0, 24, 12))
+    for a in samples:
+        assert not np.shares_memory(a.phi, s0.phi) and not np.shares_memory(a.phi_prev, s0.phi)
+        assert not np.shares_memory(a.phi_prev, s0.phi_prev)
+    assert np.array_equal(s0.phi, phi) and np.array_equal(s0.phi_prev, phi_prev)
+
+
+def test_fdtd_samples_take_no_step_beyond_the_consumer(monkeypatch):
+    import wentzell.evolve as evolve
+
+    applied = []
+
+    class CountingEdge(np.ndarray):
+        def __matmul__(self, other):
+            applied.append("block")
+            return np.asarray(self) @ other
+
+    def counted_op(*args):
+        applied.append("step")
+        return leapfrog_op(*args)
+
+    def counted_operators(*args):
+        t0, t1, edge = block_operators(*args)
+        return t0, t1, edge.view(CountingEdge)
+
+    leapfrog_op, block_operators = evolve._leapfrog_op, evolve._block_operators
+    monkeypatch.setattr(evolve, "_leapfrog_op", counted_op)
+    monkeypatch.setattr(evolve, "_block_operators", counted_operators)
+    s0 = make_fdtd_state(gaussian_data(Grid1D.for_strip(1.0, 1024)), P1)
+    applied.clear()
+    single = fdtd_samples(s0, 1000, 5)
+    blocked = fdtd_samples(s0, 1000, 40)
+    assert applied == []  # nothing runs before the first sample is asked for
+    next(single)
+    next(single)
+    assert applied == ["step"] * 10
+    applied.clear()
+    next(blocked)
+    next(blocked)
+    # two blocks of 20 per sample; a first run also steps to build the operators
+    assert applied.count("block") == 4
+    n_applied = len(applied)
+    single.close()
+    blocked.close()
+    assert len(applied) == n_applied
+
+
+def test_fdtd_samples_arguments():
+    s0 = make_fdtd_state(gaussian_data(Grid1D.for_strip(1.0, 64)), P1)
+    assert list(fdtd_samples(s0, 0, 5)) == []
+    for every in (0, -3):
+        with pytest.raises(ValueError, match=f"every={every}"):
+            fdtd_samples(s0, 10, every)  # raised at the call, not at the first sample
+    with pytest.raises(ValueError, match="n_steps=-1"):
+        fdtd_samples(s0, -1, 5)
+    empty = fdtd_run(s0, 0)
+    assert empty.t == s0.t and empty.bdy_trace.shape == (0, 2)
+    assert np.array_equal(empty.phi, s0.phi) and empty.phi is not s0.phi
+
+
+@pytest.mark.parametrize("c", [0.01, 1.0, 30.0])
+@pytest.mark.parametrize("mu", [0.0, 1.0, 0.7])
+@pytest.mark.parametrize("n_nodes", [64, 1025, 8193])
+def test_energy_totals_are_the_node_energy_sum(n_nodes, mu, c):
+    p = PhysicalParams(c=c, mu=mu, geometry=Strip(1.0))
+    grid = Grid1D.for_strip(1.0, n_nodes - 1)
+    z = grid.nodes
+    pos = np.exp(-((z + 0.8) ** 2) / (2 * 0.3**2))
+    data = CauchyData.from_samples(grid, pos, np.cos(3.0 * z))
+    s = fdtd_run(make_fdtd_state(data, p), 10)
+    rep = energy(s)
+    node = node_energy(s)
+    assert rep.total == pytest.approx(float(node.sum()), rel=1e-14)
+    a, b = s.phi_prev, s.phi
+    dens = 0.5 * (((b - a) / s.dt) ** 2 + mu**2 * a * b)
+    assert rep.boundary == float(p.c * dens[0] + p.c * dens[-1])
+    assert rep.boundary > 0
 
 
 def test_fdtd_blocked_call_leaves_the_outside_of_the_cone_exactly_zero():
@@ -321,12 +473,13 @@ def test_energy_in_region_whole_strip_equals_total():
     grid = Grid1D.for_strip(1.0, 256)
     s = fdtd_run(make_fdtd_state(gaussian_data(grid, width=0.1, center=-0.7), P1), 300)
     rep = energy(s)
+    node = node_energy(s)
     assert rep.boundary > 0  # the pulse has reached the boundary at -S
     # the end nodes carry the boundary terms plus their h/2 share of the bulk
-    ends = rep.node_energy[[0, -1]]
+    ends = node[[0, -1]]
     assert np.all(ends >= 0) and ends.sum() >= rep.boundary
     assert ends.sum() == pytest.approx(rep.boundary, rel=1e-2)
-    assert rep.node_energy.sum() == pytest.approx(rep.total, rel=1e-14)
+    assert node.sum() == pytest.approx(rep.total, rel=1e-14)
     whole = energy_in_region(s, -1.0, 1.0)
     assert whole == pytest.approx(rep.total, rel=1e-14)
 

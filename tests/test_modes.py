@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from wentzell.core import GeometryError, Grid1D, HalfSpace, PhysicalParams, Strip
 from wentzell.modes import (bracket, build_table, check_solution, d_asymptote,
                             eval_halfspace_mode, eval_mode, gram_matrix, mode_function,
-                            mode_matrix, project, residual_normalized, solve_q,
-                            synthesize, verify_table)
+                            mode_matrix, project, residual_normalized, synthesize,
+                            verify_table)
 
 P1 = PhysicalParams(c=1.0, geometry=Strip(1.0))
 
@@ -25,19 +25,20 @@ def weighted_quad(f, S, c, n=200_000):
 
 
 def test_solve_q_zero_mode():
-    assert solve_q(0, P1) == 0.0
-    assert solve_q(0, PhysicalParams(c=3.7, geometry=Strip(0.4))) == 0.0
+    assert build_table(0, P1).qs[0] == 0.0
+    assert build_table(3, PhysicalParams(c=3.7, geometry=Strip(0.4))).qs[0] == 0.0
 
 
 def test_solve_q_reference_roots():
     # bisection oracle values: q tan q = 1 on (0, pi/2); tan q = -q on (pi/2, pi)
-    assert solve_q(1, P1) == pytest.approx(0.86033, abs=1e-5)
-    assert solve_q(2, P1) == pytest.approx(2.02876, abs=1e-5)
+    qs = build_table(2, P1).qs
+    assert qs[1] == pytest.approx(0.86033, abs=1e-5)
+    assert qs[2] == pytest.approx(2.02876, abs=1e-5)
 
 
 def test_solve_q_rejects_halfspace():
     with pytest.raises(GeometryError):
-        solve_q(1, PhysicalParams(c=1.0, geometry=HalfSpace()))
+        build_table(1, PhysicalParams(c=1.0, geometry=HalfSpace()))
 
 
 def test_normalization_against_quadrature(table20):
@@ -244,7 +245,7 @@ st_m = st.integers(min_value=1, max_value=40)
 def test_bracket_contains_root(S, c, m):
     p = PhysicalParams(c=c, geometry=Strip(S))
     lo, hi = bracket(m, p)
-    q = solve_q(m, p)
+    q = build_table(m, p).qs[m]
     assert lo < q < hi
     assert residual_normalized(q, p, m % 2 == 0) < 1e-12 * max(1.0, 1.0 / S)
 

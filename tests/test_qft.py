@@ -10,7 +10,7 @@ from wentzell.core import HalfSpace, PhysicalParams, Strip, ZeroModeError
 from wentzell.modes import build_table, mode_matrix
 from wentzell.qft import (TwoPointResult, TwoPointSpec, _bessel_dropped_bound,
                           _bessel_prefix_sums, _hurwitz_zeta, boundary_2pt_halfspace,
-                          boundary_2pt_strip, boundary_smearing, causality_check,
+                          boundary_2pt_strip, causality_check,
                           commutator_boundary, fourier_trapezoid, halfspace_weight,
                           halfspace_weight_normalization, pauli_jordan_d2,
                           smeared_coeffs, source_relation_check,
@@ -549,8 +549,9 @@ def test_smeared_reality(table20, tgrid):
 def test_smeared_resonant_mode_dominates(table20, tgrid):
     w1 = table20.omegas()[1]
     g = np.exp(-(tgrid**2) / 2.0) * np.cos(w1 * tgrid)
-    co = smeared_coeffs(None, boundary_smearing(g, table20, "plus") * table20.params.c,
-                        table20, tgrid)
+    f_bdy = np.zeros((tgrid.size, 2))
+    f_bdy[:, 1] = g
+    co = smeared_coeffs(None, f_bdy, table20, tgrid)
     mags = np.abs(co.f_plus)
     assert np.argmax(mags) == 1
 
@@ -582,6 +583,14 @@ def test_smeared_rejects_complex_samples(table20, tgrid):
     f_bdy[:, 1] = np.exp(-(tgrid**2) / 2.0) * (1.0 + 0.5j)
     with pytest.raises(ValueError, match="must be real"):
         smeared_coeffs(None, f_bdy, table20, tgrid)
+
+
+def boundary_smearing(g, table, side):
+    """(n_t, 2) boundary pair (0, c^-1 g) on the component at +S (side
+    "plus") or -S (side "minus")."""
+    out = np.zeros((g.shape[0], 2))
+    out[:, 1 if side == "plus" else 0] = g / table.params.c
+    return out
 
 
 def test_trace_relation_two_routes(table20, tgrid):
