@@ -23,11 +23,13 @@ back-step of the initial data is phi_prev = S(phi_0)/2 - dt v_0.
 ``_leapfrog_op`` is the one place that applies S, to a field or to a batch
 of fields.
 
-``fdtd_samples`` is the one stepping loop: a generator that yields the state
-after every given number of steps and after the last, each with the boundary
-trace (both endpoint values after every step) since the previous sample, so
-callers that follow the boundary or sample a run do not step from Python.
-``fdtd_run`` is its one-sample run.
+``fdtd_run`` advances a state by a given number of steps and returns it
+with the boundary trace (both endpoint values after every step).
+``fdtd_samples`` samples one run: a generator that yields the state after
+every given number of steps and after the last, each interval one
+``fdtd_run`` call that continues the run's buffers (``_Stepper``, the one
+stepping loop), so callers that follow the boundary or sample a run do not
+step from Python.
 
 Blocked stepping.  The scheme propagates at a finite speed, one cell per
 step, so K steps form one fixed linear map in which each node reaches
@@ -269,12 +271,13 @@ def _block_operators(coeffs: tuple, K: int, width: int
     return t0, t1, edge
 
 
-def _block_plan(n_steps: int, n_nodes: int) -> list[tuple[int, int]]:
+def _block_plan(n_steps: int, n_nodes: int, k_max: int = _MAX_BLOCK
+                ) -> list[tuple[int, int]]:
     """(steps per block, number of blocks) pairs of an interval of a run, the
-    longer blocks first: as few blocks as the cap min(32, (n_nodes - 1) // 2)
-    allows, their lengths differing by at most one.  Empty (step one at a
+    longer blocks first: as few blocks as the cap min(k_max, (n_nodes - 1) //
+    2) allows, their lengths differing by at most one.  Empty (step one at a
     time) when a block would be shorter than _MIN_BLOCK steps."""
-    k_max = min(_MAX_BLOCK, (n_nodes - 1) // 2)
+    k_max = min(k_max, (n_nodes - 1) // 2)
     if min(k_max, n_steps) < _MIN_BLOCK:
         return []
     count = -(-n_steps // k_max)
@@ -314,20 +317,16 @@ def fdtd_samples(s: FdtdState, n_steps: int, every: int) -> Iterator[FdtdState]:
     consumer that stops at a sample takes no step beyond it.  Nothing is
     yielded when n_steps = 0; ValueError unless n_steps >= 0 and every >= 1.
 
-    Each interval between samples is stepped as an ``fdtd_run`` call of its
-    length would step it: in the fewest blocks of at most min(32, (N - 1) //
-    2) steps on N nodes, of lengths differing by at most one, each block one
-    precomputed linear map in difference form (see the module docstring),
-    or in single steps when a block would be shorter than 8 steps.  The
-    padded (x, d) buffer, the work arrays and the operators are made once
-    per run, and (x, d) persists from one sample to the next; a sample only
-    materializes phi = x and phi_prev = x - d.  So a sampled run agrees with
-    the same intervals taken one ``fdtd_run`` call at a time to rounding
-    (about 1e-14 relative), and bit for bit where every interval takes
-    single steps.  The last trace row of a sample is its endpoint values
-    themselves, so ``bdy_trace[-1]`` equals ``bdy`` exactly.  The arrays of
-    a yielded state are never written afterwards, and consecutive samples
-    may share one."""
+    Each interval between samples is one ``fdtd_run`` call, and all of them
+    continue one ``_Stepper``: the padded (x, d) buffer, the work arrays and
+    the operators are made once per run, and (x, d) persists from one sample
+    to the next; a sample only materializes phi = x and phi_prev = x - d.
+    An interval of ``every`` steps takes the blocks of a call of its own
+    length, and a shorter last interval takes blocks no longer than those.
+    So a sampled run agrees with the same intervals taken one ``fdtd_run``
+    call at a time to rounding (about 1e-14 relative), and bit for bit where
+    every interval takes single steps.  The arrays of a yielded state are
+    never written afterwards, and consecutive samples may share one."""
     if n_steps < 0:
         raise ValueError(f"step count must be >= 0, got n_steps={n_steps}")
     if every < 1:
@@ -336,55 +335,80 @@ def fdtd_samples(s: FdtdState, n_steps: int, every: int) -> Iterator[FdtdState]:
 
 
 def _samples(s: FdtdState, n_steps: int, every: int) -> Iterator[FdtdState]:
-    """The generator of ``fdtd_samples``.
+    """The generator of ``fdtd_samples``."""
+    stepper = _Stepper(s, min(every, n_steps), n_steps % every)
+    for k0 in range(0, n_steps, every):
+        s = fdtd_run(s, min(every, n_steps - k0), stepper=stepper)
+        yield s
+
+
+class _Stepper:
+    """The stepping state of one run: the scheme's coefficients, the longest
+    block k_max, and, once an interval is blocked, the padded (x, d) buffer,
+    its work arrays and the operators of each block length.
+
+    k_max is the longest block of the plan of ``every`` steps, or of the
+    ``last`` interval where ``every`` steps singly; every interval is planned
+    with blocks of at most k_max steps.  So an interval of ``every`` steps
+    keeps the plan of a call of its own length, and a shorter last interval
+    does not widen the blocks of all the others.
 
     In blocked intervals the state is xd = (x, d) = (phi, phi - phi_prev),
-    padded with width/2 zero nodes on the left and zero nodes on the right up
-    to whole blocks of ``width`` nodes; the width is twice the longest block
-    of the run, and ``_block_operators`` serves every shorter block at that
-    width.  Each update copies xd into rows z[j] = (x, d) of block j,
-    applies the interior map, writes it back, and then overwrites the K
-    nodes at each end with the edge operator's result."""
-    coeffs = _leapfrog_stencil(s.grid.h, s.dt, s.p)
-    n = s.phi.size
-    full, last = divmod(n_steps, every)
-    plans = {k: _block_plan(k, n) for k in (every if full else 0, last) if k}
-    width = 2 * max((plan[0][0] for plan in plans.values() if plan), default=0)
-    if width:
-        pad = width // 2
+    padded with width/2 = k_max zero nodes on the left and zero nodes on the
+    right up to whole blocks of ``width`` nodes; ``_block_operators`` serves
+    every block of at most k_max steps at that width.  Each update copies xd
+    into rows z[j] = (x, d) of block j, applies the interior map, writes it
+    back, and then overwrites the K nodes at each end with the edge
+    operator's result.  xd holds the state ``held`` that the last blocked
+    interval returned, and an interval from that state continues from xd."""
+
+    def __init__(self, s: FdtdState, every: int, last: int):
+        self.coeffs = _leapfrog_stencil(s.grid.h, s.dt, s.p)
+        self.n = s.phi.size
+        plan = _block_plan(every, self.n) or _block_plan(last, self.n)
+        self.k_max = plan[0][0] if plan else 0
+        self.held = None
+        self.bufs = None
+        self.ops = {}
+
+    def _make_buffers(self) -> tuple:
+        n, pad = self.n, self.k_max
+        width = 2 * pad
         rows = -(-n // width)
         xd = np.zeros((2, (rows + 1) * width))
-        x, d = xd[:, pad:pad + n]
-        flat = xd.reshape(-1)
-        blocks = xd.reshape(2, rows + 1, width).transpose(1, 0, 2)
-        interior = xd[:, pad:pad + rows * width].reshape(2, rows, width)
-        z = np.empty((rows + 1, 2 * width))
         acc = np.empty((rows, 2 * width))
-        tmp = np.empty_like(acc)
-        new = acc.reshape(rows, 2, width).transpose(1, 0, 2)
-        ops = {}
-        for K in {K for plan in plans.values() for K, _ in plan}:
-            W = 2 * K + 1
+        self.bufs = (xd, xd.reshape(-1),
+                     xd.reshape(2, rows + 1, width).transpose(1, 0, 2),
+                     xd[:, pad:pad + rows * width].reshape(2, rows, width),
+                     np.empty((rows + 1, 2 * width)), acc, np.empty_like(acc),
+                     acc.reshape(rows, 2, width).transpose(1, 0, 2))
+        return self.bufs
+
+    def _operators(self, K: int) -> tuple:
+        if K not in self.ops:
+            n, pad, W = self.n, self.k_max, 2 * K + 1
             at = pad + np.abs(np.array([0, n - 1]) - np.arange(W)[:, None])  # node m from each end
-            gather = np.concatenate([at, at + xd.shape[1]])  # x then d
-            ops[K] = (*_block_operators(coeffs, K, width), gather,
-                      gather[np.r_[0:K, W:W + K]])
-    # the input's arrays are never yielded, so no sample aliases them
-    cur, prev = s.phi.copy(), s.phi_prev
-    loaded = False  # whether xd holds the state
-    t = s.t
-    for k0 in range(0, n_steps, every):
-        k = min(every, n_steps - k0)
+            gather = np.concatenate([at, at + self.bufs[0].shape[1]])  # x then d
+            self.ops[K] = (*_block_operators(self.coeffs, K, 2 * self.k_max), gather,
+                           gather[np.r_[0:K, W:W + K]])
+        return self.ops[K]
+
+    def advance(self, s: FdtdState, k: int) -> FdtdState:
+        """The state k >= 1 steps after s, with the boundary trace of those
+        steps."""
         trace = np.empty((k, 2))
-        plan = plans[k]
+        plan = _block_plan(k, self.n, self.k_max)
         if plan:
-            if not loaded:
-                x[:] = cur
-                np.subtract(cur, prev, out=d)
-                loaded = True
+            xd, flat, blocks, interior, z, acc, tmp, new = self.bufs or self._make_buffers()
+            n, pad = self.n, self.k_max
+            rows, width = len(acc), 2 * pad
+            x, d = xd[:, pad:pad + n]
+            if self.held is not s:
+                x[:] = s.phi
+                np.subtract(s.phi, s.phi_prev, out=d)
             j = 0
             for K, count in plan:
-                t0, t1, edge, gather, scatter = ops[K]
+                t0, t1, edge, gather, scatter = self._operators(K)
                 for _ in range(count):
                     e = edge @ flat[gather]
                     np.copyto(z.reshape(rows + 1, 2, width), blocks)
@@ -398,27 +422,41 @@ def _samples(s: FdtdState, n_steps: int, every: int) -> Iterator[FdtdState]:
             cur = x.copy()
             prev = cur - d
         else:
-            loaded = False
+            # the input's arrays are never returned, so no result aliases them
+            cur, prev = s.phi.copy(), s.phi_prev
             for j in range(k):
-                nxt = _leapfrog_op(cur, 0.0, *coeffs)
+                nxt = _leapfrog_op(cur, 0.0, *self.coeffs)
                 np.subtract(nxt, prev, out=nxt)
                 trace[j] = nxt[0], nxt[-1]
                 prev, cur = cur, nxt
-        t += k * s.dt
-        yield FdtdState(grid=s.grid, p=s.p, phi=cur, phi_prev=prev, t=t, dt=s.dt,
-                        bdy_trace=trace)
+        out = FdtdState(grid=s.grid, p=s.p, phi=cur, phi_prev=prev, t=s.t + k * s.dt,
+                        dt=s.dt, bdy_trace=trace)
+        self.held = out if plan else None
+        return out
 
 
-def fdtd_run(s: FdtdState, n_steps: int) -> FdtdState:
+def fdtd_run(s: FdtdState, n_steps: int, *, stepper: _Stepper | None = None
+             ) -> FdtdState:
     """Advance n_steps leapfrog steps and return the state with the boundary
-    trace of every step: the one sample of ``fdtd_samples(s, n_steps,
-    n_steps)``, so the block plan comes from the call's own step count and
-    grid.  n_steps = 0 returns a copy of the levels with an empty trace."""
+    trace of every step.  The interval takes the fewest blocks of at most
+    min(32, (N - 1) // 2) steps on N nodes, of lengths differing by at most
+    one, each block one precomputed linear map in difference form (see the
+    module docstring), or single steps when a block would be shorter than 8
+    steps.  The last trace row is the endpoint values themselves, so
+    ``bdy_trace[-1]`` equals ``bdy`` exactly.  n_steps = 0 returns a copy of
+    the levels with an empty trace; ValueError for n_steps < 0.
+
+    ``stepper`` is the run in progress of ``fdtd_samples``, whose buffers
+    and block lengths the interval continues; without it the call is a run
+    of one interval."""
+    if n_steps < 0:
+        raise ValueError(f"step count must be >= 0, got n_steps={n_steps}")
     if n_steps == 0:
         return FdtdState(grid=s.grid, p=s.p, phi=s.phi.copy(),
                          phi_prev=s.phi_prev.copy(), t=s.t, dt=s.dt)
-    (state,) = fdtd_samples(s, n_steps, n_steps)
-    return state
+    if stepper is None:
+        stepper = _Stepper(s, n_steps, 0)
+    return stepper.advance(s, n_steps)
 
 
 # ---------------------------------------------------------------------------

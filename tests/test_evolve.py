@@ -335,7 +335,7 @@ def chopped_run(s, n_steps, every):
     (301, 103, 1, True),      # dt = 1/300: t sums the interval lengths as the calls do
     (1025, 250, 40, False),   # blocks of 20, then a last interval of 10
     (1025, 243, 40, False),   # blocked intervals, then 3 single steps
-    (1025, 200, 70, False),   # blocks of 24 and 23, then a last of 60 in 30 + 30
+    (1025, 200, 70, False),   # blocks of 24 and 23, then a last of 60 in 3 x 20, not 2 x 30
     (17, 42, 17, False),      # K <= 8: 17-step intervals step singly, the last 8 is blocked
     (1025, 40, 100, False),   # one interval, shorter than every
 ])
@@ -372,6 +372,50 @@ def test_fdtd_samples_keep_x_and_d_across_samples():
     assert np.array_equal(samples[-1].phi, whole.phi)
     assert np.array_equal(samples[-1].phi_prev, whole.phi_prev)
     assert np.array_equal(np.concatenate([a.bdy_trace for a in samples]), whole.bdy_trace)
+
+
+def test_fdtd_samples_last_interval_leaves_the_others_alone():
+    # a 24-step last interval would take one block of 24 steps; capped at the
+    # 20-step blocks of the 40-step intervals, it does not widen their buffer,
+    # so the samples before it are those of the run without it, bit for bit
+    s0 = make_fdtd_state(gaussian_data(Grid1D.for_strip(1.0, 1024), width=0.2), P1)
+    with_last = list(fdtd_samples(s0, 144, 40))
+    without = list(fdtd_samples(s0, 120, 40))
+    assert [len(a.bdy_trace) for a in with_last] == [40, 40, 40, 24]
+    for a, b in zip(with_last, without):
+        assert np.array_equal(a.phi, b.phi) and np.array_equal(a.phi_prev, b.phi_prev)
+        assert np.array_equal(a.bdy_trace, b.bdy_trace)
+    ref = fdtd_run(without[-1], 24)
+    assert rel_diff(with_last[-1].phi, ref.phi) <= 1e-13
+    assert rel_diff(with_last[-1].bdy_trace, ref.bdy_trace) <= 1e-13
+
+
+def test_fdtd_samples_step_each_interval_in_one_fdtd_run_call(monkeypatch):
+    # a tracer that wraps fdtd_run sees every step of a sampled run
+    import wentzell.evolve as evolve
+
+    calls = []
+
+    def counted(s, n_steps, **kwargs):
+        calls.append(n_steps)
+        return fdtd_run(s, n_steps, **kwargs)
+
+    s0 = make_fdtd_state(gaussian_data(Grid1D.for_strip(1.0, 256)), P1)
+    monkeypatch.setattr(evolve, "fdtd_run", counted)
+    samples = list(fdtd_samples(s0, 103, 40))
+    assert calls == [40, 40, 23] == [len(a.bdy_trace) for a in samples]
+
+
+def test_fdtd_run_continues_a_stepper_only_from_its_last_state():
+    import wentzell.evolve as evolve
+
+    s0 = make_fdtd_state(gaussian_data(Grid1D.for_strip(1.0, 256)), P1)
+    stepper = evolve._Stepper(s0, 40, 0)
+    first = fdtd_run(s0, 40, stepper=stepper)
+    again = fdtd_run(s0, 40, stepper=stepper)  # from s0, not from where xd stands
+    assert np.array_equal(again.phi, first.phi)
+    assert np.array_equal(again.phi_prev, first.phi_prev)
+    assert np.array_equal(fdtd_run(s0, 40).phi, first.phi)
 
 
 def test_fdtd_samples_keep_no_alias_of_the_input():

@@ -585,22 +585,15 @@ def test_smeared_rejects_complex_samples(table20, tgrid):
         smeared_coeffs(None, f_bdy, table20, tgrid)
 
 
-def boundary_smearing(g, table, side):
-    """(n_t, 2) boundary pair (0, c^-1 g) on the component at +S (side
-    "plus") or -S (side "minus")."""
-    out = np.zeros((g.shape[0], 2))
-    out[:, 1 if side == "plus" else 0] = g / table.params.c
-    return out
-
-
 def test_trace_relation_two_routes(table20, tgrid):
     """Boundary smearing (0, c^-1 g delta_+) equals the bulk smearing
     g delta(z - S) represented on the grid, coefficient by coefficient."""
     from wentzell.core import Grid1D
     g = np.exp(-(tgrid**2) / (2 * 0.7**2))
     grid = Grid1D.for_strip(1.0, 2048)
-    co_bdy = smeared_coeffs(None, boundary_smearing(g, table20, "plus"),
-                            table20, tgrid)
+    f_plus = np.zeros((tgrid.size, 2))  # (0, c^-1 g) on the component at +S
+    f_plus[:, 1] = g / table20.params.c
+    co_bdy = smeared_coeffs(None, f_plus, table20, tgrid)
     w = grid.quad_weights()
     spike = np.zeros(grid.n_nodes)
     spike[-1] = 1.0 / w[-1]  # unit point mass at z = S under the quadrature
@@ -610,8 +603,7 @@ def test_trace_relation_two_routes(table20, tgrid):
     assert np.max(np.abs(co_bdy.f_plus - co_blk.f_plus)) < 1e-8 * scale
     assert np.max(np.abs(co_bdy.f_minus - co_blk.f_minus)) < 1e-8 * scale
     # the minus component carries the (-1)^m signs
-    co_m = smeared_coeffs(None, boundary_smearing(g, table20, "minus"),
-                          table20, tgrid)
+    co_m = smeared_coeffs(None, f_plus[:, ::-1], table20, tgrid)  # the pair at -S
     signs = table20.parity_signs
     assert np.max(np.abs(co_m.f_plus - signs * co_bdy.f_plus)) < 1e-8 * scale
 
