@@ -15,9 +15,8 @@ from .evolve import (SpectralState, causality_probe, energy, energy_in_region,
                      explicit_solution, fdtd_run, fdtd_samples, make_fdtd_state,
                      reflection_cauchy_data, spectral_evolve, spectral_symplectic,
                      synthesize_state)
-from .holo import (Fig2Config, HoloGrids, fig2_reproduce, fig2_test_function,
-                   holographic_dual, pairing_boundary_route, pairing_bulk_route,
-                   verify_dual)
+from .holo import (HoloGrids, fig2_reproduce, fig2_test_function, holographic_dual,
+                   pairing_boundary_route, pairing_bulk_route, verify_dual)
 from .modes import bracket, build_table, gram_matrix, verify_table
 from .qft import (_HALFSPACE_NORM_TOL, TwoPointSpec, causality_check,
                   halfspace_weight_normalization, source_relation_check, tail_convergence)
@@ -106,18 +105,24 @@ def fdtd_vs_spectral_error(n: int, p: PhysicalParams, table, a, b, T: float
 
 def criterion_4_fdtd_oracle() -> CriterionResult:
     """FDTD vs spectral propagator for band-limited data: L2 difference at
-    t = 2S below 1e-3 at h = 1/512, shrinking by [3.2, 4.8] when h halves."""
+    t = 2S below 1e-3 at h = 1/512, shrinking by [3.2, 4.8] when h halves.
+    The details also hold the order-of-accuracy table: the error at each of
+    n = 128, 256, ..., 2048 intervals (h = 1/64 ... 1/1024) and the observed
+    orders log2(e_n / e_2n), which are 2 for the second-order scheme."""
     p = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
     table = build_table(10, p)
     m = np.arange(11.0)
     a = 0.5 / (1.0 + m) ** 2
     b = 0.3 / (1.0 + m) ** 2
-    e1 = fdtd_vs_spectral_error(1024, p, table, a, b, T=2.0)  # h = 1/512
-    e2 = fdtd_vs_spectral_error(2048, p, table, a, b, T=2.0)
+    levels = [128, 256, 512, 1024, 2048]
+    errors = [fdtd_vs_spectral_error(n, p, table, a, b, T=2.0) for n in levels]
+    e1, e2 = errors[-2:]  # h = 1/512 and 1/1024
     ratio = e1 / e2
     passed = e1 < 1e-3 and 3.2 <= ratio <= 4.8
+    orders = np.log2(np.divide(errors[:-1], errors[1:])).tolist()
     return CriterionResult("4-fdtd-oracle-equivalence", passed,
-                           {"err_h512": e1, "err_h1024": e2, "ratio": ratio})
+                           {"err_h512": e1, "err_h1024": e2, "ratio": ratio,
+                            "levels": levels, "errors": errors, "orders": orders})
 
 
 def criterion_5_conservation() -> CriterionResult:
@@ -291,7 +296,7 @@ def criterion_11_fig2() -> CriterionResult:
     f(0, 0) = e^-8 (direct evaluation of the four bump factors)."""
     val = float(fig2_test_function(0.0, 0.0))
     val_ok = abs(val - np.exp(-8.0)) < 1e-12
-    image, burst = fig2_reproduce(Fig2Config())
+    image, burst = fig2_reproduce()
     expected = [-5.0, -3.0, -1.0, 1.0, 3.0, 5.0]
     centers_ok = burst.matches(expected, tol=0.2)
     heights = []

@@ -27,11 +27,12 @@ import numpy as np
 from .core import CauchyData, Grid1D, HalfSpace, PhysicalParams, Strip
 from .evolve import (SpectralState, energy, explicit_solution, fdtd_samples,
                      make_fdtd_state, reflection_cauchy_data, synthesize_state)
-from .holo import Fig2Config, HoloGrids, fig2_reproduce, holographic_dual, verify_dual
+from .holo import HoloGrids, fig2_reproduce, holographic_dual, verify_dual
 from .modes import _ASYM_DELTA, _ASYM_M_START, ModeTable, build_table, check_solution, \
     verify_table
-from .qft import _HALFSPACE_NORM_TOL, TwoPointSpec, boundary_2pt_halfspace, \
-    boundary_2pt_strip, halfspace_weight_normalization, tail_convergence
+from .qft import _HALFSPACE_NORM_TOL, TwoPointSpec, _finite_x0, \
+    boundary_2pt_halfspace, boundary_2pt_strip, halfspace_weight_normalization, \
+    tail_convergence
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -265,7 +266,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_twopoint(args: argparse.Namespace) -> int:
-    x0 = np.linspace(0.0, args.x0_max, args.n_x0)
+    # the end is checked before linspace spreads it and the strip's table is cached
+    x0 = np.linspace(0.0, _finite_x0(args.x0_max), args.n_x0)
     header = {"command": "twopoint", "geometry": args.geometry, "S": args.S,
               "c": args.c, "mu": args.mu, "M": args.M}
     report: dict = {}
@@ -306,7 +308,7 @@ def cmd_twopoint(args: argparse.Namespace) -> int:
 def cmd_holo(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if args.fig2:
-        image, burst = fig2_reproduce(Fig2Config(S=args.S, c=args.c, M=args.M))
+        image, burst = fig2_reproduce(S=args.S, c=args.c, M=args.M)
         meta = dict(image.metadata)
         meta["burst_centers"] = burst.centers.tolist()
         meta["burst_peak_times"] = burst.peak_times.tolist()

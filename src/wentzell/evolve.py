@@ -609,7 +609,11 @@ def _gauss(u, eps):
 
 def _exp_tail(u, eps, c):
     """(E * G_eps)(u) with E(u) = exp(-u/c) theta(u), in log space to avoid
-    overflow of exp(-u/c) at large negative u."""
+    overflow of exp(-u/c) at large negative u.  The closed forms go through
+    it before any other term, so it holds their one check of eps: ValueError
+    unless eps is positive and finite."""
+    if not (eps > 0 and np.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     from scipy.special import log_ndtr  # loaded on first use: scipy is slow to import
 
     u = np.asarray(u, dtype=float)
@@ -623,17 +627,19 @@ def explicit_solution(t, z, eps: float, c: float):
 
     Returns (phi(z), phi_bdy); the trace phi(t, 0) equals phi_bdy exactly.
     A scalar t gives a float phi_bdy; an array of times gives phi_bdy over t
-    (and phi over t broadcast against z).
+    (and phi over t broadcast against z).  ValueError unless eps is positive
+    and finite.
     """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
-    phi = _gauss(t + z, eps) - _gauss(t - z, eps) + (2.0 / c) * _exp_tail(t - z, eps, c)
     phi_bdy = (2.0 / c) * _exp_tail(t, eps, c)
+    phi = _gauss(t + z, eps) - _gauss(t - z, eps) + (2.0 / c) * _exp_tail(t - z, eps, c)
     return phi, float(phi_bdy) if phi_bdy.ndim == 0 else phi_bdy
 
 
 def explicit_solution_dt(t, z, eps: float, c: float):
-    """Time derivative of explicit_solution (for building Cauchy data)."""
+    """Time derivative of explicit_solution (for building Cauchy data);
+    ValueError unless eps is positive and finite."""
     z = np.asarray(z, dtype=float)
 
     def dg(u):

@@ -31,7 +31,7 @@ bump widths; f' is Schwartz-quality, not compactly supported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -472,39 +472,22 @@ def detect_bursts(t: np.ndarray, y: np.ndarray, rel_threshold: float = 0.1,
                        heights=np.array(heights), threshold=level)
 
 
-@dataclass
-class Fig2Config:
-    S: float = 1.0
-    c: float = 1.0
-    M: int | None = None
-    t_span: float = 12.0  # wide enough that edge wrap-around cannot inflate bursts
-    burst_threshold: float = 0.1
-    mu_reg: float | None = None  # optional regulator mass replacing mu = 0
-
-
-def fig2_reproduce(config: Fig2Config | None = None) -> tuple[HoloImage, BurstReport]:
-    """Holographic image of the reference bump observable (S=1, c=1, mu=0;
-    zero mode excluded) and its burst report.  The grids have 1024 intervals
-    in z, 3073 time samples for the smearing and 12288 output times.  Only the
-    burst locations and their ordering are quantitative; the curve shape
+def fig2_reproduce(*, S: float = 1.0, c: float = 1.0, M: int | None = None
+                   ) -> tuple[HoloImage, BurstReport]:
+    """Holographic image of the reference bump observable (mu = 0, zero mode
+    excluded; S = 1 and c = 1 by default) and its burst report at 10% of the
+    envelope maximum.  M is the cutoff of ``holographic_dual`` (automatic by
+    default) on a 64-mode table.  The grids have 1024 intervals in z, 3073
+    time samples for the smearing and 12288 output times on [-12, 12].  Only
+    the burst locations and their ordering are quantitative; the curve shape
     depends on chi and a."""
-    cfg = config or Fig2Config()
-    mu = 0.0 if cfg.mu_reg is None else cfg.mu_reg
-    p = PhysicalParams(c=cfg.c, mu=mu, geometry=Strip(cfg.S), d=1)
+    p = PhysicalParams(c=c, mu=0.0, geometry=Strip(S), d=1)
     table = build_table(64, p)
-    grids = HoloGrids.default(cfg.S, t_span=cfg.t_span, n_t=3073, n_out=12288)
-    image = holographic_dual(fig2_test_function, p, table, M=cfg.M, grids=grids)
-    report = detect_bursts(image.t_grid, image.fprime,
-                           rel_threshold=cfg.burst_threshold)
+    # t_span 12: wide enough that edge wrap-around cannot inflate bursts
+    grids = HoloGrids.default(S, t_span=12.0, n_t=3073, n_out=12288)
+    image = holographic_dual(fig2_test_function, p, table, M=M, grids=grids)
+    report = detect_bursts(image.t_grid, image.fprime, rel_threshold=0.1)
     return image, report
-
-
-def regulator_sensitivity(cfg: Fig2Config, mu_reg: float) -> float:
-    """Relative change of f' between regulator masses mu_reg and mu_reg / 2."""
-    img1, _ = fig2_reproduce(replace(cfg, mu_reg=mu_reg))
-    img2, _ = fig2_reproduce(replace(cfg, mu_reg=mu_reg / 2))
-    scale = max(float(np.max(np.abs(img1.fprime))), 1e-300)
-    return float(np.max(np.abs(img1.fprime - img2.fprime))) / scale
 
 
 # ---------------------------------------------------------------------------

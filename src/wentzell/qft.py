@@ -128,15 +128,24 @@ def _check_no_separation(x):
         raise ValueError("the d = 1 kernel has no spatial separation; x must be 0")
 
 
+def _finite_x0(x0) -> np.ndarray:
+    """x0 as a float array; ValueError unless every entry is finite."""
+    x0 = np.asarray(x0, dtype=float)
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must be finite")
+    return x0
+
+
 def boundary_2pt_strip(x0, x, spec: TwoPointSpec, table: ModeTable) -> TwoPointResult:
     """Partial mode sum of the boundary two-point function on the strip.
 
     d = 1 uses the kernel exp(-i mu_m x0) / (2 mu_m), which has no spatial
     separation (``x`` must be 0); d >= 2 is evaluated at spacelike separation
-    through the Bessel-K sum.
+    through the Bessel-K sum.  ValueError unless every x0 is finite.
     """
     if spec.d == 1:
         _check_no_separation(x)
+    x0 = _finite_x0(x0)
     _check_strip_table(spec, table)
     p = spec.params
     S = p.geometry.S
@@ -146,7 +155,6 @@ def boundary_2pt_strip(x0, x, spec: TwoPointSpec, table: ModeTable) -> TwoPointR
         raise ZeroModeError("massless zero mode makes the kernel divergent; "
                             "it must be treated separately")
     if spec.d == 1:
-        x0 = np.asarray(x0, dtype=float)
         # real cos and sin matrices: half the memory of one complex exponential
         w = d2 / (2.0 * mu_m)
         phase = np.multiply.outer(mu_m, x0)
@@ -154,7 +162,7 @@ def boundary_2pt_strip(x0, x, spec: TwoPointSpec, table: ModeTable) -> TwoPointR
             - 1j * np.tensordot(w, np.sin(phase), axes=(0, 0))
         val = val if val.shape else complex(val)
         return TwoPointResult(value=val, tail_bound=strip_tail_bound(spec.M, S, p.c))
-    x2 = np.asarray(x, dtype=float) ** 2 - np.asarray(x0, dtype=float) ** 2
+    x2 = np.asarray(x, dtype=float) ** 2 - x0 ** 2
     return spacelike_2pt_bessel(x2, spec, table=table)
 
 
@@ -340,9 +348,7 @@ def boundary_2pt_halfspace(x0, x, p, q_max: float) -> TwoPointResult:
     if p.d != 1:
         raise ValueError("only the d = 1 kernel is implemented for the half-space")
     _check_no_separation(x)
-    x0 = np.asarray(x0, dtype=float)
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be finite")
+    x0 = _finite_x0(x0)
     flat = x0.ravel()
     s_max = float(np.arcsinh(q_max / p.mu))
     phase_span = float(np.max(np.abs(flat), initial=0.0)) * q_max * s_max

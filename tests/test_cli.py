@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +111,18 @@ def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
         assert args.func.__name__ == f"cmd_{argv[0]}"
 
 
+def test_readme_command_lines_parse():
+    # every `wentzell ...` line of the README, without its trailing # comment
+    argvs = [shlex.split(line.split("#")[0])[1:]
+             for line in (ROOT / "README.md").read_text().splitlines()
+             if line.startswith("wentzell ")]
+    assert {argv[0] for argv in argvs} == {"verify", "modes", "evolve", "twopoint", "holo"}
+    parser = cli.build_parser()
+    for argv in argvs:
+        args = parser.parse_args(argv)
+        assert args.func.__name__ == f"cmd_{argv[0]}"
+
+
 def test_modes_command(tmp_path, monkeypatch):
     # each run, cache miss or hit, evaluates the eigenvalue residuals once
     calls = []
@@ -166,7 +179,12 @@ def test_modes_rejects_negative_c(tmp_path):
 
 @pytest.mark.parametrize("args", [["twopoint", "--mu", "nan"], ["twopoint", "--mu", "inf"],
                                   ["modes", "--S", "inf"], ["twopoint", "--c", "inf"],
-                                  ["evolve", "--mu", "nan"]],
+                                  ["evolve", "--mu", "nan"],
+                                  ["twopoint", "--x0-max", "nan"],
+                                  ["twopoint", "--x0-max", "inf"]]
+                         # the pulse width must be positive as well as finite
+                         + [["evolve", "--scenario", "reflection", "--eps", eps]
+                            for eps in ("-0.02", "0", "nan", "inf")],
                          ids=" ".join)
 def test_nonfinite_parameters_exit_1_without_output(tmp_path, capsys, args):
     out = tmp_path / "out.csv"
@@ -258,9 +276,17 @@ def test_evolve_reflection(tmp_path):
     assert code == 0
     header = {ln.split("=")[0].strip("# "): ln.split("=")[1].strip()
               for ln in out.read_text().splitlines() if ln.startswith("#")}
-    assert float(header["sup_residual"]) < 0.1
+    assert header["c"] == "1.0" and header["eps"] == "0.02"
+    sup = float(header["sup_residual"])
+    assert 0.0 < sup < 0.1
     cols, data = read_csv(out)
-    assert "residual" in cols
+    assert cols[4:] == ["phi_bdy_minus", "phi_bdy_plus", "phi_bdy_exact", "residual"]
+    assert np.all(np.isfinite(data))
+    # the residual column is the trace's distance from the closed form, bit for bit
+    col = {name: data[:, i] for i, name in enumerate(cols)}
+    assert np.array_equal(col["residual"],
+                          np.abs(col["phi_bdy_minus"] - col["phi_bdy_exact"]))
+    assert np.max(col["residual"]) == sup
 
 
 def test_evolve_byte_identical(tmp_path):
@@ -400,6 +426,9 @@ def test_holo_fig2(tmp_path):
     centers = np.array(meta["burst_centers"])
     for expect in (-5, -3, -1, 1, 3, 5):
         assert np.min(np.abs(centers - expect)) <= 0.2
+    cols, data = read_csv(out.with_suffix(".fprime.csv"))
+    assert cols == ["t", "fprime"]
+    assert data.shape == (12288, 2) and np.all(np.isfinite(data))
 
 
 @pytest.mark.slow

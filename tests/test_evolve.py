@@ -681,6 +681,15 @@ def test_explicit_solution_dt_consistency():
     assert np.max(np.abs((up - dn) / (2 * dt) - v)) < 1e-4 * np.max(np.abs(v))
 
 
+@pytest.mark.parametrize("eps", [-0.02, 0.0, np.nan, np.inf])
+def test_explicit_solution_rejects_eps(eps):
+    # checked before any term is evaluated: no warning comes first
+    z = np.linspace(0.0, 1.0, 5)
+    for closed_form in (explicit_solution, explicit_solution_dt):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            closed_form(0.3, z, eps, 1.0)
+
+
 def test_fdtd_reflection_trace():
     # coarser, faster variant of the full acceptance run
     eps, c = 0.02, 1.0

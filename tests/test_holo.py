@@ -9,7 +9,7 @@ import scipy.fft
 from scipy.signal import find_peaks, hilbert
 
 from wentzell.core import Grid1D, PhysicalParams, Strip
-from wentzell.holo import (BumpOverlapError, Fig2Config, FreqExtension, HalfSpaceDual,
+from wentzell.holo import (BumpOverlapError, FreqExtension, HalfSpaceDual,
                            HoloGrids, _inverse_transform, analytic_envelope,
                            choose_a, default_chi, detect_bursts, fig2_reproduce,
                            fig2_test_function, halfspace_dual,
@@ -42,7 +42,7 @@ def image(table, grids):
 
 @pytest.fixture(scope="module")
 def fig2():
-    return fig2_reproduce(Fig2Config())
+    return fig2_reproduce()
 
 
 def extension(table, M, coeffs, a=None):

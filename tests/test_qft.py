@@ -174,6 +174,15 @@ def test_d1_kernels_reject_a_spatial_separation(table200):
                            table=table200)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_d1_kernels_reject_a_nonfinite_x0(table200, bad):
+    x0 = np.array([0.0, bad])
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        boundary_2pt_strip(x0, 0.0, TwoPointSpec(params=P1, M=20), table=table200)
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        boundary_2pt_halfspace(x0, 0.0, HS1, 200.0)
+
+
 def test_halfspace_2pt_real_at_coincidence():
     p = PhysicalParams(c=1.0, mu=1.0, geometry=HalfSpace())
     res = boundary_2pt_halfspace(0.0, 0.0, p, 200.0)
