@@ -35,15 +35,12 @@ Blocked stepping.  The scheme propagates at a finite speed, one cell per
 step, so K steps form one fixed linear map in which each node reaches
 exactly K cells.  At nodes at least K cells from both ends only the bulk
 stencil acts, and the map is Toeplitz there; only the K nodes next to each
-boundary carry the closure.  An interval of at least 8 steps between two
-samples therefore advances in blocks of K <= 32 steps (K <= (N - 1)/2 on a
-grid of N nodes), each block one precomputed map applied with BLAS: two
-block-Toeplitz GEMMs for the interior, and one small dense product that
-gives the K nodes at both ends (the closure is mirror-symmetric) and the
-boundary value after every step.
-Below 8 steps per block the GEMMs cost more than they save (the measured
-crossover is 7-9 steps on 257 to 8 193 nodes), and the interval takes
-single steps phi_next = S(phi) - phi_prev, which also compose exactly.
+boundary carry the closure.  Every interval between two samples therefore
+advances in blocks of 1 <= K <= 32 steps (K <= (N - 1)/2 on a grid of N
+nodes), each block one precomputed map applied with BLAS: two block-Toeplitz
+GEMMs for the interior, and one small dense product that gives the K nodes
+at both ends (the closure is mirror-symmetric) and the boundary value after
+every step.
 
 The blocks work in difference form, x = phi and d = phi - phi_prev, one step
 being d += (S - 2) x, x += d.  The padded (x, d) buffer is made once per
@@ -58,19 +55,23 @@ stepped in extended precision (``_block_operators``).  Distance from a
 long-double run of the same scheme, relative to max|phi| (Gaussian of width
 0.1 at z = -0.6, c = mu = 1, CFL 0.5):
 
-    run                         single   level    difference blocks
-                                steps    blocks   raw      sums reset
-    1 025 nodes, 3 000 steps,   7.5e-13  1.4e-11  3.6e-13  1.1e-13
+    run                         level    difference blocks
+                                blocks   raw      sums reset
+    1 025 nodes, 3 000 steps,   1.4e-11  3.6e-13  1.1e-13
       one call
-    8 193 nodes, 5 000 steps,   1.6e-12  1.2e-10  1.3e-10  1.5e-12
+    8 193 nodes, 5 000 steps,   1.2e-10  1.3e-10  1.5e-12
       40-step calls
-    the same, one run sampled                                 1.5e-12
+    the same, one run sampled                     1.5e-12
       every 40 steps
+    1 025 nodes, 2 048 steps,                     9.5e-15
+      one run sampled every step
+    the same, sampled every                       2.6e-13
+      5 steps
 
 The GEMM operands are zero outside the band, and a zero input gives an
-exact zero, so nodes outside the discrete light cone stay exactly 0.0.  The
-operators of the two most recent (scheme coefficients, K, block width) keys
-are cached: 0.36 MB at K = 32, built in about 5 ms (0.7 ms at K = 8).
+exact zero, so nodes outside the discrete light cone stay exactly 0.0.
+Each run builds the operators of its block lengths once and keeps them with
+its buffers: 0.36 MB at K = 32, built in about 3 ms (0.1 ms at K = 1).
 
 The FDTD energy is the leapfrog's own energy of the two stored levels
 a = phi_prev and b = phi, at time t - dt/2.  With v = (b - a)/dt and lumped
@@ -91,7 +92,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -213,12 +213,8 @@ def _step(x: np.ndarray, d: np.ndarray, coeffs: tuple) -> None:
 
 
 _MAX_BLOCK = 32   # steps per blocked update
-# Shorter blocks are slower than single steps: the measured crossover is 7-9
-# steps on 257 to 8 193 nodes (2 vCPU, OpenBLAS).
-_MIN_BLOCK = 8
 
 
-@lru_cache(maxsize=2)
 def _block_operators(coeffs: tuple, K: int, width: int
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The K-step map of the difference-form leapfrog as block-Toeplitz GEMM
@@ -265,25 +261,16 @@ def _block_operators(coeffs: tuple, K: int, width: int
     lag = s - s.T - width // 2 + K + 2 * width  # input slot s, output slot s.T
     t0, t1 = (kern[:, :, lag + off].transpose(1, 2, 0, 3).reshape(2 * width, 2 * width)
               for off in (0, width))
-    edge = np.delete(op, interior, axis=0)
-    for a in (t0, t1, edge):
-        a.setflags(write=False)
-    return t0, t1, edge
+    return t0, t1, np.delete(op, interior, axis=0)
 
 
 def _block_plan(n_steps: int, n_nodes: int, k_max: int = _MAX_BLOCK
                 ) -> list[tuple[int, int]]:
-    """(steps per block, number of blocks) pairs of an interval of a run, the
-    longer blocks first: as few blocks as the cap min(k_max, (n_nodes - 1) //
-    2) allows, their lengths differing by at most one.  Empty (step one at a
-    time) when a block would be shorter than _MIN_BLOCK steps."""
-    k_max = min(k_max, (n_nodes - 1) // 2)
-    if min(k_max, n_steps) < _MIN_BLOCK:
-        return []
-    count = -(-n_steps // k_max)
+    """(steps per block, number of blocks) pairs of an interval of n_steps >= 1
+    steps, the longer blocks first: as few blocks as the cap min(k_max,
+    (n_nodes - 1) // 2) allows, their lengths differing by at most one."""
+    count = -(-n_steps // min(k_max, (n_nodes - 1) // 2))
     q, r = divmod(n_steps, count)
-    if q < _MIN_BLOCK:
-        return []
     return [(K, c) for K, c in ((q + 1, r), (q, count - r)) if c]
 
 
@@ -315,7 +302,8 @@ def fdtd_samples(s: FdtdState, n_steps: int, every: int) -> Iterator[FdtdState]:
     the state after every ``every`` steps and after the last step, each with
     the boundary trace of the steps since the previous sample.  Lazy: a
     consumer that stops at a sample takes no step beyond it.  Nothing is
-    yielded when n_steps = 0; ValueError unless n_steps >= 0 and every >= 1.
+    yielded, and nothing is built, when n_steps = 0; ValueError unless
+    n_steps >= 0 and every >= 1.
 
     Each interval between samples is one ``fdtd_run`` call, and all of them
     continue one ``_Stepper``: the padded (x, d) buffer, the work arrays and
@@ -324,9 +312,9 @@ def fdtd_samples(s: FdtdState, n_steps: int, every: int) -> Iterator[FdtdState]:
     An interval of ``every`` steps takes the blocks of a call of its own
     length, and a shorter last interval takes blocks no longer than those.
     So a sampled run agrees with the same intervals taken one ``fdtd_run``
-    call at a time to rounding (about 1e-14 relative), and bit for bit where
-    every interval takes single steps.  The arrays of a yielded state are
-    never written afterwards, and consecutive samples may share one."""
+    call at a time to rounding (about 1e-14 relative).  The arrays of a
+    yielded state are never written afterwards, and consecutive samples may
+    share one."""
     if n_steps < 0:
         raise ValueError(f"step count must be >= 0, got n_steps={n_steps}")
     if every < 1:
@@ -336,7 +324,9 @@ def fdtd_samples(s: FdtdState, n_steps: int, every: int) -> Iterator[FdtdState]:
 
 def _samples(s: FdtdState, n_steps: int, every: int) -> Iterator[FdtdState]:
     """The generator of ``fdtd_samples``."""
-    stepper = _Stepper(s, min(every, n_steps), n_steps % every)
+    if n_steps == 0:
+        return
+    stepper = _Stepper(s, min(every, n_steps))
     for k0 in range(0, n_steps, every):
         s = fdtd_run(s, min(every, n_steps - k0), stepper=stepper)
         yield s
@@ -344,35 +334,27 @@ def _samples(s: FdtdState, n_steps: int, every: int) -> Iterator[FdtdState]:
 
 class _Stepper:
     """The stepping state of one run: the scheme's coefficients, the longest
-    block k_max, and, once an interval is blocked, the padded (x, d) buffer,
-    its work arrays and the operators of each block length.
+    block k_max, the padded (x, d) buffer, its work arrays and the operators
+    of each block length.
 
-    k_max is the longest block of the plan of ``every`` steps, or of the
-    ``last`` interval where ``every`` steps singly; every interval is planned
-    with blocks of at most k_max steps.  So an interval of ``every`` steps
-    keeps the plan of a call of its own length, and a shorter last interval
-    does not widen the blocks of all the others.
+    k_max is the longest block of the plan of ``every`` steps, and every
+    interval is planned with blocks of at most k_max steps.  So an interval
+    of ``every`` steps keeps the plan of a call of its own length, and a
+    shorter last interval does not widen the blocks of all the others.
 
-    In blocked intervals the state is xd = (x, d) = (phi, phi - phi_prev),
-    padded with width/2 = k_max zero nodes on the left and zero nodes on the
-    right up to whole blocks of ``width`` nodes; ``_block_operators`` serves
-    every block of at most k_max steps at that width.  Each update copies xd
-    into rows z[j] = (x, d) of block j, applies the interior map, writes it
-    back, and then overwrites the K nodes at each end with the edge
-    operator's result.  xd holds the state ``held`` that the last blocked
+    The state is xd = (x, d) = (phi, phi - phi_prev), padded with width/2 =
+    k_max zero nodes on the left and zero nodes on the right up to whole
+    blocks of ``width`` nodes.  ``_block_operators`` builds the operators of
+    each block length at that width on its first use in the run, and ``ops``
+    keeps them for the run's later blocks.  Each update copies xd into rows z[j] = (x, d) of block j, applies the interior
+    map, writes it back, and then overwrites the K nodes at each end with the
+    edge operator's result.  xd holds the state ``held`` that the last
     interval returned, and an interval from that state continues from xd."""
 
-    def __init__(self, s: FdtdState, every: int, last: int):
+    def __init__(self, s: FdtdState, every: int):
         self.coeffs = _leapfrog_stencil(s.grid.h, s.dt, s.p)
-        self.n = s.phi.size
-        plan = _block_plan(every, self.n) or _block_plan(last, self.n)
-        self.k_max = plan[0][0] if plan else 0
-        self.held = None
-        self.bufs = None
-        self.ops = {}
-
-    def _make_buffers(self) -> tuple:
-        n, pad = self.n, self.k_max
+        self.n = n = s.phi.size
+        self.k_max = pad = _block_plan(every, n)[0][0]
         width = 2 * pad
         rows = -(-n // width)
         xd = np.zeros((2, (rows + 1) * width))
@@ -382,14 +364,15 @@ class _Stepper:
                      xd[:, pad:pad + rows * width].reshape(2, rows, width),
                      np.empty((rows + 1, 2 * width)), acc, np.empty_like(acc),
                      acc.reshape(rows, 2, width).transpose(1, 0, 2))
-        return self.bufs
+        self.held = None
+        self.ops = {}
 
     def _operators(self, K: int) -> tuple:
         if K not in self.ops:
             n, pad, W = self.n, self.k_max, 2 * K + 1
             at = pad + np.abs(np.array([0, n - 1]) - np.arange(W)[:, None])  # node m from each end
             gather = np.concatenate([at, at + self.bufs[0].shape[1]])  # x then d
-            self.ops[K] = (*_block_operators(self.coeffs, K, 2 * self.k_max), gather,
+            self.ops[K] = (*_block_operators(self.coeffs, K, 2 * pad), gather,
                            gather[np.r_[0:K, W:W + K]])
         return self.ops[K]
 
@@ -397,42 +380,30 @@ class _Stepper:
         """The state k >= 1 steps after s, with the boundary trace of those
         steps."""
         trace = np.empty((k, 2))
-        plan = _block_plan(k, self.n, self.k_max)
-        if plan:
-            xd, flat, blocks, interior, z, acc, tmp, new = self.bufs or self._make_buffers()
-            n, pad = self.n, self.k_max
-            rows, width = len(acc), 2 * pad
-            x, d = xd[:, pad:pad + n]
-            if self.held is not s:
-                x[:] = s.phi
-                np.subtract(s.phi, s.phi_prev, out=d)
-            j = 0
-            for K, count in plan:
-                t0, t1, edge, gather, scatter = self._operators(K)
-                for _ in range(count):
-                    e = edge @ flat[gather]
-                    np.copyto(z.reshape(rows + 1, 2, width), blocks)
-                    np.matmul(z[:-1], t0, out=acc)
-                    acc += np.matmul(z[1:], t1, out=tmp)
-                    np.copyto(interior, new)
-                    xd[:, pad + n:] = 0.0
-                    flat[scatter] = e[K - 1:]
-                    trace[j:j + K] = e[:K]
-                    j += K
-            cur = x.copy()
-            prev = cur - d
-        else:
-            # the input's arrays are never returned, so no result aliases them
-            cur, prev = s.phi.copy(), s.phi_prev
-            for j in range(k):
-                nxt = _leapfrog_op(cur, 0.0, *self.coeffs)
-                np.subtract(nxt, prev, out=nxt)
-                trace[j] = nxt[0], nxt[-1]
-                prev, cur = cur, nxt
-        out = FdtdState(grid=s.grid, p=s.p, phi=cur, phi_prev=prev, t=s.t + k * s.dt,
-                        dt=s.dt, bdy_trace=trace)
-        self.held = out if plan else None
-        return out
+        xd, flat, blocks, interior, z, acc, tmp, new = self.bufs
+        n, pad = self.n, self.k_max
+        rows, width = len(acc), 2 * pad
+        x, d = xd[:, pad:pad + n]
+        if self.held is not s:
+            x[:] = s.phi
+            np.subtract(s.phi, s.phi_prev, out=d)
+        j = 0
+        for K, count in _block_plan(k, n, pad):
+            t0, t1, edge, gather, scatter = self._operators(K)
+            for _ in range(count):
+                e = edge @ flat[gather]
+                np.copyto(z.reshape(rows + 1, 2, width), blocks)
+                np.matmul(z[:-1], t0, out=acc)
+                acc += np.matmul(z[1:], t1, out=tmp)
+                np.copyto(interior, new)
+                xd[:, pad + n:] = 0.0
+                flat[scatter] = e[K - 1:]
+                trace[j:j + K] = e[:K]
+                j += K
+        cur = x.copy()
+        self.held = FdtdState(grid=s.grid, p=s.p, phi=cur, phi_prev=cur - d,
+                              t=s.t + k * s.dt, dt=s.dt, bdy_trace=trace)
+        return self.held
 
 
 def fdtd_run(s: FdtdState, n_steps: int, *, stepper: _Stepper | None = None
@@ -441,21 +412,20 @@ def fdtd_run(s: FdtdState, n_steps: int, *, stepper: _Stepper | None = None
     trace of every step.  The interval takes the fewest blocks of at most
     min(32, (N - 1) // 2) steps on N nodes, of lengths differing by at most
     one, each block one precomputed linear map in difference form (see the
-    module docstring), or single steps when a block would be shorter than 8
-    steps.  The last trace row is the endpoint values themselves, so
-    ``bdy_trace[-1]`` equals ``bdy`` exactly.  n_steps = 0 returns a copy of
-    the levels with an empty trace; ValueError for n_steps < 0.
+    module docstring).  The last trace row is the endpoint values themselves,
+    so ``bdy_trace[-1]`` equals ``bdy`` exactly.  n_steps = 0 returns a copy
+    of the levels with an empty trace; ValueError for n_steps < 0.
 
-    ``stepper`` is the run in progress of ``fdtd_samples``, whose buffers
-    and block lengths the interval continues; without it the call is a run
-    of one interval."""
+    ``stepper`` is the run in progress of ``fdtd_samples``, whose buffers,
+    operators and block lengths the interval continues; without it the call
+    is a run of one interval."""
     if n_steps < 0:
         raise ValueError(f"step count must be >= 0, got n_steps={n_steps}")
     if n_steps == 0:
         return FdtdState(grid=s.grid, p=s.p, phi=s.phi.copy(),
                          phi_prev=s.phi_prev.copy(), t=s.t, dt=s.dt)
     if stepper is None:
-        stepper = _Stepper(s, n_steps, 0)
+        stepper = _Stepper(s, n_steps)
     return stepper.advance(s, n_steps)
 
 

@@ -44,21 +44,6 @@ _ENERGY_FRACTION = 0.999  # coefficient energy the automatic cutoff M retains
 _SAMPLES_PER_BUMP = 16    # omega samples across the narrowest bump
 
 
-def next_fast_len(n: int) -> int:
-    """Smallest 11-smooth length 2^a 3^b 5^c 7^d 11^e >= n, the length
-    ``scipy.fft.next_fast_len(n)`` returns for complex input; pocketfft has
-    fast kernels for these five radices."""
-    m = max(int(n), 1)
-    while True:
-        k = m
-        for f in (2, 3, 5, 7, 11):
-            while k % f == 0:
-                k //= f
-        if k == 1:
-            return m
-        m += 1
-
-
 class BumpOverlapError(ValueError):
     """Bump supports of two modes intersect (a is too small)."""
 
@@ -212,8 +197,8 @@ def _inverse_transform(ext: FreqExtension, omega_grid: np.ndarray,
     j k = (j^2 + k^2 - (j - k)^2) / 2 turns the sum into a chirp pre-multiply,
     one FFT convolution with exp(i beta r^2 / 2) and a chirp post-multiply:
     O((N_omega + N_t) log(N_omega + N_t)) time, O(N_omega + N_t) memory.
-    The convolution runs on ``numpy.fft`` at the 11-smooth length of
-    ``next_fast_len``.  Both grids must be uniform (ValueError otherwise).
+    The convolution runs on ``numpy.fft`` at the power of two at or above
+    N_omega + N_t - 1.  Both grids must be uniform (ValueError otherwise).
     ``ext`` is Hermitian and the grids of ``holographic_dual`` are symmetric
     about omega = 0, so f' is real: its real part is returned (float64), and
     the imaginary part, rounding noise, is dropped."""
@@ -230,7 +215,7 @@ def _inverse_transform(ext: FreqExtension, omega_grid: np.ndarray,
     k = np.arange(m, dtype=float)
     j = np.arange(n, dtype=float)
     r = np.arange(-(m - 1), n, dtype=float)
-    size = next_fast_len(n + m - 1)
+    size = 1 << (n + m - 2).bit_length()
     pre = seg * np.exp(-1j * (t_grid[0] * d_omega * k + 0.5 * beta * k * k))
     kernel = np.fft.fft(np.exp(0.5j * beta * r * r), size)
     conv = np.fft.ifft(np.fft.fft(pre, size) * kernel)[m - 1: m - 1 + n]

@@ -13,9 +13,9 @@ import pytest
 
 from wentzell import cli, modes
 from wentzell.cli import main, table_from_json, table_to_json
-from wentzell.evolve import fdtd_samples
+from wentzell.evolve import energy, fdtd_samples, make_fdtd_state
 from wentzell.modes import build_table
-from wentzell.core import PhysicalParams, Strip
+from wentzell.core import CauchyData, Grid1D, PhysicalParams, Strip
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -181,7 +181,8 @@ def test_modes_rejects_negative_c(tmp_path):
                                   ["modes", "--S", "inf"], ["twopoint", "--c", "inf"],
                                   ["evolve", "--mu", "nan"],
                                   ["twopoint", "--x0-max", "nan"],
-                                  ["twopoint", "--x0-max", "inf"]]
+                                  ["twopoint", "--x0-max", "inf"],
+                                  ["evolve", "--T", "inf"], ["evolve", "--T", "nan"]]
                          # the pulse width must be positive as well as finite
                          + [["evolve", "--scenario", "reflection", "--eps", eps]
                             for eps in ("-0.02", "0", "nan", "inf")],
@@ -217,9 +218,9 @@ def test_evolve_gaussian(tmp_path, capsys):
     code = main(["evolve", "--grid-n", "1024", "--T", "1.0",
                  "--cache-dir", str(tmp_path), "--out", str(out)])
     assert code == 0
+    printed = capsys.readouterr().out.splitlines()
     # stepping: <steps> steps x <nodes> nodes in <s> s (<rate> Mcell/s)
-    line = next(ln for ln in capsys.readouterr().out.splitlines()
-                if ln.startswith("stepping: "))
+    line = next(ln for ln in printed if ln.startswith("stepping: "))
     words = line.split()
     dt = 0.5 * 2.0 / 1024
     assert int(words[1]) == int(np.ceil(1.0 / dt))
@@ -231,6 +232,14 @@ def test_evolve_gaussian(tmp_path, capsys):
     tot = data[:, 3]
     assert np.max(np.abs(tot - tot[0])) / tot[0] < 1e-3
     assert np.allclose(data[:, 3], data[:, 1] + data[:, 2], rtol=1e-12)
+    # the printed drift is the largest over the samples, not the last sample's
+    grid = Grid1D.for_strip(1.0, 1024)
+    z = grid.nodes
+    data0 = CauchyData.from_samples(grid, np.exp(-z ** 2 / (2 * 0.1 ** 2)), np.zeros_like(z))
+    E0 = energy(make_fdtd_state(data0, PhysicalParams(c=1.0, mu=0.0,
+                                                      geometry=Strip(1.0)))).total
+    drift = f"{np.max(np.abs(tot - E0)) / E0:.3e}"
+    assert f"energy drift over the run: {drift}" in printed
 
 
 def test_evolve_cfl_validation(tmp_path):

@@ -244,8 +244,8 @@ def rel_diff(a, b):
 
 
 def test_fdtd_run_boundary_trace_matches_single_steps():
-    # one 40-step call is two blocked updates, the same map as 40 single steps
-    # evaluated in another order
+    # one 40-step call is two 20-step blocks, the same map as 40 one-step
+    # calls evaluated in another order
     grid = Grid1D.for_strip(1.0, 128)
     s0 = make_fdtd_state(gaussian_data(grid, width=0.2), P1)
     bulk = fdtd_run(s0, 40)
@@ -267,18 +267,15 @@ def test_fdtd_run_boundary_trace_matches_single_steps():
 def test_fdtd_run_composes():
     grid = Grid1D.for_strip(1.0, 128)
     s0 = make_fdtd_state(gaussian_data(grid, width=0.2), P1)
-    split = fdtd_run(fdtd_run(s0, 3), 4)  # single steps throughout
-    whole = fdtd_run(s0, 7)
-    assert np.array_equal(split.phi, whole.phi)
-    assert np.array_equal(split.phi_prev, whole.phi_prev)
-    assert np.array_equal(split.bdy_trace, whole.bdy_trace[3:])
-    assert split.t == pytest.approx(whole.t)
-    split = fdtd_run(fdtd_run(s0, 17), 23)  # blocks of 17 and 23 against 20 + 20
-    whole = fdtd_run(s0, 40)
-    assert rel_diff(split.phi, whole.phi) <= 1e-13
-    assert rel_diff(split.phi_prev, whole.phi_prev) <= 1e-13
-    assert rel_diff(split.bdy_trace, whole.bdy_trace[17:]) <= 1e-13
-    assert np.array_equal(split.bdy_trace[-1], split.bdy)
+    # blocks of 3 and 4 against one of 7; of 17 and 23 against 20 + 20
+    for first, second in ((3, 4), (17, 23)):
+        split = fdtd_run(fdtd_run(s0, first), second)
+        whole = fdtd_run(s0, first + second)
+        assert rel_diff(split.phi, whole.phi) <= 1e-13
+        assert rel_diff(split.phi_prev, whole.phi_prev) <= 1e-13
+        assert rel_diff(split.bdy_trace, whole.bdy_trace[first:]) <= 1e-13
+        assert np.array_equal(split.bdy_trace[-1], split.bdy)
+        assert split.t == pytest.approx(whole.t)
 
 
 def long_double_leapfrog(s, n_steps):
@@ -321,6 +318,17 @@ def test_fdtd_sampled_rounding_against_long_double(long_double_run):
     assert np.max(np.abs(samples[-1].phi_prev - ref_prev)) <= 5e-11 * scale
 
 
+def test_fdtd_sampled_every_step_against_long_double():
+    # 2048 one-step intervals, each a K = 1 block that continues (x, d)
+    grid = Grid1D.for_strip(1.0, 1024)
+    s = make_fdtd_state(gaussian_data(grid, width=0.1, center=-0.6), P1)
+    ref, ref_prev = long_double_leapfrog(s, 2048)
+    *_, last = fdtd_samples(s, 2048, 1)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(last.phi - ref)) <= 1e-13 * scale
+    assert np.max(np.abs(last.phi_prev - ref_prev)) <= 1e-13 * scale
+
+
 def chopped_run(s, n_steps, every):
     """The samples of a run taken one ``fdtd_run`` call per interval."""
     out = []
@@ -330,16 +338,19 @@ def chopped_run(s, n_steps, every):
     return out
 
 
-@pytest.mark.parametrize("n_nodes, n_steps, every, exact", [
-    (257, 103, 5, True),      # single steps throughout
+@pytest.mark.parametrize("n_nodes, n_steps, every, one_block", [
+    (257, 103, 5, True),      # one 5-step block per interval, the last of 3
     (301, 103, 1, True),      # dt = 1/300: t sums the interval lengths as the calls do
     (1025, 250, 40, False),   # blocks of 20, then a last interval of 10
-    (1025, 243, 40, False),   # blocked intervals, then 3 single steps
+    (1025, 243, 40, False),   # blocks of 20, then a last interval of 3
     (1025, 200, 70, False),   # blocks of 24 and 23, then a last of 60 in 3 x 20, not 2 x 30
-    (17, 42, 17, False),      # K <= 8: 17-step intervals step singly, the last 8 is blocked
+    (17, 42, 17, False),      # K <= 8: 17 steps in blocks of 6, 6 and 5, the last 8 in 4 + 4
     (1025, 40, 100, False),   # one interval, shorter than every
 ])
-def test_fdtd_samples_match_chopped_calls(n_nodes, n_steps, every, exact):
+def test_fdtd_samples_match_chopped_calls(n_nodes, n_steps, every, one_block):
+    import wentzell.evolve as evolve
+
+    assert (evolve._block_plan(every, n_nodes) == [(every, 1)]) == one_block
     grid = Grid1D.for_strip(1.0, n_nodes - 1)
     s0 = make_fdtd_state(gaussian_data(grid, width=0.2, center=-0.5), P1)
     sampled = list(fdtd_samples(s0, n_steps, every))
@@ -352,14 +363,9 @@ def test_fdtd_samples_match_chopped_calls(n_nodes, n_steps, every, exact):
     trace = np.concatenate([a.bdy_trace for a in sampled])
     trace_ref = np.concatenate([b.bdy_trace for b in chopped])
     last, ref = sampled[-1], chopped[-1]
-    if exact:
-        assert np.array_equal(trace, trace_ref)
-        assert np.array_equal(last.phi, ref.phi)
-        assert np.array_equal(last.phi_prev, ref.phi_prev)
-    else:
-        assert rel_diff(trace, trace_ref) <= 1e-13
-        assert rel_diff(last.phi, ref.phi) <= 1e-13
-        assert rel_diff(last.phi_prev, ref.phi_prev) <= 1e-13
+    assert rel_diff(trace, trace_ref) <= 1e-13
+    assert rel_diff(last.phi, ref.phi) <= 1e-13
+    assert rel_diff(last.phi_prev, ref.phi_prev) <= 1e-13
 
 
 def test_fdtd_samples_keep_x_and_d_across_samples():
@@ -410,7 +416,7 @@ def test_fdtd_run_continues_a_stepper_only_from_its_last_state():
     import wentzell.evolve as evolve
 
     s0 = make_fdtd_state(gaussian_data(Grid1D.for_strip(1.0, 256)), P1)
-    stepper = evolve._Stepper(s0, 40, 0)
+    stepper = evolve._Stepper(s0, 40)
     first = fdtd_run(s0, 40, stepper=stepper)
     again = fdtd_run(s0, 40, stepper=stepper)  # from s0, not from where xd stands
     assert np.array_equal(again.phi, first.phi)
@@ -439,39 +445,34 @@ def test_fdtd_samples_take_no_step_beyond_the_consumer(monkeypatch):
             applied.append("block")
             return np.asarray(self) @ other
 
-    def counted_op(*args):
-        applied.append("step")
-        return leapfrog_op(*args)
-
     def counted_operators(*args):
         t0, t1, edge = block_operators(*args)
         return t0, t1, edge.view(CountingEdge)
 
-    leapfrog_op, block_operators = evolve._leapfrog_op, evolve._block_operators
-    monkeypatch.setattr(evolve, "_leapfrog_op", counted_op)
+    block_operators = evolve._block_operators
     monkeypatch.setattr(evolve, "_block_operators", counted_operators)
     s0 = make_fdtd_state(gaussian_data(Grid1D.for_strip(1.0, 1024)), P1)
-    applied.clear()
-    single = fdtd_samples(s0, 1000, 5)
-    blocked = fdtd_samples(s0, 1000, 40)
+    short = fdtd_samples(s0, 1000, 5)
+    long = fdtd_samples(s0, 1000, 40)
     assert applied == []  # nothing runs before the first sample is asked for
-    next(single)
-    next(single)
-    assert applied == ["step"] * 10
-    applied.clear()
-    next(blocked)
-    next(blocked)
-    # two blocks of 20 per sample; a first run also steps to build the operators
-    assert applied.count("block") == 4
-    n_applied = len(applied)
-    single.close()
-    blocked.close()
-    assert len(applied) == n_applied
+    next(short)
+    next(short)
+    assert applied == ["block"] * 2  # one block of 5 per sample
+    next(long)
+    next(long)
+    assert applied == ["block"] * 6  # two blocks of 20 per sample
+    short.close()
+    long.close()
+    assert len(applied) == 6
 
 
-def test_fdtd_samples_arguments():
+def test_fdtd_samples_arguments(monkeypatch):
+    import wentzell.evolve as evolve
+
     s0 = make_fdtd_state(gaussian_data(Grid1D.for_strip(1.0, 64)), P1)
-    assert list(fdtd_samples(s0, 0, 5)) == []
+    with monkeypatch.context() as m:
+        m.setattr(evolve, "_Stepper", None)  # an empty run builds no stepper
+        assert list(fdtd_samples(s0, 0, 5)) == []
     for every in (0, -3):
         with pytest.raises(ValueError, match=f"every={every}"):
             fdtd_samples(s0, 10, every)  # raised at the call, not at the first sample

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-import scipy.fft
 from scipy.signal import find_peaks, hilbert
 
 from wentzell.core import Grid1D, PhysicalParams, Strip
@@ -14,7 +13,7 @@ from wentzell.holo import (BumpOverlapError, FreqExtension, HalfSpaceDual,
                            choose_a, default_chi, detect_bursts, fig2_reproduce,
                            fig2_test_function, halfspace_dual,
                            holographic_dual, included_modes, local_maxima,
-                           next_fast_len, verify_dual)
+                           verify_dual)
 from wentzell.modes import build_table
 from wentzell.qft import fourier_trapezoid
 
@@ -503,18 +502,6 @@ def test_extension_linearity_property(cp):
     e2 = extension(table, 8, 2 * cp)
     w = np.linspace(-12.0, 12.0, 301)
     assert np.max(np.abs(e2(w) - 2 * e1(w))) < 1e-12 * max(1.0, np.max(np.abs(e1(w))))
-
-
-# the padded length fixes the Bluestein convolution and with it every f' value;
-# the large sizes are fig2_reproduce's at M = 2, 3, 4, 5, 8 (the automatic M),
-# 12, 20, 30, 40, 50, 60 and 63
-@pytest.mark.parametrize("sizes", [range(1, 20001),
-                                   [12500, 12866, 13462, 14294, 18206, 26740, 55186,
-                                    112080, 192678, 296980, 424988, 468012]],
-                         ids=["1-20000", "fig2"])
-def test_next_fast_len_matches_scipy(sizes):
-    assert [next_fast_len(n) for n in sizes] == [scipy.fft.next_fast_len(n)
-                                                 for n in sizes]
 
 
 # ---------------------------------------------------------------------------
