@@ -27,7 +27,7 @@ import numpy as np
 from .core import CauchyData, Grid1D, HalfSpace, PhysicalParams, Strip
 from .evolve import (SpectralState, energy, explicit_solution, fdtd_samples,
                      make_fdtd_state, reflection_cauchy_data, synthesize_state)
-from .holo import HoloGrids, fig2_reproduce, holographic_dual, verify_dual
+from .holo import fig2_reproduce, holographic_dual, verify_dual
 from .modes import _ASYM_DELTA, _ASYM_M_START, ModeTable, build_table, check_solution, \
     verify_table
 from .qft import _HALFSPACE_NORM_TOL, TwoPointSpec, _finite_x0, \
@@ -249,7 +249,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     cols = ["t", "E_bulk", "E_bdy", "E_total", "phi_bdy_minus", "phi_bdy_plus"]
     if args.scenario == "reflection":
         rows = np.array(rows)
-        _, exact = explicit_solution(rows[:, 0], 0.0, args.eps, args.c)
+        exact = explicit_solution(rows[:, 0], 0.0, args.eps, args.c)
         resid = np.abs(rows[:, 4] - exact)
         rows = np.column_stack([rows, exact, resid])
         sup_resid = float(np.max(resid))
@@ -319,16 +319,15 @@ def cmd_holo(args: argparse.Namespace) -> int:
         if args.mu <= 0:
             raise ValueError("the quantitative map needs mu > 0; "
                              "use --fig2 for the massless reference run")
-        p = PhysicalParams(c=args.c, mu=args.mu, geometry=Strip(args.S))
-        table = build_table(48, p)
-        grids = HoloGrids.default(args.S, t_span=4.0 * args.S)
+        table = build_table(48, PhysicalParams(c=args.c, mu=args.mu,
+                                               geometry=Strip(args.S)))
 
         def f(t, z):
             return np.exp(-t ** 2 / (2 * (0.25 * args.S) ** 2)) \
                 * np.exp(-z ** 2 / (2 * (0.12 * args.S) ** 2))
 
-        image = holographic_dual(f, p, table, M=args.M, grids=grids)
-        rep = verify_dual(image, table)
+        image = holographic_dual(f, table, t_span=4.0 * args.S, M=args.M)
+        rep = verify_dual(image)
         meta = dict(image.metadata)
         meta["max_residual"] = rep.max_residual
         meta["pairing_rel_error"] = rep.pairing_rel_error

@@ -514,18 +514,17 @@ def energy_in_region(state: FdtdState, z_lo: float, z_hi: float) -> float:
 # ---------------------------------------------------------------------------
 # causality diagnostics
 
+_PROBE_TOL = 1e-8  # the probe passes while the amplitude outside the cone is below it
+
+
 @dataclass
 class CausalityReport:
-    t: float
-    support: tuple[float, float]        # initial data support [z0-r, z0+r]
-    cone: tuple[float, float]           # discrete light cone incl. halo
-    max_outside: float
+    max_outside: float                  # largest |phi| outside the cone
     energy_outside_fraction: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_outside < self.tol
+        return self.max_outside < _PROBE_TOL
 
 
 def data_support(data: CauchyData) -> tuple[float, float]:
@@ -539,7 +538,6 @@ def data_support(data: CauchyData) -> tuple[float, float]:
     return (float(z[idx[0]]), float(z[idx[-1]]))
 
 
-_PROBE_TOL = 1e-8  # the probe passes while the amplitude outside the cone is below it
 _HALO_CELLS = 2
 
 
@@ -564,9 +562,7 @@ def causality_probe(data: CauchyData, p: PhysicalParams, t: float) -> CausalityR
     total = float(node.sum())
     e_out = float(node[outside].sum())
     frac = e_out / total if total > 0 else 0.0
-    return CausalityReport(t=state.t, support=(z_lo, z_hi), cone=cone,
-                           max_outside=max_out, energy_outside_fraction=frac,
-                           tol=_PROBE_TOL)
+    return CausalityReport(max_outside=max_out, energy_outside_fraction=frac)
 
 
 # ---------------------------------------------------------------------------
@@ -595,16 +591,15 @@ def explicit_solution(t, z, eps: float, c: float):
     sign-flipped reflection -G(t-z), and the boundary re-emission tail
     (2/c) exp(-(t-z)/c) theta(t-z) mollified in time.
 
-    Returns (phi(z), phi_bdy); the trace phi(t, 0) equals phi_bdy exactly.
-    A scalar t gives a float phi_bdy; an array of times gives phi_bdy over t
-    (and phi over t broadcast against z).  ValueError unless eps is positive
-    and finite.
+    Returns phi over t broadcast against z.  The boundary trace is
+    ``explicit_solution(t, 0.0, eps, c)``: at z = 0 the two Gaussians cancel
+    exactly and phi is the re-emission tail.  ValueError unless eps is
+    positive and finite.
     """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
-    phi_bdy = (2.0 / c) * _exp_tail(t, eps, c)
-    phi = _gauss(t + z, eps) - _gauss(t - z, eps) + (2.0 / c) * _exp_tail(t - z, eps, c)
-    return phi, float(phi_bdy) if phi_bdy.ndim == 0 else phi_bdy
+    tail = (2.0 / c) * _exp_tail(t - z, eps, c)  # checks eps before any other term
+    return _gauss(t + z, eps) - _gauss(t - z, eps) + tail
 
 
 def explicit_solution_dt(t, z, eps: float, c: float):
@@ -616,15 +611,12 @@ def explicit_solution_dt(t, z, eps: float, c: float):
         return -u / eps**2 * _gauss(u, eps)
 
     tail = _exp_tail(t - z, eps, c)
-    dphi = dg(t + z) - dg(t - z) + (2.0 / c) * (_gauss(t - z, eps) - tail / c)
-    dbdy = float((2.0 / c) * (_gauss(np.asarray(t), eps) - _exp_tail(np.asarray(t), eps, c) / c))
-    return dphi, dbdy
+    return dg(t + z) - dg(t - z) + (2.0 / c) * (_gauss(t - z, eps) - tail / c)
 
 
 def reflection_cauchy_data(grid: Grid1D, t0: float, eps: float, c: float) -> CauchyData:
     """Cauchy data of the exact solution at time t0, mapped onto a strip grid
     whose left endpoint is the physical boundary (z' = z - z_min)."""
     zp = grid.nodes - grid.z_min
-    pos, _ = explicit_solution(t0, zp, eps, c)
-    vel, _ = explicit_solution_dt(t0, zp, eps, c)
-    return CauchyData.from_samples(grid, pos, vel)
+    return CauchyData.from_samples(grid, explicit_solution(t0, zp, eps, c),
+                                   explicit_solution_dt(t0, zp, eps, c))

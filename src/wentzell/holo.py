@@ -8,6 +8,9 @@ boundary field to the same operator as the bulk smearing.  The bump profile
 chi is a convention (the construction does not fix it) and is recorded in the
 image metadata.
 
+The mode table is the one source of the strip, c and mu: ``holographic_dual``
+builds its grids from it, and the image keeps it for ``verify_dual``.
+
 The field is real, so for a real bulk smearing fhat^-_m = conj fhat^+_m, and
 the boundary image is Hermitian: fhat'(-omega) = conj fhat'(omega).  The map
 therefore stores and interpolates only the coefficients at +omega_m; the
@@ -20,8 +23,8 @@ evaluated on a uniform time grid.  It is computed as a chirp-z transform by
 Bluestein's convolution (Bluestein 1968; Rabiner, Schafer & Rader 1969): the
 product t_j omega_k is split into chirps so that the sum becomes one FFT
 convolution, in O((N_omega + N_t) log(N_omega + N_t)) time and O(N_omega + N_t)
-memory.  Both grids must therefore be uniform; a non-uniform output time grid
-raises ValueError.
+memory.  Both grids must therefore be uniform; ``_inverse_transform`` raises
+ValueError on a non-uniform one.
 
 No attempt is made to compactify the support of f'.  A Paley-Wiener argument
 bounds any single-mode boundary representative away from intervals shorter
@@ -139,30 +142,9 @@ class FreqExtension:
 
 
 @dataclass
-class HoloGrids:
-    """Discretization used to compute and sample a holographic image.
-
-    ``t_out`` (the output times of f') must be uniform: the inverse
-    transform is a chirp-z transform."""
-
-    time_grid: np.ndarray
-    grid: Grid1D
-    t_out: np.ndarray
-
-    @classmethod
-    def default(cls, S: float, t_span: float, n_t: int = 2049,
-                n_out: int = 4096) -> "HoloGrids":
-        """Strip grid of 1024 intervals on [-S, S], and ``n_t`` smearing times
-        and ``n_out`` output times, both uniform on [-t_span, t_span]."""
-        return cls(time_grid=np.linspace(-t_span, t_span, n_t),
-                   grid=Grid1D.for_strip(S, 1024),
-                   t_out=np.linspace(-t_span, t_span, n_out))
-
-
-@dataclass
 class HoloImage:
     """Sampled fhat'(omega) and its time-space dual f'(t), plus the exact
-    evaluator and the coefficients it interpolates."""
+    evaluator, the coefficients it interpolates and their mode table."""
 
     omega_grid: np.ndarray
     fhat: np.ndarray
@@ -170,6 +152,7 @@ class HoloImage:
     fprime: np.ndarray
     extension: FreqExtension
     coeffs: SmearedCoefficients
+    table: ModeTable
     metadata: dict
     warnings: list = field(default_factory=list)
 
@@ -223,11 +206,12 @@ def _inverse_transform(ext: FreqExtension, omega_grid: np.ndarray,
     return fhat, (conv * post * d_omega / _SQRT2PI).real
 
 
-def holographic_dual(f, p: PhysicalParams, table: ModeTable, grids: HoloGrids,
-                     M: int | None = None) -> HoloImage:
-    """Holographic image of a bulk test function f(t, z) (callable, vectorized),
-    smeared on ``grids.time_grid`` x ``grids.grid`` and transformed to
-    ``grids.t_out``.
+def holographic_dual(f, table: ModeTable, t_span: float, n_t: int = 2049,
+                     n_out: int = 4096, M: int | None = None) -> HoloImage:
+    """Holographic image of a bulk test function f(t, z) (callable, vectorized)
+    on the strip of ``table``, smeared on its grid of 1024 intervals and on
+    ``n_t`` uniform times in [-t_span, t_span]; f' is sampled at ``n_out``
+    uniform times on the same span.
 
     Computes the smeared coefficients, divides by the boundary couplings,
     extends to a Schwartz function on the frequency axis with the bump
@@ -236,15 +220,19 @@ def holographic_dual(f, p: PhysicalParams, table: ModeTable, grids: HoloGrids,
     smallest value retaining 99.9% of the coefficient energy; a warning is
     attached if the requested M falls short of that.  An M beyond the table's
     last mode raises ValueError."""
-    if not isinstance(p.geometry, Strip):
-        raise ValueError("the strip map needs a mode table; see halfspace_dual")
     if M is not None and M > len(table) - 1:
         raise ValueError(f"cutoff M={M} exceeds the table's last mode "
                          f"m={len(table) - 1}")
-    t = grids.time_grid
-    z = grids.grid.nodes
+    p = table.params
+    t = np.linspace(-t_span, t_span, n_t)
+    grid = Grid1D.for_strip(p.geometry.S, 1024)
+    # the output times and z are made before the samples (25 MB for fig2):
+    # made after them, the heap layout they left raised the peak RSS of a
+    # run of every CLI command from 97 to 109 MB under some hash seeds
+    t_out = np.linspace(-t_span, t_span, n_out)
+    z = grid.nodes
     samples = np.asarray(f(t[:, None], z[None, :]), dtype=float)
-    coeffs = smeared_coeffs(samples, None, table, t, grids.grid)
+    coeffs = smeared_coeffs(samples, None, table, t, grid)
 
     usable = included_modes(table, len(table) - 1)
     energy = coeffs.energy[usable]
@@ -267,15 +255,15 @@ def holographic_dual(f, p: PhysicalParams, table: ModeTable, grids: HoloGrids,
     omega_max = float(np.sqrt(ext.omegas[-1] ** 2 + 1.0 / (2 * a))) + 2 * d_omega
     n_half = int(np.ceil(omega_max / d_omega))
     omega_grid = np.arange(-n_half, n_half + 1) * d_omega
-    fhat, fprime = _inverse_transform(ext, omega_grid, grids.t_out)
+    fhat, fprime = _inverse_transform(ext, omega_grid, t_out)
 
     meta = {"S": p.geometry.S, "c": p.c, "mu": p.mu, "M": M, "a": a,
             "chi": default_chi.__name__,
             "energy_fraction": float(cum[np.searchsorted(usable, M)] if M in usable
                                      else cum[-1]),
             "samples_per_bump": _SAMPLES_PER_BUMP}
-    return HoloImage(omega_grid=omega_grid, fhat=fhat, t_grid=grids.t_out,
-                     fprime=fprime, extension=ext, coeffs=coeffs, metadata=meta,
+    return HoloImage(omega_grid=omega_grid, fhat=fhat, t_grid=t_out, fprime=fprime,
+                     extension=ext, coeffs=coeffs, table=table, metadata=meta,
                      warnings=warnings)
 
 
@@ -311,11 +299,13 @@ def pairing_boundary_route(extF: FreqExtension, extG: FreqExtension,
                           * extF(-w) * extG(w)))
 
 
-def verify_dual(image: HoloImage, table: ModeTable) -> DualReport:
-    """Max interpolation residual |fhat'(+w_m) d_m - fhat^+_m| (normalized)
-    against the image's smeared coefficients, and the two-point pairing of the
-    image with itself along both routes.  The residual at -w_m is the complex
-    conjugate of the one at +w_m, so only +w_m is evaluated."""
+def verify_dual(image: HoloImage) -> DualReport:
+    """Max interpolation residual |fhat'(+w_m) d_m - fhat^+_m| (normalized,
+    d_m from the image's table) against the image's smeared coefficients, and
+    the two-point pairing of the image with itself along both routes.  The
+    residual at -w_m is the conjugate of the one at +w_m, so only +w_m is
+    evaluated."""
+    table = image.table
     coeffs = image.coeffs
     ext = image.extension
     modes = ext.modes
@@ -462,15 +452,14 @@ def fig2_reproduce(*, S: float = 1.0, c: float = 1.0, M: int | None = None
     """Holographic image of the reference bump observable (mu = 0, zero mode
     excluded; S = 1 and c = 1 by default) and its burst report at 10% of the
     envelope maximum.  M is the cutoff of ``holographic_dual`` (automatic by
-    default) on a 64-mode table.  The grids have 1024 intervals in z, 3073
-    time samples for the smearing and 12288 output times on [-12, 12].  Only
-    the burst locations and their ordering are quantitative; the curve shape
-    depends on chi and a."""
-    p = PhysicalParams(c=c, mu=0.0, geometry=Strip(S), d=1)
-    table = build_table(64, p)
+    default) on a table of modes 0 .. 64, which sets the strip; the map
+    smears on 3073 times and samples f' at 12288 times, both on [-12, 12].
+    Only the burst locations and their ordering are quantitative; the curve
+    shape depends on chi and a."""
+    table = build_table(64, PhysicalParams(c=c, mu=0.0, geometry=Strip(S), d=1))
     # t_span 12: wide enough that edge wrap-around cannot inflate bursts
-    grids = HoloGrids.default(S, t_span=12.0, n_t=3073, n_out=12288)
-    image = holographic_dual(fig2_test_function, p, table, M=M, grids=grids)
+    image = holographic_dual(fig2_test_function, table, t_span=12.0, n_t=3073,
+                             n_out=12288, M=M)
     report = detect_bursts(image.t_grid, image.fprime, rel_threshold=0.1)
     return image, report
 

@@ -352,7 +352,9 @@ def eval_halfspace_mode(q, z, p: PhysicalParams) -> np.ndarray:
 def mode_matrix(table: ModeTable, grid: Grid1D) -> np.ndarray:
     """(n_nodes, M+1) samples of all modes, the even columns from cos and the
     odd ones from sin only; endpoint rows are the exact boundary values so
-    traces match the table bitwise."""
+    traces match the table bitwise.  GeometryError unless ``grid`` spans the
+    table's strip: every operation on sampled modes comes through here."""
+    _check_grid_geometry(grid, table.params)
     m, z = np.arange(len(table)), grid.nodes[:, None]
     V = np.empty((z.size, m.size))
     V[:, 0::2] = eval_mode(m[0::2], z, table)
@@ -371,20 +373,19 @@ def mode_function(m: int, table: ModeTable, grid: Grid1D) -> BulkBoundaryFunctio
 
 
 def project(F: BulkBoundaryFunction, table: ModeTable) -> np.ndarray:
-    """Coefficients a_m = <mode_m, F> in the weighted inner product."""
-    p = table.params
-    _check_grid_geometry(F.grid, p)
+    """Coefficients a_m = <mode_m, F> in the weighted inner product;
+    GeometryError unless F's grid spans the table's strip (``mode_matrix``)."""
     V = mode_matrix(table, F.grid)
     w = F.grid.quad_weights()
     bvals = table.boundary_values()
-    return V.T @ (w * F.bulk) + p.c * (bvals @ F.boundary)
+    return V.T @ (w * F.bulk) + table.params.c * (bvals @ F.boundary)
 
 
 def gram_matrix(table: ModeTable, grid: Grid1D) -> np.ndarray:
     """Weighted inner products <mode_m, mode_m'> of all sampled modes,
     V^T W V + c B B^T with V the mode matrix, W the quadrature weights and B
-    the boundary values: ``project`` applied to every ``mode_function``."""
-    _check_grid_geometry(grid, table.params)
+    the boundary values: ``project`` applied to every ``mode_function``.
+    GeometryError unless ``grid`` spans the table's strip (``mode_matrix``)."""
     V = mode_matrix(table, grid)
     B = table.boundary_values()
     return V.T @ (grid.quad_weights()[:, None] * V) + table.params.c * (B @ B.T)

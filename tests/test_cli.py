@@ -88,20 +88,27 @@ def test_benchmark_reads_the_cached_residual(tmp_path, monkeypatch):
     assert workloads._from_file(path) == {"eig_residual_max": worst}
 
 
-def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
-    # every argv the benchmark passes to the CLI, from all workloads and the
-    # edge probes, is accepted by the parser (holo keeps its unused
-    # --cache-dir); the workloads module is loaded afresh with cli_op recording
+def load_workloads(monkeypatch, cli_op):
+    """The benchmark's workloads module, loaded afresh with ``cli_op`` in
+    place of the harness's CLI operation."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     harness = importlib.import_module("harness")
-    argvs = []
-    monkeypatch.setattr(harness, "cli_op", lambda name, argv: argvs.append(argv))
+    monkeypatch.setattr(harness, "cli_op", cli_op)
     spec = importlib.util.spec_from_file_location("recorded_workloads",
                                                   ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
+    # every argv the benchmark passes to the CLI, from all workloads and the
+    # edge probes, is accepted by the parser (holo keeps its unused
+    # --cache-dir); cli_op records the argv instead of making an operation
+    argvs = []
+    workloads = load_workloads(monkeypatch, lambda name, argv: argvs.append(argv))
     for make in workloads.WORKLOADS.values():
         make(0)
     assert {argv[0] for argv in argvs} == {"verify", "modes", "evolve", "twopoint", "holo"}
@@ -109,6 +116,19 @@ def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
     for argv in argvs:
         args = parser.parse_args([a.format(d=tmp_path) for a in argv])
         assert args.func.__name__ == f"cmd_{argv[0]}"
+
+
+def test_benchmark_library_calls_run(tmp_path, monkeypatch):
+    # the workload operations that call the library directly, not through the
+    # CLI, run once and return finite figures with no failed check
+    workloads = load_workloads(monkeypatch, lambda name, argv: None)
+    ops = [op for make in workloads.WORKLOADS.values() for op in make(0) if op is not None]
+    assert {op.name for op in ops} == {"causality-d2-M200", "bessel-d2-d3-M2000",
+                                       "convergence-256-4096"}
+    for op in ops:
+        values = op.run(tmp_path)
+        assert values and "check_failed" not in values, (op.name, values)
+        assert np.all(np.isfinite(list(values.values()))), (op.name, values)
 
 
 def test_readme_command_lines_parse():

@@ -641,8 +641,8 @@ def test_local_energy_estimate():
 
 def test_explicit_solution_before_arrival():
     z = np.linspace(0.0, 2.0, 101)
-    phi, bdy = explicit_solution(-0.5, z, eps=0.02, c=1.0)
-    assert abs(bdy) < 1e-60
+    phi = explicit_solution(-0.5, z, eps=0.02, c=1.0)
+    assert abs(explicit_solution(-0.5, 0.0, eps=0.02, c=1.0)) < 1e-60
     # only the infalling pulse: a single Gaussian at z = 0.5
     assert phi[np.argmax(np.abs(phi))] == pytest.approx(
         1.0 / (0.02 * np.sqrt(2 * np.pi)), rel=1e-6)
@@ -650,10 +650,21 @@ def test_explicit_solution_before_arrival():
 
 def test_explicit_solution_boundary_value():
     # eps -> 0 limit of the trace at t = 1, c = 1 is 2/e
-    _, b1 = explicit_solution(1.0, np.array([0.0]), eps=1e-4, c=1.0)
+    b1 = explicit_solution(1.0, 0.0, eps=1e-4, c=1.0)
     assert b1 == pytest.approx(2 * np.exp(-1.0), rel=1e-6)
-    phi0, b0 = explicit_solution(0.7, np.array([0.0]), eps=0.02, c=1.0)
-    assert phi0[0] == pytest.approx(b0, rel=1e-12)  # trace condition
+
+
+@pytest.mark.parametrize("c", [0.3, 1.0, 7.0])
+@pytest.mark.parametrize("eps", [0.02, 0.1])
+def test_explicit_solution_trace_is_the_reemission_tail(c, eps):
+    # at z = 0 the incoming and reflected Gaussians cancel exactly: the trace
+    # is the mollified tail (2/c) (E * G_eps)(t) bit for bit
+    import wentzell.evolve as evolve
+    t = np.linspace(-1.0, 3.0, 1001)
+    tail = (2.0 / c) * evolve._exp_tail(t, eps, c)
+    assert np.array_equal(explicit_solution(t, 0.0, eps, c), tail)
+    for k in (0, 300, 1000):
+        assert explicit_solution(t[k], 0.0, eps, c) == tail[k]
 
 
 def test_explicit_solution_solves_boundary_ode():
@@ -661,13 +672,13 @@ def test_explicit_solution_solves_boundary_ode():
     eps, c = 0.05, 0.7
     dt = 1e-4
     t0 = 0.4
-    _, b_m = explicit_solution(t0 - dt, np.array([0.0]), eps, c)
-    _, b_0 = explicit_solution(t0, np.array([0.0]), eps, c)
-    _, b_p = explicit_solution(t0 + dt, np.array([0.0]), eps, c)
+    b_m = explicit_solution(t0 - dt, 0.0, eps, c)
+    b_0 = explicit_solution(t0, 0.0, eps, c)
+    b_p = explicit_solution(t0 + dt, 0.0, eps, c)
     acc = (b_p - 2 * b_0 + b_m) / dt**2
     dz = 1e-5
     z = np.array([0.0, dz, 2 * dz])
-    phi, _ = explicit_solution(t0, z, eps, c)
+    phi = explicit_solution(t0, z, eps, c)
     dperp = (-3 * phi[0] + 4 * phi[1] - phi[2]) / (2 * dz)
     assert acc == pytest.approx(dperp / c, rel=1e-4)
 
@@ -676,9 +687,9 @@ def test_explicit_solution_dt_consistency():
     eps, c = 0.03, 1.3
     z = np.linspace(0.0, 1.5, 301)
     dt = 1e-6
-    up, _ = explicit_solution(0.3 + dt, z, eps, c)
-    dn, _ = explicit_solution(0.3 - dt, z, eps, c)
-    v, _ = explicit_solution_dt(0.3, z, eps, c)
+    up = explicit_solution(0.3 + dt, z, eps, c)
+    dn = explicit_solution(0.3 - dt, z, eps, c)
+    v = explicit_solution_dt(0.3, z, eps, c)
     assert np.max(np.abs((up - dn) / (2 * dt) - v)) < 1e-4 * np.max(np.abs(v))
 
 
@@ -701,16 +712,14 @@ def test_fdtd_reflection_trace():
     n_steps = int(round(1.5 / s.dt))
     s = fdtd_run(s, n_steps)
     t = -0.5 + np.arange(1, n_steps + 1) * s.dt
-    _, exact = explicit_solution(t, 0.0, eps, c)
+    exact = explicit_solution(t, 0.0, eps, c)
     sup = np.max(np.abs(s.bdy_trace[:, 0] - exact))
     assert sup < 5e-2 * 2 / c
 
 
 def test_explicit_solution_array_times():
     t = np.linspace(-0.5, 1.5, 9)
-    phi, bdy = explicit_solution(t, 0.0, eps=0.02, c=0.8)
-    assert bdy.shape == t.shape
+    phi = explicit_solution(t, 0.0, eps=0.02, c=0.8)
+    assert phi.shape == t.shape
     for k, tk in enumerate(t):
-        phi_k, bdy_k = explicit_solution(tk, 0.0, eps=0.02, c=0.8)
-        assert isinstance(bdy_k, float)
-        assert bdy[k] == bdy_k and phi[k] == phi_k
+        assert phi[k] == explicit_solution(tk, 0.0, eps=0.02, c=0.8)

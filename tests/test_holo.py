@@ -9,13 +9,13 @@ from scipy.signal import find_peaks, hilbert
 
 from wentzell.core import Grid1D, PhysicalParams, Strip
 from wentzell.holo import (BumpOverlapError, FreqExtension, HalfSpaceDual,
-                           HoloGrids, _inverse_transform, analytic_envelope,
-                           choose_a, default_chi, detect_bursts, fig2_reproduce,
+                           _inverse_transform, analytic_envelope, choose_a,
+                           default_chi, detect_bursts, fig2_reproduce,
                            fig2_test_function, halfspace_dual,
                            holographic_dual, included_modes, local_maxima,
                            verify_dual)
 from wentzell.modes import build_table
-from wentzell.qft import fourier_trapezoid
+from wentzell.qft import fourier_trapezoid, smeared_coeffs
 
 P1 = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
 
@@ -25,18 +25,13 @@ def table():
     return build_table(40, P1)
 
 
-@pytest.fixture(scope="module")
-def grids():
-    return HoloGrids.default(1.0, n_t=2049, t_span=4.0, n_out=1024)
-
-
 def gauss_f(t, z):
     return np.exp(-(t**2) / (2 * 0.25**2)) * np.exp(-(z**2) / (2 * 0.12**2))
 
 
 @pytest.fixture(scope="module")
-def image(table, grids):
-    return holographic_dual(gauss_f, P1, table, grids=grids)
+def image(table):
+    return holographic_dual(gauss_f, table, t_span=4.0, n_out=1024)
 
 
 @pytest.fixture(scope="module")
@@ -199,19 +194,19 @@ def test_extension_matches_per_mode_loop(table):
         assert np.count_nonzero(ext(cases[0])) > 100
 
 
-def test_verify_dual_residual(image, table):
-    rep = verify_dual(image, table)
+def test_verify_dual_residual(image):
+    rep = verify_dual(image)
     assert rep.max_residual < 1e-6
     assert rep.pairing_rel_error < 1e-5
 
 
 def test_verify_dual_detects_perturbation(image, table):
     perturbed = dataclasses.replace(table, d_bdys=table.d_bdys * 1.01)
-    rep = verify_dual(image, perturbed)
+    rep = verify_dual(dataclasses.replace(image, table=perturbed))
     assert rep.max_residual == pytest.approx(1e-2, rel=0.2)
 
 
-def test_dual_linearity(table, grids):
+def test_dual_linearity(table):
     def g(t, z):
         return np.exp(-((t - 0.2) ** 2) / (2 * 0.3**2)) \
             * np.exp(-((z + 0.15) ** 2) / (2 * 0.18**2))
@@ -220,9 +215,9 @@ def test_dual_linearity(table, grids):
         return 2.0 * gauss_f(t, z) - 0.7 * g(t, z)
 
     M = 20
-    img_f = holographic_dual(gauss_f, P1, table, M=M, grids=grids)
-    img_g = holographic_dual(g, P1, table, M=M, grids=grids)
-    img_c = holographic_dual(combo, P1, table, M=M, grids=grids)
+    img_f = holographic_dual(gauss_f, table, t_span=4.0, n_out=1024, M=M)
+    img_g = holographic_dual(g, table, t_span=4.0, n_out=1024, M=M)
+    img_c = holographic_dual(combo, table, t_span=4.0, n_out=1024, M=M)
     lin = 2.0 * np.asarray(img_f.fprime) - 0.7 * np.asarray(img_g.fprime)
     scale = np.max(np.abs(img_c.fprime))
     assert np.max(np.abs(np.asarray(img_c.fprime) - lin)) < 1e-10 * scale
@@ -236,7 +231,7 @@ def test_dual_reality(image):
     assert np.max(np.abs(fhat[: n] - np.conj(fhat[::-1][: n]))) < 1e-12
 
 
-def test_dual_no_dc_component(image, table, grids):
+def test_dual_no_dc_component(image, table):
     # fhat' vanishes identically below the mass gap, so f' carries no DC
     # component; the windowed time integral only decays with the window since
     # the bump duals have long tails.
@@ -247,25 +242,37 @@ def test_dual_no_dc_component(image, table, grids):
     assert np.all(ext(w) == 0.0)
     in_gap = np.abs(image.omega_grid) < 0.98 * gap_edge
     assert np.all(image.fhat[in_gap] == 0.0)
-    wide = dataclasses.replace(grids, time_grid=grids.time_grid,
-                               t_out=np.linspace(-16.0, 16.0, 4096))
-    img_wide = holographic_dual(gauss_f, P1, table, M=image.metadata["M"],
-                                grids=wide)
+    # the wide window keeps the smearing step at 2^-8
+    img_wide = holographic_dual(gauss_f, table, t_span=16.0, n_t=8193, n_out=4096,
+                                M=image.metadata["M"])
     short = abs(np.trapezoid(np.asarray(image.fprime), image.t_grid))
     long = abs(np.trapezoid(np.asarray(img_wide.fprime), img_wide.t_grid))
     assert long < 0.5 * short
 
 
-def test_dual_energy_warning(table, grids):
-    img = holographic_dual(gauss_f, P1, table, M=2, grids=grids)
+def test_dual_takes_the_strip_from_the_table():
+    # an S = 0.5 table: the map smears on [-0.5, 0.5] with c and mu of the table
+    table = build_table(20, PhysicalParams(c=0.7, mu=1.3, geometry=Strip(0.5)))
+    img = holographic_dual(gauss_f, table, t_span=2.0, n_out=256)
+    grid = Grid1D.for_strip(0.5, 1024)
+    t = np.linspace(-2.0, 2.0, 2049)
+    want = smeared_coeffs(gauss_f(t[:, None], grid.nodes[None, :]), None, table, t, grid)
+    assert np.array_equal(img.coeffs.f_plus, want.f_plus)
+    assert img.table is table
+    assert (img.metadata["S"], img.metadata["c"], img.metadata["mu"]) == (0.5, 0.7, 1.3)
+    assert np.array_equal(img.t_grid, np.linspace(-2.0, 2.0, 256))
+
+
+def test_dual_energy_warning(table):
+    img = holographic_dual(gauss_f, table, t_span=4.0, n_out=1024, M=2)
     assert img.warnings
 
 
-def test_dual_rejects_cutoff_beyond_table(table, grids):
+def test_dual_rejects_cutoff_beyond_table(table):
     # a 41-mode table ends at m = 40: M = 41 would silently use modes up to 40
-    holographic_dual(gauss_f, P1, table, M=40, grids=grids)
+    holographic_dual(gauss_f, table, t_span=4.0, n_out=1024, M=40)
     with pytest.raises(ValueError, match="exceeds the table's last mode m=40"):
-        holographic_dual(gauss_f, P1, table, M=41, grids=grids)
+        holographic_dual(gauss_f, table, t_span=4.0, n_out=1024, M=41)
 
 
 def test_single_mode_packet(table):
@@ -316,11 +323,10 @@ def test_inverse_transform_matches_dense_fig2(fig2):
                          image.fprime)
 
 
-def test_inverse_transform_rejects_nonuniform_t_out(table, grids):
+def test_inverse_transform_rejects_nonuniform_t_out(image):
     t_out = np.linspace(-4.0, 4.0, 1024) ** 3 / 16.0
-    bad = dataclasses.replace(grids, t_out=t_out)
     with pytest.raises(ValueError, match="uniform"):
-        holographic_dual(gauss_f, P1, table, grids=bad)
+        _inverse_transform(image.extension, image.omega_grid, t_out)
 
 
 def test_inverse_transform_zero_spectrum(table):

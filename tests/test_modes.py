@@ -8,6 +8,7 @@ from wentzell.modes import (bracket, build_table, check_solution, d_asymptote,
                             eval_halfspace_mode, eval_mode, gram_matrix, mode_function,
                             mode_matrix, project, residual_normalized, synthesize,
                             verify_table)
+from wentzell.qft import smeared_coeffs
 
 P1 = PhysicalParams(c=1.0, geometry=Strip(1.0))
 
@@ -165,12 +166,22 @@ def test_mode_matrix_is_the_profile_formula(n):
 
 
 def test_project_rejects_a_grid_off_the_strip(table20):
+    # every sampled-mode operation takes the strip from the table (S = 1)
     F = mode_function(3, table20, Grid1D.for_strip(1.0, 64))
     F.grid = Grid1D(-1.0, 0.9, 64)
     with pytest.raises(GeometryError, match=r"must span \[-S, S\]"):
         project(F, table20)
     with pytest.raises(GeometryError, match=r"must span \[-S, S\]"):
         gram_matrix(table20, Grid1D(-1.0, 0.9, 64))
+    narrow = Grid1D.for_strip(0.5, 64)
+    with pytest.raises(GeometryError, match=r"must span \[-S, S\]"):
+        synthesize(np.ones(len(table20)), table20, narrow)
+    with pytest.raises(GeometryError, match=r"must span \[-S, S\]"):
+        mode_function(3, table20, narrow)
+    t = np.linspace(-1.0, 1.0, 33)
+    bump = np.exp(-t ** 2 / 0.02)[:, None] * np.ones(narrow.n_nodes)
+    with pytest.raises(GeometryError, match=r"must span \[-S, S\]"):
+        smeared_coeffs(bump, None, table20, t, narrow)
 
 
 def test_project_unit_vectors(table20):
