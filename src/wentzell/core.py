@@ -122,6 +122,12 @@ class Grid1D:
         return cls(0.0, z_max, n)
 
 
+def _check_halfspace(p: PhysicalParams, what: str):
+    """GeometryError unless ``p`` is a half-space; ``what`` names the formula."""
+    if not isinstance(p.geometry, HalfSpace):
+        raise GeometryError(f"{what} needs half-space parameters, got geometry {p.geometry!r}")
+
+
 def _check_grid_geometry(grid: Grid1D, p: PhysicalParams):
     """GeometryError unless ``p`` is a strip and ``grid`` spans [-S, S]."""
     if not isinstance(p.geometry, Strip):

@@ -83,9 +83,11 @@ weights w (h inside, h/2 at the ends), node j carries
 
 The interior leapfrog conserves the sum exactly, so it is constant to
 rounding until the field reaches an endpoint; after that its drift measures
-the one-sided closure.  ``node_energy`` builds this per-node array, and the
-regional diagnostics sum slices of it; ``energy`` takes the totals from
-whole-array products instead, without the array.
+the one-sided closure.  ``_span_energy`` is the one place that writes this
+sum: over any span of consecutive nodes, from products over the slice and
+without a per-node array, a cell cut by the span bringing half its term.
+``energy`` takes it over the whole grid, ``energy_in_region`` over the nodes
+of an interval, and ``causality_probe`` over the nodes outside its cone.
 """
 
 from __future__ import annotations
@@ -434,7 +436,7 @@ def fdtd_run(s: FdtdState, n_steps: int, *, stepper: _Stepper | None = None
 
 @dataclass
 class EnergyReport:
-    """Energy totals; ``node_energy`` gives the FDTD energy node by node."""
+    """Energy totals: ``total``, its ``boundary`` part and the ``bulk`` rest."""
 
     bulk: float
     boundary: float
@@ -449,14 +451,8 @@ def energy(state: SpectralState | FdtdState) -> EnergyReport:
     components.
     FDTD states use the scheme's conserved energy of the stored levels
     a = phi_prev, b = phi, which refers to t - dt/2 (see the module
-    docstring).  The total comes from whole-array products, with v = b - a
-    and e_j = (v_j^2 / dt^2 + mu^2 a_j b_j) / 2:
-
-        h/2 (v.v / dt^2 + mu^2 a.b) + (c - h/2)(e_0 + e_N) + diff(b).diff(a) / 2h,
-
-    which is the sum of ``node_energy`` to rounding.  ``boundary`` is the
-    sum of the two end-node terms c e_0 + c e_N, as ``node_energy`` holds
-    them, and ``bulk`` is the rest.
+    docstring): ``_span_energy`` over the whole grid.  ``boundary`` is the
+    sum of the two end-node terms c e_0 + c e_N, and ``bulk`` is the rest.
     """
     if isinstance(state, SpectralState):
         w = state.omegas()
@@ -466,49 +462,47 @@ def energy(state: SpectralState | FdtdState) -> EnergyReport:
         phi_b, v_b = state.a @ bvals, state.b @ bvals
         bdy = 0.5 * p.c * float(np.sum(v_b**2 + (p.mu**2 + state.k**2) * phi_b**2))
         return EnergyReport(bulk=total - bdy, boundary=bdy, total=total)
-    p = state.p
-    a, b, h, dt = state.phi_prev, state.phi, state.grid.h, state.dt
-    e0, e1 = (_density(float(a[j]), float(b[j]), dt, p.mu) for j in (0, -1))
-    v = b - a
-    total = float(0.5 * h * ((v @ v) / dt**2 + p.mu**2 * (a @ b))
-                  + (p.c - 0.5 * h) * (e0 + e1)
-                  + ((b[1:] - b[:-1]) @ (a[1:] - a[:-1])) / (2.0 * h))
-    bdy = p.c * e0 + p.c * e1
+    total, bdy = _span_energy(state, 0, state.phi.size)
     return EnergyReport(bulk=total - bdy, boundary=bdy, total=total)
 
 
-def _density(a, b, dt: float, mu: float):
-    """(v^2 + mu^2 a b) / 2 per node, v = (b - a) / dt, for arrays or floats
-    alike: each operation rounds once, so a node's value has the same bits
-    either way."""
+def _density(a: float, b: float, dt: float, mu: float) -> float:
+    """(v^2 + mu^2 a b) / 2 of one node, v = (b - a) / dt."""
     v = (b - a) / dt
     return 0.5 * (v * v + mu**2 * a * b)
 
 
-def node_energy(state: FdtdState) -> np.ndarray:
-    """The FDTD energy of ``energy`` node by node (the split of the module
-    docstring); an end node carries its boundary term.  Sums to the total to
-    rounding."""
-    p = state.p
-    a, b, h = state.phi_prev, state.phi, state.grid.h
-    dens = _density(a, b, state.dt, p.mu)
-    half_cell = np.diff(b) * np.diff(a) / (4.0 * h)
-    node = h * dens
-    node[0] *= 0.5
-    node[-1] *= 0.5
-    node[:-1] += half_cell
-    node[1:] += half_cell
-    node[0] += p.c * dens[0]
-    node[-1] += p.c * dens[-1]
-    return node
+def _span_energy(state: FdtdState, lo: int, hi: int) -> tuple[float, float]:
+    """The FDTD energy of nodes lo .. hi-1 under the node split of the module
+    docstring, and its boundary part; (0.0, 0.0) for an empty span.  It is
+    taken from products over the slice: an end node of the strip inside the
+    span brings its boundary term, and a cell the span cuts half its term.
+    Over the whole grid the arithmetic is the conserved energy's total."""
+    if lo >= hi:
+        return 0.0, 0.0
+    p, h, dt = state.p, state.grid.h, state.dt
+    a, b = state.phi_prev, state.phi
+    n = b.size
+    e0 = _density(float(a[0]), float(b[0]), dt, p.mu) if lo == 0 else 0.0
+    e1 = _density(float(a[-1]), float(b[-1]), dt, p.mu) if hi == n else 0.0
+    cut = sum(float((b[k + 1] - b[k]) * (a[k + 1] - a[k]))  # cells below lo, above hi - 1
+              for k in (lo - 1, hi - 1) if 0 <= k < n - 1)
+    a, b = a[lo:hi], b[lo:hi]
+    v = b - a
+    total = float(0.5 * h * ((v @ v) / dt**2 + p.mu**2 * (a @ b))
+                  + (p.c - 0.5 * h) * (e0 + e1)
+                  + ((b[1:] - b[:-1]) @ (a[1:] - a[:-1]) + 0.5 * cut) / (2.0 * h))
+    return total, p.c * e0 + p.c * e1
 
 
 def energy_in_region(state: FdtdState, z_lo: float, z_hi: float) -> float:
-    """Sum of the node energies over the nodes in [z_lo, z_hi]; an end node
-    inside the region brings its boundary term with it."""
+    """The FDTD energy of the nodes in [z_lo, z_hi] (``_span_energy``): an
+    end node inside the region brings its boundary term with it, and a cell
+    with one node inside brings half its term."""
     z = state.grid.nodes
-    mask = (z >= z_lo - 1e-12) & (z <= z_hi + 1e-12)
-    return float(node_energy(state)[mask].sum())
+    lo = int(np.searchsorted(z, z_lo - 1e-12, "left"))
+    hi = int(np.searchsorted(z, z_hi + 1e-12, "right"))
+    return _span_energy(state, lo, hi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -527,40 +521,28 @@ class CausalityReport:
         return self.max_outside < _PROBE_TOL
 
 
-def data_support(data: CauchyData) -> tuple[float, float]:
-    """First and last node where the position or velocity is nonzero."""
-    z = data.position.grid.nodes
-    amp = np.maximum(np.abs(data.position.bulk), np.abs(data.velocity.bulk))
-    live = amp > 0
-    if not np.any(live):
-        return (z[0], z[0])
-    idx = np.nonzero(live)[0]
-    return (float(z[idx[0]]), float(z[idx[-1]]))
-
-
 _HALO_CELLS = 2
 
 
 def causality_probe(data: CauchyData, p: PhysicalParams, t: float) -> CausalityReport:
     """Evolve compactly supported data at CFL 0.5 and measure leakage outside
-    the discrete light cone (N steps widen the support by at most N cells; a
-    halo of 2 cells covers the stencil reach of the Taylor back-step).  The
-    probe passes below an amplitude of 1e-8 outside the cone."""
+    the discrete light cone: the nodes where the data is nonzero (node 0 if
+    none) widened by N + 2 nodes (N steps widen the support by at most N
+    cells; a halo of 2 covers the stencil reach of the Taylor back-step).
+    The probe passes below an amplitude of 1e-8 outside the cone."""
     if not t >= 0:
         raise ValueError(f"probe time must be >= 0, got t={t}")
     state = make_fdtd_state(data, p)
     n_steps = int(np.ceil(t / state.dt))
     state = fdtd_run(state, n_steps)
-    z_lo, z_hi = data_support(data)
-    h = state.grid.h
-    width = (n_steps + _HALO_CELLS) * h
-    cone = (z_lo - width, z_hi + width)
-    z = state.grid.nodes
-    outside = (z < cone[0]) | (z > cone[1])
-    max_out = float(np.max(np.abs(state.phi[outside]))) if np.any(outside) else 0.0
-    node = node_energy(state)
-    total = float(node.sum())
-    e_out = float(node[outside].sum())
+    live = np.flatnonzero((data.position.bulk != 0) | (data.velocity.bulk != 0))
+    first, last = (live[0], live[-1]) if live.size else (0, 0)
+    n, width = state.phi.size, n_steps + _HALO_CELLS
+    lo, hi = max(first - width, 0), min(last + width + 1, n)
+    outside = np.concatenate((state.phi[:lo], state.phi[hi:]))
+    max_out = float(np.max(np.abs(outside), initial=0.0))
+    e_out = _span_energy(state, 0, lo)[0] + _span_energy(state, hi, n)[0]
+    total = _span_energy(state, 0, n)[0]
     frac = e_out / total if total > 0 else 0.0
     return CausalityReport(max_outside=max_out, energy_outside_fraction=frac)
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Grid1D, PhysicalParams, Strip
+from .core import Grid1D, PhysicalParams, Strip, _check_halfspace
 from .modes import ModeTable, build_table, eval_halfspace_mode
 from .qft import (_SQRT2PI, SmearedCoefficients, _time_support, fourier_trapezoid,
                   smeared_coeffs)
@@ -375,7 +375,6 @@ class BurstReport:
     centers: np.ndarray
     peak_times: np.ndarray
     heights: np.ndarray
-    threshold: float
 
     def matches(self, expected, tol: float = 0.2) -> bool:
         """Every expected time has a detected burst within tol."""
@@ -426,8 +425,7 @@ def detect_bursts(t: np.ndarray, y: np.ndarray, rel_threshold: float = 0.1,
     peaks = peaks[env[peaks] >= level]
     if peaks.size == 0:
         empty = np.array([])
-        return BurstReport(centers=empty, peak_times=empty.copy(),
-                           heights=empty.copy(), threshold=level)
+        return BurstReport(centers=empty, peak_times=empty.copy(), heights=empty.copy())
     centers, peak_times, heights = [], [], []
     start = 0
     for i in range(1, peaks.size + 1):
@@ -444,7 +442,7 @@ def detect_bursts(t: np.ndarray, y: np.ndarray, rel_threshold: float = 0.1,
             heights.append(env[best])
             start = i
     return BurstReport(centers=np.array(centers), peak_times=np.array(peak_times),
-                       heights=np.array(heights), threshold=level)
+                       heights=np.array(heights))
 
 
 def fig2_reproduce(*, S: float = 1.0, c: float = 1.0, M: int | None = None
@@ -498,7 +496,8 @@ def halfspace_dual(f, p: PhysicalParams, q_grid: np.ndarray,
     non-uniform samples omega(q); the branch omega < -mu is the conjugate of
     the other, so f' = 2 Re of the integral over omega > mu, a real array.
     ``time_grid`` must cover the support of f in time (ValueError
-    otherwise)."""
+    otherwise); GeometryError unless ``p`` is a half-space."""
+    _check_halfspace(p, "the half-space map")
     if p.mu <= 0:
         raise ValueError("the half-space map requires mu > 0")
     q_grid = np.asarray(q_grid, dtype=float)

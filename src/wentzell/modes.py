@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (BulkBoundaryFunction, GeometryError, Grid1D, PhysicalParams, Strip,
-                   _check_grid_geometry)
+                   _check_grid_geometry, _check_halfspace)
 
 _NEWTON_STEPS = 5
 _DELTA_MAX_ITER = 100
@@ -341,7 +341,9 @@ def eval_halfspace_mode(q, z, p: PhysicalParams) -> np.ndarray:
 
     The boundary value (z=0 sample) is the prefactor itself; dimension-
     dependent 2 pi factors are carried by callers.  q and z broadcast.
+    GeometryError unless ``p`` is a half-space and every z >= 0.
     """
+    _check_halfspace(p, "the half-space profile")
     z = np.asarray(z, dtype=float)
     if np.any(z < -1e-12):
         raise GeometryError("half-space profile evaluated at z < 0")

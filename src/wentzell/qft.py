@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Strip, ZeroModeError
+from .core import Strip, ZeroModeError, _check_halfspace
 from .modes import ModeTable, eval_mode_deriv, mode_matrix
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -141,7 +141,9 @@ def boundary_2pt_strip(x0, x, spec: TwoPointSpec, table: ModeTable) -> TwoPointR
 
     d = 1 uses the kernel exp(-i mu_m x0) / (2 mu_m), which has no spatial
     separation (``x`` must be 0); d >= 2 is evaluated at spacelike separation
-    through the Bessel-K sum.  ValueError unless every x0 is finite.
+    through the Bessel-K sum.  ValueError unless every x0 is finite.  The
+    d = 1 sum takes the modes in blocks of max(1, 2^18 // len(x0)), so its
+    memory stays bounded at any cutoff.
     """
     if spec.d == 1:
         _check_no_separation(x)
@@ -155,11 +157,17 @@ def boundary_2pt_strip(x0, x, spec: TwoPointSpec, table: ModeTable) -> TwoPointR
         raise ZeroModeError("massless zero mode makes the kernel divergent; "
                             "it must be treated separately")
     if spec.d == 1:
-        # real cos and sin matrices: half the memory of one complex exponential
+        # real cos and sin matrices, one block of modes at a time; the first
+        # block's sums start the totals, so a one-block sum keeps its bytes
         w = d2 / (2.0 * mu_m)
-        phase = np.multiply.outer(mu_m, x0)
-        val = np.tensordot(w, np.cos(phase), axes=(0, 0)) \
-            - 1j * np.tensordot(w, np.sin(phase), axes=(0, 0))
+        rows = max(1, _BLOCK_ENTRIES // max(x0.size, 1))
+        re = im = None
+        for i in range(0, w.size, rows):
+            phase = np.multiply.outer(mu_m[i:i + rows], x0)
+            cos = np.tensordot(w[i:i + rows], np.cos(phase), axes=(0, 0))
+            sin = np.tensordot(w[i:i + rows], np.sin(phase), axes=(0, 0))
+            re, im = (cos, sin) if re is None else (re + cos, im + sin)
+        val = re - 1j * im
         val = val if val.shape else complex(val)
         return TwoPointResult(value=val, tail_bound=strip_tail_bound(spec.M, S, p.c))
     x2 = np.asarray(x, dtype=float) ** 2 - x0 ** 2
@@ -289,7 +297,7 @@ _NORM_PANELS = 40
 _HALFSPACE_NORM_TOL = 1e-13
 _HALFSPACE_RTOL = 1e-10  # two-resolution estimate, relative to W(0)
 _HALFSPACE_MAX_PANELS = 2**14
-_BLOCK_ENTRIES = 2**18   # complex matrix entries per block of x0 rows
+_BLOCK_ENTRIES = 2**18   # matrix entries per block of modes (strip) or x0 rows
 
 
 def _composite_gauss_legendre(a: float, b: float, panels: int
@@ -340,7 +348,9 @@ def boundary_2pt_halfspace(x0, x, p, q_max: float) -> TwoPointResult:
     rate max|x0| q_max (at most 2 radians per node) and doubles until a rule
     and the rule with twice its panels agree to 1e-10 of W(0) >= |W(x0)|; the
     finer rule is returned with their largest difference as ``quad_error``.
-    Raises RuntimeError when 2^14 panels do not meet that tolerance."""
+    Raises RuntimeError when 2^14 panels do not meet that tolerance, and
+    GeometryError unless ``p`` is a half-space."""
+    _check_halfspace(p, "the half-space two-point function")
     if p.mu <= 0:
         raise ValueError("mu > 0 required for the half-space two-point function")
     if not (np.isfinite(q_max) and q_max > 0):
@@ -420,12 +430,8 @@ def causality_check(points, spec: TwoPointSpec, table: ModeTable,
 class TailReport:
     """Square-summability diagnostics of the boundary couplings."""
 
-    M: int
-    M_top: int
     partial_sum: float            # sum_{m <= M} of the weights
-    observed_window: float        # sum_{M < m <= M_top}
-    analytic_window: float        # asymptotic law over the same window
-    ratio: float
+    ratio: float                  # observed over asymptotic sum, M < m <= last mode
     tail_bound: float             # full asymptotic tail beyond M
     window_sums: tuple[float, float]  # sums over (M, 2M] and (2M, 4M]
 
@@ -465,8 +471,7 @@ def tail_convergence(table: ModeTable, M: int, weights: np.ndarray | None = None
     tail_bound = amp * _hurwitz_zeta(2, M)
     w1 = float(np.sum(w[M + 1: min(2 * M, M_top) + 1]))
     w2 = float(np.sum(w[2 * M + 1: min(4 * M, M_top) + 1]))
-    return TailReport(M=M, M_top=M_top, partial_sum=partial, observed_window=observed,
-                      analytic_window=analytic, ratio=observed / analytic,
+    return TailReport(partial_sum=partial, ratio=observed / analytic,
                       tail_bound=tail_bound, window_sums=(w1, w2))
 
 

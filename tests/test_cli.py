@@ -131,6 +131,25 @@ def test_benchmark_library_calls_run(tmp_path, monkeypatch):
         assert np.all(np.isfinite(list(values.values()))), (op.name, values)
 
 
+def test_benchmark_tracer_finds_every_watched_function(monkeypatch):
+    # a renamed or deleted function would read 0 in its per-layer metrics
+    # without notice: the tracer, loaded afresh as the benchmark loads it,
+    # finds every name it watches
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("watched_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        assert tr.absent == []
+        assert "evolve.energy_in_region" in tracer.WATCHED
+    finally:
+        tr.uninstall()
+
+
 def test_readme_command_lines_parse():
     # every `wentzell ...` line of the README, without its trailing # comment
     argvs = [shlex.split(line.split("#")[0])[1:]

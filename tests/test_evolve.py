@@ -6,10 +6,10 @@ from hypothesis.extra.numpy import arrays
 
 from wentzell.core import (BulkBoundaryFunction, CauchyData, Grid1D,
                            PhysicalParams, Strip, symplectic_form)
-from wentzell.evolve import (CflError, SpectralState, causality_probe, energy,
-                             energy_in_region, explicit_solution,
+from wentzell.evolve import (CflError, SpectralState, _span_energy, causality_probe,
+                             energy, energy_in_region, explicit_solution,
                              explicit_solution_dt, fdtd_run, fdtd_samples,
-                             make_fdtd_state, node_energy, reflection_cauchy_data,
+                             make_fdtd_state, reflection_cauchy_data,
                              spectral_evolve, spectral_symplectic,
                              synthesize_state)
 from wentzell.modes import build_table, eval_mode_deriv, synthesize
@@ -483,23 +483,87 @@ def test_fdtd_samples_arguments(monkeypatch):
     assert np.array_equal(empty.phi, s0.phi) and empty.phi is not s0.phi
 
 
-@pytest.mark.parametrize("c", [0.01, 1.0, 30.0])
-@pytest.mark.parametrize("mu", [0.0, 1.0, 0.7])
-@pytest.mark.parametrize("n_nodes", [64, 1025, 8193])
-def test_energy_totals_are_the_node_energy_sum(n_nodes, mu, c):
+def reference_node_energy(state):
+    """The FDTD energy node by node, the split of the ``evolve`` module
+    docstring written out as one array: (w_j/2)(v_j^2 + mu^2 a_j b_j) with
+    lumped weights w (h inside, h/2 at the ends), half of each adjacent
+    cell's term, and the boundary term at the two end nodes."""
+    p = state.p
+    a, b, h = state.phi_prev, state.phi, state.grid.h
+    v = (b - a) / state.dt
+    dens = 0.5 * (v * v + p.mu**2 * a * b)
+    half_cell = np.diff(b) * np.diff(a) / (4.0 * h)
+    node = h * dens
+    node[0] *= 0.5
+    node[-1] *= 0.5
+    node[:-1] += half_cell
+    node[1:] += half_cell
+    node[0] += p.c * dens[0]
+    node[-1] += p.c * dens[-1]
+    return node
+
+
+def boundary_term(state, j):
+    """c/2 (v_j^2 + mu^2 a_j b_j) of end node j."""
+    a, b, p = state.phi_prev[j], state.phi[j], state.p
+    return p.c * 0.5 * (((b - a) / state.dt) ** 2 + p.mu**2 * a * b)
+
+
+def energy_test_state(n_nodes, mu, c):
     p = PhysicalParams(c=c, mu=mu, geometry=Strip(1.0))
     grid = Grid1D.for_strip(1.0, n_nodes - 1)
     z = grid.nodes
     pos = np.exp(-((z + 0.8) ** 2) / (2 * 0.3**2))
     data = CauchyData.from_samples(grid, pos, np.cos(3.0 * z))
-    s = fdtd_run(make_fdtd_state(data, p), 10)
+    return fdtd_run(make_fdtd_state(data, p), 10)
+
+
+@pytest.mark.parametrize("c", [0.01, 1.0, 30.0])
+@pytest.mark.parametrize("mu", [0.0, 1.0, 0.7])
+@pytest.mark.parametrize("n_nodes", [64, 1025, 8193])
+def test_energy_totals_are_the_node_energy_sum(n_nodes, mu, c):
+    s = energy_test_state(n_nodes, mu, c)
     rep = energy(s)
-    node = node_energy(s)
+    node = reference_node_energy(s)
     assert rep.total == pytest.approx(float(node.sum()), rel=1e-14)
     a, b = s.phi_prev, s.phi
     dens = 0.5 * (((b - a) / s.dt) ** 2 + mu**2 * a * b)
-    assert rep.boundary == float(p.c * dens[0] + p.c * dens[-1])
+    assert rep.boundary == float(c * dens[0] + c * dens[-1])
     assert rep.boundary > 0
+
+
+@pytest.mark.parametrize("c", [0.01, 1.0, 30.0])
+@pytest.mark.parametrize("mu", [0.0, 1.0, 0.7])
+@pytest.mark.parametrize("n_nodes", [64, 1025, 8193])
+def test_energy_spans_sum_to_the_total(n_nodes, mu, c):
+    # consecutive spans cut at random nodes add up to the total, and each
+    # span is the reference's slice sum, cut cells and end nodes included
+    s = energy_test_state(n_nodes, mu, c)
+    total = energy(s).total
+    node = reference_node_energy(s)
+    rng = np.random.default_rng(n_nodes)
+    cuts = np.unique(rng.integers(1, n_nodes, size=12))
+    edges = [0, *cuts.tolist(), n_nodes]
+    spans = [_span_energy(s, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    assert sum(e for e, _ in spans) == pytest.approx(total, rel=1e-14)
+    for (lo, hi), (e, bdy) in zip(zip(edges[:-1], edges[1:]), spans):
+        assert abs(e - float(node[lo:hi].sum())) <= 1e-14 * total
+        assert bdy == sum(boundary_term(s, j) for j in (0, n_nodes - 1) if lo <= j < hi)
+
+
+def test_energy_span_edge_cases():
+    # an empty span holds nothing, a span of one end node holds that node's
+    # energy with its boundary term, and the whole grid is the total
+    s = energy_test_state(64, 0.7, 1.0)
+    node = reference_node_energy(s)
+    for lo, hi in ((0, 0), (17, 17), (64, 64), (40, 20)):
+        assert _span_energy(s, lo, hi) == (0.0, 0.0)
+    for j in (0, 63):
+        e, bdy = _span_energy(s, j, j + 1)
+        assert bdy == boundary_term(s, j) and bdy > 0
+        assert e == pytest.approx(node[j], rel=1e-14)
+    rep = energy(s)
+    assert _span_energy(s, 0, 64) == (rep.total, rep.boundary)
 
 
 def test_fdtd_blocked_call_leaves_the_outside_of_the_cone_exactly_zero():
@@ -518,7 +582,7 @@ def test_energy_in_region_whole_strip_equals_total():
     grid = Grid1D.for_strip(1.0, 256)
     s = fdtd_run(make_fdtd_state(gaussian_data(grid, width=0.1, center=-0.7), P1), 300)
     rep = energy(s)
-    node = node_energy(s)
+    node = reference_node_energy(s)
     assert rep.boundary > 0  # the pulse has reached the boundary at -S
     # the end nodes carry the boundary terms plus their h/2 share of the bulk
     ends = node[[0, -1]]

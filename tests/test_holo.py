@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.signal import find_peaks, hilbert
 
-from wentzell.core import Grid1D, PhysicalParams, Strip
+from wentzell.core import GeometryError, Grid1D, HalfSpace, PhysicalParams, Strip
 from wentzell.holo import (BumpOverlapError, FreqExtension, HalfSpaceDual,
                            _inverse_transform, analytic_envelope, choose_a,
                            default_chi, detect_bursts, fig2_reproduce,
@@ -402,7 +402,7 @@ def test_fig2_bursts(fig2):
 # half-space map
 
 def test_halfspace_dual_roundtrip():
-    p = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
+    p = PhysicalParams(c=1.0, mu=1.0, geometry=HalfSpace())
 
     def f(t, z):
         return np.exp(-(t**2) / (2 * 0.3**2)) * np.exp(-((z - 0.8) ** 2) / (2 * 0.15**2))
@@ -437,7 +437,7 @@ def test_halfspace_dual_roundtrip():
 def test_halfspace_dual_fprime_at_t0_matches_q_quadrature():
     """f'(0) integrates fhat' over omega once: against the same integral
     taken over q, (2 pi)^(-1/2) int dq (q / omega) (fhat'(+w) + fhat'(-w))."""
-    p = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
+    p = PhysicalParams(c=1.0, mu=1.0, geometry=HalfSpace())
 
     def f(t, z):
         return np.exp(-(t**2) / (2 * 0.3**2)) * np.exp(-((z - 0.8) ** 2) / (2 * 0.15**2))
@@ -455,7 +455,7 @@ def test_halfspace_dual_fprime_at_t0_matches_q_quadrature():
 def test_halfspace_dual_fprime_is_the_two_branch_sum():
     """f' is real and equals the sum of the two branch transforms,
     fhat'(+w) against e^(-i w t) plus its conjugate fhat'(-w) against e^(i w t)."""
-    p = PhysicalParams(c=0.7, mu=1.0, geometry=Strip(1.0))
+    p = PhysicalParams(c=0.7, mu=1.0, geometry=HalfSpace())
 
     def f(t, z):
         return np.exp(-(t**2) / (2 * 0.3**2)) * np.exp(-((z - 0.8) ** 2) / (2 * 0.15**2))
@@ -475,7 +475,7 @@ def test_halfspace_dual_fprime_is_the_two_branch_sum():
 def test_halfspace_dual_rejects_time_grid_inside_support():
     # the Gaussian in t has width 0.3: a grid on [-0.3, 0.3] cuts it off at
     # exp(-1/2) of its peak, which the trapezoid would silently truncate
-    p = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
+    p = PhysicalParams(c=1.0, mu=1.0, geometry=HalfSpace())
 
     def f(t, z):
         return np.exp(-(t**2) / (2 * 0.3**2)) * np.exp(-((z - 0.8) ** 2) / (2 * 0.15**2))
@@ -486,9 +486,24 @@ def test_halfspace_dual_rejects_time_grid_inside_support():
 
 
 def test_halfspace_dual_needs_mass():
-    p0 = PhysicalParams(c=1.0, mu=0.0, geometry=Strip(1.0))
+    p0 = PhysicalParams(c=1.0, mu=0.0, geometry=HalfSpace())
     with pytest.raises(ValueError, match="mu > 0"):
         halfspace_dual(lambda t, z: t * 0.0, p0, np.linspace(0, 5, 11),
+                       np.linspace(-1, 1, 21), Grid1D.for_halfspace(2.0, 64))
+
+
+def test_halfspace_formulas_reject_a_strip():
+    # a strip's S would be ignored: each half-space formula reads only c and mu
+    from wentzell.modes import eval_halfspace_mode
+    from wentzell.qft import boundary_2pt_halfspace
+
+    strip = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
+    with pytest.raises(GeometryError, match="half-space parameters"):
+        eval_halfspace_mode(1.3, 0.5, strip)
+    with pytest.raises(GeometryError, match="half-space parameters"):
+        boundary_2pt_halfspace(0.5, 0.0, strip, 50.0)
+    with pytest.raises(GeometryError, match="half-space parameters"):
+        halfspace_dual(lambda t, z: t * z, strip, np.linspace(0, 5, 11),
                        np.linspace(-1, 1, 21), Grid1D.for_halfspace(2.0, 64))
 
 

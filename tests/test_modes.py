@@ -133,10 +133,11 @@ def test_eval_mode_trace_is_d(table20):
 
 def test_halfspace_mode_boundary_value():
     q = 1.3
-    val = eval_halfspace_mode(q, 0.0, P1)
+    p = PhysicalParams(c=1.0, geometry=HalfSpace())
+    val = eval_halfspace_mode(q, 0.0, p)
     assert val == pytest.approx((np.pi / 2 * (q**2 + 1)) ** -0.5)
     with pytest.raises(GeometryError):
-        eval_halfspace_mode(q, -0.1, P1)
+        eval_halfspace_mode(q, -0.1, p)
 
 
 def test_halfspace_mode_broadcast_matches_loop():

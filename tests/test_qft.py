@@ -80,6 +80,23 @@ def test_strip_2pt_hermiticity(table200):
     assert np.allclose(minus.value, np.conj(plus.value), atol=1e-14)
 
 
+def test_strip_2pt_blocks_of_modes_agree_with_one_block(table200, monkeypatch):
+    # 201 modes against 13 times in blocks of 3 modes, and the whole sum in
+    # one block, as at the default block size
+    spec = TwoPointSpec(params=P1, M=200)
+    x0 = np.linspace(0.0, 6.0, 13)
+    one = boundary_2pt_strip(x0, 0.0, spec, table=table200).value
+    at0 = boundary_2pt_strip(0.0, 0.0, spec, table=table200).value
+    monkeypatch.setattr(qft, "_BLOCK_ENTRIES", 40)
+    sizes, cos = [], np.cos
+    monkeypatch.setattr(np, "cos", lambda a: (sizes.append(np.size(a)), cos(a))[1])
+    blocked = boundary_2pt_strip(x0, 0.0, spec, table=table200).value
+    monkeypatch.setattr(np, "cos", cos)
+    assert len(sizes) >= 3 and max(sizes) <= 40  # each cos matrix is one block
+    assert np.max(np.abs(blocked - one)) <= 1e-14 * np.max(np.abs(one))
+    assert at0.imag == 0.0 and not np.signbit(at0.imag)  # +0.0, as one block gives it
+
+
 def test_strip_2pt_zero_mode_divergence():
     p = PhysicalParams(c=1.0, mu=0.0, geometry=Strip(1.0), d=3)
     spec = TwoPointSpec(params=p, M=10)
