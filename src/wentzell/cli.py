@@ -334,8 +334,11 @@ def cmd_holo(args: argparse.Namespace) -> int:
         print(f"interpolation residual: {rep.max_residual:.3e}")
     header = {"command": "holo", "fig2": args.fig2, "S": args.S, "c": args.c,
               "mu": meta["mu"], "M": meta["M"], "a": meta["a"]}
-    write_csv(out.with_suffix(".fhat.csv"), header, ["omega", "re", "im"],
-              np.column_stack([image.omega_grid, image.fhat.real, image.fhat.imag]))
+    # one row per included mode: fhat'(+omega_m); an object array keeps m an int
+    ext = image.extension
+    write_csv(out.with_suffix(".fhat.csv"), header, ["m", "omega", "re", "im"],
+              np.column_stack([ext.modes.astype(object), ext.omegas, ext.coeffs.real,
+                               ext.coeffs.imag]))
     write_csv(out.with_suffix(".fprime.csv"), header, ["t", "fprime"],
               np.column_stack([image.t_grid, image.fprime]))
     meta["warnings"] = image.warnings

@@ -146,8 +146,7 @@ class BulkBoundaryFunction:
 
     ``boundary`` holds the values on the strip's two boundary components:
     index 0 is the component at -S and index 1 the one at +S.  The boundary
-    values are independent data; ``compatibility_check`` tests whether they
-    agree with the bulk trace.
+    values are independent data, which need not agree with the bulk trace.
     """
 
     grid: Grid1D
@@ -250,15 +249,3 @@ def spectral_sobolev_norm(coeffs: np.ndarray, table, r: float) -> float:
         scale[nz] = w2[nz] ** r
     return float(np.sqrt(np.sum(scale * np.abs(coeffs) ** 2)))
 
-
-def trace(F: BulkBoundaryFunction) -> np.ndarray:
-    """Bulk samples at the two end nodes, [at -S, at +S]."""
-    return np.array([F.bulk[0], F.bulk[-1]])
-
-
-def compatibility_check(F: BulkBoundaryFunction, tol: float = 1e-9) -> bool:
-    """True if the stored boundary values equal the bulk trace within a
-    relative tolerance (the domain condition of the spatial operator)."""
-    tr = trace(F)
-    scale = max(np.max(np.abs(F.bulk)), np.max(np.abs(F.boundary)), 1e-300)
-    return bool(np.all(np.abs(tr - F.boundary) <= tol * scale))

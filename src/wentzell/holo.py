@@ -12,19 +12,20 @@ The mode table is the one source of the strip, c and mu: ``holographic_dual``
 builds its grids from it, and the image keeps it for ``verify_dual``.
 
 The field is real, so for a real bulk smearing fhat^-_m = conj fhat^+_m, and
-the boundary image is Hermitian: fhat'(-omega) = conj fhat'(omega).  The map
-therefore stores and interpolates only the coefficients at +omega_m; the
-negative frequencies are conjugates computed on demand, and the inverse
-transform of a Hermitian fhat' on a symmetric omega grid is real, so f' is
-returned as a real array.
+the boundary image is Hermitian: fhat'(-omega) = conj fhat'(omega).  The image
+is therefore its M + 1 coefficients fhat'(+omega_m), the bump scale a and chi:
+the map keeps no frequency samples.  The negative frequencies are conjugates
+computed on demand, and f' = 2 Re of the transform over omega > 0 is returned
+as a real array.
 
-The last step, fhat' -> f', is the trapezoid sum over a uniform omega grid
-evaluated on a uniform time grid.  It is computed as a chirp-z transform by
-Bluestein's convolution (Bluestein 1968; Rabiner, Schafer & Rader 1969): the
-product t_j omega_k is split into chirps so that the sum becomes one FFT
-convolution, in O((N_omega + N_t) log(N_omega + N_t)) time and O(N_omega + N_t)
-memory.  Both grids must therefore be uniform; ``_inverse_transform`` raises
-ValueError on a non-uniform one.
+The last step, fhat' -> f', is the trapezoid sum over a uniform grid of
+positive frequencies evaluated on a uniform time grid.  It is computed as a
+chirp-z transform by Bluestein's convolution (Bluestein 1968; Rabiner, Schafer
+& Rader 1969): the product t_j omega_k is split into chirps so that the sum
+becomes one FFT convolution, in O((N_omega + N_t) log(N_omega + N_t)) time and
+O(N_omega + N_t) memory.  The time grid must therefore be uniform
+(``_inverse_transform`` raises ValueError otherwise), and a frequency grid of
+more than _MAX_OMEGA_SAMPLES samples is refused before it is built.
 
 No attempt is made to compactify the support of f'.  A Paley-Wiener argument
 bounds any single-mode boundary representative away from intervals shorter
@@ -45,6 +46,7 @@ from .qft import (_SQRT2PI, SmearedCoefficients, _time_support, fourier_trapezoi
 
 _ENERGY_FRACTION = 0.999  # coefficient energy the automatic cutoff M retains
 _SAMPLES_PER_BUMP = 16    # omega samples across the narrowest bump
+_MAX_OMEGA_SAMPLES = 1 << 21  # largest positive-frequency grid of the transform
 
 
 class BumpOverlapError(ValueError):
@@ -143,11 +145,10 @@ class FreqExtension:
 
 @dataclass
 class HoloImage:
-    """Sampled fhat'(omega) and its time-space dual f'(t), plus the exact
-    evaluator, the coefficients it interpolates and their mode table."""
+    """Boundary image f'(t) on a uniform time grid, the extension fhat' that
+    defines it (its coefficients fhat'(+omega_m), a and chi), the smeared
+    coefficients it interpolates and their mode table."""
 
-    omega_grid: np.ndarray
-    fhat: np.ndarray
     t_grid: np.ndarray
     fprime: np.ndarray
     extension: FreqExtension
@@ -169,30 +170,35 @@ def _uniform_step(g: np.ndarray, name: str) -> float:
     return step
 
 
-def _inverse_transform(ext: FreqExtension, omega_grid: np.ndarray,
-                       t_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid inverse Fourier transform
+def _inverse_transform(ext: FreqExtension, d_omega: float,
+                       t_grid: np.ndarray) -> np.ndarray:
+    """Trapezoid inverse Fourier transform over omega > 0 of the Hermitian
+    ``ext``,
 
-        f'(t_j) = d_omega / sqrt(2 pi) sum_k fhat'(omega_k) exp(-i t_j omega_k),
+        f'(t_j) = 2 Re[ d_omega / sqrt(2 pi) sum_k fhat'(omega_k) exp(-i t_j omega_k) ],
 
-    over the span of the nonzero samples, by Bluestein's chirp convolution.
-    With t_j = t_0 + j dt, omega_k = omega_0 + k d_omega and beta = dt d_omega,
+    on the multiples of d_omega from the lowest bump edge to the highest
+    (omega = 0 lies in no bump), by Bluestein's chirp convolution.  With
+    t_j = t_0 + j dt, omega_k = (k_0 + k) d_omega and beta = dt d_omega,
     j k = (j^2 + k^2 - (j - k)^2) / 2 turns the sum into a chirp pre-multiply,
     one FFT convolution with exp(i beta r^2 / 2) and a chirp post-multiply:
-    O((N_omega + N_t) log(N_omega + N_t)) time, O(N_omega + N_t) memory.
-    The convolution runs on ``numpy.fft`` at the power of two at or above
-    N_omega + N_t - 1.  Both grids must be uniform (ValueError otherwise).
-    ``ext`` is Hermitian and the grids of ``holographic_dual`` are symmetric
-    about omega = 0, so f' is real: its real part is returned (float64), and
-    the imaginary part, rounding noise, is dropped."""
+    O((N_omega + N_t) log(N_omega + N_t)) time, O(N_omega + N_t) memory.  The
+    convolution runs on ``numpy.fft`` at the power of two at or above
+    N_omega + N_t - 1.  ValueError if ``t_grid`` is not uniform, or, before
+    any grid is built, if the highest bump edge lies more than
+    _MAX_OMEGA_SAMPLES steps d_omega above zero (d_omega = 0 included)."""
+    half = 1.0 / (2.0 * ext.a)
+    lo = float(np.sqrt(ext.omegas[0] ** 2 - half))
+    hi = float(np.sqrt(ext.omegas[-1] ** 2 + half))
+    if not hi <= _MAX_OMEGA_SAMPLES * d_omega:
+        n = hi / d_omega if d_omega > 0 else float("inf")
+        raise ValueError(f"the holographic image needs {n:.3g} frequency samples, "
+                         f"more than {_MAX_OMEGA_SAMPLES}: its bumps are too narrow; "
+                         f"raise --mu or --S, or lower --max")
     t_grid = np.asarray(t_grid, dtype=float)
-    fhat = ext(omega_grid)
-    d_omega = _uniform_step(omega_grid, "omega grid")
     dt = _uniform_step(t_grid, "t grid")
-    nz = np.nonzero(fhat)[0]
-    if nz.size == 0:
-        return fhat, np.zeros(t_grid.shape)
-    seg = fhat[nz[0]: nz[-1] + 1]
+    k0 = int(lo / d_omega)
+    seg = ext(np.arange(k0, int(np.ceil(hi / d_omega)) + 1) * d_omega)
     m, n = seg.size, t_grid.size
     beta = dt * d_omega
     k = np.arange(m, dtype=float)
@@ -202,8 +208,8 @@ def _inverse_transform(ext: FreqExtension, omega_grid: np.ndarray,
     pre = seg * np.exp(-1j * (t_grid[0] * d_omega * k + 0.5 * beta * k * k))
     kernel = np.fft.fft(np.exp(0.5j * beta * r * r), size)
     conv = np.fft.ifft(np.fft.fft(pre, size) * kernel)[m - 1: m - 1 + n]
-    post = np.exp(-1j * (omega_grid[nz[0]] * t_grid + 0.5 * beta * j * j))
-    return fhat, (conv * post * d_omega / _SQRT2PI).real
+    post = np.exp(-1j * (k0 * d_omega * t_grid + 0.5 * beta * j * j))
+    return (conv * post).real * (2.0 * d_omega / _SQRT2PI)
 
 
 def holographic_dual(f, table: ModeTable, t_span: float, n_t: int = 2049,
@@ -219,7 +225,8 @@ def holographic_dual(f, table: ModeTable, t_span: float, n_t: int = 2049,
     axis 16 times across the narrowest bump.  The cutoff M defaults to the
     smallest value retaining 99.9% of the coefficient energy; a warning is
     attached if the requested M falls short of that.  An M beyond the table's
-    last mode raises ValueError."""
+    last mode raises ValueError, and so do bumps too narrow for a frequency
+    grid of _MAX_OMEGA_SAMPLES (``_inverse_transform``)."""
     if M is not None and M > len(table) - 1:
         raise ValueError(f"cutoff M={M} exceeds the table's last mode "
                          f"m={len(table) - 1}")
@@ -252,19 +259,15 @@ def holographic_dual(f, table: ModeTable, t_span: float, n_t: int = 2049,
                         coeffs.f_plus[modes] / table.d_bdys[modes])
 
     d_omega = float(np.min(ext.bump_width(ext.omegas))) / _SAMPLES_PER_BUMP
-    omega_max = float(np.sqrt(ext.omegas[-1] ** 2 + 1.0 / (2 * a))) + 2 * d_omega
-    n_half = int(np.ceil(omega_max / d_omega))
-    omega_grid = np.arange(-n_half, n_half + 1) * d_omega
-    fhat, fprime = _inverse_transform(ext, omega_grid, t_out)
+    fprime = _inverse_transform(ext, d_omega, t_out)
 
     meta = {"S": p.geometry.S, "c": p.c, "mu": p.mu, "M": M, "a": a,
             "chi": default_chi.__name__,
             "energy_fraction": float(cum[np.searchsorted(usable, M)] if M in usable
                                      else cum[-1]),
             "samples_per_bump": _SAMPLES_PER_BUMP}
-    return HoloImage(omega_grid=omega_grid, fhat=fhat, t_grid=t_out, fprime=fprime,
-                     extension=ext, coeffs=coeffs, table=table, metadata=meta,
-                     warnings=warnings)
+    return HoloImage(t_grid=t_out, fprime=fprime, extension=ext, coeffs=coeffs,
+                     table=table, metadata=meta, warnings=warnings)
 
 
 @dataclass

@@ -430,30 +430,20 @@ def causality_check(points, spec: TwoPointSpec, table: ModeTable,
 class TailReport:
     """Square-summability diagnostics of the boundary couplings."""
 
-    partial_sum: float            # sum_{m <= M} of the weights
+    partial_sum: float            # sum_{m <= M} of d_m^2
     ratio: float                  # observed over asymptotic sum, M < m <= last mode
     tail_bound: float             # full asymptotic tail beyond M
-    window_sums: tuple[float, float]  # sums over (M, 2M] and (2M, 4M]
 
     @property
     def passed(self) -> bool:
         return 0.8 <= self.ratio <= 1.2
 
-    @property
-    def is_summable(self) -> bool:
-        w1, w2 = self.window_sums
-        return w2 < w1
 
-
-def tail_convergence(table: ModeTable, M: int, weights: np.ndarray | None = None
-                     ) -> TailReport:
+def tail_convergence(table: ModeTable, M: int) -> TailReport:
     """Compare the observed tail of sum d_m^2 beyond M with the analytic
     asymptotic tail (2/(c pi))^2 S sum_{m > M} (m-1)^(-2), summed as Hurwitz
     zeta values zeta(2, .) by ``_hurwitz_zeta`` (3.4e-16 relative).  The law
-    diverges at m = 1, so M >= 1 (ValueError otherwise).
-
-    ``weights`` overrides d_m^2 (e.g. constant Neumann-style weights, whose
-    windows grow instead of shrinking and are flagged non-summable)."""
+    diverges at m = 1, so M >= 1 (ValueError otherwise)."""
     p = table.params
     if not isinstance(p.geometry, Strip):
         raise ValueError("tail diagnostics apply to the strip spectrum")
@@ -463,16 +453,14 @@ def tail_convergence(table: ModeTable, M: int, weights: np.ndarray | None = None
     M_top = len(table) - 1
     if M_top < 2 * M:
         raise ValueError(f"table must extend well beyond M={M}, has M_top={M_top}")
-    w = table.d_bdys**2 if weights is None else np.asarray(weights, dtype=float)
+    w = table.d_bdys**2
     partial = float(np.sum(w[: M + 1]))
     observed = float(np.sum(w[M + 1: M_top + 1]))
     amp = (2.0 / (p.c * np.pi)) ** 2 * S
     analytic = amp * (_hurwitz_zeta(2, M) - _hurwitz_zeta(2, M_top))
     tail_bound = amp * _hurwitz_zeta(2, M)
-    w1 = float(np.sum(w[M + 1: min(2 * M, M_top) + 1]))
-    w2 = float(np.sum(w[2 * M + 1: min(4 * M, M_top) + 1]))
     return TailReport(partial_sum=partial, ratio=observed / analytic,
-                      tail_bound=tail_bound, window_sums=(w1, w2))
+                      tail_bound=tail_bound)
 
 
 # ---------------------------------------------------------------------------

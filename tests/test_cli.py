@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from wentzell import cli, modes
 from wentzell.cli import main, table_from_json, table_to_json
 from wentzell.evolve import energy, fdtd_samples, make_fdtd_state
+from wentzell.holo import FreqExtension
 from wentzell.modes import build_table
 from wentzell.core import CauchyData, Grid1D, PhysicalParams, Strip
 
@@ -116,6 +118,28 @@ def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
     for argv in argvs:
         args = parser.parse_args([a.format(d=tmp_path) for a in argv])
         assert args.func.__name__ == f"cmd_{argv[0]}"
+
+
+def test_benchmark_reads_the_holo_figures(tmp_path, monkeypatch):
+    # the holo accuracy figures come from the files that the workloads' own
+    # holo command lines write, read as the harness reads every output
+    ops = []
+    workloads = load_workloads(monkeypatch, lambda name, argv: ops.append((name, argv)))
+    workloads.defaults(0)
+    figures = {}
+    for name, argv in ops:
+        if argv[0] == "holo":
+            d = tmp_path / name
+            assert main([a.format(d=d) for a in argv]) == 0
+            for path in sorted(d.rglob("*")):
+                figures.update(workloads._from_file(path))
+    assert {name for name, argv in ops if argv[0] == "holo"} == {"holo", "holo-fig2"}
+    holo = json.loads((tmp_path / "holo" / "holo.meta.json").read_text())
+    fig2 = json.loads((tmp_path / "holo-fig2" / "fig2.meta.json").read_text())
+    assert figures == {"holo_residual": holo["max_residual"],
+                       "pairing_rel_err": holo["pairing_rel_error"],
+                       "burst_arrival_err": workloads.burst_error(fig2["burst_centers"])}
+    assert figures["burst_arrival_err"] < 0.2
 
 
 def test_benchmark_library_calls_run(tmp_path, monkeypatch):
@@ -450,6 +474,61 @@ def test_holo_rejects_cutoff_beyond_table(tmp_path, capsys, extra):
     assert main(["holo", "--max", "100", "--out", str(out)] + extra) == 1
     assert "cutoff M=100 exceeds" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("extra", [[], ["--fig2"]], ids=["gaussian", "fig2"])
+def test_holo_fhat_csv_is_the_extension(tmp_path, monkeypatch, extra):
+    # .fhat.csv holds one row per included mode, fhat'(+omega_m); with the
+    # header's a it rebuilds the image's extension bit for bit
+    made = []
+    for name in ("holographic_dual", "fig2_reproduce"):
+        def record(*args, _fn=getattr(cli, name), **kwargs):
+            made.append(_fn(*args, **kwargs))
+            return made[-1]
+        monkeypatch.setattr(cli, name, record)
+    out = tmp_path / "img"
+    assert main(["holo", "--out", str(out)] + extra) == 0
+    image = made[0][0] if extra else made[0]
+    ext = image.extension
+    path = out.with_suffix(".fhat.csv")
+    header = dict(ln[2:].split(" = ") for ln in path.read_text().splitlines()
+                  if ln.startswith("#"))
+    cols, data = read_csv(path)
+    assert cols == ["m", "omega", "re", "im"] and data.shape == (ext.modes.size, 4)
+    assert path.read_text().splitlines()[len(header) + 1].startswith(f"{ext.modes[0]},")
+    back = FreqExtension(float(header["a"]), data[:, 0].astype(int), data[:, 1],
+                         data[:, 2] + 1j * data[:, 3])
+    assert back.a == ext.a and np.array_equal(back.modes, ext.modes)
+    w = np.linspace(-1.1, 1.1, 200001) * ext.omegas[-1]
+    assert np.count_nonzero(ext(w)) > 10000
+    assert np.array_equal(back(w), ext(w))
+
+
+@pytest.mark.parametrize("args", [["--S", "0.01"], ["--mu", "1e-9"], ["--mu", "0.01"]],
+                         ids=["S-0.01", "mu-1e-9", "mu-0.01"])
+def test_holo_narrow_bumps_exit_1(tmp_path, capsys, args):
+    # bumps too narrow for a frequency grid of at most 2^21 samples (dω
+    # underflows to 0 at --mu 1e-9) are refused before the grid is built
+    tracemalloc.start()
+    try:
+        code = main(["holo", "--out", str(tmp_path / "img")] + args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "frequency samples, more than 2097152" in err and "raise --mu or --S" in err
+    assert peak < 50e6
+    assert not list(tmp_path.iterdir())
+
+
+def test_holo_largest_default_cutoff_exits_0(tmp_path):
+    # --max 48, the table's last mode, takes about 2.6e5 positive samples
+    out = tmp_path / "img"
+    assert main(["holo", "--max", "48", "--out", str(out)]) == 0
+    cols, data = read_csv(out.with_suffix(".fhat.csv"))
+    assert data[:, 0].tolist() == list(range(49))
+    assert np.all(np.isfinite(read_csv(out.with_suffix(".fprime.csv"))[1]))
 
 
 @pytest.mark.parametrize("extra", [[], pytest.param(["--fig2"], marks=pytest.mark.slow)],

@@ -6,10 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from wentzell.core import (BulkBoundaryFunction, CauchyData, GeometryError,
                            GridMismatchError, Grid1D, HalfSpace, PhysicalParams,
-                           Strip, ZeroModeError,
-                           compatibility_check, spectral_sobolev_norm,
-                           symplectic_form, trace, weighted_inner_product,
-                           weighted_norm)
+                           Strip, ZeroModeError, spectral_sobolev_norm,
+                           symplectic_form, weighted_inner_product, weighted_norm)
 from wentzell.modes import build_table, eval_mode_deriv, mode_function, synthesize
 
 P1 = PhysicalParams(c=1.0, geometry=Strip(1.0))
@@ -143,15 +141,11 @@ def test_boundary_has_the_two_strip_components():
                                const(1.0, Grid1D.for_halfspace(2.0, 64)), half)
 
 
-def test_trace_and_compatibility():
-    F = const(2.5)
-    assert np.allclose(trace(F), [2.5, 2.5])
-    assert compatibility_check(F)
+def test_mode_function_boundary_is_the_bulk_trace():
     table = build_table(3, P1)
-    G = mode_function(2, table, GRID)
-    assert compatibility_check(G, tol=1e-10)
-    G.boundary = G.boundary + 1.0
-    assert not compatibility_check(G)
+    for m in range(4):
+        G = mode_function(m, table, GRID)
+        assert np.array_equal(G.boundary, G.bulk[[0, -1]])
 
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)

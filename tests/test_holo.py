@@ -8,8 +8,9 @@ from hypothesis.extra.numpy import arrays
 from scipy.signal import find_peaks, hilbert
 
 from wentzell.core import GeometryError, Grid1D, HalfSpace, PhysicalParams, Strip
-from wentzell.holo import (BumpOverlapError, FreqExtension, HalfSpaceDual,
-                           _inverse_transform, analytic_envelope, choose_a,
+from wentzell import holo
+from wentzell.holo import (_SAMPLES_PER_BUMP, BumpOverlapError, FreqExtension,
+                           HalfSpaceDual, _inverse_transform, analytic_envelope, choose_a,
                            default_chi, detect_bursts, fig2_reproduce,
                            fig2_test_function, halfspace_dual,
                            holographic_dual, included_modes, local_maxima,
@@ -47,11 +48,19 @@ def extension(table, M, coeffs, a=None):
                          table.omegas()[modes], np.asarray(coeffs)[modes])
 
 
-def dense_inverse_transform(ext, omega_grid, t_grid, chunk=1024):
-    """Oracle: the trapezoid sum of the inverse transform as a dense phase
-    matrix over the nonzero samples, taken in blocks of output times."""
+def image_step(ext):
+    """The frequency step of ``holographic_dual``: the narrowest bump over
+    _SAMPLES_PER_BUMP."""
+    return float(np.min(ext.bump_width(ext.omegas))) / _SAMPLES_PER_BUMP
+
+
+def dense_inverse_transform(ext, d_omega, t_grid, chunk=1024):
+    """Oracle: the trapezoid sum of the inverse transform over both branches,
+    on the grid k d_omega symmetric about 0 that covers every bump, as a dense
+    phase matrix over the nonzero samples, taken in blocks of output times."""
+    n_half = int(np.ceil(np.sqrt(ext.omegas[-1] ** 2 + 1.0 / (2 * ext.a)) / d_omega)) + 2
+    omega_grid = np.arange(-n_half, n_half + 1) * d_omega
     fhat = ext(omega_grid)
-    d_omega = (omega_grid[-1] - omega_grid[0]) / (len(omega_grid) - 1)
     nz = np.nonzero(fhat)[0]
     out = np.empty(t_grid.shape, dtype=complex)
     for i in range(0, t_grid.size, chunk):
@@ -60,10 +69,11 @@ def dense_inverse_transform(ext, omega_grid, t_grid, chunk=1024):
     return out * d_omega / np.sqrt(2 * np.pi)
 
 
-def assert_matches_dense(ext, omega_grid, t_grid, fprime):
-    """The fast transform is real and agrees with the dense sum to rounding."""
+def assert_matches_dense(ext, d_omega, t_grid, fprime):
+    """The fast transform is real and agrees with the dense sum over both
+    branches to rounding."""
     assert np.isrealobj(fprime)
-    oracle = dense_inverse_transform(ext, omega_grid, t_grid)
+    oracle = dense_inverse_transform(ext, d_omega, t_grid)
     scale = np.max(np.abs(oracle))
     assert np.max(np.abs(fprime - oracle)) <= 1e-12 * scale
 
@@ -225,10 +235,11 @@ def test_dual_linearity(table):
 
 def test_dual_reality(image):
     assert np.isrealobj(image.fprime)
-    # conjugate symmetry of the frequency samples
-    fhat = image.fhat
-    n = len(image.omega_grid) // 2
-    assert np.max(np.abs(fhat[: n] - np.conj(fhat[::-1][: n]))) < 1e-12
+    # the extension is Hermitian, exactly
+    ext = image.extension
+    w = np.linspace(0.0, 1.1 * ext.omegas[-1], 20001)
+    assert np.count_nonzero(ext(w)) > 1000
+    assert np.array_equal(ext(-w), np.conj(ext(w)))
 
 
 def test_dual_no_dc_component(image, table):
@@ -240,8 +251,6 @@ def test_dual_no_dc_component(image, table):
     gap_edge = np.sqrt(ext.omegas[0] ** 2 - 1.0 / (2 * ext.a))
     w = np.linspace(-0.98 * gap_edge, 0.98 * gap_edge, 501)
     assert np.all(ext(w) == 0.0)
-    in_gap = np.abs(image.omega_grid) < 0.98 * gap_edge
-    assert np.all(image.fhat[in_gap] == 0.0)
     # the wide window keeps the smearing step at 2^-8
     img_wide = holographic_dual(gauss_f, table, t_span=16.0, n_t=8193, n_out=4096,
                                 M=image.metadata["M"])
@@ -296,9 +305,7 @@ def test_single_mode_packet(table):
         oracle += np.trapezoid(fh[None, :] * np.exp(-1j * np.outer(t, branch)),
                                branch, axis=1) / np.sqrt(2 * np.pi)
     d_omega = (np.sqrt(wm**2 + half) - np.sqrt(wm**2 - half)) / 64
-    n_half = int(np.ceil((wm + 2.0) / d_omega))
-    grid_w = np.arange(-n_half, n_half + 1) * d_omega
-    _, fprime = _inverse_transform(ext, grid_w, t)
+    fprime = _inverse_transform(ext, d_omega, t)
     scale = np.max(np.abs(oracle))
     assert np.max(np.abs(np.asarray(fprime) - oracle.real)) < 1e-3 * scale
     # carrier frequency from zero crossings near the center: a cos(w t)
@@ -309,8 +316,8 @@ def test_single_mode_packet(table):
     # a single mass shell is quasi-monochromatic: one broad modulated burst
     # whose envelope peaks near t = 0 (scale set by the inverse bump width)
     t_long = np.linspace(-150.0, 150.0, 8192)
-    _, fp_long = _inverse_transform(ext, grid_w, t_long)
-    assert_matches_dense(ext, grid_w, t_long, fp_long)
+    fp_long = _inverse_transform(ext, d_omega, t_long)
+    assert_matches_dense(ext, d_omega, t_long, fp_long)
     burst = detect_bursts(t_long, np.asarray(fp_long).real, rel_threshold=0.3,
                           cluster_gap=40.0)
     assert len(burst.centers) == 1
@@ -319,21 +326,41 @@ def test_single_mode_packet(table):
 
 def test_inverse_transform_matches_dense_fig2(fig2):
     image, _ = fig2
-    assert_matches_dense(image.extension, image.omega_grid, image.t_grid,
-                         image.fprime)
+    ext = image.extension
+    assert_matches_dense(ext, image_step(ext), image.t_grid, image.fprime)
+
+
+def test_inverse_transform_matches_dense_default(image):
+    ext = image.extension
+    assert_matches_dense(ext, image_step(ext), image.t_grid, image.fprime)
 
 
 def test_inverse_transform_rejects_nonuniform_t_out(image):
     t_out = np.linspace(-4.0, 4.0, 1024) ** 3 / 16.0
     with pytest.raises(ValueError, match="uniform"):
-        _inverse_transform(image.extension, image.omega_grid, t_out)
+        _inverse_transform(image.extension, image_step(image.extension), t_out)
+
+
+@pytest.mark.parametrize("d_omega", [0.0, float("nan"), "just below the cap"])
+def test_inverse_transform_refuses_a_grid_beyond_the_cap(image, monkeypatch, d_omega):
+    # the size is checked before any grid exists: no array is built at all
+    ext = image.extension
+    hi = np.sqrt(ext.omegas[-1] ** 2 + 1.0 / (2 * ext.a))
+    if d_omega == "just below the cap":
+        d_omega = np.nextafter(hi / holo._MAX_OMEGA_SAMPLES, 0.0)
+
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(holo.np, "arange", no_arrays)
+    with pytest.raises(ValueError, match="frequency samples, more than 2097152.*--mu"):
+        _inverse_transform(ext, d_omega, image.t_grid)
 
 
 def test_inverse_transform_zero_spectrum(table):
     ext = extension(table, 8, np.zeros(len(table), dtype=complex))
     t = np.linspace(-4.0, 4.0, 257)
-    fhat, fprime = _inverse_transform(ext, np.linspace(-10.0, 10.0, 2001), t)
-    assert not np.any(fhat)
+    fprime = _inverse_transform(ext, 0.01, t)
     assert np.isrealobj(fprime)
     assert fprime.shape == t.shape and not np.any(fprime)
 

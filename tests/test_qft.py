@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -450,7 +452,6 @@ def test_commutator_matches_per_mode_loop(table200):
 def test_tail_convergence_passes(table4000):
     rep = tail_convergence(table4000, 100)
     assert rep.passed
-    assert rep.is_summable
     assert 0.8 <= rep.ratio <= 1.2
     with pytest.raises(ValueError, match="M >= 1"):
         tail_convergence(table4000, 0)
@@ -464,9 +465,9 @@ def test_partial_sum_stabilizes(table4000):
 
 
 def test_neumann_weights_flagged(table4000):
-    const = np.full(len(table4000), table4000.d_bdys[1] ** 2)
-    rep = tail_convergence(table4000, 100, weights=const)
-    assert not rep.is_summable
+    # constant Neumann-style couplings, whose tail does not decay
+    const = np.full(len(table4000), table4000.d_bdys[1])
+    rep = tail_convergence(dataclasses.replace(table4000, d_bdys=const), 100)
     assert not rep.passed
 
 
