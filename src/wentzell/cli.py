@@ -31,8 +31,7 @@ from .holo import fig2_reproduce, holographic_dual, verify_dual
 from .modes import _ASYM_DELTA, _ASYM_M_START, ModeTable, build_table, check_solution, \
     verify_table
 from .qft import _HALFSPACE_NORM_TOL, TwoPointSpec, _finite_x0, \
-    boundary_2pt_halfspace, boundary_2pt_strip, halfspace_weight_normalization, \
-    tail_convergence
+    boundary_2pt_halfspace, boundary_2pt_strip, halfspace_weight_normalization
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -276,13 +275,10 @@ def cmd_twopoint(args: argparse.Namespace) -> int:
         p = PhysicalParams(c=args.c, mu=args.mu, geometry=Strip(args.S), d=1)
         spec = TwoPointSpec(params=p, M=args.M)
         cache_dir = resolve_cache_dir(args.cache_dir)
-        table, _, _ = load_or_build_table(p, max(4 * args.M, 400), cache_dir)
+        table, _, _ = load_or_build_table(p, args.M, cache_dir)
         res = boundary_2pt_strip(x0, 0.0, spec, table=table)
         vals = np.asarray(res.value)
-        tail = tail_convergence(table, args.M)
-        report = {"tail_bound": res.tail_bound, "tail_ratio": tail.ratio,
-                  "tail_ratio_in_08_12": tail.passed,
-                  "partial_sum_d2": tail.partial_sum}
+        report = {"tail_bound": res.tail_bound}
         header["tail_bound"] = repr(res.tail_bound)
     elif args.geometry == "halfspace":
         p = PhysicalParams(c=args.c, mu=args.mu, geometry=HalfSpace(), d=1)

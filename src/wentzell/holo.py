@@ -263,8 +263,7 @@ def holographic_dual(f, table: ModeTable, t_span: float, n_t: int = 2049,
 
     meta = {"S": p.geometry.S, "c": p.c, "mu": p.mu, "M": M, "a": a,
             "chi": default_chi.__name__,
-            "energy_fraction": float(cum[np.searchsorted(usable, M)] if M in usable
-                                     else cum[-1]),
+            "energy_fraction": float(cum[np.searchsorted(usable, M)]),
             "samples_per_bump": _SAMPLES_PER_BUMP}
     return HoloImage(t_grid=t_out, fprime=fprime, extension=ext, coeffs=coeffs,
                      table=table, metadata=meta, warnings=warnings)

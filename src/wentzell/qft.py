@@ -64,8 +64,9 @@ class TwoPointSpec:
 
 @dataclass
 class TwoPointResult:
-    """Two-point values and an estimate of what the cutoff leaves out: a bound
-    on the mode tail beyond M (strip, d = 1), the heuristic twice the largest
+    """Two-point values and an estimate of what the cutoff leaves out: a
+    proved bound on the mode tail beyond M (strip, d = 1; see
+    ``strip_tail_bound``), the heuristic twice the largest
     term of mode M (Bessel sum, d >= 2; it bounds neither the modes beyond M
     nor the terms m <= M the sum skips, which change no bit) or a bound on the
     tail beyond q_max (half-space)."""
@@ -118,8 +119,21 @@ def _hurwitz_zeta(s: int, q: float) -> float:
 
 
 def strip_tail_bound(M: int, S: float, c: float) -> float:
-    """Asymptotic bound on sum_{m > M} d_m^2 / (2 mu_m) from the d_m law,
-    4 S^2 / (c^2 pi^3) zeta(3, M) with the numpy ``_hurwitz_zeta``."""
+    """Bound on the d = 1 tail sum_{m > M} d_m^2 / (2 mu_m), M >= 1:
+    4 S^2 / (c^2 pi^3) zeta(3, M) with the numpy ``_hurwitz_zeta``.
+
+    Proof.  For m > M >= 1 let theta = delta_m S = arctan(1 / (c q_m)), so
+    that cos theta = c q_m sin theta and sin(2 theta) / (2 q_m) = c sin^2 theta.
+    1. ``modes._normalize``'s norm is c_m^2 = S / (S - sin(2 theta) / (2 q_m)
+       + 2 c sin^2 theta) = S / (S + c sin^2 theta) < 1.
+    2. |d_m| = c_m S^(-1/2) sin theta < S^(-1/2) tan theta = S^(-1/2) / (c q_m)
+       < 2 sqrt(S) / (c pi (m-1)), since q_m S = pi (m-1) / 2 + theta with
+       theta > 0.
+    3. mu_m = sqrt(q_m^2 + mu^2) >= q_m > pi (m-1) / (2 S).
+    Each term is therefore below 4 S^2 / (c^2 pi^3 (m-1)^3), and their sum
+    over m > M is 4 S^2 / (c^2 pi^3) zeta(3, M).  The bound holds in exact
+    arithmetic; the computed value carries ``_hurwitz_zeta``'s 3.4e-16
+    relative error."""
     return 4.0 * S**2 / (c**2 * np.pi**3) * _hurwitz_zeta(3, M)
 
 
@@ -430,9 +444,8 @@ def causality_check(points, spec: TwoPointSpec, table: ModeTable,
 class TailReport:
     """Square-summability diagnostics of the boundary couplings."""
 
-    partial_sum: float            # sum_{m <= M} of d_m^2
     ratio: float                  # observed over asymptotic sum, M < m <= last mode
-    tail_bound: float             # full asymptotic tail beyond M
+    tail_bound: float             # bound on sum_{m > M} of d_m^2
 
     @property
     def passed(self) -> bool:
@@ -443,7 +456,12 @@ def tail_convergence(table: ModeTable, M: int) -> TailReport:
     """Compare the observed tail of sum d_m^2 beyond M with the analytic
     asymptotic tail (2/(c pi))^2 S sum_{m > M} (m-1)^(-2), summed as Hurwitz
     zeta values zeta(2, .) by ``_hurwitz_zeta`` (3.4e-16 relative).  The law
-    diverges at m = 1, so M >= 1 (ValueError otherwise)."""
+    diverges at m = 1, so M >= 1 (ValueError otherwise).
+
+    ``tail_bound`` = (2/(c pi))^2 S zeta(2, M) bounds sum_{m > M} d_m^2 in
+    exact arithmetic: step 2 of the proof in ``strip_tail_bound`` gives
+    d_m^2 < 4 S / (c pi (m-1))^2 for every m > M.  The ratio tests the law
+    itself, that d_m^2 approaches this term."""
     p = table.params
     if not isinstance(p.geometry, Strip):
         raise ValueError("tail diagnostics apply to the strip spectrum")
@@ -453,14 +471,11 @@ def tail_convergence(table: ModeTable, M: int) -> TailReport:
     M_top = len(table) - 1
     if M_top < 2 * M:
         raise ValueError(f"table must extend well beyond M={M}, has M_top={M_top}")
-    w = table.d_bdys**2
-    partial = float(np.sum(w[: M + 1]))
-    observed = float(np.sum(w[M + 1: M_top + 1]))
+    observed = float(np.sum(table.d_bdys[M + 1: M_top + 1] ** 2))
     amp = (2.0 / (p.c * np.pi)) ** 2 * S
     analytic = amp * (_hurwitz_zeta(2, M) - _hurwitz_zeta(2, M_top))
     tail_bound = amp * _hurwitz_zeta(2, M)
-    return TailReport(partial_sum=partial, ratio=observed / analytic,
-                      tail_bound=tail_bound)
+    return TailReport(ratio=observed / analytic, tail_bound=tail_bound)
 
 
 # ---------------------------------------------------------------------------

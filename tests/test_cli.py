@@ -17,6 +17,7 @@ from wentzell.cli import main, table_from_json, table_to_json
 from wentzell.evolve import energy, fdtd_samples, make_fdtd_state
 from wentzell.holo import FreqExtension
 from wentzell.modes import build_table
+from wentzell.qft import strip_tail_bound
 from wentzell.core import CauchyData, Grid1D, PhysicalParams, Strip
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -260,7 +261,7 @@ def test_nonfinite_parameters_exit_1_without_output(tmp_path, capsys, args):
 @pytest.mark.parametrize("args", [["modes", "--max", "8000"], ["modes", "--max", "20000"],
                                   ["twopoint", "--max", "3000"],
                                   ["modes", "--S", "0.4", "--max", "5000"],
-                                  ["twopoint", "--S", "0.7", "--max", "2500"]], ids=" ".join)
+                                  ["modes", "--S", "0.7", "--max", "10000"]], ids=" ".join)
 def test_large_mode_cutoffs_exit_0(tmp_path, args):
     # past q S = 2^12, where the residual is taken in delta form, and the
     # rounding of q - pi (m-1) / 2S; at S = 0.4 and 0.7 q S is not exact in
@@ -446,7 +447,12 @@ def test_twopoint_strip(tmp_path):
                  "--n-x0", "5", "--cache-dir", str(tmp_path), "--out", str(out)])
     assert code == 0
     rep = json.loads(out.with_suffix(".report.json").read_text())
-    assert rep["tail_ratio_in_08_12"]
+    # the table holds the M + 1 modes the sum reads, no more
+    (cached,) = tmp_path.glob("modes_*.json")
+    assert cached.name == "modes_v3_S1.0_c1.0_mu1.0_M50.json"
+    assert len(json.loads(cached.read_text())["entries"]) == 51
+    assert rep == {"tail_bound": strip_tail_bound(50, 1.0, 1.0)}
+    assert f"# tail_bound = {rep['tail_bound']!r}" in out.read_text().splitlines()
     cols, data = read_csv(out)
     assert cols == ["x0", "re", "im"]
     assert data[0, 2] == 0.0  # imaginary part vanishes at coincidence

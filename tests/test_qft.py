@@ -457,6 +457,27 @@ def test_tail_convergence_passes(table4000):
         tail_convergence(table4000, 0)
 
 
+_ROUNDING = 1 + 1e-13  # 10^5-mode tables came within 1e-14 of each per-term bound
+
+
+@given(S=st.floats(0.05, 40.0), log_c=st.floats(-3.0, 3.0), mu=st.floats(0.0, 5.0))
+@settings(max_examples=40, deadline=None)
+def test_strip_tail_bound_is_proved_term_by_term(S, log_c, mu):
+    # the three steps of the proof in strip_tail_bound, checked for every
+    # m >= 2 of a 20 000-mode table, and the bound against the sum to the table
+    c = 10.0**log_c
+    table = build_table(20_000, PhysicalParams(c=c, mu=mu, geometry=Strip(S)))
+    m = np.arange(2, len(table))
+    assert np.all(table.c_norms[2:] <= _ROUNDING)
+    assert np.all(table.d_bdys[2:] ** 2
+                  <= _ROUNDING * (2 * np.sqrt(S) / (c * np.pi * (m - 1))) ** 2)
+    mu_m = table.omegas()[2:]
+    assert np.all(mu_m * _ROUNDING >= np.pi * (m - 1) / (2 * S))
+    terms = table.d_bdys[2:] ** 2 / (2 * mu_m)
+    for M in (1, 3, 10, 100, 1000):
+        assert float(np.sum(terms[M - 1:])) <= _ROUNDING * qft.strip_tail_bound(M, S, c)
+
+
 def test_partial_sum_stabilizes(table4000):
     d2 = table4000.d_bdys**2
     s2000 = float(np.sum(d2[:2001]))
