@@ -11,6 +11,13 @@ image metadata.
 The mode table is the one source of the strip, c and mu: ``holographic_dual``
 builds its grids from it, and the image keeps it for ``verify_dual``.
 
+The bulk smearing f is never sampled on the whole n_t x 1025 space-time grid:
+``smeared_coeffs`` evaluates it on blocks of time rows of at most 2^18
+samples and projects each block on the modes as it is made, keeping the row
+peaks that locate its support in time.  The smearing therefore takes
+O(2^18 + n_t (M + 1)) memory, not O(n_t x 1025); ``halfspace_dual`` samples
+the same way.
+
 The field is real, so for a real bulk smearing fhat^-_m = conj fhat^+_m, and
 the boundary image is Hermitian: fhat'(-omega) = conj fhat'(omega).  The image
 is therefore its M + 1 coefficients fhat'(+omega_m), the bump scale a and chi:
@@ -41,7 +48,7 @@ import numpy as np
 
 from .core import Grid1D, PhysicalParams, Strip, _check_halfspace
 from .modes import ModeTable, build_table, eval_halfspace_mode
-from .qft import (_SQRT2PI, SmearedCoefficients, _time_support, fourier_trapezoid,
+from .qft import (_SQRT2PI, SmearedCoefficients, _project_rows, fourier_trapezoid,
                   smeared_coeffs)
 
 _ENERGY_FRACTION = 0.999  # coefficient energy the automatic cutoff M retains
@@ -201,13 +208,18 @@ def _inverse_transform(ext: FreqExtension, d_omega: float,
     seg = ext(np.arange(k0, int(np.ceil(hi / d_omega)) + 1) * d_omega)
     m, n = seg.size, t_grid.size
     beta = dt * d_omega
-    k = np.arange(m, dtype=float)
-    j = np.arange(n, dtype=float)
-    r = np.arange(-(m - 1), n, dtype=float)
     size = 1 << (n + m - 2).bit_length()
-    pre = seg * np.exp(-1j * (t_grid[0] * d_omega * k + 0.5 * beta * k * k))
-    kernel = np.fft.fft(np.exp(0.5j * beta * r * r), size)
-    conv = np.fft.ifft(np.fft.fft(pre, size) * kernel)[m - 1: m - 1 + n]
+    # one length-size spectrum, transformed in place: the chirped samples and
+    # the kernel exist only while their FFT is taken
+    k = np.arange(m, dtype=float)
+    spec = np.fft.fft(seg * np.exp(-1j * (t_grid[0] * d_omega * k + 0.5 * beta * k * k)),
+                      size)
+    del seg, k
+    r = np.arange(-(m - 1), n, dtype=float)
+    spec *= np.fft.fft(np.exp(0.5j * beta * r * r), size)
+    del r
+    conv = np.fft.ifft(spec, out=spec)[m - 1: m - 1 + n]
+    j = np.arange(n, dtype=float)
     post = np.exp(-1j * (k0 * d_omega * t_grid + 0.5 * beta * j * j))
     return (conv * post).real * (2.0 * d_omega / _SQRT2PI)
 
@@ -217,7 +229,10 @@ def holographic_dual(f, table: ModeTable, t_span: float, n_t: int = 2049,
     """Holographic image of a bulk test function f(t, z) (callable, vectorized)
     on the strip of ``table``, smeared on its grid of 1024 intervals and on
     ``n_t`` uniform times in [-t_span, t_span]; f' is sampled at ``n_out``
-    uniform times on the same span.
+    uniform times on the same span.  ``smeared_coeffs`` evaluates f on blocks
+    of time rows of at most 2^18 samples and projects each block on the modes
+    as it is made, so the smearing takes O(2^18 + n_t (M + 1)) memory, not
+    O(n_t x 1025).
 
     Computes the smeared coefficients, divides by the boundary couplings,
     extends to a Schwartz function on the frequency axis with the bump
@@ -225,21 +240,16 @@ def holographic_dual(f, table: ModeTable, t_span: float, n_t: int = 2049,
     axis 16 times across the narrowest bump.  The cutoff M defaults to the
     smallest value retaining 99.9% of the coefficient energy; a warning is
     attached if the requested M falls short of that.  An M beyond the table's
-    last mode raises ValueError, and so do bumps too narrow for a frequency
-    grid of _MAX_OMEGA_SAMPLES (``_inverse_transform``)."""
+    last mode raises ValueError, and so do a complex f, an f that does not
+    vanish at +-t_span, and bumps too narrow for a frequency grid of
+    _MAX_OMEGA_SAMPLES (``_inverse_transform``)."""
     if M is not None and M > len(table) - 1:
         raise ValueError(f"cutoff M={M} exceeds the table's last mode "
                          f"m={len(table) - 1}")
     p = table.params
     t = np.linspace(-t_span, t_span, n_t)
     grid = Grid1D.for_strip(p.geometry.S, 1024)
-    # the output times and z are made before the samples (25 MB for fig2):
-    # made after them, the heap layout they left raised the peak RSS of a
-    # run of every CLI command from 97 to 109 MB under some hash seeds
-    t_out = np.linspace(-t_span, t_span, n_out)
-    z = grid.nodes
-    samples = np.asarray(f(t[:, None], z[None, :]), dtype=float)
-    coeffs = smeared_coeffs(samples, None, table, t, grid)
+    coeffs = smeared_coeffs(f, None, table, t, grid)
 
     usable = included_modes(table, len(table) - 1)
     energy = coeffs.energy[usable]
@@ -259,6 +269,7 @@ def holographic_dual(f, table: ModeTable, t_span: float, n_t: int = 2049,
                         coeffs.f_plus[modes] / table.d_bdys[modes])
 
     d_omega = float(np.min(ext.bump_width(ext.omegas))) / _SAMPLES_PER_BUMP
+    t_out = np.linspace(-t_span, t_span, n_out)
     fprime = _inverse_transform(ext, d_omega, t_out)
 
     meta = {"S": p.geometry.S, "c": p.c, "mu": p.mu, "M": M, "a": a,
@@ -344,7 +355,10 @@ def fig2_test_function(t, x) -> np.ndarray:
     exponent are evaluated elementwise only inside the box of broadcast
     indices where both |t| < 1/2 and |x| < 1/2 can hold, so a space-time grid
     t[:, None], x[None, :] costs the size of the support's box, not of the
-    grid; the values equal the elementwise formula bit for bit."""
+    grid; the values equal the elementwise formula bit for bit.
+    ``holographic_dual`` calls it on blocks of at most 2^18 samples, so fig2's
+    3073 x 1025 grid is never held whole: the smearing takes
+    O(2^18 + n_t (M + 1)) memory."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     shape = np.broadcast_shapes(t.shape, x.shape)
@@ -491,9 +505,10 @@ def halfspace_dual(f, p: PhysicalParams, q_grid: np.ndarray,
         fhat'(omega) = sqrt(pi (c^2 q^2 + 1) / 2) * fhat^(sgn omega)(q),
         q = sqrt(omega^2 - mu^2),  |omega| > mu,  zero inside the gap.
 
-    The coefficients are smeared as in ``smeared_coeffs``: the real mode
-    projection on the support span of f in time, one ``fourier_trapezoid``
-    and fhat^- = conj(fhat^+).  f' on ``t_out`` integrates fhat'(omega)
+    The coefficients are smeared as in ``smeared_coeffs``: f sampled and
+    projected on the modes in blocks of at most 2^18 samples
+    (``_project_rows``), one ``fourier_trapezoid`` over the support span of f
+    in time, and fhat^- = conj(fhat^+).  f' on ``t_out`` integrates fhat'(omega)
     e^(-i omega t) over omega on both branches, a trapezoid over the
     non-uniform samples omega(q); the branch omega < -mu is the conjugate of
     the other, so f' = 2 Re of the integral over omega > mu, a real array.
@@ -505,12 +520,12 @@ def halfspace_dual(f, p: PhysicalParams, q_grid: np.ndarray,
     q_grid = np.asarray(q_grid, dtype=float)
     time_grid = np.asarray(time_grid, dtype=float)
     z = grid.nodes
-    samples = np.asarray(f(time_grid[:, None], z[None, :]), dtype=float)
-    rows = _time_support(samples, "the bulk test function")
     V = eval_halfspace_mode(q_grid[None, :], z[:, None], p)
-    A = samples[rows] @ (grid.quad_weights()[:, None] * V)
+    A, rows = _project_rows(lambda i, j: f(time_grid[i:j, None], z[None, :]),
+                            time_grid.size, grid.quad_weights()[:, None] * V,
+                            "the bulk test function")
     omegas = np.sqrt(q_grid**2 + p.mu**2)
-    fhat_p = fourier_trapezoid(A, time_grid[rows], omegas)
+    fhat_p = fourier_trapezoid(A[rows], time_grid[rows], omegas)
     pref = np.sqrt(np.pi * (p.c**2 * q_grid**2 + 1.0) / 2.0)
     fhat_pos = pref * fhat_p
     edge = complex(np.sqrt(np.pi / 2.0) * fhat_p[0]) if q_grid[0] == 0.0 else complex(fhat_pos[0])

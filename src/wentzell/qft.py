@@ -26,11 +26,14 @@ matrix, in real arithmetic; complex values are split into their real and
 imaginary parts.  The smeared coefficients sum only over the support span of
 the test function: the contiguous time rows holding every non-zero sample,
 padded by one zero row on each side where the grid has one, over which the
-trapezoid sum equals the full-grid sum up to summation order.  The same pass
-over the rows checks that the grid covers the support (the end rows are at
-most 1e-10 of the peak).  The mode projection of real test functions is a
-real (n_span, M+1) array, and for real input fhat^-_m = conj(fhat^+_m)
-exactly, so only fhat^+ is transformed and stored.
+trapezoid sum equals the full-grid sum up to summation order.  The samples
+are taken and projected on the modes in blocks of time rows of at most 2^18
+entries, each block keeping its row peaks, from which the span and the check
+that the grid covers the support (the end rows are at most 1e-10 of the
+peak) are read; a bulk test function given as a callable is never sampled on
+the whole space-time grid.  The mode projection of real test functions is a
+real (n_t, M+1) array, and for real input fhat^-_m = conj(fhat^+_m) exactly,
+so only fhat^+ is transformed and stored.
 """
 
 from __future__ import annotations
@@ -526,66 +529,100 @@ class SmearedCoefficients:
         return 2.0 * np.abs(self.f_plus) ** 2
 
 
-def _time_support(values: np.ndarray, what: str) -> slice:
-    """Rows of the real samples ``values`` (n_t, ...) that a trapezoid in time
-    must sum: the contiguous span holding every non-zero row, padded by one
+def _project_rows(rows, n_t: int, matrix: np.ndarray, what: str
+                  ) -> tuple[np.ndarray, slice]:
+    """Projection ``samples @ matrix`` of the real samples (n_t, n_cols) that
+    ``rows(i, j)`` returns for the rows i .. j - 1, and the span of rows a
+    trapezoid in time must sum.
+
+    The samples come in the absolute row blocks [i, i + b), b =
+    _BLOCK_ENTRIES // n_cols, so at most 2^18 of them exist at once.  Each
+    block keeps its per-row peaks and multiplies only its rows from the first
+    to the last non-zero one; every other row of the projection stays zero.
+    The span is the contiguous run holding every non-zero row, padded by one
     zero row on each side where the grid has one, so that the sum over the
-    span equals the sum over the grid.  An all-zero input gives the empty span
-    slice(n_t, 0).  Raises ValueError for complex samples and when the first
-    or last row exceeds 1e-10 of the peak: the grid then does not cover the
-    support."""
-    if np.iscomplexobj(values):
-        raise ValueError(f"{what} must be real")
-    rows = values.reshape(values.shape[0], -1)
-    peaks = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+    span equals the sum over the grid; all-zero samples give the empty span
+    slice(n_t, 0).  Raises ValueError for complex samples, for a block of the
+    wrong shape, and when the first or last row exceeds 1e-10 of the peak:
+    the grid then does not cover the support."""
+    n_cols = matrix.shape[0]
+    step = max(1, _BLOCK_ENTRIES // n_cols)
+    peaks = np.zeros(n_t)
+    out = np.zeros((n_t, matrix.shape[1]))
+    for i in range(0, n_t, step):
+        j = min(i + step, n_t)
+        block = np.asarray(rows(i, j))
+        if np.iscomplexobj(block):
+            raise ValueError(f"{what} must be real")
+        if block.shape != (j - i, n_cols):
+            raise ValueError(f"{what} gave samples of shape {block.shape} for "
+                             f"{j - i} times, expected ({j - i}, {n_cols})")
+        peaks[i:j] = np.maximum(block.max(axis=1), -block.min(axis=1))
+        nonzero = np.flatnonzero(peaks[i:j])
+        if nonzero.size:
+            a, b = nonzero[0], nonzero[-1] + 1
+            out[i + a:i + b] = block[a:b] @ matrix
+        # freed before the next block is made, so that the allocator reuses
+        # its memory: two live blocks grow the heap past glibc's trim
+        # threshold and each block then faults in fresh pages
+        del block
     nonzero = np.flatnonzero(peaks)
     if nonzero.size == 0:
-        return slice(rows.shape[0], 0)
+        return out, slice(n_t, 0)
     if max(peaks[0], peaks[-1]) > 1e-10 * peaks.max():
         raise ValueError(f"time grid does not cover the support of {what}")
-    return slice(max(nonzero[0] - 1, 0), min(nonzero[-1] + 2, rows.shape[0]))
+    return out, slice(max(nonzero[0] - 1, 0), min(nonzero[-1] + 2, n_t))
 
 
-def smeared_coeffs(f_bulk: np.ndarray | None, f_bdy: np.ndarray | None,
-                   table: ModeTable, time_grid: np.ndarray, grid=None
-                   ) -> SmearedCoefficients:
+def smeared_coeffs(f_bulk, f_bdy: np.ndarray | None, table: ModeTable,
+                   time_grid: np.ndarray, grid=None) -> SmearedCoefficients:
     """fhat^+-_m = (2 pi)^(-1/2) int dt <Phi_m, (f(t), f|(t))> e^(+-i w_m t).
 
-    ``f_bulk`` is (n_t, n_nodes) on ``grid``; ``f_bdy`` is (n_t, 2) with the
-    component at -S first.  Both are real (ValueError otherwise) and must
-    vanish at the ends of ``time_grid``.  The projection on the modes is
-    formed as a real array on the union of their support spans only, and the
-    time integral is ``fourier_trapezoid`` over that span.  Only fhat^+ is
-    stored; fhat^- is its complex conjugate (``SmearedCoefficients.f_minus``).
-    All-zero samples give zero coefficients.
+    ``f_bulk`` is (n_t, n_nodes) samples on ``grid``, or a vectorized
+    callable f(t, z) that is sampled there one block of time rows at a time;
+    ``f_bdy`` is (n_t, 2) with the component at -S first.  Both are real
+    (ValueError otherwise) and must vanish at the ends of ``time_grid``.  The
+    samples are projected on the modes in blocks of at most 2^18 samples
+    (``_project_rows``), the same absolute blocks for an array and a callable,
+    so the two give the same bits and a callable never builds the
+    n_t x n_nodes array: the memory is O(2^18 + n_t (M + 1)).  The time
+    integral is ``fourier_trapezoid`` over the union of the support spans.
+    Only fhat^+ is stored; fhat^- is its complex conjugate
+    (``SmearedCoefficients.f_minus``).  All-zero samples give zero
+    coefficients.
     """
     p = table.params
     time_grid = np.asarray(time_grid, dtype=float)
     n_t = time_grid.shape[0]
-    lo, hi = n_t, 0
+    projections = []
     if f_bulk is not None:
-        f_bulk = np.asarray(f_bulk)
         if grid is None:
             raise ValueError("bulk smearing requires the spatial grid")
-        if f_bulk.shape != (n_t, grid.n_nodes):
-            raise ValueError(f"bulk samples have shape {f_bulk.shape}, "
-                             f"expected ({n_t}, {grid.n_nodes})")
-        span = _time_support(f_bulk, "the bulk test function")
-        lo, hi = min(lo, span.start), max(hi, span.stop)
+        if callable(f_bulk):
+            z = grid.nodes
+            rows = lambda i, j: f_bulk(time_grid[i:j, None], z[None, :])
+        else:
+            f_bulk = np.asarray(f_bulk)
+            if f_bulk.shape != (n_t, grid.n_nodes):
+                raise ValueError(f"bulk samples have shape {f_bulk.shape}, "
+                                 f"expected ({n_t}, {grid.n_nodes})")
+            rows = lambda i, j: f_bulk[i:j]
+        matrix = grid.quad_weights()[:, None] * mode_matrix(table, grid)
+        projections.append(_project_rows(rows, n_t, matrix, "the bulk test function"))
     if f_bdy is not None:
         f_bdy = np.asarray(f_bdy)
         if f_bdy.shape != (n_t, 2):
             raise ValueError(f"boundary samples have shape {f_bdy.shape}, "
                              f"expected ({n_t}, 2)")
-        span = _time_support(f_bdy, "the boundary test function")
-        lo, hi = min(lo, span.start), max(hi, span.stop)
+        A, span = _project_rows(lambda i, j: f_bdy[i:j], n_t,
+                                table.boundary_values().T, "the boundary test function")
+        projections.append((p.c * A, span))
+    lo = min((span.start for _, span in projections), default=n_t)
+    hi = max((span.stop for _, span in projections), default=0)
     t = time_grid[lo:hi]
     A = np.zeros((t.size, len(table)))
-    if f_bulk is not None:
-        V = mode_matrix(table, grid)
-        A += f_bulk[lo:hi] @ (grid.quad_weights()[:, None] * V)
-    if f_bdy is not None:
-        A += p.c * (f_bdy[lo:hi] @ table.boundary_values().T)
+    for part, _ in projections:
+        A += part[lo:hi]
     return SmearedCoefficients(f_plus=fourier_trapezoid(A, t, table.omegas()))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.signal import find_peaks, hilbert
 
+from wentzell.acceptance import criterion_10_holographic_identity
 from wentzell.core import GeometryError, Grid1D, HalfSpace, PhysicalParams, Strip
 from wentzell import holo
 from wentzell.holo import (_SAMPLES_PER_BUMP, BumpOverlapError, FreqExtension,
@@ -270,6 +272,67 @@ def test_dual_takes_the_strip_from_the_table():
     assert img.table is table
     assert (img.metadata["S"], img.metadata["c"], img.metadata["mu"]) == (0.5, 0.7, 1.3)
     assert np.array_equal(img.t_grid, np.linspace(-2.0, 2.0, 256))
+
+
+def _recording(f):
+    """f, and the list of the sample counts of its calls."""
+    sizes = []
+
+    def rec(t, z):
+        out = f(t, z)
+        sizes.append(np.size(out))
+        return out
+    return rec, sizes
+
+
+def _halfspace_f(t, z):
+    return np.exp(-(t**2) / (2 * 0.3**2)) * np.exp(-((z - 0.8) ** 2) / (2 * 0.15**2))
+
+
+def test_duals_sample_f_in_blocks_of_at_most_2_18(table, image, fig2):
+    # each row of the time grid is sampled once, and no call of f makes more
+    # than 2^18 samples; the images are those of f passed as it is
+    rec, sizes = _recording(gauss_f)
+    img = holographic_dual(rec, table, t_span=4.0, n_out=1024)
+    assert np.array_equal(img.fprime, image.fprime)
+    assert len(sizes) > 1 and max(sizes) <= 2**18 and sum(sizes) == 2049 * 1025
+    fig2_image, _ = fig2
+    rec, sizes = _recording(fig2_test_function)
+    img = holographic_dual(rec, fig2_image.table, t_span=12.0, n_t=3073, n_out=12288)
+    assert np.array_equal(img.fprime, fig2_image.fprime)
+    assert len(sizes) > 1 and max(sizes) <= 2**18 and sum(sizes) == 3073 * 1025
+    p = PhysicalParams(c=1.0, mu=1.0, geometry=HalfSpace())
+    q_grid, t = np.linspace(0.0, 12.0, 241), np.linspace(-4.0, 4.0, 1601)
+    grid = Grid1D.for_halfspace(4.0, 1024)
+    rec, sizes = _recording(_halfspace_f)
+    dual = halfspace_dual(rec, p, q_grid, t, grid)
+    assert np.array_equal(dual.fhat_pos, halfspace_dual(_halfspace_f, p, q_grid, t, grid).fhat_pos)
+    assert len(sizes) > 1 and max(sizes) <= 2**18 and sum(sizes) == 1601 * 1025
+
+
+def test_dual_checks_the_support_and_reality_of_f(table):
+    # gauss_f has width 0.25 in t: on [-0.3, 0.3] its end rows are exp(-0.72)
+    # of its peak
+    with pytest.raises(ValueError, match="does not cover the support"):
+        holographic_dual(gauss_f, table, t_span=0.3, n_out=256)
+    with pytest.raises(ValueError, match="must be real"):
+        holographic_dual(lambda t, z: gauss_f(t, z) * (1.0 + 0.5j), table, t_span=4.0,
+                         n_out=256)
+
+
+def test_smearing_memory_is_bounded_by_its_blocks():
+    # with the whole n_t x 1025 sample array the traced peaks were 26.7 MB
+    # (fig2) and 20.3 MB (criterion 10); a block holds at most 2 MB.  The
+    # untraced first call keeps one-time import allocations out of the peak.
+    for run in (fig2_reproduce, criterion_10_holographic_identity):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, (run.__name__, peak)
 
 
 def test_dual_energy_warning(table):

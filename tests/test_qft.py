@@ -577,6 +577,35 @@ def test_smeared_coeffs_matches_untrimmed_reference(table20, support):
         assert np.max(np.abs(co.f_minus - ref_m)) <= 1e-13 * scale
 
 
+def test_smeared_blocks_cross_the_support(table20, monkeypatch):
+    # blocks of 5 time rows: the fig2 bump's 127 non-zero rows of 769 cross
+    # 26 blocks and most blocks hold none.  The array and the callable it was
+    # sampled from give the same bits, and both match the one-product
+    # reference.
+    from wentzell.core import Grid1D
+    from wentzell.holo import fig2_test_function
+    grid = Grid1D.for_strip(1.0, 256)
+    t = np.linspace(-3.0, 3.0, 769)
+    f_bulk = fig2_test_function(t[:, None], grid.nodes[None, :])
+    monkeypatch.setattr(qft, "_BLOCK_ENTRIES", 5 * grid.n_nodes + 3)
+    sizes = []
+
+    def f(tt, z):
+        sizes.append(np.size(np.broadcast(tt, z)))
+        return fig2_test_function(tt, z)
+
+    co = smeared_coeffs(f_bulk, None, table20, t, grid)
+    assert np.array_equal(smeared_coeffs(f, None, table20, t, grid).f_plus, co.f_plus)
+    assert max(sizes) == 5 * grid.n_nodes and sum(sizes) == f_bulk.size
+    ref_p, _ = _smeared_reference(f_bulk, None, table20, t, grid)
+    assert np.max(np.abs(co.f_plus - ref_p)) <= 1e-13 * np.max(np.abs(ref_p))
+    # non-zero in the last row of the last block only: the grid misses the support
+    last = np.zeros_like(f_bulk)
+    last[-1] = f_bulk[384]
+    with pytest.raises(ValueError, match="support of the bulk test function"):
+        smeared_coeffs(last, None, table20, t, grid)
+
+
 def test_smeared_zero_samples_give_zero_coefficients(table20, tgrid):
     from wentzell.core import Grid1D
     grid = Grid1D.for_strip(1.0, 64)
