@@ -154,7 +154,9 @@ def load_or_build_table(p: PhysicalParams, M_max: int,
 def write_csv(path: Path, header: dict, columns: list[str], rows: np.ndarray):
     lines = [f"# {k} = {v}" for k, v in header.items()]
     lines.append(",".join(columns))
-    lines += (",".join(map(repr, r)) for r in np.atleast_2d(rows).tolist())
+    # each column is formatted in one pass; the bytes are those of a per-row repr
+    cells = [map(repr, col) for col in np.atleast_2d(rows).T.tolist()]
+    lines += map(",".join, zip(*cells))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -92,6 +92,7 @@ of an interval, and ``causality_probe`` over the nodes outside its cone.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -102,8 +103,9 @@ from .modes import ModeTable, synthesize
 
 
 class CflError(ValueError):
-    """CFL factor outside (0, 1]: the time step dt = cfl * h is not positive
-    or violates the stability bound dt <= h."""
+    """CFL factor outside (0, 1] or above 1 / sqrt(1 + (mu h / 2)^2): the
+    time step dt = cfl * h is not positive or violates the stability bound
+    dt^2 (4/h^2 + mu^2) <= 4 of the interior leapfrog."""
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +284,20 @@ def make_fdtd_state(data: CauchyData, p: PhysicalParams, cfl: float = 0.5) -> Fd
     with the leapfrog operator S(phi) = 2 phi + dt^2 acc(phi) of ``fdtd_run``.
     The bulk endpoint samples are overwritten by the boundary values (they are
     one unknown).  The time step is dt = cfl * h.  This is the one place that
-    holds the stability bound dt <= h: CflError (a ValueError) unless
-    0 < cfl <= 1."""
+    holds the stability bound of the interior leapfrog, dt^2 (4/h^2 + mu^2) <= 4,
+    which is dt <= h at mu = 0: CflError (a ValueError) unless 0 < cfl <= 1
+    and cfl <= 1 / sqrt(1 + (mu h / 2)^2)."""
     if not isinstance(p.geometry, Strip):
         raise GeometryError("the FDTD engine integrates the strip geometry")
     if not 0 < cfl <= 1:
         raise CflError(f"CFL factor must be in (0, 1] (dt <= h), got cfl={cfl}")
     grid = data.position.grid
     h = grid.h
+    cfl_max = 1.0 / math.hypot(1.0, p.mu * h / 2.0)
+    if cfl > cfl_max:
+        raise CflError(f"cfl={cfl} breaks the leapfrog bound dt^2 (4/h^2 + mu^2) <= 4 "
+                       f"at mu = {p.mu:g}, h = {h:g}; the largest stable --cfl is "
+                       f"{cfl_max!r}")
     dt = cfl * h
     phi0 = np.array(data.position.bulk, dtype=float)
     v0 = np.array(data.velocity.bulk, dtype=float)

@@ -15,10 +15,13 @@ against the partial sum.  The values are therefore bitwise those of the sum
 over all M + 1 modes, which is taken instead wherever the bound fails.  The
 d = 2 commutator's J_0 terms do not decay, so it sums every mode.
 
-The half-space integrals over q are composite Gauss-Legendre rules in numpy:
-the two-point function after the substitution q = mu sinh s, evaluated for
-all times as one matrix product with a two-resolution error estimate, and the
-weight normalization after q = sinh(s) / c.  No adaptive quadrature is used.
+The half-space integrals over q are one composite Gauss-Legendre rule in
+numpy, on given panel edges: the two-point function after the substitution
+q = mu sinh s, on panels graded toward the weight's pole near s = 0 and
+capped in phase, evaluated for all times as products of cos and sin of one
+real phase matrix with a two-resolution error estimate, and the weight
+normalization after q = sinh(s) / c on unit panels.  No adaptive quadrature
+is used.
 
 Every time-Fourier integral is ``fourier_trapezoid``: trapezoid weights of the
 (possibly non-uniform) time grid against cos(t k) and sin(t k) of one phase
@@ -38,6 +41,7 @@ so only fhat^+ is transformed and stored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,24 +311,28 @@ def halfspace_weight(q, c: float) -> np.ndarray:
 
 # Composite Gauss-Legendre rules for the half-space integrals over q in [0, inf).
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_NORM_S_END = 40.0      # sech tail beyond it: 4 e^-40 / (pi c) < 2e-17 / c
-_NORM_PANELS = 40
+# unit panels of s in [0, 40]; the sech tail beyond: 4 e^-40 / (pi c) < 2e-17 / c
+_NORM_EDGES = np.linspace(0.0, 40.0, 41)
 # |c * normalization - 1| bound of the half-space weight check; measured at
 # most 2.2e-16 for c from 1e-3 to 1e4
 _HALFSPACE_NORM_TOL = 1e-13
 _HALFSPACE_RTOL = 1e-10  # two-resolution estimate, relative to W(0)
+# Largest phase of e^(-i omega x0), in radians, that one panel of the
+# two-point rule spans.  The 16-point rule integrates e^(i k x) over a span of
+# 16 rad to rounding and of 24 rad to 1.6e-11 of the span; the rule with
+# every panel halved then spans at most 12 rad.
+_HALFSPACE_PHASE = 24.0
 _HALFSPACE_MAX_PANELS = 2**14
 _BLOCK_ENTRIES = 2**18   # matrix entries per block of modes (strip) or x0 rows
 
 
-def _composite_gauss_legendre(a: float, b: float, panels: int
-                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 16-point Gauss-Legendre rule on each of
-    ``panels`` equal panels of [a, b]."""
-    half = 0.5 * (b - a) / panels
-    mids = a + half * (2 * np.arange(panels) + 1)
-    nodes = (mids[:, None] + half * _GL_NODES).ravel()
-    return nodes, np.tile(half * _GL_WEIGHTS, panels)
+def _composite_gauss_legendre(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 16-point Gauss-Legendre rule on each panel
+    [edges[i], edges[i + 1]] of increasing ``edges``."""
+    half = 0.5 * np.diff(edges)
+    mids = edges[:-1] + half
+    return ((mids[:, None] + half[:, None] * _GL_NODES).ravel(),
+            (half[:, None] * _GL_WEIGHTS).ravel())
 
 
 def halfspace_weight_normalization(c: float) -> float:
@@ -332,21 +340,58 @@ def halfspace_weight_normalization(c: float) -> float:
 
     With q = sinh(s) / c the integrand becomes (2 / (pi c)) sech s, which the
     composite Gauss-Legendre rule integrates over s in [0, 40]."""
-    s, ws = _composite_gauss_legendre(0.0, _NORM_S_END, _NORM_PANELS)
+    s, ws = _composite_gauss_legendre(_NORM_EDGES)
     return float(np.sum(ws * halfspace_weight(np.sinh(s) / c, c) * np.cosh(s)) / c)
 
 
-def _halfspace_sum(x0: np.ndarray, mu: float, c: float, s_max: float, panels: int
+def _halfspace_edges(mu: float, c: float, q_max: float, x0_max: float) -> np.ndarray:
+    """Panel edges in s of the two-point rule on [0, asinh(q_max / mu)].
+
+    The union of three layouts, so that every panel keeps all three limits:
+    - widths doubling from the distance asin(min(1, 1 / (c mu))) of the
+      weight's nearest pole, s = i asin(1 / (c mu)) when c mu > 1, to the
+      real axis, up to s = 1: each panel near s = 0 is as far from the pole
+      as it is wide;
+    - widths of at most 1;
+    - equal steps of at most 24 / x0_max in q = mu sinh s.  Since
+      d omega / dq = q / omega < 1, each panel spans a phase
+      mu (cosh b - cosh a) x0_max of at most 24 rad.  Equal steps of the
+      phase itself would leave the panels near s = 0, where the phase is
+      quadratic in s, with twice the mean rate at their right ends.
+    Raises RuntimeError when the rule with every panel halved would need more
+    than 2^14 panels, before the phase layout is built."""
+    panels = x0_max * q_max / _HALFSPACE_PHASE  # of the phase layout alone
+    if panels <= _HALFSPACE_MAX_PANELS / 2:
+        s_max = math.asinh(q_max / mu)
+        pole = math.asin(min(1.0, 1.0 / (c * mu)))
+        graded = pole * 2.0 ** np.arange(math.ceil(-math.log2(pole)))
+        n = math.ceil(panels)
+        steps = np.arcsinh(q_max / mu * np.arange(1, n) / n)
+        edges = np.unique(np.concatenate(
+            ([0.0, s_max], graded[graded < s_max], np.arange(1.0, s_max), steps)))
+        panels = edges.size - 1
+        if 2 * panels <= _HALFSPACE_MAX_PANELS:
+            return edges
+    raise RuntimeError(
+        f"half-space quadrature did not converge: the layout's {panels:.4g} panels of "
+        f"at most {_HALFSPACE_PHASE:g} rad, halved, would exceed {_HALFSPACE_MAX_PANELS} "
+        f"(max|x0| = {x0_max:g}, q_max = {q_max:g})")
+
+
+def _halfspace_sum(x0: np.ndarray, mu: float, c: float, edges: np.ndarray
                    ) -> tuple[np.ndarray, float]:
-    """int_0^s_max ds w(mu sinh s) e^(-i mu cosh(s) x0) / 2 at every x0 by the
-    composite rule, and the same integral at x0 = 0, which bounds |W(x0)|."""
-    s, ws = _composite_gauss_legendre(0.0, s_max, panels)
+    """int ds w(mu sinh s) e^(-i mu cosh(s) x0) / 2 over the panels ``edges``
+    at every x0 by the composite rule, and the same integral at x0 = 0, which
+    bounds |W(x0)|."""
+    s, ws = _composite_gauss_legendre(edges)
     amp = ws * halfspace_weight(mu * np.sinh(s), c) / 2.0
-    phase = -1j * mu * np.cosh(s)
+    omega = mu * np.cosh(s)
     out = np.empty(x0.size, dtype=complex)
     rows = max(1, _BLOCK_ENTRIES // s.size)
     for i in range(0, x0.size, rows):
-        out[i:i + rows] = np.exp(np.outer(x0[i:i + rows], phase)) @ amp
+        phase = np.outer(x0[i:i + rows], omega)
+        out.real[i:i + rows] = np.cos(phase) @ amp
+        out.imag[i:i + rows] = -(np.sin(phase) @ amp)
     return out, float(np.sum(amp))
 
 
@@ -360,13 +405,16 @@ def boundary_2pt_halfspace(x0, x, p, q_max: float) -> TwoPointResult:
     half-space parameters ``p`` with d = 1 and mu > 0 and a finite q_max > 0.
     The d = 1 boundary has no spatial direction, so ``x`` must be 0.  With
     q = mu sinh s the integrand is w(mu sinh s) e^(-i mu cosh(s) x0) / 2, with
-    no edge singularity, and composite 16-point Gauss-Legendre rules in s are
-    applied to all x0 at once.  The panel count starts from the largest phase
-    rate max|x0| q_max (at most 2 radians per node) and doubles until a rule
-    and the rule with twice its panels agree to 1e-10 of W(0) >= |W(x0)|; the
-    finer rule is returned with their largest difference as ``quad_error``.
-    Raises RuntimeError when 2^14 panels do not meet that tolerance, and
-    GeometryError unless ``p`` is a half-space."""
+    no edge singularity, and a composite 16-point Gauss-Legendre rule in s is
+    applied to all x0 at once.  Its panels are graded toward s = 0 from the
+    distance of the weight's pole to the real axis, at most 1 wide, and span
+    at most 24 radians of phase at max|x0| (``_halfspace_edges``).  The rule
+    and the rule with every panel halved must agree to 1e-10 of
+    W(0) >= |W(x0)|; on a miss the panels are halved again and the finer sum
+    becomes the next coarse one.  The finer rule is returned with their
+    largest difference as ``quad_error``.  Raises RuntimeError when 2^14
+    panels do not meet that tolerance, checked first against the panels the
+    layout needs, and GeometryError unless ``p`` is a half-space."""
     _check_halfspace(p, "the half-space two-point function")
     if p.mu <= 0:
         raise ValueError("mu > 0 required for the half-space two-point function")
@@ -377,25 +425,22 @@ def boundary_2pt_halfspace(x0, x, p, q_max: float) -> TwoPointResult:
     _check_no_separation(x)
     x0 = _finite_x0(x0)
     flat = x0.ravel()
-    s_max = float(np.arcsinh(q_max / p.mu))
-    phase_span = float(np.max(np.abs(flat), initial=0.0)) * q_max * s_max
-    panels = 16
-    while panels < phase_span / 32.0 and panels < _HALFSPACE_MAX_PANELS // 2:
-        panels *= 2
-    fine, _ = _halfspace_sum(flat, p.mu, p.c, s_max, panels)
+    x0_max = float(np.max(np.abs(flat), initial=0.0))
+    edges = _halfspace_edges(p.mu, p.c, float(q_max), x0_max)
+    fine, _ = _halfspace_sum(flat, p.mu, p.c, edges)
     while True:
         coarse = fine
-        panels *= 2
-        fine, scale = _halfspace_sum(flat, p.mu, p.c, s_max, panels)
+        edges = np.insert(edges, range(1, edges.size), 0.5 * (edges[:-1] + edges[1:]))
+        fine, scale = _halfspace_sum(flat, p.mu, p.c, edges)
         err = float(np.max(np.abs(fine - coarse), initial=0.0))
-        if err <= _HALFSPACE_RTOL * scale or panels >= _HALFSPACE_MAX_PANELS:
+        panels = edges.size - 1
+        if err <= _HALFSPACE_RTOL * scale or 2 * panels > _HALFSPACE_MAX_PANELS:
             break
     if not err <= _HALFSPACE_RTOL * scale:
         raise RuntimeError(
             f"half-space quadrature did not converge: two-resolution error estimate "
             f"{err:.3e} > {_HALFSPACE_RTOL:g} * W(0) = {_HALFSPACE_RTOL * scale:.3e} "
-            f"at {panels} panels (max|x0| = {np.max(np.abs(flat)):g}, "
-            f"q_max = {q_max:g})")
+            f"at {panels} panels (max|x0| = {x0_max:g}, q_max = {q_max:g})")
     val = fine.reshape(x0.shape)
     tail = 1.0 / (np.pi * p.c**2 * p.mu * q_max)
     return TwoPointResult(value=val if val.shape else complex(val), tail_bound=tail,

@@ -17,7 +17,7 @@ from wentzell.cli import main, table_from_json, table_to_json
 from wentzell.evolve import energy, fdtd_samples, make_fdtd_state
 from wentzell.holo import FreqExtension
 from wentzell.modes import build_table
-from wentzell.qft import strip_tail_bound
+from wentzell.qft import _HALFSPACE_PHASE, strip_tail_bound
 from wentzell.core import CauchyData, Grid1D, PhysicalParams, Strip
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -306,8 +306,15 @@ def test_evolve_gaussian(tmp_path, capsys):
     assert f"energy drift over the run: {drift}" in printed
 
 
-def test_evolve_cfl_validation(tmp_path):
+def test_evolve_cfl_validation(tmp_path, capsys):
     assert main(["evolve", "--cfl", "1.5", "--out", str(tmp_path / "x.csv")]) == 1
+    # the mass tightens the bound: dt^2 (4/h^2 + mu^2) <= 4 at h = 2/1024
+    args = ["evolve", "--mu", "1e4", "--T", "0.1", "--out", str(tmp_path / "m.csv")]
+    assert main(args) == 1
+    assert not (tmp_path / "m.csv").exists()
+    largest = capsys.readouterr().err.rsplit("the largest stable --cfl is ", 1)[1].strip()
+    assert float(largest) == pytest.approx(1.0 / np.hypot(1.0, 1e4 / 1024), rel=1e-15)
+    assert main(args + ["--cfl", largest]) == 0
 
 
 @pytest.mark.parametrize("extra, start", [(["--T", "0"], "0"),
@@ -370,6 +377,19 @@ def test_evolve_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_write_csv_matches_the_per_row_format(tmp_path):
+    # the column pass writes the bytes of one repr join per row: floats,
+    # holo's object array with an integer m column, and a single row
+    rng = np.random.default_rng(3)
+    floats = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3))
+    holo = np.column_stack([np.arange(7).astype(object), rng.random(7), -rng.random(7)])
+    path = tmp_path / "t.csv"
+    for rows in (floats, holo, np.array([1.5, -0.0, 5e-324])):
+        cli.write_csv(path, {"k": 1}, ["a", "b", "c"], rows)
+        per_row = [",".join(map(repr, r)) for r in np.atleast_2d(rows).tolist()]
+        assert path.read_text() == "\n".join(["# k = 1", "a,b,c"] + per_row) + "\n"
+
+
 def test_twopoint_halfspace(tmp_path):
     out = tmp_path / "hs.csv"
     code = main(["twopoint", "--geometry", "halfspace", "--mu", "1",
@@ -381,23 +401,30 @@ def test_twopoint_halfspace(tmp_path):
 
 
 def test_twopoint_halfspace_reports_its_quadrature(tmp_path):
-    out = tmp_path / "hs.csv"
-    assert main(["twopoint", "--geometry", "halfspace", "--x0-max", "50",
-                 "--n-x0", "11", "--out", str(out)]) == 0
-    rep = json.loads(out.with_suffix(".report.json").read_text())
-    assert rep["quad_error"] <= 1e-10 / np.pi  # the tolerance times W(0) = 1/pi
-    assert rep["quad_panels"] >= 2048
-    _, data = read_csv(out)
-    assert data.shape == (11, 3) and np.all(np.isfinite(data))
+    # --c 10000 puts the weight's pole 1e-4 from the real s axis
+    for c, x0_max in ((1.0, 50.0), (10000.0, 5.0)):
+        out = tmp_path / f"hs{c:g}.csv"
+        assert main(["twopoint", "--geometry", "halfspace", "--c", str(c),
+                     "--x0-max", str(x0_max), "--n-x0", "11", "--out", str(out)]) == 0
+        rep = json.loads(out.with_suffix(".report.json").read_text())
+        _, data = read_csv(out)
+        assert data.shape == (11, 3) and np.all(np.isfinite(data))
+        assert rep["quad_error"] <= 1e-10 * data[0, 1]  # the tolerance times W(0)
+        # no panel spans more than the phase cap at mu = 1, q_max = 200
+        assert rep["quad_panels"] * _HALFSPACE_PHASE >= (np.hypot(1.0, 200.0) - 1.0) * x0_max
 
 
 def test_twopoint_halfspace_unresolved_exits_2_without_csv(tmp_path, capsys):
+    # both layouts exceed the panel cap, which is checked before any sum and,
+    # at 1e300, before any overflow (RuntimeWarning is an error under pytest)
     out = tmp_path / "hs.csv"
-    assert main(["twopoint", "--geometry", "halfspace", "--x0-max", "1000",
-                 "--q-max", "1000", "--n-x0", "11", "--out", str(out)]) == 2
-    assert "did not converge" in capsys.readouterr().err
-    assert not out.exists()
-    assert not out.with_suffix(".report.json").exists()
+    for extra in (["--x0-max", "1000", "--q-max", "1000"], ["--x0-max", "1e300"]):
+        assert main(["twopoint", "--geometry", "halfspace", "--n-x0", "11",
+                     "--out", str(out)] + extra) == 2
+        err = capsys.readouterr().err
+        assert "did not converge" in err and "would exceed 16384" in err
+        assert not out.exists()
+        assert not out.with_suffix(".report.json").exists()
 
 
 def _scipy_modules_after(code: str, cwd: Path) -> list[str]:

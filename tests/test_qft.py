@@ -165,6 +165,43 @@ def test_halfspace_2pt_matches_quad_within_its_error():
             assert abs(val - ref) <= err
 
 
+def _q_domain_reference(x0, p, q_max):
+    """W(x0) by the 16-point Gauss-Legendre rule directly in q, with
+    np.exp in place of the cos/sin pair: panels doubling from the distance
+    min(1/c, mu) of the integrand's nearest singularity (the weight's pole at
+    q = i/c, the branch point of omega at q = i mu) up to the width h, then
+    panels of width h <= 8 / max|x0|, each spanning at most 8 rad of phase."""
+    x0_max = np.max(np.abs(x0))
+    h = min(1.0, q_max, 8.0 / x0_max if x0_max else 1.0)
+    near = min(1.0 / p.c, p.mu)
+    graded = near * 2.0 ** np.arange(int(np.ceil(np.log2(h / near)))) if near < h else []
+    start = graded[-1] if len(graded) else 0.0
+    edges = np.concatenate(([0.0], graded, np.arange(start + h, q_max, h), [q_max]))
+    g, gw = np.polynomial.legendre.leggauss(16)
+    half = np.diff(edges)[:, None] / 2
+    q = (edges[:-1, None] + half * (1 + g)).ravel()
+    w = np.sqrt(p.mu**2 + q**2)
+    amp = (half * gw).ravel() * halfspace_weight(q, p.c) / (2 * w)
+    return np.exp(-1j * np.outer(x0, w)) @ amp
+
+
+@pytest.mark.parametrize("c", [1e-3, 0.1, 1.0, 1e3, 1e4, 1e5])
+@pytest.mark.parametrize("mu", [0.01, 1.0, 2.0])
+def test_halfspace_2pt_matches_graded_q_domain_rule(c, mu):
+    # the graded panels in s against an independent rule in q, with the pole
+    # from pi/2 to 5e-6 off the real s axis, up to 10^4 rad of phase, q_max = 1
+    # and x0 = 0
+    p = PhysicalParams(c=c, mu=mu, geometry=HalfSpace())
+    for q_max, x0_max in ((200.0, 5.0), (2000.0, 5.0), (200.0, 50.0), (1.0, 5.0),
+                          (200.0, 0.0)):
+        x0 = np.linspace(-x0_max, x0_max, 21)
+        res = boundary_2pt_halfspace(x0, 0.0, p, q_max)
+        ref = _q_domain_reference(x0, p, q_max)
+        w0 = ref[10].real  # W(0) >= |W(x0)|
+        assert np.max(np.abs(res.value - ref)) <= 1e-12 * w0, (q_max, x0_max)
+        assert res.quad_error <= 1e-10 * w0, (q_max, x0_max)
+
+
 def test_halfspace_2pt_scalar_equals_array_row():
     res = boundary_2pt_halfspace(np.array([0.0, 1.5, -0.7]), 0.0, HS1, 200.0)
     assert res.value.shape == (3,)
