@@ -31,47 +31,66 @@ every given number of steps and after the last, each interval one
 stepping loop), so callers that follow the boundary or sample a run do not
 step from Python.
 
-Blocked stepping.  The scheme propagates at a finite speed, one cell per
-step, so K steps form one fixed linear map in which each node reaches
-exactly K cells.  At nodes at least K cells from both ends only the bulk
-stencil acts, and the map is Toeplitz there; only the K nodes next to each
-boundary carry the closure.  Every interval between two samples therefore
-advances in blocks of 1 <= K <= 32 steps (K <= (N - 1)/2 on a grid of N
-nodes), each block one precomputed map applied with BLAS: two block-Toeplitz
-GEMMs for the interior, and one small dense product that gives the K nodes
-at both ends (the closure is mirror-symmetric) and the boundary value after
-every step.
+Blocked stepping.  Every interval between two samples advances in blocks of
+1 <= K <= 32 steps (K <= (N - 1)/2 on a grid of N nodes).  The leapfrog is
+time-reversible, phi_(n+1) + phi_(n-1) = S phi_n, so the Chebyshev product
+identity 2 T_m T_n = T_(m+n) + T_|m-n| gives the K-stride leapfrog
 
-The blocks work in difference form, x = phi and d = phi - phi_prev, one step
-being d += (S - 2) x, x += d.  The padded (x, d) buffer is made once per
-run and persists across samples; a sample only materializes phi = x and
-phi_prev = x - d, so a sampled run does not round-trip (x, d) through
-(phi, phi_prev) at every sample.  In level form, (phi, phi_prev) ->
-(phi_(n+K), phi_(n+K-1)), the map's entries grow to about K and cancel, and
-their rounding grows with them.  The d-from-x sums nearly vanish (they are the mass term), so
-the rounding of those sums, the same in every block, would add up; each
-row's sums are therefore reset to the response to the constant fields,
-stepped in extended precision (``_block_operators``).  Distance from a
-long-double run of the same scheme, relative to max|phi| (Gaussian of width
-0.1 at z = -0.6, c = mu = 1, CFL 0.5):
+    phi_(n+K) + phi_(n-K) = C phi_n,    C = 2 T_K(S/2),
 
-    run                         level    difference blocks
-                                blocks   raw      sums reset
-    1 025 nodes, 3 000 steps,   1.4e-11  3.6e-13  1.1e-13
-      one call
-    8 193 nodes, 5 000 steps,   1.2e-10  1.3e-10  1.5e-12
-      40-step calls
-    the same, one run sampled                     1.5e-12
-      every 40 steps
-    1 025 nodes, 2 048 steps,                     9.5e-15
-      one run sampled every step
-    the same, sampled every                       2.6e-13
-      5 steps
+for the whole operator S, closure rows included.  The scheme propagates one
+cell per step, so at nodes at least K cells from both ends only the bulk
+stencil reaches, and C is one (2K + 1)-tap kernel there; its taps come from
+the Chebyshev recurrence of the 3-tap stencil in long double
+(``_stride_operators``).  The identity is linear, so it holds for the
+difference d = phi - phi_prev as for x = phi.  A run keeps two padded
+(x, d) buffers, level n and level n - K, and a block writes level n + K =
+C level_n - level_(n-K) over the buffer behind with one pair of
+block-Toeplitz GEMMs, applied to the x and d rows of the current buffer in
+place; the two buffers then swap.  The K nodes next to each boundary, where
+the closure acts, and the boundary value after every step come from one
+small dense edge operator of K single steps (``_block_operators``; the
+closure is mirror-symmetric).  A sample only materializes phi = x and
+phi_prev = x - d of the current buffer.
+
+The level behind comes from the scheme's own single step ``_step``, forward
+or back: the difference form inverts exactly (x -= d, then d -= (S - 2) x).
+A run that starts, or a call from a state that its stepper did not produce,
+takes K steps back from the loaded level, about K single steps of work on
+top of the blocks.  A change of block length from K' to K moves the level
+behind K' - K steps: one step inside a plan, whose lengths differ by at most
+one, and at most 31 steps before a short last interval.
+
+Rounding.  In a K-step map (x, d) -> (x, d), the d-from-x sums are the mass
+term and nearly vanish, so their rounding, the same in every block, adds up
+across blocks.  The stride has no such sum in the interior: each of x and d
+advances from its own two levels by the same kernel, and no interior row
+forms d from x.  Only the edge operator maps (x, d) to (x, d), and its row
+sums are reset to the response to the constant fields, stepped in extended
+precision.  Distance from a long-double run of the same scheme, the larger
+of phi and phi_prev, relative to max|phi| (Gaussian of width 0.1 at
+z = -0.6, c = mu = 1, CFL 0.5), for blocks that apply the K-step map
+(x, d) -> (x, d) with its row sums reset, and for the stride:
+
+    run                                      (x, d) map   stride
+    1 025 nodes, 3 000 steps, one call       1.1e-13      6.9e-14
+    8 193 nodes, 5 000 steps, 40-step calls  1.5e-12      1.5e-13
+    the same, one run sampled every 40       1.5e-12      4.8e-13
+    1 025 nodes, 2 048 steps, sampled        2.6e-13      3.7e-14
+      every 5 steps
+    the same, sampled every step             9.5e-15      5.8e-14
+
+A block of K = 1 is the leapfrog in level form, x_(n+1) = S x_n - x_(n-1)
+and the same for d, which rounds at every step; so a run sampled at every
+step reads above the (x, d) map, whose K = 1 block is the difference-form
+step itself.
 
 The GEMM operands are zero outside the band, and a zero input gives an
-exact zero, so nodes outside the discrete light cone stay exactly 0.0.
-Each run builds the operators of its block lengths once and keeps them with
-its buffers: 0.36 MB at K = 32, built in about 3 ms (0.1 ms at K = 1).
+exact zero, so nodes outside the discrete light cone stay exactly 0.0; the
+padding that the GEMMs write beyond the nodes is reset to zero after each
+block.  Each run builds the operators of its block lengths once and keeps
+them with its buffers: 0.17 MB at K = 32, built in about 3 ms (0.2 ms at
+K = 1).
 
 The FDTD energy is the leapfrog's own energy of the two stored levels
 a = phi_prev and b = phi, at time t - dt/2.  With v = (b - a)/dt and lumped
@@ -209,30 +228,49 @@ def _leapfrog_op(x: np.ndarray, shift: float, r2: float, s0: float, b0: float,
     return out
 
 
-def _step(x: np.ndarray, d: np.ndarray, coeffs: tuple) -> None:
+def _step(x: np.ndarray, d: np.ndarray, coeffs: tuple, back: bool = False) -> None:
     """One leapfrog step in difference form, in place along axis 0:
-    d += (S - 2) x, then x += d."""
-    d += _leapfrog_op(x, 2.0, *coeffs)
-    x += d
+    d += (S - 2) x, then x += d; with ``back``, the exact inverse, a step
+    back in time: x -= d, then d -= (S - 2) x."""
+    if back:
+        x -= d
+        d -= _leapfrog_op(x, 2.0, *coeffs)
+    else:
+        d += _leapfrog_op(x, 2.0, *coeffs)
+        x += d
 
 
 _MAX_BLOCK = 32   # steps per blocked update
 
 
-def _block_operators(coeffs: tuple, K: int, width: int
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The K-step map of the difference-form leapfrog as block-Toeplitz GEMM
-    operands (t0, t1) for blocks of ``width`` nodes, and the dense edge
-    operator of the K nodes at the -S end.
+def _stride_operators(coeffs: tuple, K: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The interior kernel C = 2 T_K(S/2) of the K-stride leapfrog as
+    block-Toeplitz GEMM operands (t0, t1) for blocks of ``width`` nodes.
 
-    The map comes from the scheme itself: ``_step`` advances the unit vectors
-    of (x, d) on a grid of 2K + 1 nodes K times.  Row K of the result is the
-    (2K+1)-tap kernel of every row at least K cells from both ends, for x
-    from x, x from d, d from x and d from d; t0 and t1 apply it to the (x, d)
-    blocks j and j + 1 of a field padded by width/2 nodes on the left, giving
-    output block j.  The edge operator maps x and d on the first 2K + 1 nodes
-    to the boundary value after steps 1 .. K-1, then x and d on the first K
-    nodes after K steps (3K - 1 rows); the +S end is its mirror image.
+    Its 2K + 1 taps come from the Chebyshev recurrence T_(k+1) = S T_k -
+    T_(k-1) of the 3-tap interior stencil, in long double.  t0 and t1 apply it
+    to the blocks j and j + 1 of a row padded by width/2 nodes on the left,
+    giving output block j."""
+    S = np.array([coeffs[0], coeffs[1], coeffs[0]], dtype=np.longdouble)
+    prev = (np.arange(2 * K + 1) == K).astype(np.longdouble)  # T_0, then T_1
+    cur = np.convolve(prev, S / 2, "same")
+    for _ in range(K - 1):
+        prev, cur = cur, np.convolve(cur, S, "same") - prev
+    kern = np.zeros(4 * width)  # tap lag + K at index lag + K + 2 width
+    kern[2 * width:2 * width + 2 * K + 1] = 2 * cur
+    s = np.arange(width)[:, None]
+    lag = s - s.T - width // 2 + K + 2 * width  # input slot s, output slot s.T
+    return kern[lag], kern[lag + width]
+
+
+def _block_operators(coeffs: tuple, K: int) -> np.ndarray:
+    """The dense edge operator of K steps at the -S end.
+
+    It comes from the scheme itself: ``_step`` advances the unit vectors of
+    (x, d) on the first 2K + 1 nodes K times.  The operator maps x and d on
+    those nodes to the boundary value after steps 1 .. K-1, then x and d on
+    the first K nodes after K steps (3K - 1 rows); the +S end is its mirror
+    image.
 
     A smooth field sees mostly each row's sum, and the d-from-x sums are
     nearly zero (the mass term), so their rounding would add up block after
@@ -252,20 +290,13 @@ def _block_operators(coeffs: tuple, K: int, width: int
             bdy_c.append(cx[0].copy())
         _step(x, d, coeffs)
         _step(cx, cd, coeffs)
-    op = np.vstack(bdy + [x[:K + 1], d[:K + 1]])  # 3K + 1 rows
-    const = np.vstack(bdy_c + [cx[:K + 1], cd[:K + 1]])
+    op = np.vstack(bdy + [x[:K], d[:K]])
+    const = np.vstack(bdy_c + [cx[:K], cd[:K]])
     r = np.arange(len(op))
     for half, target in ((op[:, :M], const[:, 0]), (op[:, M:], const[:, 1])):
         j = np.argmax(np.abs(half), axis=1)
         half[r, j] += (target - half.sum(axis=1, dtype=np.longdouble)).astype(float)
-    interior = [2 * K - 1, 3 * K]  # row K of x and of d
-    kern = np.zeros((2, 2, 4 * width))  # [out level, in level, lag + K + 2 width]
-    kern[:, :, 2 * width:2 * width + M] = op[interior].reshape(2, 2, M)
-    s = np.arange(width)[:, None]
-    lag = s - s.T - width // 2 + K + 2 * width  # input slot s, output slot s.T
-    t0, t1 = (kern[:, :, lag + off].transpose(1, 2, 0, 3).reshape(2 * width, 2 * width)
-              for off in (0, width))
-    return t0, t1, np.delete(op, interior, axis=0)
+    return op
 
 
 def _block_plan(n_steps: int, n_nodes: int, k_max: int = _MAX_BLOCK
@@ -316,13 +347,16 @@ def fdtd_samples(s: FdtdState, n_steps: int, every: int) -> Iterator[FdtdState]:
     n_steps >= 0 and every >= 1.
 
     Each interval between samples is one ``fdtd_run`` call, and all of them
-    continue one ``_Stepper``: the padded (x, d) buffer, the work arrays and
-    the operators are made once per run, and (x, d) persists from one sample
-    to the next; a sample only materializes phi = x and phi_prev = x - d.
+    continue one ``_Stepper``: the two padded (x, d) buffers of the current
+    level and the level behind, the product buffer and the operators are made
+    once per run, and both levels persist from one sample to the next; a
+    sample only materializes phi = x and phi_prev = x - d.  So the run takes
+    the K steps back to its first level behind once, not at every sample.
     An interval of ``every`` steps takes the blocks of a call of its own
-    length, and a shorter last interval takes blocks no longer than those.
-    So a sampled run agrees with the same intervals taken one ``fdtd_run``
-    call at a time to rounding (about 1e-14 relative).  The arrays of a
+    length, and a shorter last interval takes blocks no longer than those,
+    after single steps that move the level behind to their length.  So a
+    sampled run agrees with the same intervals taken one ``fdtd_run`` call at
+    a time to rounding (about 1e-14 relative).  The arrays of a
     yielded state are never written afterwards, and consecutive samples may
     share one."""
     if n_steps < 0:
@@ -344,22 +378,28 @@ def _samples(s: FdtdState, n_steps: int, every: int) -> Iterator[FdtdState]:
 
 class _Stepper:
     """The stepping state of one run: the scheme's coefficients, the longest
-    block k_max, the padded (x, d) buffer, its work arrays and the operators
-    of each block length.
+    block k_max, the two padded (x, d) buffers, the product buffer and the
+    operators of each block length.
 
     k_max is the longest block of the plan of ``every`` steps, and every
     interval is planned with blocks of at most k_max steps.  So an interval
     of ``every`` steps keeps the plan of a call of its own length, and a
     shorter last interval does not widen the blocks of all the others.
 
-    The state is xd = (x, d) = (phi, phi - phi_prev), padded with width/2 =
-    k_max zero nodes on the left and zero nodes on the right up to whole
-    blocks of ``width`` nodes.  ``_block_operators`` builds the operators of
-    each block length at that width on its first use in the run, and ``ops``
-    keeps them for the run's later blocks.  Each update copies xd into rows z[j] = (x, d) of block j, applies the interior
-    map, writes it back, and then overwrites the K nodes at each end with the
-    edge operator's result.  xd holds the state ``held`` that the last
-    interval returned, and an interval from that state continues from xd."""
+    Each buffer holds (x, d) = (phi, phi - phi_prev) of one level in a (2, L)
+    array, padded with width/2 = k_max zero nodes on the left and zero nodes
+    on the right up to whole blocks of ``width`` nodes.  ``bufs[0]`` holds the
+    current level n, the state ``held`` that the last interval returned, and
+    ``bufs[1]`` the level n - ``lag``.  A block of K steps, with lag = K,
+    applies the interior kernel to the x and the d rows of the current buffer
+    at once, viewed in place as (2 (rows + 1), width) blocks; it writes
+    C level_n - level_(n-K) over the buffer behind, overwrites the K nodes at
+    each end with the edge operator's result, and swaps the two buffers.
+    Before the blocks of each length K, single steps of ``_step``, forward
+    or back, move the level behind to lag K.  An interval from a state that
+    is not ``held`` reloads the current buffer and starts from lag 0, so it
+    first takes K steps back.  ``ops`` keeps the operators of each block
+    length, built on their first use in the run."""
 
     def __init__(self, s: FdtdState, every: int):
         self.coeffs = _leapfrog_stencil(s.grid.h, s.dt, s.p)
@@ -367,22 +407,23 @@ class _Stepper:
         self.k_max = pad = _block_plan(every, n)[0][0]
         width = 2 * pad
         rows = -(-n // width)
-        xd = np.zeros((2, (rows + 1) * width))
-        acc = np.empty((rows, 2 * width))
-        self.bufs = (xd, xd.reshape(-1),
-                     xd.reshape(2, rows + 1, width).transpose(1, 0, 2),
-                     xd[:, pad:pad + rows * width].reshape(2, rows, width),
-                     np.empty((rows + 1, 2 * width)), acc, np.empty_like(acc),
-                     acc.reshape(rows, 2, width).transpose(1, 0, 2))
+        # per level: the buffer, flat, as GEMM input blocks, its nodes (x, d),
+        # and the rows the GEMM pair writes
+        self.bufs = [(xd, xd.reshape(-1), xd.reshape(-1, width), xd[:, pad:pad + n],
+                      xd.reshape(-1)[pad:pad + (2 * rows + 1) * width].reshape(-1, width))
+                     for xd in np.zeros((2, 2, (rows + 1) * width))]
+        self.prod = np.empty((2 * rows + 1, width))
         self.held = None
+        self.lag = 0
         self.ops = {}
 
     def _operators(self, K: int) -> tuple:
         if K not in self.ops:
             n, pad, W = self.n, self.k_max, 2 * K + 1
             at = pad + np.abs(np.array([0, n - 1]) - np.arange(W)[:, None])  # node m from each end
-            gather = np.concatenate([at, at + self.bufs[0].shape[1]])  # x then d
-            self.ops[K] = (*_block_operators(self.coeffs, K, 2 * pad), gather,
+            gather = np.concatenate([at, at + self.bufs[0][0].shape[1]])  # x then d
+            self.ops[K] = (*_stride_operators(self.coeffs, K, 2 * pad),
+                           _block_operators(self.coeffs, K), gather,
                            gather[np.r_[0:K, W:W + K]])
         return self.ops[K]
 
@@ -390,26 +431,33 @@ class _Stepper:
         """The state k >= 1 steps after s, with the boundary trace of those
         steps."""
         trace = np.empty((k, 2))
-        xd, flat, blocks, interior, z, acc, tmp, new = self.bufs
-        n, pad = self.n, self.k_max
-        rows, width = len(acc), 2 * pad
-        x, d = xd[:, pad:pad + n]
+        n, pad, prod = self.n, self.k_max, self.prod
         if self.held is not s:
+            x, d = self.bufs[0][3]
             x[:] = s.phi
             np.subtract(s.phi, s.phi_prev, out=d)
+            self.bufs[1][0][:] = self.bufs[0][0]
+            self.lag = 0
         j = 0
         for K, count in _block_plan(k, n, pad):
+            for _ in range(abs(self.lag - K)):  # single steps to the level K behind
+                _step(*self.bufs[1][3], self.coeffs, back=self.lag < K)
+            self.lag = K
             t0, t1, edge, gather, scatter = self._operators(K)
             for _ in range(count):
+                (_, flat, z, _, _), (new, new_flat, _, _, out) = self.bufs
                 e = edge @ flat[gather]
-                np.copyto(z.reshape(rows + 1, 2, width), blocks)
-                np.matmul(z[:-1], t0, out=acc)
-                acc += np.matmul(z[1:], t1, out=tmp)
-                np.copyto(interior, new)
-                xd[:, pad + n:] = 0.0
-                flat[scatter] = e[K - 1:]
+                np.matmul(z[:-1], t0, out=prod)
+                prod -= out
+                np.matmul(z[1:], t1, out=out)
+                out += prod
+                new[:, pad + n:] = 0.0  # the padding the product wrote
+                new[1, :pad] = 0.0
+                new_flat[scatter] = e[K - 1:]
                 trace[j:j + K] = e[:K]
                 j += K
+                self.bufs.reverse()
+        x, d = self.bufs[0][3]
         cur = x.copy()
         self.held = FdtdState(grid=s.grid, p=s.p, phi=cur, phi_prev=cur - d,
                               t=s.t + k * s.dt, dt=s.dt, bdy_trace=trace)
@@ -421,10 +469,13 @@ def fdtd_run(s: FdtdState, n_steps: int, *, stepper: _Stepper | None = None
     """Advance n_steps leapfrog steps and return the state with the boundary
     trace of every step.  The interval takes the fewest blocks of at most
     min(32, (N - 1) // 2) steps on N nodes, of lengths differing by at most
-    one, each block one precomputed linear map in difference form (see the
-    module docstring).  The last trace row is the endpoint values themselves,
-    so ``bdy_trace[-1]`` equals ``bdy`` exactly.  n_steps = 0 returns a copy
-    of the levels with an empty trace; ValueError for n_steps < 0.
+    one, each block of K steps one K-stride leapfrog update of the
+    difference-form levels (see the module docstring).  A call from a state
+    that its stepper did not make, as every call without ``stepper`` is,
+    first takes K single steps back from s to make its level behind.  The
+    last trace row is the endpoint values themselves, so ``bdy_trace[-1]``
+    equals ``bdy`` exactly.  n_steps = 0 returns a copy of the levels with an
+    empty trace; ValueError for n_steps < 0.
 
     ``stepper`` is the run in progress of ``fdtd_samples``, whose buffers,
     operators and block lengths the interval continues; without it the call

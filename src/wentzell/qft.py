@@ -304,9 +304,13 @@ def spacelike_2pt_bessel(x2, spec: TwoPointSpec, table: ModeTable) -> TwoPointRe
 
 
 def halfspace_weight(q, c: float) -> np.ndarray:
-    """Spectral weight 2 / (pi (c^2 q^2 + 1)) of the half-space boundary field."""
-    q = np.asarray(q, dtype=float)
-    return 2.0 / (np.pi * (c**2 * q**2 + 1.0))
+    """Spectral weight 2 / (pi ((c q)^2 + 1)) of the half-space boundary field.
+    The product c q is squared, not c and q apart, so a large c raises no
+    OverflowError: (c q)^2 overflows only where the weight is below 4e-309,
+    and the weight is 0 there."""
+    with np.errstate(over="ignore"):
+        cq = c * np.asarray(q, dtype=float)
+        return 2.0 / (np.pi * (cq * cq + 1.0))
 
 
 # Composite Gauss-Legendre rules for the half-space integrals over q in [0, inf).
@@ -442,7 +446,7 @@ def boundary_2pt_halfspace(x0, x, p, q_max: float) -> TwoPointResult:
             f"{err:.3e} > {_HALFSPACE_RTOL:g} * W(0) = {_HALFSPACE_RTOL * scale:.3e} "
             f"at {panels} panels (max|x0| = {x0_max:g}, q_max = {q_max:g})")
     val = fine.reshape(x0.shape)
-    tail = 1.0 / (np.pi * p.c**2 * p.mu * q_max)
+    tail = 1.0 / (np.pi * (p.c * p.c) * p.mu * q_max)  # c * c: inf, not OverflowError
     return TwoPointResult(value=val if val.shape else complex(val), tail_bound=tail,
                           quad_error=err, panels=panels)
 

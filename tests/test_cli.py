@@ -401,8 +401,9 @@ def test_twopoint_halfspace(tmp_path):
 
 
 def test_twopoint_halfspace_reports_its_quadrature(tmp_path):
-    # --c 10000 puts the weight's pole 1e-4 from the real s axis
-    for c, x0_max in ((1.0, 50.0), (10000.0, 5.0)):
+    # --c 10000 puts the weight's pole 1e-4 from the real s axis; at --c 1e160
+    # (c q)^2 overflows at every q > 1.4e-6, where the weight is 0 to rounding
+    for c, x0_max in ((1.0, 50.0), (10000.0, 5.0), (1e160, 5.0)):
         out = tmp_path / f"hs{c:g}.csv"
         assert main(["twopoint", "--geometry", "halfspace", "--c", str(c),
                      "--x0-max", str(x0_max), "--n-x0", "11", "--out", str(out)]) == 0
@@ -410,6 +411,7 @@ def test_twopoint_halfspace_reports_its_quadrature(tmp_path):
         _, data = read_csv(out)
         assert data.shape == (11, 3) and np.all(np.isfinite(data))
         assert rep["quad_error"] <= 1e-10 * data[0, 1]  # the tolerance times W(0)
+        assert rep["check_within_1e-13"]
         # no panel spans more than the phase cap at mu = 1, q_max = 200
         assert rep["quad_panels"] * _HALFSPACE_PHASE >= (np.hypot(1.0, 200.0) - 1.0) * x0_max
 

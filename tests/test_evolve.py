@@ -329,6 +329,75 @@ def test_fdtd_sampled_every_step_against_long_double():
     assert np.max(np.abs(last.phi_prev - ref_prev)) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+@pytest.mark.parametrize("K", [1, 2, 7, 32])
+def test_stride_kernel_is_k_long_double_steps(K, mu):
+    # C x_n - x_(n-K) = x_(n+K) at every node at least K from both ends, through
+    # the GEMM operands of a 32-node pad: x_(n-K) is the initial level and x_n
+    # and x_(n+K) come from K and 2K long-double steps of the scheme
+    import wentzell.evolve as evolve
+
+    p = PhysicalParams(c=1.0, mu=mu, geometry=Strip(1.0))
+    grid = Grid1D.for_strip(1.0, 256)
+    n, width = grid.n_nodes, 64
+    s = make_fdtd_state(gaussian_data(grid, width=0.1, center=-0.8), p)
+    x_n = long_double_leapfrog(s, K)[0].astype(float)
+    ref = long_double_leapfrog(s, 2 * K)[0]
+    t0, t1 = evolve._stride_operators(evolve._leapfrog_stencil(grid.h, s.dt, p), K, width)
+    padded = np.zeros((-(-n // width) + 1) * width)
+    padded[width // 2:width // 2 + n] = x_n
+    z = padded.reshape(-1, width)
+    stride = (z[:-1] @ t0 + z[1:] @ t1).ravel()[:n] - s.phi
+    assert rel_diff(stride[K:n - K], ref[K:n - K]) <= 1e-14
+
+
+def test_fdtd_blocks_of_two_lengths_against_long_double():
+    # a 70-step interval is one block of 24 and two of 23: the level behind
+    # moves one step forward at the change, and one back at the next interval
+    import wentzell.evolve as evolve
+
+    assert evolve._block_plan(70, 1025) == [(24, 1), (23, 2)]
+    s0 = make_fdtd_state(gaussian_data(Grid1D.for_strip(1.0, 1024), width=0.1,
+                                       center=-0.6), P1)
+    for run in (lambda: fdtd_run(s0, 70), lambda: list(fdtd_samples(s0, 210, 70))[-1]):
+        last = run()
+        ref, ref_prev = long_double_leapfrog(s0, round(last.t / s0.dt))
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(last.phi - ref)) <= 1e-13 * scale
+        assert np.max(np.abs(last.phi_prev - ref_prev)) <= 1e-13 * scale
+
+
+def test_fdtd_short_last_interval_against_long_double():
+    # intervals of one 20-step block, then a last one of 3 steps: the level
+    # behind moves 17 steps forward before the last block
+    s0 = make_fdtd_state(gaussian_data(Grid1D.for_strip(1.0, 1024), width=0.1,
+                                       center=-0.6), P1)
+    samples = list(fdtd_samples(s0, 103, 20))
+    assert [len(a.bdy_trace) for a in samples] == [20] * 5 + [3]
+    ref, ref_prev = long_double_leapfrog(s0, 103)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(samples[-1].phi - ref)) <= 1e-13 * scale
+    assert np.max(np.abs(samples[-1].phi_prev - ref_prev)) <= 1e-13 * scale
+
+
+def test_fdtd_stepper_handed_a_foreign_state_against_long_double():
+    # a stepper mid-run, handed a state that another call made, rebuilds its
+    # level behind from that state alone (20 steps back), and the run goes on
+    # from there: a 3-step interval moves the level behind 17 steps forward
+    import wentzell.evolve as evolve
+
+    s0 = make_fdtd_state(gaussian_data(Grid1D.for_strip(1.0, 1024), width=0.1,
+                                       center=-0.6), P1)
+    stepper = evolve._Stepper(s0, 40)
+    fdtd_run(s0, 40, stepper=stepper)
+    restarted = fdtd_run(fdtd_run(s0, 13), 40, stepper=stepper)
+    for last in (restarted, fdtd_run(restarted, 3, stepper=stepper)):
+        ref, ref_prev = long_double_leapfrog(s0, round(last.t / s0.dt))
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(last.phi - ref)) <= 1e-13 * scale
+        assert np.max(np.abs(last.phi_prev - ref_prev)) <= 1e-13 * scale
+
+
 def chopped_run(s, n_steps, every):
     """The samples of a run taken one ``fdtd_run`` call per interval."""
     out = []
@@ -446,8 +515,7 @@ def test_fdtd_samples_take_no_step_beyond_the_consumer(monkeypatch):
             return np.asarray(self) @ other
 
     def counted_operators(*args):
-        t0, t1, edge = block_operators(*args)
-        return t0, t1, edge.view(CountingEdge)
+        return block_operators(*args).view(CountingEdge)
 
     block_operators = evolve._block_operators
     monkeypatch.setattr(evolve, "_block_operators", counted_operators)
