@@ -4,8 +4,8 @@ holographic bulk-to-boundary map, on the strip and the half-space."""
 
 from .core import (BulkBoundaryFunction, CauchyData, GeometryError, Grid1D,
                    GridMismatchError, HalfSpace, PhysicalParams, Strip,
-                   ZeroModeError, spectral_sobolev_norm, symplectic_form,
-                   weighted_inner_product, weighted_norm)
+                   ZeroModeError, spectral_sobolev_norm, weighted_inner_product,
+                   weighted_norm)
 from .modes import (ModeTable, build_table, eval_halfspace_mode, eval_mode,
                     project, synthesize, verify_table)
 from .evolve import (CflError, EnergyReport, FdtdState, SpectralState,

@@ -22,6 +22,8 @@ from .qft import (_HALFSPACE_NORM_TOL, TwoPointSpec, causality_check,
                   halfspace_weight_normalization, source_relation_check, tail_convergence)
 
 S_C_GRID = (0.5, 1.0, 2.0)
+# image metadata on the smearing grid, copied to the details of criteria 10 and 11
+_SMEAR_KEYS = ("smear_intervals", "smear_times", "smear_estimate")
 
 
 @dataclass
@@ -285,10 +287,11 @@ def criterion_10_holographic_identity() -> CriterionResult:
     pair_rel = abs(bulk - bdy) / max(abs(bulk), 1e-300)
     passed = (rep_f.max_residual < 1e-13 and rep_g.max_residual < 1e-13
               and pair_rel < 1e-13 and rep_f.pairing_rel_error < 1e-13)
-    return CriterionResult("10-holographic-identity", passed,
-                           {"residual_f": rep_f.max_residual,
-                            "residual_g": rep_g.max_residual,
-                            "pairing_rel_fg": pair_rel, "M": M})
+    details = {"residual_f": rep_f.max_residual, "residual_g": rep_g.max_residual,
+               "pairing_rel_fg": pair_rel, "M": M}
+    for key in _SMEAR_KEYS:
+        details[key] = [img_f.metadata[key], img_g.metadata[key]]
+    return CriterionResult("10-holographic-identity", passed, details)
 
 
 def criterion_11_fig2() -> CriterionResult:
@@ -306,9 +309,10 @@ def criterion_11_fig2() -> CriterionResult:
         heights.append(float(burst.heights[idx]))
     mono = heights[0] > heights[1] > heights[2]
     passed = val_ok and centers_ok and mono
-    return CriterionResult("11-fig2-reproduction", passed,
-                           {"f00": val, "centers": burst.centers.tolist(),
-                            "heights_135": heights, "monotone": mono})
+    details = {"f00": val, "centers": burst.centers.tolist(),
+               "heights_135": heights, "monotone": mono}
+    details.update((key, image.metadata[key]) for key in _SMEAR_KEYS)
+    return CriterionResult("11-fig2-reproduction", passed, details)
 
 
 def criterion_12_source_relation() -> CriterionResult:

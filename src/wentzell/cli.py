@@ -64,7 +64,9 @@ def atomic_write_text(path: Path, text: str | Iterable[str]):
         raise
 
 
-_TABLE_FORMAT = "v3"  # cache file format and solver version, part of the file name
+# cache file format and solver version, part of the file name; v4 evaluates
+# the phase as arctan2(1, c q), which moves delta_m and d_m by an ulp or two
+_TABLE_FORMAT = "v4"
 _TABLE_PIECE_ROWS = 1024
 _TABLE_ROW = ('{{"m": {}, "q": {!r}, "delta": {!r}, "parity": "{}", "c_norm": {!r}, '
               '"d_bdy": {!r}}}')

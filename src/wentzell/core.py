@@ -210,22 +210,6 @@ def weighted_norm(F: BulkBoundaryFunction, p: PhysicalParams) -> float:
     return float(np.sqrt(np.real(weighted_inner_product(F, F, p))))
 
 
-def symplectic_form(A: CauchyData, B: CauchyData, p: PhysicalParams) -> float:
-    """sigma(A, B) = int (phi_A dpsi_B - dphi_A psi_B) + c * boundary sum.
-
-    Conserved along solutions of the wave equation; antisymmetric.
-    """
-    _check_same_grid(A.position, B.position)
-    _check_same_grid(A.velocity, B.velocity)
-    _check_same_grid(A.position, B.velocity)
-    _check_grid_geometry(A.position.grid, p)
-    w = A.position.grid.quad_weights()
-    bulk = np.dot(w, A.position.bulk * B.velocity.bulk - A.velocity.bulk * B.position.bulk)
-    bdy = p.c * np.sum(A.position.boundary * B.velocity.boundary
-                       - A.velocity.boundary * B.position.boundary)
-    return float(bulk + bdy)
-
-
 def spectral_sobolev_norm(coeffs: np.ndarray, table, r: float) -> float:
     """Sobolev-scale norm ( sum_m (omega_m^2)^r |a_m|^2 )^(1/2) in the mode basis.
 

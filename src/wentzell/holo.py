@@ -11,12 +11,18 @@ image metadata.
 The mode table is the one source of the strip, c and mu: ``holographic_dual``
 builds its grids from it, and the image keeps it for ``verify_dual``.
 
-The bulk smearing f is never sampled on the whole n_t x 1025 space-time grid:
-``smeared_coeffs`` evaluates it on blocks of time rows of at most 2^18
-samples and projects each block on the modes as it is made, keeping the row
-peaks that locate its support in time.  The smearing therefore takes
-O(2^18 + n_t (M + 1)) memory, not O(n_t x 1025); ``halfspace_dual`` samples
-the same way.
+``holographic_dual`` chooses its smearing grid: it doubles the space
+intervals from 64, with a time step of at most the space step, until two
+successive levels agree to 1e-11 of the largest coefficient, and records the
+grid and that estimate in the image metadata.  The trapezoid sums of a smooth
+f that vanishes towards the ends of both axes converge exponentially
+(Trefethen & Weideman, SIAM Rev. 56, 2014), so the test functions here stop
+at 128 to 256 intervals.  On each level f is never sampled on the whole
+space-time grid: ``smeared_coeffs`` evaluates it on blocks of time rows of at
+most 2^18 samples and projects each block on the modes as it is made, keeping
+the row peaks that locate its support in time.  The smearing therefore takes
+O(2^18 + n_t (M + 1)) memory, not O(n_t x n_nodes); ``halfspace_dual``
+samples the same way.
 
 The field is real, so for a real bulk smearing fhat^-_m = conj fhat^+_m, and
 the boundary image is Hermitian: fhat'(-omega) = conj fhat'(omega).  The image
@@ -42,6 +48,7 @@ bump widths; f' is Schwartz-quality, not compactly supported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +61,9 @@ from .qft import (_SQRT2PI, SmearedCoefficients, _project_rows, fourier_trapezoi
 _ENERGY_FRACTION = 0.999  # coefficient energy the automatic cutoff M retains
 _SAMPLES_PER_BUMP = 16    # omega samples across the narrowest bump
 _MAX_OMEGA_SAMPLES = 1 << 21  # largest positive-frequency grid of the transform
+_SMEAR_START = 64               # space intervals of the coarsest smearing level
+_SMEAR_MAX_INTERVALS = 1 << 12  # finest smearing level
+_SMEAR_RTOL = 1e-11             # two-resolution estimate, relative to max|fhat^+|
 
 
 class BumpOverlapError(ValueError):
@@ -85,14 +95,25 @@ def choose_a(table: ModeTable, M: int) -> float:
         a = max( 1 / (2 omega_min^2), 1 / min_m gap_m ) / 0.9,
 
     with gap_m the consecutive differences of omega_m^2.  Gaps grow with m, so
-    a is set by the smallest included gap and never increases with M."""
+    a is set by the smallest included gap and never increases with M.
+    ValueError when two included omega_m^2 are equal in double precision: no
+    bump scale separates them.  A large c S does that to modes 0 and 1 at
+    mu > 0, since q_1^2 ~ 1 / (c S) is then lost in mu^2."""
     if M < 1:
         raise ValueError(f"need at least two modes, got M={M}")
     idx = included_modes(table, M)
     w2 = table.omegas()[idx] ** 2
     if idx.size < 2:
         raise ValueError("fewer than two usable modes")
-    min_gap = float(np.min(np.diff(w2)))
+    gaps = np.diff(w2)
+    if not np.all(gaps > 0.0):
+        i = int(np.argmin(gaps))
+        raise ValueError(f"modes {idx[i]} and {idx[i + 1]} have the same frequency "
+                         f"in double precision, so no bump separates them; at mu > 0 "
+                         f"a large c S does this, as q_1^2 ~ 1 / (c S) falls below "
+                         f"the rounding of mu^2 (c S mu^2 above about 1e16); lower "
+                         f"--c or --mu")
+    min_gap = float(np.min(gaps))
     return max(1.0 / (2.0 * w2[0]), 1.0 / min_gap) / 0.9
 
 
@@ -224,32 +245,72 @@ def _inverse_transform(ext: FreqExtension, d_omega: float,
     return (conv * post).real * (2.0 * d_omega / _SQRT2PI)
 
 
-def holographic_dual(f, table: ModeTable, t_span: float, n_t: int = 2049,
-                     n_out: int = 4096, M: int | None = None) -> HoloImage:
+def _smear(f, table: ModeTable, t_span: float
+           ) -> tuple[SmearedCoefficients, int, int, float]:
+    """Smeared coefficients of f on the coarsest of the doubling grids that
+    meets the two-resolution estimate, with that grid's number of space
+    intervals and of times and the estimate.
+
+    Level n is the strip's grid of n intervals, step h = 2S/n, and the
+    2 ceil(t_span / h) + 1 uniform times in [-t_span, t_span], a time step of
+    at most h: omega_m ~ q_m, so one resolution serves both axes.  From
+    n = 64 the grid is doubled until two successive levels agree,
+    max|delta fhat^+| <= 1e-11 max|fhat^+| of the finer one, which is
+    returned with that ratio as its estimate.  Where the sums converge
+    exponentially the estimate is far above the finer level's own error.
+    ValueError when two successive levels are all zero, RuntimeError when
+    2^12 intervals do not meet the tolerance."""
+    S = table.params.geometry.S
+    n, coarse = _SMEAR_START, None
+    while True:
+        grid = Grid1D.for_strip(S, n)
+        n_t = 2 * math.ceil(t_span * n / (2.0 * S)) + 1
+        fine = smeared_coeffs(f, None, table, np.linspace(-t_span, t_span, n_t), grid)
+        if coarse is not None:
+            scale = float(np.max(np.abs(fine.f_plus)))
+            err = float(np.max(np.abs(fine.f_plus - coarse.f_plus)))
+            if scale == 0.0 and err == 0.0:
+                raise ValueError(f"the bulk test function vanishes on the {n}-interval "
+                                 f"grid and the one before it")
+            if err <= _SMEAR_RTOL * scale:
+                return fine, n, n_t, err / scale
+            if 2 * n > _SMEAR_MAX_INTERVALS:
+                raise RuntimeError(
+                    f"smearing did not converge: two-resolution error estimate "
+                    f"{err:.3e} > {_SMEAR_RTOL:g} * max|fhat+| = {_SMEAR_RTOL * scale:.3e} "
+                    f"at {n} intervals x {n_t} times, the cap of "
+                    f"{_SMEAR_MAX_INTERVALS} intervals")
+        coarse, n = fine, 2 * n
+
+
+def holographic_dual(f, table: ModeTable, t_span: float, n_out: int = 4096,
+                     M: int | None = None) -> HoloImage:
     """Holographic image of a bulk test function f(t, z) (callable, vectorized)
-    on the strip of ``table``, smeared on its grid of 1024 intervals and on
-    ``n_t`` uniform times in [-t_span, t_span]; f' is sampled at ``n_out``
-    uniform times on the same span.  ``smeared_coeffs`` evaluates f on blocks
-    of time rows of at most 2^18 samples and projects each block on the modes
-    as it is made, so the smearing takes O(2^18 + n_t (M + 1)) memory, not
-    O(n_t x 1025).
+    on the strip of ``table``, smeared on the coarsest space-time grid that
+    meets a two-resolution estimate of 1e-11 (``_smear``); f' is sampled at
+    ``n_out`` uniform times in [-t_span, t_span].  ``smeared_coeffs``
+    evaluates f on blocks of time rows of at most 2^18 samples and projects
+    each block on the modes as it is made, so the smearing takes
+    O(2^18 + n_t (M + 1)) memory, not O(n_t x n_nodes).
 
     Computes the smeared coefficients, divides by the boundary couplings,
     extends to a Schwartz function on the frequency axis with the bump
     ``default_chi``, and inverse transforms to f'(t), sampling the frequency
     axis 16 times across the narrowest bump.  The cutoff M defaults to the
     smallest value retaining 99.9% of the coefficient energy; a warning is
-    attached if the requested M falls short of that.  An M beyond the table's
-    last mode raises ValueError, and so do a complex f, an f that does not
-    vanish at +-t_span, and bumps too narrow for a frequency grid of
-    _MAX_OMEGA_SAMPLES (``_inverse_transform``)."""
+    attached if the requested M falls short of that.  The metadata records
+    the smearing grid (``smear_intervals`` x ``smear_times``) and its
+    estimate relative to max|fhat^+| (``smear_estimate``).  An M beyond the
+    table's last mode raises ValueError, and so do a complex f, an f that does
+    not vanish at +-t_span, an f that is zero on the grids, and bumps too
+    narrow for a frequency grid of _MAX_OMEGA_SAMPLES
+    (``_inverse_transform``); RuntimeError when 2^12 intervals do not resolve
+    the smearing."""
     if M is not None and M > len(table) - 1:
         raise ValueError(f"cutoff M={M} exceeds the table's last mode "
                          f"m={len(table) - 1}")
     p = table.params
-    t = np.linspace(-t_span, t_span, n_t)
-    grid = Grid1D.for_strip(p.geometry.S, 1024)
-    coeffs = smeared_coeffs(f, None, table, t, grid)
+    coeffs, n_z, n_t, estimate = _smear(f, table, t_span)
 
     usable = included_modes(table, len(table) - 1)
     energy = coeffs.energy[usable]
@@ -275,7 +336,8 @@ def holographic_dual(f, table: ModeTable, t_span: float, n_t: int = 2049,
     meta = {"S": p.geometry.S, "c": p.c, "mu": p.mu, "M": M, "a": a,
             "chi": default_chi.__name__,
             "energy_fraction": float(cum[np.searchsorted(usable, M)]),
-            "samples_per_bump": _SAMPLES_PER_BUMP}
+            "samples_per_bump": _SAMPLES_PER_BUMP, "smear_intervals": n_z,
+            "smear_times": n_t, "smear_estimate": estimate}
     return HoloImage(t_grid=t_out, fprime=fprime, extension=ext, coeffs=coeffs,
                      table=table, metadata=meta, warnings=warnings)
 
@@ -357,8 +419,8 @@ def fig2_test_function(t, x) -> np.ndarray:
     t[:, None], x[None, :] costs the size of the support's box, not of the
     grid; the values equal the elementwise formula bit for bit.
     ``holographic_dual`` calls it on blocks of at most 2^18 samples, so fig2's
-    3073 x 1025 grid is never held whole: the smearing takes
-    O(2^18 + n_t (M + 1)) memory."""
+    space-time grids (3073 x 257 at the finest level it needs) are never held
+    whole: the smearing takes O(2^18 + n_t (M + 1)) memory."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     shape = np.broadcast_shapes(t.shape, x.shape)
@@ -467,13 +529,13 @@ def fig2_reproduce(*, S: float = 1.0, c: float = 1.0, M: int | None = None
     excluded; S = 1 and c = 1 by default) and its burst report at 10% of the
     envelope maximum.  M is the cutoff of ``holographic_dual`` (automatic by
     default) on a table of modes 0 .. 64, which sets the strip; the map
-    smears on 3073 times and samples f' at 12288 times, both on [-12, 12].
+    chooses its smearing grid (256 intervals x 3073 times at the defaults)
+    and samples f' at 12288 times, both on [-12, 12].
     Only the burst locations and their ordering are quantitative; the curve
     shape depends on chi and a."""
     table = build_table(64, PhysicalParams(c=c, mu=0.0, geometry=Strip(S), d=1))
     # t_span 12: wide enough that edge wrap-around cannot inflate bursts
-    image = holographic_dual(fig2_test_function, table, t_span=12.0, n_t=3073,
-                             n_out=12288, M=M)
+    image = holographic_dual(fig2_test_function, table, t_span=12.0, n_out=12288, M=M)
     report = detect_bursts(image.t_grid, image.fprime, rel_threshold=0.1)
     return image, report
 

@@ -12,8 +12,12 @@ both parities into one equation for the offset delta_m in (0, pi / 2S],
     S delta = arctan(1 / (c q)),
 
 whose left side minus right side is increasing and concave in delta.  Newton
-from the window top delta = pi / 2S therefore climbs monotonically to the root
-after its first step, with no bracketing and no parity branch.  Five Newton
+from any start right of the root therefore climbs monotonically to it after
+its first step, with no bracketing and no parity branch.  The start is the
+window top delta = pi / 2S, except for m = 1 at large c S, whose root
+delta ~ (c S)^-1/2 sits far below it: there Newton would gain only a factor
+of two per step, so m = 1 starts at (c S)^-1/2, also right of the root.  The
+phase is evaluated as arctan2(1, c q), which needs no division.  Five Newton
 steps on the pole-free trig forms
 
     even:  c^-1 sin(q S) + q cos(q S) = 0
@@ -52,6 +56,7 @@ _DELTA_RTOL = 4 * np.finfo(float).eps
 _TRIG_RESIDUAL_QS = 2.0**12  # q S from which the residual is taken in delta form
 _Q_DELTA_ULPS = 8  # q = pi (m-1) / 2S + delta to this many ulps of q, after the polish
 _RESIDUAL_TOL = 1e-12  # normalized eigenvalue residual a root must meet
+_C_RANGE = 2.0**1020  # bound on c q_m, c pi m, S / c and 1 / c
 _ASYM_DELTA = 0.1  # relative width of the asymptotic q and d_m windows
 _ASYM_M_START = 50  # first mode index held to the asymptotic laws
 
@@ -101,11 +106,20 @@ def _solve_batch(ms: np.ndarray, p: PhysicalParams) -> tuple[np.ndarray, np.ndar
     lo, hi = bracket(ms, p)
     top = np.pi / (2 * S)
     delta = np.full(ms.shape, top)
+    # m = 1 has q = delta and, for large c S, its root delta ~ (c S)^-1/2 far
+    # below the window top, where each Newton step only doubles c delta.  It
+    # starts at (c S)^-1/2, where S delta - arctan(1 / (c delta)) = x - arctan x
+    # > 0 with x = S delta: right of the root, like the window top.  The two
+    # square roots keep c S from overflowing.
+    delta[ms == 1] = min(top, 1.0 / np.sqrt(c) / np.sqrt(S))
     done = np.zeros(ms.shape, dtype=bool)
     for _ in range(_DELTA_MAX_ITER):
         q = lo + delta
-        f = S * delta - np.arctan(1.0 / (c * q))
-        step = np.where(done, 0.0, f / (S + c / ((c * q) ** 2 + 1.0)))
+        f = S * delta - np.arctan2(1.0, c * q)
+        # c / ((c q)^2 + 1) as 1 / (c q q + 1 / c): (c q)^2 overflows from
+        # c q = 1.3e154, c q q only where the term is below 1e-308
+        with np.errstate(over="ignore"):
+            step = np.where(done, 0.0, f / (S + 1.0 / (c * q * q + 1.0 / c)))
         delta = delta - step
         done |= np.abs(step) <= _DELTA_RTOL * delta
         if done.all():
@@ -194,7 +208,7 @@ def _residuals(ms, qs, deltas, p: PhysicalParams) -> np.ndarray:
     S, c = _strip_S(p), p.c
     trig = residual_normalized(qs, p, ms % 2 == 0)
     return np.where(qs * S < _TRIG_RESIDUAL_QS, trig,
-                    np.abs(S * deltas - np.arctan(1.0 / (c * qs))))
+                    np.abs(S * deltas - np.arctan2(1.0, c * qs)))
 
 
 def check_solution(table: ModeTable) -> float:
@@ -237,10 +251,20 @@ def _normalize(ms, qs, deltas, S: float, c: float) -> tuple[np.ndarray, np.ndarr
 
 
 def build_table(M_max: int, p: PhysicalParams) -> ModeTable:
-    """Solve and normalize modes m = 0 .. M_max on the strip."""
+    """Solve and normalize modes m = 0 .. M_max on the strip.  ValueError
+    unless max(1, S) 2^-1020 <= c <= 2^1020 / (pi max(1, M_max) max(1, 1/S))
+    (``_C_RANGE``): below, 1 / c and S / c in the trig forms overflow; above,
+    c q_m and c pi m do, and the phase arctan(1 / (c q_m)) of the highest
+    root leaves the normal doubles."""
     if M_max < 0:
         raise ValueError(f"M_max must be >= 0, got {M_max}")
     S = _strip_S(p)
+    c_lo = max(1.0, S) / _C_RANGE
+    c_hi = _C_RANGE / (np.pi * max(1, M_max) * max(1.0, 1.0 / S))
+    if not c_lo <= p.c <= c_hi:
+        raise ValueError(f"boundary coupling c={p.c:g} is outside [{c_lo:.3g}, "
+                         f"{c_hi:.3g}], the range in which modes up to m={M_max} "
+                         f"at S={S:g} stay within double precision")
     ms = np.arange(1, M_max + 1)
     q, delta = _solve_batch(ms, p)
     c_norm, d_bdy = _normalize(ms, q, delta, S, p.c)
@@ -367,13 +391,6 @@ def mode_matrix(table: ModeTable, grid: Grid1D) -> np.ndarray:
     return V
 
 
-def mode_function(m: int, table: ModeTable, grid: Grid1D) -> BulkBoundaryFunction:
-    """Mode ``m`` as a sampled bulk/boundary pair (compatible by construction)."""
-    V = mode_matrix(table, grid)
-    bvals = table.boundary_values()
-    return BulkBoundaryFunction(grid=grid, bulk=V[:, m].copy(), boundary=bvals[m].copy())
-
-
 def project(F: BulkBoundaryFunction, table: ModeTable) -> np.ndarray:
     """Coefficients a_m = <mode_m, F> in the weighted inner product;
     GeometryError unless F's grid spans the table's strip (``mode_matrix``)."""
@@ -386,7 +403,8 @@ def project(F: BulkBoundaryFunction, table: ModeTable) -> np.ndarray:
 def gram_matrix(table: ModeTable, grid: Grid1D) -> np.ndarray:
     """Weighted inner products <mode_m, mode_m'> of all sampled modes,
     V^T W V + c B B^T with V the mode matrix, W the quadrature weights and B
-    the boundary values: ``project`` applied to every ``mode_function``.
+    the boundary values: ``project`` applied to the samples of every mode,
+    ``synthesize`` of each unit vector.
     GeometryError unless ``grid`` spans the table's strip (``mode_matrix``)."""
     V = mode_matrix(table, grid)
     B = table.boundary_values()

@@ -140,8 +140,9 @@ def strip_tail_bound(M: int, S: float, c: float) -> float:
     Each term is therefore below 4 S^2 / (c^2 pi^3 (m-1)^3), and their sum
     over m > M is 4 S^2 / (c^2 pi^3) zeta(3, M).  The bound holds in exact
     arithmetic; the computed value carries ``_hurwitz_zeta``'s 3.4e-16
-    relative error."""
-    return 4.0 * S**2 / (c**2 * np.pi**3) * _hurwitz_zeta(3, M)
+    relative error.  c * c overflows to inf, not OverflowError, past
+    c = 1.3e154, and the bound is then 0: a tail below the smallest double."""
+    return 4.0 * S**2 / (c * c * np.pi**3) * _hurwitz_zeta(3, M)
 
 
 def _check_no_separation(x):
@@ -343,9 +344,15 @@ def halfspace_weight_normalization(c: float) -> float:
     """Quadrature of the weight over q in [0, inf); analytically 1/c.
 
     With q = sinh(s) / c the integrand becomes (2 / (pi c)) sech s, which the
-    composite Gauss-Legendre rule integrates over s in [0, 40]."""
+    composite Gauss-Legendre rule integrates over s in [0, 40].  q itself is
+    never formed: it overflows for c below about 6e-292.  ValueError when
+    1 / c overflows."""
     s, ws = _composite_gauss_legendre(_NORM_EDGES)
-    return float(np.sum(ws * halfspace_weight(np.sinh(s) / c, c) * np.cosh(s)) / c)
+    norm = float(np.sum(ws * (2.0 / np.pi) / np.cosh(s))) / c
+    if not np.isfinite(norm):
+        raise ValueError(f"the half-space weight normalization 1/c overflows at "
+                         f"c={c:g}; c must be at least 1 / {np.finfo(float).max:.3g}")
+    return norm
 
 
 def _halfspace_edges(mu: float, c: float, q_max: float, x0_max: float) -> np.ndarray:
@@ -416,9 +423,13 @@ def boundary_2pt_halfspace(x0, x, p, q_max: float) -> TwoPointResult:
     and the rule with every panel halved must agree to 1e-10 of
     W(0) >= |W(x0)|; on a miss the panels are halved again and the finer sum
     becomes the next coarse one.  The finer rule is returned with their
-    largest difference as ``quad_error``.  Raises RuntimeError when 2^14
-    panels do not meet that tolerance, checked first against the panels the
-    layout needs, and GeometryError unless ``p`` is a half-space."""
+    largest difference as ``quad_error``.  ``tail_bound`` is
+    arctan(1 / (c q_max)) / (pi c mu), the integral of w(q) / (2 mu) over
+    q > q_max, which bounds the dropped part since omega >= mu.  Raises
+    RuntimeError when 2^14 panels do not meet that tolerance, checked first
+    against the panels the layout needs, ValueError when the tail bound
+    overflows (c mu below about 1e-308), and GeometryError unless ``p`` is a
+    half-space."""
     _check_halfspace(p, "the half-space two-point function")
     if p.mu <= 0:
         raise ValueError("mu > 0 required for the half-space two-point function")
@@ -428,6 +439,12 @@ def boundary_2pt_halfspace(x0, x, p, q_max: float) -> TwoPointResult:
         raise ValueError("only the d = 1 kernel is implemented for the half-space")
     _check_no_separation(x)
     x0 = _finite_x0(x0)
+    # int_q_max^inf w(q) / (2 mu) dq, a bound since omega >= mu
+    with np.errstate(over="ignore", divide="ignore"):
+        tail = float(np.arctan2(1.0, p.c * q_max) / (np.pi * p.c * p.mu))
+    if not np.isfinite(tail):
+        raise ValueError(f"the half-space tail bound arctan(1 / (c q_max)) / (pi c mu) "
+                         f"overflows at c mu = {p.c * p.mu:.3g}; raise --c or --mu")
     flat = x0.ravel()
     x0_max = float(np.max(np.abs(flat), initial=0.0))
     edges = _halfspace_edges(p.mu, p.c, float(q_max), x0_max)
@@ -446,7 +463,6 @@ def boundary_2pt_halfspace(x0, x, p, q_max: float) -> TwoPointResult:
             f"{err:.3e} > {_HALFSPACE_RTOL:g} * W(0) = {_HALFSPACE_RTOL * scale:.3e} "
             f"at {panels} panels (max|x0| = {x0_max:g}, q_max = {q_max:g})")
     val = fine.reshape(x0.shape)
-    tail = 1.0 / (np.pi * (p.c * p.c) * p.mu * q_max)  # c * c: inf, not OverflowError
     return TwoPointResult(value=val if val.shape else complex(val), tail_bound=tail,
                           quad_error=err, panels=panels)
 

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from wentzell import cli, modes
 from wentzell.cli import main, table_from_json, table_to_json
 from wentzell.evolve import energy, fdtd_samples, make_fdtd_state
 from wentzell.holo import FreqExtension
-from wentzell.modes import build_table
+from wentzell.modes import build_table, check_solution
 from wentzell.qft import _HALFSPACE_PHASE, strip_tail_bound
 from wentzell.core import CauchyData, Grid1D, PhysicalParams, Strip
 
@@ -204,10 +205,10 @@ def test_modes_command(tmp_path, monkeypatch):
     assert code == 0 and len(calls) == 1
     doc = json.loads(out.read_text())
     assert doc["M_max"] == 200 and len(doc["entries"]) == 201
-    # format v3: the table is keyed by (S, c, mu, M_max) and nothing else
+    # format v4: the table is keyed by (S, c, mu, M_max) and nothing else
     assert set(doc) == {"S", "c", "mu", "M_max", "entries"}
     cached = list(cache.glob("modes_*.json"))
-    assert [f.name for f in cached] == ["modes_v3_S1.0_c1.0_mu1.0_M200.json"]
+    assert [f.name for f in cached] == ["modes_v4_S1.0_c1.0_mu1.0_M200.json"]
     # the export is the cache file's text, written from the table itself
     assert out.read_bytes() == cached[0].read_bytes()
     checksum = sha(cached[0])
@@ -429,6 +430,58 @@ def test_twopoint_halfspace_unresolved_exits_2_without_csv(tmp_path, capsys):
         assert not out.with_suffix(".report.json").exists()
 
 
+def _runs(*cases):
+    """Parameters (argv, exit code, stderr text) with the command line as id."""
+    return [pytest.param(shlex.split(cmd), code, message, id=cmd)
+            for cmd, code, message in cases]
+
+
+@pytest.mark.parametrize("args, code, message", _runs(
+    ("twopoint --geometry halfspace --c 1e-300", 0, ""),
+    ("twopoint --geometry halfspace --c 1e-310", 1, "normalization 1/c overflows"),
+    ("twopoint --geometry halfspace --c 1e-200 --mu 1e-200", 1,
+     "tail bound arctan(1 / (c q_max)) / (pi c mu) overflows"),
+))
+def test_twopoint_halfspace_tiny_couplings(tmp_path, capsys, args, code, message):
+    # q = sinh(s) / c overflowed below c = 6e-292, and 1 / (pi c^2 mu q_max)
+    # below c = 1e-154: every report field is finite, or the run exits 1
+    out = tmp_path / "hs.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + ["--n-x0", "11", "--out", str(out)]) == code
+    if code:
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        return
+    rep = json.loads(out.with_suffix(".report.json").read_text())
+    assert all(np.isfinite(v) for v in rep.values())
+    assert rep["check_within_1e-13"]
+    assert np.all(np.isfinite(read_csv(out)[1]))
+
+
+@pytest.mark.parametrize("args, code, message", _runs(
+    ("modes --c 1e20 --max 20", 0, ""),
+    ("modes --c 1e100 --max 20", 0, ""),
+    ("modes --c 1e300 --max 20", 0, ""),
+    ("twopoint --c 1e160 --max 50", 0, ""),
+    ("holo --c 1e160", 1, "have the same frequency in double precision"),
+    ("modes --c 1e306 --max 20", 1, "is outside [8.9e-308, 1.79e+305]"),
+))
+def test_large_couplings_solve_or_name_the_limit(tmp_path, capsys, args, code, message):
+    # the delta-form Newton ran out of steps for m = 1 from about c = 1e100,
+    # and 1 / (c q) divided by zero from c = 1e20: each run now builds a table
+    # that passes check_solution, or exits 1 naming the limit it hit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + ["--cache-dir", str(tmp_path),
+                            "--out", str(tmp_path / "out")]) == code
+    if code:
+        assert message in capsys.readouterr().err
+        return
+    (path,) = tmp_path.glob("modes_*.json")
+    check_solution(table_from_json(path.read_text()))
+
+
 def _scipy_modules_after(code: str, cwd: Path) -> list[str]:
     """The scipy modules loaded after running ``code`` in a fresh interpreter."""
     code += ("\nimport json, sys\n"
@@ -478,7 +531,7 @@ def test_twopoint_strip(tmp_path):
     rep = json.loads(out.with_suffix(".report.json").read_text())
     # the table holds the M + 1 modes the sum reads, no more
     (cached,) = tmp_path.glob("modes_*.json")
-    assert cached.name == "modes_v3_S1.0_c1.0_mu1.0_M50.json"
+    assert cached.name == "modes_v4_S1.0_c1.0_mu1.0_M50.json"
     assert len(json.loads(cached.read_text())["entries"]) == 51
     assert rep == {"tail_bound": strip_tail_bound(50, 1.0, 1.0)}
     assert f"# tail_bound = {rep['tail_bound']!r}" in out.read_text().splitlines()

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wentzell.core import (BulkBoundaryFunction, CauchyData, GeometryError,
+from wentzell.core import (BulkBoundaryFunction, GeometryError,
                            GridMismatchError, Grid1D, HalfSpace, PhysicalParams,
                            Strip, ZeroModeError, spectral_sobolev_norm,
-                           symplectic_form, weighted_inner_product, weighted_norm)
-from wentzell.modes import build_table, eval_mode_deriv, mode_function, synthesize
+                           weighted_inner_product, weighted_norm)
+from wentzell.modes import build_table, eval_mode_deriv, mode_matrix, synthesize
 
 P1 = PhysicalParams(c=1.0, geometry=Strip(1.0))
 GRID = Grid1D.for_strip(1.0, 64)
@@ -68,7 +68,7 @@ def test_inner_product_normalized_mode():
     # quadrature against the closed-form normalization of mode 1
     table = build_table(1, P1)
     g = Grid1D.for_strip(1.0, 4096)
-    F = mode_function(1, table, g)
+    F = synthesize(np.array([0.0, 1.0]), table, g)
     assert weighted_inner_product(F, F, P1) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -76,13 +76,6 @@ def test_inner_product_grid_mismatch():
     other = Grid1D.for_strip(1.0, 32)
     with pytest.raises(GridMismatchError):
         weighted_inner_product(const(1.0), const(1.0, other), P1)
-
-
-def test_symplectic_constants():
-    A = CauchyData(position=const(1.0), velocity=const(0.0))
-    B = CauchyData(position=const(0.0), velocity=const(1.0))
-    assert symplectic_form(A, B, P1) == pytest.approx(4.0, abs=1e-14)
-    assert symplectic_form(A, A, P1) == 0.0
 
 
 def test_sobolev_norm_single_mode():
@@ -141,11 +134,15 @@ def test_boundary_has_the_two_strip_components():
                                const(1.0, Grid1D.for_halfspace(2.0, 64)), half)
 
 
-def test_mode_function_boundary_is_the_bulk_trace():
+def test_mode_matrix_end_rows_are_the_boundary_values():
+    # so a synthesized mode's boundary values are its bulk trace, bitwise
     table = build_table(3, P1)
+    V = mode_matrix(table, GRID)
+    assert np.array_equal(V[[0, -1]], table.boundary_values().T)
     for m in range(4):
-        G = mode_function(m, table, GRID)
-        assert np.array_equal(G.boundary, G.bulk[[0, -1]])
+        G = synthesize(np.eye(4)[m], table, GRID)
+        assert np.array_equal(G.bulk, V[:, m])
+        assert np.array_equal(G.boundary, table.boundary_values()[m])
 
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -169,14 +166,3 @@ def test_inner_product_positive(f, fb):
     if np.max(np.abs(f)) > 1e-6 or np.max(np.abs(fb)) > 1e-6:
         assert norm2 > 0
     assert norm2 >= 0
-
-
-@given(f=sampled, fb=bdy2, g=sampled, gb=bdy2, u=sampled, ub=bdy2)
-@settings(max_examples=30, deadline=None)
-def test_symplectic_antisymmetry(f, fb, g, gb, u, ub):
-    A = CauchyData(position=bbf(f, fb), velocity=bbf(g, gb))
-    B = CauchyData(position=bbf(u, ub), velocity=bbf(g, gb))
-    sab = symplectic_form(A, B, P1)
-    sba = symplectic_form(B, A, P1)
-    scale = max(abs(sab), abs(sba), 1.0)
-    assert abs(sab + sba) <= 1e-12 * scale

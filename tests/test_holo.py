@@ -253,8 +253,7 @@ def test_dual_no_dc_component(image, table):
     gap_edge = np.sqrt(ext.omegas[0] ** 2 - 1.0 / (2 * ext.a))
     w = np.linspace(-0.98 * gap_edge, 0.98 * gap_edge, 501)
     assert np.all(ext(w) == 0.0)
-    # the wide window keeps the smearing step at 2^-8
-    img_wide = holographic_dual(gauss_f, table, t_span=16.0, n_t=8193, n_out=4096,
+    img_wide = holographic_dual(gauss_f, table, t_span=16.0, n_out=4096,
                                 M=image.metadata["M"])
     short = abs(np.trapezoid(np.asarray(image.fprime), image.t_grid))
     long = abs(np.trapezoid(np.asarray(img_wide.fprime), img_wide.t_grid))
@@ -262,11 +261,15 @@ def test_dual_no_dc_component(image, table):
 
 
 def test_dual_takes_the_strip_from_the_table():
-    # an S = 0.5 table: the map smears on [-0.5, 0.5] with c and mu of the table
+    # an S = 0.5 table: the map smears on [-0.5, 0.5] with c and mu of the
+    # table, on the grid its metadata reports, with a time step of at most h
     table = build_table(20, PhysicalParams(c=0.7, mu=1.3, geometry=Strip(0.5)))
     img = holographic_dual(gauss_f, table, t_span=2.0, n_out=256)
-    grid = Grid1D.for_strip(0.5, 1024)
-    t = np.linspace(-2.0, 2.0, 2049)
+    grid = Grid1D.for_strip(0.5, img.metadata["smear_intervals"])
+    t = np.linspace(-2.0, 2.0, img.metadata["smear_times"])
+    dt = 4.0 / (t.size - 1)
+    assert dt <= grid.h < 2.0 * dt
+    assert img.metadata["smear_estimate"] <= 1e-11
     want = smeared_coeffs(gauss_f(t[:, None], grid.nodes[None, :]), None, table, t, grid)
     assert np.array_equal(img.coeffs.f_plus, want.f_plus)
     assert img.table is table
@@ -289,18 +292,33 @@ def _halfspace_f(t, z):
     return np.exp(-(t**2) / (2 * 0.3**2)) * np.exp(-((z - 0.8) ** 2) / (2 * 0.15**2))
 
 
+def _level_samples(image, t_span: float) -> int:
+    """Samples of f on the smearing levels n = 64, 128, .. up to the one the
+    image reports, each of n + 1 nodes and 2 ceil(t_span n / 2S) + 1 times."""
+    S, n_last = image.metadata["S"], image.metadata["smear_intervals"]
+    total, n = 0, 64
+    while n <= n_last:
+        n_t = 2 * int(np.ceil(t_span * n / (2.0 * S))) + 1
+        total += n_t * (n + 1)
+        n *= 2
+    assert n_t == image.metadata["smear_times"]
+    return total
+
+
 def test_duals_sample_f_in_blocks_of_at_most_2_18(table, image, fig2):
-    # each row of the time grid is sampled once, and no call of f makes more
-    # than 2^18 samples; the images are those of f passed as it is
+    # each row of each level's time grid is sampled once, and no call of f
+    # makes more than 2^18 samples; the images are those of f passed as it is
     rec, sizes = _recording(gauss_f)
     img = holographic_dual(rec, table, t_span=4.0, n_out=1024)
     assert np.array_equal(img.fprime, image.fprime)
-    assert len(sizes) > 1 and max(sizes) <= 2**18 and sum(sizes) == 2049 * 1025
+    assert len(sizes) > 1 and max(sizes) <= 2**18
+    assert sum(sizes) == _level_samples(img, 4.0)
     fig2_image, _ = fig2
     rec, sizes = _recording(fig2_test_function)
-    img = holographic_dual(rec, fig2_image.table, t_span=12.0, n_t=3073, n_out=12288)
+    img = holographic_dual(rec, fig2_image.table, t_span=12.0, n_out=12288)
     assert np.array_equal(img.fprime, fig2_image.fprime)
-    assert len(sizes) > 1 and max(sizes) <= 2**18 and sum(sizes) == 3073 * 1025
+    assert len(sizes) > 1 and max(sizes) <= 2**18
+    assert sum(sizes) == _level_samples(img, 12.0)
     p = PhysicalParams(c=1.0, mu=1.0, geometry=HalfSpace())
     q_grid, t = np.linspace(0.0, 12.0, 241), np.linspace(-4.0, 4.0, 1601)
     grid = Grid1D.for_halfspace(4.0, 1024)
@@ -308,6 +326,36 @@ def test_duals_sample_f_in_blocks_of_at_most_2_18(table, image, fig2):
     dual = halfspace_dual(rec, p, q_grid, t, grid)
     assert np.array_equal(dual.fhat_pos, halfspace_dual(_halfspace_f, p, q_grid, t, grid).fhat_pos)
     assert len(sizes) > 1 and max(sizes) <= 2**18 and sum(sizes) == 1601 * 1025
+
+
+@pytest.mark.parametrize("sigma_z", [0.12, 0.02, 0.005])
+def test_smearing_grid_meets_a_fine_reference(table, sigma_z):
+    # off-centre bumps, so that both parities carry weight; the narrowest
+    # needs 1024 intervals.  The reference is the same trapezoid rule on
+    # 4096 intervals with a time step of 1/2048.
+    def f(t, z):
+        return np.exp(-(t**2) / (2 * 0.25**2)) * np.exp(-((z - 0.3) ** 2) / (2 * sigma_z**2))
+
+    img = holographic_dual(f, table, t_span=2.0, n_out=256)
+    assert img.metadata["smear_estimate"] <= 1e-11
+    t = np.linspace(-2.0, 2.0, 8193)
+    ref = smeared_coeffs(f, None, table, t, Grid1D.for_strip(1.0, 4096)).f_plus
+    err = np.max(np.abs(img.coeffs.f_plus - ref))
+    assert err <= 1e-13 * np.max(np.abs(ref)), (img.metadata["smear_intervals"], err)
+
+
+def test_smearing_refuses_a_zero_f(table):
+    with pytest.raises(ValueError, match="vanishes on the 128-interval grid"):
+        holographic_dual(lambda t, z: 0.0 * t * z, table, t_span=2.0, n_out=256)
+
+
+def test_smearing_refuses_an_f_the_cap_cannot_resolve(table):
+    # a jump in z: the trapezoid sums converge only like h
+    def f(t, z):
+        return np.exp(-(t**2) / (2 * 0.1**2)) * (z > 0.123)
+
+    with pytest.raises(RuntimeError, match="two-resolution error estimate .* 4096"):
+        holographic_dual(f, table, t_span=0.8, n_out=256)
 
 
 def test_dual_checks_the_support_and_reality_of_f(table):

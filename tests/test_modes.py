@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from wentzell.core import GeometryError, Grid1D, HalfSpace, PhysicalParams, Strip
 from wentzell.modes import (bracket, build_table, check_solution, d_asymptote,
-                            eval_halfspace_mode, eval_mode, gram_matrix, mode_function,
-                            mode_matrix, project, residual_normalized, synthesize,
+                            eval_halfspace_mode, eval_mode, gram_matrix, mode_matrix, project, residual_normalized, synthesize,
                             verify_table)
 from wentzell.qft import smeared_coeffs
 
@@ -168,7 +167,7 @@ def test_mode_matrix_is_the_profile_formula(n):
 
 def test_project_rejects_a_grid_off_the_strip(table20):
     # every sampled-mode operation takes the strip from the table (S = 1)
-    F = mode_function(3, table20, Grid1D.for_strip(1.0, 64))
+    F = synthesize(np.eye(21)[3], table20, Grid1D.for_strip(1.0, 64))
     F.grid = Grid1D(-1.0, 0.9, 64)
     with pytest.raises(GeometryError, match=r"must span \[-S, S\]"):
         project(F, table20)
@@ -178,7 +177,7 @@ def test_project_rejects_a_grid_off_the_strip(table20):
     with pytest.raises(GeometryError, match=r"must span \[-S, S\]"):
         synthesize(np.ones(len(table20)), table20, narrow)
     with pytest.raises(GeometryError, match=r"must span \[-S, S\]"):
-        mode_function(3, table20, narrow)
+        mode_matrix(table20, narrow)
     t = np.linspace(-1.0, 1.0, 33)
     bump = np.exp(-t ** 2 / 0.02)[:, None] * np.ones(narrow.n_nodes)
     with pytest.raises(GeometryError, match=r"must span \[-S, S\]"):
@@ -187,7 +186,7 @@ def test_project_rejects_a_grid_off_the_strip(table20):
 
 def test_project_unit_vectors(table20):
     g = Grid1D.for_strip(1.0, 4096)
-    F = mode_function(7, table20, g)
+    F = synthesize(np.eye(21)[7], table20, g)
     a = project(F, table20)
     e7 = np.zeros(21)
     e7[7] = 1.0
@@ -196,16 +195,13 @@ def test_project_unit_vectors(table20):
 
 def test_project_zero(table20):
     g = Grid1D.for_strip(1.0, 256)
-    F = mode_function(0, table20, g)
-    F.bulk[:] = 0.0
-    F.boundary[:] = 0.0
+    F = synthesize(np.zeros(21), table20, g)
     assert np.all(project(F, table20) == 0.0)
 
 
 def test_gram_identity(table20):
     g = Grid1D.for_strip(1.0, 4096)
-    G = np.array([project(mode_function(m, table20, g), table20)
-                  for m in range(len(table20))])
+    G = np.array([project(synthesize(e, table20, g), table20) for e in np.eye(21)])
     assert np.max(np.abs(G - np.eye(21))) < 1e-8
     # one Gram product over the mode matrix is the same matrix as the loop
     assert np.max(np.abs(gram_matrix(table20, g) - G)) < 1e-14
