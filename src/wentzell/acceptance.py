@@ -17,7 +17,7 @@ from .evolve import (SpectralState, causality_probe, energy, energy_in_region,
                      synthesize_state)
 from .holo import (fig2_reproduce, fig2_test_function, holographic_dual,
                    pairing_boundary_route, pairing_bulk_route, verify_dual)
-from .modes import bracket, build_table, gram_matrix, verify_table
+from .modes import bracket, build_table, gram_matrix, synthesize, verify_table
 from .qft import (_HALFSPACE_NORM_TOL, TwoPointSpec, causality_check,
                   halfspace_weight_normalization, source_relation_check, tail_convergence)
 
@@ -100,9 +100,8 @@ def fdtd_vs_spectral_error(n: int, table, a, b, T: float) -> float:
     st = make_fdtd_state(synthesize_state(s0, grid), p, cfl=0.5)
     steps = int(round(T / st.dt))
     st = fdtd_run(st, steps)
-    ref = synthesize_state(spectral_evolve(s0, steps * st.dt), grid)
-    diff = BulkBoundaryFunction(grid=grid, bulk=st.phi - ref.position.bulk,
-                                boundary=st.bdy - ref.position.boundary)
+    ref = synthesize(spectral_evolve(s0, steps * st.dt).a, table, grid)
+    diff = BulkBoundaryFunction(grid=grid, bulk=st.phi - ref.bulk, boundary=st.bdy - ref.boundary)
     return weighted_norm(diff, p)
 
 

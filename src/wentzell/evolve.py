@@ -49,7 +49,8 @@ C level_n - level_(n-K) over the buffer behind with one pair of
 block-Toeplitz GEMMs, applied to the x and d rows of the current buffer in
 place; the two buffers then swap.  The K nodes next to each boundary, where
 the closure acts, and the boundary value after every step come from one
-small dense edge operator of K single steps (``_block_operators``; the
+small dense edge operator, the K-step map of the 2K + 1 nodes at that end,
+which is all that K steps of the closure reach (``_block_operators``; the
 closure is mirror-symmetric).  A sample only materializes phi = x and
 phi_prev = x - d of the current buffer.
 
@@ -66,8 +67,9 @@ term and nearly vanish, so their rounding, the same in every block, adds up
 across blocks.  The stride has no such sum in the interior: each of x and d
 advances from its own two levels by the same kernel, and no interior row
 forms d from x.  Only the edge operator maps (x, d) to (x, d), and its row
-sums are reset to the response to the constant fields, stepped in extended
-precision.  Distance from a long-double run of the same scheme, the larger
+sums are reset to the response to the constant fields in extended precision,
+a scalar long-double recurrence (the constant field is an eigenvector of S).
+Distance from a long-double run of the same scheme, the larger
 of phi and phi_prev, relative to max|phi| (Gaussian of width 0.1 at
 z = -0.6, c = mu = 1, CFL 0.5), for blocks that apply the K-step map
 (x, d) -> (x, d) with its row sums reset, and for the stride:
@@ -88,9 +90,9 @@ step itself.
 The GEMM operands are zero outside the band, and a zero input gives an
 exact zero, so nodes outside the discrete light cone stay exactly 0.0; the
 padding that the GEMMs write beyond the nodes is reset to zero after each
-block.  Each run builds the operators of its block lengths once and keeps
-them with its buffers: 0.17 MB at K = 32, built in about 3 ms (0.2 ms at
-K = 1).
+block.  Each run builds the operators of all its block lengths in one go,
+at its first block, and keeps them with its buffers: 0.17 MB at K = 32,
+built in about 1 ms (0.1 ms at K = 1).
 
 The FDTD energy is the leapfrog's own energy of the two stored levels
 a = phi_prev and b = phi, at time t - dt/2.  With v = (b - a)/dt and lumped
@@ -118,7 +120,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CauchyData, GeometryError, Grid1D, PhysicalParams, Strip
-from .modes import ModeTable, synthesize
+from .modes import ModeTable, _mode_sum, mode_matrix
 
 
 class CflError(ValueError):
@@ -175,8 +177,10 @@ def spectral_symplectic(A: SpectralState, B: SpectralState) -> float:
 
 
 def synthesize_state(s: SpectralState, grid: Grid1D) -> CauchyData:
-    return CauchyData(position=synthesize(s.a, s.table, grid),
-                      velocity=synthesize(s.b, s.table, grid))
+    """Position and velocity of s sampled on ``grid``: ``synthesize`` of a
+    and of b, through one mode matrix."""
+    V = mode_matrix(s.table, grid)
+    return CauchyData(position=_mode_sum(V, s.a, grid), velocity=_mode_sum(V, s.b, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -243,60 +247,148 @@ def _step(x: np.ndarray, d: np.ndarray, coeffs: tuple, back: bool = False) -> No
 _MAX_BLOCK = 32   # steps per blocked update
 
 
-def _stride_operators(coeffs: tuple, K: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _stride_operators(coeffs: tuple, Ks, width: int
+                      ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """The interior kernel C = 2 T_K(S/2) of the K-stride leapfrog as
-    block-Toeplitz GEMM operands (t0, t1) for blocks of ``width`` nodes.
+    block-Toeplitz GEMM operands (t0, t1) for blocks of ``width`` nodes, for
+    each block length K in Ks.
 
-    Its 2K + 1 taps come from the Chebyshev recurrence T_(k+1) = S T_k -
-    T_(k-1) of the 3-tap interior stencil, in long double.  t0 and t1 apply it
-    to the blocks j and j + 1 of a row padded by width/2 nodes on the left,
-    giving output block j."""
+    The 2K + 1 taps of every length come from one Chebyshev recurrence
+    T_(k+1) = S T_k - T_(k-1) of the 3-tap interior stencil, in long double.
+    t0 and t1 apply the kernel to the blocks j and j + 1 of a row padded by
+    width/2 nodes on the left, giving output block j."""
+    k_max = max(Ks)
     S = np.array([coeffs[0], coeffs[1], coeffs[0]], dtype=np.longdouble)
-    prev = (np.arange(2 * K + 1) == K).astype(np.longdouble)  # T_0, then T_1
+    prev = (np.arange(2 * k_max + 1) == k_max).astype(np.longdouble)  # T_0, then T_1
     cur = np.convolve(prev, S / 2, "same")
-    for _ in range(K - 1):
-        prev, cur = cur, np.convolve(cur, S, "same") - prev
-    kern = np.zeros(4 * width)  # tap lag + K at index lag + K + 2 width
-    kern[2 * width:2 * width + 2 * K + 1] = 2 * cur
     s = np.arange(width)[:, None]
-    lag = s - s.T - width // 2 + K + 2 * width  # input slot s, output slot s.T
-    return kern[lag], kern[lag + width]
+    lag = s - s.T - width // 2 + 2 * width  # input slot s, output slot s.T
+    ops = {}
+    for K in range(1, k_max + 1):
+        if K > 1:
+            prev, cur = cur, np.convolve(cur, S, "same") - prev
+        if K in Ks:
+            kern = np.zeros(4 * width)  # tap lag + K at index lag + K + 2 width
+            kern[2 * width:2 * width + 2 * K + 1] = 2 * cur[k_max - K:k_max + K + 1]
+            ops[K] = kern[lag + K], kern[lag + K + width]
+    return ops
 
 
-def _block_operators(coeffs: tuple, K: int) -> np.ndarray:
-    """The dense edge operator of K steps at the -S end.
+_SERIAL_MACS = 1 << 18  # OpenBLAS threads a GEMM of more multiply-adds
 
-    It comes from the scheme itself: ``_step`` advances the unit vectors of
-    (x, d) on the first 2K + 1 nodes K times.  The operator maps x and d on
-    those nodes to the boundary value after steps 1 .. K-1, then x and d on
-    the first K nodes after K steps (3K - 1 rows); the +S end is its mirror
-    image.
+
+def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in blocks of rows of at most 2^18 multiply-adds each, which
+    OpenBLAS runs on the calling thread.  The edge operators' products are
+    small (130 x 130 at K = 32).  Threaded, they ran no faster, and the BLAS
+    worker thread's own malloc arena raised the peak RSS of the ``fdtd``
+    benchmark workload by 0.2-0.4 MB."""
+    out = np.empty((len(a), b.shape[1]))
+    step = max(1, _SERIAL_MACS // b.size)
+    for i in range(0, len(a), step):
+        np.matmul(a[i:i + step], b, out=out[i:i + step])
+    return out
+
+
+def _step_matrix(coeffs: tuple, M: int) -> np.ndarray:
+    """The scheme's difference-form step (x, d) -> (x + d + (S - 2) x,
+    d + (S - 2) x) on a window of M nodes as a 2M x 2M matrix, the closure
+    rows at both window ends included, each entry as ``_step`` forms it on
+    the unit vectors."""
+    r2, s0, b0, g = coeffs
+    A = np.zeros((2 * M, 2 * M))
+    D = A[M:, :M]  # S - 2
+    i = np.arange(1, M - 1)
+    D[i, i - 1] = D[i, i + 1] = r2
+    D[i, i] = s0 - 2.0
+    D[0, :3] = D[-1, :-4:-1] = (b0 - 2.0) - 3.0 * g, 4.0 * g, -g
+    A[:M, :M] = D + np.eye(M)
+    A[:M, M:] = A[M:, M:] = np.eye(M)
+    return A
+
+
+def _block_operators(coeffs: tuple, Ks) -> dict[int, np.ndarray]:
+    """The dense edge operator of K steps at the -S end, for each block
+    length K in Ks.
+
+    Each maps x and d on the first 2K + 1 nodes to the boundary value after
+    steps 1 .. K-1, then x and d on the first K nodes after K steps (3K - 1
+    rows); the +S end is its mirror image.  All come from one matrix A, the
+    one-step map of a window of M = 2k + 1 nodes, k the longest length
+    (``_step_matrix``).  The scheme propagates one cell per step, so the first K nodes after K
+    steps read no node beyond 2K - 1, the boundary no node beyond K, and the
+    closure at the window's far end reaches neither: the one window serves
+    every K <= k.  The K-step rows are rows of A^K by binary powering, the
+    boundary rows e_0^T A^j by doubling (the rows up to 2^i times A^(2^i)
+    give those up to 2^(i+1)), all float64 GEMMs.
 
     A smooth field sees mostly each row's sum, and the d-from-x sums are
     nearly zero (the mass term), so their rounding would add up block after
     block.  Each row's sums over the x and the d inputs are therefore set,
     through its largest entry, to the response to the constant fields
-    (x, d) = (1, 0) and (0, 1), stepped alongside in extended precision."""
-    M = 2 * K + 1
-    x = np.eye(M, 2 * M)
-    d = np.eye(M, 2 * M, M)
-    cx = np.zeros((M, 2), dtype=np.longdouble)
-    cd = cx.copy()
-    cx[:, 0] = cd[:, 1] = 1.0
-    bdy, bdy_c = [], []
-    for k in range(K):
-        if k:
-            bdy.append(x[0].copy())
-            bdy_c.append(cx[0].copy())
-        _step(x, d, coeffs)
-        _step(cx, cd, coeffs)
-    op = np.vstack(bdy + [x[:K], d[:K]])
-    const = np.vstack(bdy_c + [cx[:K], cd[:K]])
-    r = np.arange(len(op))
-    for half, target in ((op[:, :M], const[:, 0]), (op[:, M:], const[:, 1])):
-        j = np.argmax(np.abs(half), axis=1)
-        half[r, j] += (target - half.sum(axis=1, dtype=np.longdouble)).astype(float)
-    return op
+    (x, d) = (1, 0) and (0, 1) in extended precision.  The constant field is
+    an eigenvector of S - 2, of eigenvalue b0 - 2 on the closure rows, and
+    where 2 r2 + (s0 - 2) equals b0 - 2 exactly on the interior rows too (it
+    does at CFL 0.5 while dt^2 mu^2 <= 1/2).  Then the response is the
+    scalar recurrence d += (b0 - 2) x, x += d, run in long double.
+    Otherwise the interior rows add their excess (2 r2 + s0 - b0) x at every
+    step, and the response to that forcing, O(k eps), is stepped in float64
+    and added."""
+    r2, s0, b0, _ = coeffs
+    k_max = max(Ks)
+    M = 2 * k_max + 1
+    beta = b0 - 2.0
+    P = _step_matrix(coeffs, M)  # A, then A^(2^j)
+    # (x, d) of the constant fields (1, 0) and (0, 1) after j = 0 .. k steps
+    b = np.longdouble(beta)
+    x, d, y, e = (np.longdouble(v) for v in (1.0, 0.0, 0.0, 1.0))
+    const = [(x, d, y, e)]
+    for _ in range(k_max):
+        d += b * x
+        x += d
+        e += b * y
+        y += e
+        const.append((x, d, y, e))
+    const = np.array(const)
+    excess = math.fsum((r2, r2, s0 - 2.0, -beta))  # exact zero iff the sums agree
+    if excess:
+        force = np.zeros(2 * M)
+        force[1:M - 1] = force[M + 1:-1] = excess
+        resp, after = np.zeros((2 * M, 2)), []
+        for j in range(k_max):
+            resp = P @ resp + np.outer(force, const[j, 0::2].astype(float))
+            after.append(resp)
+    # right to left over the bits j of k, with P = A^(2^j): rows of
+    # A^(K mod 2^(j+1)), and e_0^T A^i for i <= 2^(j+1)
+    rows = {K: np.r_[0:K, M:M + K] for K in Ks}
+    out = dict.fromkeys(Ks)
+    bdy = P[:1]
+    for j in range(k_max.bit_length()):
+        if j:
+            P = _serial_matmul(P, P)
+        for K in out:
+            if K >> j & 1:
+                out[K] = P[rows[K]] if out[K] is None else _serial_matmul(out[K], P)
+        if len(bdy) < k_max - 1:
+            bdy = np.vstack((bdy, _serial_matmul(bdy, P)))
+    del P  # freed before the long-double sums, which set the peak memory
+    ops = {}
+    for K in out:
+        W = 2 * K + 1
+        cols = np.r_[0:W, M:M + W]
+        op = np.empty((3 * K - 1, 2 * W))
+        op[:K - 1] = bdy[:K - 1, cols]
+        op[K - 1:] = out[K][:, cols]
+        target = np.concatenate((const[1:K, 0::2], np.repeat(const[K:K + 1, 0::2], K, 0),
+                                 np.repeat(const[K:K + 1, 1::2], K, 0)))
+        if excess:
+            target += np.vstack([a[:1] for a in after[:K - 1]] + [after[K - 1][rows[K]]])
+        r = np.arange(len(op))
+        for half, t in ((op[:, :W], target[:, 0]), (op[:, W:], target[:, 1])):
+            j = np.argmax(np.abs(half), axis=1)
+            half[r, j] += (t - half.sum(axis=1, dtype=np.longdouble)).astype(float)
+        ops[K] = op
+    return ops
 
 
 def _block_plan(n_steps: int, n_nodes: int, k_max: int = _MAX_BLOCK
@@ -370,7 +462,7 @@ def _samples(s: FdtdState, n_steps: int, every: int) -> Iterator[FdtdState]:
     """The generator of ``fdtd_samples``."""
     if n_steps == 0:
         return
-    stepper = _Stepper(s, min(every, n_steps))
+    stepper = _Stepper(s, min(every, n_steps), n_steps % every)
     for k0 in range(0, n_steps, every):
         s = fdtd_run(s, min(every, n_steps - k0), stepper=stepper)
         yield s
@@ -398,13 +490,21 @@ class _Stepper:
     Before the blocks of each length K, single steps of ``_step``, forward
     or back, move the level behind to lag K.  An interval from a state that
     is not ``held`` reloads the current buffer and starts from lag 0, so it
-    first takes K steps back.  ``ops`` keeps the operators of each block
-    length, built on their first use in the run."""
+    first takes K steps back.
 
-    def __init__(self, s: FdtdState, every: int):
+    ``lengths`` holds the block lengths of the plans of ``every`` steps and
+    of a shorter ``last`` interval (0 for none).  The first block builds the
+    operators of all of them in one go, the taps from one Chebyshev
+    recurrence and the edge operators from one matrix, and ``ops`` keeps
+    them for the rest of the run.  A length outside the plans, from an
+    interval of another length handed to the stepper, builds its own on
+    first use.  Nothing is kept from one run to the next."""
+
+    def __init__(self, s: FdtdState, every: int, last: int = 0):
         self.coeffs = _leapfrog_stencil(s.grid.h, s.dt, s.p)
         self.n = n = s.phi.size
         self.k_max = pad = _block_plan(every, n)[0][0]
+        self.lengths = {K for m in (every, last) if m for K, _ in _block_plan(m, n, pad)}
         width = 2 * pad
         rows = -(-n // width)
         # per level: the buffer, flat, as GEMM input blocks, its nodes (x, d),
@@ -419,12 +519,15 @@ class _Stepper:
 
     def _operators(self, K: int) -> tuple:
         if K not in self.ops:
-            n, pad, W = self.n, self.k_max, 2 * K + 1
-            at = pad + np.abs(np.array([0, n - 1]) - np.arange(W)[:, None])  # node m from each end
-            gather = np.concatenate([at, at + self.bufs[0][0].shape[1]])  # x then d
-            self.ops[K] = (*_stride_operators(self.coeffs, K, 2 * pad),
-                           _block_operators(self.coeffs, K), gather,
-                           gather[np.r_[0:K, W:W + K]])
+            n, pad, L = self.n, self.k_max, self.bufs[0][0].shape[1]
+            Ks = sorted({K, *self.lengths} - self.ops.keys())
+            strides = _stride_operators(self.coeffs, Ks, 2 * pad)
+            edges = _block_operators(self.coeffs, Ks)
+            for k in Ks:
+                W = 2 * k + 1
+                at = pad + np.abs(np.array([0, n - 1]) - np.arange(W)[:, None])  # node m from each end
+                gather = np.concatenate([at, at + L])  # x then d
+                self.ops[k] = (*strides[k], edges[k], gather, gather[np.r_[0:k, W:W + k]])
         return self.ops[K]
 
     def advance(self, s: FdtdState, k: int) -> FdtdState:

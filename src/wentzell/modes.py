@@ -417,7 +417,13 @@ def synthesize(coeffs: np.ndarray, table: ModeTable, grid: Grid1D) -> BulkBounda
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (len(table),):
         raise ValueError(f"got {coeffs.shape[0]} coefficients for {len(table)} modes")
-    V = mode_matrix(table, grid)
+    return _mode_sum(mode_matrix(table, grid), coeffs, grid)
+
+
+def _mode_sum(V: np.ndarray, coeffs: np.ndarray, grid: Grid1D) -> BulkBoundaryFunction:
+    """V @ coeffs on ``grid``, V its mode matrix, with the bulk trace as the
+    boundary component: the sum of ``synthesize``, for callers that sample
+    several coefficient vectors through one mode matrix."""
     bulk = V @ coeffs
     return BulkBoundaryFunction(grid=grid, bulk=bulk,
                                 boundary=np.array([bulk[0], bulk[-1]]))

@@ -363,12 +363,61 @@ def test_stride_kernel_is_k_long_double_steps(K, mu):
     s = make_fdtd_state(gaussian_data(grid, width=0.1, center=-0.8), p)
     x_n = long_double_leapfrog(s, K)[0].astype(float)
     ref = long_double_leapfrog(s, 2 * K)[0]
-    t0, t1 = evolve._stride_operators(evolve._leapfrog_stencil(grid.h, s.dt, p), K, width)
+    t0, t1 = evolve._stride_operators(evolve._leapfrog_stencil(grid.h, s.dt, p), [K], width)[K]
     padded = np.zeros((-(-n // width) + 1) * width)
     padded[width // 2:width // 2 + n] = x_n
     z = padded.reshape(-1, width)
     stride = (z[:-1] @ t0 + z[1:] @ t1).ravel()[:n] - s.phi
     assert rel_diff(stride[K:n - K], ref[K:n - K]) <= 1e-14
+
+
+def long_double_edge_operator(coeffs, K):
+    """The edge operator of K steps from its definition: the unit vectors of
+    (x, d) on 2K + 1 nodes, each stepped K times in difference form in long
+    double with the scheme's float64 coefficients; the rows are the boundary
+    value after steps 1 .. K-1, then x and d on the first K nodes."""
+    r2, s0, b0, g = (np.longdouble(v) for v in coeffs)
+    M = 2 * K + 1
+    x = np.eye(M, 2 * M, dtype=np.longdouble)
+    d = np.eye(M, 2 * M, M, dtype=np.longdouble)
+    rows = []
+    for k in range(1, K + 1):
+        acc = np.empty_like(x)  # (S - 2) x
+        acc[1:-1] = r2 * (x[:-2] + x[2:]) + (s0 - 2) * x[1:-1]
+        acc[0] = (b0 - 2) * x[0] + g * (-3 * x[0] + 4 * x[1] - x[2])
+        acc[-1] = (b0 - 2) * x[-1] - g * (3 * x[-1] - 4 * x[-2] + x[-3])
+        d += acc
+        x += d
+        if k < K:
+            rows.append(x[0].copy())
+    return np.vstack(rows + [x[:K], d[:K]])
+
+
+@pytest.mark.parametrize("cfl", [0.5, 0.3])
+@pytest.mark.parametrize("c", [0.05, 1.0, 30.0])
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+@pytest.mark.parametrize("K", [1, 2, 5, 20, 29, 32])
+def test_edge_operator_is_k_long_double_steps(K, mu, c, cfl):
+    # built alone and on the 65-node window of K = 32, next to it.  The
+    # sums of each row over its x and its d inputs hold the long-double
+    # response; at CFL 0.3 that takes the float64 response to the interior
+    # rows' excess, without which they miss it by up to 1e-14 relative
+    import wentzell.evolve as evolve
+
+    p = PhysicalParams(c=c, mu=mu, geometry=Strip(1.0))
+    h = Grid1D.for_strip(1.0, 1024).h
+    coeffs = evolve._leapfrog_stencil(h, cfl * h, p)
+    ref = long_double_edge_operator(coeffs, K)
+    shape = (3 * K - 1, 2, 2 * K + 1)
+    ref_sums = ref.reshape(shape).sum(axis=2)
+    for lengths in ([K], [K, 32]):
+        op = evolve._block_operators(coeffs, lengths)[K]
+        assert op.shape == (3 * K - 1, 2 * (2 * K + 1))
+        if K == 1:
+            assert np.array_equal(op, ref.astype(float))
+        assert rel_diff(op, ref) <= 3e-14
+        sums = op.reshape(shape).sum(axis=2, dtype=np.longdouble)
+        assert np.max(np.abs(sums - ref_sums)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_fdtd_blocks_of_two_lengths_against_long_double():
@@ -535,7 +584,7 @@ def test_fdtd_samples_take_no_step_beyond_the_consumer(monkeypatch):
             return np.asarray(self) @ other
 
     def counted_operators(*args):
-        return block_operators(*args).view(CountingEdge)
+        return {K: op.view(CountingEdge) for K, op in block_operators(*args).items()}
 
     block_operators = evolve._block_operators
     monkeypatch.setattr(evolve, "_block_operators", counted_operators)
@@ -552,6 +601,34 @@ def test_fdtd_samples_take_no_step_beyond_the_consumer(monkeypatch):
     short.close()
     long.close()
     assert len(applied) == 6
+
+
+def test_fdtd_run_builds_one_operator_set(monkeypatch):
+    # 460 steps sampled every 205 on 1 025 nodes: blocks of 30 and 29, then a
+    # last interval of 50 in two blocks of 25; a lone 70-step call takes
+    # blocks of 24 and 23
+    import wentzell.evolve as evolve
+
+    built = []
+
+    def counted(name, build):
+        def wrapped(coeffs, Ks, *args):
+            built.append((name, sorted(Ks)))
+            return build(coeffs, Ks, *args)
+        monkeypatch.setattr(evolve, name, wrapped)
+
+    counted("_block_operators", evolve._block_operators)
+    counted("_stride_operators", evolve._stride_operators)
+    assert evolve._block_plan(205, 1025) == [(30, 2), (29, 5)]
+    s0 = make_fdtd_state(gaussian_data(Grid1D.for_strip(1.0, 1024)), P1)
+    samples = list(fdtd_samples(s0, 460, 205))
+    assert [len(a.bdy_trace) for a in samples] == [205, 205, 50]
+    assert sorted(built) == [("_block_operators", [25, 29, 30]),
+                             ("_stride_operators", [25, 29, 30])]
+    built.clear()
+    fdtd_run(s0, 70)
+    assert sorted(built) == [("_block_operators", [23, 24]),
+                             ("_stride_operators", [23, 24])]
 
 
 def test_fdtd_samples_arguments(monkeypatch):
