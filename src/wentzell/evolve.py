@@ -69,16 +69,16 @@ advances from its own two levels by the same kernel, and no interior row
 forms d from x.  Only the edge operator maps (x, d) to (x, d), and its row
 sums are reset to the response to the constant fields in extended precision,
 a scalar long-double recurrence (the constant field is an eigenvector of S).
-Distance from a long-double run of the same scheme, the larger
-of phi and phi_prev, relative to max|phi| (Gaussian of width 0.1 at
-z = -0.6, c = mu = 1, CFL 0.5), for blocks that apply the K-step map
-(x, d) -> (x, d) with its row sums reset, and for the stride:
+Distance from a long-double run of the same scheme, the larger of phi and
+phi_prev, relative to max|phi| (Gaussian of width 0.1 at z = -0.6,
+c = mu = 1, CFL 0.5), for blocks that apply the K-step map (x, d) -> (x, d)
+with its row sums reset, and for the stride, the blocks in use:
 
     run                                      (x, d) map   stride
-    1 025 nodes, 3 000 steps, one call       1.1e-13      6.9e-14
-    8 193 nodes, 5 000 steps, 40-step calls  1.5e-12      1.5e-13
+    1 025 nodes, 3 000 steps, one call       1.1e-13      6.2e-14
+    8 193 nodes, 5 000 steps, 40-step calls  1.5e-12      1.6e-13
     the same, one run sampled every 40       1.5e-12      4.8e-13
-    1 025 nodes, 2 048 steps, sampled        2.6e-13      3.7e-14
+    1 025 nodes, 2 048 steps, sampled        2.6e-13      4.0e-14
       every 5 steps
     the same, sampled every step             9.5e-15      5.8e-14
 
