@@ -280,9 +280,9 @@ _SERIAL_MACS = 1 << 18  # OpenBLAS threads a GEMM of more multiply-adds
 def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b in blocks of rows of at most 2^18 multiply-adds each, which
     OpenBLAS runs on the calling thread.  The edge operators' products are
-    small (130 x 130 at K = 32).  Threaded, they ran no faster, and the BLAS
-    worker thread's own malloc arena raised the peak RSS of the ``fdtd``
-    benchmark workload by 0.2-0.4 MB."""
+    small (130 x 130 at K = 32).  Threaded, they ran no faster, and the peak
+    RSS of the ``fdtd`` benchmark workload rose by 0.2-0.4 MB, a rise that
+    one BLAS thread or a single malloc arena avoided."""
     out = np.empty((len(a), b.shape[1]))
     step = max(1, _SERIAL_MACS // b.size)
     for i in range(0, len(a), step):
