@@ -14,7 +14,7 @@ from .evolve import (CflError, EnergyReport, FdtdState, SpectralState,
 from .qft import (SmearedCoefficients, TwoPointSpec, boundary_2pt_halfspace,
                   boundary_2pt_strip, commutator_boundary, smeared_coeffs,
                   source_relation_check, spacelike_2pt_bessel, tail_convergence)
-from .holo import (FreqExtension, HoloImage, choose_a, fig2_reproduce,
-                   halfspace_dual, holographic_dual, verify_dual)
+from .holo import (FreqExtension, HoloImage, fig2_reproduce, halfspace_dual,
+                   holographic_dual, verify_dual)
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from .evolve import (SpectralState, causality_probe, energy, energy_in_region,
 from .holo import (fig2_reproduce, fig2_test_function, holographic_dual,
                    pairing_boundary_route, pairing_bulk_route, verify_dual)
 from .modes import bracket, build_table, gram_matrix, synthesize, verify_table
-from .qft import (_HALFSPACE_NORM_TOL, TwoPointSpec, causality_check,
+from .qft import (_HALFSPACE_NORM_TOL, TwoPointSpec, causality_check, fourier_trapezoid,
                   halfspace_weight_normalization, source_relation_check, tail_convergence)
 
 S_C_GRID = (0.5, 1.0, 2.0)
@@ -264,8 +264,10 @@ def criterion_9_commutator_causality() -> CriterionResult:
 def criterion_10_holographic_identity() -> CriterionResult:
     """Coefficient-level holography for a Gaussian bulk observable
     (mu = 1, S = 1, c = 1): interpolation residual < 1e-13 at the automatic
-    99.9% cutoff, and the smeared two-point pairing of two observables agrees
-    along the bulk and boundary routes within 1e-13."""
+    99.9% cutoff, the smeared two-point pairing of two observables agrees
+    along the bulk and boundary routes within 1e-13, and the written f' of
+    each gives back its fhat'(+omega_m) within 1e-12 of the largest: the
+    trapezoid transform of f' on its own time grid."""
     p = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))
     table = build_table(40, p)
 
@@ -276,18 +278,25 @@ def criterion_10_holographic_identity() -> CriterionResult:
         return np.exp(-(t - 0.3) ** 2 / (2 * 0.3 ** 2)) \
             * np.exp(-(z + 0.1) ** 2 / (2 * 0.15 ** 2))
 
-    img_f = holographic_dual(f, table, t_span=4.0, n_out=1024)
+    img_f = holographic_dual(f, table, t_span=4.0)
     M = img_f.metadata["M"]
-    img_g = holographic_dual(g, table, t_span=4.0, n_out=1024, M=M)
+    img_g = holographic_dual(g, table, t_span=4.0, M=M)
     rep_f = verify_dual(img_f)
     rep_g = verify_dual(img_g)
     bulk = pairing_bulk_route(img_f.coeffs, img_g.coeffs, table, img_f.extension.modes)
     bdy = pairing_boundary_route(img_f.extension, img_g.extension, table)
     pair_rel = abs(bulk - bdy) / max(abs(bulk), 1e-300)
+    round_trip = []
+    for img in (img_f, img_g):
+        ext = img.extension
+        back = fourier_trapezoid(img.fprime[:, None], img.t_grid, ext.omegas)
+        round_trip.append(float(np.max(np.abs(back - ext.coeffs))
+                                / np.max(np.abs(ext.coeffs))))
     passed = (rep_f.max_residual < 1e-13 and rep_g.max_residual < 1e-13
-              and pair_rel < 1e-13 and rep_f.pairing_rel_error < 1e-13)
+              and pair_rel < 1e-13 and rep_f.pairing_rel_error < 1e-13
+              and max(round_trip) < 1e-12)
     details = {"residual_f": rep_f.max_residual, "residual_g": rep_g.max_residual,
-               "pairing_rel_fg": pair_rel, "M": M}
+               "pairing_rel_fg": pair_rel, "round_trip_fg": round_trip, "M": M}
     for key in _SMEAR_KEYS:
         details[key] = [img_f.metadata[key], img_g.metadata[key]]
     return CriterionResult("10-holographic-identity", passed, details)

@@ -333,7 +333,7 @@ def cmd_holo(args: argparse.Namespace) -> int:
         meta["pairing_rel_error"] = rep.pairing_rel_error
         print(f"interpolation residual: {rep.max_residual:.3e}")
     header = {"command": "holo", "fig2": args.fig2, "S": args.S, "c": args.c,
-              "mu": meta["mu"], "M": meta["M"], "a": meta["a"]}
+              "mu": meta["mu"], "M": meta["M"], "tau": meta["tau"]}
     # one row per included mode: fhat'(+omega_m); an object array keeps m an int
     ext = image.extension
     write_csv(out.with_suffix(".fhat.csv"), header, ["m", "omega", "re", "im"],

@@ -292,17 +292,12 @@ def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _step_matrix(coeffs: tuple, M: int) -> np.ndarray:
     """The scheme's difference-form step (x, d) -> (x + d + (S - 2) x,
-    d + (S - 2) x) on a window of M nodes as a 2M x 2M matrix, the closure
-    rows at both window ends included, each entry as ``_step`` forms it on
-    the unit vectors."""
-    r2, s0, b0, g = coeffs
+    d + (S - 2) x) on a window of M nodes as a 2M x 2M matrix, its S - 2
+    block ``_leapfrog_op`` of the identity: the closure rows at both window
+    ends are those ``_step`` applies."""
     A = np.zeros((2 * M, 2 * M))
-    D = A[M:, :M]  # S - 2
-    i = np.arange(1, M - 1)
-    D[i, i - 1] = D[i, i + 1] = r2
-    D[i, i] = s0 - 2.0
-    D[0, :3] = D[-1, :-4:-1] = (b0 - 2.0) - 3.0 * g, 4.0 * g, -g
-    A[:M, :M] = D + np.eye(M)
+    A[M:, :M] = _leapfrog_op(np.eye(M), 2.0, *coeffs)  # S - 2
+    A[:M, :M] = A[M:, :M] + np.eye(M)
     A[:M, M:] = A[M:, M:] = np.eye(M)
     return A
 

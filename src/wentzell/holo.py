@@ -1,49 +1,53 @@
 """Constructive bulk-to-boundary map.
 
 A bulk smearing f determines frequency components fhat^+-_m at the mode
-frequencies.  Dividing by the boundary couplings d_m and interpolating with
-smooth bumps of disjoint support in omega^2 yields a Schwartz function fhat'
-on the boundary frequency axis; its inverse Fourier transform f' smears the
-boundary field to the same operator as the bulk smearing.  The bump profile
-chi is a convention (the construction does not fix it) and is recorded in the
-image metadata.
+frequencies.  The boundary field sees a boundary smearing f' only through
+fhat'(+-omega_m), so any Schwartz f' with fhat'(omega_m) d_m = fhat^+_m
+smears it to the same operator as f.  The map takes the Gaussian sum over
+the included modes
+
+    f'(t) = exp(-t^2 / 2 tau^2) sum_m 2 Re[beta_m exp(-i omega_m t)],
+    fhat'(omega) = tau sum_m [beta_m G(omega - omega_m)
+                              + conj(beta_m) G(omega + omega_m)],
+    G(x) = exp(-tau^2 x^2 / 2),
+
+with the beta_m from the conditions at the +omega_m: two real n x n
+systems, one for Re beta and one for Im beta.  The width is tau = 3 / g, g
+the smallest gap between the included omega_m with 2 omega_0 (the gap from
+omega_0 to -omega_0) counted, so that each Gaussian is at most e^-4.5 at the
+other centres and both systems are near the identity (condition numbers
+about 1.02 for ``holo`` and fig2).
+
+f' is a closed form, exact at any t.  ``holographic_dual`` writes it on
+|t| <= tau sqrt(2 ln 10^16), where its Gaussian window has fallen to 1e-16,
+so the window holds f' to rounding, with a step of
+pi / (4 (omega_max + 6 / tau)).  On that grid the trapezoid rule gives back
+fhat'(omega_m) to rounding: the first alias of omega_m lies at least
+48 / tau from every centre.  A grid of more than 2^21 times is refused
+before it is built.
 
 The mode table is the one source of the strip, c and mu: ``holographic_dual``
 builds its grids from it, and the image keeps it for ``verify_dual``.
 
 ``holographic_dual`` chooses its smearing grid: it doubles the space
-intervals from 64, with a time step of at most the space step, until two
-successive levels agree to 1e-11 of the largest coefficient, and records the
-grid and that estimate in the image metadata.  The trapezoid sums of a smooth
-f that vanishes towards the ends of both axes converge exponentially
-(Trefethen & Weideman, SIAM Rev. 56, 2014), so the test functions here stop
-at 128 to 256 intervals.  On each level f is never sampled on the whole
-space-time grid: ``smeared_coeffs`` evaluates it on blocks of time rows of at
-most 2^18 samples and projects each block on the modes as it is made, keeping
-the row peaks that locate its support in time.  The smearing therefore takes
-O(2^18 + n_t (M + 1)) memory, not O(n_t x n_nodes); ``halfspace_dual``
-samples the same way.
+intervals from 64, with a time step of at most the space step and at most
+pi / (2 omega_max) of the table, until two successive levels agree to 1e-11
+of the largest coefficient or to the smearing's rounding floor, and records
+the grid, that estimate and the floor in the image metadata.  The trapezoid
+sums of a smooth f that vanishes towards the ends of both axes converge
+exponentially (Trefethen & Weideman, SIAM Rev. 56, 2014), so the test
+functions here stop at 128 to 256 intervals.  On each level f is never
+sampled on the whole space-time grid: ``smeared_coeffs`` evaluates it on
+blocks of time rows of at most 2^18 samples and projects each block on the
+modes as it is made, keeping the row peaks that locate its support in time.
+The smearing therefore takes O(2^18 + n_t (M + 1)) memory, not
+O(n_t x n_nodes); ``halfspace_dual`` samples the same way.
 
 The field is real, so for a real bulk smearing fhat^-_m = conj fhat^+_m, and
-the boundary image is Hermitian: fhat'(-omega) = conj fhat'(omega).  The image
-is therefore its M + 1 coefficients fhat'(+omega_m), the bump scale a and chi:
-the map keeps no frequency samples.  The negative frequencies are conjugates
-computed on demand, and f' = 2 Re of the transform over omega > 0 is returned
-as a real array.
-
-The last step, fhat' -> f', is the trapezoid sum over a uniform grid of
-positive frequencies evaluated on a uniform time grid.  It is computed as a
-chirp-z transform by Bluestein's convolution (Bluestein 1968; Rabiner, Schafer
-& Rader 1969): the product t_j omega_k is split into chirps so that the sum
-becomes one FFT convolution, in O((N_omega + N_t) log(N_omega + N_t)) time and
-O(N_omega + N_t) memory.  The time grid must therefore be uniform
-(``_inverse_transform`` raises ValueError otherwise), and a frequency grid of
-more than _MAX_OMEGA_SAMPLES samples is refused before it is built.
-
-No attempt is made to compactify the support of f'.  A Paley-Wiener argument
-bounds any single-mode boundary representative away from intervals shorter
-than 8S/pi, and the images produced here have long tails set by the inverse
-bump widths; f' is Schwartz-quality, not compactly supported.
+the boundary image is Hermitian: fhat'(-omega) = conj fhat'(omega), exactly
+in floating point, and f' is real.  The image is therefore its n
+coefficients fhat'(+omega_m) and tau, from which ``FreqExtension`` rebuilds
+beta.
 """
 
 from __future__ import annotations
@@ -55,29 +59,16 @@ import numpy as np
 
 from .core import Grid1D, PhysicalParams, Strip, _check_halfspace
 from .modes import ModeTable, build_table, eval_halfspace_mode
-from .qft import (_SQRT2PI, SmearedCoefficients, _project_rows, fourier_trapezoid,
+from .qft import (_BLOCK_ENTRIES, SmearedCoefficients, _project_rows, fourier_trapezoid,
                   smeared_coeffs)
 
 _ENERGY_FRACTION = 0.999  # coefficient energy the automatic cutoff M retains
-_SAMPLES_PER_BUMP = 16    # omega samples across the narrowest bump
-_MAX_OMEGA_SAMPLES = 1 << 21  # largest positive-frequency grid of the transform
+_GAP_WIDTHS = 3.0         # tau times the smallest gap between included +-omega_m
+_WINDOW = math.sqrt(2.0 * math.log(1e16))  # |t| / tau where f' is written
+_MAX_TIMES = 1 << 21      # largest time grid of f'
 _SMEAR_START = 64               # space intervals of the coarsest smearing level
 _SMEAR_MAX_INTERVALS = 1 << 12  # finest smearing level
 _SMEAR_RTOL = 1e-11             # two-resolution estimate, relative to max|fhat^+|
-
-
-class BumpOverlapError(ValueError):
-    """Bump supports of two modes intersect (a is too small)."""
-
-
-def default_chi(u) -> np.ndarray:
-    """Smooth bump exp(1 - 1/(1 - (2u)^2)) supported in [-1/2, 1/2], chi(0)=1."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 0.5
-    v = u[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - (2.0 * v) ** 2))
-    return out
 
 
 def included_modes(table: ModeTable, M: int) -> np.ndarray:
@@ -87,95 +78,95 @@ def included_modes(table: ModeTable, M: int) -> np.ndarray:
     return np.nonzero(omegas > 0.0)[0]
 
 
-def choose_a(table: ModeTable, M: int) -> float:
-    """Bump scale a with disjoint supports: the window |omega^2 - omega_m^2| <=
-    1/(2a) must not bridge consecutive included modes, and the lowest window
-    must stay clear of omega = 0.  Hence
-
-        a = max( 1 / (2 omega_min^2), 1 / min_m gap_m ) / 0.9,
-
-    with gap_m the consecutive differences of omega_m^2.  Gaps grow with m, so
-    a is set by the smallest included gap and never increases with M.
-    ValueError when two included omega_m^2 are equal in double precision: no
-    bump scale separates them.  A large c S does that to modes 0 and 1 at
+def _width(modes: np.ndarray, omegas: np.ndarray) -> float:
+    """tau = 3 / g for the included modes and their ascending omega_m, g the
+    smallest gap between them with 2 omega_0 counted.  ValueError when there
+    is no included mode, or when two omega_m are equal in double precision:
+    no width separates them.  A large c S does that to modes 0 and 1 at
     mu > 0, since q_1^2 ~ 1 / (c S) is then lost in mu^2."""
-    if M < 1:
-        raise ValueError(f"need at least two modes, got M={M}")
-    idx = included_modes(table, M)
-    w2 = table.omegas()[idx] ** 2
-    if idx.size < 2:
-        raise ValueError("fewer than two usable modes")
-    gaps = np.diff(w2)
+    if modes.size == 0:
+        raise ValueError("no mode with omega_m > 0 at or below the cutoff")
+    gaps = np.diff(omegas)
     if not np.all(gaps > 0.0):
         i = int(np.argmin(gaps))
-        raise ValueError(f"modes {idx[i]} and {idx[i + 1]} have the same frequency "
-                         f"in double precision, so no bump separates them; at mu > 0 "
+        raise ValueError(f"modes {modes[i]} and {modes[i + 1]} have the same frequency "
+                         f"in double precision, so no image separates them; at mu > 0 "
                          f"a large c S does this, as q_1^2 ~ 1 / (c S) falls below "
                          f"the rounding of mu^2 (c S mu^2 above about 1e16); lower "
                          f"--c or --mu")
-    min_gap = float(np.min(gaps))
-    return max(1.0 / (2.0 * w2[0]), 1.0 / min_gap) / 0.9
+    return _GAP_WIDTHS / float(np.min(gaps, initial=2.0 * omegas[0]))
+
+
+def _image_times(tau: float, omega_max: float) -> np.ndarray:
+    """The uniform times |t| <= tau sqrt(2 ln 10^16), an odd number of them
+    with a step of at most pi / (4 (omega_max + 6 / tau)); ValueError, before
+    any array is built, when that takes more than _MAX_TIMES."""
+    half = tau * _WINDOW
+    steps = half / (math.pi / (4.0 * (omega_max + 6.0 / tau)))
+    if not steps <= (_MAX_TIMES - 1) // 2:
+        raise ValueError(f"the holographic image needs {2.0 * steps + 1.0:.3g} time "
+                         f"samples, more than {_MAX_TIMES}: its closest frequencies, "
+                         f"{_GAP_WIDTHS / tau:.3g} apart, need a window of "
+                         f"|t| <= {half:.3g}; raise --mu")
+    return np.linspace(-half, half, 2 * math.ceil(steps) + 1)
 
 
 @dataclass
 class FreqExtension:
-    """Evaluator for the Hermitian extension
+    """The Hermitian Gaussian sum
 
-        fhat'(omega) = sum_m chi(a (omega^2 - omega_m^2)) coeffs_m,  omega > 0,
-        fhat'(omega) = conj fhat'(-omega),                          omega <= 0,
+        fhat'(omega) = tau sum_m [beta_m G(omega - omega_m)
+                                  + conj(beta_m) G(omega + omega_m)],
+        G(x) = exp(-tau^2 x^2 / 2),
 
-    with pairwise disjoint bumps and chi = ``default_chi``; ``coeffs`` holds
-    fhat'(+omega_m) only."""
+    over the included modes, with the beta_m that make fhat'(+omega_m) =
+    coeffs_m: the real and imaginary parts of those conditions are two real
+    n x n systems in Re beta and Im beta, solved on construction.  Its inverse
+    transform is ``fprime``."""
 
-    a: float
+    tau: float
     modes: np.ndarray       # included mode indices
     omegas: np.ndarray      # their frequencies
     coeffs: np.ndarray      # fhat'(+omega_m)
+    beta: np.ndarray = field(init=False)
+
+    def _kernels(self, omega) -> tuple[np.ndarray, np.ndarray]:
+        """tau (G(omega - omega_m) + G(omega + omega_m)) and
+        tau (G(omega - omega_m) - G(omega + omega_m)), a row per omega: the
+        maps from Re beta to Re fhat' and from Im beta to Im fhat'."""
+        x = np.asarray(omega, dtype=float)[..., None]
+        minus = np.exp(-0.5 * (self.tau * (x - self.omegas)) ** 2)
+        plus = np.exp(-0.5 * (self.tau * (x + self.omegas)) ** 2)
+        return self.tau * (minus + plus), self.tau * (minus - plus)
 
     def __post_init__(self):
-        w2 = self.omegas**2
-        half = 1.0 / (2.0 * self.a)
-        if w2[0] - half <= 0.0:
-            raise BumpOverlapError(
-                f"bump of mode {self.modes[0]} reaches omega = 0; increase a")
-        gaps = np.diff(w2)
-        bad = np.nonzero(gaps <= 2.0 * half)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise BumpOverlapError(
-                f"bumps of modes {self.modes[i]} and {self.modes[i + 1]} overlap; "
-                f"gap {gaps[i]:.4g} <= 1/a = {2 * half:.4g}")
+        even, odd = self._kernels(self.omegas)
+        self.beta = (np.linalg.solve(even, self.coeffs.real)
+                     + 1j * np.linalg.solve(odd, self.coeffs.imag))
 
     def __call__(self, omega) -> np.ndarray:
-        """fhat' at every omega of a scalar or an array.  The bumps are
-        disjoint, so the only one that can hold omega^2 is the nearest centre
-        omega_m^2, found by bisection on the midpoints between centres."""
-        omega = np.asarray(omega, dtype=float)
-        scalar = omega.ndim == 0
-        omega = np.atleast_1d(omega)
-        out = np.zeros(omega.shape, dtype=complex)
-        w2 = omega**2
-        centres = self.omegas**2
-        near = np.searchsorted((centres[:-1] + centres[1:]) / 2.0, w2)
-        u = self.a * (w2 - centres[near])
-        mask = np.abs(u) < 0.5
-        coeff = self.coeffs[near[mask]]
-        out[mask] += default_chi(u[mask]) * np.where(omega[mask] > 0.0, coeff,
-                                                     np.conj(coeff))
-        return out[0] if scalar else out
+        """fhat' at every omega of a scalar or an array."""
+        even, odd = self._kernels(omega)
+        return even @ self.beta.real + 1j * (odd @ self.beta.imag)
 
-    def bump_width(self, omega_m) -> np.ndarray:
-        """Support width of the bump at each omega_m along the omega axis."""
-        half = 1.0 / (2.0 * self.a)
-        w2 = np.asarray(omega_m, dtype=float) ** 2
-        return np.sqrt(w2 + half) - np.sqrt(np.maximum(w2 - half, 0.0))
+    def fprime(self, t: np.ndarray) -> np.ndarray:
+        """f'(t) = exp(-t^2 / 2 tau^2) sum_m 2 Re[beta_m exp(-i omega_m t)] at
+        the times of a 1-d array, from phase blocks of at most 2^18 entries."""
+        t = np.asarray(t, dtype=float)
+        out = np.empty(t.size)
+        re, im = 2.0 * self.beta.real, 2.0 * self.beta.imag
+        step = max(1, _BLOCK_ENTRIES // self.omegas.size)
+        for i in range(0, t.size, step):
+            phase = np.outer(t[i:i + step], self.omegas)
+            out[i:i + step] = np.cos(phase) @ re + np.sin(phase) @ im
+        return out * np.exp(-0.5 * (t / self.tau) ** 2)
 
 
 @dataclass
 class HoloImage:
-    """Boundary image f'(t) on a uniform time grid, the extension fhat' that
-    defines it (its coefficients fhat'(+omega_m), a and chi), the smeared
-    coefficients it interpolates and their mode table."""
+    """Boundary image f'(t) on the uniform times of its window, the extension
+    fhat' that defines it (tau and the coefficients fhat'(+omega_m)), the
+    smeared coefficients it interpolates and their mode table."""
 
     t_grid: np.ndarray
     fprime: np.ndarray
@@ -186,65 +177,6 @@ class HoloImage:
     warnings: list = field(default_factory=list)
 
 
-def _uniform_step(g: np.ndarray, name: str) -> float:
-    """Step of a uniform grid, taken from its endpoints (the difference of two
-    neighbouring values loses digits away from zero); ValueError if g is not
-    uniform."""
-    if g.size < 2:
-        return 0.0
-    step = float(g[-1] - g[0]) / (g.size - 1)
-    if not np.allclose(np.diff(g), step, rtol=1e-9, atol=0.0):
-        raise ValueError(f"{name} must be uniform")
-    return step
-
-
-def _inverse_transform(ext: FreqExtension, d_omega: float,
-                       t_grid: np.ndarray) -> np.ndarray:
-    """Trapezoid inverse Fourier transform over omega > 0 of the Hermitian
-    ``ext``,
-
-        f'(t_j) = 2 Re[ d_omega / sqrt(2 pi) sum_k fhat'(omega_k) exp(-i t_j omega_k) ],
-
-    on the multiples of d_omega from the lowest bump edge to the highest
-    (omega = 0 lies in no bump), by Bluestein's chirp convolution.  With
-    t_j = t_0 + j dt, omega_k = (k_0 + k) d_omega and beta = dt d_omega,
-    j k = (j^2 + k^2 - (j - k)^2) / 2 turns the sum into a chirp pre-multiply,
-    one FFT convolution with exp(i beta r^2 / 2) and a chirp post-multiply:
-    O((N_omega + N_t) log(N_omega + N_t)) time, O(N_omega + N_t) memory.  The
-    convolution runs on ``numpy.fft`` at the power of two at or above
-    N_omega + N_t - 1.  ValueError if ``t_grid`` is not uniform, or, before
-    any grid is built, if the highest bump edge lies more than
-    _MAX_OMEGA_SAMPLES steps d_omega above zero (d_omega = 0 included)."""
-    half = 1.0 / (2.0 * ext.a)
-    lo = float(np.sqrt(ext.omegas[0] ** 2 - half))
-    hi = float(np.sqrt(ext.omegas[-1] ** 2 + half))
-    if not hi <= _MAX_OMEGA_SAMPLES * d_omega:
-        n = hi / d_omega if d_omega > 0 else float("inf")
-        raise ValueError(f"the holographic image needs {n:.3g} frequency samples, "
-                         f"more than {_MAX_OMEGA_SAMPLES}: its bumps are too narrow; "
-                         f"raise --mu or --S, or lower --max")
-    t_grid = np.asarray(t_grid, dtype=float)
-    dt = _uniform_step(t_grid, "t grid")
-    k0 = int(lo / d_omega)
-    seg = ext(np.arange(k0, int(np.ceil(hi / d_omega)) + 1) * d_omega)
-    m, n = seg.size, t_grid.size
-    beta = dt * d_omega
-    size = 1 << (n + m - 2).bit_length()
-    # one length-size spectrum, transformed in place: the chirped samples and
-    # the kernel exist only while their FFT is taken
-    k = np.arange(m, dtype=float)
-    spec = np.fft.fft(seg * np.exp(-1j * (t_grid[0] * d_omega * k + 0.5 * beta * k * k)),
-                      size)
-    del seg, k
-    r = np.arange(-(m - 1), n, dtype=float)
-    spec *= np.fft.fft(np.exp(0.5j * beta * r * r), size)
-    del r
-    conv = np.fft.ifft(spec, out=spec)[m - 1: m - 1 + n]
-    j = np.arange(n, dtype=float)
-    post = np.exp(-1j * (k0 * d_omega * t_grid + 0.5 * beta * j * j))
-    return (conv * post).real * (2.0 * d_omega / _SQRT2PI)
-
-
 def _smear(f, table: ModeTable, t_span: float
            ) -> tuple[SmearedCoefficients, int, int, float]:
     """Smeared coefficients of f on the coarsest of the doubling grids that
@@ -252,27 +184,40 @@ def _smear(f, table: ModeTable, t_span: float
     intervals and of times and the estimate.
 
     Level n is the strip's grid of n intervals, step h = 2S/n, and the
-    2 ceil(t_span / h) + 1 uniform times in [-t_span, t_span], a time step of
-    at most h: omega_m ~ q_m, so one resolution serves both axes.  From
-    n = 64 the grid is doubled until two successive levels agree,
-    max|delta fhat^+| <= 1e-11 max|fhat^+| of the finer one, which is
-    returned with that ratio as its estimate.  Where the sums converge
+    uniform times in [-t_span, t_span], 2 ceil(t_span / dt) + 1 of them for
+    dt = min(h, pi / (2 omega_max)): the step resolves both the space scale
+    and the largest frequency of the table.  From n = 64 the grid is doubled
+    until two successive levels agree, max|delta fhat^+| <= max(1e-11
+    max|fhat^+|, floor) of the finer one, which is returned with the ratio
+    max|delta fhat^+| / max|fhat^+| as its estimate; the floor is the
+    rounding floor ``smeared_coeffs`` bounds.  Where the sums converge
     exponentially the estimate is far above the finer level's own error.
-    ValueError when two successive levels are all zero, RuntimeError when
-    2^12 intervals do not meet the tolerance."""
+    ValueError when pi / (2 omega_max) is below the space step of the finest
+    level, before any level is built, and when max|fhat^+| is at or below the
+    floor, where the image is zero to rounding; RuntimeError when 2^12
+    intervals do not meet the tolerance."""
     S = table.params.geometry.S
+    omega_max = float(np.max(table.omegas()))
+    if 4.0 * S * omega_max > math.pi * _SMEAR_MAX_INTERVALS:
+        raise ValueError(f"the smearing needs a time step of pi / (2 omega_max) = "
+                         f"{math.pi / (2.0 * omega_max):.3g}, below the space step "
+                         f"{2.0 * S / _SMEAR_MAX_INTERVALS:.3g} of its finest grid; "
+                         f"lower --mu or --S")
     n, coarse = _SMEAR_START, None
     while True:
         grid = Grid1D.for_strip(S, n)
-        n_t = 2 * math.ceil(t_span * n / (2.0 * S)) + 1
+        n_t = 2 * math.ceil(max(t_span * n / (2.0 * S),
+                                2.0 * t_span * omega_max / math.pi)) + 1
         fine = smeared_coeffs(f, None, table, np.linspace(-t_span, t_span, n_t), grid)
         if coarse is not None:
             scale = float(np.max(np.abs(fine.f_plus)))
             err = float(np.max(np.abs(fine.f_plus - coarse.f_plus)))
-            if scale == 0.0 and err == 0.0:
-                raise ValueError(f"the bulk test function vanishes on the {n}-interval "
-                                 f"grid and the one before it")
-            if err <= _SMEAR_RTOL * scale:
+            if scale <= fine.floor:
+                raise ValueError(f"the image vanishes on the {n}-interval grid and the "
+                                 f"one before it, to rounding: max|fhat+| = {scale:.3e} "
+                                 f"<= its rounding floor {fine.floor:.3e}; lower --mu "
+                                 f"or --S")
+            if err <= max(_SMEAR_RTOL * scale, fine.floor):
                 return fine, n, n_t, err / scale
             if 2 * n > _SMEAR_MAX_INTERVALS:
                 raise RuntimeError(
@@ -283,29 +228,29 @@ def _smear(f, table: ModeTable, t_span: float
         coarse, n = fine, 2 * n
 
 
-def holographic_dual(f, table: ModeTable, t_span: float, n_out: int = 4096,
+def holographic_dual(f, table: ModeTable, t_span: float,
                      M: int | None = None) -> HoloImage:
-    """Holographic image of a bulk test function f(t, z) (callable, vectorized)
-    on the strip of ``table``, smeared on the coarsest space-time grid that
-    meets a two-resolution estimate of 1e-11 (``_smear``); f' is sampled at
-    ``n_out`` uniform times in [-t_span, t_span].  ``smeared_coeffs``
+    """Holographic image of a bulk test function f(t, z) (callable,
+    vectorized, vanishing outside |t| <= t_span) on the strip of ``table``,
+    smeared on the coarsest space-time grid that meets a two-resolution
+    estimate of 1e-11 or the rounding floor (``_smear``).  ``smeared_coeffs``
     evaluates f on blocks of time rows of at most 2^18 samples and projects
     each block on the modes as it is made, so the smearing takes
     O(2^18 + n_t (M + 1)) memory, not O(n_t x n_nodes).
 
     Computes the smeared coefficients, divides by the boundary couplings,
-    extends to a Schwartz function on the frequency axis with the bump
-    ``default_chi``, and inverse transforms to f'(t), sampling the frequency
-    axis 16 times across the narrowest bump.  The cutoff M defaults to the
-    smallest value retaining 99.9% of the coefficient energy; a warning is
-    attached if the requested M falls short of that.  The metadata records
-    the smearing grid (``smear_intervals`` x ``smear_times``) and its
-    estimate relative to max|fhat^+| (``smear_estimate``).  An M beyond the
-    table's last mode raises ValueError, and so do a complex f, an f that does
-    not vanish at +-t_span, an f that is zero on the grids, and bumps too
-    narrow for a frequency grid of _MAX_OMEGA_SAMPLES
-    (``_inverse_transform``); RuntimeError when 2^12 intervals do not resolve
-    the smearing."""
+    interpolates them with the Gaussian sum ``FreqExtension`` of width
+    tau = 3 / g, and writes f' on the window |t| <= tau sqrt(2 ln 10^16),
+    which holds it to rounding (``_image_times``).  The cutoff M defaults to
+    the smallest value retaining 99.9% of the coefficient energy; a warning
+    is attached if the requested M falls short of that.  The metadata
+    records tau, the smearing grid (``smear_intervals`` x ``smear_times``),
+    its estimate relative to max|fhat^+| (``smear_estimate``) and its
+    rounding floor (``smear_floor``).  An M beyond the table's last mode
+    raises ValueError, and so do a complex f, an f that does not vanish at
+    +-t_span, an image below the rounding floor, two equal included
+    frequencies, and a window of more than 2^21 times; RuntimeError when 2^12
+    intervals do not resolve the smearing."""
     if M is not None and M > len(table) - 1:
         raise ValueError(f"cutoff M={M} exceeds the table's last mode "
                          f"m={len(table) - 1}")
@@ -325,21 +270,17 @@ def holographic_dual(f, table: ModeTable, t_span: float, n_out: int = 4096,
             f"coefficient energy (needs M={M_auto})")
 
     modes = included_modes(table, M)
-    a = choose_a(table, M)
-    ext = FreqExtension(a, modes, table.omegas()[modes],
-                        coeffs.f_plus[modes] / table.d_bdys[modes])
+    omegas = table.omegas()[modes]
+    tau = _width(modes, omegas)
+    t_out = _image_times(tau, float(omegas[-1]))
+    ext = FreqExtension(tau, modes, omegas, coeffs.f_plus[modes] / table.d_bdys[modes])
 
-    d_omega = float(np.min(ext.bump_width(ext.omegas))) / _SAMPLES_PER_BUMP
-    t_out = np.linspace(-t_span, t_span, n_out)
-    fprime = _inverse_transform(ext, d_omega, t_out)
-
-    meta = {"S": p.geometry.S, "c": p.c, "mu": p.mu, "M": M, "a": a,
-            "chi": default_chi.__name__,
+    meta = {"S": p.geometry.S, "c": p.c, "mu": p.mu, "M": M, "tau": tau,
             "energy_fraction": float(cum[np.searchsorted(usable, M)]),
-            "samples_per_bump": _SAMPLES_PER_BUMP, "smear_intervals": n_z,
-            "smear_times": n_t, "smear_estimate": estimate}
-    return HoloImage(t_grid=t_out, fprime=fprime, extension=ext, coeffs=coeffs,
-                     table=table, metadata=meta, warnings=warnings)
+            "smear_intervals": n_z, "smear_times": n_t, "smear_estimate": estimate,
+            "smear_floor": coeffs.floor}
+    return HoloImage(t_grid=t_out, fprime=ext.fprime(t_out), extension=ext,
+                     coeffs=coeffs, table=table, metadata=meta, warnings=warnings)
 
 
 @dataclass
@@ -366,7 +307,7 @@ def pairing_bulk_route(cf: SmearedCoefficients, cg: SmearedCoefficients,
 def pairing_boundary_route(extF: FreqExtension, extG: FreqExtension,
                            table: ModeTable) -> complex:
     """Same pairing through the boundary images: sum_m (2 pi / 2 w_m) d_m^2
-    fhat'(-w_m) ghat'(+w_m), exercising the bump evaluators."""
+    fhat'(-w_m) ghat'(+w_m), exercising the Gaussian-sum evaluators."""
     modes = extF.modes
     w = extF.omegas
     d = table.d_bdys[modes]
@@ -377,9 +318,10 @@ def pairing_boundary_route(extF: FreqExtension, extG: FreqExtension,
 def verify_dual(image: HoloImage) -> DualReport:
     """Max interpolation residual |fhat'(+w_m) d_m - fhat^+_m| (normalized,
     d_m from the image's table) against the image's smeared coefficients, and
-    the two-point pairing of the image with itself along both routes.  The
-    residual at -w_m is the conjugate of the one at +w_m, so only +w_m is
-    evaluated."""
+    the two-point pairing of the image with itself along both routes.
+    fhat' is evaluated as its Gaussian sum, so the residual measures the
+    solve for beta.  The residual at -w_m is the conjugate of the one at
+    +w_m, so only +w_m is evaluated."""
     table = image.table
     coeffs = image.coeffs
     ext = image.extension
@@ -529,13 +471,12 @@ def fig2_reproduce(*, S: float = 1.0, c: float = 1.0, M: int | None = None
     excluded; S = 1 and c = 1 by default) and its burst report at 10% of the
     envelope maximum.  M is the cutoff of ``holographic_dual`` (automatic by
     default) on a table of modes 0 .. 64, which sets the strip; the map
-    chooses its smearing grid (256 intervals x 3073 times at the defaults)
-    and samples f' at 12288 times, both on [-12, 12].
-    Only the burst locations and their ordering are quantitative; the curve
-    shape depends on chi and a."""
+    chooses its smearing grid on [-12, 12] (256 intervals x 3073 times at the
+    defaults) and writes f' on its own window (|t| <= 22.0 in 755 times at
+    the defaults).  Only the burst locations and their ordering are
+    quantitative; the curve shape depends on the interpolation (tau)."""
     table = build_table(64, PhysicalParams(c=c, mu=0.0, geometry=Strip(S), d=1))
-    # t_span 12: wide enough that edge wrap-around cannot inflate bursts
-    image = holographic_dual(fig2_test_function, table, t_span=12.0, n_out=12288, M=M)
+    image = holographic_dual(fig2_test_function, table, t_span=12.0, M=M)
     report = detect_bursts(image.t_grid, image.fprime, rel_threshold=0.1)
     return image, report
 
@@ -583,7 +524,7 @@ def halfspace_dual(f, p: PhysicalParams, q_grid: np.ndarray,
     time_grid = np.asarray(time_grid, dtype=float)
     z = grid.nodes
     V = eval_halfspace_mode(q_grid[None, :], z[:, None], p)
-    A, rows = _project_rows(lambda i, j: f(time_grid[i:j, None], z[None, :]),
+    A, rows, _ = _project_rows(lambda i, j: f(time_grid[i:j, None], z[None, :]),
                             time_grid.size, grid.quad_weights()[:, None] * V,
                             "the bulk test function")
     omegas = np.sqrt(q_grid**2 + p.mu**2)

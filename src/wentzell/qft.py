@@ -33,7 +33,8 @@ trapezoid sum equals the full-grid sum up to summation order.  The samples
 are taken and projected on the modes in blocks of time rows of at most 2^18
 entries, each block keeping its row peaks, from which the span and the check
 that the grid covers the support (the end rows are at most 1e-10 of the
-peak) are read; a bulk test function given as a callable is never sampled on
+peak) are read, and its row sums of |samples|, which bound the rounding of
+the coefficients; a bulk test function given as a callable is never sampled on
 the whole space-time grid.  The mode projection of real test functions is a
 real (n_t, M+1) array, and for real input fhat^-_m = conj(fhat^+_m) exactly,
 so only fhat^+ is transformed and stored.
@@ -50,6 +51,7 @@ from .core import Strip, ZeroModeError, _check_halfspace
 from .modes import ModeTable, eval_mode_deriv, mode_matrix
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
+_FLOOR_ULPS = 32.0  # rounding floor of smeared coefficients, in eps of their size bound
 
 
 @dataclass
@@ -577,9 +579,12 @@ def fourier_trapezoid(values, x, k) -> np.ndarray:
 @dataclass
 class SmearedCoefficients:
     """Frequency components fhat^+/-_m of a smeared real space-time test pair:
-    only fhat^+ is stored, and fhat^- = conj(fhat^+) is computed on demand."""
+    only fhat^+ is stored, and fhat^- = conj(fhat^+) is computed on demand.
+    ``floor`` is the rounding floor of fhat^+ that ``smeared_coeffs``
+    bounds."""
 
     f_plus: np.ndarray
+    floor: float = 0.0
 
     def __len__(self):
         return len(self.f_plus)
@@ -595,10 +600,12 @@ class SmearedCoefficients:
 
 
 def _project_rows(rows, n_t: int, matrix: np.ndarray, what: str
-                  ) -> tuple[np.ndarray, slice]:
+                  ) -> tuple[np.ndarray, slice, np.ndarray]:
     """Projection ``samples @ matrix`` of the real samples (n_t, n_cols) that
-    ``rows(i, j)`` returns for the rows i .. j - 1, and the span of rows a
-    trapezoid in time must sum.
+    ``rows(i, j)`` returns for the rows i .. j - 1, the span of rows a
+    trapezoid in time must sum, and for each row the bound
+    sum_j |samples_ij| max|matrix| on every sum_j |samples_ij matrix_jk|,
+    which sets the rounding of the projection.
 
     The samples come in the absolute row blocks [i, i + b), b =
     _BLOCK_ENTRIES // n_cols, so at most 2^18 of them exist at once.  Each
@@ -612,7 +619,7 @@ def _project_rows(rows, n_t: int, matrix: np.ndarray, what: str
     the grid then does not cover the support."""
     n_cols = matrix.shape[0]
     step = max(1, _BLOCK_ENTRIES // n_cols)
-    peaks = np.zeros(n_t)
+    peaks, sizes = np.zeros(n_t), np.zeros(n_t)
     out = np.zeros((n_t, matrix.shape[1]))
     for i in range(0, n_t, step):
         j = min(i + step, n_t)
@@ -627,16 +634,18 @@ def _project_rows(rows, n_t: int, matrix: np.ndarray, what: str
         if nonzero.size:
             a, b = nonzero[0], nonzero[-1] + 1
             out[i + a:i + b] = block[a:b] @ matrix
+            sizes[i + a:i + b] = np.abs(block[a:b]).sum(axis=1)
         # freed before the next block is made, so that the allocator reuses
         # its memory: two live blocks grow the heap past glibc's trim
         # threshold and each block then faults in fresh pages
         del block
+    sizes *= np.max(np.abs(matrix), initial=0.0)
     nonzero = np.flatnonzero(peaks)
     if nonzero.size == 0:
-        return out, slice(n_t, 0)
+        return out, slice(n_t, 0), sizes
     if max(peaks[0], peaks[-1]) > 1e-10 * peaks.max():
         raise ValueError(f"time grid does not cover the support of {what}")
-    return out, slice(max(nonzero[0] - 1, 0), min(nonzero[-1] + 2, n_t))
+    return out, slice(max(nonzero[0] - 1, 0), min(nonzero[-1] + 2, n_t)), sizes
 
 
 def smeared_coeffs(f_bulk, f_bdy: np.ndarray | None, table: ModeTable,
@@ -654,7 +663,10 @@ def smeared_coeffs(f_bulk, f_bdy: np.ndarray | None, table: ModeTable,
     integral is ``fourier_trapezoid`` over the union of the support spans.
     Only fhat^+ is stored; fhat^- is its complex conjugate
     (``SmearedCoefficients.f_minus``).  All-zero samples give zero
-    coefficients.
+    coefficients.  The rounding floor is 32 eps (2 pi)^(-1/2) sum_t w_t B_t,
+    with B_t the bound of ``_project_rows`` on the terms of row t (c times it
+    for the boundary pair): a bound on the terms both sums add up, times 32
+    ulps for their accumulated rounding.
     """
     p = table.params
     time_grid = np.asarray(time_grid, dtype=float)
@@ -679,16 +691,20 @@ def smeared_coeffs(f_bulk, f_bdy: np.ndarray | None, table: ModeTable,
         if f_bdy.shape != (n_t, 2):
             raise ValueError(f"boundary samples have shape {f_bdy.shape}, "
                              f"expected ({n_t}, 2)")
-        A, span = _project_rows(lambda i, j: f_bdy[i:j], n_t,
-                                table.boundary_values().T, "the boundary test function")
-        projections.append((p.c * A, span))
-    lo = min((span.start for _, span in projections), default=n_t)
-    hi = max((span.stop for _, span in projections), default=0)
+        A, span, sizes = _project_rows(lambda i, j: f_bdy[i:j], n_t,
+                                       table.boundary_values().T,
+                                       "the boundary test function")
+        projections.append((p.c * A, span, p.c * sizes))
+    lo = min((span.start for _, span, _ in projections), default=n_t)
+    hi = max((span.stop for _, span, _ in projections), default=0)
     t = time_grid[lo:hi]
-    A = np.zeros((t.size, len(table)))
-    for part, _ in projections:
+    A, sizes = np.zeros((t.size, len(table))), np.zeros(t.size)
+    for part, _, size in projections:
         A += part[lo:hi]
-    return SmearedCoefficients(f_plus=fourier_trapezoid(A, t, table.omegas()))
+        sizes += size[lo:hi]
+    floor = _FLOOR_ULPS * np.finfo(float).eps * float(np.trapezoid(sizes, t) / _SQRT2PI)
+    return SmearedCoefficients(f_plus=fourier_trapezoid(A, t, table.omegas()),
+                               floor=floor)
 
 
 def source_relation_check(g: np.ndarray, table: ModeTable, time_grid: np.ndarray,

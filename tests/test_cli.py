@@ -567,7 +567,7 @@ def test_holo_rejects_cutoff_beyond_table(tmp_path, capsys, extra):
 @pytest.mark.parametrize("extra", [[], ["--fig2"]], ids=["gaussian", "fig2"])
 def test_holo_fhat_csv_is_the_extension(tmp_path, monkeypatch, extra):
     # .fhat.csv holds one row per included mode, fhat'(+omega_m); with the
-    # header's a it rebuilds the image's extension bit for bit
+    # header's tau it rebuilds the image's extension, and so its f', bit for bit
     made = []
     for name in ("holographic_dual", "fig2_reproduce"):
         def record(*args, _fn=getattr(cli, name), **kwargs):
@@ -584,34 +584,70 @@ def test_holo_fhat_csv_is_the_extension(tmp_path, monkeypatch, extra):
     cols, data = read_csv(path)
     assert cols == ["m", "omega", "re", "im"] and data.shape == (ext.modes.size, 4)
     assert path.read_text().splitlines()[len(header) + 1].startswith(f"{ext.modes[0]},")
-    back = FreqExtension(float(header["a"]), data[:, 0].astype(int), data[:, 1],
+    back = FreqExtension(float(header["tau"]), data[:, 0].astype(int), data[:, 1],
                          data[:, 2] + 1j * data[:, 3])
-    assert back.a == ext.a and np.array_equal(back.modes, ext.modes)
-    w = np.linspace(-1.1, 1.1, 200001) * ext.omegas[-1]
-    assert np.count_nonzero(ext(w)) > 10000
+    assert back.tau == ext.tau and np.array_equal(back.modes, ext.modes)
+    assert np.array_equal(back.beta, ext.beta)
+    w = np.linspace(-1.1, 1.1, 20001) * ext.omegas[-1]
     assert np.array_equal(back(w), ext(w))
+    assert np.array_equal(back.fprime(image.t_grid), image.fprime)
 
 
-@pytest.mark.parametrize("args", [["--S", "0.01"], ["--mu", "1e-9"], ["--mu", "0.01"]],
-                         ids=["S-0.01", "mu-1e-9", "mu-0.01"])
-def test_holo_narrow_bumps_exit_1(tmp_path, capsys, args):
-    # bumps too narrow for a frequency grid of at most 2^21 samples (dω
-    # underflows to 0 at --mu 1e-9) are refused before the grid is built
+@pytest.mark.parametrize("args, code", [(["--S", "0.01"], 0), (["--mu", "0.01"], 0),
+                                        (["--c", "1e3"], 0), (["--mu", "1e-9"], 1)],
+                         ids=["S-0.01", "mu-0.01", "c-1e3", "mu-1e-9"])
+def test_holo_close_frequencies_run_or_exit_1(tmp_path, capsys, args, code):
+    # tau = 3 / g grows as the closest included frequencies g close up; the
+    # window |t| <= 8.6 tau then takes 2.6e4 times (--S 0.01, --mu 0.01) and
+    # 1.0e6 (--c 1e3).  --mu 1e-9 would take 2.6e11 and is refused before
+    # the grid is built, at a small traced peak
+    out = tmp_path / "img"
+    if code == 0:
+        assert main(["holo", "--out", str(out)] + args) == 0
+        cols, data = read_csv(out.with_suffix(".fprime.csv"))
+        assert data.shape[0] > 2 ** 14 and np.all(np.isfinite(data))
+        meta = json.loads(out.with_suffix(".meta.json").read_text())
+        assert meta["max_residual"] < 1e-13 and np.isfinite(meta["pairing_rel_error"])
+        return
     tracemalloc.start()
     try:
-        code = main(["holo", "--out", str(tmp_path / "img")] + args)
+        assert main(["holo", "--out", str(out)] + args) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 1
     err = capsys.readouterr().err
-    assert "frequency samples, more than 2097152" in err and "raise --mu or --S" in err
+    assert "time samples, more than 2097152" in err and "raise --mu" in err
     assert peak < 50e6
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args, code, message", _runs(
+    ("holo --S 20", 0, ""),
+    ("holo --S 5 --mu 5", 0, ""),
+    ("holo --mu 40", 1, "vanishes on the 128-interval grid and the one before it, "
+                        "to rounding"),
+    ("holo --S 693 --mu 1730 --c 2.3e-6 --max 1", 1,
+     "below the space step 0.338 of its finest grid"),
+))
+def test_holo_small_images_run_or_exit_1(tmp_path, capsys, args, code, message):
+    # each doubled its smearing grid to 4096 intervals and exited 2: the level
+    # differences sat at rounding, or a time step of h could not sample
+    # omega_max.  The rounding floor ends the doubling, and an image at or
+    # below it, or a time step below the finest space step, is refused
+    out = tmp_path / "img"
+    assert main(args + ["--out", str(out)]) == code
+    if code:
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        return
+    meta = json.loads(out.with_suffix(".meta.json").read_text())
+    assert meta["smear_floor"] > 0.0 and meta["max_residual"] < 1e-13
+    assert np.all(np.isfinite(read_csv(out.with_suffix(".fprime.csv"))[1]))
+
+
 def test_holo_largest_default_cutoff_exits_0(tmp_path):
-    # --max 48, the table's last mode, takes about 2.6e5 positive samples
+    # --max 48, the table's last mode: tau is set by the lowest gap, so the
+    # window is the default one, sampled up to omega_48
     out = tmp_path / "img"
     assert main(["holo", "--max", "48", "--out", str(out)]) == 0
     cols, data = read_csv(out.with_suffix(".fhat.csv"))
@@ -641,9 +677,13 @@ def test_holo_fig2(tmp_path):
     centers = np.array(meta["burst_centers"])
     for expect in (-5, -3, -1, 1, 3, 5):
         assert np.min(np.abs(centers - expect)) <= 0.2
+    assert meta["tau"] == pytest.approx(2.5676, abs=1e-4)
     cols, data = read_csv(out.with_suffix(".fprime.csv"))
     assert cols == ["t", "fprime"]
-    assert data.shape == (12288, 2) and np.all(np.isfinite(data))
+    # the window |t| <= 22.0 holds f': its ends are rounding against its peak
+    assert data.shape == (755, 2) and np.all(np.isfinite(data))
+    assert data[-1, 0] == -data[0, 0] == pytest.approx(22.04, abs=0.01)
+    assert np.max(np.abs(data[[0, -1], 1])) <= 1e-15 * np.max(np.abs(data[:, 1]))
 
 
 @pytest.mark.slow

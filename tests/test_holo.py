@@ -11,10 +11,8 @@ from scipy.signal import find_peaks, hilbert
 from wentzell.acceptance import criterion_10_holographic_identity
 from wentzell.core import GeometryError, Grid1D, HalfSpace, PhysicalParams, Strip
 from wentzell import holo
-from wentzell.holo import (_SAMPLES_PER_BUMP, BumpOverlapError, FreqExtension,
-                           HalfSpaceDual, _inverse_transform, analytic_envelope, choose_a,
-                           default_chi, detect_bursts, fig2_reproduce,
-                           fig2_test_function, halfspace_dual,
+from wentzell.holo import (FreqExtension, HalfSpaceDual, analytic_envelope, detect_bursts,
+                           fig2_reproduce, fig2_test_function, halfspace_dual,
                            holographic_dual, included_modes, local_maxima,
                            verify_dual)
 from wentzell.modes import build_table
@@ -32,9 +30,15 @@ def gauss_f(t, z):
     return np.exp(-(t**2) / (2 * 0.25**2)) * np.exp(-(z**2) / (2 * 0.12**2))
 
 
+def gauss_g(t, z):
+    # criterion 10's second observable
+    return np.exp(-(t - 0.3) ** 2 / (2 * 0.3 ** 2)) \
+        * np.exp(-(z + 0.1) ** 2 / (2 * 0.15 ** 2))
+
+
 @pytest.fixture(scope="module")
 def image(table):
-    return holographic_dual(gauss_f, table, t_span=4.0, n_out=1024)
+    return holographic_dual(gauss_f, table, t_span=4.0)
 
 
 @pytest.fixture(scope="module")
@@ -42,168 +46,109 @@ def fig2():
     return fig2_reproduce()
 
 
-def extension(table, M, coeffs, a=None):
+def extension(table, M, coeffs, tau=None):
     """FreqExtension over the included modes m <= M with fhat'(+omega_m) =
-    coeffs[m] (an array over the whole table) and bump scale ``choose_a``."""
+    coeffs[m] (an array over the whole table) and the map's width tau."""
     modes = included_modes(table, M)
-    return FreqExtension(choose_a(table, M) if a is None else a, modes,
-                         table.omegas()[modes], np.asarray(coeffs)[modes])
+    omegas = table.omegas()[modes]
+    return FreqExtension(holo._width(modes, omegas) if tau is None else tau, modes,
+                         omegas, np.asarray(coeffs, dtype=complex)[modes])
 
 
-def image_step(ext):
-    """The frequency step of ``holographic_dual``: the narrowest bump over
-    _SAMPLES_PER_BUMP."""
-    return float(np.min(ext.bump_width(ext.omegas))) / _SAMPLES_PER_BUMP
-
-
-def dense_inverse_transform(ext, d_omega, t_grid, chunk=1024):
-    """Oracle: the trapezoid sum of the inverse transform over both branches,
-    on the grid k d_omega symmetric about 0 that covers every bump, as a dense
-    phase matrix over the nonzero samples, taken in blocks of output times."""
-    n_half = int(np.ceil(np.sqrt(ext.omegas[-1] ** 2 + 1.0 / (2 * ext.a)) / d_omega)) + 2
-    omega_grid = np.arange(-n_half, n_half + 1) * d_omega
-    fhat = ext(omega_grid)
-    nz = np.nonzero(fhat)[0]
+def dense_inverse_transform(ext, t_grid, n_omega=4001, chunk=256):
+    """Oracle: the trapezoid sum of (2 pi)^(-1/2) int fhat'(omega) e^(-i omega t)
+    over both branches, on a uniform omega grid that reaches 40 / tau beyond
+    the outermost centres, as a dense phase matrix taken in blocks of output
+    times."""
+    top = ext.omegas[-1] + 40.0 / ext.tau
+    omega = np.linspace(-top, top, n_omega)
+    fhat = ext(omega)
     out = np.empty(t_grid.shape, dtype=complex)
     for i in range(0, t_grid.size, chunk):
-        phases = np.exp(-1j * np.outer(t_grid[i:i + chunk], omega_grid[nz]))
-        out[i:i + chunk] = phases @ fhat[nz]
-    return out * d_omega / np.sqrt(2 * np.pi)
+        out[i:i + chunk] = np.exp(-1j * np.outer(t_grid[i:i + chunk], omega)) @ fhat
+    return out * (omega[1] - omega[0]) / np.sqrt(2 * np.pi)
 
 
-def assert_matches_dense(ext, d_omega, t_grid, fprime):
-    """The fast transform is real and agrees with the dense sum over both
-    branches to rounding."""
-    assert np.isrealobj(fprime)
-    oracle = dense_inverse_transform(ext, d_omega, t_grid)
-    scale = np.max(np.abs(oracle))
-    assert np.max(np.abs(fprime - oracle)) <= 1e-12 * scale
+def round_trip(img):
+    """Largest miss of the trapezoid transform of the written f' on its own
+    grid at the included omega_m against fhat'(+omega_m), relative to the
+    largest fhat'(+omega_m)."""
+    ext = img.extension
+    back = fourier_trapezoid(img.fprime[:, None], img.t_grid, ext.omegas)
+    return np.max(np.abs(back - ext.coeffs)) / np.max(np.abs(ext.coeffs))
 
 
-def test_default_chi():
-    assert default_chi(0.0) == pytest.approx(1.0)
-    assert default_chi(0.5) == 0.0
-    assert default_chi(np.array([0.49999, -0.6, 0.2]))[1] == 0.0
-    u = np.linspace(-0.49, 0.49, 101)
-    assert np.all(default_chi(u) > 0)
-
-
-def test_choose_a_reference_value(table):
-    # gaps omega_1^2 - omega_0^2 = q_1^2 ~ 0.7402, omega_2^2 - omega_1^2 ~ 3.3757;
-    # the sector condition 1/(2 mu^2) = 0.5 loses to the smallest gap
-    q1, q2 = table.qs[1], table.qs[2]
-    expected = max(1.0 / (2 * 1.0), 1.0 / q1**2) / 0.9
-    a = choose_a(table, 2)
-    assert a == pytest.approx(expected, rel=1e-12)
-    assert a == pytest.approx(1.5011, abs=1e-4)
-    assert q1**2 == pytest.approx(0.7402, abs=1e-4)
-    assert q2**2 - q1**2 == pytest.approx(3.3757, abs=1e-4)
-
-
-def test_choose_a_massless_drops_mu_constraint():
-    p0 = PhysicalParams(c=1.0, mu=0.0, geometry=Strip(1.0))
-    t0 = build_table(10, p0)
-    # zero mode excluded: lowest usable frequency is q_1
-    a = choose_a(t0, 4)
-    expected = max(1.0 / (2 * t0.qs[1] ** 2), 1.0 / (t0.qs[2] ** 2 - t0.qs[1] ** 2)) / 0.9
-    assert a == pytest.approx(expected, rel=1e-12)
-
-
-def test_choose_a_monotone_in_M(table):
-    a2 = choose_a(table, 2)
-    for M in (4, 8, 16, 32):
-        assert choose_a(table, M) <= a2 + 1e-15
-
-
-def test_bump_disjointness_enforced(table):
-    coeffs = np.ones(41, dtype=complex)
-    a = choose_a(table, 10)
-    ext = extension(table, 10, coeffs, a)
-    w2 = ext.omegas**2
-    half = 1.0 / (2 * ext.a)
-    assert w2[0] - half > 0
-    assert np.all(np.diff(w2) > 2 * half)
-    with pytest.raises(BumpOverlapError):
-        extension(table, 10, coeffs, a / 20)
+@pytest.mark.parametrize("mu", [1.0, 0.1, 0.0])
+def test_width_is_three_over_the_smallest_gap(mu):
+    # the gaps between included omega_m grow with m, so tau is set by the
+    # lowest ones for every cutoff: omega_1 - omega_0 at mu = 1, 2 omega_0
+    # (from omega_0 to -omega_0) at mu = 0.1, and at mu = 0, where the zero
+    # mode is excluded, omega_2 - omega_1
+    t = build_table(40, PhysicalParams(c=1.0, mu=mu, geometry=Strip(1.0)))
+    w = t.omegas()
+    lowest = {1.0: w[1] - w[0], 0.1: 2.0 * w[0], 0.0: w[2] - w[1]}[mu]
+    for M in (2, 8, 16, 32, 40):
+        modes = included_modes(t, M)
+        assert modes[0] == (1 if mu == 0.0 else 0)
+        gaps = np.concatenate(([2.0 * w[modes[0]]], np.diff(w[modes])))
+        assert np.min(gaps) == lowest
+        assert holo._width(modes, w[modes]) == 3.0 / lowest
+    if mu == 1.0:
+        assert 3.0 / lowest == pytest.approx(9.3998, abs=1e-4)
+    if mu == 0.0:
+        # holo --fig2 --max 0: the zero mode alone is not included
+        assert included_modes(t, 0).size == 0
+        with pytest.raises(ValueError, match="no mode with omega_m > 0"):
+            holo._width(included_modes(t, 0), w[:0])
+    with pytest.raises(ValueError, match="modes 4 and 5 have the same frequency"):
+        holo._width(np.arange(2, 6), np.array([1.0, 2.0, 3.0, 3.0]))
 
 
 def test_extension_interpolates_exactly(table):
+    # to rounding: the solve for beta is all that separates fhat'(omega_m)
+    # from the coefficients, and both systems are near the identity
     rng = np.random.default_rng(4)
     cp = rng.normal(size=41) + 1j * rng.normal(size=41)
     modes = included_modes(table, 8)
     ext = extension(table, 8, cp)
     w = ext.omegas
-    assert np.max(np.abs(ext(w) - cp[modes])) == 0.0
-    assert np.max(np.abs(ext(-w) - np.conj(cp)[modes])) == 0.0
-    assert ext(float(w[3])) == cp[modes[3]]
-
-
-def test_extension_zero_between_bumps(table):
-    a = choose_a(table, 4)
-    ext = extension(table, 4, np.ones(41, dtype=complex))
-    w2 = ext.omegas**2
-    between = np.sqrt(0.5 * (w2[0] + 1 / (2 * a)) + 0.5 * (w2[1] - 1 / (2 * a)))
-    assert ext(float(between)) == 0.0
-    assert ext(0.0) == 0.0
-
-
-def test_extension_smooth_across_bump_edge(table):
-    a = choose_a(table, 6)
-    ext = extension(table, 6, np.ones(41, dtype=complex))
-    edge = np.sqrt(ext.omegas[2] ** 2 + 1 / (2 * a))
-
-    def max_second_diff(n):
-        w = np.linspace(edge - 0.05, edge + 0.05, n + 1)
-        deriv = np.diff(ext(w).real) / (w[1] - w[0])
-        return float(np.max(np.abs(np.diff(deriv)))), deriv
-
-    d1, deriv = max_second_diff(4000)
-    d2, _ = max_second_diff(8000)
-    assert np.max(np.abs(deriv)) < 50.0  # bounded slope across the edge
-    # second differences shrink linearly under refinement: the derivative is
-    # continuous (a slope jump would leave them constant)
-    assert d2 < 0.7 * d1
+    scale = np.max(np.abs(cp[modes]))
+    assert np.max(np.abs(ext(w) - cp[modes])) <= 4e-16 * scale
+    assert np.array_equal(ext(-w), np.conj(ext(w)))
+    assert ext(float(w[3])) == ext(w)[3]
+    for kernel in ext._kernels(w):
+        assert np.linalg.cond(kernel) < 1.03
 
 
 def _extension_loop(ext, omega):
-    """fhat'(omega) as a loop over the modes: each bump masks the whole omega
-    array, and omega <= 0 takes the conjugate coefficient."""
+    """fhat'(omega) as a loop over the modes: each mode adds its two Gaussians
+    over the whole omega array."""
     omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    omega = np.atleast_1d(omega)
     out = np.zeros(omega.shape, dtype=complex)
-    w2 = omega**2
-    for wm, cp in zip(ext.omegas, ext.coeffs):
-        u = ext.a * (w2 - wm**2)
-        mask = np.abs(u) < 0.5
-        val = default_chi(u[mask])
-        out[mask] += np.where(omega[mask] > 0.0, val * cp, val * np.conj(cp))
-    return out[0] if scalar else out
+    for wm, b in zip(ext.omegas, ext.beta):
+        out += ext.tau * (b * np.exp(-0.5 * (ext.tau * (omega - wm)) ** 2)
+                          + np.conj(b) * np.exp(-0.5 * (ext.tau * (omega + wm)) ** 2))
+    return out[()] if omega.ndim == 0 else out
 
 
 def test_extension_matches_per_mode_loop(table):
     rng = np.random.default_rng(11)
     cp = rng.normal(size=41) + 1j * rng.normal(size=41)
     many = extension(table, 12, cp)
-    one = FreqExtension(many.a, many.modes[:1], many.omegas[:1], many.coeffs[:1])
+    one = FreqExtension(many.tau, many.modes[:1], many.omegas[:1], many.coeffs[:1])
     for ext in (many, one):
-        half = 1.0 / (2.0 * ext.a)
-        centres = ext.omegas**2
-        edges = np.sqrt(np.concatenate([centres - half, centres + half]))
-        edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
-        between = np.sqrt((centres[:-1] + half + centres[1:] - half) / 2.0)
-        beyond = np.sqrt(centres[-1] + half) * np.array([1.0, 1.5, 3.0])
+        mids = (ext.omegas[:-1] + ext.omegas[1:]) / 2.0
+        beyond = ext.omegas[-1] * np.array([1.0, 1.5, 3.0])
         cases = [rng.uniform(-1.2, 1.2, 5000) * ext.omegas[-1],
-                 np.concatenate([edges, -edges]), np.array([0.0, -0.0]),
-                 np.concatenate([between, -between, beyond, -beyond]),
+                 np.array([0.0, -0.0]), np.concatenate([mids, -mids, beyond, -beyond]),
                  rng.uniform(-20.0, 20.0, (40, 25)),
                  float(ext.omegas[0]), -float(ext.omegas[-1]), 0.0,
                  np.array(ext.omegas[-1]), np.array(-ext.omegas[0])]
+        scale = ext.tau * np.sum(np.abs(ext.beta))
         for omega in cases:
             got, want = ext(omega), _extension_loop(ext, omega)
-            assert np.array_equal(got, want)
-            assert type(got) is type(want) and np.shape(got) == np.shape(want)
-        assert np.count_nonzero(ext(cases[0])) > 100
+            assert np.max(np.abs(got - want)) <= 1e-15 * scale
+            assert np.shape(got) == np.shape(want) and np.iscomplexobj(got)
 
 
 def test_verify_dual_residual(image):
@@ -227,9 +172,9 @@ def test_dual_linearity(table):
         return 2.0 * gauss_f(t, z) - 0.7 * g(t, z)
 
     M = 20
-    img_f = holographic_dual(gauss_f, table, t_span=4.0, n_out=1024, M=M)
-    img_g = holographic_dual(g, table, t_span=4.0, n_out=1024, M=M)
-    img_c = holographic_dual(combo, table, t_span=4.0, n_out=1024, M=M)
+    img_f = holographic_dual(gauss_f, table, t_span=4.0, M=M)
+    img_g = holographic_dual(g, table, t_span=4.0, M=M)
+    img_c = holographic_dual(combo, table, t_span=4.0, M=M)
     lin = 2.0 * np.asarray(img_f.fprime) - 0.7 * np.asarray(img_g.fprime)
     scale = np.max(np.abs(img_c.fprime))
     assert np.max(np.abs(np.asarray(img_c.fprime) - lin)) < 1e-10 * scale
@@ -244,37 +189,39 @@ def test_dual_reality(image):
     assert np.array_equal(ext(-w), np.conj(ext(w)))
 
 
-def test_dual_no_dc_component(image, table):
-    # fhat' vanishes identically below the mass gap, so f' carries no DC
-    # component; the windowed time integral only decays with the window since
-    # the bump duals have long tails.
+def test_written_fprime_integrates_to_the_extension_at_zero(fig2):
+    # off the modes too, the written f' is the inverse transform of fhat':
+    # its time integral over the window is sqrt(2 pi) fhat'(0), which is
+    # 1.3e-3 of the largest coefficient for fig2
+    image, _ = fig2
     ext = image.extension
-    assert ext(0.0) == 0.0
-    gap_edge = np.sqrt(ext.omegas[0] ** 2 - 1.0 / (2 * ext.a))
-    w = np.linspace(-0.98 * gap_edge, 0.98 * gap_edge, 501)
-    assert np.all(ext(w) == 0.0)
-    img_wide = holographic_dual(gauss_f, table, t_span=16.0, n_out=4096,
-                                M=image.metadata["M"])
-    short = abs(np.trapezoid(np.asarray(image.fprime), image.t_grid))
-    long = abs(np.trapezoid(np.asarray(img_wide.fprime), img_wide.t_grid))
-    assert long < 0.5 * short
+    dc = ext(0.0)
+    assert dc.imag == 0.0 and abs(dc) > 1e-3 * np.max(np.abs(ext.coeffs))
+    integral = np.trapezoid(image.fprime, image.t_grid)
+    scale = np.trapezoid(np.abs(image.fprime), image.t_grid)
+    assert abs(integral - np.sqrt(2 * np.pi) * dc.real) <= 1e-14 * scale
 
 
 def test_dual_takes_the_strip_from_the_table():
     # an S = 0.5 table: the map smears on [-0.5, 0.5] with c and mu of the
     # table, on the grid its metadata reports, with a time step of at most h
+    # and at most pi / (2 omega_max); here h is the smaller
     table = build_table(20, PhysicalParams(c=0.7, mu=1.3, geometry=Strip(0.5)))
-    img = holographic_dual(gauss_f, table, t_span=2.0, n_out=256)
+    img = holographic_dual(gauss_f, table, t_span=2.0)
     grid = Grid1D.for_strip(0.5, img.metadata["smear_intervals"])
     t = np.linspace(-2.0, 2.0, img.metadata["smear_times"])
     dt = 4.0 / (t.size - 1)
     assert dt <= grid.h < 2.0 * dt
+    assert dt <= np.pi / (2.0 * np.max(table.omegas()))
     assert img.metadata["smear_estimate"] <= 1e-11
     want = smeared_coeffs(gauss_f(t[:, None], grid.nodes[None, :]), None, table, t, grid)
     assert np.array_equal(img.coeffs.f_plus, want.f_plus)
     assert img.table is table
     assert (img.metadata["S"], img.metadata["c"], img.metadata["mu"]) == (0.5, 0.7, 1.3)
-    assert np.array_equal(img.t_grid, np.linspace(-2.0, 2.0, 256))
+    tau = img.metadata["tau"]
+    assert img.t_grid[-1] == -img.t_grid[0] == tau * np.sqrt(2 * np.log(1e16))
+    omega_max = img.extension.omegas[-1]
+    assert np.max(np.diff(img.t_grid)) <= np.pi / (4 * (omega_max + 6 / tau))
 
 
 def _recording(f):
@@ -294,11 +241,14 @@ def _halfspace_f(t, z):
 
 def _level_samples(image, t_span: float) -> int:
     """Samples of f on the smearing levels n = 64, 128, .. up to the one the
-    image reports, each of n + 1 nodes and 2 ceil(t_span n / 2S) + 1 times."""
+    image reports, each of n + 1 nodes and 2 ceil(t_span / dt) + 1 times,
+    dt = min(2S / n, pi / (2 omega_max))."""
     S, n_last = image.metadata["S"], image.metadata["smear_intervals"]
+    omega_max = np.max(image.table.omegas())
     total, n = 0, 64
     while n <= n_last:
-        n_t = 2 * int(np.ceil(t_span * n / (2.0 * S))) + 1
+        n_t = 2 * int(np.ceil(max(t_span * n / (2.0 * S),
+                                  2.0 * t_span * omega_max / np.pi))) + 1
         total += n_t * (n + 1)
         n *= 2
     assert n_t == image.metadata["smear_times"]
@@ -309,13 +259,13 @@ def test_duals_sample_f_in_blocks_of_at_most_2_18(table, image, fig2):
     # each row of each level's time grid is sampled once, and no call of f
     # makes more than 2^18 samples; the images are those of f passed as it is
     rec, sizes = _recording(gauss_f)
-    img = holographic_dual(rec, table, t_span=4.0, n_out=1024)
+    img = holographic_dual(rec, table, t_span=4.0)
     assert np.array_equal(img.fprime, image.fprime)
     assert len(sizes) > 1 and max(sizes) <= 2**18
     assert sum(sizes) == _level_samples(img, 4.0)
     fig2_image, _ = fig2
     rec, sizes = _recording(fig2_test_function)
-    img = holographic_dual(rec, fig2_image.table, t_span=12.0, n_out=12288)
+    img = holographic_dual(rec, fig2_image.table, t_span=12.0)
     assert np.array_equal(img.fprime, fig2_image.fprime)
     assert len(sizes) > 1 and max(sizes) <= 2**18
     assert sum(sizes) == _level_samples(img, 12.0)
@@ -336,7 +286,7 @@ def test_smearing_grid_meets_a_fine_reference(table, sigma_z):
     def f(t, z):
         return np.exp(-(t**2) / (2 * 0.25**2)) * np.exp(-((z - 0.3) ** 2) / (2 * sigma_z**2))
 
-    img = holographic_dual(f, table, t_span=2.0, n_out=256)
+    img = holographic_dual(f, table, t_span=2.0)
     assert img.metadata["smear_estimate"] <= 1e-11
     t = np.linspace(-2.0, 2.0, 8193)
     ref = smeared_coeffs(f, None, table, t, Grid1D.for_strip(1.0, 4096)).f_plus
@@ -346,7 +296,43 @@ def test_smearing_grid_meets_a_fine_reference(table, sigma_z):
 
 def test_smearing_refuses_a_zero_f(table):
     with pytest.raises(ValueError, match="vanishes on the 128-interval grid"):
-        holographic_dual(lambda t, z: 0.0 * t * z, table, t_span=2.0, n_out=256)
+        holographic_dual(lambda t, z: 0.0 * t * z, table, t_span=2.0)
+
+
+def test_smearing_stops_at_its_rounding_floor():
+    # holo --S 20: the image is 1.7e-5 and the level differences sit at
+    # rounding, about 5e-16, from the first comparison, above 1e-11 of the
+    # image: the floor ends the doubling at 128 intervals
+    t20 = build_table(48, PhysicalParams(c=1.0, mu=1.0, geometry=Strip(20.0)))
+
+    def f(t, z):
+        return np.exp(-(t**2) / (2 * 5.0**2)) * np.exp(-(z**2) / (2 * 2.4**2))
+
+    img = holographic_dual(f, t20, t_span=80.0)
+    meta, scale = img.metadata, np.max(np.abs(img.coeffs.f_plus))
+    assert meta["smear_intervals"] == 128
+    assert 1e-11 < meta["smear_estimate"]
+    assert meta["smear_estimate"] * scale <= meta["smear_floor"]
+    assert meta["smear_floor"] < 1e-8 * scale
+
+
+def test_smearing_refuses_an_image_below_its_floor(table):
+    # at mu = 40 the time Gaussian's transform at omega >= 40 is about e^-50:
+    # the coefficients are rounding, at or below the floor on every level
+    t40 = build_table(48, PhysicalParams(c=1.0, mu=40.0, geometry=Strip(1.0)))
+    with pytest.raises(ValueError, match="vanishes on the 128-interval grid .* to "
+                                         "rounding: .* <= its rounding floor"):
+        holographic_dual(gauss_f, t40, t_span=4.0)
+
+
+def test_smearing_refuses_a_time_step_below_its_finest_space_step():
+    # omega_max = 1730 needs a time step of pi / 3460, below 2S / 4096 at
+    # S = 693: refused before f is sampled
+    t693 = build_table(1, PhysicalParams(c=2.3e-6, mu=1730.0, geometry=Strip(693.0)))
+    rec, sizes = _recording(gauss_f)
+    with pytest.raises(ValueError, match="below the space step 0.338 of its finest grid"):
+        holographic_dual(rec, t693, t_span=2772.0)
+    assert sizes == []
 
 
 def test_smearing_refuses_an_f_the_cap_cannot_resolve(table):
@@ -355,17 +341,16 @@ def test_smearing_refuses_an_f_the_cap_cannot_resolve(table):
         return np.exp(-(t**2) / (2 * 0.1**2)) * (z > 0.123)
 
     with pytest.raises(RuntimeError, match="two-resolution error estimate .* 4096"):
-        holographic_dual(f, table, t_span=0.8, n_out=256)
+        holographic_dual(f, table, t_span=0.8)
 
 
 def test_dual_checks_the_support_and_reality_of_f(table):
     # gauss_f has width 0.25 in t: on [-0.3, 0.3] its end rows are exp(-0.72)
     # of its peak
     with pytest.raises(ValueError, match="does not cover the support"):
-        holographic_dual(gauss_f, table, t_span=0.3, n_out=256)
+        holographic_dual(gauss_f, table, t_span=0.3)
     with pytest.raises(ValueError, match="must be real"):
-        holographic_dual(lambda t, z: gauss_f(t, z) * (1.0 + 0.5j), table, t_span=4.0,
-                         n_out=256)
+        holographic_dual(lambda t, z: gauss_f(t, z) * (1.0 + 0.5j), table, t_span=4.0)
 
 
 def test_smearing_memory_is_bounded_by_its_blocks():
@@ -384,94 +369,118 @@ def test_smearing_memory_is_bounded_by_its_blocks():
 
 
 def test_dual_energy_warning(table):
-    img = holographic_dual(gauss_f, table, t_span=4.0, n_out=1024, M=2)
+    img = holographic_dual(gauss_f, table, t_span=4.0, M=2)
     assert img.warnings
 
 
 def test_dual_rejects_cutoff_beyond_table(table):
     # a 41-mode table ends at m = 40: M = 41 would silently use modes up to 40
-    holographic_dual(gauss_f, table, t_span=4.0, n_out=1024, M=40)
+    holographic_dual(gauss_f, table, t_span=4.0, M=40)
     with pytest.raises(ValueError, match="exceeds the table's last mode m=40"):
-        holographic_dual(gauss_f, table, t_span=4.0, n_out=1024, M=41)
+        holographic_dual(gauss_f, table, t_span=4.0, M=41)
 
 
 def test_single_mode_packet(table):
     """A single-mode excitation produces one modulated burst whose carrier is
-    the mode frequency; the pipeline matches a dense-grid inverse transform."""
+    the mode frequency; the closed form matches a dense-grid inverse
+    transform."""
     m = 5
     cp = np.zeros(41, dtype=complex)
     cp[m] = 1.0
-    a = choose_a(table, 8)
     ext = extension(table, 8, cp)
     t = np.linspace(-6.0, 6.0, 1024)
     wm = table.omegas()[m]
-    # independent dense quadrature of the inverse transform over the two bump
-    # supports (the extension vanishes elsewhere)
-    half = 1.0 / (2 * a)
-    seg = np.linspace(np.sqrt(wm**2 - half) - 1e-3, np.sqrt(wm**2 + half) + 1e-3,
-                      20_001)
-    oracle = np.zeros(t.size, dtype=complex)
-    for branch in (seg, -seg[::-1]):
-        fh = ext(branch)
-        oracle += np.trapezoid(fh[None, :] * np.exp(-1j * np.outer(t, branch)),
-                               branch, axis=1) / np.sqrt(2 * np.pi)
-    d_omega = (np.sqrt(wm**2 + half) - np.sqrt(wm**2 - half)) / 64
-    fprime = _inverse_transform(ext, d_omega, t)
+    fprime = ext.fprime(t)
+    oracle = dense_inverse_transform(ext, t)
     scale = np.max(np.abs(oracle))
-    assert np.max(np.abs(np.asarray(fprime) - oracle.real)) < 1e-3 * scale
+    assert np.max(np.abs(fprime - oracle)) <= 1e-12 * scale
     # carrier frequency from zero crossings near the center: a cos(w t)
     # carrier crosses zero L w / pi times on a window of length L
     mid = np.abs(t) < 1.0
-    crossings = np.count_nonzero(np.diff(np.sign(np.asarray(fprime)[mid])))
+    crossings = np.count_nonzero(np.diff(np.sign(fprime[mid])))
     assert crossings * np.pi / 2.0 == pytest.approx(wm, rel=0.1)
     # a single mass shell is quasi-monochromatic: one broad modulated burst
-    # whose envelope peaks near t = 0 (scale set by the inverse bump width)
+    # whose envelope peaks near t = 0 (its width is tau)
     t_long = np.linspace(-150.0, 150.0, 8192)
-    fp_long = _inverse_transform(ext, d_omega, t_long)
-    assert_matches_dense(ext, d_omega, t_long, fp_long)
-    burst = detect_bursts(t_long, np.asarray(fp_long).real, rel_threshold=0.3,
+    burst = detect_bursts(t_long, ext.fprime(t_long), rel_threshold=0.3,
                           cluster_gap=40.0)
     assert len(burst.centers) == 1
     assert abs(burst.peak_times[0]) < 1.0
 
 
-def test_inverse_transform_matches_dense_fig2(fig2):
-    image, _ = fig2
+@pytest.mark.parametrize("case", ["holo", "fig2", "criterion-10-g", "holo-max-48"])
+def test_written_fprime_gives_back_its_image(case, fig2):
+    # the trapezoid transform of f' on its own grid is fhat'(+omega_m) to
+    # rounding (about 2e-15 of the largest), and the window holds f': its
+    # ends are at rounding against its peak
+    t48 = build_table(48, P1)
+    if case == "holo":
+        img = holographic_dual(gauss_f, t48, t_span=4.0)
+    elif case == "fig2":
+        img = fig2[0]
+    elif case == "criterion-10-g":
+        t40 = build_table(40, P1)
+        M = holographic_dual(gauss_f, t40, t_span=4.0).metadata["M"]
+        img = holographic_dual(gauss_g, t40, t_span=4.0, M=M)
+    else:
+        img = holographic_dual(gauss_f, t48, t_span=4.0, M=48)
+        assert img.extension.modes.tolist() == list(range(49))
+    assert round_trip(img) <= 1e-13
+    ends = np.abs(img.fprime[[0, -1]])
+    assert np.all(ends <= 1e-15 * np.max(np.abs(img.fprime)))
+
+
+def test_written_fprime_misses_a_perturbed_image(image):
+    # the round trip reads the written samples: one coefficient of fhat'
+    # moved by 1e-6 of the largest is seen at that size
     ext = image.extension
-    assert_matches_dense(ext, image_step(ext), image.t_grid, image.fprime)
+    coeffs = ext.coeffs.copy()
+    coeffs[2] += 1e-6 * np.max(np.abs(coeffs))
+    moved = FreqExtension(ext.tau, ext.modes, ext.omegas, coeffs)
+    assert round_trip(dataclasses.replace(image, fprime=moved.fprime(image.t_grid))) \
+        == pytest.approx(1e-6, rel=1e-3)
+
+
+def _assert_matches_dense(img):
+    oracle = dense_inverse_transform(img.extension, img.t_grid)
+    assert np.max(np.abs(img.fprime - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_inverse_transform_matches_dense_fig2(fig2):
+    _assert_matches_dense(fig2[0])
 
 
 def test_inverse_transform_matches_dense_default(image):
-    ext = image.extension
-    assert_matches_dense(ext, image_step(ext), image.t_grid, image.fprime)
+    _assert_matches_dense(image)
 
 
-def test_inverse_transform_rejects_nonuniform_t_out(image):
-    t_out = np.linspace(-4.0, 4.0, 1024) ** 3 / 16.0
-    with pytest.raises(ValueError, match="uniform"):
-        _inverse_transform(image.extension, image_step(image.extension), t_out)
-
-
-@pytest.mark.parametrize("d_omega", [0.0, float("nan"), "just below the cap"])
-def test_inverse_transform_refuses_a_grid_beyond_the_cap(image, monkeypatch, d_omega):
-    # the size is checked before any grid exists: no array is built at all
-    ext = image.extension
-    hi = np.sqrt(ext.omegas[-1] ** 2 + 1.0 / (2 * ext.a))
-    if d_omega == "just below the cap":
-        d_omega = np.nextafter(hi / holo._MAX_OMEGA_SAMPLES, 0.0)
+@pytest.mark.parametrize("gap", [0.0, float("nan"), "just below the cap"])
+def test_inverse_transform_refuses_a_grid_beyond_the_cap(monkeypatch, gap):
+    # the size of f''s grid is checked before any grid exists: no array is
+    # built at all.  tau = 3 / gap is infinite at a gap of 0 and NaN at NaN;
+    # just below the cap's gap the grid would hold 2^21 + 1 times
+    omega_max = 5.0
+    if gap == "just below the cap":
+        steps = (holo._MAX_TIMES - 1) // 2
+        tau = (steps * np.pi / (4 * holo._WINDOW) - 6.0) / omega_max
+        assert holo._image_times(tau * (1 - 1e-12), omega_max).size == holo._MAX_TIMES - 1
+        tau *= 1 + 1e-12
+    else:
+        with np.errstate(divide="ignore"):
+            tau = np.divide(3.0, gap)
 
     def no_arrays(*args, **kwargs):
         raise AssertionError("a grid was built")
 
-    monkeypatch.setattr(holo.np, "arange", no_arrays)
-    with pytest.raises(ValueError, match="frequency samples, more than 2097152.*--mu"):
-        _inverse_transform(ext, d_omega, image.t_grid)
+    monkeypatch.setattr(holo.np, "linspace", no_arrays)
+    with pytest.raises(ValueError, match="time samples, more than 2097152.*--mu"):
+        holo._image_times(tau, omega_max)
 
 
 def test_inverse_transform_zero_spectrum(table):
     ext = extension(table, 8, np.zeros(len(table), dtype=complex))
     t = np.linspace(-4.0, 4.0, 257)
-    fprime = _inverse_transform(ext, 0.01, t)
+    fprime = ext.fprime(t)
     assert np.isrealobj(fprime)
     assert fprime.shape == t.shape and not np.any(fprime)
 
