@@ -153,13 +153,22 @@ def load_or_build_table(p: PhysicalParams, M_max: int,
     return table, path, False
 
 
+_CSV_PIECE_ROWS = 4096
+
+
+def _csv_pieces(header: dict, columns: list[str], rows: np.ndarray) -> Iterator[str]:
+    """The CSV text in pieces of at most _CSV_PIECE_ROWS rows, so that a long
+    file is never held as one string or as Python floats of all its rows."""
+    yield "".join(f"# {k} = {v}\n" for k, v in header.items()) + ",".join(columns) + "\n"
+    rows = np.atleast_2d(rows)
+    for i in range(0, len(rows), _CSV_PIECE_ROWS):
+        # each column is formatted in one pass; the bytes are those of a per-row repr
+        cells = [map(repr, col) for col in rows[i:i + _CSV_PIECE_ROWS].T.tolist()]
+        yield "".join(line + "\n" for line in map(",".join, zip(*cells)))
+
+
 def write_csv(path: Path, header: dict, columns: list[str], rows: np.ndarray):
-    lines = [f"# {k} = {v}" for k, v in header.items()]
-    lines.append(",".join(columns))
-    # each column is formatted in one pass; the bytes are those of a per-row repr
-    cells = [map(repr, col) for col in np.atleast_2d(rows).T.tolist()]
-    lines += map(",".join, zip(*cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, _csv_pieces(header, columns, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,12 @@ f' is a closed form, exact at any t.  ``holographic_dual`` writes it on
 so the window holds f' to rounding, with a step of
 pi / (4 (omega_max + 6 / tau)).  On that grid the trapezoid rule gives back
 fhat'(omega_m) to rounding: the first alias of omega_m lies at least
-48 / tau from every centre.  A grid of more than 2^21 times is refused
-before it is built.
+48 / tau from every centre.  The round trip alone would take a step four
+times coarser, pi / (omega_max + 9 / tau) (at most 3.5e-14 of the largest
+coefficient for ``holo``, ``holo --max 48``, fig2 and criterion 10), but
+fig2's burst arrivals are read at grid times: there that step is 0.21, more
+than criterion 11's tolerance of 0.2, and moves the arrivals by up to 0.19.
+A grid of more than 2^21 times is refused before it is built.
 
 The mode table is the one source of the strip, c and mu: ``holographic_dual``
 builds its grids from it, and the image keeps it for ``verify_dual``.
@@ -474,7 +478,11 @@ def fig2_reproduce(*, S: float = 1.0, c: float = 1.0, M: int | None = None
     chooses its smearing grid on [-12, 12] (256 intervals x 3073 times at the
     defaults) and writes f' on its own window (|t| <= 22.0 in 755 times at
     the defaults).  Only the burst locations and their ordering are
-    quantitative; the curve shape depends on the interpolation (tau)."""
+    quantitative; the curve shape depends on the interpolation (tau).  The
+    window exp(-t^2 / 2 tau^2) of f' sets most of the fall of the burst
+    heights, 1, 0.52 and 0.14 at the defaults (1, 0.986 and 0.937 with the
+    window divided out at the peak times), and keeps bursts beyond |t| = 5
+    below the 10% threshold."""
     table = build_table(64, PhysicalParams(c=c, mu=0.0, geometry=Strip(S), d=1))
     image = holographic_dual(fig2_test_function, table, t_span=12.0, M=M)
     report = detect_bursts(image.t_grid, image.fprime, rel_threshold=0.1)

@@ -584,7 +584,7 @@ class SmearedCoefficients:
     bounds."""
 
     f_plus: np.ndarray
-    floor: float = 0.0
+    floor: float
 
     def __len__(self):
         return len(self.f_plus)

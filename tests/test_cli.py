@@ -380,12 +380,14 @@ def test_evolve_byte_identical(tmp_path):
 
 def test_write_csv_matches_the_per_row_format(tmp_path):
     # the column pass writes the bytes of one repr join per row: floats,
-    # holo's object array with an integer m column, and a single row
+    # holo's object array with an integer m column, a single row, and rows
+    # that fill two pieces and start a third
     rng = np.random.default_rng(3)
     floats = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3))
     holo = np.column_stack([np.arange(7).astype(object), rng.random(7), -rng.random(7)])
+    pieces = rng.standard_normal((2 * cli._CSV_PIECE_ROWS + 1, 3))
     path = tmp_path / "t.csv"
-    for rows in (floats, holo, np.array([1.5, -0.0, 5e-324])):
+    for rows in (floats, holo, np.array([1.5, -0.0, 5e-324]), pieces):
         cli.write_csv(path, {"k": 1}, ["a", "b", "c"], rows)
         per_row = [",".join(map(repr, r)) for r in np.atleast_2d(rows).tolist()]
         assert path.read_text() == "\n".join(["# k = 1", "a,b,c"] + per_row) + "\n"
