@@ -7,7 +7,7 @@ from .core import (BulkBoundaryFunction, CauchyData, GeometryError, Grid1D,
                    ZeroModeError, spectral_sobolev_norm, weighted_inner_product,
                    weighted_norm)
 from .modes import (ModeTable, build_table, eval_halfspace_mode, eval_mode,
-                    project, synthesize, verify_table)
+                    project, synthesize)
 from .evolve import (CflError, EnergyReport, FdtdState, SpectralState,
                      causality_probe, energy, explicit_solution, fdtd_run,
                      fdtd_samples, make_fdtd_state, spectral_evolve)

@@ -28,8 +28,7 @@ from .core import CauchyData, Grid1D, HalfSpace, PhysicalParams, Strip
 from .evolve import (SpectralState, energy, explicit_solution, fdtd_samples,
                      make_fdtd_state, reflection_cauchy_data, synthesize_state)
 from .holo import fig2_reproduce, holographic_dual, verify_dual
-from .modes import _ASYM_DELTA, _ASYM_M_START, ModeTable, build_table, check_solution, \
-    verify_table
+from .modes import ModeTable, build_table, check_solution
 from .qft import _HALFSPACE_NORM_TOL, TwoPointSpec, _finite_x0, \
     boundary_2pt_halfspace, boundary_2pt_strip, halfspace_weight_normalization
 
@@ -102,7 +101,8 @@ def table_to_json(table: ModeTable) -> str:
 def table_from_json(text: str) -> ModeTable:
     """Parse ``table_to_json`` output.  Raises ValueError (or KeyError,
     TypeError) when the document is not such a table or its m sequence or
-    parities are out of order; the eigenvalue check is ``check_solution``."""
+    parities are out of order; whether its roots, c_m and d_m are right is
+    ``check_solution``'s to say."""
     doc = json.loads(text)
     p = PhysicalParams(c=doc["c"], mu=doc["mu"], geometry=Strip(doc["S"]))
     entries = doc["entries"]
@@ -135,8 +135,9 @@ def load_or_build_table(p: PhysicalParams, M_max: int,
     """The table for (p, M_max) from the cache, or built and written there.
 
     A cached file is re-verified (mode sequence, parities, increasing q, the
-    eigenvalue check of ``check_solution``, and the key it was written for);
-    one that fails counts as a miss and is overwritten."""
+    key it was written for, and ``check_solution``: the residual of every root
+    and the exact relations of its delta_m, c_m and d_m); one that fails counts
+    as a miss and is overwritten."""
     path = cache_path(cache_dir, p, M_max)
     if path.exists():
         try:
@@ -183,24 +184,11 @@ def cmd_modes(args: argparse.Namespace) -> int:
 
     # the table passed check_solution when it was built or loaded
     res = float(np.max(table.residuals, initial=0.0))
-    print(f"PASS  eigenvalue check (max normalized residual {res:.3e})")
-    ok = True
-    if len(table) - 1 > _ASYM_M_START:
-        rep = verify_table(table)
-        print(f"{'PASS' if np.all(rep.q_in_bound) else 'FAIL'}  asymptotic q window "
-              f"(delta={_ASYM_DELTA}, m >= {rep.m_start})")
-        print(f"{'PASS' if np.all(rep.d_in_bound) else 'FAIL'}  boundary coupling decay law")
-        print(f"{'PASS' if rep.c_bounded else 'FAIL'}  normalization deviation "
-              f"|c_m - 1| m^2 bounded")
-        print(f"skipped (below asymptotic range): m < {rep.m_start}")
-        ok = rep.all_pass
-    else:
-        print(f"asymptotic checks skipped: table ends at or below m = {_ASYM_M_START}")
-
+    print(f"PASS  mode table check (max normalized residual {res:.3e})")
     if args.out:
         atomic_write_text(Path(args.out), _table_pieces(table))
-        print(f"table copied to {args.out}")
-    return EXIT_OK if ok else EXIT_ACCEPTANCE
+        print(f"table -> {args.out}")
+    return EXIT_OK
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:

@@ -35,9 +35,10 @@ exact in binary.  From q S = 2^12 on the residual is therefore
 binary and keep the trig floor near 4e-13 up to q S = 2^14, which is why a
 switch at 2^14 held there and failed at most other S from about 3 000 modes.)
 
-Two checks have fixed bounds, not settings: every root of a table must meet a
-normalized residual of 1e-12 (``check_solution``), and ``verify_table`` holds
-modes m >= 50 to their asymptotic laws within 10%.
+One check, with fixed bounds and no settings, covers every mode of a table
+(``check_solution``): each root meets a normalized residual of 1e-12, and
+theta = delta_m S, c_m and d_m hold their exact relations to 8 ulps.  None of
+them is a large-m law, so the check holds at any m, S and c.
 """
 
 from __future__ import annotations
@@ -54,11 +55,9 @@ _NEWTON_STEPS = 5
 _DELTA_MAX_ITER = 100
 _DELTA_RTOL = 4 * np.finfo(float).eps
 _TRIG_RESIDUAL_QS = 2.0**12  # q S from which the residual is taken in delta form
-_Q_DELTA_ULPS = 8  # q = pi (m-1) / 2S + delta to this many ulps of q, after the polish
+_Q_DELTA_ULPS = 8  # ulps to which check_solution holds each exact relation
 _RESIDUAL_TOL = 1e-12  # normalized eigenvalue residual a root must meet
 _C_RANGE = 2.0**1020  # bound on c q_m, c pi m, S / c and 1 / c
-_ASYM_DELTA = 0.1  # relative width of the asymptotic q and d_m windows
-_ASYM_M_START = 50  # first mode index held to the asymptotic laws
 
 
 def bracket(m, p: PhysicalParams) -> tuple:
@@ -212,30 +211,61 @@ def _residuals(ms, qs, deltas, p: PhysicalParams) -> np.ndarray:
 
 
 def check_solution(table: ModeTable) -> float:
-    """Raise ValueError unless every (q_m, delta_m) solves its eigenvalue
-    condition: q_0 = 0, delta_m in its window (0, pi / 2S], q_m =
-    pi (m-1) / 2S + delta_m to rounding, and ``table.residuals`` at most the
-    fixed tolerance 1e-12 (``_RESIDUAL_TOL``).  Returns the largest residual
-    (0 for the constant mode alone).  ``build_table`` holds its own output to
-    this check, and a cache loader can hold a file to it."""
-    S = _strip_S(table.params)
+    """Raise ValueError, naming the first modes that fail, unless the table
+    holds its exact relations at every m.  With theta = delta_m S and
+    sigma_m = +1 for m mod 4 < 2, else -1:
+
+        q_0 = 0,  c_0^2 (2S + 2c) = S,  d_0 sqrt(S) = c_0,
+        c_m^2 (S + c sin^2 theta) = S,  d_m sqrt(S) = sigma_m c_m sin theta,
+        arctan(2S / (c pi m)) <= theta <= arctan(2S / (c pi (m-1)))  (pi/2 at m = 1),
+        q_m = pi (m-1) / 2S + delta_m,
+
+    each to _Q_DELTA_ULPS ulps, and ``table.residuals`` at most the fixed
+    tolerance 1e-12 (``_RESIDUAL_TOL``).  The window is the image of q_m's
+    bracket under theta = arctan(1 / (c q)), and the c_m relation holds only
+    at a root: ``_normalize`` takes c_m from S - sin(2 theta) / 2q +
+    2c sin^2 theta.  Returns the largest residual (0 for the constant mode
+    alone).  ``build_table`` holds its own output to this check, and the
+    cache loader holds a file to it."""
+    S, c = _strip_S(table.params), table.params.c
     if table.qs[0] != 0.0:
         raise ValueError(f"constant mode has q_0 = {table.qs[0]!r}, not 0")
-    ms = np.arange(1, len(table))
-    q, delta = table.qs[1:], table.deltas[1:]
-    outside = ~((delta > 0) & (delta <= np.pi / (2 * S)))
-    if np.any(outside):
-        raise ValueError(f"delta outside (0, pi/2S] at m={ms[outside][:5]}")
-    apart = np.abs(q - (bracket(ms, table.params)[0] + delta)) \
-        > _Q_DELTA_ULPS * np.spacing(q)
-    if np.any(apart):
-        raise ValueError(f"q and delta disagree at m={ms[apart][:5]}")
+    ms = np.arange(len(table))
+    theta = table.deltas * S
+    sin_t = np.r_[1.0, np.sin(theta[1:])]
+    weight = np.r_[2 * S + 2 * c, S + c * sin_t[1:]**2]
+    sign = np.where(ms % 4 < 2, 1.0, -1.0)
+    lo, hi = np.arctan2(2 * S, c * np.pi * ms), np.arctan2(2 * S, c * np.pi * (ms - 1))
+    q_of_delta = np.r_[0.0, bracket(ms[1:], table.params)[0] + table.deltas[1:]]
+    for what, bad in (
+            ("theta = delta S outside its window",
+             (ms > 0) & ((theta < lo - _ulps(lo)) | (theta > hi + _ulps(hi)))),
+            ("q and delta disagree", _apart(table.qs, q_of_delta)),
+            ("c_m^2 (S + c sin^2 theta) is not S", _apart(table.c_norms**2 * weight, S)),
+            ("d_m sqrt(S) is not +-c_m sin theta",
+             _apart(table.d_bdys * np.sqrt(S), sign * table.c_norms * sin_t))):
+        if np.any(bad):
+            raise ValueError(f"{what} at m={ms[bad][:5]}")
     res = table.residuals
     if np.any(res > _RESIDUAL_TOL):
-        worst = int(ms[np.argmax(res)])
+        worst = int(np.argmax(res)) + 1
         raise ValueError(f"residual {np.max(res):.3e} above {_RESIDUAL_TOL:g} "
                          f"at m={worst}")
     return float(np.max(res, initial=0.0))
+
+
+# perfbench/tracer.py times the table check under its former name
+verify_table = check_solution
+
+
+def _ulps(x):
+    """_Q_DELTA_ULPS ulps of ``x``."""
+    return _Q_DELTA_ULPS * np.spacing(np.abs(x))
+
+
+def _apart(x, exact):
+    """Where ``x`` is more than _Q_DELTA_ULPS ulps from ``exact``."""
+    return np.abs(x - exact) > _ulps(exact)
 
 
 def _normalize(ms, qs, deltas, S: float, c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -277,59 +307,6 @@ def build_table(M_max: int, p: PhysicalParams) -> ModeTable:
     except ValueError as exc:
         raise RuntimeError(f"root solver failed: {exc}") from exc
     return table
-
-
-def d_asymptote(m, S: float, c: float) -> np.ndarray:
-    """Large-m law |d_m| ~ 2 sqrt(S) / (c pi (m-1))."""
-    return 2.0 * np.sqrt(S) / (c * np.pi * (np.asarray(m) - 1.0))
-
-
-@dataclass
-class TableReport:
-    """Asymptotics check of a mode table for m >= m_start."""
-
-    m_start: int
-    ms: np.ndarray            # checked indices
-    q_in_bound: np.ndarray    # bool per checked m
-    d_ratio: np.ndarray       # |d_m| / d_asymptote per checked m
-    d_in_bound: np.ndarray    # bool per checked m
-    c_dev_scaled: np.ndarray  # |c_m - 1| m^2 per checked m
-    c_bound: float            # fitted constant the deviations must stay under
-    skipped: np.ndarray       # indices excluded from the asymptotic checks
-
-    @property
-    def c_bounded(self) -> bool:
-        return bool(np.all(self.c_dev_scaled <= self.c_bound))
-
-    @property
-    def all_pass(self) -> bool:
-        return bool(np.all(self.q_in_bound) and np.all(self.d_in_bound) and self.c_bounded)
-
-
-def verify_table(table: ModeTable) -> TableReport:
-    """Check, for m >= 50, delta_m = q_m - pi (m-1) / 2S against the
-    two-sided asymptotic window
-
-        0.9 * 2 / (c pi (m-1)) <= delta_m <= 2 / (c pi (m-1)),
-
-    |d_m| against its 1/(m-1) law within 10%, and |c_m - 1| m^2 against a
-    constant fitted at m = 50."""
-    p = table.params
-    S = _strip_S(p)
-    all_m = np.arange(len(table))
-    checked = all_m[all_m >= _ASYM_M_START]
-    skipped = all_m[all_m < _ASYM_M_START]
-    if checked.size == 0:
-        raise ValueError(f"table has no modes at or beyond m = {_ASYM_M_START}")
-    offset = table.deltas[checked]
-    corr = 2.0 / (p.c * np.pi * (checked - 1))
-    q_in = (offset >= (1 - _ASYM_DELTA) * corr) & (offset <= corr)
-    ratio = np.abs(table.d_bdys[checked]) / d_asymptote(checked, S, p.c)
-    d_in = (ratio >= 1 - _ASYM_DELTA) & (ratio <= 1 + _ASYM_DELTA)
-    c_dev = np.abs(table.c_norms[checked] - 1.0) * checked.astype(float) ** 2
-    return TableReport(m_start=_ASYM_M_START, ms=checked, q_in_bound=q_in, d_ratio=ratio,
-                       d_in_bound=d_in, c_dev_scaled=c_dev, c_bound=10.0 * c_dev[0],
-                       skipped=skipped)
 
 
 def eval_mode(m, z, table: ModeTable) -> np.ndarray:

@@ -60,7 +60,10 @@ def _drop_delta(entries):
     # q S > 2^12, where the residual is taken in delta form
     (11000, lambda entries: entries[10500].update(q=entries[10500]["q"] + 1e-9)),
     (200, _drop_delta),
-], ids=["q", "q-delta-form", "no-delta"])
+    # c_m and d_m moved in their last digits: their exact relations fail
+    (200, lambda entries: entries[40].update(c_norm=entries[40]["c_norm"] * (1 + 1e-13))),
+    (200, lambda entries: entries[37].update(d_bdy=entries[37]["d_bdy"] * (1 + 1e-13))),
+], ids=["q", "q-delta-form", "no-delta", "c_norm", "d_bdy"])
 def test_modified_cache_is_rebuilt(tmp_path, capsys, M, edit):
     cache = tmp_path / "cache"
     args = ["modes", "--max", str(M), "--cache-dir", str(cache)]
@@ -236,6 +239,45 @@ def test_modes_accepts_a_root_at_the_window_top(tmp_path):
     # at c = 1e-17, arctan(1 / (c q_1)) rounds to pi / 2: delta_1 is the window
     # top, which check_solution allows
     assert main(["modes", "--c", "1e-17", "--max", "10", "--cache-dir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("args", ["--S 40", "--c 0.01", "--S 10 --c 0.1", "--c 1e12",
+                                  "--c 1e-12", "--c 1e20 --max 200"])
+def test_modes_passes_correct_tables_off_the_large_m_laws(tmp_path, args):
+    # these tables are correct, but their m >= 50 missed windows fitted to the
+    # large-m laws, which hold only once c q_m >> 1: the command exited 3
+    out = tmp_path / "out.json"
+    assert main(["modes", *args.split(), "--cache-dir", str(tmp_path),
+                 "--out", str(out)]) == 0
+    # a ModeTable refuses non-finite columns
+    check_solution(table_from_json(out.read_text()))
+
+
+def _modes_sweep(n: int, seed: int):
+    """``modes`` command lines at n seeded points: S and c log-uniform over
+    [1e-3, 1e3] and [1e-12, 1e12], mu = 0 one time in four and otherwise
+    log-uniform over [1e-4, 1e4], and --max up to 5 000."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        S, c, mu = (10.0 ** rng.uniform([-3, -12, -4], [3, 12, 4])).tolist()
+        if rng.random() < 0.25:
+            mu = 0.0
+        yield ["modes", "--S", repr(S), "--c", repr(c), "--mu", repr(mu),
+               "--max", str(rng.integers(0, 5001))]
+
+
+def test_modes_sweep_exits_0(tmp_path, capsys):
+    # every parameter of the ranges works: each point builds a table that
+    # passes check_solution and writes it, finite, with exit 0
+    failed = []
+    for i, argv in enumerate(_modes_sweep(60, seed=14)):
+        out = tmp_path / f"{i}.json"
+        code = main(argv + ["--cache-dir", str(tmp_path / "cache"), "--out", str(out)])
+        if code != 0:
+            failed.append((argv, code, capsys.readouterr().err))
+            continue
+        check_solution(table_from_json(out.read_text()))
+    assert failed == []
 
 
 def test_modes_rejects_negative_c(tmp_path):

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wentzell.core import GeometryError, Grid1D, HalfSpace, PhysicalParams, Strip
-from wentzell.modes import (bracket, build_table, check_solution, d_asymptote,
-                            eval_halfspace_mode, eval_mode, gram_matrix, mode_matrix, project, residual_normalized, synthesize,
-                            verify_table)
+from wentzell.modes import (ModeTable, bracket, build_table, check_solution,
+                            eval_halfspace_mode, eval_mode, gram_matrix, mode_matrix, project, residual_normalized, synthesize)
 from wentzell.qft import smeared_coeffs
 
 P1 = PhysicalParams(c=1.0, geometry=Strip(1.0))
@@ -62,20 +61,51 @@ def test_d9_asymptotic_law(table20):
     assert abs(table20.d_bdys[9]) == pytest.approx(2.0 / (np.pi * 8), rel=0.15)
 
 
-def test_verify_table_passes():
-    table = build_table(200, P1)
-    rep = verify_table(table)
-    assert rep.all_pass
-    assert 0 in rep.skipped and 1 in rep.skipped
-    # empirical constant fit: scaled deviations bounded by 10x the first one
-    assert np.max(rep.c_dev_scaled) <= 10.0 * rep.c_dev_scaled[0]
+def test_check_solution_passes_at_200_modes():
+    # the exact relations hold at every m from the constant mode on, with no
+    # range left to a large-m law
+    assert check_solution(build_table(200, P1)) <= 1e-12
 
 
-def test_verify_table_passes_at_1e5_modes():
+def test_check_solution_passes_at_1e5_modes():
     # the delta form keeps q, c_m and d_m accurate where q S >> 2^14
-    table = build_table(10**5, P1)
-    assert verify_table(table).all_pass
-    assert np.max(table.residuals) <= 1e-12
+    assert check_solution(build_table(10**5, P1)) <= 1e-12
+
+
+def _scale_d37(t):
+    d = t.d_bdys.copy()
+    d[37] *= 1 + 1e-12
+    return {"d_bdys": d}
+
+
+def _c_without_the_root(t):
+    # c_m^2 = S / (S + 2c sin^2 theta), _normalize without its sin(2 theta) / 2q
+    # term, and d_m from that c_m as _normalize would take it
+    sin_t = np.sin(t.deltas[1:])
+    c_norms = np.r_[t.c_norms[0], np.sqrt(1.0 / (1.0 + 2.0 * sin_t**2))]
+    return {"c_norms": c_norms, "d_bdys": t.d_bdys / t.c_norms * c_norms}
+
+
+def _delta37_past_its_window(t):
+    # theta_37 just above arctan(2S / (c pi 36)), with q_37 moved along
+    deltas, qs = t.deltas.copy(), t.qs.copy()
+    deltas[37] = np.arctan(2.0 / (np.pi * 36)) * (1 + 1e-9)
+    qs[37] = np.pi * 36 / 2 + deltas[37]
+    return {"deltas": deltas, "qs": qs}
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_scale_d37, r"d_m sqrt\(S\) is not \+-c_m sin theta at m=\[37\]"),
+    (_c_without_the_root, r"c_m\^2 \(S \+ c sin\^2 theta\) is not S at m=\[1 2 3 4 5\]"),
+    (_delta37_past_its_window, r"theta = delta S outside its window at m=\[37\]"),
+], ids=["d-scaled", "c-formula", "delta-window"])
+def test_check_solution_names_a_corrupted_mode(fault, message):
+    # S = c = 1; each fault keeps the columns finite and q increasing, so
+    # ModeTable accepts the table and check_solution must name the mode
+    t = build_table(200, P1)
+    cols = {k: getattr(t, k) for k in ("qs", "deltas", "c_norms", "d_bdys")}
+    with pytest.raises(ValueError, match=message):
+        check_solution(ModeTable(params=P1, **(cols | fault(t))))
 
 
 @pytest.mark.parametrize("S", (0.3, 0.4, 0.7, 1.3, 2.5))
@@ -265,6 +295,6 @@ def test_d_nonzero_and_increasing(S, c):
     table = build_table(30, p)
     assert np.all(table.d_bdys != 0.0)
     assert np.all(np.diff(table.qs) > 0)
-    # decay law within 25% already by m = 30
-    assert abs(table.d_bdys[30]) == pytest.approx(
-        float(d_asymptote(30, S, c)), rel=0.25)
+    # the proved bound |d_m| < 2 sqrt(S) / (c pi (m-1)), from m = 2 on
+    m = np.arange(2, 31)
+    assert np.all(np.abs(table.d_bdys[2:]) < 2 * np.sqrt(S) / (c * np.pi * (m - 1)))
