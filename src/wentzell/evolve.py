@@ -24,7 +24,8 @@ back-step of the initial data is phi_prev = S(phi_0)/2 - dt v_0.
 of fields.
 
 ``fdtd_run`` advances a state by a given number of steps and returns it
-with the boundary trace (both endpoint values after every step).
+with the end-node trace: nodes 0, 1 and 2 from each end after every step,
+in ``bdy_trace`` (the boundary trace) and ``inner_trace``.
 ``fdtd_samples`` samples one run: a generator that yields the state after
 every given number of steps and after the last, each interval one
 ``fdtd_run`` call that continues the run's buffers (``_Stepper``, the one
@@ -48,11 +49,12 @@ difference d = phi - phi_prev as for x = phi.  A run keeps two padded
 C level_n - level_(n-K) over the buffer behind with one pair of
 block-Toeplitz GEMMs, applied to the x and d rows of the current buffer in
 place; the two buffers then swap.  The K nodes next to each boundary, where
-the closure acts, and the boundary value after every step come from one
-small dense edge operator, the K-step map of the 2K + 1 nodes at that end,
-which is all that K steps of the closure reach (``_block_operators``; the
-closure is mirror-symmetric).  A sample only materializes phi = x and
-phi_prev = x - d of the current buffer.
+the closure acts, and nodes 0, 1 and 2 after every step inside the block
+come from one small dense edge operator, the K-step map of the 2K + 1 nodes
+at that end, which is all that K steps of the closure reach
+(``_block_operators``; the closure is mirror-symmetric); nodes 1 and 2
+after the block's last step are read off the buffer.  A sample only
+materializes phi = x and phi_prev = x - d of the current buffer.
 
 The level behind comes from the scheme's own single step ``_step``, forward
 or back: the difference form inverts exactly (x -= d, then d -= (S - 2) x).
@@ -102,13 +104,20 @@ weights w (h inside, h/2 at the ends), node j carries
     + half of (b_(k+1) - b_k)(a_(k+1) - a_k) / (2h) from each adjacent cell k
     + c/2 (v_j^2 + mu^2 a_j b_j) at the two end nodes only.
 
-The interior leapfrog conserves the sum exactly, so it is constant to
-rounding until the field reaches an endpoint; after that its drift measures
-the one-sided closure.  ``_span_energy`` is the one place that writes this
-sum: over any span of consecutive nodes, from products over the slice and
-without a per-node array, a cell cut by the span bringing half its term.
-``energy`` takes it over the whole grid, ``energy_in_region`` over the nodes
-of an interval, and ``causality_probe`` over the nodes outside its cone.
+This is the exact conserved energy of the lumped equation (c + h/2) phi_0''
+= -(phi_0 - phi_1)/h - mu^2 (c + h/2) phi_0 at the ends.  The interior rows
+are that scheme's, so the sum is constant to rounding until the field
+reaches an endpoint; after that its drift is the one-sided closure's flux:
+each step changes it by half the sum over both ends of (phi^(n+1) -
+phi^(n-1)) rho(phi^n), rho the defect of the closure row in the lumped
+equation, which reads nodes 0, 1 and 2 only.  ``_span_energy`` is the one
+place that writes the sum: over any span of consecutive nodes, from
+products over the slice and without a per-node array, a cell cut by the
+span bringing half its term.  ``energy`` takes it over the whole grid,
+``energy_in_region`` over the nodes of an interval, and ``causality_probe``
+over the nodes outside its cone.  ``energy_steps``, next to it, is the one
+place that writes the flux: from the end-node trace of a run it gives the
+energy after every step, as its change from the run's first level.
 """
 
 from __future__ import annotations
@@ -192,7 +201,10 @@ class FdtdState:
     are the boundary degrees of freedom.  ``bdy_trace`` holds the endpoint
     values after each step since the previous sample of the run that made
     the state (the whole run for ``fdtd_run``), shape (steps, 2) with column
-    0 at -S."""
+    0 at -S.  ``inner_trace`` holds nodes 1 and 2 from each end after the
+    same steps, shape (steps, 2, 2), entry [k, m - 1, e] at node m from the
+    end of column e; with ``bdy_trace`` it is the end-node trace, the three
+    nodes the closure reads."""
 
     grid: Grid1D
     p: PhysicalParams
@@ -201,6 +213,7 @@ class FdtdState:
     t: float
     dt: float
     bdy_trace: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
+    inner_trace: np.ndarray = field(default_factory=lambda: np.empty((0, 2, 2)))
 
     @property
     def bdy(self) -> np.ndarray:
@@ -213,8 +226,8 @@ def _leapfrog_stencil(h: float, dt: float, p: PhysicalParams
     dt^2 acc(phi): interior taps [r2, s0, r2], endpoint diagonal b0 and
     closure gain g."""
     r2 = (dt / h) ** 2
-    m2 = dt**2 * p.mu**2
-    return r2, 2.0 - 2.0 * r2 - m2, 2.0 - m2, dt**2 / (2.0 * h * p.c)
+    m2 = dt * dt * p.mu**2
+    return r2, 2.0 - 2.0 * r2 - m2, 2.0 - m2, dt * dt / (2.0 * h * p.c)
 
 
 def _leapfrog_op(x: np.ndarray, shift: float, r2: float, s0: float, b0: float,
@@ -308,14 +321,17 @@ def _block_operators(coeffs: tuple, Ks) -> dict[int, np.ndarray]:
 
     Each maps x and d on the first 2K + 1 nodes to the boundary value after
     steps 1 .. K-1, then x and d on the first K nodes after K steps (3K - 1
-    rows); the +S end is its mirror image.  All come from one matrix A, the
-    one-step map of a window of M = 2k + 1 nodes, k the longest length
-    (``_step_matrix``).  The scheme propagates one cell per step, so the first K nodes after K
-    steps read no node beyond 2K - 1, the boundary no node beyond K, and the
-    closure at the window's far end reaches neither: the one window serves
-    every K <= k.  The K-step rows are rows of A^K by binary powering, the
-    boundary rows e_0^T A^j by doubling (the rows up to 2^i times A^(2^i)
-    give those up to 2^(i+1)), all float64 GEMMs.
+    rows), then x on nodes 1 and 2 after each of steps 1 .. K-1 (2K - 2 rows,
+    node 1 first); the +S end is its mirror image.  All come from one
+    matrix A, the one-step map of a window of M = 2k + 1 nodes, k the longest
+    length (``_step_matrix``).  The scheme propagates one cell per step, so
+    the first K nodes after K steps read no node beyond 2K - 1, node 2 after
+    K - 1 steps none beyond K + 1, and the closure at the window's far end
+    reaches neither: the one window serves every K <= k.  The K-step rows are
+    rows of A^K by binary powering, the rows e_0^T A^j and those of nodes 1
+    and 2 by doubling (the rows up to 2^i times A^(2^i) give those up to
+    2^(i+1)), all float64 GEMMs; the boundary rows take GEMMs of their own,
+    since a GEMM's rounding of a row depends on the rows beside it.
 
     A smooth field sees mostly each row's sum, and the d-from-x sums are
     nearly zero (the mass term), so their rounding would add up block after
@@ -357,7 +373,7 @@ def _block_operators(coeffs: tuple, Ks) -> dict[int, np.ndarray]:
     # A^(K mod 2^(j+1)), and e_0^T A^i for i <= 2^(j+1)
     rows = {K: np.r_[0:K, M:M + K] for K in Ks}
     out = dict.fromkeys(Ks)
-    bdy = P[:1]
+    bdy, win = P[:1], P[1:3]  # x on node 0, and on nodes 1 and 2, after each step
     for j in range(k_max.bit_length()):
         if j:
             P = _serial_matmul(P, P)
@@ -366,18 +382,22 @@ def _block_operators(coeffs: tuple, Ks) -> dict[int, np.ndarray]:
                 out[K] = P[rows[K]] if out[K] is None else _serial_matmul(out[K], P)
         if len(bdy) < k_max - 1:
             bdy = np.vstack((bdy, _serial_matmul(bdy, P)))
+            win = np.vstack((win, _serial_matmul(win, P)))
     del P  # freed before the long-double sums, which set the peak memory
     ops = {}
     for K in out:
         W = 2 * K + 1
         cols = np.r_[0:W, M:M + W]
-        op = np.empty((3 * K - 1, 2 * W))
+        op = np.empty((5 * K - 3, 2 * W))
         op[:K - 1] = bdy[:K - 1, cols]
-        op[K - 1:] = out[K][:, cols]
+        op[K - 1:3 * K - 1] = out[K][:, cols]
+        op[3 * K - 1:] = win[:2 * K - 2, cols]
         target = np.concatenate((const[1:K, 0::2], np.repeat(const[K:K + 1, 0::2], K, 0),
-                                 np.repeat(const[K:K + 1, 1::2], K, 0)))
+                                 np.repeat(const[K:K + 1, 1::2], K, 0),
+                                 np.repeat(const[1:K, 0::2], 2, 0)))
         if excess:
-            target += np.vstack([a[:1] for a in after[:K - 1]] + [after[K - 1][rows[K]]])
+            target += np.vstack([a[:1] for a in after[:K - 1]] + [after[K - 1][rows[K]]]
+                                + [a[1:3] for a in after[:K - 1]])
         r = np.arange(len(op))
         for half, t in ((op[:, :W], target[:, 0]), (op[:, W:], target[:, 1])):
             j = np.argmax(np.abs(half), axis=1)
@@ -404,7 +424,8 @@ def make_fdtd_state(data: CauchyData, p: PhysicalParams, cfl: float = 0.5) -> Fd
     one unknown).  The time step is dt = cfl * h.  This is the one place that
     holds the stability bound of the interior leapfrog, dt^2 (4/h^2 + mu^2) <= 4,
     which is dt <= h at mu = 0: CflError (a ValueError) unless 0 < cfl <= 1
-    and cfl <= 1 / sqrt(1 + (mu h / 2)^2)."""
+    and cfl <= 1 / sqrt(1 + (mu h / 2)^2).  ValueError, naming S, where dt^2
+    overflows."""
     if not isinstance(p.geometry, Strip):
         raise GeometryError("the FDTD engine integrates the strip geometry")
     if not 0 < cfl <= 1:
@@ -417,6 +438,10 @@ def make_fdtd_state(data: CauchyData, p: PhysicalParams, cfl: float = 0.5) -> Fd
                        f"at mu = {p.mu:g}, h = {h:g}; the largest stable --cfl is "
                        f"{cfl_max!r}")
     dt = cfl * h
+    if not math.isfinite(dt * dt):
+        raise ValueError(f"the time step dt = cfl h = {dt:g} squares beyond the double "
+                         f"range: the strip half-width S = {p.geometry.S:g} is too large "
+                         f"for a grid of {grid.n} cells")
     phi0 = np.array(data.position.bulk, dtype=float)
     v0 = np.array(data.velocity.bulk, dtype=float)
     phi0[0], phi0[-1] = data.position.boundary
@@ -428,7 +453,7 @@ def make_fdtd_state(data: CauchyData, p: PhysicalParams, cfl: float = 0.5) -> Fd
 def fdtd_samples(s: FdtdState, n_steps: int, every: int) -> Iterator[FdtdState]:
     """Advance n_steps leapfrog steps phi_next = S(phi) - phi_prev and yield
     the state after every ``every`` steps and after the last step, each with
-    the boundary trace of the steps since the previous sample.  Lazy: a
+    the end-node trace of the steps since the previous sample.  Lazy: a
     consumer that stops at a sample takes no step beyond it.  Nothing is
     yielded, and nothing is built, when n_steps = 0; ValueError unless
     n_steps >= 0 and every >= 1.
@@ -522,13 +547,17 @@ class _Stepper:
                 W = 2 * k + 1
                 at = pad + np.abs(np.array([0, n - 1]) - np.arange(W)[:, None])  # node m from each end
                 gather = np.concatenate([at, at + L])  # x then d
-                self.ops[k] = (*strides[k], edges[k], gather, gather[np.r_[0:k, W:W + k]])
+                # the boundary and (x, d) rows take a product of their own:
+                # a GEMM's rounding of a row depends on the rows beside it
+                self.ops[k] = (*strides[k], edges[k][:3 * k - 1], edges[k][3 * k - 1:],
+                               gather, gather[np.r_[0:k, W:W + k]], gather[1:3])
         return self.ops[K]
 
     def advance(self, s: FdtdState, k: int) -> FdtdState:
-        """The state k >= 1 steps after s, with the boundary trace of those
+        """The state k >= 1 steps after s, with the end-node trace of those
         steps."""
-        trace = np.empty((k, 2))
+        trace, inner = np.empty((k, 2)), np.empty((k, 2, 2))
+        inner_rows = inner.reshape(2 * k, 2)
         n, pad, prod = self.n, self.k_max, self.prod
         if self.held is not s:
             x, d = self.bufs[0][3]
@@ -541,10 +570,12 @@ class _Stepper:
             for _ in range(abs(self.lag - K)):  # single steps to the level K behind
                 _step(*self.bufs[1][3], self.coeffs, back=self.lag < K)
             self.lag = K
-            t0, t1, edge, gather, scatter = self._operators(K)
+            t0, t1, edge, edge12, gather, scatter, at12 = self._operators(K)
             for _ in range(count):
                 (_, flat, z, _, _), (new, new_flat, _, _, out) = self.bufs
-                e = edge @ flat[gather]
+                g = flat[gather]
+                e = edge @ g
+                np.matmul(edge12, g, out=inner_rows[2 * j:2 * (j + K - 1)])
                 np.matmul(z[:-1], t0, out=prod)
                 prod -= out
                 np.matmul(z[1:], t1, out=out)
@@ -553,27 +584,28 @@ class _Stepper:
                 new[1, :pad] = 0.0
                 new_flat[scatter] = e[K - 1:]
                 trace[j:j + K] = e[:K]
+                inner[j + K - 1] = new_flat[at12]  # after the block's last step
                 j += K
                 self.bufs.reverse()
         x, d = self.bufs[0][3]
         cur = x.copy()
         self.held = FdtdState(grid=s.grid, p=s.p, phi=cur, phi_prev=cur - d,
-                              t=s.t + k * s.dt, dt=s.dt, bdy_trace=trace)
+                              t=s.t + k * s.dt, dt=s.dt, bdy_trace=trace, inner_trace=inner)
         return self.held
 
 
 def fdtd_run(s: FdtdState, n_steps: int, *, stepper: _Stepper | None = None
              ) -> FdtdState:
-    """Advance n_steps leapfrog steps and return the state with the boundary
+    """Advance n_steps leapfrog steps and return the state with the end-node
     trace of every step.  The interval takes the fewest blocks of at most
     min(32, (N - 1) // 2) steps on N nodes, of lengths differing by at most
     one, each block of K steps one K-stride leapfrog update of the
     difference-form levels (see the module docstring).  A call from a state
     that its stepper did not make, as every call without ``stepper`` is,
     first takes K single steps back from s to make its level behind.  The
-    last trace row is the endpoint values themselves, so ``bdy_trace[-1]``
-    equals ``bdy`` exactly.  n_steps = 0 returns a copy of the levels with an
-    empty trace; ValueError for n_steps < 0.
+    last trace row is the end nodes of ``phi`` themselves, so
+    ``bdy_trace[-1]`` equals ``bdy`` exactly.  n_steps = 0 returns a copy of
+    the levels with an empty trace; ValueError for n_steps < 0.
 
     ``stepper`` is the run in progress of ``fdtd_samples``, whose buffers,
     operators and block lengths the interval continues; without it the call
@@ -623,8 +655,8 @@ def energy(state: SpectralState | FdtdState) -> EnergyReport:
     return EnergyReport(bulk=total - bdy, boundary=bdy, total=total)
 
 
-def _density(a: float, b: float, dt: float, mu: float) -> float:
-    """(v^2 + mu^2 a b) / 2 of one node, v = (b - a) / dt."""
+def _density(a, b, dt: float, mu: float):
+    """(v^2 + mu^2 a b) / 2 of a node, v = (b - a) / dt, elementwise."""
     v = (b - a) / dt
     return 0.5 * (v * v + mu**2 * a * b)
 
@@ -646,10 +678,38 @@ def _span_energy(state: FdtdState, lo: int, hi: int) -> tuple[float, float]:
               for k in (lo - 1, hi - 1) if 0 <= k < n - 1)
     a, b = a[lo:hi], b[lo:hi]
     v = b - a
-    total = float(0.5 * h * ((v @ v) / dt**2 + p.mu**2 * (a @ b))
+    total = float(0.5 * h * ((v @ v) / (dt * dt) + p.mu**2 * (a @ b))
                   + (p.c - 0.5 * h) * (e0 + e1)
                   + ((b[1:] - b[:-1]) @ (a[1:] - a[:-1]) + 0.5 * cut) / (2.0 * h))
     return total, p.c * e0 + p.c * e1
+
+
+def energy_steps(s: FdtdState, run: FdtdState) -> tuple[np.ndarray, np.ndarray]:
+    """The FDTD energy after each step of the run from s to ``run``, as its
+    change from ``energy(s).total``, and its boundary part, from the levels
+    of s and the end-node trace of ``run`` alone.
+
+    In exact arithmetic the interior rows conserve the energy, and each
+    closure row leaves the defect rho of the lumped equation (c + h/2)
+    phi_0'' = -(phi_0 - phi_1)/h - mu^2 (c + h/2) phi_0 that it conserves:
+
+        2 (E^(n+1) - E^n) = sum over the ends (phi^(n+1) - phi^(n-1)) rho(phi^n),
+        rho = (h/2 + c) (-3 phi_0 + 4 phi_1 - phi_2) / (2 h c) + (phi_0 - phi_1) / h
+            = (-3 phi_0 + 4 phi_1 - phi_2) / (4 c) - (phi_0 - 2 phi_1 + phi_2) / (2 h)
+
+    at the nodes 0, 1, 2 from each end; the mu^2 terms cancel.  The second
+    form is the one summed: its two O(phi / h) parts cancel in closed form.
+    The boundary part c (e_0 + e_N) is ``_span_energy``'s, node 0 of each
+    end at the two levels of each step."""
+    p, h, dt = s.p, s.grid.h, s.dt
+    # node 0 at levels n - 1 .. n + k, nodes 1 and 2 at levels n .. n + k - 1
+    b = np.concatenate(([s.phi_prev[[0, -1]], s.phi[[0, -1]]], run.bdy_trace))
+    x1, x2 = np.concatenate(([s.phi[[[1, -2], [2, -3]]]], run.inner_trace[:-1])).transpose(1, 0, 2)
+    x0 = b[1:-1]
+    rho = (-3.0 * x0 + 4.0 * x1 - x2) / (4.0 * p.c) - (x0 - 2.0 * x1 + x2) / (2.0 * h)
+    flux = (b[2:] - b[:-2]) * rho
+    e = _density(x0, b[2:], dt, p.mu)
+    return 0.5 * np.cumsum(flux[:, 0] + flux[:, 1]), p.c * e[:, 0] + p.c * e[:, 1]
 
 
 def energy_in_region(state: FdtdState, z_lo: float, z_hi: float) -> float:

@@ -142,9 +142,15 @@ def strip_tail_bound(M: int, S: float, c: float) -> float:
     Each term is therefore below 4 S^2 / (c^2 pi^3 (m-1)^3), and their sum
     over m > M is 4 S^2 / (c^2 pi^3) zeta(3, M).  The bound holds in exact
     arithmetic; the computed value carries ``_hurwitz_zeta``'s 3.4e-16
-    relative error.  c * c overflows to inf, not OverflowError, past
-    c = 1.3e154, and the bound is then 0: a tail below the smallest double."""
-    return 4.0 * S**2 / (c * c * np.pi**3) * _hurwitz_zeta(3, M)
+    relative error.  It is taken from the ratio S / c, whose square
+    underflows to a bound of 0 (a tail below the smallest double) and never
+    raises; ValueError, naming S and c, where it overflows to inf."""
+    r = S / c
+    bound = 4.0 * (r * r) / np.pi**3 * _hurwitz_zeta(3, M)
+    if not math.isfinite(bound):
+        raise ValueError(f"the tail bound 4 (S/c)^2 zeta(3, M) / pi^3 overflows a double "
+                         f"at S = {S:g}, c = {c:g}: S is too large against c")
+    return bound
 
 
 def _check_no_separation(x):

@@ -388,8 +388,9 @@ def test_evolve_nonfinite_exits_2_without_csv(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "non-finite field values at t = 0.515625" in captured.err
     assert "energy drift" not in captured.out
-    # the run stops at the first non-finite sample, not after all 5120 steps
-    assert 0 < sum(steps) <= 132
+    # the run stops at the end of the 1 024-step chunk that holds the first
+    # non-finite sample (step 132), not after all 5120 steps
+    assert 0 < sum(steps) <= 1024
 
 
 def test_evolve_reflection(tmp_path):
@@ -410,6 +411,70 @@ def test_evolve_reflection(tmp_path):
     assert np.array_equal(col["residual"],
                           np.abs(col["phi_bdy_minus"] - col["phi_bdy_exact"]))
     assert np.max(col["residual"]) == sup
+
+
+def test_evolve_blocks_do_not_depend_on_the_sample_interval(tmp_path, monkeypatch):
+    # --grid-n 1024 --T 2 samples every 5 of its 2 048 steps.  It steps two
+    # 1 024-step chunks of 32-step blocks (it took 410 blocks of 5), and
+    # calls energy() for its first level and at the end of each chunk
+    import wentzell.evolve as evolve
+
+    applied, levels = [], []
+
+    class CountingEdge(np.ndarray):
+        def __matmul__(self, other):
+            applied.append(len(self))
+            return np.asarray(self) @ other
+
+    def counted_operators(*args):
+        return {K: op.view(CountingEdge) for K, op in block_operators(*args).items()}
+
+    def counted_energy(state):
+        levels.append(round(state.t / state.dt))
+        return energy(state)
+
+    block_operators = evolve._block_operators
+    monkeypatch.setattr(evolve, "_block_operators", counted_operators)
+    monkeypatch.setattr(cli, "energy", counted_energy)
+    out = tmp_path / "e.csv"
+    assert main(["evolve", "--grid-n", "1024", "--T", "2", "--out", str(out)]) == 0
+    # each block of K = 32 applies its edge operator's 3K - 1 boundary and
+    # (x, d) rows once
+    assert applied == [95] * 64
+    assert levels == [0, 1024, 2048]
+    assert len(read_csv(out)[1]) == 410
+
+
+_TIE_RUNS = [f"evolve --grid-n 64 --T 20 --c {c} --mu {mu} --cfl {cfl}"
+             for c in (0.05, 1, 30) for mu in (0, 1, 7) for cfl in (0.5, 0.3)] + [
+    "evolve --grid-n 256 --T 8",
+    "evolve --scenario reflection --grid-n 512",
+    "evolve --grid-n 512 --T 3 --mu 1",
+    "evolve --scenario mode --grid-n 256 --T 10 --mu 1",
+]
+
+
+@pytest.mark.parametrize("args", _TIE_RUNS)
+def test_evolve_energy_is_the_energy_of_the_sampled_states(tmp_path, monkeypatch, args):
+    # E_total, read off each chunk's end-node trace through the closure's
+    # energy balance, against energy() of the states that fdtd_samples
+    # yields at the same steps, over runs of more than one chunk: the
+    # default run and the benchmark's three on smaller grids, and a small
+    # grid over c, mu and the CFL factor
+    runs = []
+
+    def recorded(state, n_steps, every):
+        runs.append((state, n_steps))
+        return fdtd_samples(state, n_steps, every)
+
+    monkeypatch.setattr(cli, "fdtd_samples", recorded)
+    out = tmp_path / "e.csv"
+    assert main(shlex.split(args) + ["--cache-dir", str(tmp_path), "--out", str(out)]) == 0
+    ((s0, n_steps),) = runs
+    assert n_steps > 1024
+    E0 = energy(s0).total
+    ref = [energy(s).total for s in fdtd_samples(s0, n_steps, max(1, n_steps // 400))]
+    assert np.max(np.abs(read_csv(out)[1][:, 3] - ref)) <= 1e-12 * E0
 
 
 def test_evolve_byte_identical(tmp_path):
@@ -524,6 +589,34 @@ def test_large_couplings_solve_or_name_the_limit(tmp_path, capsys, args, code, m
         return
     (path,) = tmp_path.glob("modes_*.json")
     check_solution(table_from_json(path.read_text()))
+
+
+@pytest.mark.parametrize("args, code, message", _runs(
+    ("evolve --S 1e160", 1, "the strip half-width S = 1e+160 is too large"),
+    ("evolve --S 1e160 --scenario mode", 1, "the strip half-width S = 1e+160 is too large"),
+    ("evolve --S 1e160 --scenario reflection", 1,
+     "the strip half-width S = 1e+160 is too large"),
+    ("twopoint --S 1e160", 1, "overflows a double at S = 1e+160, c = 1:"),
+    ("twopoint --S 1e160 --c 1e160", 0, ""),
+    ("evolve --S 1e-300", 1, "--T 2 takes 2.048e+303 steps"),
+))
+def test_extreme_strip_widths_run_or_name_the_parameter(tmp_path, capsys, args, code,
+                                                       message):
+    # dt ** 2 (evolve) and S ** 2 (the strip's tail bound) raised a bare
+    # OverflowError (exit 2) at --S 1e160, and --S 1e-300 exited 1 with
+    # numpy's "Maximum allowed dimension exceeded": every written number is
+    # finite, or the run exits 1 naming the parameter
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + ["--cache-dir", str(tmp_path), "--out", str(out)]) == code
+    if code:
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        return
+    assert np.all(np.isfinite(read_csv(out)[1]))
+    rep = json.loads(out.with_suffix(".report.json").read_text())
+    assert all(np.isfinite(v) for v in rep.values())
 
 
 def _scipy_modules_after(code: str, cwd: Path) -> list[str]:

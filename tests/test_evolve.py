@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from wentzell.core import (BulkBoundaryFunction, CauchyData, Grid1D,
                            PhysicalParams, Strip)
 from wentzell.evolve import (CflError, SpectralState, _span_energy, causality_probe,
-                             energy, energy_in_region, explicit_solution,
+                             energy, energy_in_region, energy_steps, explicit_solution,
                              explicit_solution_dt, fdtd_run, fdtd_samples,
                              make_fdtd_state, reflection_cauchy_data,
                              spectral_evolve, spectral_symplectic,
@@ -284,6 +284,40 @@ def test_fdtd_run_boundary_trace_matches_single_steps():
     assert make_fdtd_state(gaussian_data(grid), P1).bdy_trace.shape == (0, 2)
 
 
+@pytest.mark.parametrize("n", [2, 4, 64])
+def test_inner_trace_is_the_end_nodes_after_every_step(n):
+    # a 70-step call in blocks of 1 (3 nodes), 2 (5 nodes), and 24 and 23
+    # (65 nodes): the edge operator's rows of nodes 1 and 2, and the buffer
+    # at each block's end, against samples after every step
+    grid = Grid1D.for_strip(1.0, n)
+    s0 = make_fdtd_state(gaussian_data(grid, width=0.3), P1)
+    run = fdtd_run(s0, 70)
+    inner = [[1, -2], [2, -3]]  # nodes 1 and 2 from each end
+    ref = np.array([s.phi[inner] for s in fdtd_samples(s0, 70, 1)])
+    assert run.inner_trace.shape == (70, 2, 2)
+    assert rel_diff(run.inner_trace, ref) <= 1e-13
+    assert np.array_equal(run.inner_trace[-1], run.phi[inner])
+    assert fdtd_run(s0, 0).inner_trace.shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+@pytest.mark.parametrize("c", [0.05, 1.0, 30.0])
+def test_energy_steps_carry_the_energy_through_the_closure(c, mu):
+    # at h = 1/64 and CFL 0.5 the scheme's coefficients are exact, so the
+    # interior conserves energy() to rounding and the closure's balance
+    # carries it over 1 000 steps to the energy of the level it reaches
+    p = PhysicalParams(c=c, mu=mu, geometry=Strip(1.0))
+    s = make_fdtd_state(gaussian_data(Grid1D.for_strip(1.0, 128), width=0.2), p)
+    E0 = energy(s).total
+    for run in fdtd_samples(s, 3000, 1000):
+        dE, bdy = energy_steps(s, run)
+        rep = energy(run)
+        assert dE.shape == bdy.shape == (1000,)
+        assert abs(energy(s).total + dE[-1] - rep.total) <= 1e-13 * E0
+        assert bdy[-1] == pytest.approx(rep.boundary, rel=1e-12, abs=1e-15 * E0)
+        s = run
+
+
 def test_fdtd_run_composes():
     grid = Grid1D.for_strip(1.0, 128)
     s0 = make_fdtd_state(gaussian_data(grid, width=0.2), P1)
@@ -375,12 +409,13 @@ def long_double_edge_operator(coeffs, K):
     """The edge operator of K steps from its definition: the unit vectors of
     (x, d) on 2K + 1 nodes, each stepped K times in difference form in long
     double with the scheme's float64 coefficients; the rows are the boundary
-    value after steps 1 .. K-1, then x and d on the first K nodes."""
+    value after steps 1 .. K-1, then x and d on the first K nodes, then x on
+    nodes 1 and 2 after steps 1 .. K-1."""
     r2, s0, b0, g = (np.longdouble(v) for v in coeffs)
     M = 2 * K + 1
     x = np.eye(M, 2 * M, dtype=np.longdouble)
     d = np.eye(M, 2 * M, M, dtype=np.longdouble)
-    rows = []
+    rows, window = [], []
     for k in range(1, K + 1):
         acc = np.empty_like(x)  # (S - 2) x
         acc[1:-1] = r2 * (x[:-2] + x[2:]) + (s0 - 2) * x[1:-1]
@@ -390,7 +425,8 @@ def long_double_edge_operator(coeffs, K):
         x += d
         if k < K:
             rows.append(x[0].copy())
-    return np.vstack(rows + [x[:K], d[:K]])
+            window.append(x[1:3].copy())
+    return np.vstack(rows + [x[:K], d[:K]] + window)
 
 
 @pytest.mark.parametrize("cfl", [0.5, 0.3])
@@ -408,11 +444,11 @@ def test_edge_operator_is_k_long_double_steps(K, mu, c, cfl):
     h = Grid1D.for_strip(1.0, 1024).h
     coeffs = evolve._leapfrog_stencil(h, cfl * h, p)
     ref = long_double_edge_operator(coeffs, K)
-    shape = (3 * K - 1, 2, 2 * K + 1)
+    shape = (5 * K - 3, 2, 2 * K + 1)
     ref_sums = ref.reshape(shape).sum(axis=2)
     for lengths in ([K], [K, 32]):
         op = evolve._block_operators(coeffs, lengths)[K]
-        assert op.shape == (3 * K - 1, 2 * (2 * K + 1))
+        assert op.shape == (5 * K - 3, 2 * (2 * K + 1))
         if K == 1:
             assert np.array_equal(op, ref.astype(float))
         assert rel_diff(op, ref) <= 3e-14
