@@ -30,8 +30,8 @@ from .evolve import (_MAX_BLOCK, SpectralState, energy, energy_steps, explicit_s
                      synthesize_state)
 from .holo import fig2_reproduce, holographic_dual, verify_dual
 from .modes import ModeTable, build_table, check_solution
-from .qft import _HALFSPACE_NORM_TOL, TwoPointSpec, _finite_x0, \
-    boundary_2pt_halfspace, boundary_2pt_strip, halfspace_weight_normalization
+from .qft import _HALFSPACE_NORM_TOL, _finite_x0, boundary_2pt_halfspace, \
+    boundary_2pt_strip, halfspace_weight_normalization
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -293,18 +293,16 @@ def cmd_twopoint(args: argparse.Namespace) -> int:
               "c": args.c, "mu": args.mu, "M": args.M}
     report: dict = {}
     if args.geometry == "strip":
-        p = PhysicalParams(c=args.c, mu=args.mu, geometry=Strip(args.S), d=1)
-        spec = TwoPointSpec(params=p, M=args.M)
-        cache_dir = resolve_cache_dir(args.cache_dir)
-        table, _, _ = load_or_build_table(p, args.M, cache_dir)
-        res = boundary_2pt_strip(x0, 0.0, spec, table=table)
+        p = PhysicalParams(c=args.c, mu=args.mu, geometry=Strip(args.S))
+        table, _, _ = load_or_build_table(p, args.M, resolve_cache_dir(args.cache_dir))
+        res = boundary_2pt_strip(x0, table, args.M)
         vals = np.asarray(res.value)
         report = {"tail_bound": res.tail_bound}
         header["tail_bound"] = repr(res.tail_bound)
     elif args.geometry == "halfspace":
-        p = PhysicalParams(c=args.c, mu=args.mu, geometry=HalfSpace(), d=1)
+        p = PhysicalParams(c=args.c, mu=args.mu, geometry=HalfSpace())
         norm = halfspace_weight_normalization(args.c)
-        res = boundary_2pt_halfspace(x0, 0.0, p, args.q_max)
+        res = boundary_2pt_halfspace(x0, p, args.q_max)
         vals = res.value
         report = {"weight_normalization": norm,
                   "weight_normalization_times_c": norm * args.c,

@@ -425,7 +425,8 @@ def make_fdtd_state(data: CauchyData, p: PhysicalParams, cfl: float = 0.5) -> Fd
     holds the stability bound of the interior leapfrog, dt^2 (4/h^2 + mu^2) <= 4,
     which is dt <= h at mu = 0: CflError (a ValueError) unless 0 < cfl <= 1
     and cfl <= 1 / sqrt(1 + (mu h / 2)^2).  ValueError, naming S, where dt^2
-    overflows."""
+    overflows, and naming S and c where the closure gain's 2 h c underflows
+    to 0."""
     if not isinstance(p.geometry, Strip):
         raise GeometryError("the FDTD engine integrates the strip geometry")
     if not 0 < cfl <= 1:
@@ -442,6 +443,9 @@ def make_fdtd_state(data: CauchyData, p: PhysicalParams, cfl: float = 0.5) -> Fd
         raise ValueError(f"the time step dt = cfl h = {dt:g} squares beyond the double "
                          f"range: the strip half-width S = {p.geometry.S:g} is too large "
                          f"for a grid of {grid.n} cells")
+    if 2.0 * h * p.c == 0.0:
+        raise ValueError(f"the closure gain dt^2 / (2 h c) divides by 2 h c, which underflows "
+                         f"to 0 at S = {p.geometry.S:g}, c = {p.c:g}: S and c are too small")
     phi0 = np.array(data.position.bulk, dtype=float)
     v0 = np.array(data.velocity.bulk, dtype=float)
     phi0[0], phi0[-1] = data.position.boundary
@@ -776,9 +780,13 @@ def _exp_tail(u, eps, c):
     """(E * G_eps)(u) with E(u) = exp(-u/c) theta(u), in log space to avoid
     overflow of exp(-u/c) at large negative u.  The closed forms go through
     it before any other term, so it holds their one check of eps: ValueError
-    unless eps is positive and finite."""
+    unless eps is positive and finite, and, naming c, where 2 c^2 underflows
+    to 0."""
     if not (eps > 0 and np.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps}")
+    if 2 * c**2 == 0.0:
+        raise ValueError(f"the reflection closed form divides by 2 c^2, which underflows "
+                         f"to 0 at c = {c:g}")
     from scipy.special import log_ndtr  # loaded on first use: scipy is slow to import
 
     u = np.asarray(u, dtype=float)

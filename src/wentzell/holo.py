@@ -483,7 +483,7 @@ def fig2_reproduce(*, S: float = 1.0, c: float = 1.0, M: int | None = None
     heights, 1, 0.52 and 0.14 at the defaults (1, 0.986 and 0.937 with the
     window divided out at the peak times), and keeps bursts beyond |t| = 5
     below the 10% threshold."""
-    table = build_table(64, PhysicalParams(c=c, mu=0.0, geometry=Strip(S), d=1))
+    table = build_table(64, PhysicalParams(c=c, mu=0.0, geometry=Strip(S)))
     image = holographic_dual(fig2_test_function, table, t_span=12.0, M=M)
     report = detect_bursts(image.t_grid, image.fprime, rel_threshold=0.1)
     return image, report

@@ -149,7 +149,10 @@ class ModeTable:
     The profile of mode m is  c_m S^(-1/2) * cos(q_m z)  (m even) or
     sin(q_m z) (m odd); its boundary value at the component at +-S is
     (+-1)^m d_m.  ``deltas`` holds delta_m = q_m - pi (m-1) / 2S from the
-    delta-form solve (pi / 2S for the constant mode).
+    delta-form solve (pi / 2S for the constant mode).  Construction raises
+    ValueError on non-finite columns, a q that does not increase, a d_m of 0,
+    and a top frequency sqrt(q_M^2 + mu^2) of ``omegas`` that overflows a
+    double, so ``build_table`` and the cache loader share these checks.
     """
 
     params: PhysicalParams
@@ -171,6 +174,10 @@ class ModeTable:
             raise ValueError("mode table holds non-finite values")
         if np.any(np.diff(self.qs) <= 0):
             raise ValueError("mode wavenumbers must be strictly increasing")
+        q, mu = float(self.qs[-1]), float(self.params.mu)
+        if not np.isfinite(q * q + mu * mu):  # Python floats overflow to inf, silently
+            raise ValueError(f"the top frequency sqrt(q_M^2 + mu^2) overflows a double at "
+                             f"S = {self.params.geometry.S:g}, mu = {mu:g}, q_M = {q:.4g}")
         if np.any(self.d_bdys == 0):
             m = int(np.argmax(self.d_bdys == 0))
             raise ValueError(f"boundary coupling of mode {m} vanishes")
@@ -194,7 +201,7 @@ class ModeTable:
         return res
 
     def omegas(self, k: float = 0.0) -> np.ndarray:
-        return np.sqrt(k**2 + self.qs**2 + self.params.mu**2)
+        return np.sqrt(k * k + self.qs**2 + self.params.mu * self.params.mu)
 
     def boundary_values(self) -> np.ndarray:
         """(M+1, 2) array of mode boundary values [at -S, at +S]."""

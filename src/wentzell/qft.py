@@ -4,7 +4,11 @@ diagnostics, and smeared mode coefficients.
 The boundary field is a generalized free field: its two-point function is a
 positive superposition of massive free-field two-point functions, with masses
 mu_m = sqrt(q_m^2 + mu^2) and weights d_m^2 (strip) or the continuous weight
-2 / (pi (c^2 q^2 + 1)) (half-space).
+2 / (pi (c^2 q^2 + 1)) (half-space).  In d = 1 it depends only on the times
+x0, the spectrum and a cutoff: ``boundary_2pt_strip`` sums the modes
+0 .. M of a mode table, whose parameters it reads, and
+``boundary_2pt_halfspace`` integrates the weight up to q_max.  The d >= 2
+sums take a ``TwoPointSpec``, whose table must match it.
 
 At spacelike separation r (d >= 2) the strip sum is sum_m d_m^2 (2 pi)^(-d/2)
 mu_m^nu r^(1-d/2) K_nu(mu_m r), nu = d/2 - 1, whose terms fall like
@@ -56,7 +60,8 @@ _FLOOR_ULPS = 32.0  # rounding floor of smeared coefficients, in eps of their si
 
 @dataclass
 class TwoPointSpec:
-    """Which strip two-point function to evaluate and how far to sum."""
+    """The parameters, cutoff and dimension of a d >= 2 strip sum
+    (``spacelike_2pt_bessel``, ``commutator_boundary``)."""
 
     params: object  # PhysicalParams
     M: int = 100        # mode cutoff
@@ -74,11 +79,11 @@ class TwoPointSpec:
 @dataclass
 class TwoPointResult:
     """Two-point values and an estimate of what the cutoff leaves out: a
-    proved bound on the mode tail beyond M (strip, d = 1; see
-    ``strip_tail_bound``), the heuristic twice the largest
-    term of mode M (Bessel sum, d >= 2; it bounds neither the modes beyond M
+    proved bound on the mode tail beyond M (``boundary_2pt_strip``; see
+    ``strip_tail_bound``), the heuristic twice the largest term of mode M
+    (``spacelike_2pt_bessel``, d >= 2; it bounds neither the modes beyond M
     nor the terms m <= M the sum skips, which change no bit) or a bound on the
-    tail beyond q_max (half-space)."""
+    tail beyond q_max (``boundary_2pt_halfspace``)."""
 
     value: complex | float | np.ndarray
     tail_bound: float
@@ -153,11 +158,6 @@ def strip_tail_bound(M: int, S: float, c: float) -> float:
     return bound
 
 
-def _check_no_separation(x):
-    if np.any(np.asarray(x, dtype=float) != 0.0):
-        raise ValueError("the d = 1 kernel has no spatial separation; x must be 0")
-
-
 def _finite_x0(x0) -> np.ndarray:
     """x0 as a float array; ValueError unless every entry is finite."""
     x0 = np.asarray(x0, dtype=float)
@@ -166,42 +166,41 @@ def _finite_x0(x0) -> np.ndarray:
     return x0
 
 
-def boundary_2pt_strip(x0, x, spec: TwoPointSpec, table: ModeTable) -> TwoPointResult:
-    """Partial mode sum of the boundary two-point function on the strip.
+def boundary_2pt_strip(x0, table: ModeTable, M: int) -> TwoPointResult:
+    """The d = 1 boundary two-point function on the strip, summed over the
+    modes m = 0 .. M of ``table``:
 
-    d = 1 uses the kernel exp(-i mu_m x0) / (2 mu_m), which has no spatial
-    separation (``x`` must be 0); d >= 2 is evaluated at spacelike separation
-    through the Bessel-K sum.  ValueError unless every x0 is finite.  The
-    d = 1 sum takes the modes in blocks of max(1, 2^18 // len(x0)), so its
-    memory stays bounded at any cutoff.
+        sum_{m <= M} d_m^2 exp(-i mu_m x0) / (2 mu_m),
+
+    at every ``x0`` of an array (a scalar gives a complex value), with S, c
+    and mu read from ``table.params``.  ``tail_bound`` is
+    ``strip_tail_bound(M, S, c)``.  ValueError unless 1 <= M <= len(table) - 1
+    and every x0 is finite; ZeroModeError (a ValueError) at mu = 0, where
+    mu_0 = 0.  The sum takes the modes in blocks of max(1, 2^18 // len(x0)),
+    so its memory stays bounded at any cutoff.
     """
-    if spec.d == 1:
-        _check_no_separation(x)
+    if not 1 <= M <= len(table) - 1:
+        raise ValueError(f"mode cutoff must be in 1 .. {len(table) - 1}, got M={M}")
     x0 = _finite_x0(x0)
-    _check_strip_table(spec, table)
-    p = spec.params
-    S = p.geometry.S
-    mu_m = table.omegas()[: spec.M + 1]
-    d2 = table.d_bdys[: spec.M + 1] ** 2
+    mu_m = table.omegas()[: M + 1]
+    d2 = table.d_bdys[: M + 1] ** 2
     if np.any(mu_m == 0.0):
-        raise ZeroModeError("massless zero mode makes the kernel divergent; "
-                            "it must be treated separately")
-    if spec.d == 1:
-        # real cos and sin matrices, one block of modes at a time; the first
-        # block's sums start the totals, so a one-block sum keeps its bytes
-        w = d2 / (2.0 * mu_m)
-        rows = max(1, _BLOCK_ENTRIES // max(x0.size, 1))
-        re = im = None
-        for i in range(0, w.size, rows):
-            phase = np.multiply.outer(mu_m[i:i + rows], x0)
-            cos = np.tensordot(w[i:i + rows], np.cos(phase), axes=(0, 0))
-            sin = np.tensordot(w[i:i + rows], np.sin(phase), axes=(0, 0))
-            re, im = (cos, sin) if re is None else (re + cos, im + sin)
-        val = re - 1j * im
-        val = val if val.shape else complex(val)
-        return TwoPointResult(value=val, tail_bound=strip_tail_bound(spec.M, S, p.c))
-    x2 = np.asarray(x, dtype=float) ** 2 - x0 ** 2
-    return spacelike_2pt_bessel(x2, spec, table=table)
+        raise ZeroModeError("mu > 0 is required: at mu = 0 the zero mode is massless "
+                            "and its term d_0^2 / (2 mu_0) diverges")
+    # real cos and sin matrices, one block of modes at a time; the first
+    # block's sums start the totals, so a one-block sum keeps its bytes
+    w = d2 / (2.0 * mu_m)
+    rows = max(1, _BLOCK_ENTRIES // max(x0.size, 1))
+    re = im = None
+    for i in range(0, w.size, rows):
+        phase = np.multiply.outer(mu_m[i:i + rows], x0)
+        cos = np.tensordot(w[i:i + rows], np.cos(phase), axes=(0, 0))
+        sin = np.tensordot(w[i:i + rows], np.sin(phase), axes=(0, 0))
+        re, im = (cos, sin) if re is None else (re + cos, im + sin)
+    val = re - 1j * im
+    val = val if val.shape else complex(val)
+    p = table.params
+    return TwoPointResult(value=val, tail_bound=strip_tail_bound(M, p.geometry.S, p.c))
 
 
 # At separation r the Bessel sum keeps the modes with mu_m < mu_0 + Z / r; each
@@ -414,15 +413,14 @@ def _halfspace_sum(x0: np.ndarray, mu: float, c: float, edges: np.ndarray
     return out, float(np.sum(amp))
 
 
-def boundary_2pt_halfspace(x0, x, p, q_max: float) -> TwoPointResult:
+def boundary_2pt_halfspace(x0, p, q_max: float) -> TwoPointResult:
     """Half-space boundary two-point function (d = 1 kernel)
 
         W(x0) = int_0^q_max dq w(q) e^(-i omega x0) / (2 omega),
         omega = sqrt(mu^2 + q^2),
 
     at every ``x0`` of an array (a scalar gives a complex value), for
-    half-space parameters ``p`` with d = 1 and mu > 0 and a finite q_max > 0.
-    The d = 1 boundary has no spatial direction, so ``x`` must be 0.  With
+    half-space parameters ``p`` with mu > 0 and a finite q_max > 0.  With
     q = mu sinh s the integrand is w(mu sinh s) e^(-i mu cosh(s) x0) / 2, with
     no edge singularity, and a composite 16-point Gauss-Legendre rule in s is
     applied to all x0 at once.  Its panels are graded toward s = 0 from the
@@ -443,9 +441,6 @@ def boundary_2pt_halfspace(x0, x, p, q_max: float) -> TwoPointResult:
         raise ValueError("mu > 0 required for the half-space two-point function")
     if not (np.isfinite(q_max) and q_max > 0):
         raise ValueError(f"q_max must be positive and finite, got {q_max}")
-    if p.d != 1:
-        raise ValueError("only the d = 1 kernel is implemented for the half-space")
-    _check_no_separation(x)
     x0 = _finite_x0(x0)
     # int_q_max^inf w(q) / (2 mu) dq, a bound since omega >= mu
     with np.errstate(over="ignore", divide="ignore"):

@@ -280,6 +280,42 @@ def test_modes_sweep_exits_0(tmp_path, capsys):
     assert failed == []
 
 
+def _twopoint_sweep(n: int, seed: int):
+    """``twopoint`` command lines at n seeded points, either geometry: S, c
+    and mu as in ``_modes_sweep``, --max up to 5 000, and --x0-max, --n-x0 and
+    --q-max over [1e-2, 1e2], 0 .. 300 and [1, 1e4]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        S, c, mu, x0_max, q_max = (10.0 ** rng.uniform([-3, -12, -4, -2, 0],
+                                                       [3, 12, 4, 2, 4])).tolist()
+        if rng.random() < 0.25:
+            mu = 0.0
+        yield ["twopoint", "--geometry", str(rng.choice(["strip", "halfspace"])),
+               "--S", repr(S), "--c", repr(c), "--mu", repr(mu),
+               "--max", str(rng.integers(0, 5001)), "--x0-max", repr(x0_max),
+               "--n-x0", str(rng.integers(0, 301)), "--q-max", repr(q_max)]
+
+
+def test_twopoint_sweep_runs_or_fails_loudly(tmp_path, capsys):
+    # exit 0 writes finite samples and report, exit 1 a message and no CSV,
+    # and exit 2 is only the half-space quadrature's refusal of a layout
+    codes = []
+    for i, argv in enumerate(_twopoint_sweep(60, seed=34)):
+        out = tmp_path / f"{i}.csv"
+        code = main(argv + ["--cache-dir", str(tmp_path / "cache"), "--out", str(out)])
+        err = capsys.readouterr().err
+        codes.append(code)
+        if code == 0:
+            assert np.all(np.isfinite(read_csv(out)[1])), argv
+            rep = json.loads(out.with_suffix(".report.json").read_text())
+            assert all(np.isfinite(v) for v in rep.values()), argv
+            continue
+        assert code in (1, 2) and err and not out.exists(), (argv, code, err)
+        if code == 2:
+            assert "halfspace" in argv and "did not converge" in err, (argv, err)
+    assert codes.count(0) >= 30  # most points run
+
+
 def test_modes_rejects_negative_c(tmp_path):
     assert main(["modes", "--c", "-1", "--cache-dir", str(tmp_path)]) == 1
 
@@ -599,13 +635,25 @@ def test_large_couplings_solve_or_name_the_limit(tmp_path, capsys, args, code, m
     ("twopoint --S 1e160", 1, "overflows a double at S = 1e+160, c = 1:"),
     ("twopoint --S 1e160 --c 1e160", 0, ""),
     ("evolve --S 1e-300", 1, "--T 2 takes 2.048e+303 steps"),
+    ("twopoint --S 1e-200 --c 1e-200", 1, "overflows a double at S = 1e-200, mu = 1,"),
+    ("twopoint --mu 1e160", 1, "overflows a double at S = 1, mu = 1e+160,"),
+    ("holo --mu 1e200", 1, "overflows a double at S = 1, mu = 1e+200,"),
+    ("modes --S 1e-200 --c 1e-200", 1, "overflows a double at S = 1e-200, mu = 0,"),
+    ("evolve --S 1e-200 --c 1e-200", 1, "underflows to 0 at S = 1e-200, c = 1e-200:"),
+    ("evolve --S 1e-200 --c 1e-200 --scenario mode", 1,
+     "overflows a double at S = 1e-200, mu = 0,"),
+    ("evolve --S 1e-200 --c 1e-200 --scenario reflection", 1,
+     "underflows to 0 at c = 1e-200"),
 ))
 def test_extreme_strip_widths_run_or_name_the_parameter(tmp_path, capsys, args, code,
                                                        message):
     # dt ** 2 (evolve) and S ** 2 (the strip's tail bound) raised a bare
     # OverflowError (exit 2) at --S 1e160, and --S 1e-300 exited 1 with
-    # numpy's "Maximum allowed dimension exceeded": every written number is
-    # finite, or the run exits 1 naming the parameter
+    # numpy's "Maximum allowed dimension exceeded"; at --S 1e-200 q_M^2
+    # overflowed to a CSV of NaN (exit 0), mu ** 2 raised a bare OverflowError
+    # at --mu 1e160, and the closure gain dt^2 / (2 h c) and the reflection's
+    # eps^2 / (2 c^2) a bare ZeroDivisionError at --c 1e-200: every written
+    # number is finite, or the run exits 1 naming the parameter
     out = tmp_path / "out.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -652,7 +652,7 @@ def test_halfspace_formulas_reject_a_strip():
     with pytest.raises(GeometryError, match="half-space parameters"):
         eval_halfspace_mode(1.3, 0.5, strip)
     with pytest.raises(GeometryError, match="half-space parameters"):
-        boundary_2pt_halfspace(0.5, 0.0, strip, 50.0)
+        boundary_2pt_halfspace(0.5, strip, 50.0)
     with pytest.raises(GeometryError, match="half-space parameters"):
         halfspace_dual(lambda t, z: t * z, strip, np.linspace(0, 5, 11),
                        np.linspace(-1, 1, 21), Grid1D.for_halfspace(2.0, 64))

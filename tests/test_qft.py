@@ -10,7 +10,7 @@ from scipy.special import k0, kv, sici, zeta
 from wentzell import qft
 from wentzell.core import HalfSpace, PhysicalParams, Strip, ZeroModeError
 from wentzell.modes import build_table, mode_matrix
-from wentzell.qft import (TwoPointResult, TwoPointSpec, _bessel_dropped_bound,
+from wentzell.qft import (TwoPointSpec, _bessel_dropped_bound,
                           _bessel_prefix_sums, _hurwitz_zeta, boundary_2pt_halfspace,
                           boundary_2pt_strip, causality_check,
                           commutator_boundary, fourier_trapezoid, halfspace_weight,
@@ -49,8 +49,7 @@ def test_spec_validation():
 
 
 def test_strip_2pt_one_term(table200):
-    spec = TwoPointSpec(params=P1, M=1)
-    res = boundary_2pt_strip(0.0, 0.0, spec, table=table200)
+    res = boundary_2pt_strip(0.0, table200, 1)
     mu_m = table200.omegas()
     d2 = table200.d_bdys**2
     expected = d2[0] / (2 * mu_m[0]) + d2[1] / (2 * mu_m[1])
@@ -61,38 +60,33 @@ def test_strip_2pt_one_term(table200):
 
 
 def test_strip_2pt_real_at_coincidence(table200):
-    spec = TwoPointSpec(params=P1, M=100)
-    res = boundary_2pt_strip(0.0, 0.0, spec, table=table200)
+    res = boundary_2pt_strip(0.0, table200, 100)
     assert res.value.imag == 0.0
 
 
 def test_strip_2pt_partial_sums_within_tail(table200):
-    s100 = TwoPointSpec(params=P1, M=100)
-    s200 = TwoPointSpec(params=P1, M=200)
-    v100 = boundary_2pt_strip(0.0, 0.0, s100, table=table200)
-    v200 = boundary_2pt_strip(0.0, 0.0, s200, table=table200)
+    v100 = boundary_2pt_strip(0.0, table200, 100)
+    v200 = boundary_2pt_strip(0.0, table200, 200)
     assert abs(v200.value - v100.value) < v100.tail_bound
 
 
 def test_strip_2pt_hermiticity(table200):
-    spec = TwoPointSpec(params=P1, M=50)
     x0 = np.linspace(0.1, 3.0, 7)
-    plus = boundary_2pt_strip(x0, 0.0, spec, table=table200)
-    minus = boundary_2pt_strip(-x0, 0.0, spec, table=table200)
+    plus = boundary_2pt_strip(x0, table200, 50)
+    minus = boundary_2pt_strip(-x0, table200, 50)
     assert np.allclose(minus.value, np.conj(plus.value), atol=1e-14)
 
 
 def test_strip_2pt_blocks_of_modes_agree_with_one_block(table200, monkeypatch):
     # 201 modes against 13 times in blocks of 3 modes, and the whole sum in
     # one block, as at the default block size
-    spec = TwoPointSpec(params=P1, M=200)
     x0 = np.linspace(0.0, 6.0, 13)
-    one = boundary_2pt_strip(x0, 0.0, spec, table=table200).value
-    at0 = boundary_2pt_strip(0.0, 0.0, spec, table=table200).value
+    one = boundary_2pt_strip(x0, table200, 200).value
+    at0 = boundary_2pt_strip(0.0, table200, 200).value
     monkeypatch.setattr(qft, "_BLOCK_ENTRIES", 40)
     sizes, cos = [], np.cos
     monkeypatch.setattr(np, "cos", lambda a: (sizes.append(np.size(a)), cos(a))[1])
-    blocked = boundary_2pt_strip(x0, 0.0, spec, table=table200).value
+    blocked = boundary_2pt_strip(x0, table200, 200).value
     monkeypatch.setattr(np, "cos", cos)
     assert len(sizes) >= 3 and max(sizes) <= 40  # each cos matrix is one block
     assert np.max(np.abs(blocked - one)) <= 1e-14 * np.max(np.abs(one))
@@ -100,12 +94,16 @@ def test_strip_2pt_blocks_of_modes_agree_with_one_block(table200, monkeypatch):
 
 
 def test_strip_2pt_zero_mode_divergence():
-    p = PhysicalParams(c=1.0, mu=0.0, geometry=Strip(1.0), d=3)
-    spec = TwoPointSpec(params=p, M=10)
-    spec.d = 1  # force the d = 1 kernel against a massless table
-    table = build_table(10, p)
+    table = build_table(10, PhysicalParams(c=1.0, mu=0.0, geometry=Strip(1.0)))
     with pytest.raises(ZeroModeError):
-        boundary_2pt_strip(0.0, 0.0, spec, table=table)
+        boundary_2pt_strip(0.0, table, 10)
+
+
+@pytest.mark.parametrize("M", [0, -1, 201])
+def test_strip_2pt_cutoff_within_the_table(table200, M):
+    # strip_tail_bound's zeta(3, M) needs M >= 1, and the sum reads modes 0 .. M
+    with pytest.raises(ValueError, match="mode cutoff must be in 1 .. 200"):
+        boundary_2pt_strip(0.0, table200, M)
 
 
 def test_weights_positive(table200):
@@ -122,7 +120,7 @@ def test_halfspace_weight_normalization():
         assert abs(halfspace_weight_normalization(c) - 1.0 / c) < 1e-12
 
 
-HS1 = PhysicalParams(c=1.0, mu=1.0, geometry=HalfSpace(), d=1)
+HS1 = PhysicalParams(c=1.0, mu=1.0, geometry=HalfSpace())
 X0_DEFAULT = np.linspace(0.0, 5.0, 101)  # the CLI's default sample points
 
 
@@ -142,7 +140,7 @@ def _halfspace_quad(x0, p, q_max):
 def test_halfspace_2pt_matches_q_domain_rule():
     # an independent rule: composite Gauss-Legendre directly in q, 16 nodes
     # on each of 8000 panels of [0, q_max], no substitution
-    res = boundary_2pt_halfspace(X0_DEFAULT, 0.0, HS1, 200.0)
+    res = boundary_2pt_halfspace(X0_DEFAULT, HS1, 200.0)
     g, gw = np.polynomial.legendre.leggauss(16)
     half = 200.0 / 8000 / 2
     q = (half * (2 * np.arange(8000) + 1)[:, None] + half * g).ravel()
@@ -156,7 +154,7 @@ def test_halfspace_2pt_matches_q_domain_rule():
 def test_halfspace_2pt_matches_quad_within_its_error():
     # quad underestimates its error at x0 = 4.65: it is off by about 1.1e-7
     # there against a quoted 1.5e-8
-    res = boundary_2pt_halfspace(X0_DEFAULT, 0.0, HS1, 200.0)
+    res = boundary_2pt_halfspace(X0_DEFAULT, HS1, 200.0)
     for x0, val in zip(X0_DEFAULT, res.value):
         ref, err = _halfspace_quad(x0, HS1, 200.0)
         if abs(x0 - 4.65) < 1e-9:
@@ -195,7 +193,7 @@ def test_halfspace_2pt_matches_graded_q_domain_rule(c, mu):
     for q_max, x0_max in ((200.0, 5.0), (2000.0, 5.0), (200.0, 50.0), (1.0, 5.0),
                           (200.0, 0.0)):
         x0 = np.linspace(-x0_max, x0_max, 21)
-        res = boundary_2pt_halfspace(x0, 0.0, p, q_max)
+        res = boundary_2pt_halfspace(x0, p, q_max)
         ref = _q_domain_reference(x0, p, q_max)
         w0 = ref[10].real  # W(0) >= |W(x0)|
         assert np.max(np.abs(res.value - ref)) <= 1e-12 * w0, (q_max, x0_max)
@@ -203,9 +201,9 @@ def test_halfspace_2pt_matches_graded_q_domain_rule(c, mu):
 
 
 def test_halfspace_2pt_scalar_equals_array_row():
-    res = boundary_2pt_halfspace(np.array([0.0, 1.5, -0.7]), 0.0, HS1, 200.0)
+    res = boundary_2pt_halfspace(np.array([0.0, 1.5, -0.7]), HS1, 200.0)
     assert res.value.shape == (3,)
-    one = boundary_2pt_halfspace(1.5, 0.0, HS1, 200.0)
+    one = boundary_2pt_halfspace(1.5, HS1, 200.0)
     assert isinstance(one.value, complex)
     assert one.value == pytest.approx(res.value[1], abs=1e-14)
 
@@ -213,72 +211,63 @@ def test_halfspace_2pt_scalar_equals_array_row():
 def test_halfspace_2pt_fails_loudly_when_unresolved():
     # 2^14 panels cannot resolve a phase of 10^6: the two resolutions disagree
     with pytest.raises(RuntimeError, match="did not converge"):
-        boundary_2pt_halfspace(np.array([0.0, 1000.0]), 0.0, HS1, 1000.0)
+        boundary_2pt_halfspace(np.array([0.0, 1000.0]), HS1, 1000.0)
     with pytest.raises(ValueError, match="x0 must be finite"):
-        boundary_2pt_halfspace(np.array([0.0, np.nan]), 0.0, HS1, 1000.0)
+        boundary_2pt_halfspace(np.array([0.0, np.nan]), HS1, 1000.0)
     for q_max in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="q_max must be positive"):
-            boundary_2pt_halfspace(0.0, 0.0, HS1, q_max)
-
-
-def test_d1_kernels_reject_a_spatial_separation(table200):
-    # the d = 1 boundary has only time: a nonzero x used to be dropped silently
-    with pytest.raises(ValueError, match="no spatial separation"):
-        boundary_2pt_halfspace(0.5, 3.0, HS1, 200.0)
-    with pytest.raises(ValueError, match="no spatial separation"):
-        boundary_2pt_strip(0.5, np.array([0.0, 3.0]), TwoPointSpec(params=P1, M=20),
-                           table=table200)
+            boundary_2pt_halfspace(0.0, HS1, q_max)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_d1_kernels_reject_a_nonfinite_x0(table200, bad):
     x0 = np.array([0.0, bad])
     with pytest.raises(ValueError, match="x0 must be finite"):
-        boundary_2pt_strip(x0, 0.0, TwoPointSpec(params=P1, M=20), table=table200)
+        boundary_2pt_strip(x0, table200, 20)
     with pytest.raises(ValueError, match="x0 must be finite"):
-        boundary_2pt_halfspace(x0, 0.0, HS1, 200.0)
+        boundary_2pt_halfspace(x0, HS1, 200.0)
 
 
 def test_halfspace_2pt_real_at_coincidence():
     p = PhysicalParams(c=1.0, mu=1.0, geometry=HalfSpace())
-    res = boundary_2pt_halfspace(0.0, 0.0, p, 200.0)
+    res = boundary_2pt_halfspace(0.0, p, 200.0)
     assert res.value.imag == pytest.approx(0.0, abs=1e-12)
     assert res.quad_error < 1e-10
 
 
 def test_halfspace_2pt_qmax_tail():
     p = PhysicalParams(c=1.0, mu=1.0, geometry=HalfSpace())
-    v1 = boundary_2pt_halfspace(0.5, 0.0, p, 100.0)
-    v2 = boundary_2pt_halfspace(0.5, 0.0, p, 200.0)
+    v1 = boundary_2pt_halfspace(0.5, p, 100.0)
+    v2 = boundary_2pt_halfspace(0.5, p, 200.0)
     assert abs(v2.value - v1.value) < 2 * v1.tail_bound
 
 
 def test_halfspace_2pt_hermiticity():
     p = PhysicalParams(c=1.0, mu=1.0, geometry=HalfSpace())
-    plus = boundary_2pt_halfspace(0.8, 0.0, p, 150.0).value
-    minus = boundary_2pt_halfspace(-0.8, 0.0, p, 150.0).value
+    plus = boundary_2pt_halfspace(0.8, p, 150.0).value
+    minus = boundary_2pt_halfspace(-0.8, p, 150.0).value
     assert minus == pytest.approx(np.conj(plus), abs=1e-12)
 
 
-def test_strip_2pt_routes_to_bessel_for_d2(table200):
-    p = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0), d=2)
-    spec = TwoPointSpec(params=p, M=20, d=2)
-    via_strip = boundary_2pt_strip(0.3, 1.5, spec, table=table200)
-    direct = spacelike_2pt_bessel(1.5**2 - 0.3**2, spec, table=table200)
-    assert via_strip.value == direct.value
-    assert isinstance(via_strip, TwoPointResult)
+def test_strip_2pt_tends_to_the_halfspace_2pt():
+    # the half-space is the strip's S -> infinity limit: at S = 8 the far
+    # boundary's round trip leaves e^(-4 mu S) of W, and with the strip's
+    # cutoff matched, q_max = q_M, the two sums agree to 4.0e-13 of W(0) = 0.318
+    table = build_table(32_000, PhysicalParams(c=1.0, mu=1.0, geometry=Strip(8.0)))
+    x0 = np.linspace(0.0, 6.0, 61)
+    strip = boundary_2pt_strip(x0, table, 32_000).value
+    half = boundary_2pt_halfspace(x0, HS1, float(table.qs[-1])).value
+    assert np.max(np.abs(strip - half)) <= 4e-11 * half[0].real
 
 
-@pytest.mark.parametrize("S, c, mu", [(2.0, 5.0, 3.0), (2.0, 1.0, 1.0),
+@pytest.mark.parametrize("S, c, mu",[(2.0, 5.0, 3.0), (2.0, 1.0, 1.0),
                                       (1.0, 5.0, 1.0), (1.0, 1.0, 3.0)])
 def test_strip_sums_reject_a_table_for_other_parameters(table200, S, c, mu):
     # table200 holds the modes of (S, c, mu) = (1, 1, 1); its d may differ from
-    # the spec's (above), but its geometry, c and mu may not
+    # the spec's, but its geometry, c and mu may not
     p = PhysicalParams(c=c, mu=mu, geometry=Strip(S))
     spec2 = TwoPointSpec(params=p, M=10, d=2)
-    for call in (lambda: boundary_2pt_strip(0.3, 0.0, TwoPointSpec(params=p, M=10),
-                                            table=table200),
-                 lambda: spacelike_2pt_bessel(1.0, spec2, table=table200),
+    for call in (lambda: spacelike_2pt_bessel(1.0, spec2, table=table200),
                  lambda: commutator_boundary(1.0, 0.0, spec2, table=table200)):
         with pytest.raises(ValueError, match="table was built for"):
             call()
