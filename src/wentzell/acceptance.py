@@ -256,7 +256,13 @@ def criterion_8_twopoint_diagnostics() -> CriterionResult:
 
 def criterion_9_commutator_causality() -> CriterionResult:
     """Boundary commutator (d = 2, M = 50) vanishes below 1e-10 at 100
-    seeded random spacelike points."""
+    seeded random spacelike points.
+
+    No J_0 is evaluated here: at a spacelike point the theta factor of
+    ``pauli_jordan_d2`` makes each mode's term an exact 0, so the sum is 0
+    whatever the Bessel values.  The criterion checks how the mode sum is
+    assembled (the theta window, broadcasting over modes and points), not
+    the J_0 values, and it cannot fail at spacelike points."""
     p = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0), d=2)
     spec = TwoPointSpec(params=p, M=50, d=2)
     table = build_table(50, p)

@@ -776,21 +776,105 @@ def _gauss(u, eps):
     return np.exp(-u**2 / (2 * eps**2)) / (eps * np.sqrt(2 * np.pi))
 
 
+_SQRT1_2 = math.sqrt(0.5)
+_LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
+_ERFC_BAND = 8.0     # math.erfc per element for |x| below it, the Mills ratio beyond
+_MILLS_FAR = 20.0    # the J-fraction takes 7 levels from |x| = 8 on and 4 from here on
+_Q_ZERO = 40.0       # Q(x) = 1 - Phi(x) < phi(40) = e^-800 / sqrt(2 pi) rounds to 0
+
+
+def _inv_mills(y, levels: int):
+    """phi(y) / Q(y) = 1 / R(y) for y > 0, from the J-fraction of the Mills ratio
+    (DLMF 7.9.2 at z = y / sqrt 2)
+
+        R(y) = y / (y^2 + 1 - 1*2 / (y^2 + 5 - 3*4 / (y^2 + 9 - ...))),
+
+    cut ``levels`` levels below the first (the last denominator is
+    y^2 + 4 levels + 1).  Each level is in place, and the first is taken
+    as y + (1 - 2 / d_1) / y: past y = 1.3e154, y^2 and d_1 are inf, 2 / d_1
+    is 0 and the result y + 1 / y is still finite."""
+    s = y * y
+    d = s + (4 * levels + 1)
+    for k in range(levels - 1, 0, -1):
+        np.divide((2 * k + 1) * (2 * k + 2), d, out=d)
+        np.subtract(s, d, out=d)
+        d += 4 * k + 1
+    np.divide(2.0, d, out=d)
+    np.subtract(1.0, d, out=d)
+    d /= y
+    d += y
+    return d
+
+
+def _log_q(y):
+    """log Q(y) = log(1 - Phi(y)) = -y^2/2 - log sqrt(2 pi) - log(1 / R(y)) for
+    y >= 8.  Cut at 7 levels below y = 20 and 4 from there on, the J-fraction
+    is within 8.3e-18 and 2.7e-20 of R at the low end of each range (exact
+    arithmetic), and closer above it.  Past y = 1.9e154, y^2 / 2 overflows
+    and the result is -inf, which is log Q rounded."""
+    with np.errstate(over="ignore"):
+        f = _inv_mills(y, 4)
+        near = y < _MILLS_FAR
+        if near.any():
+            f[near] = _inv_mills(y[near], 7)
+        return -0.5 * y * y - _LOG_SQRT_2PI - np.log(f)
+
+
+def _log_ndtr(x):
+    """log Phi(x), Phi the standard normal distribution function, elementwise.
+
+    - |x| < 8: q = erfc(|x| / sqrt 2) / 2 by ``math.erfc``, one call per
+      element, and log Phi = log q below 0, log1p(-q) from 0 on;
+    - x <= -8: ``_log_q(-x)``, the Mills ratio's J-fraction in log space, so
+      that x^2 / 2 never leaves the exponent (no underflow to -inf until
+      x^2 / 2 itself overflows);
+    - 8 <= x < 40: -Q(x) = -exp(_log_q(x)), which is log1p(-Q) rounded since
+      Q(8) = 6.2e-16; from x = 40 on, -Q rounds to 0.
+
+    Against 50 digits on [-1e3, 40], the absolute error is below
+    2 eps max(1, |log Phi|) (the tests hold 4 eps); an absolute error in
+    log Phi is the relative error it adds to exp(a + log Phi).  Each element
+    gives the same bits alone as in an array.  NaN stays NaN."""
+    x = np.asarray(x, dtype=float)
+    out = np.where(x >= _Q_ZERO, 0.0, np.nan)
+    y = np.abs(x)
+    band = y < _ERFC_BAND
+    yb = y[band]
+    q = 0.5 * np.fromiter(map(math.erfc, (yb * _SQRT1_2).tolist()), float, yb.size)
+    out[band] = np.where(x[band] < 0, np.log(q), np.log1p(-q))
+    tail = (y >= _ERFC_BAND) & (x < _Q_ZERO)
+    log_q = _log_q(y[tail])
+    high = x[tail] > 0
+    log_q[high] = -np.exp(log_q[high])
+    out[tail] = log_q
+    return out
+
+
 def _exp_tail(u, eps, c):
-    """(E * G_eps)(u) with E(u) = exp(-u/c) theta(u), in log space to avoid
-    overflow of exp(-u/c) at large negative u.  The closed forms go through
-    it before any other term, so it holds their one check of eps: ValueError
-    unless eps is positive and finite, and, naming c, where 2 c^2 underflows
-    to 0."""
+    """(E * G_eps)(u) with E(u) = exp(-u/c) theta(u), in closed form
+
+        exp(eps^2 / (2 c^2) - u/c + log Phi(u/eps - eps/c)),
+
+    summed in log space so that exp(-u/c) does not overflow at large negative
+    u; log Phi is ``_log_ndtr``, numpy and ``math`` only.  The closed forms go
+    through it before any other term, so it holds their one check of eps:
+    ValueError unless eps is positive and finite.  It also raises, naming c,
+    where 2 c^2 underflows to 0 or where eps^2 / (2 c^2) or u/c overflows,
+    before any overflow warning: past that no term of the exponent is a
+    number."""
     if not (eps > 0 and np.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if 2 * c**2 == 0.0:
         raise ValueError(f"the reflection closed form divides by 2 c^2, which underflows "
                          f"to 0 at c = {c:g}")
-    from scipy.special import log_ndtr  # loaded on first use: scipy is slow to import
-
+    shift = eps**2 / (2 * c**2)
     u = np.asarray(u, dtype=float)
-    return np.exp(eps**2 / (2 * c**2) - u / c + log_ndtr(u / eps - eps / c))
+    with np.errstate(over="ignore"):
+        uc = u / c
+    if not (np.isfinite(shift) and np.isfinite(uc).all()):
+        raise ValueError(f"the reflection closed form's eps^2 / (2 c^2) or u/c overflows "
+                         f"a double at c = {c:g} (eps = {eps:g})")
+    return np.exp(shift - uc + _log_ndtr(u / eps - eps / c))
 
 
 def explicit_solution(t, z, eps: float, c: float):
@@ -800,8 +884,10 @@ def explicit_solution(t, z, eps: float, c: float):
 
     Returns phi over t broadcast against z.  The boundary trace is
     ``explicit_solution(t, 0.0, eps, c)``: at z = 0 the two Gaussians cancel
-    exactly and phi is the re-emission tail.  ValueError unless eps is
-    positive and finite.
+    exactly and phi is the re-emission tail.  Numpy and ``math`` only: the
+    tail's normal distribution function is ``_log_ndtr``.  ValueError unless
+    eps is positive and finite, and, naming c, where the tail's exponent
+    leaves the double range (``_exp_tail``).
     """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -811,7 +897,7 @@ def explicit_solution(t, z, eps: float, c: float):
 
 def explicit_solution_dt(t, z, eps: float, c: float):
     """Time derivative of explicit_solution (for building Cauchy data);
-    ValueError unless eps is positive and finite."""
+    ValueError where explicit_solution raises it."""
     z = np.asarray(z, dtype=float)
 
     def dg(u):

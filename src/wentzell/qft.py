@@ -475,15 +475,19 @@ def pauli_jordan_d2(x0, x, mass) -> np.ndarray:
 
         -(i/2) sgn(x0) theta(x0^2 - x^2) J0(mass sqrt(x0^2 - x^2)),
 
-    identically zero at spacelike separation; ``mass`` broadcasts against x0, x."""
-    from scipy.special import j0  # loaded on first use: scipy is slow to import
-
+    ``mass`` broadcasts against x0, x.  J0 is evaluated, and scipy.special
+    imported, only at the timelike entries (x0^2 > x^2); every other entry is
+    an exact 0, so a call at spacelike points alone loads no scipy module."""
     x0 = np.asarray(x0, dtype=float)
     x = np.asarray(x, dtype=float)
-    tau2 = x0**2 - x**2
+    x0, tau2, mass = np.broadcast_arrays(x0, x0**2 - x**2, np.asarray(mass, dtype=float))
+    out = np.zeros(tau2.shape, dtype=complex)
     inside = tau2 > 0
-    tau = np.sqrt(np.where(inside, tau2, 0.0))
-    return np.where(inside, -0.5j * np.sign(x0) * j0(mass * tau), 0.0)
+    if inside.any():
+        from scipy.special import j0  # loaded on first use: scipy is slow to import
+
+        out[inside] = -0.5j * np.sign(x0[inside]) * j0(mass[inside] * np.sqrt(tau2[inside]))
+    return out
 
 
 def commutator_boundary(x0, x, spec: TwoPointSpec, table: ModeTable):
@@ -491,7 +495,9 @@ def commutator_boundary(x0, x, spec: TwoPointSpec, table: ModeTable):
     massive Pauli-Jordan functions (d = 2), broadcast over (modes x points).
     Every mode up to M is summed: the J_0(mu_m tau) terms oscillate and decay
     only like (mu_m tau)^(-1/2), so no cutoff in m like the Bessel sum's
-    applies."""
+    applies.  At spacelike points each term is an exact 0 from
+    ``pauli_jordan_d2``, so the sum there is 0 exactly and no J_0 is
+    evaluated."""
     if spec.d != 2:
         raise ValueError("the closed-form commutator is implemented for d = 2 only")
     _check_strip_table(spec, table)

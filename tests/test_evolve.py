@@ -1,3 +1,6 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -930,6 +933,70 @@ def test_explicit_solution_trace_is_the_reemission_tail(c, eps):
     assert np.array_equal(explicit_solution(t, 0.0, eps, c), tail)
     for k in (0, 300, 1000):
         assert explicit_solution(t[k], 0.0, eps, c) == tail[k]
+
+
+def _mp_log_ndtr(x: float) -> float:
+    return float(mpmath.log(mpmath.ncdf(mpmath.mpf(x))))
+
+
+def test_log_ndtr_against_50_digits():
+    # absolute error within 4 eps max(1, |log Phi|): the error that
+    # exp(a + log Phi) sees; relative error is no yardstick where log Phi ~ -Q
+    # is tiny (near x = 10 scipy's log_ndtr is off by 3e-14 of it)
+    import wentzell.evolve as evolve
+    edges = [evolve._ERFC_BAND, evolve._MILLS_FAR, evolve._Q_ZERO]
+    x = np.concatenate([np.linspace(-1e3, 40.0, 2601), np.linspace(-40.0, 40.0, 4001),
+                        [0.0, -0.0], edges, np.negative(edges),
+                        np.nextafter(edges, 0.0), np.nextafter(np.negative(edges), 0.0)])
+    with mpmath.workdps(50):
+        exact = np.array([_mp_log_ndtr(v) for v in x])
+    got = evolve._log_ndtr(x)
+    err = np.abs(got - exact) / np.maximum(1.0, np.abs(exact))
+    assert np.max(err) <= 4 * np.finfo(float).eps, x[np.argmax(err)]
+    # elementwise: a scalar gives the bits it gives inside an array
+    for k in range(0, x.size, 331):
+        assert evolve._log_ndtr(x[k]) == got[k]
+    assert evolve._log_ndtr(-np.inf) == -np.inf and evolve._log_ndtr(np.inf) == 0.0
+    assert np.isnan(evolve._log_ndtr(np.nan))
+
+
+def test_exp_tail_is_as_accurate_as_scipys_log_ndtr():
+    # on the (eps, c) grid of the re-emission tail test, against 50 digits,
+    # no worse at its worst point than the same log-space form with
+    # scipy.special.log_ndtr (3.4e-13 against 4.9e-13 when written)
+    from scipy.special import log_ndtr
+
+    import wentzell.evolve as evolve
+    t = np.linspace(-1.0, 3.0, 1001)
+    worst_new = worst_scipy = 0.0
+    for c in (0.3, 1.0, 7.0):
+        for eps in (0.02, 0.1):
+            with mpmath.workdps(50):
+                e, cc = mpmath.mpf(eps), mpmath.mpf(c)
+                exact = np.array([float(mpmath.exp(e**2 / (2 * cc**2) - mpmath.mpf(u) / cc)
+                                        * mpmath.ncdf(mpmath.mpf(u) / e - e / cc))
+                                  for u in t])
+            ok = exact > np.finfo(float).tiny
+            scipy_path = np.exp(eps**2 / (2 * c**2) - t / c + log_ndtr(t / eps - eps / c))
+            worst_new = max(worst_new, np.max(
+                np.abs(evolve._exp_tail(t, eps, c)[ok] - exact[ok]) / exact[ok]))
+            worst_scipy = max(worst_scipy, np.max(
+                np.abs(scipy_path[ok] - exact[ok]) / exact[ok]))
+    assert worst_new <= worst_scipy
+
+
+def test_reflection_data_refuses_tiny_c():
+    # 2 c^2 = 2e-320 does not underflow to 0, but eps^2 / (2 c^2) overflows:
+    # the closed form names c before any overflow warning
+    import wentzell.evolve as evolve
+    grid = Grid1D(-1.0, 1.0, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows a double at c = 1e-160"):
+            reflection_cauchy_data(grid, -0.5, 0.02, 1e-160)
+        # at eps = 1e-7, eps^2 / (2 c^2) = 5e305 is a number and u/c is not
+        with pytest.raises(ValueError, match="overflows a double at c = 1e-160"):
+            evolve._exp_tail(np.array([1.0, 1e150]), 1e-7, 1e-160)
 
 
 def test_explicit_solution_solves_boundary_ode():

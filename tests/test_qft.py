@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import k0, kv, sici, zeta
+from scipy.special import j0, k0, kv, sici, zeta
 
 from wentzell import qft
 from wentzell.core import HalfSpace, PhysicalParams, Strip, ZeroModeError
@@ -435,6 +435,30 @@ def test_pauli_jordan_oracle():
     assert abs(val) > 0.01
     # identically zero at spacelike separation
     assert pauli_jordan_d2(0.5, 2.0, mass) == 0.0
+
+
+def test_pauli_jordan_evaluates_j0_at_timelike_entries_only():
+    # the values are the full-grid formula's bit for bit, with the modes
+    # broadcast against a mix of spacelike, lightlike and timelike points
+    rng = np.random.default_rng(3)
+    x0 = rng.uniform(-4.0, 4.0, 200)
+    x = np.concatenate([x0[:20], rng.uniform(-4.0, 4.0, 180)])
+    mass = np.array([0.5, 1.0, 7.25, 40.0]).reshape(-1, 1)
+    tau2 = x0**2 - x**2
+    inside = tau2 > 0
+    tau = np.sqrt(np.where(inside, tau2, 0.0))
+    full = np.where(inside, -0.5j * np.sign(x0) * j0(mass * tau), 0)
+    assert 0 < inside.sum() < 180
+    assert np.array_equal(pauli_jordan_d2(x0, x, mass), full)
+
+
+def test_pauli_jordan_at_spacelike_points_loads_no_scipy(scipy_modules_after):
+    code = ("import numpy as np\n"
+            "from wentzell.qft import pauli_jordan_d2\n"
+            "v = pauli_jordan_d2(np.array([0.5, -1.0]), np.array([2.0, 1.5]), "
+            "np.array([[1.0], [3.0]]))\n"
+            "assert v.shape == (2, 2) and not v.any()")
+    assert scipy_modules_after(code) == []
 
 
 def test_commutator_properties(table200):
