@@ -772,144 +772,125 @@ def causality_probe(data: CauchyData, p: PhysicalParams, t: float) -> CausalityR
 # exact reflection solution (half-space, mu = 0), delta pulse mollified by a
 # unit-mass Gaussian of width eps
 
-def _gauss(u, eps):
-    return np.exp(-u**2 / (2 * eps**2)) / (eps * np.sqrt(2 * np.pi))
-
-
 _SQRT1_2 = math.sqrt(0.5)
-_LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
-_ERFC_BAND = 8.0     # math.erfc per element for |x| below it, the Mills ratio beyond
-_MILLS_FAR = 20.0    # the J-fraction takes 7 levels from |x| = 8 on and 4 from here on
-_Q_ZERO = 40.0       # Q(x) = 1 - Phi(x) < phi(40) = e^-800 / sqrt(2 pi) rounds to 0
+_INV_SQRT_2PI = 1.0 / math.sqrt(2 * math.pi)
+_ERFC_BAND = 8.0     # math.erfc per element below it, the J-fraction from it on
+_MILLS_FAR = 20.0    # the J-fraction takes 7 levels from 8 on and 4 from here on
 
 
-def _inv_mills(y, levels: int):
-    """phi(y) / Q(y) = 1 / R(y) for y > 0, from the J-fraction of the Mills ratio
-    (DLMF 7.9.2 at z = y / sqrt 2)
+def _phi(v):
+    """The standard normal density, elementwise; 0.0 where v^2 overflows."""
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * v * v) * _INV_SQRT_2PI
+
+
+def _mills_rest(y):
+    """t = 1/R(y) - y for y >= 0, elementwise, R(y) = Q(y) / phi(y) the Mills
+    ratio of the normal tail Q = 1 - Phi, so that R = 1 / (y + t).  Below
+    y = 8, 1/R = phi(y) / Q(y) with Q = erfc(y / sqrt 2) / 2 by ``math.erfc``,
+    one call per element.  From 8 on, t = (1 - 2 / d_1) / y, formed without
+    subtracting, from the J-fraction (DLMF 7.9.2 at z = y / sqrt 2)
 
         R(y) = y / (y^2 + 1 - 1*2 / (y^2 + 5 - 3*4 / (y^2 + 9 - ...))),
 
-    cut ``levels`` levels below the first (the last denominator is
-    y^2 + 4 levels + 1).  Each level is in place, and the first is taken
-    as y + (1 - 2 / d_1) / y: past y = 1.3e154, y^2 and d_1 are inf, 2 / d_1
-    is 0 and the result y + 1 / y is still finite."""
-    s = y * y
-    d = s + (4 * levels + 1)
-    for k in range(levels - 1, 0, -1):
-        np.divide((2 * k + 1) * (2 * k + 2), d, out=d)
-        np.subtract(s, d, out=d)
-        d += 4 * k + 1
-    np.divide(2.0, d, out=d)
-    np.subtract(1.0, d, out=d)
-    d /= y
-    d += y
-    return d
-
-
-def _log_q(y):
-    """log Q(y) = log(1 - Phi(y)) = -y^2/2 - log sqrt(2 pi) - log(1 / R(y)) for
-    y >= 8.  Cut at 7 levels below y = 20 and 4 from there on, the J-fraction
-    is within 8.3e-18 and 2.7e-20 of R at the low end of each range (exact
-    arithmetic), and closer above it.  Past y = 1.9e154, y^2 / 2 overflows
-    and the result is -inf, which is log Q rounded."""
-    with np.errstate(over="ignore"):
-        f = _inv_mills(y, 4)
-        near = y < _MILLS_FAR
-        if near.any():
-            f[near] = _inv_mills(y[near], 7)
-        return -0.5 * y * y - _LOG_SQRT_2PI - np.log(f)
-
-
-def _log_ndtr(x):
-    """log Phi(x), Phi the standard normal distribution function, elementwise.
-
-    - |x| < 8: q = erfc(|x| / sqrt 2) / 2 by ``math.erfc``, one call per
-      element, and log Phi = log q below 0, log1p(-q) from 0 on;
-    - x <= -8: ``_log_q(-x)``, the Mills ratio's J-fraction in log space, so
-      that x^2 / 2 never leaves the exponent (no underflow to -inf until
-      x^2 / 2 itself overflows);
-    - 8 <= x < 40: -Q(x) = -exp(_log_q(x)), which is log1p(-Q) rounded since
-      Q(8) = 6.2e-16; from x = 40 on, -Q rounds to 0.
-
-    Against 50 digits on [-1e3, 40], the absolute error is below
-    2 eps max(1, |log Phi|) (the tests hold 4 eps); an absolute error in
-    log Phi is the relative error it adds to exp(a + log Phi).  Each element
-    gives the same bits alone as in an array.  NaN stays NaN."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(x >= _Q_ZERO, 0.0, np.nan)
-    y = np.abs(x)
+    d_1 its first denominator, cut 7 levels below it below y = 20 and 4 from
+    there on: within 8.3e-18 and 2.7e-20 of R at the low end of each range
+    (exact arithmetic), closer above it.  Past y = 1.3e154 every d is inf
+    and t = 1/y (the caller ignores the overflow).  Each element gives the
+    same bits alone as in an array."""
+    y = np.asarray(y, dtype=float)
+    t = np.empty_like(y)
     band = y < _ERFC_BAND
+    far = y >= _MILLS_FAR
     yb = y[band]
-    q = 0.5 * np.fromiter(map(math.erfc, (yb * _SQRT1_2).tolist()), float, yb.size)
-    out[band] = np.where(x[band] < 0, np.log(q), np.log1p(-q))
-    tail = (y >= _ERFC_BAND) & (x < _Q_ZERO)
-    log_q = _log_q(y[tail])
-    high = x[tail] > 0
-    log_q[high] = -np.exp(log_q[high])
-    out[tail] = log_q
-    return out
+    q = np.fromiter(map(math.erfc, (yb * _SQRT1_2).tolist()), float, yb.size)
+    t[band] = _phi(yb) / (0.5 * q) - yb
+    for levels, part in ((7, ~(band | far)), (4, far)):
+        yp = y[part]
+        s = yp * yp
+        d = s + (4 * levels + 1)  # the last denominator
+        for k in range(levels - 1, 0, -1):
+            np.divide((2 * k + 1) * (2 * k + 2), d, out=d)
+            np.subtract(s, d, out=d)
+            d += 4 * k + 1
+        t[part] = (1.0 - 2.0 / d) / yp
+    return t
 
 
-def _exp_tail(u, eps, c):
-    """(E * G_eps)(u) with E(u) = exp(-u/c) theta(u), in closed form
+def _exp_tail(u, eps, c, slope: bool = False):
+    """T = (E * G_eps)(u), with E(u) = exp(-u/c) theta(u) and G_eps the
+    unit-mass Gaussian of width eps; with ``slope``, dT/du = G_eps - T/c
+    instead.
 
-        exp(eps^2 / (2 c^2) - u/c + log Phi(u/eps - eps/c)),
+    With v = u/eps, a = eps/c and x = v - a, T = exp(a^2/2 - a v) Phi(x).
+    Since exp(a^2/2 - a v) phi(x) = phi(v) exactly, the Mills ratio R and
+    f = 1/R(|x|) = |x| + t, t = ``_mills_rest(|x|)``, write it as products
+    in which no term of size a^2 is formed:
 
-    summed in log space so that exp(-u/c) does not overflow at large negative
-    u; log Phi is ``_log_ndtr``, numpy and ``math`` only.  The closed forms go
-    through it before any other term, so it holds their one check of eps:
-    ValueError unless eps is positive and finite.  It also raises, naming c,
-    where 2 c^2 underflows to 0 or where eps^2 / (2 c^2) or u/c overflows,
-    before any overflow warning: past that no term of the exponent is a
-    number."""
-    if not (eps > 0 and np.isfinite(eps)):
+    - x < 0: T = phi(v) R(-x) = phi(v) / f, and dT/du = phi(v) (t - v) /
+      (eps f), free of the terms of size G_eps that cancel in G_eps - T/c;
+    - x >= 0: T = exp(a (a/2 - v)) Phi(x) = exp(a (a/2 - v)) - phi(v) / f,
+      an exponent of at most -a^2/2 and a second term at most half the first.
+
+    The closed forms go through it before any other term, so it holds their
+    checks: ValueError unless eps is positive and finite, and, naming c,
+    unless c > 0 and eps/c and 2/c are finite (c above about 1e-308)."""
+    eps, c = float(eps), float(c)
+    if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    if 2 * c**2 == 0.0:
-        raise ValueError(f"the reflection closed form divides by 2 c^2, which underflows "
-                         f"to 0 at c = {c:g}")
-    shift = eps**2 / (2 * c**2)
-    u = np.asarray(u, dtype=float)
-    with np.errstate(over="ignore"):
-        uc = u / c
-    if not (np.isfinite(shift) and np.isfinite(uc).all()):
-        raise ValueError(f"the reflection closed form's eps^2 / (2 c^2) or u/c overflows "
-                         f"a double at c = {c:g} (eps = {eps:g})")
-    return np.exp(shift - uc + _log_ndtr(u / eps - eps / c))
+    if not (c > 0 and math.isfinite(eps / c) and math.isfinite(2.0 / c)):
+        raise ValueError(f"the reflection closed form needs c > 0 with eps/c and 2/c "
+                         f"inside the double range, got c = {c:g} (eps = {eps:g})")
+    a = eps / c
+    with np.errstate(over="ignore"):  # exp(a (a/2 - v)) where x < 0 is not taken
+        v = np.asarray(u, dtype=float) / eps
+        x = v - a
+        y = np.abs(x)
+        t = _mills_rest(y)
+        phi_v = _phi(v)
+        T = phi_v / (y + t)
+        T = np.where(x < 0, T, np.exp(a * (0.5 * a - v)) - T)
+        if slope:
+            return np.where(x < 0, phi_v * (t - v) / (eps * (y + t)), phi_v / eps - T / c)
+    return T
 
 
 def explicit_solution(t, z, eps: float, c: float):
     """Mollified reflection solution: incoming Gaussian pulse G(t+z), the
     sign-flipped reflection -G(t-z), and the boundary re-emission tail
-    (2/c) exp(-(t-z)/c) theta(t-z) mollified in time.
+    (2/c) exp(-(t-z)/c) theta(t-z) mollified in time, G(u) = phi(u/eps)/eps.
 
     Returns phi over t broadcast against z.  The boundary trace is
     ``explicit_solution(t, 0.0, eps, c)``: at z = 0 the two Gaussians cancel
-    exactly and phi is the re-emission tail.  Numpy and ``math`` only: the
-    tail's normal distribution function is ``_log_ndtr``.  ValueError unless
-    eps is positive and finite, and, naming c, where the tail's exponent
-    leaves the double range (``_exp_tail``).
+    exactly and phi is the re-emission tail.  As c -> 0 the tail (2/c) T
+    tends to 2 G(t - z), the Neumann reflection.  Numpy and ``math`` only.
+    ValueError unless eps is positive and finite, and, naming c, unless
+    c > 0 with eps/c and 2/c finite (``_exp_tail``).
     """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
-    tail = (2.0 / c) * _exp_tail(t - z, eps, c)  # checks eps before any other term
-    return _gauss(t + z, eps) - _gauss(t - z, eps) + tail
+    tail = _exp_tail(t - z, eps, c) * (2.0 / c)  # checks eps and c before any other term
+    return _phi((t + z) / eps) / eps - _phi((t - z) / eps) / eps + tail
 
 
 def explicit_solution_dt(t, z, eps: float, c: float):
     """Time derivative of explicit_solution (for building Cauchy data);
     ValueError where explicit_solution raises it."""
     z = np.asarray(z, dtype=float)
+    tail = _exp_tail(t - z, eps, c, slope=True) * (2.0 / c)
 
-    def dg(u):
-        return -u / eps**2 * _gauss(u, eps)
+    def dg(u):  # G'(u) = -v phi(v) / eps^2 at v = u/eps
+        v = u / eps
+        return -(v * _phi(v)) / eps / eps
 
-    tail = _exp_tail(t - z, eps, c)
-    return dg(t + z) - dg(t - z) + (2.0 / c) * (_gauss(t - z, eps) - tail / c)
+    return dg(t + z) - dg(t - z) + tail
 
 
 def reflection_cauchy_data(grid: Grid1D, t0: float, eps: float, c: float) -> CauchyData:
     """Cauchy data of the exact solution at time t0, mapped onto a strip grid
-    whose left endpoint is the physical boundary (z' = z - z_min)."""
+    whose left endpoint is the physical boundary (z' = z - z_min).  Finite
+    at every c that the closed form takes, unless eps is so small that the
+    pulse or its slope overflows at a node."""
     zp = grid.nodes - grid.z_min
     return CauchyData.from_samples(grid, explicit_solution(t0, zp, eps, c),
                                    explicit_solution_dt(t0, zp, eps, c))

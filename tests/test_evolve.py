@@ -935,68 +935,109 @@ def test_explicit_solution_trace_is_the_reemission_tail(c, eps):
         assert explicit_solution(t[k], 0.0, eps, c) == tail[k]
 
 
-def _mp_log_ndtr(x: float) -> float:
-    return float(mpmath.log(mpmath.ncdf(mpmath.mpf(x))))
-
-
-def test_log_ndtr_against_50_digits():
-    # absolute error within 4 eps max(1, |log Phi|): the error that
-    # exp(a + log Phi) sees; relative error is no yardstick where log Phi ~ -Q
-    # is tiny (near x = 10 scipy's log_ndtr is off by 3e-14 of it)
+def test_mills_ratio_against_50_digits():
+    # f = 1/R(y) = y + t and t = _mills_rest(y), relative to 50 digits: f within
+    # 4 eps max(1, y^2/2) below the band edge, where math.erfc and exp see
+    # their arguments' rounding magnified by about y^2, and f and t within
+    # 4 eps from it on, where the J-fraction forms t without subtracting
     import wentzell.evolve as evolve
-    edges = [evolve._ERFC_BAND, evolve._MILLS_FAR, evolve._Q_ZERO]
-    x = np.concatenate([np.linspace(-1e3, 40.0, 2601), np.linspace(-40.0, 40.0, 4001),
-                        [0.0, -0.0], edges, np.negative(edges),
-                        np.nextafter(edges, 0.0), np.nextafter(np.negative(edges), 0.0)])
+    edges = [evolve._ERFC_BAND, evolve._MILLS_FAR]
+    y = np.concatenate([np.linspace(0.0, 1e3, 2001), np.linspace(0.0, 40.0, 4001), edges,
+                        np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
     with mpmath.workdps(50):
-        exact = np.array([_mp_log_ndtr(v) for v in x])
-    got = evolve._log_ndtr(x)
-    err = np.abs(got - exact) / np.maximum(1.0, np.abs(exact))
-    assert np.max(err) <= 4 * np.finfo(float).eps, x[np.argmax(err)]
+        inv = [mpmath.npdf(v) / mpmath.ncdf(-v) for v in map(mpmath.mpf, y.tolist())]
+        f_exact = np.array([float(f) for f in inv])
+        t_exact = np.array([float(f - mpmath.mpf(v)) for f, v in zip(inv, y.tolist())])
+    t = evolve._mills_rest(y)
+    eps = np.finfo(float).eps
+    err_f = np.abs(y + t - f_exact) / f_exact
+    band = y < evolve._ERFC_BAND
+    assert np.all(err_f[band] <= 4 * eps * np.maximum(1.0, y[band] ** 2 / 2))
+    assert np.max(err_f[~band]) <= 4 * eps
+    assert np.max(np.abs(t - t_exact)[~band] / t_exact[~band]) <= 4 * eps
     # elementwise: a scalar gives the bits it gives inside an array
-    for k in range(0, x.size, 331):
-        assert evolve._log_ndtr(x[k]) == got[k]
-    assert evolve._log_ndtr(-np.inf) == -np.inf and evolve._log_ndtr(np.inf) == 0.0
-    assert np.isnan(evolve._log_ndtr(np.nan))
+    for k in range(0, y.size, 331):
+        assert evolve._mills_rest(y[k]) == t[k]
+    assert evolve._mills_rest(np.inf) == 0.0 and np.isnan(evolve._mills_rest(np.nan))
+
+
+def _mp_tail_and_slope(u: float, eps: float, c: float) -> tuple[float, float]:
+    # T = exp(a^2/2 - a v) Phi(v - a) and dT/du = G - T/c: 90 digits keep 50
+    # through the a^2 of the exponent and the cancellation in dT/du
+    with mpmath.workdps(90):
+        e, cc = mpmath.mpf(eps), mpmath.mpf(c)
+        a, v = e / cc, mpmath.mpf(u) / e
+        T = mpmath.exp(a**2 / 2 - a * v) * mpmath.ncdf(v - a)
+        return float(T), float(mpmath.npdf(v) / e - T / cc)
 
 
 def test_exp_tail_is_as_accurate_as_scipys_log_ndtr():
-    # on the (eps, c) grid of the re-emission tail test, against 50 digits,
-    # no worse at its worst point than the same log-space form with
-    # scipy.special.log_ndtr (3.4e-13 against 4.9e-13 when written)
+    # T and dT/du within 1e-12 of 50 digits wherever they exceed 1e-300, at
+    # every c down to 1e-12.  The log-space sum exp(eps^2 / (2 c^2) - u/c +
+    # log Phi(u/eps - eps/c)) loses about a^2 eps to the cancellation of its
+    # a^2 terms (7.5e-12 at c = 1e-4, inf at 1e-12); where it holds, at c in
+    # {0.3, 1, 7} with scipy's log_ndtr, T is no worse than it
     from scipy.special import log_ndtr
 
     import wentzell.evolve as evolve
     t = np.linspace(-1.0, 3.0, 1001)
-    worst_new = worst_scipy = 0.0
-    for c in (0.3, 1.0, 7.0):
+    worst = {False: 0.0, True: 0.0}  # T, dT/du
+    worst_held = worst_scipy = 0.0
+    for c in (7.0, 1.0, 0.3, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
         for eps in (0.02, 0.1):
-            with mpmath.workdps(50):
-                e, cc = mpmath.mpf(eps), mpmath.mpf(c)
-                exact = np.array([float(mpmath.exp(e**2 / (2 * cc**2) - mpmath.mpf(u) / cc)
-                                        * mpmath.ncdf(mpmath.mpf(u) / e - e / cc))
-                                  for u in t])
-            ok = exact > np.finfo(float).tiny
-            scipy_path = np.exp(eps**2 / (2 * c**2) - t / c + log_ndtr(t / eps - eps / c))
-            worst_new = max(worst_new, np.max(
-                np.abs(evolve._exp_tail(t, eps, c)[ok] - exact[ok]) / exact[ok]))
-            worst_scipy = max(worst_scipy, np.max(
-                np.abs(scipy_path[ok] - exact[ok]) / exact[ok]))
-    assert worst_new <= worst_scipy
+            exact = np.array([_mp_tail_and_slope(u, eps, c) for u in t]).T
+            for slope, ex in zip((False, True), exact):
+                got = evolve._exp_tail(t, eps, c, slope=slope)
+                ok = np.abs(ex) > 1e-300
+                worst[slope] = max(worst[slope],
+                                   np.max(np.abs(got[ok] - ex[ok]) / np.abs(ex[ok])))
+            if c >= 0.3:
+                T, ok = exact[0], exact[0] > np.finfo(float).tiny
+                scipy_path = np.exp(eps**2 / (2 * c**2) - t / c + log_ndtr(t / eps - eps / c))
+                worst_held = max(worst_held, np.max(
+                    np.abs(evolve._exp_tail(t, eps, c)[ok] - T[ok]) / T[ok]))
+                worst_scipy = max(worst_scipy, np.max(np.abs(scipy_path[ok] - T[ok]) / T[ok]))
+    assert worst[False] <= 1e-12 and worst[True] <= 1e-12, worst
+    assert worst_held <= worst_scipy
 
 
 def test_reflection_data_refuses_tiny_c():
-    # 2 c^2 = 2e-320 does not underflow to 0, but eps^2 / (2 c^2) overflows:
-    # the closed form names c before any overflow warning
-    import wentzell.evolve as evolve
+    # at c = 1e-160, where eps^2 / (2 c^2) overflows, the data are finite and
+    # the trace is the Neumann limit, (2/c) T -> 2 G; the closed form refuses
+    # c, naming it, only where eps/c or 2/c leaves the double range
     grid = Grid1D(-1.0, 1.0, 64)
+    t = np.linspace(-0.1, 0.1, 201)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="overflows a double at c = 1e-160"):
-            reflection_cauchy_data(grid, -0.5, 0.02, 1e-160)
-        # at eps = 1e-7, eps^2 / (2 c^2) = 5e305 is a number and u/c is not
-        with pytest.raises(ValueError, match="overflows a double at c = 1e-160"):
-            evolve._exp_tail(np.array([1.0, 1e150]), 1e-7, 1e-160)
+        data = reflection_cauchy_data(grid, -0.5, 0.02, 1e-160)
+        assert np.all(np.isfinite(data.position.bulk)) and np.all(np.isfinite(data.velocity.bulk))
+        neumann = 2.0 * np.exp(-0.5 * (t / 0.02) ** 2) / (0.02 * np.sqrt(2 * np.pi))
+        assert np.allclose(explicit_solution(t, 0.0, 0.02, 1e-160), neumann,
+                           rtol=1e-14, atol=0.0)
+        for c in (1e-310, 0.0, -1.0):
+            with pytest.raises(ValueError, match=f"got c = {c:g} "):
+                reflection_cauchy_data(grid, -0.5, 0.02, c)
+
+
+def test_reflection_closed_form_sweep_is_finite():
+    # seeded over c in [1e-300, 1e300] and eps in [1e-6, 10], log-uniform,
+    # under warnings as errors: the Cauchy data and the trace are finite, or
+    # the call raises a ValueError naming c (a log-space sum gives inf from
+    # c = 1e-12 on)
+    rng = np.random.default_rng(37)
+    grid = Grid1D(-1.0, 1.0, 64)
+    t = np.linspace(-0.5, 2.0, 101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c, eps in 10.0 ** rng.uniform([-300, -6], [300, 1], (200, 2)):
+            try:
+                data = reflection_cauchy_data(grid, -0.5, eps, c)
+                trace = explicit_solution(t, 0.0, eps, c)
+            except ValueError as exc:
+                assert f"c = {c:g}" in str(exc), (c, eps)
+                continue
+            for vals in (data.position.bulk, data.velocity.bulk, trace):
+                assert np.all(np.isfinite(vals)), (c, eps)
 
 
 def test_explicit_solution_solves_boundary_ode():
