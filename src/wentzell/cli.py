@@ -205,7 +205,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             raise ValueError("the reflection scenario is the massless closed form; "
                              "set --mu 0")
         t0 = -0.5
-        with np.errstate(over="ignore"):  # the energy check below names a pulse too narrow
+        # the checks below name a pulse too narrow and an S or eps whose u/eps
+        # leaves the double range (inf * 0 there)
+        with np.errstate(over="ignore", invalid="ignore"):
             data = reflection_cauchy_data(grid, t0=t0, eps=args.eps, c=args.c)
         header["eps"] = args.eps
     elif args.scenario == "mode":

@@ -832,6 +832,9 @@ def _exp_tail(u, eps, c, slope: bool = False):
     - x >= 0: T = exp(a (a/2 - v)) Phi(x) = exp(a (a/2 - v)) - phi(v) / f,
       an exponent of at most -a^2/2 and a second term at most half the first.
 
+    t is taken only where phi(v) > 0; elsewhere both products are signed
+    zeros, or exp(a (a/2 - v)) alone, whatever t is.
+
     The closed forms go through it before any other term, so it holds their
     checks: ValueError unless eps is positive and finite, and, naming c,
     unless c > 0 and eps/c and 2/c are finite (c above about 1e-308)."""
@@ -846,8 +849,13 @@ def _exp_tail(u, eps, c, slope: bool = False):
         v = np.asarray(u, dtype=float) / eps
         x = v - a
         y = np.abs(x)
-        t = _mills_rest(y)
         phi_v = _phi(v)
+        # where phi(v) is 0 (|v| > 38), t only sets the signs of the zeros
+        # phi(v) (t - v) and phi(v) / (y + t): any t in (0, |v|) keeps them,
+        # and t = 1 keeps y + t > 0 at x = 0
+        live = phi_v > 0
+        t = np.ones_like(y)
+        t[live] = _mills_rest(y[live])
         T = phi_v / (y + t)
         T = np.where(x < 0, T, np.exp(a * (0.5 * a - v)) - T)
         if slope:

@@ -656,6 +656,12 @@ def test_large_couplings_solve_or_name_the_limit(tmp_path, capsys, args, code, m
     ("evolve --eps 1e300 --scenario reflection", 0, ""),
     ("evolve --eps 1e-160 --scenario reflection", 1,
      "initial data have no finite energy at S = 1, c = 1, mu = 0, eps = 1e-160 on 1024"),
+    # u/eps overflows to inf at a node, and inf * phi(inf) = inf * 0 warned
+    # "invalid value" before these refusals (exit 2 under warnings as errors)
+    ("evolve --scenario reflection --grid-n 64 --S 1e200 --eps 1e-120", 1,
+     "the strip half-width S = 1e+200 is too large"),
+    ("evolve --scenario reflection --grid-n 64 --eps 1e-320", 1,
+     "initial data have no finite energy at S = 1, c = 1, mu = 0, eps = 9.99989e-321 on 64"),
 ))
 def test_extreme_strip_widths_run_or_name_the_parameter(tmp_path, capsys, args, code,
                                                        message):

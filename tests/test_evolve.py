@@ -1001,6 +1001,45 @@ def test_exp_tail_is_as_accurate_as_scipys_log_ndtr():
     assert worst_held <= worst_scipy
 
 
+def _exp_tail_at_every_element(u, eps, c, slope=False):
+    """``_exp_tail``'s products with the Mills ratio taken at every element."""
+    import wentzell.evolve as evolve
+    a = eps / c
+    with np.errstate(over="ignore"):
+        v = np.asarray(u, dtype=float) / eps
+        x = v - a
+        y = np.abs(x)
+        t = evolve._mills_rest(y)
+        phi_v = evolve._phi(v)
+        T = phi_v / (y + t)
+        T = np.where(x < 0, T, np.exp(a * (0.5 * a - v)) - T)
+        if slope:
+            return np.where(x < 0, phi_v * (t - v) / (eps * (y + t)), phi_v / eps - T / c)
+    return T
+
+
+def test_exp_tail_skips_the_mills_ratio_only_where_it_changes_no_bit():
+    # the Mills ratio is taken only where phi(u/eps) > 0; T and dT/du keep
+    # every bit, signed zeros included, on criterion 7's times, its Cauchy
+    # data's nodes, the (eps, c) grid above, and at x = 0 with phi(v) = 0
+    import wentzell.evolve as evolve
+    grid = Grid1D(-1.25, 1.25, 5120)
+    data = reflection_cauchy_data(grid, -0.5, 0.02, 1.0)
+    dt = make_fdtd_state(data, PhysicalParams(c=1.0, mu=0.0, geometry=Strip(1.25)),
+                         cfl=0.5).dt
+    crit7 = -0.5 + np.arange(1, int(round(2.5 / dt)) + 1) * dt
+    cases = [(crit7, 0.02, 1.0), (-0.5 - (grid.nodes - grid.z_min), 0.02, 1.0),
+             (np.array([40.0, -40.0, 39.0]), 1.0, 0.025)]
+    cases += [(np.linspace(-1.0, 3.0, 1001), eps, c) for eps in (0.02, 0.1)
+              for c in (7.0, 1.0, 0.3, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)]
+    for u, eps, c in cases:
+        for slope in (False, True):
+            got = evolve._exp_tail(u, eps, c, slope=slope)
+            want = _exp_tail_at_every_element(u, eps, c, slope=slope)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (eps, c, slope)
+    assert np.mean(evolve._phi(crit7 / 0.02) == 0.0) > 0.45  # 49% of its times
+
+
 def test_reflection_data_refuses_tiny_c():
     # at c = 1e-160, where eps^2 / (2 c^2) overflows, the data are finite and
     # the trace is the Neumann limit, (2/c) T -> 2 G; the closed form refuses

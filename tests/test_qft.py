@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from scipy.special import j0, k0, kv, sici, zeta
 from wentzell import qft
 from wentzell.core import HalfSpace, PhysicalParams, Strip, ZeroModeError
 from wentzell.modes import build_table, mode_matrix
-from wentzell.qft import (TwoPointSpec, _bessel_dropped_bound,
+from wentzell.qft import (TwoPointSpec, _bessel_dropped_bound, _bessel_k,
                           _bessel_prefix_sums, _hurwitz_zeta, boundary_2pt_halfspace,
                           boundary_2pt_strip, causality_check,
                           commutator_boundary, fourier_trapezoid, halfspace_weight,
@@ -328,15 +329,16 @@ def test_bessel_sum_rejects_nonfinite_separations(table200, x2):
         spacelike_2pt_bessel(x2, spec, table=table200)
 
 
-def dense_bessel_terms(x2, spec, table):
-    """(M+1, n_r) grid of every term of the Bessel sum, with kv evaluated for
-    every mode and separation."""
+def dense_bessel_terms(x2, spec, table, kernel=qft._bessel_k):
+    """(M+1, n_r) grid of every term of the Bessel sum, with the K_nu
+    ``kernel`` (the package's by default) evaluated for every mode and
+    separation."""
     r = np.sqrt(np.atleast_1d(np.asarray(x2, dtype=float)))
     mu_m = table.omegas()[: spec.M + 1]
     d2 = table.d_bdys[: spec.M + 1] ** 2
     nu = spec.d / 2.0 - 1.0
     return (d2 * (2 * np.pi) ** (-spec.d / 2.0) * mu_m**nu)[:, None] \
-        * (r ** (1.0 - spec.d / 2.0))[None, :] * kv(nu, np.outer(mu_m, r))
+        * (r ** (1.0 - spec.d / 2.0))[None, :] * kernel(nu, np.outer(mu_m, r))
 
 
 def assert_bessel_is_dense(x2, spec, table):
@@ -420,6 +422,69 @@ def test_bessel_sum_with_a_short_cut_is_still_exact(table200, monkeypatch):
     x2 = np.logspace(-4.0, 3.0, 90) ** 2
     for d in (2, 3, 4):
         assert_bessel_is_dense(x2, TwoPointSpec(params=P1, M=200, d=d), table200)
+
+
+@pytest.mark.parametrize("d", range(2, 15))
+def test_bessel_k_against_40_digits(d):
+    # log-spaced over the double range of x up to 700, plus 26 points around
+    # x = 1.25, where the K_0 and K_1 rules meet, and its two neighbours
+    nu = d / 2.0 - 1.0
+    x = np.concatenate([np.logspace(-300.0, np.log10(700.0), 300), np.linspace(0.5, 3.0, 26),
+                        np.nextafter(1.25, [0.0, 2.0])])
+    with mpmath.workdps(40):
+        ref = [mpmath.besselk(nu, mpmath.mpf(v)) for v in x.tolist()]
+    got = _bessel_k(nu, x)
+    big = np.finfo(float).max
+    normal = np.array([np.finfo(float).tiny <= k <= big for k in ref])
+    err = [float(abs(g - k) / k) for g, k in zip(got[normal], np.array(ref)[normal])]
+    assert max(err) <= 8 * np.finfo(float).eps
+    assert np.all(np.isinf(got[[k > 2 * mpmath.mpf(big) for k in ref]]))
+    assert np.all(np.isfinite(got[[k < big / 2 for k in ref]]))
+    far = np.array([800.0, 1e4, 1e300, np.inf])  # K_nu(x) < 1e-340: it underflows
+    assert np.all(_bessel_k(nu, far) == 0.0)
+    assert not np.any(np.isnan(_bessel_k(nu, np.array([5e-324, 1e-310, 1.25, 745.0]))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 14),
+       x=st.lists(st.floats(0.0, 1e4, exclude_min=True) | st.floats(0.5, 3.0), min_size=1,
+                  max_size=30))
+def test_bessel_k_has_the_same_bits_alone_as_in_any_array(d, x):
+    x = np.array(x)
+    whole = _bessel_k(d / 2.0 - 1.0, x)
+    alone = np.concatenate([_bessel_k(d / 2.0 - 1.0, x[i:i + 1]) for i in range(x.size)])
+    assert not np.any(np.isnan(whole))
+    assert np.array_equal(whole.view(np.int64), alone.view(np.int64))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_bessel_sum_matches_the_sum_with_scipys_kv(bessel_table, d):
+    spec = TwoPointSpec(params=bessel_table.params, M=len(bessel_table) - 1, d=d)
+    x2 = np.logspace(-3.0, 1.5, 300) ** 2
+    ours = spacelike_2pt_bessel(x2, spec, table=bessel_table).value
+    scipys = np.sum(dense_bessel_terms(x2, spec, bessel_table, kernel=kv), axis=0)
+    assert np.max(np.abs(ours - scipys) / scipys) <= 1e-13
+
+
+def test_bessel_sums_load_no_scipy(scipy_modules_after):
+    # the r = 1e3 terms all underflow, so its cut fails the certificate and
+    # the prefix sum falls back to every mode
+    code = ("import numpy as np\n"
+            "from wentzell import qft\n"
+            "from wentzell.core import PhysicalParams, Strip\n"
+            "from wentzell.modes import build_table\n"
+            "p = PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0))\n"
+            "table = build_table(50, p)\n"
+            "r = np.array([0.3, 2.0, 1e3])\n"
+            "mu_m, d2 = table.omegas(), table.d_bdys ** 2\n"
+            "cut = np.searchsorted(mu_m, mu_m[0] + qft._BESSEL_CUT_Z / r)\n"
+            "for d in (2, 3, 4):\n"
+            "    spec = qft.TwoPointSpec(params=p, M=50, d=d)\n"
+            "    v = qft.spacelike_2pt_bessel(r ** 2, spec, table=table).value\n"
+            "    assert np.all(v[:2] > 0) and v[2] == 0.0\n"
+            "    _, used = qft._bessel_prefix_sums(cut, r, d, mu_m, d2)\n"
+            "    assert cut[2] < 51 and used[2] == 51")
+    assert scipy_modules_after(code) == []
 
 
 def j0_oracle(x):
