@@ -254,7 +254,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     # the first chunk with a non-finite sample or end level
     with np.errstate(over="ignore", invalid="ignore"):
         start = time.perf_counter()
-        for run in fdtd_samples(state, n_steps, chunk):
+        for run in fdtd_samples(state, n_steps, chunk, inner_trace=True):
             stepping_s += time.perf_counter() - start
             dE, E_bdy = energy_steps(state, run)
             k = np.arange(k0 + 1, k0 + len(dE) + 1)

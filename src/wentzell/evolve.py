@@ -24,13 +24,12 @@ back-step of the initial data is phi_prev = S(phi_0)/2 - dt v_0.
 of fields.
 
 ``fdtd_run`` advances a state by a given number of steps and returns it
-with the end-node trace: nodes 0, 1 and 2 from each end after every step,
-in ``bdy_trace`` (the boundary trace) and ``inner_trace``.
-``fdtd_samples`` samples one run: a generator that yields the state after
-every given number of steps and after the last, each interval one
-``fdtd_run`` call that continues the run's buffers (``_Stepper``, the one
-stepping loop), so callers that follow the boundary or sample a run do not
-step from Python.
+with ``bdy_trace``, node 0 of each end after every step, and, if asked,
+``inner_trace``, nodes 1 and 2, which ``energy_steps`` reads.
+``fdtd_samples`` yields the state of one run after every given number of
+steps and after the last, each interval one ``fdtd_run`` call that
+continues the run's buffers (``_Stepper``, the one stepping loop), so no
+caller steps from Python.
 
 Blocked stepping.  Every interval between two samples advances in blocks of
 1 <= K <= 32 steps (K <= (N - 1)/2 on a grid of N nodes).  The leapfrog is
@@ -46,15 +45,16 @@ the Chebyshev recurrence of the 3-tap stencil in long double
 (``_stride_operators``).  The identity is linear, so it holds for the
 difference d = phi - phi_prev as for x = phi.  A run keeps two padded
 (x, d) buffers, level n and level n - K, and a block writes level n + K =
-C level_n - level_(n-K) over the buffer behind with one pair of
-block-Toeplitz GEMMs, applied to the x and d rows of the current buffer in
-place; the two buffers then swap.  The K nodes next to each boundary, where
-the closure acts, and nodes 0, 1 and 2 after every step inside the block
-come from one small dense edge operator, the K-step map of the 2K + 1 nodes
-at that end, which is all that K steps of the closure reach
-(``_block_operators``; the closure is mirror-symmetric); nodes 1 and 2
-after the block's last step are read off the buffer.  A sample only
-materializes phi = x and phi_prev = x - d of the current buffer.
+C level_n - level_(n-K) over the buffer behind, then the buffers swap.
+Cut into blocks Z_j of w = max(k_max, 4) nodes, k_max the run's longest K,
+a row takes three block-Toeplitz GEMMs: output block j + 1 is Z_j T_- +
+Z_(j+1) T_0 + Z_(j+2) T_+, with T_0 full and T_-, T_+ its triangular
+neighbours at K = w, 3w multiply-adds a node.  The K nodes next to each boundary,
+where the closure acts, and node 0 after every step inside the block come
+from one small dense edge operator, the K-step map of the 2K + 1 nodes at
+that end, all that K steps of the closure reach (``_block_operators``; the
+closure is mirror-symmetric); so do nodes 1 and 2 for a run that keeps
+``inner_trace``.  A sample only materializes phi = x and phi_prev = x - d.
 
 The level behind comes from the scheme's own single step ``_step``, forward
 or back: the difference form inverts exactly (x -= d, then d -= (S - 2) x).
@@ -77,24 +77,22 @@ c = mu = 1, CFL 0.5), for blocks that apply the K-step map (x, d) -> (x, d)
 with its row sums reset, and for the stride, the blocks in use:
 
     run                                      (x, d) map   stride
-    1 025 nodes, 3 000 steps, one call       1.1e-13      6.2e-14
-    8 193 nodes, 5 000 steps, 40-step calls  1.5e-12      1.6e-13
-    the same, one run sampled every 40       1.5e-12      4.8e-13
-    1 025 nodes, 2 048 steps, sampled        2.6e-13      4.0e-14
+    1 025 nodes, 3 000 steps, one call       1.1e-13      5.4e-14
+    8 193 nodes, 5 000 steps, 40-step calls  1.5e-12      1.7e-13
+    the same, one run sampled every 40       1.5e-12      4.6e-13
+    1 025 nodes, 2 048 steps, sampled        2.6e-13      4.2e-14
       every 5 steps
-    the same, sampled every step             9.5e-15      5.8e-14
+    the same, sampled every step             9.5e-15      4.9e-14
 
-A block of K = 1 is the leapfrog in level form, x_(n+1) = S x_n - x_(n-1)
-and the same for d, which rounds at every step; so a run sampled at every
-step reads above the (x, d) map, whose K = 1 block is the difference-form
-step itself.
+A block of K = 1 is the leapfrog in level form, which rounds at every step,
+where the (x, d) map's is the difference-form step itself.
 
 The GEMM operands are zero outside the band, and a zero input gives an
 exact zero, so nodes outside the discrete light cone stay exactly 0.0; the
 padding that the GEMMs write beyond the nodes is reset to zero after each
 block.  Each run builds the operators of all its block lengths in one go,
-at its first block, and keeps them with its buffers: 0.17 MB at K = 32,
-built in about 1 ms (0.1 ms at K = 1).
+at its first block, and keeps them with its buffers: 0.19 MB at K = 32,
+built in about 2 ms (0.25 ms at K = 1).
 
 The FDTD energy is the leapfrog's own energy of the two stored levels
 a = phi_prev and b = phi, at time t - dt/2.  With v = (b - a)/dt and lumped
@@ -203,8 +201,7 @@ class FdtdState:
     the state (the whole run for ``fdtd_run``), shape (steps, 2) with column
     0 at -S.  ``inner_trace`` holds nodes 1 and 2 from each end after the
     same steps, shape (steps, 2, 2), entry [k, m - 1, e] at node m from the
-    end of column e; with ``bdy_trace`` it is the end-node trace, the three
-    nodes the closure reads."""
+    end of column e, for a run that asked for it, and is empty otherwise."""
 
     grid: Grid1D
     p: PhysicalParams
@@ -258,32 +255,33 @@ def _step(x: np.ndarray, d: np.ndarray, coeffs: tuple, back: bool = False) -> No
 
 
 _MAX_BLOCK = 32   # steps per blocked update
+_MIN_WIDTH = 4    # nodes per stride block at least: width 1 is 4x slower
 
 
 def _stride_operators(coeffs: tuple, Ks, width: int
-                      ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+                      ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The interior kernel C = 2 T_K(S/2) of the K-stride leapfrog as
-    block-Toeplitz GEMM operands (t0, t1) for blocks of ``width`` nodes, for
-    each block length K in Ks.
+    block-Toeplitz GEMM operands (t_minus, t0, t_plus) for blocks of
+    ``width`` >= K nodes, for each block length K in Ks.
 
     The 2K + 1 taps of every length come from one Chebyshev recurrence
     T_(k+1) = S T_k - T_(k-1) of the 3-tap interior stencil, in long double.
-    t0 and t1 apply the kernel to the blocks j and j + 1 of a row padded by
-    width/2 nodes on the left, giving output block j."""
+    Output block j + 1 of a row is Z_j t_minus + Z_(j+1) t0 + Z_(j+2) t_plus,
+    Z_j its input block j, since the kernel reaches K <= width nodes."""
     k_max = max(Ks)
     S = np.array([coeffs[0], coeffs[1], coeffs[0]], dtype=np.longdouble)
     prev = (np.arange(2 * k_max + 1) == k_max).astype(np.longdouble)  # T_0, then T_1
     cur = np.convolve(prev, S / 2, "same")
-    s = np.arange(width)[:, None]
-    lag = s - s.T - width // 2 + 2 * width  # input slot s, output slot s.T
+    s = np.arange(width)
+    lag = s[:, None] - s + 2 * width  # input slot minus output slot, + 2 width
     ops = {}
     for K in range(1, k_max + 1):
         if K > 1:
             prev, cur = cur, np.convolve(cur, S, "same") - prev
         if K in Ks:
-            kern = np.zeros(4 * width)  # tap lag + K at index lag + K + 2 width
-            kern[2 * width:2 * width + 2 * K + 1] = 2 * cur[k_max - K:k_max + K + 1]
-            ops[K] = kern[lag + K], kern[lag + K + width]
+            kern = np.zeros(4 * width)  # the tap of lag l at index l + 2 width
+            kern[2 * width - K:2 * width + K + 1] = 2 * cur[k_max - K:k_max + K + 1]
+            ops[K] = tuple(kern[lag + m * width] for m in (-1, 0, 1))
     return ops
 
 
@@ -454,98 +452,88 @@ def make_fdtd_state(data: CauchyData, p: PhysicalParams, cfl: float = 0.5) -> Fd
     return FdtdState(grid=grid, p=p, phi=phi0, phi_prev=phi_prev, t=0.0, dt=dt)
 
 
-def fdtd_samples(s: FdtdState, n_steps: int, every: int) -> Iterator[FdtdState]:
+def fdtd_samples(s: FdtdState, n_steps: int, every: int, *, inner_trace: bool = False
+                 ) -> Iterator[FdtdState]:
     """Advance n_steps leapfrog steps phi_next = S(phi) - phi_prev and yield
     the state after every ``every`` steps and after the last step, each with
-    the end-node trace of the steps since the previous sample.  Lazy: a
+    the boundary trace of the steps since the previous sample, and with
+    ``inner_trace`` their trace of nodes 1 and 2 too (``fdtd_run``).  Lazy: a
     consumer that stops at a sample takes no step beyond it.  Nothing is
     yielded, and nothing is built, when n_steps = 0; ValueError unless
     n_steps >= 0 and every >= 1.
 
     Each interval between samples is one ``fdtd_run`` call, and all of them
-    continue one ``_Stepper``: the two padded (x, d) buffers of the current
-    level and the level behind, the product buffer and the operators are made
-    once per run, and both levels persist from one sample to the next; a
-    sample only materializes phi = x and phi_prev = x - d.  So the run takes
-    the K steps back to its first level behind once, not at every sample.
-    An interval of ``every`` steps takes the blocks of a call of its own
-    length, and a shorter last interval takes blocks no longer than those,
-    after single steps that move the level behind to their length.  So a
-    sampled run agrees with the same intervals taken one ``fdtd_run`` call at
-    a time to rounding (about 1e-14 relative).  The arrays of a
-    yielded state are never written afterwards, and consecutive samples may
-    share one."""
+    continue one ``_Stepper``, whose buffers, operators and both levels
+    persist from one sample to the next, so the run takes the K steps back
+    to its first level behind once.  An interval of ``every`` steps takes
+    the blocks of a call of its own length, and a shorter last interval
+    blocks no longer than those.  So a sampled run agrees with the same
+    intervals taken one ``fdtd_run`` call at a time to rounding (about 1e-14
+    relative).  The arrays of a yielded state are never written afterwards,
+    and consecutive samples may share one."""
     if n_steps < 0:
         raise ValueError(f"step count must be >= 0, got n_steps={n_steps}")
     if every < 1:
         raise ValueError(f"sample interval must be >= 1 step, got every={every}")
-    return _samples(s, n_steps, every)
+    return _samples(s, n_steps, every, inner_trace)
 
 
-def _samples(s: FdtdState, n_steps: int, every: int) -> Iterator[FdtdState]:
+def _samples(s: FdtdState, n_steps: int, every: int, inner_trace: bool
+             ) -> Iterator[FdtdState]:
     """The generator of ``fdtd_samples``."""
     if n_steps == 0:
         return
     stepper = _Stepper(s, min(every, n_steps), n_steps % every)
     for k0 in range(0, n_steps, every):
-        s = fdtd_run(s, min(every, n_steps - k0), stepper=stepper)
+        s = fdtd_run(s, min(every, n_steps - k0), inner_trace=inner_trace, stepper=stepper)
         yield s
 
 
 class _Stepper:
     """The stepping state of one run: the scheme's coefficients, the longest
-    block k_max, the two padded (x, d) buffers, the product buffer and the
+    block k_max of the plan of ``every`` steps, which caps every interval's
+    blocks, the two padded (x, d) buffers, the product buffer and the
     operators of each block length.
 
-    k_max is the longest block of the plan of ``every`` steps, and every
-    interval is planned with blocks of at most k_max steps.  So an interval
-    of ``every`` steps keeps the plan of a call of its own length, and a
-    shorter last interval does not widen the blocks of all the others.
-
     Each buffer holds (x, d) = (phi, phi - phi_prev) of one level in a (2, L)
-    array, padded with width/2 = k_max zero nodes on the left and zero nodes
-    on the right up to whole blocks of ``width`` nodes.  ``bufs[0]`` holds the
-    current level n, the state ``held`` that the last interval returned, and
-    ``bufs[1]`` the level n - ``lag``.  A block of K steps, with lag = K,
-    applies the interior kernel to the x and the d rows of the current buffer
-    at once, viewed in place as (2 (rows + 1), width) blocks; it writes
-    C level_n - level_(n-K) over the buffer behind, overwrites the K nodes at
-    each end with the edge operator's result, and swaps the two buffers.
-    Before the blocks of each length K, single steps of ``_step``, forward
-    or back, move the level behind to lag K.  An interval from a state that
-    is not ``held`` reloads the current buffer and starts from lag 0, so it
-    first takes K steps back.
+    array of whole blocks of ``width`` = max(k_max, 4) nodes, one block of
+    zeros left of the nodes and at least one right of them.  ``bufs[0]`` holds
+    the current level n, the state ``held`` that the last interval returned,
+    and ``bufs[1]`` the level n - ``lag``.  A block of K steps, with lag = K,
+    views both rows of the current buffer in place as (2 L / width, width)
+    blocks, writes C level_n - level_(n-K) over all blocks of the buffer behind
+    but its first and last, its three GEMMs summed through ``prod``, resets the
+    padding, overwrites the K nodes at each end with the edge operator's
+    result, and swaps the buffers.  Single steps of ``_step`` move the level
+    behind to lag K first, from lag 0 for a state not ``held``.
 
     ``lengths`` holds the block lengths of the plans of ``every`` steps and
-    of a shorter ``last`` interval (0 for none).  The first block builds the
-    operators of all of them in one go, the taps from one Chebyshev
-    recurrence and the edge operators from one matrix, and ``ops`` keeps
-    them for the rest of the run.  A length outside the plans, from an
-    interval of another length handed to the stepper, builds its own on
-    first use.  Nothing is kept from one run to the next."""
+    of a shorter ``last`` interval (0 for none); the first block builds the
+    operators of all of them, and ``ops`` keeps them for the run.  Another
+    length builds its own on first use."""
 
     def __init__(self, s: FdtdState, every: int, last: int = 0):
         self.coeffs = _leapfrog_stencil(s.grid.h, s.dt, s.p)
         self.n = n = s.phi.size
-        self.k_max = pad = _block_plan(every, n)[0][0]
-        self.lengths = {K for m in (every, last) if m for K, _ in _block_plan(m, n, pad)}
-        width = 2 * pad
-        rows = -(-n // width)
+        self.k_max = k_max = _block_plan(every, n)[0][0]
+        self.lengths = {K for m in (every, last) if m for K, _ in _block_plan(m, n, k_max)}
+        self.width = width = max(k_max, _MIN_WIDTH)
+        blocks = -(-n // width) + 2  # per row: the left pad, the nodes, >= width zeros
         # per level: the buffer, flat, as GEMM input blocks, its nodes (x, d),
-        # and the rows the GEMM pair writes
-        self.bufs = [(xd, xd.reshape(-1), xd.reshape(-1, width), xd[:, pad:pad + n],
-                      xd.reshape(-1)[pad:pad + (2 * rows + 1) * width].reshape(-1, width))
-                     for xd in np.zeros((2, 2, (rows + 1) * width))]
-        self.prod = np.empty((2 * rows + 1, width))
+        # and the blocks the GEMMs write
+        self.bufs = [(xd, xd.reshape(-1), xd.reshape(-1, width), xd[:, width:width + n],
+                      xd.reshape(-1, width)[1:-1])
+                     for xd in np.zeros((2, 2, blocks * width))]
+        self.prod = np.empty((2 * blocks - 2, width))
         self.held = None
         self.lag = 0
         self.ops = {}
 
     def _operators(self, K: int) -> tuple:
         if K not in self.ops:
-            n, pad, L = self.n, self.k_max, self.bufs[0][0].shape[1]
+            n, pad, L = self.n, self.width, self.bufs[0][0].shape[1]
             Ks = sorted({K, *self.lengths} - self.ops.keys())
-            strides = _stride_operators(self.coeffs, Ks, 2 * pad)
+            strides = _stride_operators(self.coeffs, Ks, pad)
             edges = _block_operators(self.coeffs, Ks)
             for k in Ks:
                 W = 2 * k + 1
@@ -557,12 +545,13 @@ class _Stepper:
                                gather, gather[np.r_[0:k, W:W + k]], gather[1:3])
         return self.ops[K]
 
-    def advance(self, s: FdtdState, k: int) -> FdtdState:
-        """The state k >= 1 steps after s, with the end-node trace of those
-        steps."""
-        trace, inner = np.empty((k, 2)), np.empty((k, 2, 2))
-        inner_rows = inner.reshape(2 * k, 2)
-        n, pad, prod = self.n, self.k_max, self.prod
+    def advance(self, s: FdtdState, k: int, inner_trace: bool = False) -> FdtdState:
+        """The state k >= 1 steps after s, with the boundary trace of those
+        steps, and with ``inner_trace`` their trace of nodes 1 and 2 too."""
+        trace = np.empty((k, 2))
+        inner = np.empty((k if inner_trace else 0, 2, 2))
+        inner_rows = inner.reshape(-1, 2)
+        n, pad, prod = self.n, self.width, self.prod
         if self.held is not s:
             x, d = self.bufs[0][3]
             x[:] = s.phi
@@ -570,25 +559,28 @@ class _Stepper:
             self.bufs[1][0][:] = self.bufs[0][0]
             self.lag = 0
         j = 0
-        for K, count in _block_plan(k, n, pad):
+        for K, count in _block_plan(k, n, self.k_max):
             for _ in range(abs(self.lag - K)):  # single steps to the level K behind
                 _step(*self.bufs[1][3], self.coeffs, back=self.lag < K)
             self.lag = K
-            t0, t1, edge, edge12, gather, scatter, at12 = self._operators(K)
+            t_minus, t0, t_plus, edge, edge12, gather, scatter, at12 = self._operators(K)
             for _ in range(count):
                 (_, flat, z, _, _), (new, new_flat, _, _, out) = self.bufs
                 g = flat[gather]
                 e = edge @ g
-                np.matmul(edge12, g, out=inner_rows[2 * j:2 * (j + K - 1)])
-                np.matmul(z[:-1], t0, out=prod)
+                np.matmul(z[:-2], t_minus, out=prod)
                 prod -= out
-                np.matmul(z[1:], t1, out=out)
+                np.matmul(z[1:-1], t0, out=out)
                 out += prod
-                new[:, pad + n:] = 0.0  # the padding the product wrote
+                np.matmul(z[2:], t_plus, out=prod)
+                out += prod
+                new[:, pad + n:] = 0.0  # the padding the products wrote
                 new[1, :pad] = 0.0
                 new_flat[scatter] = e[K - 1:]
                 trace[j:j + K] = e[:K]
-                inner[j + K - 1] = new_flat[at12]  # after the block's last step
+                if inner_trace:
+                    np.matmul(edge12, g, out=inner_rows[2 * j:2 * (j + K - 1)])
+                    inner[j + K - 1] = new_flat[at12]  # after the block's last step
                 j += K
                 self.bufs.reverse()
         x, d = self.bufs[0][3]
@@ -598,15 +590,17 @@ class _Stepper:
         return self.held
 
 
-def fdtd_run(s: FdtdState, n_steps: int, *, stepper: _Stepper | None = None
-             ) -> FdtdState:
-    """Advance n_steps leapfrog steps and return the state with the end-node
-    trace of every step.  The interval takes the fewest blocks of at most
-    min(32, (N - 1) // 2) steps on N nodes, of lengths differing by at most
-    one, each block of K steps one K-stride leapfrog update of the
-    difference-form levels (see the module docstring).  A call from a state
-    that its stepper did not make, as every call without ``stepper`` is,
-    first takes K single steps back from s to make its level behind.  The
+def fdtd_run(s: FdtdState, n_steps: int, *, inner_trace: bool = False,
+             stepper: _Stepper | None = None) -> FdtdState:
+    """Advance n_steps leapfrog steps and return the state with the boundary
+    trace of every step, and with ``inner_trace`` that of nodes 1 and 2,
+    which ``energy_steps`` reads (else empty).  The interval takes the
+    fewest blocks of at most min(32, (N - 1) // 2) steps on N nodes, of
+    lengths differing by at most one, each block of K steps one K-stride
+    leapfrog update of the difference-form levels (see the module
+    docstring).  A call from a state that its stepper did not make, as every
+    call without ``stepper`` is, first takes K single steps back from s to
+    make its level behind.  The
     last trace row is the end nodes of ``phi`` themselves, so
     ``bdy_trace[-1]`` equals ``bdy`` exactly.  n_steps = 0 returns a copy of
     the levels with an empty trace; ValueError for n_steps < 0.
@@ -621,7 +615,7 @@ def fdtd_run(s: FdtdState, n_steps: int, *, stepper: _Stepper | None = None
                          phi_prev=s.phi_prev.copy(), t=s.t, dt=s.dt)
     if stepper is None:
         stepper = _Stepper(s, n_steps)
-    return stepper.advance(s, n_steps)
+    return stepper.advance(s, n_steps, inner_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +698,11 @@ def energy_steps(s: FdtdState, run: FdtdState) -> tuple[np.ndarray, np.ndarray]:
     at the nodes 0, 1, 2 from each end; the mu^2 terms cancel.  The second
     form is the one summed: its two O(phi / h) parts cancel in closed form.
     The boundary part c (e_0 + e_N) is ``_span_energy``'s, node 0 of each
-    end at the two levels of each step."""
+    end at the two levels of each step.  ValueError unless ``run`` holds the
+    trace of nodes 1 and 2 (``fdtd_run`` with ``inner_trace``)."""
+    if len(run.inner_trace) != len(run.bdy_trace):
+        raise ValueError("energy_steps reads nodes 1 and 2 after every step: "
+                         "step the run with inner_trace=True")
     p, h, dt = s.p, s.grid.h, s.dt
     # node 0 at levels n - 1 .. n + k, nodes 1 and 2 at levels n .. n + k - 1
     b = np.concatenate(([s.phi_prev[[0, -1]], s.phi[[0, -1]]], run.bdy_trace))
@@ -774,8 +772,9 @@ def causality_probe(data: CauchyData, p: PhysicalParams, t: float) -> CausalityR
 
 _SQRT1_2 = math.sqrt(0.5)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2 * math.pi)
-_ERFC_BAND = 8.0     # math.erfc per element below it, the J-fraction from it on
-_MILLS_FAR = 20.0    # the J-fraction takes 7 levels from 8 on and 4 from here on
+_ERFC_BAND = 4.0     # math.erfc per element below it, the J-fraction from it on
+_MILLS_NEAR = 8.0    # the J-fraction takes 20 levels below it and 7 from it on,
+_MILLS_FAR = 20.0    # and 4 from here on
 
 
 def _phi(v):
@@ -787,25 +786,28 @@ def _phi(v):
 def _mills_rest(y):
     """t = 1/R(y) - y for y >= 0, elementwise, R(y) = Q(y) / phi(y) the Mills
     ratio of the normal tail Q = 1 - Phi, so that R = 1 / (y + t).  Below
-    y = 8, 1/R = phi(y) / Q(y) with Q = erfc(y / sqrt 2) / 2 by ``math.erfc``,
-    one call per element.  From 8 on, t = (1 - 2 / d_1) / y, formed without
+    y = 4, 1/R = phi(y) / Q(y) with Q = erfc(y / sqrt 2) / 2 by ``math.erfc``,
+    one call per element.  From 4 on, t = (1 - 2 / d_1) / y, formed without
     subtracting, from the J-fraction (DLMF 7.9.2 at z = y / sqrt 2)
 
         R(y) = y / (y^2 + 1 - 1*2 / (y^2 + 5 - 3*4 / (y^2 + 9 - ...))),
 
-    d_1 its first denominator, cut 7 levels below it below y = 20 and 4 from
-    there on: within 8.3e-18 and 2.7e-20 of R at the low end of each range
-    (exact arithmetic), closer above it.  Past y = 1.3e154 every d is inf
-    and t = 1/y (the caller ignores the overflow).  Each element gives the
-    same bits alone as in an array."""
+    d_1 its first denominator, cut 20 levels below it below y = 8, 7 from
+    there and 4 from y = 20 on: within 3.2e-19, 8.3e-18 and 2.7e-20 of R at
+    the low end of each range (exact arithmetic), closer above it; t is
+    within 3 eps, where the subtraction lost up to 3.6e-13 near y = 7.7.
+    Past y = 1.3e154 every d is inf and t = 1/y (the caller
+    ignores the overflow).  Each element gives the same bits alone as in an
+    array."""
     y = np.asarray(y, dtype=float)
     t = np.empty_like(y)
     band = y < _ERFC_BAND
+    near = y < _MILLS_NEAR
     far = y >= _MILLS_FAR
     yb = y[band]
     q = np.fromiter(map(math.erfc, (yb * _SQRT1_2).tolist()), float, yb.size)
     t[band] = _phi(yb) / (0.5 * q) - yb
-    for levels, part in ((7, ~(band | far)), (4, far)):
+    for levels, part in ((20, near & ~band), (7, ~(near | far)), (4, far)):
         yp = y[part]
         s = yp * yp
         d = s + (4 * levels + 1)  # the last denominator

@@ -409,8 +409,8 @@ def test_evolve_nonfinite_exits_2_without_csv(tmp_path, capsys, monkeypatch):
     # the one-sided boundary closure is unstable at small c for dt = h/2
     steps = []
 
-    def counting_samples(state, n_steps, every):
-        for sample in fdtd_samples(state, n_steps, every):
+    def counting_samples(state, n_steps, every, **kwargs):
+        for sample in fdtd_samples(state, n_steps, every, **kwargs):
             steps.append(len(sample.bdy_trace))
             yield sample
 
@@ -498,9 +498,9 @@ def test_evolve_energy_is_the_energy_of_the_sampled_states(tmp_path, monkeypatch
     # grid over c, mu and the CFL factor
     runs = []
 
-    def recorded(state, n_steps, every):
+    def recorded(state, n_steps, every, **kwargs):
         runs.append((state, n_steps))
-        return fdtd_samples(state, n_steps, every)
+        return fdtd_samples(state, n_steps, every, **kwargs)
 
     monkeypatch.setattr(cli, "fdtd_samples", recorded)
     out = tmp_path / "e.csv"

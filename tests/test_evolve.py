@@ -294,13 +294,19 @@ def test_inner_trace_is_the_end_nodes_after_every_step(n):
     # at each block's end, against samples after every step
     grid = Grid1D.for_strip(1.0, n)
     s0 = make_fdtd_state(gaussian_data(grid, width=0.3), P1)
-    run = fdtd_run(s0, 70)
+    run = fdtd_run(s0, 70, inner_trace=True)
     inner = [[1, -2], [2, -3]]  # nodes 1 and 2 from each end
     ref = np.array([s.phi[inner] for s in fdtd_samples(s0, 70, 1)])
     assert run.inner_trace.shape == (70, 2, 2)
     assert rel_diff(run.inner_trace, ref) <= 1e-13
     assert np.array_equal(run.inner_trace[-1], run.phi[inner])
-    assert fdtd_run(s0, 0).inner_trace.shape == (0, 2, 2)
+    assert fdtd_run(s0, 0, inner_trace=True).inner_trace.shape == (0, 2, 2)
+    # a run that does not ask for it keeps none, and steps the same bits
+    plain = fdtd_run(s0, 70)
+    assert plain.inner_trace.shape == (0, 2, 2)
+    assert np.array_equal(plain.phi, run.phi) and np.array_equal(plain.bdy_trace, run.bdy_trace)
+    with pytest.raises(ValueError, match="inner_trace=True"):
+        energy_steps(s0, plain)
 
 
 @pytest.mark.parametrize("mu", [0.0, 1.0])
@@ -312,7 +318,7 @@ def test_energy_steps_carry_the_energy_through_the_closure(c, mu):
     p = PhysicalParams(c=c, mu=mu, geometry=Strip(1.0))
     s = make_fdtd_state(gaussian_data(Grid1D.for_strip(1.0, 128), width=0.2), p)
     E0 = energy(s).total
-    for run in fdtd_samples(s, 3000, 1000):
+    for run in fdtd_samples(s, 3000, 1000, inner_trace=True):
         dE, bdy = energy_steps(s, run)
         rep = energy(run)
         assert dE.shape == bdy.shape == (1000,)
@@ -390,22 +396,92 @@ def test_fdtd_sampled_every_step_against_long_double():
 @pytest.mark.parametrize("K", [1, 2, 7, 32])
 def test_stride_kernel_is_k_long_double_steps(K, mu):
     # C x_n - x_(n-K) = x_(n+K) at every node at least K from both ends, through
-    # the GEMM operands of a 32-node pad: x_(n-K) is the initial level and x_n
-    # and x_(n+K) come from K and 2K long-double steps of the scheme
+    # the three GEMM operands of 32-node blocks, a block of zeros on each side
+    # of the nodes: x_(n-K) is the initial level and x_n and x_(n+K) come from
+    # K and 2K long-double steps of the scheme
     import wentzell.evolve as evolve
 
     p = PhysicalParams(c=1.0, mu=mu, geometry=Strip(1.0))
     grid = Grid1D.for_strip(1.0, 256)
-    n, width = grid.n_nodes, 64
+    n, width = grid.n_nodes, 32
     s = make_fdtd_state(gaussian_data(grid, width=0.1, center=-0.8), p)
     x_n = long_double_leapfrog(s, K)[0].astype(float)
     ref = long_double_leapfrog(s, 2 * K)[0]
-    t0, t1 = evolve._stride_operators(evolve._leapfrog_stencil(grid.h, s.dt, p), [K], width)[K]
-    padded = np.zeros((-(-n // width) + 1) * width)
-    padded[width // 2:width // 2 + n] = x_n
+    ops = evolve._stride_operators(evolve._leapfrog_stencil(grid.h, s.dt, p), [K], width)[K]
+    # each operand holds the taps of lags within K, and only those: at K = 32
+    # t0 is full and t_minus and t_plus are the triangles next to it
+    lag = np.arange(width)[:, None] - np.arange(width)  # input slot minus output slot
+    for m, t in zip((-1, 0, 1), ops):
+        assert np.array_equal(t != 0, np.abs(lag + m * width) <= K)
+    t_minus, t0, t_plus = ops
+    padded = np.zeros((-(-n // width) + 2) * width)
+    padded[width:width + n] = x_n
     z = padded.reshape(-1, width)
-    stride = (z[:-1] @ t0 + z[1:] @ t1).ravel()[:n] - s.phi
+    stride = (z[:-2] @ t_minus + z[1:-1] @ t0 + z[2:] @ t_plus).ravel()[:n] - s.phi
     assert rel_diff(stride[K:n - K], ref[K:n - K]) <= 1e-14
+
+
+@pytest.mark.parametrize("n_nodes", [5, 9, 33, 64, 65, 66, 97, 1025])
+def test_blocked_run_keeps_the_cone_and_the_padding_exactly_zero(n_nodes):
+    # node counts around multiples of the block width and around the cap
+    # (n - 1) // 2 on it: a pulse on nodes 0 .. 4, stepped past both ends in
+    # intervals of one block of the cap, then a last one of another length.
+    # After every interval both levels are exactly 0.0 beyond node t/dt + 5
+    # (the pulse, and 1 for the Taylor back-step), which the edge operator of
+    # the far end reads before the cone reaches it, and so is the padding of
+    # both buffers.  The run ends within 2e-13 of the long-double scheme: at
+    # 97 nodes it reads 1.2e-13, as the two-GEMM stride that came before
+    # read to three digits, the edge operator's rounding on a coarse grid
+    # (the other counts read at most 3.6e-14)
+    import wentzell.evolve as evolve
+
+    grid = Grid1D.for_strip(1.0, n_nodes - 1)
+    pos = np.zeros(n_nodes)
+    pos[:5] = (0.25, 0.75, 1.0, 0.75, 0.25)
+    s0 = make_fdtd_state(CauchyData.from_samples(grid, pos, np.zeros(n_nodes)), P1)
+    every, n_steps = min(32, (n_nodes - 1) // 2), 2 * n_nodes + 7
+    stepper = evolve._Stepper(s0, every, n_steps % every)
+    assert stepper.k_max == every and n_steps % every
+    pad = stepper.width
+    s, outside = s0, 0
+    for k0 in range(0, n_steps, every):
+        s = fdtd_run(s, min(every, n_steps - k0), stepper=stepper)
+        dark = np.arange(n_nodes) > round(s.t / s.dt) + 5
+        outside += np.count_nonzero(dark)
+        assert not np.any(s.phi[dark]) and not np.any(s.phi_prev[dark])
+        for xd, *_ in stepper.bufs:
+            assert not np.any(xd[:, :pad]) and not np.any(xd[:, pad + n_nodes:])
+    assert (outside > 0) == (n_nodes > 9)
+    ref, ref_prev = long_double_leapfrog(s0, n_steps)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(s.phi - ref)) <= 2e-13 * scale
+    assert np.max(np.abs(s.phi_prev - ref_prev)) <= 2e-13 * scale
+
+
+def test_fdtd_run_holds_its_buffers_and_no_more():
+    # tracemalloc's peak over one 16 384-step run on 8 193 nodes: the two
+    # level buffers, the product buffer, the operators, the boundary trace,
+    # and 352 KiB of headroom.  The peak reads 325 KiB above the rest: the
+    # edge operators' build sets it, holding 316 KiB beyond what it keeps
+    # (the 130 x 130 one-step map, its square and the long-double row sums).
+    # A third product buffer (129 KiB) or the trace of nodes 1 and 2
+    # (512 KiB) would break the bound
+    import tracemalloc
+
+    import wentzell.evolve as evolve
+
+    s0 = make_fdtd_state(gaussian_data(Grid1D.for_strip(1.0, 8192)), P1)
+    stepper = evolve._Stepper(s0, 16384)
+    held = (sum(xd.nbytes for xd, *_ in stepper.bufs) + stepper.prod.nbytes
+            + sum(a.nbytes for a in stepper._operators(stepper.k_max)) + 16384 * 2 * 8)
+    tracemalloc.start()
+    try:
+        run = fdtd_run(s0, 16384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.inner_trace.size == 0
+    assert peak <= held + 352 * 1024, (peak, held)
 
 
 def long_double_edge_operator(coeffs, K):
@@ -941,7 +1017,7 @@ def test_mills_ratio_against_50_digits():
     # their arguments' rounding magnified by about y^2, and f and t within
     # 4 eps from it on, where the J-fraction forms t without subtracting
     import wentzell.evolve as evolve
-    edges = [evolve._ERFC_BAND, evolve._MILLS_FAR]
+    edges = [evolve._ERFC_BAND, evolve._MILLS_NEAR, evolve._MILLS_FAR]
     y = np.concatenate([np.linspace(0.0, 1e3, 2001), np.linspace(0.0, 40.0, 4001), edges,
                         np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
     with mpmath.workdps(50):
