@@ -47,13 +47,16 @@ difference d = phi - phi_prev as for x = phi.  A run keeps two padded
 (x, d) buffers, level n and level n - K, and a block writes level n + K =
 C level_n - level_(n-K) over the buffer behind, then the buffers swap.
 Cut into blocks Z_j of w = max(k_max, 4) nodes, k_max the run's longest K,
-a row takes three block-Toeplitz GEMMs: output block j + 1 is Z_j T_- +
-Z_(j+1) T_0 + Z_(j+2) T_+, with T_0 full and T_-, T_+ its triangular
-neighbours at K = w, 3w multiply-adds a node.  The K nodes next to each boundary,
-where the closure acts, and node 0 after every step inside the block come
-from one small dense edge operator, the K-step map of the 2K + 1 nodes at
-that end, all that K steps of the closure reach (``_block_operators``; the
-closure is mirror-symmetric); so do nodes 1 and 2 for a run that keeps
+output block j + 1 is the window [Z_j Z_(j+1) Z_(j+2)] of 3w input slots
+times one stacked (3w x w) block-Toeplitz operand [T_-; T_0; T_+], T_0 full
+and T_-, T_+ its triangular neighbours at K = w: 3w multiply-adds a node.
+The windows of the output blocks of one residue class mod 3 tile the flat
+buffer, so a block is three GEMMs over views of it, one per class, and one
+subtraction of level n - K.  The K nodes next to each boundary, where the
+closure acts, and node 0 after every step inside the block come from one
+small dense edge operator, the K-step map of the 2K + 1 nodes at that end,
+all that K steps of the closure reach (``_block_operators``; the closure is
+mirror-symmetric); so do nodes 1 and 2 for a run that keeps
 ``inner_trace``.  A sample only materializes phi = x and phi_prev = x - d.
 
 The level behind comes from the scheme's own single step ``_step``, forward
@@ -77,12 +80,12 @@ c = mu = 1, CFL 0.5), for blocks that apply the K-step map (x, d) -> (x, d)
 with its row sums reset, and for the stride, the blocks in use:
 
     run                                      (x, d) map   stride
-    1 025 nodes, 3 000 steps, one call       1.1e-13      5.4e-14
-    8 193 nodes, 5 000 steps, 40-step calls  1.5e-12      1.7e-13
-    the same, one run sampled every 40       1.5e-12      4.6e-13
-    1 025 nodes, 2 048 steps, sampled        2.6e-13      4.2e-14
+    1 025 nodes, 3 000 steps, one call       1.1e-13      6.1e-14
+    8 193 nodes, 5 000 steps, 40-step calls  1.5e-12      1.8e-13
+    the same, one run sampled every 40       1.5e-12      5.0e-13
+    1 025 nodes, 2 048 steps, sampled        2.6e-13      3.8e-14
       every 5 steps
-    the same, sampled every step             9.5e-15      4.9e-14
+    the same, sampled every step             9.5e-15      5.7e-14
 
 A block of K = 1 is the leapfrog in level form, which rounds at every step,
 where the (x, d) map's is the difference-form step itself.
@@ -258,22 +261,23 @@ _MAX_BLOCK = 32   # steps per blocked update
 _MIN_WIDTH = 4    # nodes per stride block at least: width 1 is 4x slower
 
 
-def _stride_operators(coeffs: tuple, Ks, width: int
-                      ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The interior kernel C = 2 T_K(S/2) of the K-stride leapfrog as
-    block-Toeplitz GEMM operands (t_minus, t0, t_plus) for blocks of
+def _stride_operators(coeffs: tuple, Ks, width: int) -> dict[int, np.ndarray]:
+    """The interior kernel C = 2 T_K(S/2) of the K-stride leapfrog as one
+    stacked (3 width x width) GEMM operand [T_-; T_0; T_+] for blocks of
     ``width`` >= K nodes, for each block length K in Ks.
 
     The 2K + 1 taps of every length come from one Chebyshev recurrence
     T_(k+1) = S T_k - T_(k-1) of the 3-tap interior stencil, in long double.
-    Output block j + 1 of a row is Z_j t_minus + Z_(j+1) t0 + Z_(j+2) t_plus,
-    Z_j its input block j, since the kernel reaches K <= width nodes."""
+    The operand's rows are the input slots of blocks j, j + 1 and j + 2 of a
+    row, its columns the output slots of block j + 1, and its entry is the
+    tap of lag (input - output) where |lag| <= K, 0 elsewhere: output block
+    j + 1 is the window of input blocks j .. j + 2 times the operand, since
+    the kernel reaches K <= width nodes."""
     k_max = max(Ks)
     S = np.array([coeffs[0], coeffs[1], coeffs[0]], dtype=np.longdouble)
     prev = (np.arange(2 * k_max + 1) == k_max).astype(np.longdouble)  # T_0, then T_1
     cur = np.convolve(prev, S / 2, "same")
-    s = np.arange(width)
-    lag = s[:, None] - s + 2 * width  # input slot minus output slot, + 2 width
+    lag = np.arange(3 * width)[:, None] - np.arange(width) + width  # input - output, + 2 width
     ops = {}
     for K in range(1, k_max + 1):
         if K > 1:
@@ -281,7 +285,7 @@ def _stride_operators(coeffs: tuple, Ks, width: int
         if K in Ks:
             kern = np.zeros(4 * width)  # the tap of lag l at index l + 2 width
             kern[2 * width - K:2 * width + K + 1] = 2 * cur[k_max - K:k_max + K + 1]
-            ops[K] = tuple(kern[lag + m * width] for m in (-1, 0, 1))
+            ops[K] = kern[lag]
     return ops
 
 
@@ -414,6 +418,15 @@ def _block_plan(n_steps: int, n_nodes: int, k_max: int = _MAX_BLOCK
     return [(K, c) for K, c in ((q + 1, r), (q, count - r)) if c]
 
 
+def _start_values(data: CauchyData) -> tuple[np.ndarray, np.ndarray]:
+    """The position and velocity a run starts from: the bulk samples with the
+    boundary values on the end nodes."""
+    phi0, v0 = (np.array(f.bulk, dtype=float) for f in (data.position, data.velocity))
+    phi0[0], phi0[-1] = data.position.boundary
+    v0[0], v0[-1] = data.velocity.boundary
+    return phi0, v0
+
+
 def make_fdtd_state(data: CauchyData, p: PhysicalParams, cfl: float = 0.5) -> FdtdState:
     """Initialize leapfrog levels from Cauchy data with the second-order Taylor
     back-step phi_prev = phi0 - dt v0 + dt^2 acc(phi0) / 2 = S(phi0)/2 - dt v0,
@@ -444,10 +457,7 @@ def make_fdtd_state(data: CauchyData, p: PhysicalParams, cfl: float = 0.5) -> Fd
     if 2.0 * h * p.c == 0.0:
         raise ValueError(f"the closure gain dt^2 / (2 h c) divides by 2 h c, which underflows "
                          f"to 0 at S = {p.geometry.S:g}, c = {p.c:g}: S and c are too small")
-    phi0 = np.array(data.position.bulk, dtype=float)
-    v0 = np.array(data.velocity.bulk, dtype=float)
-    phi0[0], phi0[-1] = data.position.boundary
-    v0[0], v0[-1] = data.velocity.boundary
+    phi0, v0 = _start_values(data)
     phi_prev = 0.5 * _leapfrog_op(phi0, 0.0, *_leapfrog_stencil(h, dt, p)) - dt * v0
     return FdtdState(grid=grid, p=p, phi=phi0, phi_prev=phi_prev, t=0.0, dt=dt)
 
@@ -499,13 +509,18 @@ class _Stepper:
     array of whole blocks of ``width`` = max(k_max, 4) nodes, one block of
     zeros left of the nodes and at least one right of them.  ``bufs[0]`` holds
     the current level n, the state ``held`` that the last interval returned,
-    and ``bufs[1]`` the level n - ``lag``.  A block of K steps, with lag = K,
-    views both rows of the current buffer in place as (2 L / width, width)
-    blocks, writes C level_n - level_(n-K) over all blocks of the buffer behind
-    but its first and last, its three GEMMs summed through ``prod``, resets the
-    padding, overwrites the K nodes at each end with the edge operator's
-    result, and swaps the buffers.  Single steps of ``_step`` move the level
-    behind to lag K first, from lag 0 for a state not ``held``.
+    and ``bufs[1]`` the level n - ``lag``.  The output blocks are all blocks
+    of both rows, laid end to end, but the first and last; ``prod`` holds one
+    row for each.  Every buffer keeps three window views of itself, each a
+    (rows, 3 width) array whose row i holds the input blocks r + 3i ..
+    r + 3i + 2 that output block r + 3i + 1 reads, r = 0, 1, 2; ``prods``
+    holds the matching strided rows r, r + 3, ... of ``prod``.  A block of K
+    steps, with lag = K, takes the three GEMMs of the current buffer's windows
+    with the stacked operand into ``prods``, then writes prod - level_(n-K)
+    over the output blocks of the buffer behind, resets the padding,
+    overwrites the K nodes at each end with the edge operator's result, and
+    swaps the buffers.  Single steps of ``_step`` move the level behind to
+    lag K first, from lag 0 for a state not ``held``.
 
     ``lengths`` holds the block lengths of the plans of ``every`` steps and
     of a shorter ``last`` interval (0 for none); the first block builds the
@@ -519,12 +534,18 @@ class _Stepper:
         self.lengths = {K for m in (every, last) if m for K, _ in _block_plan(m, n, k_max)}
         self.width = width = max(k_max, _MIN_WIDTH)
         blocks = -(-n // width) + 2  # per row: the left pad, the nodes, >= width zeros
-        # per level: the buffer, flat, as GEMM input blocks, its nodes (x, d),
+        nb = 2 * blocks - 2  # output blocks: all of both rows but the first and last
+        # rows j = r, r + 3, ... of prod (output blocks j + 1) read the windows
+        # of input blocks j .. j + 2, which tile the flat buffer from block r on
+        wins = [(r * width, len(range(r, nb, 3))) for r in range(3)]
+        levels = np.zeros((2, 2, blocks * width))
+        # per level: the buffer, flat, its three window views, its nodes (x, d),
         # and the blocks the GEMMs write
-        self.bufs = [(xd, xd.reshape(-1), xd.reshape(-1, width), xd[:, width:width + n],
-                      xd.reshape(-1, width)[1:-1])
-                     for xd in np.zeros((2, 2, blocks * width))]
-        self.prod = np.empty((2 * blocks - 2, width))
+        self.bufs = [(xd, flat, [flat[a:a + 3 * m * width].reshape(m, 3 * width) for a, m in wins],
+                      xd[:, width:width + n], flat.reshape(-1, width)[1:-1])
+                     for xd, flat in zip(levels, levels.reshape(2, -1))]
+        self.prod = np.empty((nb, width))
+        self.prods = [self.prod[r::3] for r in range(3)]
         self.held = None
         self.lag = 0
         self.ops = {}
@@ -541,7 +562,7 @@ class _Stepper:
                 gather = np.concatenate([at, at + L])  # x then d
                 # the boundary and (x, d) rows take a product of their own:
                 # a GEMM's rounding of a row depends on the rows beside it
-                self.ops[k] = (*strides[k], edges[k][:3 * k - 1], edges[k][3 * k - 1:],
+                self.ops[k] = (strides[k], edges[k][:3 * k - 1], edges[k][3 * k - 1:],
                                gather, gather[np.r_[0:k, W:W + k]], gather[1:3])
         return self.ops[K]
 
@@ -551,7 +572,7 @@ class _Stepper:
         trace = np.empty((k, 2))
         inner = np.empty((k if inner_trace else 0, 2, 2))
         inner_rows = inner.reshape(-1, 2)
-        n, pad, prod = self.n, self.width, self.prod
+        n, pad, prod, prods = self.n, self.width, self.prod, self.prods
         if self.held is not s:
             x, d = self.bufs[0][3]
             x[:] = s.phi
@@ -563,17 +584,14 @@ class _Stepper:
             for _ in range(abs(self.lag - K)):  # single steps to the level K behind
                 _step(*self.bufs[1][3], self.coeffs, back=self.lag < K)
             self.lag = K
-            t_minus, t0, t_plus, edge, edge12, gather, scatter, at12 = self._operators(K)
+            stride, edge, edge12, gather, scatter, at12 = self._operators(K)
             for _ in range(count):
-                (_, flat, z, _, _), (new, new_flat, _, _, out) = self.bufs
+                (_, flat, wins, _, _), (new, new_flat, _, _, out) = self.bufs
                 g = flat[gather]
                 e = edge @ g
-                np.matmul(z[:-2], t_minus, out=prod)
-                prod -= out
-                np.matmul(z[1:-1], t0, out=out)
-                out += prod
-                np.matmul(z[2:], t_plus, out=prod)
-                out += prod
+                for win, part in zip(wins, prods):
+                    np.matmul(win, stride, out=part)
+                np.subtract(prod, out, out=out)
                 new[:, pad + n:] = 0.0  # the padding the products wrote
                 new[1, :pad] = 0.0
                 new_flat[scatter] = e[K - 1:]
@@ -745,16 +763,19 @@ _HALO_CELLS = 2
 
 def causality_probe(data: CauchyData, p: PhysicalParams, t: float) -> CausalityReport:
     """Evolve compactly supported data at CFL 0.5 and measure leakage outside
-    the discrete light cone: the nodes where the data is nonzero (node 0 if
-    none) widened by N + 2 nodes (N steps widen the support by at most N
-    cells; a halo of 2 covers the stencil reach of the Taylor back-step).
-    The probe passes below an amplitude of 1e-8 outside the cone."""
+    the discrete light cone: the nodes where the run's starting values are
+    nonzero, the bulk samples with the boundary values on the end nodes
+    (node 0 if none), widened by N + 2 nodes (N steps widen the support by
+    at most N cells; a halo of 2 covers the stencil reach of the Taylor
+    back-step).  The probe passes below an amplitude of 1e-8 outside the
+    cone."""
     if not t >= 0:
         raise ValueError(f"probe time must be >= 0, got t={t}")
     state = make_fdtd_state(data, p)
     n_steps = int(np.ceil(t / state.dt))
     state = fdtd_run(state, n_steps)
-    live = np.flatnonzero((data.position.bulk != 0) | (data.velocity.bulk != 0))
+    phi0, v0 = _start_values(data)
+    live = np.flatnonzero((phi0 != 0) | (v0 != 0))
     first, last = (live[0], live[-1]) if live.size else (0, 0)
     n, width = state.phi.size, n_steps + _HALO_CELLS
     lo, hi = max(first - width, 0), min(last + width + 1, n)

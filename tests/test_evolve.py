@@ -396,9 +396,10 @@ def test_fdtd_sampled_every_step_against_long_double():
 @pytest.mark.parametrize("K", [1, 2, 7, 32])
 def test_stride_kernel_is_k_long_double_steps(K, mu):
     # C x_n - x_(n-K) = x_(n+K) at every node at least K from both ends, through
-    # the three GEMM operands of 32-node blocks, a block of zeros on each side
-    # of the nodes: x_(n-K) is the initial level and x_n and x_(n+K) come from
-    # K and 2K long-double steps of the scheme
+    # the stacked (96 x 32) operand of 32-node blocks, a block of zeros on each
+    # side of the nodes, each output block the window of the three input
+    # blocks around it times the operand: x_(n-K) is the initial level and x_n
+    # and x_(n+K) come from K and 2K long-double steps of the scheme
     import wentzell.evolve as evolve
 
     p = PhysicalParams(c=1.0, mu=mu, geometry=Strip(1.0))
@@ -407,17 +408,16 @@ def test_stride_kernel_is_k_long_double_steps(K, mu):
     s = make_fdtd_state(gaussian_data(grid, width=0.1, center=-0.8), p)
     x_n = long_double_leapfrog(s, K)[0].astype(float)
     ref = long_double_leapfrog(s, 2 * K)[0]
-    ops = evolve._stride_operators(evolve._leapfrog_stencil(grid.h, s.dt, p), [K], width)[K]
-    # each operand holds the taps of lags within K, and only those: at K = 32
-    # t0 is full and t_minus and t_plus are the triangles next to it
-    lag = np.arange(width)[:, None] - np.arange(width)  # input slot minus output slot
-    for m, t in zip((-1, 0, 1), ops):
-        assert np.array_equal(t != 0, np.abs(lag + m * width) <= K)
-    t_minus, t0, t_plus = ops
+    op = evolve._stride_operators(evolve._leapfrog_stencil(grid.h, s.dt, p), [K], width)[K]
+    # the operand holds the taps of lags within K, and only those: at K = 32
+    # its middle third is full and the thirds above and below are triangles
+    lag = np.arange(3 * width)[:, None] - np.arange(width) - width  # input - output slot
+    assert op.shape == (3 * width, width)
+    assert np.array_equal(op != 0, np.abs(lag) <= K)
     padded = np.zeros((-(-n // width) + 2) * width)
     padded[width:width + n] = x_n
-    z = padded.reshape(-1, width)
-    stride = (z[:-2] @ t_minus + z[1:-1] @ t0 + z[2:] @ t_plus).ravel()[:n] - s.phi
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 3 * width)[::width]
+    stride = (windows @ op).ravel()[:n] - s.phi
     assert rel_diff(stride[K:n - K], ref[K:n - K]) <= 1e-14
 
 
@@ -456,6 +456,37 @@ def test_blocked_run_keeps_the_cone_and_the_padding_exactly_zero(n_nodes):
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(s.phi - ref)) <= 2e-13 * scale
     assert np.max(np.abs(s.phi_prev - ref_prev)) <= 2e-13 * scale
+
+
+@pytest.mark.parametrize("n_nodes, residue", [(5, 0), (97, 1), (1025, 2)])
+def test_stride_windows_are_views_that_cover_every_output_block_once(n_nodes, residue):
+    # each level buffer keeps three window views of itself, one per residue
+    # class mod 3 of the output blocks, whose rows are the 3 width input slots
+    # that one output block reads.  The output-block count 2 ceil(n / width) + 2
+    # takes every value mod 3 over these node counts, which the cone and
+    # padding run above steps too: 5 nodes (width 4) gives 0 mod 3, 97
+    # (width 32) gives 1 and 1 025 (width 32) gives 2
+    import wentzell.evolve as evolve
+
+    grid = Grid1D.for_strip(1.0, n_nodes - 1)
+    s0 = make_fdtd_state(gaussian_data(grid), P1)
+    stepper = evolve._Stepper(s0, min(32, (n_nodes - 1) // 2))
+    width, prod = stepper.width, stepper.prod
+    nb = len(prod)
+    assert nb == 2 * -(-n_nodes // width) + 2 and nb % 3 == residue
+    for xd, flat, wins, *_ in stepper.bufs:
+        flat[:] = np.arange(flat.size)
+        rows = []
+        for win, part in zip(wins, stepper.prods):
+            assert np.shares_memory(win, xd) and win.shape == (len(part), 3 * width)
+            assert not np.shares_memory(part, xd) and np.shares_memory(part, prod)
+            first = (part.ctypes.data - prod.ctypes.data) // prod.strides[0]
+            out_rows = first + np.arange(len(part)) * (part.strides[0] // prod.strides[0])
+            # output block b + 1 of the flat buffer, row b of prod, reads the
+            # input blocks b .. b + 2
+            assert np.array_equal(win, flat[out_rows[:, None] * width + np.arange(3 * width)])
+            rows.append(out_rows)
+        assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(nb))
 
 
 def test_fdtd_run_holds_its_buffers_and_no_more():
@@ -940,6 +971,23 @@ def test_fdtd_second_order_convergence(table1):
 
 # ---------------------------------------------------------------------------
 # causality
+
+@pytest.mark.parametrize("field", ["position", "velocity"])
+@pytest.mark.parametrize("end", [0, 1])
+def test_causality_cone_starts_from_the_boundary_values(field, end):
+    # data that is zero but for one boundary value, which the run starts from
+    # on an end node: the cone grows from that end and nothing reaches beyond
+    # it, where a cone from the bulk samples alone put the +S end outside
+    grid = Grid1D.for_strip(1.0, 256)
+    zero = np.zeros(grid.n_nodes)
+    bdy = np.zeros(2)
+    bdy[end] = 1.0
+    parts = {"position": np.zeros(2), "velocity": np.zeros(2), field: bdy}
+    data = CauchyData(*(BulkBoundaryFunction(grid=grid, bulk=zero, boundary=parts[k])
+                        for k in ("position", "velocity")))
+    rep = causality_probe(data, P0, t=0.05)
+    assert rep.max_outside == 0.0 and rep.energy_outside_fraction == 0.0
+
 
 def test_causality_trivial_at_t0():
     grid = Grid1D.for_strip(1.0, 512)
