@@ -58,6 +58,7 @@ small dense edge operator, the K-step map of the 2K + 1 nodes at that end,
 all that K steps of the closure reach (``_block_operators``; the closure is
 mirror-symmetric); so do nodes 1 and 2 for a run that keeps
 ``inner_trace``.  A sample only materializes phi = x and phi_prev = x - d.
+Where the data leave a zero region, blocks also floor the front (below).
 
 The level behind comes from the scheme's own single step ``_step``, forward
 or back: the difference form inverts exactly (x -= d, then d -= (S - 2) x).
@@ -88,14 +89,38 @@ with its row sums reset, and for the stride, the blocks in use:
     the same, sampled every step             9.5e-15      5.7e-14
 
 A block of K = 1 is the leapfrog in level form, which rounds at every step,
-where the (x, d) map's is the difference-form step itself.
+where the (x, d) map's is the difference-form step itself.  The floor below
+sits 2^-547 below the rounding of the largest value, and the table does not
+see it.
 
 The GEMM operands are zero outside the band, and a zero input gives an
 exact zero, so nodes outside the discrete light cone stay exactly 0.0; the
 padding that the GEMMs write beyond the nodes is reset to zero after each
-block.  Each run builds the operators of all its block lengths in one go,
+block, and the floor below zeroes only values outside the cone's live
+span.  Each run builds the operators of all its block lengths in one go,
 at its first block, and keeps them with its buffers: 0.19 MB at K = 32,
 built in about 2 ms (0.25 ms at K = 1).
+
+The floor.  The discrete cone runs ahead of the true one with a precursor
+that falls by r2 = (dt/h)^2 a step (a K-step block's outermost tap is r2^K,
+2^-64 at K = 32, CFL 0.5).  Ahead of compact data it reaches 1e-300, where
+its products with the small taps underflow and slow the GEMMs about
+twofold.  So values below 2^-600 times the run's scale, the largest |x| or
+|d| of the level it loads, are zeroed at the edges of the live span.  The
+floor is relative, so data times 2^e step to the run times 2^e, bit for
+bit; it sits 2^-547 below the rounding of the largest value, so no figure,
+energy or trace can see it; and a value at or above it times a tap stays
+normal.  The load zeroes the nodes beyond the first and last value at or
+above the floor, the span's edges; data with none beyond them pay only
+that check.  Outside the edges widened by the reach, the steps since, both
+levels are exactly 0.0.  A scan zeroes the values below the floor in a
+band at each edge of the widened span and moves the edge out to the first
+value it keeps.  It comes before the front, falling r2 a step from its
+magnitude at the edge, could take a product of the next block into the
+subnormals at scale 1, and at an interval's end if the front could have
+come within a significand of the floor; that interval's trace is floored
+too, so a sample stores no value in (0, floor).  Once both edges reach the
+grid ends, the run stops tracking.
 
 The FDTD energy is the leapfrog's own energy of the two stored levels
 a = phi_prev and b = phi, at time t - dt/2.  With v = (b - a)/dt and lumped
@@ -259,6 +284,9 @@ def _step(x: np.ndarray, d: np.ndarray, coeffs: tuple, back: bool = False) -> No
 
 _MAX_BLOCK = 32   # steps per blocked update
 _MIN_WIDTH = 4    # nodes per stride block at least: width 1 is 4x slower
+_FLOOR_EXP = -600  # the floor at the edges of the live span, 2^-600 of the run's scale
+_SUBNORMAL_ROOM = 1022 + _FLOOR_EXP  # binades from the floor to the subnormals at scale 1
+_CANCEL_BITS = 53  # a sum that cancels keeps at least 2^-53 of its terms
 
 
 def _stride_operators(coeffs: tuple, Ks, width: int) -> dict[int, np.ndarray]:
@@ -408,6 +436,18 @@ def _block_operators(coeffs: tuple, Ks) -> dict[int, np.ndarray]:
     return ops
 
 
+def _floor_band(band: np.ndarray, floor: float) -> tuple[int, float]:
+    """Zeroes the values of ``band`` (rows of nodes) below ``floor``; the
+    first node that keeps one, and the largest magnitude there (the band's
+    length and 0.0 where none does)."""
+    mag = np.abs(band)
+    low = mag < floor
+    np.copyto(band, 0.0, where=low)
+    dead = low.all(axis=0)
+    i = int(dead.argmin())
+    return (i, float(mag[:, i].max())) if not dead[i] else (dead.size, 0.0)
+
+
 def _block_plan(n_steps: int, n_nodes: int, k_max: int = _MAX_BLOCK
                 ) -> list[tuple[int, int]]:
     """(steps per block, number of blocks) pairs of an interval of n_steps >= 1
@@ -525,7 +565,15 @@ class _Stepper:
     ``lengths`` holds the block lengths of the plans of ``every`` steps and
     of a shorter ``last`` interval (0 for none); the first block builds the
     operators of all of them, and ``ops`` keeps them for the run.  Another
-    length builds its own on first use."""
+    length builds its own on first use.
+
+    ``floor`` is 2^-600 of the scale of the level last loaded.  While the
+    data leave a zero region, ``edges`` holds the first and last node that
+    kept a value at the last scan and ``reach`` the steps since: outside the
+    edges widened by the reach (a node more at a grid end, which the closure
+    reaches a step early) both levels are exactly 0.0.  A block that takes
+    the reach past ``due``, or ends an interval past ``clean``, scans the
+    edges in ``rows``, x and d of both levels."""
 
     def __init__(self, s: FdtdState, every: int, last: int = 0):
         self.coeffs = _leapfrog_stencil(s.grid.h, s.dt, s.p)
@@ -546,9 +594,66 @@ class _Stepper:
                      for xd, flat in zip(levels, levels.reshape(2, -1))]
         self.prod = np.empty((nb, width))
         self.prods = [self.prod[r::3] for r in range(3)]
+        self.rows = levels.reshape(4, -1)[:, width:width + n]  # x, d of both levels
         self.held = None
         self.lag = 0
         self.ops = {}
+        # a K-step block's outermost tap is r2^K: the front falls ``rate`` binades a step
+        self.rate = -math.log2(self.coeffs[0]) if 0 < self.coeffs[0] < 1 else 0.0
+        self.floor, self.edges = 0.0, None
+
+    def _load_floor(self, xd: np.ndarray) -> None:
+        """The floor of the loaded level (x, d) = ``xd`` and its edges, the
+        first and last node holding a value at or above it; zeroes the nodes
+        beyond them.  No edges where they are the end nodes, or where the
+        data are zero or not finite."""
+        n = self.n
+        mag = np.abs(xd).max(axis=0)
+        scale = float(mag.max())
+        self.floor = floor = math.ldexp(scale, _FLOOR_EXP) if math.isfinite(scale) else 0.0
+        self.edges = None
+        if not floor or (mag[0] >= floor and mag[-1] >= floor):
+            return
+        live = mag >= floor
+        lo, hi = int(live.argmax()), n - int(live[::-1].argmax())
+        xd[:, :lo] = 0.0
+        xd[:, hi:] = 0.0
+        self._set_edges(lo, hi, [m for m, at in ((mag[lo], lo), (mag[hi - 1], n - hi)) if at])
+
+    def _set_edges(self, lo: int, hi: int, mags: list) -> None:
+        """Keeps the edges [lo, hi) found, with a reach of 0, and the reaches
+        past which the front, falling ``rate`` binades a step from the smaller
+        magnitude ``mags`` at an edge not at a grid end, may come within a
+        significand of the floor (``clean``) or take a product of the next
+        block into the subnormals at scale 1 (``due``); no edges once both
+        are at the grid ends."""
+        self.edges = [lo, hi] if mags else None
+        self.reach = 0
+        room, rate = math.log2(max(min(mags, default=0.0) / self.floor, 1.0)), self.rate
+        self.clean = (room - _CANCEL_BITS) / rate if rate else math.inf
+        self.due = (room + _SUBNORMAL_ROOM) / rate - self.k_max if rate else math.inf
+
+    def _scan(self, K: int) -> None:
+        """After a block of K steps, zeroes the values of both levels below the
+        floor from the widened span's bound to K nodes inside each edge not at
+        a grid end, and moves the edge to the first node that keeps one."""
+        n, rows, floor = self.n, self.rows, self.floor
+        r = self.reach + 1  # the closure reads 2 nodes in: a front reaches an end a step early
+        lo, hi = self.edges
+        mags = []
+        if lo:
+            a = max(lo - r, 0)
+            i, m = _floor_band(rows[:, a:lo + K], floor)
+            lo = a + i
+            if lo:
+                mags.append(m)
+        if hi < n:
+            b = min(hi + r, n)
+            i, m = _floor_band(rows[:, max(hi - K, 0):b][:, ::-1], floor)
+            hi = b - i
+            if hi < n:
+                mags.append(m)
+        self._set_edges(lo, hi, mags)
 
     def _operators(self, K: int) -> tuple:
         if K not in self.ops:
@@ -574,16 +679,20 @@ class _Stepper:
         inner_rows = inner.reshape(-1, 2)
         n, pad, prod, prods = self.n, self.width, self.prod, self.prods
         if self.held is not s:
-            x, d = self.bufs[0][3]
-            x[:] = s.phi
-            np.subtract(s.phi, s.phi_prev, out=d)
+            xd = self.bufs[0][3]
+            xd[0] = s.phi
+            np.subtract(s.phi, s.phi_prev, out=xd[1])
+            self._load_floor(xd)
             self.bufs[1][0][:] = self.bufs[0][0]
             self.lag = 0
-        j = 0
+        j, floored = 0, False
         for K, count in _block_plan(k, n, self.k_max):
-            for _ in range(abs(self.lag - K)):  # single steps to the level K behind
+            back = abs(self.lag - K)
+            for _ in range(back):  # single steps to the level K behind
                 _step(*self.bufs[1][3], self.coeffs, back=self.lag < K)
             self.lag = K
+            if self.edges:  # the level behind may reach past the next block's K cells
+                self.reach += max(back - K, 0)
             stride, edge, edge12, gather, scatter, at12 = self._operators(K)
             for _ in range(count):
                 (_, flat, wins, _, _), (new, new_flat, _, _, out) = self.bufs
@@ -596,11 +705,19 @@ class _Stepper:
                 new[1, :pad] = 0.0
                 new_flat[scatter] = e[K - 1:]
                 trace[j:j + K] = e[:K]
+                if self.edges:
+                    self.reach += K
+                    if self.reach > self.due or (j + K == k and self.reach > self.clean):
+                        self._scan(K)
+                        floored = True
                 if inner_trace:
                     np.matmul(edge12, g, out=inner_rows[2 * j:2 * (j + K - 1)])
                     inner[j + K - 1] = new_flat[at12]  # after the block's last step
                 j += K
                 self.bufs.reverse()
+        if floored:  # the trace of the values zeroed, and of the front below the floor
+            np.copyto(trace, 0.0, where=np.abs(trace) < self.floor)
+            np.copyto(inner, 0.0, where=np.abs(inner) < self.floor)
         x, d = self.bufs[0][3]
         cur = x.copy()
         self.held = FdtdState(grid=s.grid, p=s.p, phi=cur, phi_prev=cur - d,
@@ -735,10 +852,11 @@ def energy_steps(s: FdtdState, run: FdtdState) -> tuple[np.ndarray, np.ndarray]:
 def energy_in_region(state: FdtdState, z_lo: float, z_hi: float) -> float:
     """The FDTD energy of the nodes in [z_lo, z_hi] (``_span_energy``): an
     end node inside the region brings its boundary term with it, and a cell
-    with one node inside brings half its term."""
-    z = state.grid.nodes
-    lo = int(np.searchsorted(z, z_lo - 1e-12, "left"))
-    hi = int(np.searchsorted(z, z_hi + 1e-12, "right"))
+    with one node inside brings half its term.  A node within 1e-6 of a cell
+    of an end counts as inside, at any strip width."""
+    z, tol = state.grid.nodes, 1e-6 * state.grid.h
+    lo = int(np.searchsorted(z, z_lo - tol, "left"))
+    hi = int(np.searchsorted(z, z_hi + tol, "right"))
     return _span_energy(state, lo, hi)[0]
 
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath
@@ -421,41 +422,119 @@ def test_stride_kernel_is_k_long_double_steps(K, mu):
     assert rel_diff(stride[K:n - K], ref[K:n - K]) <= 1e-14
 
 
-@pytest.mark.parametrize("n_nodes", [5, 9, 33, 64, 65, 66, 97, 1025])
+def criterion_7_reflection():
+    """Criterion 7's data and parameters: the mollified reflection data
+    (eps = 0.02, c = 1, t0 = -0.5) on 5 121 nodes, h = 1/2048, mu = 0; its
+    run takes 10 240 steps at CFL 0.5."""
+    grid = Grid1D(-1.25, 1.25, 5120)
+    p = PhysicalParams(c=1.0, mu=0.0, geometry=Strip(1.25))
+    return reflection_cauchy_data(grid, -0.5, 0.02, 1.0), p
+
+
+def run_floor(s):
+    """The floor of a run from the levels of s: 2^-600 of the largest |x| or
+    |d|, x = phi and d = phi - phi_prev."""
+    return math.ldexp(max(np.abs(s.phi).max(), np.abs(s.phi - s.phi_prev).max()), -600)
+
+
+# node count -> (data, sample interval, steps): a pulse on nodes 0 .. 4 at node
+# counts around multiples of the block width and around the cap (n - 1) // 2
+# on it, stepped past both ends in intervals of one block of the cap, then a
+# last one of another length; and criterion 7's reflection run sampled every
+# 1 024 steps, whose front crosses the grid to the +S end
+CONE_RUNS = {n: ("pulse", min(32, (n - 1) // 2), 2 * n + 7)
+             for n in (5, 9, 33, 64, 65, 66, 97, 1025)}
+CONE_RUNS[5121] = ("reflection", 1024, 10240)
+
+
+@pytest.mark.parametrize("n_nodes", CONE_RUNS)
 def test_blocked_run_keeps_the_cone_and_the_padding_exactly_zero(n_nodes):
-    # node counts around multiples of the block width and around the cap
-    # (n - 1) // 2 on it: a pulse on nodes 0 .. 4, stepped past both ends in
-    # intervals of one block of the cap, then a last one of another length.
-    # After every interval both levels are exactly 0.0 beyond node t/dt + 5
-    # (the pulse, and 1 for the Taylor back-step), which the edge operator of
-    # the far end reads before the cone reaches it, and so is the padding of
-    # both buffers.  The run ends within 2e-13 of the long-double scheme: at
-    # 97 nodes it reads 1.2e-13, as the two-GEMM stride that came before
-    # read to three digits, the edge operator's rounding on a coarse grid
-    # (the other counts read at most 3.6e-14)
+    # After every interval both levels are exactly 0.0 beyond the discrete
+    # cone, t/dt nodes past the nodes where phi or phi_prev starts nonzero
+    # (the pulse and 1 for the Taylor back-step, which the edge operator of
+    # the far end reads before the cone reaches it); so is the padding of
+    # both buffers, and no stored x or d of either level lies in (0, floor).
+    # The run ends within 2e-13 of the long-double scheme: at 97 nodes it
+    # reads 1.2e-13, as the two-GEMM stride that came before read to three
+    # digits, the edge operator's rounding on a coarse grid (the other
+    # counts read at most 3.6e-14)
     import wentzell.evolve as evolve
 
-    grid = Grid1D.for_strip(1.0, n_nodes - 1)
-    pos = np.zeros(n_nodes)
-    pos[:5] = (0.25, 0.75, 1.0, 0.75, 0.25)
-    s0 = make_fdtd_state(CauchyData.from_samples(grid, pos, np.zeros(n_nodes)), P1)
-    every, n_steps = min(32, (n_nodes - 1) // 2), 2 * n_nodes + 7
+    kind, every, n_steps = CONE_RUNS[n_nodes]
+    if kind == "pulse":
+        grid = Grid1D.for_strip(1.0, n_nodes - 1)
+        pos = np.zeros(n_nodes)
+        pos[:5] = (0.25, 0.75, 1.0, 0.75, 0.25)
+        s0 = make_fdtd_state(CauchyData.from_samples(grid, pos, np.zeros(n_nodes)), P1)
+    else:
+        s0 = make_fdtd_state(*criterion_7_reflection())
+    live = np.flatnonzero((s0.phi != 0) | (s0.phi_prev != 0))
+    floor, nodes = run_floor(s0), np.arange(n_nodes)
     stepper = evolve._Stepper(s0, every, n_steps % every)
-    assert stepper.k_max == every and n_steps % every
+    assert stepper.k_max == min(every, 32) and (n_steps % every > 0) == (kind == "pulse")
     pad = stepper.width
     s, outside = s0, 0
     for k0 in range(0, n_steps, every):
         s = fdtd_run(s, min(every, n_steps - k0), stepper=stepper)
-        dark = np.arange(n_nodes) > round(s.t / s.dt) + 5
+        steps = round((s.t - s0.t) / s.dt)
+        dark = (nodes < live[0] - steps) | (nodes > live[-1] + steps)
         outside += np.count_nonzero(dark)
         assert not np.any(s.phi[dark]) and not np.any(s.phi_prev[dark])
+        assert np.array_equal(s.bdy_trace[-1], s.bdy)
         for xd, *_ in stepper.bufs:
             assert not np.any(xd[:, :pad]) and not np.any(xd[:, pad + n_nodes:])
+            assert not np.any((xd != 0) & (np.abs(xd) < floor))
     assert (outside > 0) == (n_nodes > 9)
     ref, ref_prev = long_double_leapfrog(s0, n_steps)
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(s.phi - ref)) <= 2e-13 * scale
     assert np.max(np.abs(s.phi_prev - ref_prev)) <= 2e-13 * scale
+
+
+def criterion_6_bump():
+    """Criterion 6's data: a smooth bump of radius 0.15 at z = -0.6 at rest on
+    1 025 nodes, compactly supported, with c = 1 and mu = 0."""
+    grid = Grid1D.for_strip(1.0, 1024)
+    u = (grid.nodes + 0.6) / 0.15
+    pos = np.where(np.abs(u) < 1, np.exp(1.0 - 1.0 / np.maximum(1.0 - u**2, 1e-300)), 0.0)
+    return CauchyData.from_samples(grid, pos, np.zeros_like(pos)), P0
+
+
+@pytest.mark.parametrize("power", [200, -200])
+@pytest.mark.parametrize("case", ["reflection", "bump"])
+def test_fdtd_run_is_scale_equivariant(case, power):
+    # data scaled by 2^200 or 2^-200 step to 2^+-200 times the unscaled run,
+    # bit for bit, in phi, phi_prev and the boundary trace: the floor is
+    # relative to the run's scale, and the values it keeps times a tap stay
+    # normal at all three scales.  Each run takes a front to a grid end:
+    # criterion 7's run, and criterion 6's bump over its 1 024-step probe
+    (data, p), n_steps = {"reflection": (criterion_7_reflection(), 10240),
+                          "bump": (criterion_6_bump(), 1024)}[case]
+
+    def run(e):
+        scaled = CauchyData.from_samples(data.position.grid, np.ldexp(data.position.bulk, e),
+                                         np.ldexp(data.velocity.bulk, e))
+        return fdtd_run(make_fdtd_state(scaled, p), n_steps)
+
+    plain, scaled = run(0), run(power)
+    assert np.any(plain.bdy_trace[:, 1]) and not plain.bdy_trace[0, 1]  # the front reaches +S
+    for name in ("phi", "phi_prev", "bdy_trace"):
+        assert np.array_equal(getattr(scaled, name), np.ldexp(getattr(plain, name), power)), name
+
+
+def test_floor_keeps_no_span_for_data_without_a_zero_region(monkeypatch):
+    # data at or above the floor at both end nodes leave no span: the run
+    # checks that once, at load, and no block scans
+    import wentzell.evolve as evolve
+
+    def scan(self, K):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(evolve._Stepper, "_scan", scan)
+    s0 = make_fdtd_state(gaussian_data(Grid1D.for_strip(1.0, 1024)), P1)
+    stepper = evolve._Stepper(s0, 1024)
+    fdtd_run(s0, 1024, stepper=stepper)
+    assert stepper.edges is None and stepper.floor == run_floor(s0)
 
 
 @pytest.mark.parametrize("n_nodes, residue", [(5, 0), (97, 1), (1025, 2)])
@@ -902,6 +981,25 @@ def test_energy_in_region_whole_strip_equals_total():
     assert node.sum() == pytest.approx(rep.total, rel=1e-14)
     whole = energy_in_region(s, -1.0, 1.0)
     assert whole == pytest.approx(rep.total, rel=1e-14)
+
+
+
+@pytest.mark.parametrize("S", [1e-12, 1.0, 1e6])
+def test_energy_in_region_counts_the_nodes_at_its_ends_and_between(S):
+    # the region between two nodes holds those nodes and the ones between,
+    # on a strip of any width, whether its ends are the nodes themselves or
+    # z_min + k h; an absolute tolerance of 1e-12 took nodes 0 .. 522 into
+    # [z_5, z_10] at S = 1e-12
+    grid = Grid1D.for_strip(S, 1024)
+    z = grid.nodes
+    pos = np.exp(-((z / S + 0.5) ** 2) / 0.02)
+    s = make_fdtd_state(CauchyData.from_samples(grid, pos, np.zeros_like(z)),
+                        PhysicalParams(c=1.0, mu=0.0, geometry=Strip(S)))
+    for lo, hi in ((5, 10), (0, 3), (300, 300), (1019, 1024)):
+        want = _span_energy(s, lo, hi + 1)[0]
+        assert want > 0
+        assert energy_in_region(s, z[lo], z[hi]) == want
+        assert energy_in_region(s, grid.z_min + lo * grid.h, grid.z_min + hi * grid.h) == want
 
 
 def bump_data(grid, r=0.2):
