@@ -18,7 +18,9 @@ import os
 import sys
 import tempfile
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import ExitStack
+from itertools import cycle, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -44,32 +46,47 @@ CACHE_ENV = "WENTZELL_CACHE_DIR"
 # ---------------------------------------------------------------------------
 # persistence
 
-def atomic_write_text(path: Path, text: str | Iterable[str]):
+def atomic_write_text(path: Path | Sequence[Path], text: str | Iterable[str]):
     """Write ``text``, a string or an iterable of string pieces, to a
-    temporary file and rename it over ``path``.  The file gets the mode that
-    ``open(path, "w")`` would create it with, 0o666 less the umask (a
-    temporary file starts at 0o600)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    temporary file and rename it over ``path``.  With a sequence of paths,
+    every piece goes to each file in one pass over ``text``.  A file gets the
+    mode that ``open(path, "w")`` would create it with, 0o666 less the umask
+    (a temporary file starts at 0o600)."""
+    paths = [path] if isinstance(path, Path) else list(path)
     umask = os.umask(0)
     os.umask(umask)
+    tmps = []
     try:
-        with os.fdopen(fd, "w") as f:
-            os.fchmod(f.fileno(), 0o666 & ~umask)
-            f.writelines([text] if isinstance(text, str) else text)
-        os.replace(tmp, path)
+        with ExitStack() as stack:
+            files = []
+            for dest in paths:
+                dest.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=dest.parent, prefix=dest.name + ".")
+                tmps.append(tmp)
+                files.append(stack.enter_context(os.fdopen(fd, "w")))
+                os.fchmod(fd, 0o666 & ~umask)
+            for piece in [text] if isinstance(text, str) else text:
+                for f in files:
+                    f.write(piece)
+        for tmp, dest in zip(tmps, paths):
+            os.replace(tmp, dest)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
 # cache file format and solver version, part of the file name; v4 evaluates
 # the phase as arctan2(1, c q), which moves delta_m and d_m by an ulp or two
 _TABLE_FORMAT = "v4"
+# even, so that every piece starts at an even mode
 _TABLE_PIECE_ROWS = 1024
-_TABLE_ROW = ('{{"m": {}, "q": {!r}, "delta": {!r}, "parity": "{}", "c_norm": {!r}, '
-              '"d_bdy": {!r}}}')
+# one row's text around its fields, with None where m, q, delta, the parity's
+# text, c_norm and d_bdy go; a row's first element closes the row before it
+_TABLE_ROW = ['},\n{"m": ', None, ', "q": ', None, ', "delta": ', None, None, None,
+              ', "d_bdy": ', None]
+_PARITY_TEXT = (', "parity": "even", "c_norm": ', ', "parity": "odd", "c_norm": ')
 
 
 def _parities(n: int) -> list[str]:
@@ -79,19 +96,25 @@ def _parities(n: int) -> list[str]:
 def _table_pieces(table: ModeTable) -> Iterator[str]:
     """The JSON text of ``table_to_json`` in pieces of at most
     _TABLE_PIECE_ROWS modes, so that a large table is never held as one
-    string or one list of rows."""
+    string or as Python lists of all its modes.  A piece is one join of
+    _TABLE_ROW's text with each column passed through repr in one pass; the
+    bytes are those of one ``{!r}`` format per row."""
     p = table.params
     n = len(table)
     head = json.dumps({"S": p.geometry.S, "c": p.c, "mu": p.mu, "M_max": n - 1})
     yield head[:-1] + ', "entries": [\n'  # the header object stays open for the list
-    parities = _parities(n)
     for i in range(0, n, _TABLE_PIECE_ROWS):
         part = slice(i, i + _TABLE_PIECE_ROWS)
-        rows = map(_TABLE_ROW.format, range(n)[part], table.qs[part].tolist(),
-                   table.deltas[part].tolist(), parities[part],
-                   table.c_norms[part].tolist(), table.d_bdys[part].tolist())
-        yield (",\n" if i else "") + ",\n".join(rows)
-    yield "\n]}\n"
+        ms = range(n)[part]
+        text = _TABLE_ROW * len(ms)
+        text[1::10] = map(str, ms)
+        text[6::10] = islice(cycle(_PARITY_TEXT), len(ms))
+        for j, col in zip((3, 5, 7, 9), (table.qs, table.deltas, table.c_norms, table.d_bdys)):
+            text[j::10] = map(repr, col[part].tolist())
+        if i == 0:
+            text[0] = '{"m": '  # the table has no row before its first
+        yield "".join(text)
+    yield "}\n]}\n"
 
 
 def table_to_json(table: ModeTable) -> str:
@@ -131,15 +154,18 @@ def resolve_cache_dir(flag_value: str | None) -> Path:
     return Path.home() / ".cache" / "wentzell"
 
 
-def load_or_build_table(p: PhysicalParams, M_max: int,
-                        cache_dir: Path) -> tuple[ModeTable, Path, bool]:
+def load_or_build_table(p: PhysicalParams, M_max: int, cache_dir: Path,
+                        out: Path | None = None) -> tuple[ModeTable, Path, bool]:
     """The table for (p, M_max) from the cache, or built and written there.
 
     A cached file is re-verified (mode sequence, parities, increasing q, the
     key it was written for, and ``check_solution``: the residual of every root
     and the exact relations of its delta_m, c_m and d_m); one that fails counts
-    as a miss and is overwritten."""
+    as a miss and is overwritten.  ``out``, when given, gets the same text,
+    formatted from the table: in the cache file's pass on a miss, alone on a
+    hit."""
     path = cache_path(cache_dir, p, M_max)
+    hit = False
     if path.exists():
         try:
             table = table_from_json(path.read_text())
@@ -147,12 +173,15 @@ def load_or_build_table(p: PhysicalParams, M_max: int,
             if ((got.geometry, got.c, got.mu, len(table) - 1)
                     == (p.geometry, p.c, p.mu, M_max)):
                 check_solution(table)
-                return table, path, True
+                hit = True
         except (ValueError, KeyError, TypeError):
             pass  # unreadable or stale: rebuilt below
-    table = build_table(M_max, p)
-    atomic_write_text(path, _table_pieces(table))
-    return table, path, False
+    if not hit:
+        table = build_table(M_max, p)
+    dests = ([] if hit else [path]) + ([] if out is None else [out])
+    if dests:
+        atomic_write_text(dests, _table_pieces(table))
+    return table, path, hit
 
 
 _CSV_PIECE_ROWS = 4096
@@ -177,9 +206,13 @@ def write_csv(path: Path, header: dict, columns: list[str], rows: np.ndarray):
 # commands
 
 def cmd_modes(args: argparse.Namespace) -> int:
+    """Build or load the table; ``--out`` gets its text from the same
+    formatting pass as the cache file on a miss, so a command formats the
+    table at most once."""
     p = PhysicalParams(c=args.c, mu=args.mu, geometry=Strip(args.S))
     cache_dir = resolve_cache_dir(args.cache_dir)
-    table, path, cached = load_or_build_table(p, args.M_max, cache_dir)
+    out = Path(args.out) if args.out else None
+    table, path, cached = load_or_build_table(p, args.M_max, cache_dir, out=out)
     print(f"mode table: {len(table)} entries "
           f"({'cache hit' if cached else 'computed'}) -> {path}")
 
@@ -187,7 +220,6 @@ def cmd_modes(args: argparse.Namespace) -> int:
     res = float(np.max(table.residuals, initial=0.0))
     print(f"PASS  mode table check (max normalized residual {res:.3e})")
     if args.out:
-        atomic_write_text(Path(args.out), _table_pieces(table))
         print(f"table -> {args.out}")
     return EXIT_OK
 

@@ -387,7 +387,9 @@ def halfspace_weight(q, c: float) -> np.ndarray:
 
 
 # Composite Gauss-Legendre rules for the half-space integrals over q in [0, inf).
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# The 16-point rule (nodes, weights) is computed on first use, so that
+# importing qft loads no numpy.polynomial.
+_GL_RULE = None
 # unit panels of s in [0, 40]; the sech tail beyond: 4 e^-40 / (pi c) < 2e-17 / c
 _NORM_EDGES = np.linspace(0.0, 40.0, 41)
 # |c * normalization - 1| bound of the half-space weight check; measured at
@@ -406,10 +408,15 @@ _BLOCK_ENTRIES = 2**18   # matrix entries per block of modes (strip) or x0 rows
 def _composite_gauss_legendre(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the 16-point Gauss-Legendre rule on each panel
     [edges[i], edges[i + 1]] of increasing ``edges``."""
+    global _GL_RULE
+    if _GL_RULE is None:
+        from numpy.polynomial.legendre import leggauss
+        _GL_RULE = leggauss(16)
+    nodes, weights = _GL_RULE
     half = 0.5 * np.diff(edges)
     mids = edges[:-1] + half
-    return ((mids[:, None] + half[:, None] * _GL_NODES).ravel(),
-            (half[:, None] * _GL_WEIGHTS).ravel())
+    return ((mids[:, None] + half[:, None] * nodes).ravel(),
+            (half[:, None] * weights).ravel())
 
 
 def halfspace_weight_normalization(c: float) -> float:

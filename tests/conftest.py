@@ -10,12 +10,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
-def scipy_modules_after(tmp_path):
+def modules_after(tmp_path):
     """A function that runs Python code in a fresh interpreter, in tmp_path, and
-    returns the scipy modules loaded after it."""
-    def run(code: str) -> list[str]:
+    returns the modules loaded after it whose names start with ``prefix`` (a
+    string or a tuple of strings)."""
+    def run(code: str, prefix: str | tuple[str, ...]) -> list[str]:
         code += ("\nimport json, sys\n"
-                 "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+                 f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)

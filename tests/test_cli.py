@@ -200,6 +200,15 @@ def test_modes_command(tmp_path, monkeypatch):
 
     residuals = modes._residuals
     monkeypatch.setattr(modes, "_residuals", counted)
+    # and formats the table at most once
+    formatted = []
+
+    def pieces(table):
+        formatted.append(1)
+        return table_pieces(table)
+
+    table_pieces = cli._table_pieces
+    monkeypatch.setattr(cli, "_table_pieces", pieces)
     cache = tmp_path / "cache"
     out = tmp_path / "table.json"
     code = main(["modes", "--S", "1", "--c", "1", "--mu", "1", "--max", "200",
@@ -211,13 +220,20 @@ def test_modes_command(tmp_path, monkeypatch):
     assert set(doc) == {"S", "c", "mu", "M_max", "entries"}
     cached = list(cache.glob("modes_*.json"))
     assert [f.name for f in cached] == ["modes_v4_S1.0_c1.0_mu1.0_M200.json"]
-    # the export is the cache file's text, written from the table itself
-    assert out.read_bytes() == cached[0].read_bytes()
+    # the export is the cache file's text, written from the table itself in
+    # the cache file's formatting pass
+    assert out.read_bytes() == cached[0].read_bytes() and formatted == [1]
     checksum = sha(cached[0])
-    # warm rerun: cache hit, byte-identical file
+    # warm rerun: cache hit, byte-identical file, and no formatting
     assert main(["modes", "--S", "1", "--c", "1", "--mu", "1", "--max", "200",
                  "--cache-dir", str(cache)]) == 0
-    assert sha(cached[0]) == checksum and len(calls) == 2
+    assert sha(cached[0]) == checksum and len(calls) == 2 and formatted == [1]
+    # a hit formats the export alone
+    out.unlink()
+    assert main(["modes", "--S", "1", "--c", "1", "--mu", "1", "--max", "200",
+                 "--cache-dir", str(cache), "--out", str(out)]) == 0
+    assert out.read_bytes() == cached[0].read_bytes() and formatted == [1, 1]
+    assert sha(cached[0]) == checksum
 
 
 def test_written_files_respect_the_umask(tmp_path):
@@ -537,6 +553,48 @@ def test_write_csv_matches_the_per_row_format(tmp_path):
         assert path.read_text() == "\n".join(["# k = 1", "a,b,c"] + per_row) + "\n"
 
 
+_REFERENCE_ROW = ('{{"m": {}, "q": {!r}, "delta": {!r}, "parity": "{}", "c_norm": {!r}, '
+                  '"d_bdy": {!r}}}')
+
+
+@pytest.mark.parametrize("S, c, mu", [
+    (2.5, 0.37, 1.3),
+    # the ends of build_table's c range at M = 2048, with the largest and
+    # smallest masses and widths of the CLI sweeps
+    (1e-3, 0.99 * 2.0 ** 1020 / (np.pi * 2048 * 1e3), 1e4),
+    (1e3, 1.01 * 1e3 * 2.0 ** -1020, 0.0),
+    (1.0, 1e-12, 1e-4),
+])
+def test_table_json_matches_the_per_row_format(S, c, mu):
+    # the column pass writes the bytes of one format call per mode, for
+    # tables of one row, of one piece, and of one, two and three pieces
+    # around their edges
+    for n in (1, 2, 1023, 1024, 1025, 2048, 2049):
+        table = build_table(n - 1, PhysicalParams(c=c, mu=mu, geometry=Strip(S)))
+        rows = [_REFERENCE_ROW.format(m, q, delta, ("even", "odd")[m % 2], c_m, d_m)
+                for m, (q, delta, c_m, d_m) in enumerate(zip(
+                    table.qs.tolist(), table.deltas.tolist(), table.c_norms.tolist(),
+                    table.d_bdys.tolist()))]
+        head = json.dumps({"S": S, "c": c, "mu": mu, "M_max": n - 1})
+        assert table_to_json(table) == (head[:-1] + ', "entries": [\n' + ",\n".join(rows)
+                                        + "\n]}\n"), n
+
+
+def test_table_writer_memory_does_not_grow_with_the_table(tmp_path):
+    # the pieces hold Python objects of one piece's modes at a time
+    peaks = []
+    for M in (20000, 100000):
+        table = build_table(M, PhysicalParams(c=1.0, mu=1.0, geometry=Strip(1.0)))
+        tracemalloc.start()
+        try:
+            cli.atomic_write_text(tmp_path / "table.json", cli._table_pieces(table))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "table.json").read_text() == table_to_json(table)
+    assert peaks[0] <= 2 ** 20 and peaks[1] - peaks[0] <= 64 * 2 ** 10
+
+
 def test_twopoint_halfspace(tmp_path):
     out = tmp_path / "hs.csv"
     code = main(["twopoint", "--geometry", "halfspace", "--mu", "1",
@@ -686,8 +744,8 @@ def test_extreme_strip_widths_run_or_name_the_parameter(tmp_path, capsys, args, 
         assert all(np.isfinite(v) for v in rep.values())
 
 
-def test_import_leaves_out_scipy(scipy_modules_after):
-    assert scipy_modules_after("import wentzell.cli, wentzell.acceptance") == []
+def test_import_leaves_out_scipy(modules_after):
+    assert modules_after("import wentzell.cli, wentzell.acceptance", "scipy") == []
 
 
 _RUNS_WITHOUT_SCIPY = [
@@ -703,19 +761,31 @@ _RUNS_WITHOUT_SCIPY = [
 ]
 
 
-def test_default_commands_leave_out_scipy(scipy_modules_after):
+def test_default_commands_leave_out_scipy(modules_after):
     code = ("from wentzell.cli import main\n"
             f"for args in {_RUNS_WITHOUT_SCIPY!r}:\n"
             "    assert main(args + ['--cache-dir', 'cache']) == 0, args")
-    assert scipy_modules_after(code) == []
+    assert modules_after(code, "scipy") == []
 
 
-def test_verify_leaves_out_scipy(scipy_modules_after):
+@pytest.mark.parametrize("code", [
+    "import wentzell.cli",
+    # the default modes, evolve and twopoint commands
+    "from wentzell.cli import main\n"
+    "for cmd in ('modes', 'evolve', 'twopoint'):\n"
+    "    assert main([cmd, '--cache-dir', 'cache']) == 0, cmd",
+], ids=["import", "default-commands"])
+def test_cli_leaves_out_scipy_and_numpy_polynomial(modules_after, code):
+    # the half-space quadrature loads numpy.polynomial on its first use
+    assert modules_after(code, ("scipy", "numpy.polynomial")) == []
+
+
+def test_verify_leaves_out_scipy(modules_after):
     # criterion 7's closed form needs no scipy.special.log_ndtr, and criterion
     # 9's spacelike points evaluate no J0
     code = ("from wentzell.cli import main\n"
             "assert main(['verify', '--out', 'verify.json']) == 0")
-    assert scipy_modules_after(code) == []
+    assert modules_after(code, "scipy") == []
 
 
 def test_twopoint_strip(tmp_path):

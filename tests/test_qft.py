@@ -466,7 +466,7 @@ def test_bessel_sum_matches_the_sum_with_scipys_kv(bessel_table, d):
     assert np.max(np.abs(ours - scipys) / scipys) <= 1e-13
 
 
-def test_bessel_sums_load_no_scipy(scipy_modules_after):
+def test_bessel_sums_load_no_scipy(modules_after):
     # the r = 1e3 terms all underflow, so its cut fails the certificate and
     # the prefix sum falls back to every mode
     code = ("import numpy as np\n"
@@ -484,7 +484,7 @@ def test_bessel_sums_load_no_scipy(scipy_modules_after):
             "    assert np.all(v[:2] > 0) and v[2] == 0.0\n"
             "    _, used = qft._bessel_prefix_sums(cut, r, d, mu_m, d2)\n"
             "    assert cut[2] < 51 and used[2] == 51")
-    assert scipy_modules_after(code) == []
+    assert modules_after(code, "scipy") == []
 
 
 def j0_oracle(x):
@@ -517,13 +517,13 @@ def test_pauli_jordan_evaluates_j0_at_timelike_entries_only():
     assert np.array_equal(pauli_jordan_d2(x0, x, mass), full)
 
 
-def test_pauli_jordan_at_spacelike_points_loads_no_scipy(scipy_modules_after):
+def test_pauli_jordan_at_spacelike_points_loads_no_scipy(modules_after):
     code = ("import numpy as np\n"
             "from wentzell.qft import pauli_jordan_d2\n"
             "v = pauli_jordan_d2(np.array([0.5, -1.0]), np.array([2.0, 1.5]), "
             "np.array([[1.0], [3.0]]))\n"
             "assert v.shape == (2, 2) and not v.any()")
-    assert scipy_modules_after(code) == []
+    assert modules_after(code, "scipy") == []
 
 
 def test_commutator_properties(table200):
