@@ -19,8 +19,6 @@ import sys
 import tempfile
 import time
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import ExitStack
-from itertools import cycle, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -55,22 +53,30 @@ def atomic_write_text(path: Path | Sequence[Path], text: str | Iterable[str]):
     paths = [path] if isinstance(path, Path) else list(path)
     umask = os.umask(0)
     os.umask(umask)
-    tmps = []
+    # plain lists, not an ExitStack: its deque's 528-byte block, freed into
+    # glibc's tcache above a new table's arrays, kept the heap from being
+    # trimmed once they were freed (2-3 MB more peak RSS at 20 001 modes)
+    tmps, files = [], []
     try:
-        with ExitStack() as stack:
-            files = []
-            for dest in paths:
-                dest.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=dest.parent, prefix=dest.name + ".")
-                tmps.append(tmp)
-                files.append(stack.enter_context(os.fdopen(fd, "w")))
-                os.fchmod(fd, 0o666 & ~umask)
-            for piece in [text] if isinstance(text, str) else text:
-                for f in files:
-                    f.write(piece)
+        for dest in paths:
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=dest.parent, prefix=dest.name + ".")
+            tmps.append(tmp)
+            files.append(os.fdopen(fd, "w"))
+            os.fchmod(fd, 0o666 & ~umask)
+        for piece in [text] if isinstance(text, str) else text:
+            for f in files:
+                f.write(piece)
+        for f in files:
+            f.close()
         for tmp, dest in zip(tmps, paths):
             os.replace(tmp, dest)
     except BaseException:
+        for f in files:
+            try:
+                f.close()
+            except OSError:
+                pass  # the error being raised is the one to report
         for tmp in tmps:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -97,8 +103,10 @@ def _table_pieces(table: ModeTable) -> Iterator[str]:
     """The JSON text of ``table_to_json`` in pieces of at most
     _TABLE_PIECE_ROWS modes, so that a large table is never held as one
     string or as Python lists of all its modes.  A piece is one join of
-    _TABLE_ROW's text with each column passed through repr in one pass; the
-    bytes are those of one ``{!r}`` format per row."""
+    _TABLE_ROW repeated once per row, its slots filled by strided slice
+    assignment with m, the parity text and each column's repr, one pass per
+    column; the bytes are those of one ``{!r}`` format per row.  (Interleaving
+    the columns with chain, zip and repeat instead measured 7% slower.)"""
     p = table.params
     n = len(table)
     head = json.dumps({"S": p.geometry.S, "c": p.c, "mu": p.mu, "M_max": n - 1})
@@ -108,7 +116,7 @@ def _table_pieces(table: ModeTable) -> Iterator[str]:
         ms = range(n)[part]
         text = _TABLE_ROW * len(ms)
         text[1::10] = map(str, ms)
-        text[6::10] = islice(cycle(_PARITY_TEXT), len(ms))
+        text[6::10] = (_PARITY_TEXT * ((len(ms) + 1) // 2))[:len(ms)]
         for j, col in zip((3, 5, 7, 9), (table.qs, table.deltas, table.c_norms, table.d_bdys)):
             text[j::10] = map(repr, col[part].tolist())
         if i == 0:
