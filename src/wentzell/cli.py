@@ -47,40 +47,36 @@ CACHE_ENV = "WENTZELL_CACHE_DIR"
 def atomic_write_text(path: Path | Sequence[Path], text: str | Iterable[str]):
     """Write ``text``, a string or an iterable of string pieces, to a
     temporary file and rename it over ``path``.  With a sequence of paths,
-    every piece goes to each file in one pass over ``text``.  A file gets the
-    mode that ``open(path, "w")`` would create it with, 0o666 less the umask
-    (a temporary file starts at 0o600)."""
-    paths = [path] if isinstance(path, Path) else list(path)
+    every piece goes to each file in one pass over ``text``, and a failure to
+    produce or write the text replaces none of them.  A file gets the mode
+    that ``open(path, "w")`` would create it with, 0o666 less the umask (a
+    temporary file starts at 0o600)."""
+    path, *rest = [path] if isinstance(path, Path) else path
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     umask = os.umask(0)
     os.umask(umask)
-    # plain lists, not an ExitStack: its deque's 528-byte block, freed into
-    # glibc's tcache above a new table's arrays, kept the heap from being
-    # trimmed once they were freed (2-3 MB more peak RSS at 20 001 modes)
-    tmps, files = [], []
     try:
-        for dest in paths:
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=dest.parent, prefix=dest.name + ".")
-            tmps.append(tmp)
-            files.append(os.fdopen(fd, "w"))
-            os.fchmod(fd, 0o666 & ~umask)
-        for piece in [text] if isinstance(text, str) else text:
-            for f in files:
-                f.write(piece)
-        for f in files:
-            f.close()
-        for tmp, dest in zip(tmps, paths):
-            os.replace(tmp, dest)
+        with os.fdopen(fd, "w") as f:
+            os.fchmod(f.fileno(), 0o666 & ~umask)
+            pieces = [text] if isinstance(text, str) else text
+            if rest:
+                # the other files take each piece as it is written here
+                atomic_write_text(rest, _written(f, pieces))
+            else:
+                f.writelines(pieces)
+        os.replace(tmp, path)
     except BaseException:
-        for f in files:
-            try:
-                f.close()
-            except OSError:
-                pass  # the error being raised is the one to report
-        for tmp in tmps:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        if os.path.exists(tmp):
+            os.unlink(tmp)
         raise
+
+
+def _written(f, pieces: Iterable[str]) -> Iterator[str]:
+    """Each of ``pieces``, once it is written to ``f``."""
+    for piece in pieces:
+        f.write(piece)
+        yield piece
 
 
 # cache file format and solver version, part of the file name; v4 evaluates

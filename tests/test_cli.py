@@ -250,6 +250,23 @@ def test_written_files_respect_the_umask(tmp_path):
     assert oct(out.stat().st_mode & 0o777) == oct(0o644)
 
 
+def test_a_write_to_several_files_replaces_all_or_none(tmp_path):
+    a, b = tmp_path / "a.txt", tmp_path / "sub" / "b.txt"
+    a.write_text("old")
+
+    def failing():
+        yield "new"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError):
+        cli.atomic_write_text([a, b], failing())
+    # the old file is untouched, the new one not created, no temporary left
+    assert a.read_text() == "old" and not b.exists()
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["a.txt"]
+    cli.atomic_write_text([a, b], iter(["new", " text"]))
+    assert a.read_text() == b.read_text() == "new text"
+
+
 def test_modes_accepts_a_root_at_the_window_top(tmp_path):
     # at c = 1e-17, arctan(1 / (c q_1)) rounds to pi / 2: delta_1 is the window
     # top, which check_solution allows
