@@ -28,7 +28,8 @@ times coarser, pi / (omega_max + 9 / tau) (at most 3.5e-14 of the largest
 coefficient for ``holo``, ``holo --max 48``, fig2 and criterion 10), but
 fig2's burst arrivals are read at grid times: there that step is 0.21, more
 than criterion 11's tolerance of 0.2, and moves the arrivals by up to 0.19.
-A grid of more than 2^21 times is refused before it is built.
+A grid of more than 2^21 times is refused before it is built.  f' is
+summed by ``qft._wave_sum``, by angle addition on these uniform times.
 
 The mode table is the one source of the strip, c and mu: ``holographic_dual``
 builds its grids from it, and the image keeps it for ``verify_dual``.
@@ -63,7 +64,7 @@ import numpy as np
 
 from .core import Grid1D, PhysicalParams, Strip, _check_halfspace
 from .modes import ModeTable, build_table, eval_halfspace_mode
-from .qft import (_BLOCK_ENTRIES, SmearedCoefficients, _project_rows, fourier_trapezoid,
+from .qft import (SmearedCoefficients, _project_rows, _wave_sum, fourier_trapezoid,
                   smeared_coeffs)
 
 _ENERGY_FRACTION = 0.999  # coefficient energy the automatic cutoff M retains
@@ -155,15 +156,11 @@ class FreqExtension:
 
     def fprime(self, t: np.ndarray) -> np.ndarray:
         """f'(t) = exp(-t^2 / 2 tau^2) sum_m 2 Re[beta_m exp(-i omega_m t)] at
-        the times of a 1-d array, from phase blocks of at most 2^18 entries."""
+        the times of a 1-d array, by ``_wave_sum``."""
         t = np.asarray(t, dtype=float)
-        out = np.empty(t.size)
-        re, im = 2.0 * self.beta.real, 2.0 * self.beta.imag
-        step = max(1, _BLOCK_ENTRIES // self.omegas.size)
-        for i in range(0, t.size, step):
-            phase = np.outer(t[i:i + step], self.omegas)
-            out[i:i + step] = np.cos(phase) @ re + np.sin(phase) @ im
-        return out * np.exp(-0.5 * (t / self.tau) ** 2)
+        out = 2.0 * _wave_sum(self.beta, self.omegas, t).real
+        out *= np.exp(-0.5 * (t / self.tau) ** 2)
+        return out
 
 
 @dataclass

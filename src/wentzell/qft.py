@@ -10,6 +10,10 @@ x0, the spectrum and a cutoff: ``boundary_2pt_strip`` sums the modes
 ``boundary_2pt_halfspace`` integrates the weight up to q_max.  The d >= 2
 sums take a ``TwoPointSpec``, whose table must match it.
 
+Both d = 1 sums, and the holographic image f', are one superposition
+sum_k a_k exp(-i omega_k x0), ``_wave_sum``: by angle addition on a uniform
+x0, from every phase on any other.
+
 At spacelike separation r (d >= 2) the strip sum is sum_m d_m^2 (2 pi)^(-d/2)
 mu_m^nu r^(1-d/2) K_nu(mu_m r), nu = d/2 - 1, whose terms fall like
 e^(-mu_m r).  Each r sums only the modes with mu_m < mu_0 + 45 / r, in
@@ -26,8 +30,8 @@ scipy.special.
 The half-space integrals over q are one composite Gauss-Legendre rule in
 numpy, on given panel edges: the two-point function after the substitution
 q = mu sinh s, on panels graded toward the weight's pole near s = 0 and
-capped in phase, evaluated for all times as products of cos and sin of one
-real phase matrix with a two-resolution error estimate, and the weight
+capped in phase, evaluated for all times as the ``_wave_sum`` of its nodes
+and weights with a two-resolution error estimate, and the weight
 normalization after q = sinh(s) / c on unit panels.  No adaptive quadrature
 is used.
 
@@ -170,6 +174,74 @@ def _finite_x0(x0) -> np.ndarray:
     return x0
 
 
+_BLOCK_ENTRIES = 2**18   # entries of an array block of _wave_sum and _project_rows
+_WAVE_MIN_POINTS = 16    # fewest points _wave_sum factors
+_WAVE_ULPS = 4.0         # largest r_j of a uniform x, in ulps of max|x|
+
+
+def _phasors(phase: np.ndarray) -> np.ndarray:
+    """exp(-i phase) from np.cos and np.sin, faster than np.exp."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.negative(np.sin(phase, out=out.imag), out=out.imag)
+    return out
+
+
+def _wave_sum(amp: np.ndarray, omega: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k amp_k exp(-i omega_k x_j) at every x_j of a 1-d x, amp real or
+    complex.  On a uniform x of n >= 16 points, j = aB + b with B =
+    ceil(sqrt(n)), exp(-i omega x_j) is the anchor phasor exp(-i omega x_aB)
+    times the offset phasor exp(-i omega (x_b - x_0)): one complex GEMM over
+    the modes, from (n/B + B) K phasors instead of n K.  x is uniform when
+    every r_j = x_j - (x_aB + x_b - x_0) is within 4 ulps of max|x|, and a
+    second GEMM adds -i omega r_j to first order, which keeps the direct
+    sum's rounding.  Any other x takes cos and sin of every phase.  x is
+    taken 2^18 points at a time (whole rows of B when factored) and the modes
+    in blocks of 2^18 // points, so no array block exceeds 2^18 entries at
+    any number of modes.  A zero imaginary part is +0.0."""
+    n = x.size
+    step = math.isqrt(n - 1) + 1 if n >= _WAVE_MIN_POINTS else 0
+    if step:
+        # r_ab = (x_(aB+b) - x_aB) - (x_b - x_0), x padded to whole rows
+        offsets = x[:step] - x[0]
+        r = np.empty(-(-n // step) * step)
+        r[:n], r[n:] = x, x[-1]
+        resid = r.reshape(-1, step)
+        resid -= resid[:, :1].copy()
+        resid -= offsets
+        x_max = max(-x.min(), x.max())
+        if max(-r[:n].min(), r[:n].max()) <= _WAVE_ULPS * np.spacing(x_max):
+            out = np.zeros(resid.shape, dtype=complex)
+            rows = max(1, _BLOCK_ENTRIES // step)
+            for i in range(0, len(out), rows):
+                anchors = x[i * step:(i + rows) * step:step]
+                total = out[i:i + rows]
+                slope = np.zeros_like(total)
+                block = max(1, _BLOCK_ENTRIES // total.size)
+                for k in range(0, omega.size, block):
+                    w, a = omega[k:k + block], amp[k:k + block]
+                    left = _phasors(np.multiply.outer(anchors, w))
+                    right = _phasors(np.multiply.outer(w, offsets))
+                    total += (left * a) @ right
+                    slope += (left * (a * w)) @ right
+                slope *= resid[i:i + rows]   # total - i r slope, in place
+                total.real += slope.imag
+                total.imag -= slope.real
+            return out.ravel()[:n]
+    out = np.empty(n, dtype=complex)
+    for i in range(0, n, _BLOCK_ENTRIES):
+        xi = x[i:i + _BLOCK_ENTRIES]
+        cos = np.zeros(xi.size, dtype=np.result_type(amp, float))
+        sin = np.zeros_like(cos)
+        block = max(1, _BLOCK_ENTRIES // xi.size)
+        for k in range(0, omega.size, block):
+            phase = np.multiply.outer(omega[k:k + block], xi)
+            cos += amp[k:k + block] @ np.cos(phase)
+            sin += amp[k:k + block] @ np.sin(phase)
+        out[i:i + _BLOCK_ENTRIES] = cos - 1j * sin
+    return out
+
+
 def boundary_2pt_strip(x0, table: ModeTable, M: int) -> TwoPointResult:
     """The d = 1 boundary two-point function on the strip, summed over the
     modes m = 0 .. M of ``table``:
@@ -180,28 +252,18 @@ def boundary_2pt_strip(x0, table: ModeTable, M: int) -> TwoPointResult:
     and mu read from ``table.params``.  ``tail_bound`` is
     ``strip_tail_bound(M, S, c)``.  ValueError unless 1 <= M <= len(table) - 1
     and every x0 is finite; ZeroModeError (a ValueError) at mu = 0, where
-    mu_0 = 0.  The sum takes the modes in blocks of max(1, 2^18 // len(x0)),
-    so its memory stays bounded at any cutoff.
+    mu_0 = 0.  The sum is ``_wave_sum``, whose memory is bounded at any
+    cutoff.
     """
     if not 1 <= M <= len(table) - 1:
         raise ValueError(f"mode cutoff must be in 1 .. {len(table) - 1}, got M={M}")
     x0 = _finite_x0(x0)
     mu_m = table.omegas()[: M + 1]
-    d2 = table.d_bdys[: M + 1] ** 2
     if np.any(mu_m == 0.0):
         raise ZeroModeError("mu > 0 is required: at mu = 0 the zero mode is massless "
                             "and its term d_0^2 / (2 mu_0) diverges")
-    # real cos and sin matrices, one block of modes at a time; the first
-    # block's sums start the totals, so a one-block sum keeps its bytes
-    w = d2 / (2.0 * mu_m)
-    rows = max(1, _BLOCK_ENTRIES // max(x0.size, 1))
-    re = im = None
-    for i in range(0, w.size, rows):
-        phase = np.multiply.outer(mu_m[i:i + rows], x0)
-        cos = np.tensordot(w[i:i + rows], np.cos(phase), axes=(0, 0))
-        sin = np.tensordot(w[i:i + rows], np.sin(phase), axes=(0, 0))
-        re, im = (cos, sin) if re is None else (re + cos, im + sin)
-    val = re - 1j * im
+    w = table.d_bdys[: M + 1] ** 2 / (2.0 * mu_m)
+    val = _wave_sum(w, mu_m, x0.ravel()).reshape(x0.shape)
     val = val if val.shape else complex(val)
     p = table.params
     return TwoPointResult(value=val, tail_bound=strip_tail_bound(M, p.geometry.S, p.c))
@@ -402,7 +464,6 @@ _HALFSPACE_RTOL = 1e-10  # two-resolution estimate, relative to W(0)
 # every panel halved then spans at most 12 rad.
 _HALFSPACE_PHASE = 24.0
 _HALFSPACE_MAX_PANELS = 2**14
-_BLOCK_ENTRIES = 2**18   # matrix entries per block of modes (strip) or x0 rows
 
 
 def _composite_gauss_legendre(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -471,18 +532,11 @@ def _halfspace_edges(mu: float, c: float, q_max: float, x0_max: float) -> np.nda
 def _halfspace_sum(x0: np.ndarray, mu: float, c: float, edges: np.ndarray
                    ) -> tuple[np.ndarray, float]:
     """int ds w(mu sinh s) e^(-i mu cosh(s) x0) / 2 over the panels ``edges``
-    at every x0 by the composite rule, and the same integral at x0 = 0, which
-    bounds |W(x0)|."""
+    at every x0 of a 1-d array by the composite rule (a ``_wave_sum``), and
+    the same integral at x0 = 0, which bounds |W(x0)|."""
     s, ws = _composite_gauss_legendre(edges)
     amp = ws * halfspace_weight(mu * np.sinh(s), c) / 2.0
-    omega = mu * np.cosh(s)
-    out = np.empty(x0.size, dtype=complex)
-    rows = max(1, _BLOCK_ENTRIES // s.size)
-    for i in range(0, x0.size, rows):
-        phase = np.outer(x0[i:i + rows], omega)
-        out.real[i:i + rows] = np.cos(phase) @ amp
-        out.imag[i:i + rows] = -(np.sin(phase) @ amp)
-    return out, float(np.sum(amp))
+    return _wave_sum(amp, mu * np.cosh(s), x0), float(np.sum(amp))
 
 
 def boundary_2pt_halfspace(x0, p, q_max: float) -> TwoPointResult:

@@ -348,6 +348,40 @@ def test_twopoint_sweep_runs_or_fails_loudly(tmp_path, capsys):
     assert codes.count(0) >= 30  # most points run
 
 
+def _holo_sweep(n: int, seed: int):
+    """``holo`` command lines at n seeded points: S, c and mu as in
+    ``_modes_sweep``, and --max up to 48 half the time (the automatic cutoff
+    otherwise)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        S, c, mu = (10.0 ** rng.uniform([-3, -12, -4], [3, 12, 4])).tolist()
+        if rng.random() < 0.25:
+            mu = 0.0
+        cutoff = ["--max", str(rng.integers(0, 49))] if rng.random() < 0.5 else []
+        yield ["holo", "--S", repr(S), "--c", repr(c), "--mu", repr(mu)] + cutoff
+
+
+def test_holo_sweep_runs_or_fails_loudly(tmp_path, capsys):
+    # exit 0 writes a finite image, its coefficients and meta; exit 1 a
+    # message and no data file
+    codes = []
+    for i, argv in enumerate(_holo_sweep(60, seed=44)):
+        out = tmp_path / str(i)
+        code = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        codes.append(code)
+        files = [out.with_suffix(s) for s in (".fhat.csv", ".fprime.csv", ".meta.json")]
+        if code == 0:
+            for path in files[:2]:
+                assert np.all(np.isfinite(read_csv(path)[1])), (argv, path)
+            meta = json.loads(files[2].read_text())
+            assert all(np.isfinite(v) for v in meta.values()
+                       if isinstance(v, float)), (argv, meta)
+            continue
+        assert code == 1 and err and not any(p.exists() for p in files), (argv, code, err)
+    assert codes.count(0) >= 10  # the image is written at many points
+
+
 def test_modes_rejects_negative_c(tmp_path):
     assert main(["modes", "--c", "-1", "--cache-dir", str(tmp_path)]) == 1
 

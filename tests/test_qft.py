@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -110,6 +111,144 @@ def test_strip_2pt_cutoff_within_the_table(table200, M):
 def test_weights_positive(table200):
     assert np.all(table200.d_bdys**2 > 0)
     assert np.all(halfspace_weight(np.linspace(0, 50, 100), 1.0) > 0)
+
+
+# ---------------------------------------------------------------------------
+# the superposition kernel
+
+_EXTENDED = np.finfo(np.longdouble).eps < 1e-18
+needs_long_double = pytest.mark.skipif(not _EXTENDED, reason="long double is a double here")
+
+
+def _long_double_wave_sum(amp, omega, x) -> np.ndarray:
+    """sum_k amp_k exp(-i omega_k x_j) with the phases, cos, sin and sums in
+    long double, from the same double inputs."""
+    ld = np.longdouble
+    amp = np.asarray(amp, dtype=complex)
+    ar, ai = amp.real.astype(ld), amp.imag.astype(ld)
+    w, x = np.asarray(omega).astype(ld), np.asarray(x).astype(ld)
+    re, im = np.zeros(x.size, ld), np.zeros(x.size, ld)
+    for i in range(0, w.size, 256):
+        phase = np.multiply.outer(w[i:i + 256], x)
+        cos, sin = np.cos(phase), np.sin(phase)
+        re += ar[i:i + 256] @ cos + ai[i:i + 256] @ sin
+        im += ai[i:i + 256] @ cos - ar[i:i + 256] @ sin
+    return re.astype(float) + 1j * im.astype(float)
+
+
+def _wave_bound(amp, omega, x) -> float:
+    """16 eps sum_k |amp_k| (1 + |omega_k| max|x|): the phase omega x rounds
+    to eps |omega x|, and cos, sin and the sums to a few eps of each term."""
+    x_max = float(np.max(np.abs(x), initial=0.0))
+    return 16.0 * np.finfo(float).eps * float(np.sum(np.abs(amp) * (1.0 + np.abs(omega) * x_max)))
+
+
+def _wave_routes(amp, omega, x, monkeypatch):
+    """The kernel's value on x, and the direct route's, with the fewest points
+    it factors raised past len(x)."""
+    uniform = qft._wave_sum(amp, omega, x)
+    with monkeypatch.context() as m:
+        m.setattr(qft, "_WAVE_MIN_POINTS", x.size + 1)
+        direct = qft._wave_sum(amp, omega, x)
+    return uniform, direct
+
+
+@needs_long_double
+@pytest.mark.parametrize("S, c, mu, M, x0_max, n", [
+    (1.0, 1.0, 1.0, 2500, 5.0, 101), (1e-3, 1.0, 1.0, 5000, 100.0, 300),
+    (1e3, 1e-6, 1e-4, 3000, 0.01, 200), (1.0, 1e6, 10.0, 1000, 50.0, 64)])
+def test_wave_sum_routes_match_a_long_double_sum(S, c, mu, M, x0_max, n, monkeypatch):
+    # the strip's two-point sum on the twopoint grid linspace(0, x0_max, n):
+    # both routes meet the bound, and the factored one keeps the direct
+    # route's rounding (the compensation of x_j - (anchor + offset) does it)
+    table = build_table(M, PhysicalParams(c=c, mu=mu, geometry=Strip(S)))
+    omega = table.omegas()
+    amp = table.d_bdys**2 / (2.0 * omega)
+    x = np.linspace(0.0, x0_max, n)
+    ref = _long_double_wave_sum(amp, omega, x)
+    uniform, direct = _wave_routes(amp, omega, x, monkeypatch)
+    err_u, err_d = np.max(np.abs(uniform - ref)), np.max(np.abs(direct - ref))
+    bound = _wave_bound(amp, omega, x)
+    assert err_u <= bound and err_d <= bound, (err_u / bound, err_d / bound)
+    assert err_u <= 1.5 * err_d, (err_u, err_d)
+
+
+@needs_long_double
+@pytest.mark.parametrize("n", [0, 1, 2, 15, 16, 17, 99, 100, 101, 1025])
+def test_wave_sum_at_every_length(table200, n, monkeypatch):
+    # complex amplitudes, as f' takes them, on a grid that crosses zero
+    omega = table200.omegas()
+    phases = np.random.default_rng(n).uniform(0.0, 2.0 * np.pi, omega.size)
+    amp = table200.d_bdys**2 / (2.0 * omega) * np.exp(1j * phases)
+    x = np.linspace(-3.0, 7.0, n)
+    ref = _long_double_wave_sum(amp, omega, x)
+    bound = _wave_bound(amp, omega, x)
+    for value in _wave_routes(amp, omega, x, monkeypatch):
+        assert value.shape == (n,) and value.dtype == complex
+        assert np.max(np.abs(value - ref), initial=0.0) <= bound
+
+
+def _trig_sizes(monkeypatch) -> list:
+    """Record the size of every np.cos and np.sin argument from now on."""
+    sizes, cos, sin = [], np.cos, np.sin
+    monkeypatch.setattr(np, "cos", lambda a, **kw: (sizes.append(np.size(a)), cos(a, **kw))[1])
+    monkeypatch.setattr(np, "sin", lambda a, **kw: (sizes.append(np.size(a)), sin(a, **kw))[1])
+    return sizes
+
+
+def test_wave_sum_moved_point_takes_the_direct_route(table200, monkeypatch):
+    # one interior point moved by 1e-9 breaks the uniform check: every phase
+    # omega_k x_j is taken, and the other points keep their values to 1e-14
+    omega = table200.omegas()
+    amp = table200.d_bdys**2 / (2.0 * omega)
+    x = np.linspace(0.0, 5.0, 101)
+    moved = x.copy()
+    moved[50] += 1e-9
+    uniform = qft._wave_sum(amp, omega, x)
+    sizes = _trig_sizes(monkeypatch)
+    direct = qft._wave_sum(amp, omega, moved)
+    monkeypatch.undo()
+    assert sum(sizes) == 2 * omega.size * x.size
+    w0 = float(np.sum(amp))
+    assert np.max(np.abs(np.delete(direct - uniform, 50))) <= 1e-14 * w0
+    assert abs(direct[50] - uniform[50]) <= 1e-14 * w0 + 1e-9 * float(np.sum(amp * omega))
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["uniform", "direct"])
+def test_wave_sum_routes_keep_the_block_bound(table200, moved, monkeypatch):
+    # 101 points against 201 modes under a bound of 64 entries: the uniform
+    # route takes rows of 5 x 11 points and the direct one 64 points at a
+    # time, each in blocks of one mode.  Every phase table stays within the
+    # bound, the uniform route evaluates 32 phasors a mode where the direct
+    # one takes 101, and the blocked sums agree with the one-block sums
+    omega = table200.omegas()
+    amp = table200.d_bdys**2 / (2.0 * omega)
+    x = np.linspace(0.0, 5.0, 101)
+    x[50] += 1e-9 if moved else 0.0
+    whole = qft._wave_sum(amp, omega, x)
+    monkeypatch.setattr(qft, "_BLOCK_ENTRIES", 64)
+    sizes = _trig_sizes(monkeypatch)
+    blocked = qft._wave_sum(amp, omega, x)
+    assert max(sizes) <= 64
+    assert sum(sizes) == 2 * omega.size * (x.size if moved else 2 * (5 + 11))
+    assert np.max(np.abs(blocked - whole)) <= 1e-14 * float(np.sum(amp))
+
+
+def test_strip_2pt_memory_does_not_grow_with_the_cutoff():
+    # the modes go through the kernel in blocks: from M = 10^4 to 10^5 the
+    # peak grows by the amplitudes and their temporaries alone (measured 8
+    # bytes a mode), where unblocked phasor tables add 512 bytes a mode
+    table = build_table(100_000, P1)
+    x0 = np.linspace(0.0, 5.0, 101)
+    peaks = []
+    for M in (10_000, 100_000):
+        tracemalloc.start()
+        try:
+            boundary_2pt_strip(x0, table, M)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 4 * 8 * 90_000, peaks
 
 
 # ---------------------------------------------------------------------------
